@@ -75,21 +75,25 @@ from .rings import (
     format_unipoly,
     is_irreducible,
     primitive_nth_root,
+    root_powers,
 )
 from .transform import (
     GroupMatrix,
     GroupVector,
     blahut_weight,
     convolve,
+    convolve_reference,
     diagonalize,
     dual_diagonalize,
     dual_matrix,
     fft,
+    fft_reference,
     group_idempotents,
     group_matrix,
     group_variables,
     interpolate_at_roots_of_unity,
     inverse_fft,
+    inverse_fft_reference,
     shift_matrix,
     shift_power_from_idempotents,
     symbolic_vector,

@@ -19,7 +19,7 @@ from math import lcm
 
 from .errors import PreconditionError
 from .numtheory import invariant_factors
-from .rings import primitive_nth_root
+from .rings import root_powers
 
 
 @dataclass(frozen=True)
@@ -207,11 +207,7 @@ def character_matrix(group: AbelianGroup, field) -> list[list]:
 
     Requires a primitive e-th root of unity in the field, e the exponent.
     """
-    e = group.exponent
-    zeta = primitive_nth_root(e, field)
-    powers = [field.one]
-    for _ in range(e - 1):
-        powers.append(powers[-1] * zeta)
+    powers = root_powers(group.exponent, field)
     elements = group.elements()
     characters = group.characters()
     return [
@@ -224,10 +220,7 @@ def character_matrix_inverse(group: AbelianGroup, field) -> list[list]:
     """P^-1 = (1/n) * transpose of (chi^-1(sigma))."""
     e = group.exponent
     n = group.order
-    zeta = primitive_nth_root(e, field)
-    powers = [field.one]
-    for _ in range(e - 1):
-        powers.append(powers[-1] * zeta)
+    powers = root_powers(e, field)
     inv_n = field.inv(field.from_int(n))
     elements = group.elements()
     characters = group.characters()

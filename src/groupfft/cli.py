@@ -166,6 +166,8 @@ def _cmd_fft(req: CommandRequest) -> tuple[int, str]:
     group, field, vec = _transform_request(req)
     out = transform.fft(vec)
     if req.verify:
+        if out.values != transform.fft_reference(vec).values:
+            raise AssertionError("fast transform differs from the reference sum")
         back = transform.inverse_fft(out)
         if back.values != vec.values:
             raise AssertionError("round-trip self-check failed")
@@ -182,6 +184,8 @@ def _cmd_ifft(req: CommandRequest) -> tuple[int, str]:
     dual_vec = transform.GroupVector(group, field, vec.values, dual=True)
     out = transform.inverse_fft(dual_vec)
     if req.verify:
+        if out.values != transform.inverse_fft_reference(dual_vec).values:
+            raise AssertionError("fast inverse transform differs from the reference sum")
         forward = transform.fft(out)
         if forward.values != dual_vec.values:
             raise AssertionError("round-trip self-check failed")

@@ -36,6 +36,7 @@ from .rings import (
     find_irreducible,
     is_irreducible,
     primitive_nth_root,
+    root_powers,
     x_pow_minus_one,
 )
 from .transform import group_matrix, group_variables, symbolic_vector, GroupVector
@@ -99,10 +100,7 @@ def vandermonde_det(n: int, field):
     group = AbelianGroup.cyclic(n)
     p = character_matrix(group, field)
     direct = mat_det(p, field)
-    zeta = primitive_nth_root(n, field)
-    powers = [field.one]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * zeta)
+    powers = root_powers(n, field)
     product = field.one
     for ell in range(1, n):
         for i in range(ell):
@@ -165,11 +163,7 @@ def verify_product_identity(fd: FactoredDeterminant, group: AbelianGroup,
 # ---------------------------------------------------------------------------
 
 def linear_forms(group: AbelianGroup, field) -> list[LinearForm]:
-    e = group.exponent
-    zeta = primitive_nth_root(e, field)
-    powers = [field.one]
-    for _ in range(e - 1):
-        powers.append(powers[-1] * zeta)
+    powers = root_powers(group.exponent, field)
     elements = group.elements()
     out = []
     for chi in group.characters():

@@ -774,6 +774,15 @@ def primitive_nth_root(n: int, field):
     return zeta
 
 
+def root_powers(n: int, field) -> list:
+    """[1, zeta, ..., zeta^(n-1)] for the canonical primitive n-th root zeta."""
+    zeta = primitive_nth_root(n, field)
+    powers = [field.one]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * zeta)
+    return powers
+
+
 # ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------

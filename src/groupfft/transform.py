@@ -8,8 +8,19 @@ idempotents, the circulant shift algebra, interpolation at roots of
 unity, and the weight-rank identity.
 
 Everything here is exact and field-agnostic: vectors may hold field
-elements or MultiPoly values (for symbolic identities).  The transform
-is the auditable O(n^2) sum, on purpose.
+elements or MultiPoly values (for symbolic identities).
+
+``fft`` and ``inverse_fft`` are fast.  The characters of
+C_{d_1} x ... x C_{d_k} factor, chi(sigma) = prod_i zeta_{d_i}^(chi_i sigma_i),
+so the transform is a 1-D DFT along each cyclic factor of the
+lexicographic array (row-column).  Each 1-D DFT of length m is decimated
+in time on the smallest prime p dividing m, at m (p - 1) scaled additions
+per stage, so a whole transform costs n * sum(p_i - 1) over the prime
+factors p_i of n, counted with multiplicity, instead of n^2.  ``convolve``
+multiplies transforms whenever the transform exists.  The O(n^2) sums are
+kept as ``fft_reference``, ``inverse_fft_reference`` and
+``convolve_reference``: the auditable oracles that tests and the CLI's
+``--verify`` compare the fast path against.
 """
 
 from __future__ import annotations
@@ -23,10 +34,11 @@ from .abelian import (
     character_matrix,
     character_matrix_inverse,
 )
-from .errors import NoRootOfUnity, PreconditionError
+from .errors import NoRootOfUnity, PreconditionError, RingMismatch
 from .linalg import mat_eq, mat_mul, mat_pow, mat_rank, transpose
 from .multipoly import MultiPoly
-from .rings import UniPoly, primitive_nth_root
+from .numtheory import factorization
+from .rings import UniPoly, primitive_nth_root, root_powers
 
 
 @dataclass(frozen=True)
@@ -86,15 +98,6 @@ def _scale(c, x):
     return c * x
 
 
-def _root_powers(group: AbelianGroup, field) -> list:
-    e = group.exponent
-    zeta = primitive_nth_root(e, field)
-    powers = [field.one]
-    for _ in range(e - 1):
-        powers.append(powers[-1] * zeta)
-    return powers
-
-
 def _require_invertible_order(group: AbelianGroup, field):
     char = field.characteristic
     if char and group.order % char == 0:
@@ -103,12 +106,91 @@ def _require_invertible_order(group: AbelianGroup, field):
         )
 
 
+def _dft(values, group: AbelianGroup, powers: list) -> list:
+    """sum_sigma zeta^t(sigma, chi) values_sigma for every chi, row-column.
+
+    powers is the table [zeta^0, ..., zeta^(e-1)] of a primitive e-th root,
+    e the group exponent.  Along the factor C_d the pairing restricts to the
+    1-D DFT with root powers[e // d]; it is applied to every line of the
+    lexicographic array that runs along that factor.
+    """
+    out = list(values)
+    n, e = len(out), len(powers)
+    stride = n
+    for d in group.divisors:
+        block, stride = stride, stride // d
+        if d == 1:
+            continue
+        radices = [p for p, k in factorization(d).items() for _ in range(k)]
+        for start in range(0, n, block):
+            for j in range(start, start + stride):
+                line = out[j:j + block:stride]
+                out[j:j + block:stride] = _dft_line(line, radices, powers, e // d)
+    return out
+
+
+def _dft_line(x: list, radices: list, powers: list, step: int) -> list:
+    """X_k = sum_j w^(j k) x_j with w = powers[step], len(x) = prod(radices).
+
+    Decimation in time on p = radices[0]: with Y_r the transform of
+    x[r::p] (root w^p, length q = len(x) / p),
+    X_k = Y_0[k mod q] + sum_{r >= 1} w^(r k) Y_r[k mod q].
+    """
+    m = len(x)
+    if m == 1:
+        return x
+    p, e = radices[0], len(powers)
+    q = m // p
+    subs = [_dft_line(x[r::p], radices[1:], powers, step * p) for r in range(p)]
+    out = subs[0] * p
+    for r in range(1, p):
+        y, r_step = subs[r], r * step
+        for k in range(m):
+            t = k * r_step % e
+            out[k] = out[k] + (y[k % q] if t == 0 else _scale(powers[t], y[k % q]))
+    return out
+
+
+def _inverse_dft(values, group: AbelianGroup, field, powers: list) -> list:
+    """(1/n) sum_chi zeta^-t(sigma, chi) values_chi for every sigma."""
+    inv_n = field.inv(field.from_int(group.order))
+    conjugate = powers[:1] + powers[:0:-1]
+    return [_scale(inv_n, v) for v in _dft(values, group, conjugate)]
+
+
 def fft(b: GroupVector) -> GroupVector:
-    """Forward transform: B_chi = sum_sigma chi(sigma) b_sigma."""
+    """Forward transform: B_chi = sum_sigma chi(sigma) b_sigma.
+
+    Row-column over the cyclic factors, n * sum(p_i - 1) scaled additions;
+    ``fft_reference`` is the direct sum.
+    """
     if b.dual:
         raise PreconditionError("input is already on the dual side")
     group, field = b.group, b.field
-    powers = _root_powers(group, field)
+    out = _dft(b.values, group, root_powers(group.exponent, field))
+    return GroupVector(group, field, tuple(out), dual=True)
+
+
+def inverse_fft(B: GroupVector) -> GroupVector:
+    """Inverse transform: b_sigma = (1/n) sum_chi chi(sigma^-1) B_chi.
+
+    Same fast path as ``fft`` with the conjugate root table;
+    ``inverse_fft_reference`` is the direct sum.
+    """
+    if not B.dual:
+        raise PreconditionError("input is not on the dual side")
+    group, field = B.group, B.field
+    _require_invertible_order(group, field)
+    out = _inverse_dft(B.values, group, field, root_powers(group.exponent, field))
+    return GroupVector(group, field, tuple(out), dual=False)
+
+
+def fft_reference(b: GroupVector) -> GroupVector:
+    """The forward transform as the direct O(n^2) sum over the pairing."""
+    if b.dual:
+        raise PreconditionError("input is already on the dual side")
+    group, field = b.group, b.field
+    powers = root_powers(group.exponent, field)
     elements = group.elements()
     out = []
     for chi in group.characters():
@@ -120,13 +202,13 @@ def fft(b: GroupVector) -> GroupVector:
     return GroupVector(group, field, tuple(out), dual=True)
 
 
-def inverse_fft(B: GroupVector) -> GroupVector:
-    """Inverse transform: b_sigma = (1/n) sum_chi chi(sigma^-1) B_chi."""
+def inverse_fft_reference(B: GroupVector) -> GroupVector:
+    """The inverse transform as the direct O(n^2) sum over the pairing."""
     if not B.dual:
         raise PreconditionError("input is not on the dual side")
     group, field = B.group, B.field
     _require_invertible_order(group, field)
-    powers = _root_powers(group, field)
+    powers = root_powers(group.exponent, field)
     e = group.exponent
     inv_n = field.inv(field.from_int(group.order))
     characters = group.characters()
@@ -167,10 +249,38 @@ def dual_matrix(B: GroupVector) -> GroupMatrix:
     return group_matrix(B)
 
 
-def convolve(a: GroupVector, b: GroupVector) -> GroupVector:
-    """Group-ring convolution: (a * b)_rho = sum over sigma tau = rho."""
+def _require_convolvable(a: GroupVector, b: GroupVector):
     if a.group != b.group or a.dual or b.dual:
         raise PreconditionError("convolution needs two group-side vectors on one group")
+    if a.field != b.field:
+        raise RingMismatch(f"convolution of vectors over {a.field} and {b.field}")
+
+
+def convolve(a: GroupVector, b: GroupVector) -> GroupVector:
+    """Group-ring convolution: (a * b)_rho = sum over sigma tau = rho.
+
+    Computed as inverse_fft(fft(a) . fft(b)) whenever the transform exists.
+    It falls back to the direct sum ``convolve_reference`` only when the
+    characteristic divides n, or when the field has no primitive root of
+    unity of the group exponent (it raises NoRootOfUnity, as every finite
+    field does in the first case).
+    """
+    _require_convolvable(a, b)
+    group, field = a.group, a.field
+    try:
+        powers = root_powers(group.exponent, field)
+    except NoRootOfUnity:
+        return convolve_reference(a, b)
+    products = [
+        x * y
+        for x, y in zip(_dft(a.values, group, powers), _dft(b.values, group, powers))
+    ]
+    return GroupVector(group, field, tuple(_inverse_dft(products, group, field, powers)))
+
+
+def convolve_reference(a: GroupVector, b: GroupVector) -> GroupVector:
+    """Group-ring convolution as the direct O(n^2) sum; valid in any field."""
+    _require_convolvable(a, b)
     group = a.group
     elements = group.elements()
     out = [None] * group.order
@@ -342,7 +452,7 @@ def group_idempotents(group: AbelianGroup, field) -> list[GroupVector]:
     identity indicator.
     """
     _require_invertible_order(group, field)
-    powers = _root_powers(group, field)
+    powers = root_powers(group.exponent, field)
     e = group.exponent
     inv_n = field.inv(field.from_int(group.order))
     elements = group.elements()
@@ -401,11 +511,8 @@ def interpolate_at_roots_of_unity(targets, field) -> UniPoly:
         raise PreconditionError("need at least one target value")
     if field.characteristic and n % field.characteristic == 0:
         raise PreconditionError("n is not invertible in the field")
-    zeta = primitive_nth_root(n, field)
     inv_n = field.inv(field.from_int(n))
-    powers = [field.one]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * zeta)
+    powers = root_powers(n, field)
     coeffs = [field.zero] * n
     for h, bh in enumerate(targets):
         if not bh:

@@ -1,9 +1,11 @@
 """CLI contract: outputs, exit codes, JSON round trips."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from groupfft import transform
 from groupfft.cli import CommandRequest, dispatch, main
 
 
@@ -153,6 +155,33 @@ class TestDispatchDirect:
         )
         code, out = dispatch(req)
         assert code == 0 and out == "3"
+
+    @pytest.mark.parametrize("subcommand", ["fft", "ifft"])
+    def test_verify_transform(self, subcommand):
+        req = CommandRequest(
+            subcommand=subcommand, group="C6", field="F7", vector="1,2,0,0,3,1", verify=True
+        )
+        code, _ = dispatch(req)
+        assert code == 0
+
+    @pytest.mark.parametrize("subcommand", ["fft", "ifft"])
+    def test_verify_catches_self_inverse_wrong_root(self, monkeypatch, subcommand):
+        # On C_n, the pair built on zeta^-1 in place of zeta is the right pair
+        # with outputs reindexed k -> -k: wrong, yet every round trip is exact.
+        def conjugated(fn):
+            def wrong(vec):
+                out = fn(vec)
+                n = len(out.values)
+                return replace(out, values=tuple(out.values[-k % n] for k in range(n)))
+            return wrong
+
+        monkeypatch.setattr(transform, "fft", conjugated(transform.fft))
+        monkeypatch.setattr(transform, "inverse_fft", conjugated(transform.inverse_fft))
+        req = CommandRequest(
+            subcommand=subcommand, group="C6", field="F7", vector="1,2,0,0,3,1", verify=True
+        )
+        with pytest.raises(AssertionError, match="reference sum"):
+            dispatch(req)
 
     def test_groupdet_fq(self):
         req = CommandRequest(subcommand="groupdet", group="C3", over="Fq", q="7")

@@ -10,20 +10,23 @@ from groupfft.cyclotomic import cyclotomic_field
 from groupfft.errors import NoRootOfUnity, PreconditionError
 from groupfft.linalg import identity_matrix, mat_eq, mat_mul, mat_pow
 from groupfft.multipoly import MultiPoly
-from groupfft.rings import QQ, PrimeField, UniPoly, primitive_nth_root
+from groupfft.rings import QQ, ExtField, PrimeField, UniPoly, find_irreducible, primitive_nth_root
 from groupfft.transform import (
     GroupVector,
     blahut_weight,
     convolve,
+    convolve_reference,
     diagonalize,
     dual_diagonalize,
     dual_matrix,
     fft,
+    fft_reference,
     group_idempotents,
     group_matrix,
     group_variables,
     interpolate_at_roots_of_unity,
     inverse_fft,
+    inverse_fft_reference,
     shift_matrix,
     shift_power_from_idempotents,
     symbolic_vector,
@@ -222,6 +225,95 @@ class TestConvolution:
                 lhs = fft(convolve(a, b)).values
                 rhs = tuple(x * y for x, y in zip(fft(a).values, fft(b).values))
                 assert lhs == rhs
+
+
+F9 = ExtField(PrimeField(3), find_irreducible(3, 2))
+
+# (cyclic orders, field): radix 2, 3 and 5 stages, prime lengths, several
+# factors, non-normalized orders, trivial factors and every kind of field.
+FAST_CASES = [
+    ((1,), PrimeField(2)),
+    ((1,), QQ),
+    ((2,), QQ),
+    ((5,), PrimeField(11)),
+    ((16,), PrimeField(17)),
+    ((12,), F13),
+    ((2, 6), F13),
+    ((2, 6), cyclotomic_field(6)),
+    ((3, 5), PrimeField(31)),
+    ((5, 3), PrimeField(31)),
+    ((1, 3), F7),
+    ((4, 4, 4), F13),
+    ((4, 4, 4), F9),
+    ((4, 4), cyclotomic_field(4)),
+    ((2,) * 5, QQ),
+    ((2,) * 5, F9),
+]
+
+
+class TestFastAgainstReference:
+    @pytest.mark.parametrize(
+        "divisors,field", FAST_CASES, ids=[f"{d}-{f!r}" for d, f in FAST_CASES]
+    )
+    def test_random_vectors(self, divisors, field):
+        group = AbelianGroup(divisors)
+        rng = random.Random(repr(divisors))
+        for _ in range(3):
+            a = random_vector(group, field, rng)
+            b = random_vector(group, field, rng)
+            assert fft(a) == fft_reference(a)
+            B = GroupVector(group, field, b.values, dual=True)
+            assert inverse_fft(B) == inverse_fft_reference(B)
+            assert convolve(a, b) == convolve_reference(a, b)
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @given(
+        a=st.lists(st.integers(0, 12), min_size=12, max_size=12),
+        b=st.lists(st.integers(0, 12), min_size=12, max_size=12),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_hypothesis_c12_f13(self, a, b):
+        group = AbelianGroup.cyclic(12)
+        va = GroupVector(group, F13, tuple(F13.from_int(x) for x in a))
+        vb = GroupVector(group, F13, tuple(F13.from_int(x) for x in b), dual=True)
+        assert fft(va) == fft_reference(va)
+        assert inverse_fft(vb) == inverse_fft_reference(vb)
+        vb = GroupVector(group, F13, vb.values)
+        assert convolve(va, vb) == convolve_reference(va, vb)
+
+    def test_symbolic_vector(self):
+        group = AbelianGroup((2, 3))
+        x = symbolic_vector(group, F7)
+        X = fft(x)
+        assert X == fft_reference(x)
+        assert inverse_fft(X) == inverse_fft_reference(X) == x
+        assert convolve(x, x) == convolve_reference(x, x)
+
+    @pytest.mark.parametrize(
+        "n,field", [(5, PrimeField(5)), (3, QQ)], ids=["char-divides-n", "no-root"]
+    )
+    def test_convolve_fallback(self, n, field):
+        group = AbelianGroup.cyclic(n)
+        rng = random.Random(n)
+        a = random_vector(group, field, rng)
+        b = random_vector(group, field, rng)
+        with pytest.raises(NoRootOfUnity):
+            fft(a)
+        expected = [field.zero] * n
+        for i in range(n):
+            for j in range(n):
+                expected[(i + j) % n] += a.values[i] * b.values[j]
+        assert convolve(a, b).values == tuple(expected)
+
+    def test_convolve_rejects_mixed_fields(self):
+        a = qvec(C2, 1, 2)
+        b = fvec(C2, F7, 3, 4)
+        with pytest.raises(PreconditionError):
+            convolve(a, b)
+        with pytest.raises(PreconditionError):
+            convolve_reference(a, b)
 
 
 class TestBlahut:
