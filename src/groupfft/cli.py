@@ -142,21 +142,17 @@ def _transform_request(req: CommandRequest):
 
 
 def _sampled_round_trip_check(group, field, seed: int, samples: int = 20):
-    """Seeded self-test: transform then invert random vectors exactly."""
+    """Seeded self-test: transform then invert random vectors exactly.
+
+    Entries come from factorize._random_elem, which draws every
+    coefficient of an F_{p^r} or Q(zeta_d) element, so the samples leave
+    the prime field and Q.
+    """
     import random
 
     rng = random.Random(seed)
     for _ in range(samples):
-        if getattr(field, "is_finite", False):
-            values = tuple(
-                field.from_int(rng.randrange(field.characteristic))
-                for _ in range(group.order)
-            )
-        else:
-            values = tuple(
-                field.from_rational(Fraction(rng.randrange(-9, 10)))
-                for _ in range(group.order)
-            )
+        values = tuple(factorize._random_elem(field, rng) for _ in range(group.order))
         vec = transform.GroupVector(group, field, values)
         if transform.inverse_fft(transform.fft(vec)).values != vec.values:
             raise AssertionError("sampled round-trip self-check failed")

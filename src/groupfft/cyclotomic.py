@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NoRootOfUnity, NotInvertible, PreconditionError, RingMismatch
 from .numtheory import divisors, euler_phi
-from .rings import QQ, UniPoly, ext_gcd, x_pow_minus_one
+from .rings import QQ, UniPoly, ext_gcd, mul_reduced, reduction_table, x_pow_minus_one
 
 
 @lru_cache(maxsize=None)
@@ -48,7 +48,7 @@ class CycloElem:
 
     def _coerce(self, other):
         if isinstance(other, CycloElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise RingMismatch(
                     f"conductor mismatch: {self.field} vs {other.field}"
                 )
@@ -81,7 +81,7 @@ class CycloElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloElem((self.residue * o.residue) % self.field.modulus, self.field)
+        return self.field.mul(self, o)
 
     __rmul__ = __mul__
 
@@ -114,11 +114,14 @@ class CycloElem:
             other = self.field.from_rational(Fraction(other))
         return (
             isinstance(other, CycloElem)
-            and other.field == self.field
+            and (other.field is self.field or other.field == self.field)
             and other.residue.coeffs == self.residue.coeffs
         )
 
     def __hash__(self) -> int:
+        # a rational element equals its value as an int or Fraction
+        if self.is_rational:
+            return hash(self.rational_value)
         return hash((self.field, self.residue.coeffs))
 
     @property
@@ -147,6 +150,9 @@ class CyclotomicField:
         self.conductor = d
         self.modulus = cyclotomic_polynomial(d)
         self.degree = self.modulus.degree
+        # X^k mod Phi_d for k = phi .. 2 phi - 2: integral, since Phi_d is
+        # monic with integer coefficients
+        self._red = reduction_table([int(c) for c in self.modulus.coeffs], 0)
         self.zero = CycloElem(UniPoly.zero(QQ), self)
         self.one = CycloElem(UniPoly.constant(Fraction(1), QQ), self)
         self.zeta = CycloElem(UniPoly.gen(QQ) % self.modulus, self)
@@ -162,6 +168,27 @@ class CyclotomicField:
         poly = UniPoly.make([Fraction(c) for c in coeffs], QQ) % self.modulus
         return CycloElem(poly, self)
 
+    def mul(self, a: CycloElem, b: CycloElem) -> CycloElem:
+        """Product of two elements, on integer numerators.
+
+        Each residue is scaled to integers over the lcm of its
+        denominators, the integer residues are multiplied and reduced by
+        the integral table, and the phi(d) results are divided once.
+        """
+        ca, cb = a.residue.coeffs, b.residue.coeffs
+        if not ca or not cb:
+            return self.zero
+        da = lcm(*(c.denominator for c in ca))
+        db = lcm(*(c.denominator for c in cb))
+        out = mul_reduced(
+            [c.numerator * (da // c.denominator) for c in ca],
+            [c.numerator * (db // c.denominator) for c in cb],
+            self._red,
+            0,
+        )
+        den = da * db
+        return CycloElem(UniPoly.make([Fraction(c, den) for c in out], QQ), self)
+
     def inv(self, x: CycloElem) -> CycloElem:
         if not x:
             raise NotInvertible(f"division by zero in {self}")
@@ -175,8 +202,9 @@ class CyclotomicField:
             return self.one
         if d % n == 0:
             return self.zeta ** (d // n)
-        if n == 2:
-            return -self.one
+        if d % 2 and (2 * d) % n == 0:
+            # -zeta_d is a primitive 2d-th root when d is odd, and 2d/n is odd
+            return -(self.zeta ** (2 * d // n))
         raise NoRootOfUnity(f"{self} contains no primitive {n}-th root of unity")
 
     def embed_rational_poly(self, p: UniPoly) -> UniPoly:

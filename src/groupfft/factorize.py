@@ -145,13 +145,17 @@ def verify_product_identity(fd: FactoredDeterminant, group: AbelianGroup,
         return
     rng = random.Random(_VERIFY_SEED)
     variables = fd.variables
+    factors = [
+        (entry.poly if lift is None else entry.poly.map_coefficients(lift, field),
+         entry.multiplicity)
+        for entry in fd.factors
+    ]
     for _ in range(_POINT_CHECKS):
         point = {v: _random_elem(field, rng) for v in variables}
         prod_val = field.one
-        for entry in fd.factors:
-            poly = entry.poly if lift is None else entry.poly.map_coefficients(lift, field)
+        for poly, multiplicity in factors:
             val = poly.evaluate(point)
-            for _ in range(entry.multiplicity):
+            for _ in range(multiplicity):
                 prod_val = prod_val * val
         vec = GroupVector(group, field, tuple(point[v] for v in variables))
         det_val = mat_det(group_matrix(vec).rows(), field)

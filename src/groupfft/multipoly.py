@@ -57,7 +57,7 @@ class MultiPoly:
     # -- alignment ------------------------------------------------------------
 
     def _aligned_with(self, other: "MultiPoly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"polynomials over {self.ring} and {other.ring}")
         if self.variables == other.variables:
             return self, other

@@ -9,7 +9,24 @@ A field descriptor provides: ``characteristic``, ``zero``, ``one``,
 ``from_int``, ``from_rational``, ``inv``, ``format_elem`` and
 ``primitive_nth_root``; finite fields additionally expose ``order``,
 ``iter_elements`` (canonical ordering) and ``order_key``.  Elements are
-immutable, support ``+ - * / **`` and honest ``==``/``hash``.
+immutable, support ``+ - * / **`` and honest ``==``/``hash``.  Element
+operations and ``==`` test ``other.field is self.field`` before falling
+back to comparing the descriptors, so the common same-field case costs
+one pointer comparison.
+
+Residue kernel.  Multiplication in a quotient ring R[X]/(m), m monic of
+degree r, goes through :func:`mul_reduced`: the schoolbook product of the
+two coefficient lists, then one pass through a table of X^k mod m for
+k = r .. 2r-2 built once per field by :func:`reduction_table`.  Each
+high coefficient c_k is folded in as c_k * (X^k mod m); no division and
+no cascading reduction.  Two rings use it over plain Python ints:
+``F_p[Y]/(m)`` (``ExtField`` over a prime field: the residues are
+multiplied as ints and each output coefficient is reduced mod p once) and
+``Q[X]/(Phi_d)`` (:mod:`groupfft.cyclotomic`: Phi_d is monic with integer
+coefficients, so its table is integral and the residues are scaled to
+integer numerators over a common denominator).  Towers (an ``ExtField``
+over an ``ExtField``) run the same helper on base-field elements and the
+element-valued table.
 
 No floating point is used anywhere.
 """
@@ -92,7 +109,7 @@ class PrimeFieldElem:
 
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise RingMismatch(f"elements of {self.field} and {other.field}")
             return other
         if isinstance(other, int):
@@ -147,8 +164,8 @@ class PrimeFieldElem:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PrimeFieldElem)
-            and other.field == self.field
             and other.residue == self.residue
+            and (other.field is self.field or other.field == self.field)
         )
 
     def __hash__(self) -> int:
@@ -169,6 +186,7 @@ class PrimeField:
         self.p = p
         self.zero = PrimeFieldElem(0, self)
         self.one = PrimeFieldElem(1, self)
+        self._roots: dict = {}
 
     @property
     def characteristic(self) -> int:
@@ -200,7 +218,7 @@ class PrimeField:
         return x.residue
 
     def primitive_nth_root(self, n: int) -> PrimeFieldElem:
-        return _finite_field_root_of_unity(self, n)
+        return _cached_root_of_unity(self, n)
 
     def format_elem(self, x: PrimeFieldElem) -> str:
         return str(x.residue)
@@ -283,7 +301,7 @@ class UniPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.ring.zero
 
     def _check_ring(self, other: "UniPoly"):
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatch(f"polynomials over {self.ring} and {other.ring}")
 
     # -- arithmetic ---------------------------------------------------------
@@ -507,6 +525,53 @@ def find_irreducible(field_or_p, r: int) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
+# Residue kernel: products in R[X]/(m) for monic m
+# ---------------------------------------------------------------------------
+
+def reduction_table(modulus_coeffs, zero) -> list[tuple]:
+    """Rows X^k mod m for k = r .. 2r-2, m monic of degree r given by its
+    coefficients (constant term first).
+
+    Works over any commutative ring whose elements support ``+ - *``:
+    plain ints for an integral m, or field elements.
+    """
+    r = len(modulus_coeffs) - 1
+    row = [zero - c for c in modulus_coeffs[:r]]  # X^r = -(m - X^r)
+    first = tuple(row)
+    table = []
+    for _ in range(r - 1):
+        table.append(tuple(row))
+        # X * row, with the X^r term folded back in through the first row
+        lead = row[-1]
+        row = [zero] + row[:-1]
+        if lead:
+            row = [c + lead * f for c, f in zip(row, first)]
+    return table
+
+
+def mul_reduced(a, b, table, zero) -> list:
+    """Coefficients of a*b mod m, with table = reduction_table(m, zero).
+
+    a and b have at most r = len(table) + 1 coefficients (constant term
+    first); the result has exactly r.  The caller wraps or normalizes the
+    output coefficients (mod p, over a denominator, or as they are).
+    """
+    r = len(table) + 1
+    prod = [zero] * max(len(a) + len(b) - 1, r)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    out = prod[:r]
+    for row, c in zip(table, prod[r:]):
+        if c:
+            for i, t in enumerate(row):
+                if t:
+                    out[i] += c * t
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Extension fields
 # ---------------------------------------------------------------------------
 
@@ -521,7 +586,7 @@ class ExtFieldElem:
 
     def _coerce(self, other):
         if isinstance(other, ExtFieldElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise RingMismatch(f"elements of {self.field} and {other.field}")
             return other
         if isinstance(other, int):
@@ -587,7 +652,7 @@ class ExtFieldElem:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExtFieldElem)
-            and other.field == self.field
+            and (other.field is self.field or other.field == self.field)
             and other.coeffs == self.coeffs
         )
 
@@ -630,19 +695,15 @@ class ExtField:
         self.degree = modulus.degree
         self.order = base.order ** self.degree
         r = self.degree
-        # reduction table: X^k mod modulus for k = r .. 2r-2
-        self._red: list[tuple] = []
-        cur = list(UniPoly.gen_pow(r, base).coeffs)
-        for _ in range(r - 1):
-            lead = cur[-1] if len(cur) == r + 1 else base.zero
-            reduced = [
-                (cur[i] if i < len(cur) - 1 else base.zero)
-                - lead * modulus.coefficient(i)
-                for i in range(r)
-            ]
-            self._red.append(tuple(reduced))
-            cur = [base.zero] + reduced  # multiply by X
-            cur = cur + [base.zero] * (r + 1 - len(cur))
+        # X^k mod modulus for k = r .. 2r-2, over base elements; over a prime
+        # base the same table as residues, for the integer kernel
+        self._red = reduction_table(modulus.coeffs, base.zero)
+        self._int_red = (
+            [tuple(c.residue for c in row) for row in self._red]
+            if isinstance(base, PrimeField)
+            else None
+        )
+        self._roots: dict = {}
         self.zero = ExtFieldElem((base.zero,) * r, self)
         self.one = ExtFieldElem((base.one,) + (base.zero,) * (r - 1), self)
         # the class of Y: a root of the modulus
@@ -657,22 +718,14 @@ class ExtField:
         return self.base.characteristic
 
     def _mul(self, a: ExtFieldElem, b: ExtFieldElem) -> ExtFieldElem:
-        r = self.degree
+        if self._int_red is None:
+            out = mul_reduced(a.coeffs, b.coeffs, self._red, self.base.zero)
+            return ExtFieldElem(tuple(out), self)
         base = self.base
-        prod = [base.zero] * (2 * r - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    prod[i + j] = prod[i + j] + x * y
-        out = prod[:r]
-        for k in range(r, 2 * r - 1):
-            c = prod[k]
-            if c:
-                red = self._red[k - r]
-                out = [o + c * rr for o, rr in zip(out, red)]
-        return ExtFieldElem(tuple(out), self)
+        out = mul_reduced(
+            [c.residue for c in a.coeffs], [c.residue for c in b.coeffs], self._int_red, 0
+        )
+        return ExtFieldElem(tuple([PrimeFieldElem(c, base) for c in out]), self)
 
     def from_int(self, k: int) -> ExtFieldElem:
         return self.from_base(self.base.from_int(k))
@@ -702,7 +755,7 @@ class ExtField:
         return tuple(self.base.order_key(c) for c in reversed(x.coeffs))
 
     def primitive_nth_root(self, n: int) -> ExtFieldElem:
-        return _finite_field_root_of_unity(self, n)
+        return _cached_root_of_unity(self, n)
 
     def format_elem(self, x: ExtFieldElem) -> str:
         return format_unipoly(UniPoly.make(x.coeffs, self.base), var="Y")
@@ -722,6 +775,14 @@ class ExtField:
         if isinstance(self.base, PrimeField):
             return f"F{p}^{self.degree}"
         return f"({self.base!r})^{self.degree}"
+
+
+def _cached_root_of_unity(field, n: int):
+    """The canonical root from the field's own cache; a miss is not cached."""
+    root = field._roots.get(n)
+    if root is None:
+        root = field._roots[n] = _finite_field_root_of_unity(field, n)
+    return root
 
 
 def _finite_field_root_of_unity(field, n: int):

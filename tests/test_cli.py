@@ -6,7 +6,15 @@ from dataclasses import replace
 import pytest
 
 from groupfft import transform
-from groupfft.cli import CommandRequest, dispatch, main
+from groupfft.abelian import AbelianGroup, parse_group
+from groupfft.cli import (
+    CommandRequest,
+    _sampled_round_trip_check,
+    dispatch,
+    main,
+    parse_field_descriptor,
+    parse_vector,
+)
 
 
 def run(argv):
@@ -182,6 +190,44 @@ class TestDispatchDirect:
         )
         with pytest.raises(AssertionError, match="reference sum"):
             dispatch(req)
+
+    def test_sampled_check_leaves_the_prime_field(self, monkeypatch):
+        # Frobenius x -> x^3 fixes F3, so only vectors with entries outside
+        # the prime field can expose this wrong transform over F9.
+        fast = transform.fft
+
+        def frobenius_first(vec):
+            return fast(replace(vec, values=tuple(v ** 3 for v in vec.values)))
+
+        monkeypatch.setattr(transform, "fft", frobenius_first)
+        group = AbelianGroup.cyclic(4)
+        with pytest.raises(AssertionError, match="sampled round-trip"):
+            _sampled_round_trip_check(group, parse_field_descriptor("F9"), seed=0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fft", "--group", "C6", "--field", "Qzeta:3", "--vector=1,2,0,-1,3,1/2"],
+            ["idempotents", "--group", "C2xC3", "--field", "Qzeta:3"],
+            ["vandermonde", "--n", "10", "--field", "Qzeta:5"],
+        ],
+    )
+    def test_odd_conductor_requests(self, argv, capsys):
+        assert main(["--json", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)
+
+    def test_odd_conductor_fft_verify_matches_reference(self):
+        req = CommandRequest(
+            subcommand="fft", group="C6", field="Qzeta:3", vector="1,2,0,-1,3,1/2",
+            verify=True,
+        )
+        code, out = dispatch(req)
+        assert code == 0
+        group = parse_group("C6")
+        field = parse_field_descriptor("Qzeta:3")
+        vec = parse_vector("1,2,0,-1,3,1/2", group, field)
+        reference = transform.fft_reference(vec)
+        assert out == ",".join(field.format_elem(v) for v in reference.values)
 
     def test_groupdet_fq(self):
         req = CommandRequest(subcommand="groupdet", group="C3", over="Fq", q="7")

@@ -17,8 +17,8 @@ from groupfft.cyclotomic import (
     rational_basis_abelian,
     rational_basis_cyclic,
 )
-from groupfft.errors import NotInvertible, RingMismatch
-from groupfft.numtheory import divisors, euler_phi
+from groupfft.errors import NoRootOfUnity, NotInvertible, RingMismatch
+from groupfft.numtheory import divisors, euler_phi, prime_factors
 from groupfft.rings import QQ, UniPoly, x_pow_minus_one
 from groupfft.transform import convolve, group_idempotents
 
@@ -78,6 +78,41 @@ class TestCycloArithmetic:
     def test_zero_inverse(self):
         with pytest.raises(NotInvertible):
             cyclotomic_field(5).inv(cyclotomic_field(5).zero)
+
+    @pytest.mark.parametrize("value", [3, 0, -2, Fraction(5, 7), Fraction(-1, 2)])
+    def test_rational_elements_hash_like_their_value(self, value):
+        k = cyclotomic_field(3)
+        elem = k.from_rational(Fraction(value))
+        assert elem == value and hash(elem) == hash(value)
+        assert len({elem, value}) == 1
+
+    def test_irrational_hash_follows_equality(self):
+        k = cyclotomic_field(5)
+        assert hash(k.zeta * k.one) == hash(k.zeta)
+        assert len({k.zeta, k.zeta ** 6, k.zeta ** 2}) == 2
+
+
+class TestCycloRoots:
+    @pytest.mark.parametrize("d", [1, 3, 5, 9, 15])
+    def test_exact_order_for_every_divisor_of_2d(self, d):
+        k = cyclotomic_field(d)
+        for n in divisors(2 * d):
+            zeta = k.primitive_nth_root(n)
+            assert zeta ** n == k.one
+            assert all(zeta ** (n // ell) != k.one for ell in prime_factors(n))
+
+    def test_odd_conductor_root_is_minus_a_power_of_zeta(self):
+        k = cyclotomic_field(3)
+        # -zeta_d^(2d/n): -zeta_3 for n = 6, -1 for n = 2
+        assert k.primitive_nth_root(6) == -k.zeta
+        assert k.primitive_nth_root(2) == -k.one
+        assert cyclotomic_field(15).primitive_nth_root(10) == -(cyclotomic_field(15).zeta ** 3)
+
+    def test_roots_outside_the_field_refused(self):
+        with pytest.raises(NoRootOfUnity):
+            cyclotomic_field(3).primitive_nth_root(4)
+        with pytest.raises(NoRootOfUnity):
+            cyclotomic_field(4).primitive_nth_root(8)
 
 
 class TestGaloisConjugates:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupfft.errors import NoRootOfUnity, NotInvertible, PreconditionError, RingMismatch
+from groupfft.numtheory import prime_factors
 from groupfft.rings import (
     QQ,
     ExtField,
@@ -186,6 +187,27 @@ class TestPrimitiveRoots:
         assert zeta ** 3 == F4.one and zeta != F4.one
         # smallest qualifying element: Y itself precedes Y + 1
         assert zeta == F4.gen
+
+    @pytest.mark.parametrize(
+        "field, n",
+        [(PrimeField(13), 12), (PrimeField(13), 4), (ExtField(F3, find_irreducible(3, 2)), 8)],
+        ids=repr,
+    )
+    def test_root_cached_and_canonical(self, field, n):
+        first = field.primitive_nth_root(n)
+        assert field.primitive_nth_root(n) is first
+        exact = [
+            z for z in field.iter_elements()
+            if z and z ** n == field.one
+            and all(z ** (n // ell) != field.one for ell in prime_factors(n))
+        ]
+        assert first == min(exact, key=field.order_key)
+
+    def test_missing_root_raises_every_time(self):
+        field = PrimeField(11)
+        for _ in range(2):
+            with pytest.raises(NoRootOfUnity):
+                field.primitive_nth_root(3)
 
 
 def _cyclo5():
