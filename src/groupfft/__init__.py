@@ -66,12 +66,14 @@ from .rings import (
     QQ,
     ExtField,
     ExtFieldElem,
+    FieldElem,
     PrimeField,
     PrimeFieldElem,
     Rational,
     UniPoly,
     ext_gcd,
     find_irreducible,
+    finite_field,
     format_unipoly,
     is_irreducible,
     primitive_nth_root,

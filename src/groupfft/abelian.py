@@ -91,10 +91,6 @@ class AbelianGroup:
     def identity(self) -> GroupElement:
         return GroupElement((0,) * len(self.divisors))
 
-    @property
-    def trivial_character(self) -> Character:
-        return Character((0,) * len(self.divisors))
-
     def _check_tuple(self, residues: tuple[int, ...]):
         if len(residues) != len(self.divisors) or any(
             not 0 <= r < d for r, d in zip(residues, self.divisors)
@@ -116,9 +112,6 @@ class AbelianGroup:
         return Character(
             tuple((x + y) % d for x, y, d in zip(a.residues, b.residues, self.divisors))
         )
-
-    def char_inverse(self, a: Character) -> Character:
-        return Character(tuple((-x) % d for x, d in zip(a.residues, self.divisors)))
 
     def index(self, a: GroupElement) -> int:
         """Position of a in the canonical element ordering (mixed radix)."""

@@ -21,7 +21,7 @@ from .cyclotomic import cyclotomic_field, cyclotomic_polynomial, rational_basis_
 from .errors import GroupfftError, PreconditionError
 from .multipoly import symbolic_det
 from .numtheory import factorization
-from .rings import QQ, ExtField, PrimeField, UniPoly, find_irreducible, format_unipoly
+from .rings import QQ, UniPoly, finite_field, format_unipoly
 
 
 class CLIUsageError(Exception):
@@ -59,28 +59,21 @@ def parse_field_descriptor(text: str, zeta_conductor: int | None = None):
         raise CLIUsageError(f"bad field descriptor {text!r}")
     try:
         if text.startswith("Fp:"):
-            return PrimeField(int(text.split(":", 1)[1]))
+            return finite_field(int(text.split(":", 1)[1]), 1)
         if text.startswith("Fq:"):
             base, _, exp = text.split(":", 1)[1].partition("^")
             p, r = int(base), int(exp) if exp else 1
-            return _finite_field(p, r)
+            return finite_field(p, r)
         if text.startswith("F"):
             q = int(text[1:])
             fact = factorization(q)
             if len(fact) != 1:
                 raise CLIUsageError(f"{q} is not a prime power")
             ((p, r),) = fact.items()
-            return _finite_field(p, r)
+            return finite_field(p, r)
     except ValueError as exc:
         raise CLIUsageError(f"bad field descriptor {text!r}") from exc
     raise CLIUsageError(f"bad field descriptor {text!r}")
-
-
-def _finite_field(p: int, r: int):
-    if r == 1:
-        return PrimeField(p)
-    base = PrimeField(p)
-    return ExtField(base, find_irreducible(base, r))
 
 
 def parse_vector(text: str, group: AbelianGroup, field) -> transform.GroupVector:

@@ -15,7 +15,15 @@ from math import gcd, lcm
 
 from .errors import NoRootOfUnity, NotInvertible, PreconditionError, RingMismatch
 from .numtheory import divisors, euler_phi
-from .rings import QQ, UniPoly, ext_gcd, mul_reduced, reduction_table, x_pow_minus_one
+from .rings import (
+    QQ,
+    FieldElem,
+    UniPoly,
+    ext_gcd,
+    mul_reduced,
+    reduction_table,
+    x_pow_minus_one,
+)
 
 
 @lru_cache(maxsize=None)
@@ -37,83 +45,51 @@ def cyclotomic_polynomial(d: int) -> UniPoly:
     return num
 
 
-class CycloElem:
+class CycloElem(FieldElem):
     """Element of Q(zeta_d): a residue polynomial of degree < phi(d)."""
 
-    __slots__ = ("residue", "field")
+    __slots__ = ()
+    _scalars = (Fraction,)
 
-    def __init__(self, residue: UniPoly, field: "CyclotomicField"):
-        self.residue = residue
-        self.field = field
-
-    def _coerce(self, other):
-        if isinstance(other, CycloElem):
-            if other.field is not self.field and other.field != self.field:
-                raise RingMismatch(
-                    f"conductor mismatch: {self.field} vs {other.field}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(Fraction(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o):
         return CycloElem(self.residue + o.residue, self.field)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _sub(self, o):
         return CycloElem(self.residue - o.residue, self.field)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def _mul(self, o):
+        """Product on integer numerators.
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.field.mul(self, o)
-
-    __rmul__ = __mul__
+        Each residue is scaled to integers over the lcm of its
+        denominators, the integer residues are multiplied and reduced by
+        the field's integral table, and the phi(d) results are divided
+        once.
+        """
+        ca, cb = self.residue.coeffs, o.residue.coeffs
+        if not ca or not cb:
+            return self.field.zero
+        da = lcm(*(c.denominator for c in ca))
+        db = lcm(*(c.denominator for c in cb))
+        out = mul_reduced(
+            [c.numerator * (da // c.denominator) for c in ca],
+            [c.numerator * (db // c.denominator) for c in cb],
+            self.field._red,
+            0,
+        )
+        den = da * db
+        return CycloElem(UniPoly.make([Fraction(c, den) for c in out], QQ), self.field)
 
     def __neg__(self):
         return CycloElem(-self.residue, self.field)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * self.field.inv(o)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.field.inv(self) ** (-k)
-        result = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __bool__(self) -> bool:
         return not self.residue.is_zero
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(Fraction(other))
+            other = self.field.from_rational(other)
         return (
-            isinstance(other, CycloElem)
+            other.__class__ is CycloElem
             and (other.field is self.field or other.field == self.field)
             and other.residue.coeffs == self.residue.coeffs
         )
@@ -133,9 +109,6 @@ class CycloElem:
         if not self.is_rational:
             raise PreconditionError("element is not rational")
         return self.residue.coefficient(0)
-
-    def __repr__(self) -> str:
-        return self.field.format_elem(self)
 
 
 class CyclotomicField:
@@ -168,27 +141,6 @@ class CyclotomicField:
         poly = UniPoly.make([Fraction(c) for c in coeffs], QQ) % self.modulus
         return CycloElem(poly, self)
 
-    def mul(self, a: CycloElem, b: CycloElem) -> CycloElem:
-        """Product of two elements, on integer numerators.
-
-        Each residue is scaled to integers over the lcm of its
-        denominators, the integer residues are multiplied and reduced by
-        the integral table, and the phi(d) results are divided once.
-        """
-        ca, cb = a.residue.coeffs, b.residue.coeffs
-        if not ca or not cb:
-            return self.zero
-        da = lcm(*(c.denominator for c in ca))
-        db = lcm(*(c.denominator for c in cb))
-        out = mul_reduced(
-            [c.numerator * (da // c.denominator) for c in ca],
-            [c.numerator * (db // c.denominator) for c in cb],
-            self._red,
-            0,
-        )
-        den = da * db
-        return CycloElem(UniPoly.make([Fraction(c, den) for c in out], QQ), self)
-
     def inv(self, x: CycloElem) -> CycloElem:
         if not x:
             raise NotInvertible(f"division by zero in {self}")
@@ -206,12 +158,6 @@ class CyclotomicField:
             # -zeta_d is a primitive 2d-th root when d is odd, and 2d/n is odd
             return -(self.zeta ** (2 * d // n))
         raise NoRootOfUnity(f"{self} contains no primitive {n}-th root of unity")
-
-    def embed_rational_poly(self, p: UniPoly) -> UniPoly:
-        """Lift a polynomial over Q to one over this field."""
-        if p.ring != QQ:
-            raise RingMismatch("expected a polynomial over Q")
-        return p.map_coefficients(self.from_rational, self)
 
     def embed_from(self, elem: "CycloElem") -> "CycloElem":
         """Image of an element of Q(zeta_d), d dividing this conductor."""

@@ -39,7 +39,7 @@ from .rings import (
     root_powers,
     x_pow_minus_one,
 )
-from .transform import group_matrix, group_variables, symbolic_vector, GroupVector
+from .transform import GroupVector, group_matrix, group_variables
 
 _SYMBOLIC_VERIFY_CAP = 6
 _POINT_CHECKS = 20
@@ -129,37 +129,44 @@ def _random_elem(field, rng: random.Random):
     return field.from_residue(coeffs)
 
 
-def verify_product_identity(fd: FactoredDeterminant, group: AbelianGroup,
-                            eval_field=None, lift=None):
+def verify_product_identity(fd: FactoredDeterminant, matrix_of, eval_field=None, lift=None):
     """Check product(factors) = det of the group matrix.
 
-    Symbolic comparison for groups of order <= 6; otherwise evaluated at
-    fixed pseudorandom points (in eval_field when the factor coefficients
-    live in an extension of the determinant's own field).
+    ``matrix_of(values, field)`` returns the rows of the caller's group
+    matrix with the given entries, one per variable of ``fd`` in order.
+    Symbolic comparison for groups of order <= 6, on the matrix of the
+    variables; otherwise evaluated at fixed pseudorandom points (in
+    eval_field when the factor coefficients live in an extension of the
+    determinant's own field, mapped there by lift).
     """
-    n = group.order
+    variables = fd.variables
     field = eval_field if eval_field is not None else fd.field
-    if n <= _SYMBOLIC_VERIFY_CAP:
-        expected = symbolic_det(group_matrix(symbolic_vector(group, fd.field)).rows())
+    if len(variables) <= _SYMBOLIC_VERIFY_CAP:
+        generic = [MultiPoly.variable(v, variables, fd.field) for v in variables]
+        expected = symbolic_det(matrix_of(generic, fd.field))
         assert fd.product() == expected, "factor product differs from group determinant"
         return
     rng = random.Random(_VERIFY_SEED)
-    variables = fd.variables
     factors = [
         (entry.poly if lift is None else entry.poly.map_coefficients(lift, field),
          entry.multiplicity)
         for entry in fd.factors
     ]
     for _ in range(_POINT_CHECKS):
-        point = {v: _random_elem(field, rng) for v in variables}
+        values = [_random_elem(field, rng) for _ in variables]
+        point = dict(zip(variables, values))
         prod_val = field.one
         for poly, multiplicity in factors:
             val = poly.evaluate(point)
             for _ in range(multiplicity):
                 prod_val = prod_val * val
-        vec = GroupVector(group, field, tuple(point[v] for v in variables))
-        det_val = mat_det(group_matrix(vec).rows(), field)
+        det_val = mat_det(matrix_of(values, field), field)
         assert prod_val == det_val, "factor product disagrees with determinant at a point"
+
+
+def _abelian_matrix(group: AbelianGroup):
+    """matrix_of for verify_product_identity: the group matrix of an abelian group."""
+    return lambda values, field: group_matrix(GroupVector(group, field, tuple(values))).rows()
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +199,28 @@ def det_split_field(group: AbelianGroup, field=None) -> FactoredDeterminant:
             )
         )
     fd = FactoredDeterminant(field, group_variables(group), tuple(entries))
-    verify_product_identity(fd, group)
+    verify_product_identity(fd, _abelian_matrix(group))
     return fd
 
 
 # ---------------------------------------------------------------------------
 # Over Q: norm forms, one per divisor of n
 # ---------------------------------------------------------------------------
+
+def _product_of_forms(variables, zeta, exponents, field) -> MultiPoly:
+    """Product over l in exponents of X_0 + zeta^l X_1 + ... + zeta^(l(n-1)) X_(n-1)."""
+    acc = None
+    for ell in exponents:
+        z = zeta ** ell
+        coeffs = {}
+        power = field.one
+        for v in variables:
+            coeffs[v] = power
+            power = power * z
+        form = MultiPoly.linear(coeffs, variables, field)
+        acc = form if acc is None else acc * form
+    return acc
+
 
 @lru_cache(maxsize=None)
 def norm_form(n: int, d: int) -> MultiPoly:
@@ -213,19 +235,8 @@ def norm_form(n: int, d: int) -> MultiPoly:
     group = AbelianGroup.cyclic(n)
     variables = group_variables(group)
     kd = cyclotomic_field(d)
-    zeta = kd.zeta
-    acc = None
-    for m in range(1, d + 1):
-        if gcd(m, d) != 1:
-            continue
-        zm = zeta ** m
-        coeffs = {}
-        power = kd.one
-        for i, v in enumerate(variables):
-            coeffs[v] = power
-            power = power * zm
-        form = MultiPoly.linear(coeffs, variables, kd)
-        acc = form if acc is None else acc * form
+    units = [m for m in range(1, d + 1) if gcd(m, d) == 1]
+    acc = _product_of_forms(variables, kd.zeta, units, kd)
     assert acc.is_homogeneous(euler_phi(d))
 
     def to_rational(c):
@@ -250,7 +261,7 @@ def det_over_rationals(n: int) -> FactoredDeterminant:
         for d in divisors(n)
     )
     fd = FactoredDeterminant(QQ, group_variables(group), entries)
-    verify_product_identity(fd, group)
+    verify_product_identity(fd, _abelian_matrix(group))
     return fd
 
 
@@ -301,6 +312,16 @@ def _splitting_extension(field, n: int):
     return big, primitive_nth_root(n, big), descend
 
 
+def _descended_factor(labels, big, zeta, descend, field) -> UniPoly:
+    """The product of X - zeta^l over the labels l, computed in the
+    splitting extension big and descended to field."""
+    x = UniPoly.gen(big)
+    poly = UniPoly.constant(big.one, big)
+    for ell in labels:
+        poly = poly * (x - UniPoly.constant(zeta ** ell, big))
+    return poly.map_coefficients(descend, field)
+
+
 def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
     """Irreducible factors of X^n - 1 over F_q, one per q-stable label set.
 
@@ -313,13 +334,9 @@ def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
         raise PreconditionError("n must be >= 1")
     q = field.order
     big, zeta, descend = _splitting_extension(field, n)
-    x = UniPoly.gen(big)
     out = []
     for labels in q_cyclotomic_cosets(n, q):
-        poly_big = UniPoly.constant(big.one, big)
-        for ell in labels:
-            poly_big = poly_big * (x - UniPoly.constant(zeta ** ell, big))
-        poly = poly_big.map_coefficients(descend, field)
+        poly = _descended_factor(labels, big, zeta, descend, field)
         assert poly.degree == len(labels)
         assert poly.is_monic
         # descent identity over F_q, and irreducibility of the emitted factor
@@ -336,34 +353,20 @@ def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
 def factor_cyclotomic(d: int, field) -> list[CosetFactor]:
     """Irreducible factors of Phi_d over F_q.
 
-    With r the order of q modulo d and H = <q> in (Z/dZ)^*, the factors
-    are the products of X - zeta_d^(m h), h in H, one per coset mH;
-    there are phi(d)/r of them, all of degree r.
+    With r the order of q modulo d, the factors are the products of
+    X - zeta_d^m over the q-cyclotomic cosets of the units m mod d (the
+    cosets of the subgroup generated by q in (Z/dZ)^*); there are
+    phi(d)/r of them, all of degree r.
     """
     _check_finite(field, d)
     q = field.order
     big, zeta, descend = _splitting_extension(field, d)
-    if d == 1:
-        units = [0]
-    else:
-        units = [m for m in range(1, d) if gcd(m, d) == 1]
     r = multiplicative_order(q, d)
-    # cosets of the subgroup generated by q
-    h_subgroup = sorted({pow(q, k, d) for k in range(r)}) if d > 1 else [0]
-    remaining = set(units)
-    cosets = []
-    while remaining:
-        m = min(remaining)
-        coset = tuple(sorted(m * h % d for h in h_subgroup))
-        remaining -= set(coset)
-        cosets.append(coset)
-    x = UniPoly.gen(big)
     out = []
-    for coset in cosets:
-        poly_big = UniPoly.constant(big.one, big)
-        for mh in coset:
-            poly_big = poly_big * (x - UniPoly.constant(zeta ** mh, big))
-        poly = poly_big.map_coefficients(descend, field)
+    for coset in q_cyclotomic_cosets(d, q):
+        if gcd(coset[0], d) != 1:
+            continue
+        poly = _descended_factor(coset, big, zeta, descend, field)
         assert poly.degree == r and poly.is_monic
         out.append(CosetFactor(coset, poly))
     assert len(out) == euler_phi(d) // r
@@ -391,17 +394,7 @@ def det_over_finite_field(n: int, field) -> FactoredDeterminant:
     big, zeta, descend = _splitting_extension(field, n)
     entries = []
     for labels in q_cyclotomic_cosets(n, q):
-        acc = None
-        for ell in labels:
-            coeffs = {}
-            power = big.one
-            zl = zeta ** ell
-            for v in variables:
-                coeffs[v] = power
-                power = power * zl
-            form = MultiPoly.linear(coeffs, variables, big)
-            acc = form if acc is None else acc * form
-        poly = acc.map_coefficients(descend, field)
+        poly = _product_of_forms(variables, zeta, labels, big).map_coefficients(descend, field)
         entries.append(
             FactorEntry(
                 poly=poly,
@@ -412,8 +405,6 @@ def det_over_finite_field(n: int, field) -> FactoredDeterminant:
             )
         )
     fd = FactoredDeterminant(field, variables, tuple(entries))
-    if big is field:
-        verify_product_identity(fd, group)
-    else:
-        verify_product_identity(fd, group, eval_field=big, lift=big.from_base)
+    lift = None if big is field else big.from_base
+    verify_product_identity(fd, _abelian_matrix(group), eval_field=big, lift=lift)
     return fd

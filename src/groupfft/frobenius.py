@@ -21,11 +21,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import factorial
 
 from .cyclotomic import CycloElem, CyclotomicField, cyclotomic_field
 from .errors import PreconditionError
-from .factorize import FactorEntry, FactoredDeterminant
-from .linalg import identity_matrix, mat_inverse
+from .factorize import FactorEntry, FactoredDeterminant, verify_product_identity
+from .linalg import identity_matrix, mat_eq, mat_inverse, mat_mul
 from .multipoly import MultiPoly, symbolic_det
 from .transform import _sum_scaled
 
@@ -106,16 +108,14 @@ class FiniteGroup:
     def variables(self) -> tuple[str, ...]:
         return tuple(f"X_{lab}" for lab in self.labels)
 
+    def group_matrix(self, values) -> list[list]:
+        """The matrix with entry (t, s) = values[t^-1 s], values in element order."""
+        return [[values[k] for k in self.table[self.inv(t)]] for t in range(self.order)]
+
     def symbolic_matrix(self, field) -> list[list[MultiPoly]]:
         """The group matrix of generic variables: entry(t, s) = X at t^-1 s."""
         variables = self.variables()
-        return [
-            [
-                MultiPoly.variable(variables[self.mul(self.inv(t), s)], variables, field)
-                for s in range(self.order)
-            ]
-            for t in range(self.order)
-        ]
+        return self.group_matrix([MultiPoly.variable(v, variables, field) for v in variables])
 
     def __repr__(self) -> str:
         return self.name
@@ -143,12 +143,12 @@ class Representation:
         if any(len(m) != f or any(len(r) != f for r in m) for m in images):
             raise PreconditionError("images must be square of equal size")
         ident = identity_matrix(f, field)
-        if not _mat_equal(images[group.identity], ident):
+        if not mat_eq(images[group.identity], ident):
             raise PreconditionError("identity does not map to the identity matrix")
         for a in range(group.order):
             for b in range(group.order):
-                prod = _mat_mul_cyclo(images[a], images[b], field)
-                if not _mat_equal(images[group.mul(a, b)], prod):
+                prod = mat_mul(images[a], images[b], field)
+                if not mat_eq(images[group.mul(a, b)], prod):
                     raise PreconditionError(f"{name}: image of product mismatches at ({a},{b})")
         return Representation(group, name, field, images)
 
@@ -165,28 +165,6 @@ class Representation:
                 tr = tr + mat[i][i]
             out.append(tr)
         return tuple(out)
-
-
-def _mat_mul_cyclo(a, b, field):
-    n = len(a)
-    return [
-        [
-            _dot(a[i], [b[k][j] for k in range(n)], field)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def _dot(xs, ys, field):
-    acc = field.zero
-    for x, y in zip(xs, ys):
-        acc = acc + x * y
-    return acc
-
-
-def _mat_equal(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 @dataclass(frozen=True)
@@ -435,6 +413,27 @@ def _exponent_patterns(f: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _tuple_sum(k: int, coefficient, variables, field) -> MultiPoly:
+    """sum over k-tuples t of elements of coefficient(t) X_(t_1) ... X_(t_k)."""
+    n = len(variables)
+    terms: dict = {}
+    for combo in itertools.product(range(n), repeat=k):
+        c = coefficient(combo)
+        if not c:
+            continue
+        exp = [0] * n
+        for idx in combo:
+            exp[idx] += 1
+        key = tuple(exp)
+        cur = terms.get(key)
+        s = c if cur is None else cur + c
+        if s:
+            terms[key] = s
+        elif cur is not None:
+            del terms[key]
+    return MultiPoly(variables, terms, field)
+
+
 _PSI_DEGREE_CAP = 3
 
 
@@ -449,33 +448,15 @@ def frobenius_polynomial(rep: Representation) -> FrobeniusPolynomial:
         raise PreconditionError(f"representation degree {f} exceeds cap {_PSI_DEGREE_CAP}")
     group = rep.group
     field = rep.field
-    n = group.order
     variables = group.variables()
     char = TupleCharacter.from_representation(rep)
     sign = field.from_int((-1) ** f)
 
     # power sums S_k = sum over k-tuples of chi(s_1 ... s_k) X_(s_1) ... X_(s_k)
-    power_sums = {}
-    for k in range(1, f + 1):
-        terms: dict = {}
-        for combo in itertools.product(range(n), repeat=k):
-            prod_idx = combo[0]
-            for idx in combo[1:]:
-                prod_idx = group.mul(prod_idx, idx)
-            c = char.values[prod_idx]
-            if not c:
-                continue
-            exp = [0] * n
-            for idx in combo:
-                exp[idx] += 1
-            key = tuple(exp)
-            cur = terms.get(key)
-            s = c if cur is None else cur + c
-            if s:
-                terms[key] = s
-            elif cur is not None:
-                del terms[key]
-        power_sums[k] = MultiPoly(variables, terms, field)
+    power_sums = {
+        k: _tuple_sum(k, lambda t: char.values[reduce(group.mul, t)], variables, field)
+        for k in range(1, f + 1)
+    }
 
     psi = MultiPoly.zero(variables, field)
     for pattern in _exponent_patterns(f):
@@ -484,32 +465,13 @@ def frobenius_polynomial(rep: Representation) -> FrobeniusPolynomial:
         for k, a_k in enumerate(pattern, start=1):
             if a_k == 0:
                 continue
-            denom = (-k) ** a_k
-            fact = 1
-            for t in range(2, a_k + 1):
-                fact *= t
-            coeff *= Fraction(1, denom * fact)
+            coeff *= Fraction(1, (-k) ** a_k * factorial(a_k))
             term = term * power_sums[k] ** a_k
         psi = psi + term.scale(field.from_rational(coeff))
     psi = psi.scale(sign)
 
     # raw tuple-sum form from the extended character
-    raw_terms: dict = {}
-    for combo in itertools.product(range(n), repeat=f):
-        c = char.value(combo)
-        if not c:
-            continue
-        exp = [0] * n
-        for idx in combo:
-            exp[idx] += 1
-        key = tuple(exp)
-        cur = raw_terms.get(key)
-        s = c if cur is None else cur + c
-        if s:
-            raw_terms[key] = s
-        elif cur is not None:
-            del raw_terms[key]
-    raw = MultiPoly(variables, raw_terms, field).scale(sign)
+    raw = _tuple_sum(f, char.value, variables, field).scale(sign)
 
     assert psi.is_homogeneous(f), "factor is not homogeneous of the right degree"
     exp0, c0 = next(iter(psi.terms.items()))
@@ -522,8 +484,9 @@ def frobenius_factorization(group: FiniteGroup, reps) -> FactoredDeterminant:
     """det A_G = product of psi_rho^deg(rho) over a complete set of irreducibles.
 
     Completeness is enforced by sum of squared degrees = |G|; the product
-    identity is verified symbolically for |G| <= 6 and at 20 random
-    rational points beyond.
+    identity is checked by factorize.verify_product_identity on the
+    group's own matrix: symbolically for |G| <= 6, at fixed pseudorandom
+    points beyond.
     """
     reps = tuple(reps)
     n = group.order
@@ -545,27 +508,5 @@ def frobenius_factorization(group: FiniteGroup, reps) -> FactoredDeterminant:
         for rep in reps
     )
     fd = FactoredDeterminant(field, group.variables(), entries)
-    if n <= 6:
-        expected = symbolic_det(group.symbolic_matrix(field))
-        assert fd.product() == expected, "factor product differs from the group determinant"
-    else:
-        import random
-
-        from .factorize import _POINT_CHECKS, _VERIFY_SEED, _random_elem
-        from .linalg import mat_det
-
-        rng = random.Random(_VERIFY_SEED)
-        variables = group.variables()
-        for _ in range(_POINT_CHECKS):
-            point = {v: _random_elem(field, rng) for v in variables}
-            prod_val = field.one
-            for entry in fd.factors:
-                val = entry.poly.evaluate(point)
-                for _ in range(entry.multiplicity):
-                    prod_val = prod_val * val
-            numeric = [
-                [point[variables[group.mul(group.inv(t), s)]] for s in range(n)]
-                for t in range(n)
-            ]
-            assert prod_val == mat_det(numeric, field)
+    verify_product_identity(fd, lambda values, _field: group.group_matrix(values))
     return fd

@@ -1,14 +1,13 @@
 """Exact linear algebra over any of the implemented fields.
 
-Matrices are lists (or tuples) of rows of field elements.  Rank over Q
-uses fraction-free (Bareiss) elimination; other fields use ordinary
-row reduction with exact division.
+Matrices are lists (or tuples) of rows of field elements.  Inverse,
+determinant and rank all use ordinary row reduction with exact division,
+the same algorithm over every field.
 """
 
 from __future__ import annotations
 
 from .errors import NotInvertible, PreconditionError
-from .rings import QQ
 
 
 def identity_matrix(n: int, field) -> list[list]:
@@ -100,7 +99,8 @@ def mat_det(a, field):
     return det
 
 
-def _rank_plain(rows, field) -> int:
+def mat_rank(rows, field) -> int:
+    """Rank by row reduction with exact division, over any field."""
     m = [list(row) for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
@@ -119,35 +119,3 @@ def _rank_plain(rows, field) -> int:
         if rank == n_rows:
             break
     return rank
-
-
-def _rank_bareiss(rows) -> int:
-    """Fraction-free elimination; divisions are exact at every step."""
-    m = [list(row) for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, n_rows):
-            row_r, row_p = m[r], m[rank]
-            factor = row_r[col]
-            m[r] = [(p * row_r[j] - factor * row_p[j]) / prev for j in range(n_cols)]
-        prev = p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
-def mat_rank(rows, field) -> int:
-    if not rows:
-        return 0
-    if field == QQ:
-        return _rank_bareiss(rows)
-    return _rank_plain(rows, field)

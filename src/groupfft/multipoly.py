@@ -162,9 +162,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self.terms)
 

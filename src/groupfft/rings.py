@@ -8,11 +8,22 @@ but satisfy the same field-descriptor protocol.
 A field descriptor provides: ``characteristic``, ``zero``, ``one``,
 ``from_int``, ``from_rational``, ``inv``, ``format_elem`` and
 ``primitive_nth_root``; finite fields additionally expose ``order``,
-``iter_elements`` (canonical ordering) and ``order_key``.  Elements are
-immutable, support ``+ - * / **`` and honest ``==``/``hash``.  Element
-operations and ``==`` test ``other.field is self.field`` before falling
-back to comparing the descriptors, so the common same-field case costs
-one pointer comparison.
+``iter_elements`` (canonical ordering) and ``order_key``.
+:func:`finite_field` memoizes F_p and F_{p^r} descriptors, as
+:func:`groupfft.cyclotomic.cyclotomic_field` does Q(zeta_d).
+
+Element protocol.  Elements of F_p, F_{p^r} and Q(zeta_d) are immutable
+:class:`FieldElem` subclasses holding a ``residue`` (an int, a tuple of
+base-field coefficients, a rational polynomial) and their ``field``.
+They support ``+ - * /`` with an element of the same field or an int on
+either side (Q(zeta_d) also takes a ``Fraction``), ``**`` with any int
+exponent, and ``==``/``hash`` by field and residue; a rational element of
+Q(zeta_d) also equals, and hashes as, its value.  Operands from two
+fields of one kind raise :class:`RingMismatch`; operands of two kinds
+raise ``TypeError``; dividing by zero, or a negative power of zero,
+raises :class:`NotInvertible`.  Element operations and ``==`` test
+``other.field is self.field`` before falling back to comparing the
+descriptors, so the common same-field case costs one pointer comparison.
 
 Residue kernel.  Multiplication in a quotient ring R[X]/(m), m monic of
 degree r, goes through :func:`mul_reduced`: the schoolbook product of the
@@ -36,6 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterator
 
@@ -95,75 +107,95 @@ QQ = RationalField()
 
 
 # ---------------------------------------------------------------------------
-# Prime fields
+# Field elements
 # ---------------------------------------------------------------------------
 
-class PrimeFieldElem:
-    """Residue in F_p."""
+class FieldElem:
+    """An element of the field descriptor ``field``, held as ``residue``.
+
+    The operator protocol shared by F_p, F_{p^r} and Q(zeta_d) lives here.
+    An operand is coerced by :meth:`_coerce`; a subclass supplies ``_add``,
+    ``_sub`` and ``_mul`` on two coerced elements of its own field, plus
+    ``__neg__`` and ``__bool__``.
+    """
 
     __slots__ = ("residue", "field")
 
-    def __init__(self, residue: int, field: "PrimeField"):
-        self.residue = residue % field.p
+    # operand types taken through field.from_rational, besides int
+    _scalars: tuple = ()
+
+    def __init__(self, residue, field):
+        self.residue = residue
         self.field = field
 
     def _coerce(self, other):
-        if isinstance(other, PrimeFieldElem):
+        """other as an element of self.field, or None for a foreign type.
+
+        An element of the same class over another field raises
+        RingMismatch; an element of another class gives None, so the
+        operator returns NotImplemented and Python raises TypeError.
+        """
+        if other.__class__ is self.__class__:
             if other.field is not self.field and other.field != self.field:
                 raise RingMismatch(f"elements of {self.field} and {other.field}")
             return other
         if isinstance(other, int):
-            return PrimeFieldElem(other, self.field)
+            return self.field.from_int(other)
+        if isinstance(other, self._scalars):
+            return self.field.from_rational(other)
         return None
 
+    # __add__, __sub__ and __mul__ test the common case, an element of the
+    # very same field, inline: it saves the _coerce call on the hot path
     def __add__(self, other):
+        if other.__class__ is self.__class__ and other.field is self.field:
+            return self._add(other)
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElem(self.residue + o.residue, self.field)
+        return NotImplemented if o is None else self._add(o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if other.__class__ is self.__class__ and other.field is self.field:
+            return self._sub(other)
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElem(self.residue - o.residue, self.field)
+        return NotImplemented if o is None else self._sub(o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElem(o.residue - self.residue, self.field)
+        return NotImplemented if o is None else o._sub(self)
 
     def __mul__(self, other):
+        if other.__class__ is self.__class__ and other.field is self.field:
+            return self._mul(other)
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElem(self.residue * o.residue, self.field)
+        return NotImplemented if o is None else self._mul(o)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return PrimeFieldElem(-self.residue, self.field)
-
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * self.field.inv(o)
+        return NotImplemented if o is None else self * self.field.inv(o)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self.field.inv(self)
 
     def __pow__(self, k: int):
         if k < 0:
             return self.field.inv(self) ** (-k)
-        return PrimeFieldElem(pow(self.residue, k, self.field.p), self.field)
-
-    def __bool__(self) -> bool:
-        return self.residue != 0
+        result = self.field.one
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, PrimeFieldElem)
+            other.__class__ is self.__class__
             and other.residue == self.residue
             and (other.field is self.field or other.field == self.field)
         )
@@ -172,7 +204,41 @@ class PrimeFieldElem:
         return hash((self.field, self.residue))
 
     def __repr__(self) -> str:
-        return f"{self.residue}"
+        return self.field.format_elem(self)
+
+
+# ---------------------------------------------------------------------------
+# Prime fields
+# ---------------------------------------------------------------------------
+
+class PrimeFieldElem(FieldElem):
+    """Residue in F_p, an int in [0, p)."""
+
+    __slots__ = ()
+
+    def __init__(self, residue: int, field: "PrimeField"):
+        self.residue = residue % field.p
+        self.field = field
+
+    def _add(self, o):
+        return PrimeFieldElem(self.residue + o.residue, self.field)
+
+    def _sub(self, o):
+        return PrimeFieldElem(self.residue - o.residue, self.field)
+
+    def _mul(self, o):
+        return PrimeFieldElem(self.residue * o.residue, self.field)
+
+    def __neg__(self):
+        return PrimeFieldElem(-self.residue, self.field)
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.field.inv(self) ** (-k)
+        return PrimeFieldElem(pow(self.residue, k, self.field.p), self.field)
+
+    def __bool__(self) -> bool:
+        return self.residue != 0
 
 
 class PrimeField:
@@ -575,103 +641,50 @@ def mul_reduced(a, b, table, zero) -> list:
 # Extension fields
 # ---------------------------------------------------------------------------
 
-class ExtFieldElem:
-    """Element of F_q[Y]/(m(Y)), stored as a fixed-length coefficient tuple."""
+class ExtFieldElem(FieldElem):
+    """Element of F_q[Y]/(m(Y)); its residue is the fixed-length tuple of
+    base-field coefficients, constant term first."""
 
-    __slots__ = ("coeffs", "field")
+    __slots__ = ()
 
-    def __init__(self, coeffs: tuple, field: "ExtField"):
-        self.coeffs = coeffs
-        self.field = field
-
-    def _coerce(self, other):
-        if isinstance(other, ExtFieldElem):
-            if other.field is not self.field and other.field != self.field:
-                raise RingMismatch(f"elements of {self.field} and {other.field}")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o):
         return ExtFieldElem(
-            tuple(a + b for a, b in zip(self.coeffs, o.coeffs)), self.field
+            tuple(a + b for a, b in zip(self.residue, o.residue)), self.field
         )
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _sub(self, o):
         return ExtFieldElem(
-            tuple(a - b for a, b in zip(self.coeffs, o.coeffs)), self.field
+            tuple(a - b for a, b in zip(self.residue, o.residue)), self.field
         )
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.field._mul(self, o)
-
-    __rmul__ = __mul__
+    def _mul(self, o):
+        field = self.field
+        if field._int_red is None:
+            out = mul_reduced(self.residue, o.residue, field._red, field.base.zero)
+            return ExtFieldElem(tuple(out), field)
+        base = field.base
+        out = mul_reduced(
+            [c.residue for c in self.residue], [c.residue for c in o.residue],
+            field._int_red, 0,
+        )
+        return ExtFieldElem(tuple([PrimeFieldElem(c, base) for c in out]), field)
 
     def __neg__(self):
-        return ExtFieldElem(tuple(-a for a in self.coeffs), self.field)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * self.field.inv(o)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.field.inv(self) ** (-k)
-        result = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return ExtFieldElem(tuple(-a for a in self.residue), self.field)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtFieldElem)
-            and (other.field is self.field or other.field == self.field)
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        return any(self.residue)
 
     @property
     def is_constant(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.residue[1:])
 
     @property
     def constant(self):
         """The base-field value of a constant element."""
         if not self.is_constant:
             raise PreconditionError("element does not lie in the base field")
-        return self.coeffs[0]
-
-    def __repr__(self) -> str:
-        return self.field.format_elem(self)
+        return self.residue[0]
 
 
 class ExtField:
@@ -717,16 +730,6 @@ class ExtField:
     def characteristic(self) -> int:
         return self.base.characteristic
 
-    def _mul(self, a: ExtFieldElem, b: ExtFieldElem) -> ExtFieldElem:
-        if self._int_red is None:
-            out = mul_reduced(a.coeffs, b.coeffs, self._red, self.base.zero)
-            return ExtFieldElem(tuple(out), self)
-        base = self.base
-        out = mul_reduced(
-            [c.residue for c in a.coeffs], [c.residue for c in b.coeffs], self._int_red, 0
-        )
-        return ExtFieldElem(tuple([PrimeFieldElem(c, base) for c in out]), self)
-
     def from_int(self, k: int) -> ExtFieldElem:
         return self.from_base(self.base.from_int(k))
 
@@ -739,7 +742,7 @@ class ExtField:
     def inv(self, x: ExtFieldElem) -> ExtFieldElem:
         if not x:
             raise NotInvertible(f"division by zero in {self}")
-        poly = UniPoly.make(x.coeffs, self.base)
+        poly = UniPoly.make(x.residue, self.base)
         g, u, _ = ext_gcd(poly, self.modulus)
         assert g.degree == 0, "modulus not coprime to nonzero residue"
         u = u.scale(self.base.inv(g.coefficient(0)))
@@ -752,13 +755,13 @@ class ExtField:
             yield ExtFieldElem(tuple(reversed(tail)), self)
 
     def order_key(self, x: ExtFieldElem):
-        return tuple(self.base.order_key(c) for c in reversed(x.coeffs))
+        return tuple(self.base.order_key(c) for c in reversed(x.residue))
 
     def primitive_nth_root(self, n: int) -> ExtFieldElem:
         return _cached_root_of_unity(self, n)
 
     def format_elem(self, x: ExtFieldElem) -> str:
-        return format_unipoly(UniPoly.make(x.coeffs, self.base), var="Y")
+        return format_unipoly(UniPoly.make(x.residue, self.base), var="Y")
 
     def __eq__(self, other) -> bool:
         return (
@@ -775,6 +778,19 @@ class ExtField:
         if isinstance(self.base, PrimeField):
             return f"F{p}^{self.degree}"
         return f"({self.base!r})^{self.degree}"
+
+
+@lru_cache(maxsize=None)
+def finite_field(p: int, r: int):
+    """F_p for r = 1, else F_p[Y]/(m) with m = find_irreducible(p, r).
+
+    Memoized, so every request for one field shares one descriptor and
+    its cache of roots of unity.
+    """
+    if r == 1:
+        return PrimeField(p)
+    base = finite_field(p, 1)
+    return ExtField(base, find_irreducible(base, r))
 
 
 def _cached_root_of_unity(field, n: int):

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from .abelian import (
     AbelianGroup,
-    Character,
     GroupElement,
     character_matrix,
     character_matrix_inverse,
@@ -56,15 +55,6 @@ class GroupVector:
             raise PreconditionError(
                 f"expected {self.group.order} values, got {len(self.values)}"
             )
-
-    def value_at(self, key):
-        if self.dual:
-            if not isinstance(key, Character):
-                raise PreconditionError("dual-side vector is indexed by characters")
-            return self.values[self.group.char_index(key)]
-        if not isinstance(key, GroupElement):
-            raise PreconditionError("group-side vector is indexed by elements")
-        return self.values[self.group.index(key)]
 
     def hamming_weight(self) -> int:
         return sum(1 for v in self.values if v)
@@ -452,18 +442,10 @@ def group_idempotents(group: AbelianGroup, field) -> list[GroupVector]:
     identity indicator.
     """
     _require_invertible_order(group, field)
-    powers = root_powers(group.exponent, field)
-    e = group.exponent
-    inv_n = field.inv(field.from_int(group.order))
-    elements = group.elements()
-    out = []
-    for chi in group.characters():
-        values = tuple(
-            inv_n * powers[(-group.pairing_exponent(a, chi)) % e]
-            for a in elements
-        )
-        out.append(GroupVector(group, field, values))
-    return out
+    return [
+        GroupVector(group, field, tuple(row))
+        for row in character_matrix_inverse(group, field)
+    ]
 
 
 def shift_matrix(n: int, field) -> GroupMatrix:

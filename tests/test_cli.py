@@ -7,6 +7,7 @@ import pytest
 
 from groupfft import transform
 from groupfft.abelian import AbelianGroup, parse_group
+from groupfft.rings import finite_field
 from groupfft.cli import (
     CommandRequest,
     _sampled_round_trip_check,
@@ -251,6 +252,17 @@ class TestDispatchDirect:
         code, out = dispatch(req)
         assert code == 0
         assert out.split(",")[0] == "1"
+
+    def test_field_descriptors_share_one_memoized_field(self):
+        f9 = parse_field_descriptor("F9")
+        assert parse_field_descriptor("Fq:3^2") is f9 is finite_field(3, 2)
+        assert f9.base is parse_field_descriptor("Fp:3") is parse_field_descriptor("F3")
+        req = CommandRequest(
+            subcommand="fft", group="C8", field="F9", vector="1,0,0,0,0,0,0,0"
+        )
+        assert dispatch(req)[0] == 0
+        # the request's root search landed in the shared descriptor's cache
+        assert 8 in f9._roots
 
 
 class TestCayleyInput:

@@ -1,13 +1,14 @@
 """Cayley groups, representations, extended characters, determinant factors."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from groupfft.abelian import AbelianGroup
 from groupfft.cyclotomic import cyclotomic_field
 from groupfft.errors import PreconditionError
-from groupfft.factorize import det_split_field
+from groupfft.factorize import det_split_field, verify_product_identity
 from groupfft.frobenius import (
     FiniteGroup,
     Representation,
@@ -350,6 +351,18 @@ class TestAlternatingGroupDegreeThree:
             ("omega2", 1),
             ("standard", 3),
         ]
+
+    def test_point_checks_reject_a_wrong_product(self, a4_data):
+        group, reps = a4_data
+        fd = frobenius_factorization(group, reps)
+
+        def matrix_of(values, _field):
+            return group.group_matrix(values)
+
+        verify_product_identity(fd, matrix_of)
+        wrong = replace(fd, factors=fd.factors[:3] + (replace(fd.factors[3], multiplicity=2),))
+        with pytest.raises(AssertionError, match="at a point"):
+            verify_product_identity(wrong, matrix_of)
 
     def test_vanishing_beyond_degree_three(self, a4_data):
         group, reps = a4_data

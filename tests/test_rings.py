@@ -1,5 +1,6 @@
 """Field and polynomial arithmetic: golden examples, axioms, gcd machinery."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ F5 = PrimeField(5)
 F7 = PrimeField(7)
 F4 = ExtField(F2, find_irreducible(2, 2))
 F9 = ExtField(F3, find_irreducible(3, 2))
+F4_TOWER = ExtField(F4, find_irreducible(F4, 3))
 
 
 def qpoly(*ints):
@@ -210,14 +212,19 @@ class TestPrimitiveRoots:
                 field.primitive_nth_root(3)
 
 
-def _cyclo5():
+def _cyclo(d):
     from groupfft.cyclotomic import cyclotomic_field
 
-    return cyclotomic_field(5)
+    return cyclotomic_field(d)
+
+
+ELEMENT_FIELDS = [F7, F9, F4_TOWER, _cyclo(6)]
 
 
 class TestFieldAxioms:
-    @pytest.mark.parametrize("field", [QQ, F7, F4, F9, _cyclo5()], ids=repr)
+    @pytest.mark.parametrize(
+        "field", [QQ, F7, F4, F9, F4_TOWER, _cyclo(5), _cyclo(6)], ids=repr
+    )
     def test_axioms_on_random_triples(self, field):
         rng = random.Random(11)
 
@@ -230,10 +237,11 @@ class TestFieldAxioms:
                 )
             k = rng.randrange(field.order)
             if hasattr(field, "degree") and not isinstance(field, PrimeField):
+                base_elems = list(field.base.iter_elements())
                 coeffs = []
                 for _ in range(field.degree):
                     k, rem = divmod(k, field.base.order)
-                    coeffs.append(field.base.from_int(rem))
+                    coeffs.append(base_elems[rem])
                 from groupfft.rings import ExtFieldElem
 
                 return ExtFieldElem(tuple(coeffs), field)
@@ -248,6 +256,20 @@ class TestFieldAxioms:
             if b:
                 assert b * field.inv(b) == field.one
 
+        # the operator protocol: ints on either side, division, negative powers
+        # (5 is a unit in every characteristic here)
+        for _ in range(100):
+            a, b = rand(), rand()
+            assert a + 2 == 2 + a == a + field.from_int(2)
+            assert 2 - a == -(a - 2) == field.from_int(2) - a
+            assert 3 * a == a * 3 == a + a + a
+            assert (a / 5) * 5 == a
+            if b:
+                assert a / b * b == a
+                assert 5 / b == field.from_int(5) * field.inv(b)
+                assert b ** -1 == field.inv(b)
+                assert b ** -3 * b ** 3 == field.one
+
     def test_no_zero_divisors_in_extensions(self):
         rng = random.Random(3)
         for field in (F4, F9, ExtField(F5, find_irreducible(5, 2))):
@@ -258,9 +280,37 @@ class TestFieldAxioms:
                 assert a * b
 
     def test_zero_inverse_rejected(self):
-        for field in (QQ, F7, F4):
+        for field in (QQ, F7, F4, *ELEMENT_FIELDS):
             with pytest.raises(NotInvertible):
                 field.inv(field.zero)
+        for field in ELEMENT_FIELDS:
+            for divide in (
+                lambda: field.one / field.zero,
+                lambda: field.one / 0,
+                lambda: 1 / field.zero,
+                lambda: field.zero ** -1,
+            ):
+                with pytest.raises(NotInvertible):
+                    divide()
+
+    def test_mixed_operands_rejected(self):
+        ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+        # one element class over two fields
+        for a, b in [(F7.one, F5.one), (F9.gen, F4.gen), (F4_TOWER.gen, F4.gen),
+                     (_cyclo(5).zeta, _cyclo(6).zeta)]:
+            assert a != b
+            for op in ops:
+                with pytest.raises(RingMismatch):
+                    op(a, b)
+        # two element classes, or a scalar type the class does not take
+        for a, b in [(F7.one, F9.one), (F9.one, _cyclo(6).one),
+                     (_cyclo(6).one, F7.one), (F7.one, Fraction(1, 2))]:
+            assert a != b
+            for op in ops:
+                with pytest.raises(TypeError):
+                    op(a, b)
+                with pytest.raises(TypeError):
+                    op(b, a)
 
 
 class TestFormatting:
