@@ -3,8 +3,10 @@
 Subcommands: cyclo phi | cyclo basis, fft, ifft, weight, idempotents,
 factor-xn1, groupdet, vandermonde, frobenius.  Vectors travel in the
 canonical lexicographic element order.  Exit codes: 0 success, 1 parse
-error (bad arguments, malformed vectors), 2 precondition violation
-(e.g. the characteristic divides the group order).
+error (bad arguments or field descriptors, malformed vectors, a --cayley
+file that cannot be read, is not JSON, or lacks labels and table),
+2 precondition violation (e.g. the characteristic divides the group
+order).
 """
 
 from __future__ import annotations
@@ -49,15 +51,13 @@ def parse_field_descriptor(text: str, zeta_conductor: int | None = None):
     text = text.strip()
     if text == "Q":
         return QQ
-    if text.startswith("Qzeta"):
-        if text == "Qzeta":
-            if zeta_conductor is None:
-                raise CLIUsageError("Qzeta needs a conductor in this context")
-            return cyclotomic_field(zeta_conductor)
+    if text == "Qzeta":
+        if zeta_conductor is None:
+            raise CLIUsageError("Qzeta needs a conductor in this context")
+        return cyclotomic_field(zeta_conductor)
+    try:
         if text.startswith("Qzeta:"):
             return cyclotomic_field(int(text.split(":", 1)[1]))
-        raise CLIUsageError(f"bad field descriptor {text!r}")
-    try:
         if text.startswith("Fp:"):
             return finite_field(int(text.split(":", 1)[1]), 1)
         if text.startswith("Fq:"):
@@ -302,13 +302,24 @@ def _cmd_vandermonde(req: CommandRequest) -> tuple[int, str]:
     return 0, rendered
 
 
+def _read_cayley(path: str):
+    """(labels, table, name) from a JSON file holding an object with
+    "labels", "table" and an optional "name"."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        return data["labels"], data["table"], data.get("name", "G")
+    except OSError as exc:
+        raise CLIUsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise CLIUsageError(f"{path} is not valid JSON: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise CLIUsageError(f'{path} must hold an object with "labels" and "table"') from exc
+
+
 def _cmd_frobenius(req: CommandRequest) -> tuple[int, str]:
     if req.cayley:
-        with open(req.cayley) as fh:
-            data = json.load(fh)
-        group = frobenius.FiniteGroup.from_table(
-            data["labels"], data["table"], name=data.get("name", "G")
-        )
+        group = frobenius.FiniteGroup.from_table(*_read_cayley(req.cayley))
         if group.order > 8:
             raise PreconditionError("symbolic determinant capped at order 8")
         det = symbolic_det(group.symbolic_matrix(QQ))

@@ -1,9 +1,16 @@
-"""Cyclotomic polynomials, the fields Q(zeta_d), and rational idempotent bases.
+"""Cyclotomic polynomials, the fields Q(zeta_d), splitting fields, and
+rational idempotent bases.
 
-The field Q(zeta_d) is realized as Q[X]/(Phi_d); its canonical generator
-``zeta`` is the class of X.  The rational basis of Q[X]/(X^n - 1) is built
-from the complementary factors (X^n - 1)/Phi_d and their inverses modulo
-Phi_d, computed with the extended euclidean algorithm.
+The field Q(zeta_d) is the extension Q[X]/(Phi_d): ``CyclotomicField`` is
+an ``ExtField`` over ``QQ`` and ``CycloElem`` an ``ExtFieldElem`` whose
+residue is the tuple of its phi(d) rational coefficients.  They add only
+what differs from F_q[Y]/(m): the product on integer numerators, equality
+with rational numbers, the root formula, the embeddings Q(zeta_d) ->
+Q(zeta_D) for d | D, and the generator name ``zeta`` (the class of X).
+:func:`splitting_field` gives the smallest extension of any field here that
+holds the n-th roots of unity.  The rational basis of Q[X]/(X^n - 1) is
+built from the complementary factors (X^n - 1)/Phi_d and their inverses
+modulo Phi_d, computed with the extended euclidean algorithm.
 """
 
 from __future__ import annotations
@@ -13,15 +20,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import NoRootOfUnity, NotInvertible, PreconditionError, RingMismatch
-from .numtheory import divisors, euler_phi
+from .errors import NoRootOfUnity, PreconditionError, RingMismatch
+from .numtheory import divisors, euler_phi, multiplicative_order
 from .rings import (
     QQ,
-    FieldElem,
+    ExtField,
+    ExtFieldElem,
     UniPoly,
     ext_gcd,
+    find_irreducible,
     mul_reduced,
-    reduction_table,
     x_pow_minus_one,
 )
 
@@ -45,17 +53,12 @@ def cyclotomic_polynomial(d: int) -> UniPoly:
     return num
 
 
-class CycloElem(FieldElem):
-    """Element of Q(zeta_d): a residue polynomial of degree < phi(d)."""
+class CycloElem(ExtFieldElem):
+    """Element of Q(zeta_d): its residue is the tuple of its phi(d)
+    rational coefficients on 1, zeta, ..., zeta^(phi(d) - 1)."""
 
     __slots__ = ()
     _scalars = (Fraction,)
-
-    def _add(self, o):
-        return CycloElem(self.residue + o.residue, self.field)
-
-    def _sub(self, o):
-        return CycloElem(self.residue - o.residue, self.field)
 
     def _mul(self, o):
         """Product on integer numerators.
@@ -65,88 +68,52 @@ class CycloElem(FieldElem):
         the field's integral table, and the phi(d) results are divided
         once.
         """
-        ca, cb = self.residue.coeffs, o.residue.coeffs
-        if not ca or not cb:
-            return self.field.zero
+        ca, cb = self.residue, o.residue
         da = lcm(*(c.denominator for c in ca))
         db = lcm(*(c.denominator for c in cb))
         out = mul_reduced(
             [c.numerator * (da // c.denominator) for c in ca],
             [c.numerator * (db // c.denominator) for c in cb],
-            self.field._red,
+            self.field._int_red,
             0,
         )
         den = da * db
-        return CycloElem(UniPoly.make([Fraction(c, den) for c in out], QQ), self.field)
-
-    def __neg__(self):
-        return CycloElem(-self.residue, self.field)
-
-    def __bool__(self) -> bool:
-        return not self.residue.is_zero
+        return CycloElem(tuple([Fraction(c, den) for c in out]), self.field)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
-        return (
-            other.__class__ is CycloElem
-            and (other.field is self.field or other.field == self.field)
-            and other.residue.coeffs == self.residue.coeffs
-        )
+        return ExtFieldElem.__eq__(self, other)
 
     def __hash__(self) -> int:
         # a rational element equals its value as an int or Fraction
-        if self.is_rational:
-            return hash(self.rational_value)
-        return hash((self.field, self.residue.coeffs))
+        if self.is_constant:
+            return hash(self.residue[0])
+        return hash((self.field, self.residue))
 
-    @property
-    def is_rational(self) -> bool:
-        return self.residue.degree <= 0
-
-    @property
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise PreconditionError("element is not rational")
-        return self.residue.coefficient(0)
+    is_rational = ExtFieldElem.is_constant
+    rational_value = ExtFieldElem.constant
 
 
-class CyclotomicField:
-    """Descriptor for Q(zeta_d) = Q[X]/(Phi_d)."""
+class CyclotomicField(ExtField):
+    """Descriptor for Q(zeta_d) = Q[X]/(Phi_d), an extension of Q."""
 
-    characteristic = 0
     is_finite = False
+    _elem = CycloElem
+    var = "z"
 
     def __init__(self, d: int):
         if d < 1:
             raise PreconditionError("conductor must be >= 1")
         self.conductor = d
-        self.modulus = cyclotomic_polynomial(d)
-        self.degree = self.modulus.degree
-        # X^k mod Phi_d for k = phi .. 2 phi - 2: integral, since Phi_d is
-        # monic with integer coefficients
-        self._red = reduction_table([int(c) for c in self.modulus.coeffs], 0)
-        self.zero = CycloElem(UniPoly.zero(QQ), self)
-        self.one = CycloElem(UniPoly.constant(Fraction(1), QQ), self)
-        self.zeta = CycloElem(UniPoly.gen(QQ) % self.modulus, self)
-
-    def from_int(self, k: int) -> CycloElem:
-        return CycloElem(UniPoly.constant(Fraction(k), QQ), self)
-
-    def from_rational(self, q: Fraction) -> CycloElem:
-        return CycloElem(UniPoly.constant(Fraction(q), QQ), self)
+        self._setup(QQ, cyclotomic_polynomial(d))
+        # Phi_d is monic with integer coefficients, so its table is integral
+        self._int_red = [tuple(int(c) for c in row) for row in self._red]
+        self.zeta = self.gen
 
     def from_residue(self, coeffs) -> CycloElem:
         """Element from rational coefficients of 1, zeta, zeta^2, ..."""
-        poly = UniPoly.make([Fraction(c) for c in coeffs], QQ) % self.modulus
-        return CycloElem(poly, self)
-
-    def inv(self, x: CycloElem) -> CycloElem:
-        if not x:
-            raise NotInvertible(f"division by zero in {self}")
-        g, u, _ = ext_gcd(x.residue, self.modulus)
-        assert g.degree == 0
-        return CycloElem(u.scale(QQ.inv(g.coefficient(0))), self)
+        return self.from_poly(UniPoly.make([Fraction(c) for c in coeffs], QQ))
 
     def primitive_nth_root(self, n: int) -> CycloElem:
         d = self.conductor
@@ -159,26 +126,14 @@ class CyclotomicField:
             return -(self.zeta ** (2 * d // n))
         raise NoRootOfUnity(f"{self} contains no primitive {n}-th root of unity")
 
-    def embed_from(self, elem: "CycloElem") -> "CycloElem":
+    def embed_from(self, elem: CycloElem) -> CycloElem:
         """Image of an element of Q(zeta_d), d dividing this conductor."""
         d = elem.field.conductor
         if self.conductor % d != 0:
             raise RingMismatch(
                 f"no canonical embedding of Q(zeta_{d}) into {self}"
             )
-        shifted = elem.residue.substitute_power(self.conductor // d)
-        return CycloElem(shifted % self.modulus, self)
-
-    def format_elem(self, x: CycloElem) -> str:
-        from .rings import format_unipoly
-
-        return format_unipoly(x.residue, var="z")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclotomicField) and other.conductor == self.conductor
-
-    def __hash__(self) -> int:
-        return hash(("Qzeta", self.conductor))
+        return self.from_poly(elem.poly.substitute_power(self.conductor // d))
 
     def __repr__(self) -> str:
         return f"Q(zeta_{self.conductor})"
@@ -189,6 +144,33 @@ def cyclotomic_field(d: int) -> CyclotomicField:
     return CyclotomicField(d)
 
 
+def splitting_field(field, n: int):
+    """(big, embed): the smallest extension of field holding a primitive
+    n-th root of unity, and the embedding of field into it.
+
+    big is field itself when it already holds one.  Over F_q it is
+    F_q[Y]/(m), m the smallest irreducible of degree ord_n(q); over
+    Q(zeta_d), whose roots of unity are the lcm(2, d)-th roots, it is
+    Q(zeta_lcm(d, n)).  n must be prime to the characteristic.
+    """
+    if field.is_finite:
+        s = multiplicative_order(field.order, n) if n > 1 else 1
+        if s == 1:
+            return field, _identity
+        big = ExtField(field, find_irreducible(field, s))
+        return big, big.from_base
+    cyclo = isinstance(field, CyclotomicField)
+    d = field.conductor if cyclo else 1
+    if lcm(2, d) % n == 0:
+        return field, _identity
+    big = cyclotomic_field(lcm(d, n))
+    return big, big.embed_from if cyclo else big.from_rational
+
+
+def _identity(x):
+    return x
+
+
 def galois_conjugates(a: CycloElem) -> list[CycloElem]:
     """Images of a under zeta -> zeta^m for gcd(m, d) = 1, m ascending."""
     field = a.field
@@ -196,7 +178,7 @@ def galois_conjugates(a: CycloElem) -> list[CycloElem]:
     out = []
     for m in range(1, d + 1):
         if gcd(m, d) == 1:
-            out.append(CycloElem(a.residue.substitute_power(m) % field.modulus, field))
+            out.append(field.from_poly(a.poly.substitute_power(m)))
     return out
 
 

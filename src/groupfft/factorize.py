@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import gcd
 
 from .abelian import AbelianGroup, Character, character_matrix
-from .cyclotomic import cyclotomic_field, cyclotomic_polynomial
+from .cyclotomic import cyclotomic_field, cyclotomic_polynomial, splitting_field
 from .errors import PreconditionError
 from .linalg import mat_det
 from .multipoly import MultiPoly, symbolic_det
@@ -32,8 +32,8 @@ from .numtheory import divisors, euler_phi, multiplicative_order
 from .rings import (
     QQ,
     ExtField,
+    ExtFieldElem,
     UniPoly,
-    find_irreducible,
     is_irreducible,
     primitive_nth_root,
     root_powers,
@@ -114,19 +114,17 @@ def vandermonde_det(n: int, field):
 # ---------------------------------------------------------------------------
 
 def _random_elem(field, rng: random.Random):
+    """A seeded element that draws every coefficient of an extension."""
+    if field.is_finite:
+        if isinstance(field, ExtField):
+            return ExtFieldElem(
+                tuple(_random_elem(field.base, rng) for _ in range(field.degree)), field
+            )
+        return field.from_int(rng.randrange(field.order))
     if field == QQ:
         return Fraction(rng.randrange(-50, 51), rng.randrange(1, 9))
-    if isinstance(field, ExtField):
-        from .rings import ExtFieldElem
-
-        return ExtFieldElem(
-            tuple(_random_elem(field.base, rng) for _ in range(field.degree)), field
-        )
-    if getattr(field, "is_finite", False):
-        return field.from_int(rng.randrange(field.order))
-    # cyclotomic field: random small rational residue
-    coeffs = [Fraction(rng.randrange(-9, 10)) for _ in range(max(field.degree, 1))]
-    return field.from_residue(coeffs)
+    # Q(zeta_d): small integer coefficients
+    return field.from_residue([Fraction(rng.randrange(-9, 10)) for _ in range(field.degree)])
 
 
 def verify_product_identity(fd: FactoredDeterminant, matrix_of, eval_field=None, lift=None):
@@ -298,28 +296,20 @@ def q_cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _splitting_extension(field, n: int):
-    """(big_field, zeta_n, descend) with descend mapping constants back down."""
-    s = multiplicative_order(field.order, n) if n > 1 else 1
-    if s == 1:
-        return field, primitive_nth_root(n, field), lambda c: c
-    big = ExtField(field, find_irreducible(field, s))
-
-    def descend(c):
-        assert c.is_constant, "coefficient does not lie in the base field"
-        return c.constant
-
-    return big, primitive_nth_root(n, big), descend
+def _descend(poly, big, field):
+    """poly, whose coefficients lie in field inside its splitting field
+    big, as a polynomial over field."""
+    return poly if big is field else poly.map_coefficients(lambda c: c.constant, field)
 
 
-def _descended_factor(labels, big, zeta, descend, field) -> UniPoly:
+def _descended_factor(labels, big, zeta, field) -> UniPoly:
     """The product of X - zeta^l over the labels l, computed in the
-    splitting extension big and descended to field."""
+    splitting field big and descended to field."""
     x = UniPoly.gen(big)
     poly = UniPoly.constant(big.one, big)
     for ell in labels:
         poly = poly * (x - UniPoly.constant(zeta ** ell, big))
-    return poly.map_coefficients(descend, field)
+    return _descend(poly, big, field)
 
 
 def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
@@ -333,10 +323,11 @@ def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
     if n < 1:
         raise PreconditionError("n must be >= 1")
     q = field.order
-    big, zeta, descend = _splitting_extension(field, n)
+    big, _ = splitting_field(field, n)
+    zeta = primitive_nth_root(n, big)
     out = []
     for labels in q_cyclotomic_cosets(n, q):
-        poly = _descended_factor(labels, big, zeta, descend, field)
+        poly = _descended_factor(labels, big, zeta, field)
         assert poly.degree == len(labels)
         assert poly.is_monic
         # descent identity over F_q, and irreducibility of the emitted factor
@@ -360,13 +351,14 @@ def factor_cyclotomic(d: int, field) -> list[CosetFactor]:
     """
     _check_finite(field, d)
     q = field.order
-    big, zeta, descend = _splitting_extension(field, d)
+    big, _ = splitting_field(field, d)
+    zeta = primitive_nth_root(d, big)
     r = multiplicative_order(q, d)
     out = []
     for coset in q_cyclotomic_cosets(d, q):
         if gcd(coset[0], d) != 1:
             continue
-        poly = _descended_factor(coset, big, zeta, descend, field)
+        poly = _descended_factor(coset, big, zeta, field)
         assert poly.degree == r and poly.is_monic
         out.append(CosetFactor(coset, poly))
     assert len(out) == euler_phi(d) // r
@@ -391,10 +383,11 @@ def det_over_finite_field(n: int, field) -> FactoredDeterminant:
     group = AbelianGroup.cyclic(n)
     variables = group_variables(group)
     q = field.order
-    big, zeta, descend = _splitting_extension(field, n)
+    big, embed = splitting_field(field, n)
+    zeta = primitive_nth_root(n, big)
     entries = []
     for labels in q_cyclotomic_cosets(n, q):
-        poly = _product_of_forms(variables, zeta, labels, big).map_coefficients(descend, field)
+        poly = _descend(_product_of_forms(variables, zeta, labels, big), big, field)
         entries.append(
             FactorEntry(
                 poly=poly,
@@ -405,6 +398,6 @@ def det_over_finite_field(n: int, field) -> FactoredDeterminant:
             )
         )
     fd = FactoredDeterminant(field, variables, tuple(entries))
-    lift = None if big is field else big.from_base
+    lift = None if big is field else embed
     verify_product_identity(fd, _abelian_matrix(group), eval_field=big, lift=lift)
     return fd

@@ -29,7 +29,6 @@ from .errors import PreconditionError
 from .factorize import FactorEntry, FactoredDeterminant, verify_product_identity
 from .linalg import identity_matrix, mat_eq, mat_inverse, mat_mul
 from .multipoly import MultiPoly, symbolic_det
-from .transform import _sum_scaled
 
 _ASSOC_EXHAUSTIVE_CAP = 24
 
@@ -338,15 +337,7 @@ def block_diagonalize_s3() -> S3BlockDiagonalization:
     p = [[columns[c][r] for c in range(n)] for r in range(n)]
     p_inv = mat_inverse(p, field)  # raises if singular
     a = group.symbolic_matrix(field)
-    # conj = p_inv * a * p with polynomial middle
-    tmp = [
-        [_sum_scaled(p_inv[i], [a[k][j] for k in range(n)]) for j in range(n)]
-        for i in range(n)
-    ]
-    conj = [
-        [_sum_scaled([p[k][j] for k in range(n)], tmp[i]) for j in range(n)]
-        for i in range(n)
-    ]
+    conj = mat_mul(mat_mul(p_inv, a, field), p, field)
     blocks = [generic_matrix(rep) for rep in data.representations]
     l0 = blocks[0][0][0]
     l1 = blocks[1][0][0]

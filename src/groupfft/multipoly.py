@@ -97,6 +97,13 @@ class MultiPoly:
                 del terms[exp]
         return MultiPoly(a.variables, terms, a.ring)
 
+    def __radd__(self, c):
+        """c + p for a field constant c, as when a matrix product starts
+        its sums from field.zero."""
+        if isinstance(c, int):
+            c = self.ring.from_int(c)
+        return self + MultiPoly.constant(c, self.variables, self.ring)
+
     def __sub__(self, other):
         return self + (-other)
 

@@ -2,8 +2,11 @@
 
 Fields implemented here: the rationals (``QQ``, elements are
 :class:`fractions.Fraction`), prime fields ``F_p``, and extension fields
-``F_q[Y]/(m(Y))``.  Cyclotomic fields live in :mod:`groupfft.cyclotomic`
-but satisfy the same field-descriptor protocol.
+``F[Y]/(m(Y))`` (:class:`ExtField`, m monic irreducible).  One extension
+construction serves both kinds: ``F_q[Y]/(m)`` over a finite base, towers
+included, and Q(zeta_d) = Q[X]/(Phi_d), the subclass
+:class:`groupfft.cyclotomic.CyclotomicField`, which adds only its integer
+product, its root formula and its embeddings.
 
 A field descriptor provides: ``characteristic``, ``zero``, ``one``,
 ``from_int``, ``from_rational``, ``inv``, ``format_elem`` and
@@ -13,8 +16,10 @@ A field descriptor provides: ``characteristic``, ``zero``, ``one``,
 :func:`groupfft.cyclotomic.cyclotomic_field` does Q(zeta_d).
 
 Element protocol.  Elements of F_p, F_{p^r} and Q(zeta_d) are immutable
-:class:`FieldElem` subclasses holding a ``residue`` (an int, a tuple of
-base-field coefficients, a rational polynomial) and their ``field``.
+:class:`FieldElem` subclasses holding a ``residue`` and their ``field``:
+an int in [0, p) for F_p, and for an extension the fixed-length tuple of
+its base-field coefficients, constant term first (phi(d) ``Fraction``
+values for Q(zeta_d)).
 They support ``+ - * /`` with an element of the same field or an int on
 either side (Q(zeta_d) also takes a ``Fraction``), ``**`` with any int
 exponent, and ``==``/``hash`` by field and residue; a rational element of
@@ -33,7 +38,7 @@ high coefficient c_k is folded in as c_k * (X^k mod m); no division and
 no cascading reduction.  Two rings use it over plain Python ints:
 ``F_p[Y]/(m)`` (``ExtField`` over a prime field: the residues are
 multiplied as ints and each output coefficient is reduced mod p once) and
-``Q[X]/(Phi_d)`` (:mod:`groupfft.cyclotomic`: Phi_d is monic with integer
+``Q[X]/(Phi_d)`` (``CyclotomicField``: Phi_d is monic with integer
 coefficients, so its table is integral and the residues are scaled to
 integer numerators over a common denominator).  Towers (an ``ExtField``
 over an ``ExtField``) run the same helper on base-field elements and the
@@ -642,18 +647,18 @@ def mul_reduced(a, b, table, zero) -> list:
 # ---------------------------------------------------------------------------
 
 class ExtFieldElem(FieldElem):
-    """Element of F_q[Y]/(m(Y)); its residue is the fixed-length tuple of
+    """Element of F[Y]/(m(Y)); its residue is the fixed-length tuple of
     base-field coefficients, constant term first."""
 
     __slots__ = ()
 
     def _add(self, o):
-        return ExtFieldElem(
+        return self.__class__(
             tuple(a + b for a, b in zip(self.residue, o.residue)), self.field
         )
 
     def _sub(self, o):
-        return ExtFieldElem(
+        return self.__class__(
             tuple(a - b for a, b in zip(self.residue, o.residue)), self.field
         )
 
@@ -670,10 +675,15 @@ class ExtFieldElem(FieldElem):
         return ExtFieldElem(tuple([PrimeFieldElem(c, base) for c in out]), field)
 
     def __neg__(self):
-        return ExtFieldElem(tuple(-a for a in self.residue), self.field)
+        return self.__class__(tuple(-a for a in self.residue), self.field)
 
     def __bool__(self) -> bool:
         return any(self.residue)
+
+    @property
+    def poly(self) -> UniPoly:
+        """The residue as a polynomial over the base field."""
+        return UniPoly.make(self.residue, self.field.base)
 
     @property
     def is_constant(self) -> bool:
@@ -688,43 +698,52 @@ class ExtFieldElem(FieldElem):
 
 
 class ExtField:
-    """Descriptor for an extension F_q[Y]/(m(Y)), m monic irreducible.
+    """Descriptor for an extension F[Y]/(m(Y)), m monic irreducible.
 
-    The base may itself be an extension, giving towers; the common case
-    is a prime base.
+    Constructed directly, the base is a finite field: a prime field or
+    itself an extension, giving towers; the common case is a prime base.
+    Q(zeta_d) = Q[X]/(Phi_d) is the subclass
+    :class:`groupfft.cyclotomic.CyclotomicField`.
     """
 
     is_finite = True
+    _elem = ExtFieldElem
+    var = "Y"  # the generator's name in printed elements
 
     def __init__(self, base, modulus: UniPoly):
         if modulus.ring != base:
             raise RingMismatch("modulus must have coefficients in the base field")
+        if not base.is_finite:
+            raise PreconditionError(
+                f"ExtField needs a finite base field, not {base}; "
+                "Q(zeta_d) is cyclotomic_field(d)"
+            )
         if not modulus.is_monic or modulus.degree < 1:
             raise PreconditionError("modulus must be monic of degree >= 1")
         if modulus.degree > 1 and not is_irreducible(modulus):
             raise PreconditionError(f"modulus {modulus} is reducible over {base}")
-        self.base = base
-        self.modulus = modulus
-        self.degree = modulus.degree
+        self._setup(base, modulus)
         self.order = base.order ** self.degree
-        r = self.degree
-        # X^k mod modulus for k = r .. 2r-2, over base elements; over a prime
-        # base the same table as residues, for the integer kernel
-        self._red = reduction_table(modulus.coeffs, base.zero)
+        # over a prime base the reduction table as int residues, for the
+        # integer kernel
         self._int_red = (
             [tuple(c.residue for c in row) for row in self._red]
             if isinstance(base, PrimeField)
             else None
         )
         self._roots: dict = {}
-        self.zero = ExtFieldElem((base.zero,) * r, self)
-        self.one = ExtFieldElem((base.one,) + (base.zero,) * (r - 1), self)
+
+    def _setup(self, base, modulus: UniPoly):
+        """The quotient ring base[Y]/(modulus), shared with Q(zeta_d)."""
+        self.base = base
+        self.modulus = modulus
+        self.degree = modulus.degree
+        # X^k mod modulus for k = r .. 2r-2, over base elements
+        self._red = reduction_table(modulus.coeffs, base.zero)
+        self.zero = self.from_base(base.zero)
+        self.one = self.from_base(base.one)
         # the class of Y: a root of the modulus
-        self.gen = (
-            ExtFieldElem(tuple(base.one if i == 1 else base.zero for i in range(r)), self)
-            if r > 1
-            else ExtFieldElem((-modulus.coefficient(0),), self)
-        )
+        self.gen = self.from_poly(UniPoly.gen(base))
 
     @property
     def characteristic(self) -> int:
@@ -734,20 +753,25 @@ class ExtField:
         return self.from_base(self.base.from_int(k))
 
     def from_base(self, c) -> ExtFieldElem:
-        return ExtFieldElem((c,) + (self.base.zero,) * (self.degree - 1), self)
+        return self._elem((c,) + (self.base.zero,) * (self.degree - 1), self)
 
     def from_rational(self, q: Fraction) -> ExtFieldElem:
         return self.from_base(self.base.from_rational(q))
 
+    def from_poly(self, p: UniPoly) -> ExtFieldElem:
+        """The class of a polynomial over the base field."""
+        if p.degree >= self.degree:
+            p = p % self.modulus
+        return self._elem(
+            p.coeffs + (self.base.zero,) * (self.degree - len(p.coeffs)), self
+        )
+
     def inv(self, x: ExtFieldElem) -> ExtFieldElem:
         if not x:
             raise NotInvertible(f"division by zero in {self}")
-        poly = UniPoly.make(x.residue, self.base)
-        g, u, _ = ext_gcd(poly, self.modulus)
+        g, u, _ = ext_gcd(x.poly, self.modulus)
         assert g.degree == 0, "modulus not coprime to nonzero residue"
-        u = u.scale(self.base.inv(g.coefficient(0)))
-        cs = list(u.coeffs) + [self.base.zero] * (self.degree - len(u.coeffs))
-        return ExtFieldElem(tuple(cs), self)
+        return self.from_poly(u.scale(self.base.inv(g.coefficient(0))))
 
     def iter_elements(self) -> Iterator[ExtFieldElem]:
         elems = list(self.base.iter_elements())
@@ -761,7 +785,7 @@ class ExtField:
         return _cached_root_of_unity(self, n)
 
     def format_elem(self, x: ExtFieldElem) -> str:
-        return format_unipoly(UniPoly.make(x.residue, self.base), var="Y")
+        return format_unipoly(x.poly, var=self.var)
 
     def __eq__(self, other) -> bool:
         return (
@@ -870,7 +894,7 @@ def _coeff_pieces(c, field) -> tuple[bool, str]:
         return c < 0, str(abs(c))
     if isinstance(c, PrimeFieldElem):
         return False, str(c.residue)
-    if isinstance(c, ExtFieldElem):
+    if isinstance(c, ExtFieldElem) and c.field.is_finite:
         if c.is_constant:
             return _coeff_pieces(c.constant, field)
         return False, "(" + c.field.format_elem(c) + ")"

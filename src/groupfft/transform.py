@@ -33,6 +33,7 @@ from .abelian import (
     character_matrix,
     character_matrix_inverse,
 )
+from .cyclotomic import splitting_field
 from .errors import NoRootOfUnity, PreconditionError, RingMismatch
 from .linalg import mat_eq, mat_mul, mat_pow, mat_rank, transpose
 from .multipoly import MultiPoly
@@ -79,13 +80,6 @@ class GroupMatrix:
 
     def rows(self) -> list[list]:
         return [list(r) for r in self.entries]
-
-
-def _scale(c, x):
-    """c * x where x is a field element or a MultiPoly."""
-    if isinstance(x, MultiPoly):
-        return x.scale(c)
-    return c * x
 
 
 def _require_invertible_order(group: AbelianGroup, field):
@@ -137,7 +131,7 @@ def _dft_line(x: list, radices: list, powers: list, step: int) -> list:
         y, r_step = subs[r], r * step
         for k in range(m):
             t = k * r_step % e
-            out[k] = out[k] + (y[k % q] if t == 0 else _scale(powers[t], y[k % q]))
+            out[k] = out[k] + (y[k % q] if t == 0 else powers[t] * y[k % q])
     return out
 
 
@@ -145,7 +139,7 @@ def _inverse_dft(values, group: AbelianGroup, field, powers: list) -> list:
     """(1/n) sum_chi zeta^-t(sigma, chi) values_chi for every sigma."""
     inv_n = field.inv(field.from_int(group.order))
     conjugate = powers[:1] + powers[:0:-1]
-    return [_scale(inv_n, v) for v in _dft(values, group, conjugate)]
+    return [inv_n * v for v in _dft(values, group, conjugate)]
 
 
 def fft(b: GroupVector) -> GroupVector:
@@ -186,7 +180,7 @@ def fft_reference(b: GroupVector) -> GroupVector:
     for chi in group.characters():
         acc = None
         for a in elements:
-            term = _scale(powers[group.pairing_exponent(a, chi)], b.values[group.index(a)])
+            term = powers[group.pairing_exponent(a, chi)] * b.values[group.index(a)]
             acc = term if acc is None else acc + term
         out.append(acc)
     return GroupVector(group, field, tuple(out), dual=True)
@@ -207,9 +201,9 @@ def inverse_fft_reference(B: GroupVector) -> GroupVector:
         acc = None
         for chi in characters:
             t = (-group.pairing_exponent(a, chi)) % e
-            term = _scale(powers[t], B.values[group.char_index(chi)])
+            term = powers[t] * B.values[group.char_index(chi)]
             acc = term if acc is None else acc + term
-        out.append(_scale(inv_n, acc))
+        out.append(inv_n * acc)
     return GroupVector(group, field, tuple(out), dual=False)
 
 
@@ -299,7 +293,7 @@ def diagonalize(b: GroupVector) -> tuple:
     p = character_matrix(group, field)
     p_inv = character_matrix_inverse(group, field)
     m = group_matrix(b).rows()
-    conj = _conjugate(p_inv, m, p, field)
+    conj = mat_mul(mat_mul(p_inv, m, field), p, field)
     n = group.order
     expected = fft(b)
     for i in range(n):
@@ -307,7 +301,7 @@ def diagonalize(b: GroupVector) -> tuple:
             if i == j:
                 _assert_same(conj[i][j], expected.values[j], "diagonal mismatch")
             else:
-                _assert_zero(conj[i][j], field, "off-diagonal entry is nonzero")
+                _assert_zero(conj[i][j], "off-diagonal entry is nonzero")
     return expected.values
 
 
@@ -322,47 +316,19 @@ def dual_diagonalize(b: GroupVector) -> tuple:
     mhat = dual_matrix(B).rows()
     tp = transpose(character_matrix(group, field))
     tp_inv = transpose(character_matrix_inverse(group, field))
-    conj = _conjugate(tp_inv, mhat, tp, field)
+    conj = mat_mul(mat_mul(tp_inv, mhat, field), tp, field)
     n_elem = field.from_int(group.order)
     elements = group.elements()
     diag = []
     for i, sigma in enumerate(elements):
-        expected = _scale(n_elem, b.values[group.index(group.inverse(sigma))])
+        expected = n_elem * b.values[group.index(group.inverse(sigma))]
         for j in range(group.order):
             if i == j:
                 _assert_same(conj[i][j], expected, "dual diagonal mismatch")
             else:
-                _assert_zero(conj[i][j], field, "dual off-diagonal entry is nonzero")
+                _assert_zero(conj[i][j], "dual off-diagonal entry is nonzero")
         diag.append(expected)
     return tuple(diag)
-
-
-def _conjugate(left, middle, right, field):
-    """left * middle * right where middle may hold MultiPoly entries."""
-    if middle and isinstance(middle[0][0], MultiPoly):
-        n = len(middle)
-        tmp = [
-            [_sum_scaled(left[i], [middle[k][j] for k in range(n)]) for j in range(n)]
-            for i in range(n)
-        ]
-        return [
-            [_sum_scaled([right[k][j] for k in range(n)], tmp[i]) for j in range(n)]
-            for i in range(n)
-        ]
-    return mat_mul(mat_mul(left, middle, field), right, field)
-
-
-def _sum_scaled(scalars, polys):
-    acc = None
-    for c, p in zip(scalars, polys):
-        if not c:
-            continue
-        term = p.scale(c)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        first = polys[0]
-        return MultiPoly.zero(first.variables, first.ring)
-    return acc
 
 
 def _assert_same(got, expected, message):
@@ -370,9 +336,8 @@ def _assert_same(got, expected, message):
         raise AssertionError(f"{message}: {got!r} != {expected!r}")
 
 
-def _assert_zero(x, field, message):
-    zero = x.is_zero if isinstance(x, MultiPoly) else (not x)
-    if not zero:
+def _assert_zero(x, message):
+    if x:
         raise AssertionError(message)
 
 
@@ -399,39 +364,10 @@ def blahut_weight(b: GroupVector) -> int:
     """
     group, field = b.group, b.field
     _require_invertible_order(group, field)
-    e = group.exponent
-    lifted = _lift_to_splitting_field(b, e)
-    B = fft(lifted)
-    rank = mat_rank(dual_matrix(B).rows(), lifted.field)
-    return rank
-
-
-def _lift_to_splitting_field(b: GroupVector, e: int) -> GroupVector:
-    field = b.field
-    try:
-        field.primitive_nth_root(e)
-        return b
-    except NoRootOfUnity:
-        pass
-    if field.characteristic == 0:
-        from math import lcm
-
-        from .cyclotomic import CyclotomicField, cyclotomic_field
-
-        if isinstance(field, CyclotomicField):
-            big = cyclotomic_field(lcm(field.conductor, e))
-            lift = big.embed_from
-        else:
-            big = cyclotomic_field(e)
-            lift = big.from_rational
-    else:
-        from .numtheory import multiplicative_order
-        from .rings import ExtField, find_irreducible
-
-        r = multiplicative_order(field.order, e)
-        big = ExtField(field, find_irreducible(field, r))
-        lift = big.from_base
-    return GroupVector(b.group, big, tuple(lift(v) for v in b.values), b.dual)
+    big, embed = splitting_field(field, group.exponent)
+    if big is not field:
+        b = GroupVector(group, big, tuple(embed(v) for v in b.values), b.dual)
+    return mat_rank(dual_matrix(fft(b)).rows(), big)
 
 
 def group_idempotents(group: AbelianGroup, field) -> list[GroupVector]:

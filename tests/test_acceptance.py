@@ -58,6 +58,8 @@ from groupfft.transform import (
     symbolic_vector,
 )
 
+from helpers import random_vector
+
 SEED = 20120913
 
 
@@ -221,29 +223,6 @@ def _fft_fields(group):
     return admissible
 
 
-def _random_vector(group, field, rng):
-    from groupfft.rings import ExtFieldElem
-
-    def rand_elem():
-        if field == QQ:
-            return Fraction(rng.randrange(-9, 10))
-        if isinstance(field, ExtField):
-            return ExtFieldElem(
-                tuple(
-                    field.base.from_int(rng.randrange(field.base.order))
-                    for _ in range(field.degree)
-                ),
-                field,
-            )
-        if getattr(field, "is_finite", False):
-            return field.from_int(rng.randrange(field.order))
-        return field.from_residue(
-            [rng.randrange(-9, 10) for _ in range(max(field.degree, 1))]
-        )
-
-    return GroupVector(group, field, tuple(rand_elem() for _ in range(group.order)))
-
-
 def check_criterion_5():
     """Transform pair round trip and convolution theorem on the test matrix."""
     rng = random.Random(SEED)
@@ -252,11 +231,11 @@ def check_criterion_5():
         for field in _fft_fields(group):
             combos += 1
             for _ in range(200):
-                b = _random_vector(group, field, rng)
+                b = random_vector(group, field, rng)
                 assert inverse_fft(fft(b)).values == b.values
             for _ in range(100):
-                a = _random_vector(group, field, rng)
-                b = _random_vector(group, field, rng)
+                a = random_vector(group, field, rng)
+                b = random_vector(group, field, rng)
                 lhs = fft(convolve(a, b)).values
                 rhs = tuple(x * y for x, y in zip(fft(a).values, fft(b).values))
                 assert lhs == rhs
@@ -283,10 +262,10 @@ def check_criterion_6():
     f7, f13 = PrimeField(7), PrimeField(13)
     c6, g26 = AbelianGroup.cyclic(6), AbelianGroup((2, 6))
     for _ in range(1000):
-        b = _random_vector(c6, f7, rng)
+        b = random_vector(c6, f7, rng)
         assert blahut_weight(b) == b.hamming_weight()
     for _ in range(1000):
-        b = _random_vector(g26, f13, rng)
+        b = random_vector(g26, f13, rng)
         assert blahut_weight(b) == b.hamming_weight()
 
 

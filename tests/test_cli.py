@@ -57,6 +57,35 @@ class TestGoldenOutputs:
         assert run(["groupdet", "--group", "C2", "--over", "split", "--field", "Q"]) == 0
         assert capsys.readouterr().out.strip() == "(X_0 + X_1)(X_0 - X_1)"
 
+    # Q(zeta_d) coefficients print bare (z, -z - 1 in parentheses only as
+    # a sum); F_{p^r} coefficients always print in parentheses
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                ["groupdet", "--group", "C3", "--over", "split"],
+                "(X_0 + X_1 + X_2)(X_0 + z*X_1 + (-z - 1)*X_2)(X_0 + (-z - 1)*X_1 + z*X_2)",
+            ),
+            (
+                ["groupdet", "--group", "C3", "--over", "split", "--field", "F4"],
+                "(X_0 + X_1 + X_2)(X_0 + (Y)*X_1 + (Y + 1)*X_2)(X_0 + (Y + 1)*X_1 + (Y)*X_2)",
+            ),
+            (
+                ["factor-xn1", "--n", "5", "--q", "4"],
+                "(X + 1)(X^2 + (Y)*X + 1)(X^2 + (Y + 1)*X + 1)",
+            ),
+        ],
+        ids=["split-Qzeta3", "split-F4", "factor-xn1-F4"],
+    )
+    def test_extension_coefficients(self, capsys, argv, expected):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_idempotents_qzeta_c3(self, capsys):
+        assert run(["idempotents", "--group", "C3", "--field", "Qzeta"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "chi=(1,): 1/3,-1/3*z - 1/3,1/3*z"
+
     def test_frobenius_s3(self, capsys):
         assert run(["frobenius", "--group", "S3"]) == 0
         out = capsys.readouterr().out
@@ -145,6 +174,19 @@ class TestExitCodes:
 
     def test_factor_gcd_violation(self):
         assert run(["factor-xn1", "--n", "4", "--q", "2"]) == 2
+
+    @pytest.mark.parametrize("field", ["Qzeta:abc", "Qzeta:", "Qzeta:1.5"])
+    def test_bad_conductor(self, capsys, field):
+        code = run(["fft", "--group", "C3", "--field", field, "--vector", "1,2,3"])
+        assert_clean_parse_error(code, capsys)
+
+
+def assert_clean_parse_error(code, capsys):
+    """Exit 1 with a one-line "error: ..." message; main raised nothing."""
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestDispatchDirect:
@@ -278,3 +320,24 @@ class TestCayleyInput:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"labels": ["a", "b"], "table": [[0, 0], [1, 1]]}))
         assert run(["frobenius", "--cayley", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,  # no such file
+            "not json",
+            b"\xff\xfe",
+            "[1, 2]",
+            '{"table": [[0]]}',
+            '{"labels": ["e"]}',
+        ],
+        ids=["missing", "not-json", "not-utf8", "json-list", "no-labels", "no-table"],
+    )
+    def test_unusable_file_is_a_parse_error(self, tmp_path, capsys, content):
+        path = tmp_path / "group.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        code = run(["frobenius", "--cayley", str(path)])
+        assert_clean_parse_error(code, capsys)

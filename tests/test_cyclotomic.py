@@ -7,6 +7,8 @@ import pytest
 
 from groupfft.abelian import AbelianGroup
 from groupfft.cyclotomic import (
+    CycloElem,
+    CyclotomicField,
     complementary_factor,
     complementary_inverse,
     cyclotomic_field,
@@ -16,10 +18,19 @@ from groupfft.cyclotomic import (
     prime_complementary_inverse_shortcut,
     rational_basis_abelian,
     rational_basis_cyclic,
+    splitting_field,
 )
-from groupfft.errors import NoRootOfUnity, NotInvertible, RingMismatch
-from groupfft.numtheory import divisors, euler_phi, prime_factors
-from groupfft.rings import QQ, UniPoly, x_pow_minus_one
+from groupfft.errors import NoRootOfUnity, NotInvertible, PreconditionError, RingMismatch
+from groupfft.numtheory import divisors, euler_phi, multiplicative_order, prime_factors
+from groupfft.rings import (
+    QQ,
+    ExtField,
+    ExtFieldElem,
+    UniPoly,
+    finite_field,
+    primitive_nth_root,
+    x_pow_minus_one,
+)
 from groupfft.transform import convolve, group_idempotents
 
 
@@ -90,6 +101,83 @@ class TestCycloArithmetic:
         k = cyclotomic_field(5)
         assert hash(k.zeta * k.one) == hash(k.zeta)
         assert len({k.zeta, k.zeta ** 6, k.zeta ** 2}) == 2
+
+
+class TestCycloAsExtField:
+    """Q(zeta_d) is the quotient ring Q[X]/(Phi_d), built as an ExtField."""
+
+    def test_classes(self):
+        assert issubclass(CyclotomicField, ExtField)
+        assert issubclass(CycloElem, ExtFieldElem)
+        k = cyclotomic_field(12)
+        assert k.base == QQ and k.modulus == cyclotomic_polynomial(12)
+        assert k.zeta == k.gen and not k.is_finite and k.characteristic == 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12])
+    def test_every_residue_is_phi_d_fractions(self, d):
+        k = cyclotomic_field(d)
+        big = cyclotomic_field(2 * d)
+        x = k.from_residue([Fraction(1, 2), 3, Fraction(-2, 5), 1][: k.degree])
+        elems = [
+            k.zero, k.one, k.zeta, k.from_int(4), k.from_rational(Fraction(-3, 7)),
+            k.from_residue(range(1, 3 * d)), x, -x, x + k.zeta, x - k.zeta, x * x, x * 3, Fraction(1, 3) * x,
+            k.inv(x), 1 / x, x ** -2, k.primitive_nth_root(d),
+            *galois_conjugates(x),
+        ]
+        for e in elems:
+            assert type(e) is CycloElem and e.field is k
+            assert len(e.residue) == euler_phi(d)
+            assert all(type(c) is Fraction for c in e.residue)
+        lifted = big.embed_from(x)
+        assert len(lifted.residue) == euler_phi(2 * d)
+        assert all(type(c) is Fraction for c in lifted.residue)
+
+    @pytest.mark.parametrize("modulus", [qpoly(1, 1, 1), qpoly(-1, 1), qpoly(1, 0, 1)])
+    def test_ext_field_over_q_refused(self, modulus):
+        with pytest.raises(PreconditionError):
+            ExtField(QQ, modulus)
+
+    def test_rational_aliases(self):
+        k = cyclotomic_field(5)
+        assert k.from_int(3).is_rational and k.from_int(3).rational_value == 3
+        assert not k.zeta.is_rational
+        with pytest.raises(PreconditionError):
+            k.zeta.rational_value
+
+
+class TestSplittingField:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 9, 10, 12, 15])
+    def test_rule_agrees_with_the_root_formula(self, d):
+        k = cyclotomic_field(d)
+        for n in range(1, 31):
+            big, embed = splitting_field(k, n)
+            try:
+                k.primitive_nth_root(n)
+                assert big is k and embed(k.zeta) is k.zeta
+            except NoRootOfUnity:
+                assert big.conductor % n == 0 and big.conductor % d == 0
+                assert embed(k.zeta) == big.zeta ** (big.conductor // d)
+
+    def test_over_q(self):
+        assert splitting_field(QQ, 2)[0] is QQ
+        big, embed = splitting_field(QQ, 6)
+        assert big is cyclotomic_field(6)
+        assert embed(Fraction(1, 2)) == big.from_rational(Fraction(1, 2))
+
+    @pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (3, 1), (3, 2), (7, 1)])
+    def test_over_finite_fields_degree_is_the_order_of_q(self, p, r):
+        field = finite_field(p, r)
+        for n in range(1, 22):
+            if n % p == 0:
+                continue
+            big, embed = splitting_field(field, n)
+            s = multiplicative_order(field.order, n) if n > 1 else 1
+            if s == 1:
+                assert big is field
+            else:
+                assert big.base is field and big.degree == s
+                assert embed(field.one) == big.one
+            primitive_nth_root(n, big)  # holds the root: no NoRootOfUnity
 
 
 class TestCycloRoots:

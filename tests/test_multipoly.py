@@ -40,6 +40,25 @@ class TestArithmetic:
         )
         assert a * b == expected
 
+    def test_constant_on_the_left(self):
+        p = var("X_0") + var("X_1")
+        assert Fraction(0) + p == p and 0 + p == p
+        assert Fraction(1, 2) + p == p + MultiPoly.constant(Fraction(1, 2), V3, QQ)
+        assert 3 + p == p + MultiPoly.constant(Fraction(3), V3, QQ)
+        k = cyclotomic_field(3)
+        q = var("X_2", V3, k)
+        assert k.zero + q == q
+        assert k.zeta + q == q + MultiPoly.constant(k.zeta, V3, k)
+
+    def test_matrix_product_with_polynomial_entries(self):
+        from groupfft.linalg import mat_mul
+
+        x0, x1 = var("X_0", V2), var("X_1", V2)
+        scalars = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(-1)]]
+        polys = [[x0, x1], [x1, x0]]
+        assert mat_mul(scalars, polys, QQ) == [[x0 + 2 * x1, x1 + 2 * x0], [-x1, -x0]]
+        assert mat_mul(polys, scalars, QQ) == [[x0, 2 * x0 - x1], [x1, 2 * x1 - x0]]
+
     def test_scalar_zero(self):
         p = var("X_0") + var("X_1")
         assert p.scale(Fraction(0)).is_zero

@@ -32,6 +32,8 @@ from groupfft.transform import (
     symbolic_vector,
 )
 
+from helpers import random_vector
+
 F7 = PrimeField(7)
 F13 = PrimeField(13)
 C2 = AbelianGroup.cyclic(2)
@@ -44,29 +46,6 @@ def qvec(group, *ints):
 
 def fvec(group, field, *ints):
     return GroupVector(group, field, tuple(field.from_int(k) for k in ints))
-
-
-def random_vector(group, field, rng):
-    from groupfft.rings import ExtField, ExtFieldElem
-
-    def rand_elem():
-        if field == QQ:
-            return Fraction(rng.randrange(-9, 10))
-        if isinstance(field, ExtField):
-            return ExtFieldElem(
-                tuple(
-                    field.base.from_int(rng.randrange(field.base.order))
-                    for _ in range(field.degree)
-                ),
-                field,
-            )
-        if getattr(field, "is_finite", False):
-            return field.from_int(rng.randrange(field.order))
-        return field.from_residue(
-            [rng.randrange(-9, 10) for _ in range(max(field.degree, 1))]
-        )
-
-    return GroupVector(group, field, tuple(rand_elem() for _ in range(group.order)))
 
 
 class TestTransformPair:
