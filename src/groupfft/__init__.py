@@ -35,6 +35,7 @@ from .errors import (
     NotInvertible,
     PreconditionError,
     RingMismatch,
+    VerificationError,
 )
 from .factorize import (
     CosetFactor,

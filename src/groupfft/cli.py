@@ -6,7 +6,9 @@ canonical lexicographic element order.  Exit codes: 0 success, 1 parse
 error (bad arguments or field descriptors, malformed vectors, a --cayley
 file that cannot be read, is not JSON, or lacks labels and table),
 2 precondition violation (e.g. the characteristic divides the group
-order).
+order), 3 verification failure (a computed result failed the library's
+own check of its identity, such as a factor product that differs from the
+group determinant).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from . import factorize, frobenius, transform
 from .abelian import AbelianGroup, parse_group
 from .cyclotomic import cyclotomic_field, cyclotomic_polynomial, rational_basis_cyclic
-from .errors import GroupfftError, PreconditionError
+from .errors import GroupfftError, PreconditionError, VerificationError
 from .multipoly import symbolic_det
 from .numtheory import factorization
 from .rings import QQ, UniPoly, finite_field, format_unipoly
@@ -383,6 +385,8 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
         return handler(req)
     except CLIUsageError as exc:
         return 1, f"error: {exc}"
+    except VerificationError as exc:
+        return 3, f"error: {exc}"
     except GroupfftError as exc:
         return 2, f"error: {exc}"
 

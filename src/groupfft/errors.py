@@ -2,7 +2,9 @@
 
 Everything raised on a violated mathematical precondition derives from
 :class:`PreconditionError`, so callers (and the CLI) can distinguish
-"you asked for something impossible" from programming errors.
+"you asked for something impossible" from programming errors.  A
+:class:`VerificationError` means the library's own check of a result it
+computed failed: a defect, not a bad request.
 """
 
 
@@ -24,3 +26,7 @@ class NotInvertible(PreconditionError):
 
 class NoRootOfUnity(PreconditionError):
     """The field does not contain a primitive root of unity of the requested order."""
+
+
+class VerificationError(GroupfftError):
+    """A computed result failed the library's own check of its identity."""

@@ -25,7 +25,7 @@ from math import gcd
 
 from .abelian import AbelianGroup, Character, character_matrix
 from .cyclotomic import cyclotomic_field, cyclotomic_polynomial, splitting_field
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .linalg import mat_det
 from .multipoly import MultiPoly, symbolic_det
 from .numtheory import divisors, euler_phi, multiplicative_order
@@ -135,21 +135,27 @@ def verify_product_identity(fd: FactoredDeterminant, matrix_of, eval_field=None,
     Symbolic comparison for groups of order <= 6, on the matrix of the
     variables; otherwise evaluated at fixed pseudorandom points (in
     eval_field when the factor coefficients live in an extension of the
-    determinant's own field, mapped there by lift).
+    determinant's own field, mapped there by lift), with the determinant
+    eliminated afresh at every point.  A mismatch raises
+    VerificationError, also under ``python -O``.
     """
     variables = fd.variables
     field = eval_field if eval_field is not None else fd.field
     if len(variables) <= _SYMBOLIC_VERIFY_CAP:
         generic = [MultiPoly.variable(v, variables, fd.field) for v in variables]
         expected = symbolic_det(matrix_of(generic, fd.field))
-        assert fd.product() == expected, "factor product differs from group determinant"
+        if fd.product() != expected:
+            raise VerificationError("factor product differs from group determinant")
         return
     rng = random.Random(_VERIFY_SEED)
-    factors = [
-        (entry.poly if lift is None else entry.poly.map_coefficients(lift, field),
-         entry.multiplicity)
-        for entry in fd.factors
-    ]
+    # copies local to this check, so their Horner plans are dropped with
+    # it rather than kept on memoized factors
+    factors = []
+    for entry in fd.factors:
+        p = entry.poly
+        local = (MultiPoly(p.variables, p.terms, p.ring) if lift is None
+                 else p.map_coefficients(lift, field))
+        factors.append((local, entry.multiplicity))
     for _ in range(_POINT_CHECKS):
         values = [_random_elem(field, rng) for _ in variables]
         point = dict(zip(variables, values))
@@ -159,7 +165,8 @@ def verify_product_identity(fd: FactoredDeterminant, matrix_of, eval_field=None,
             for _ in range(multiplicity):
                 prod_val = prod_val * val
         det_val = mat_det(matrix_of(values, field), field)
-        assert prod_val == det_val, "factor product disagrees with determinant at a point"
+        if prod_val != det_val:
+            raise VerificationError("factor product disagrees with determinant at a point")
 
 
 def _abelian_matrix(group: AbelianGroup):
@@ -298,8 +305,20 @@ def q_cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
 
 def _descend(poly, big, field):
     """poly, whose coefficients lie in field inside its splitting field
-    big, as a polynomial over field."""
-    return poly if big is field else poly.map_coefficients(lambda c: c.constant, field)
+    big, as a polynomial over field, with elements of field itself.
+
+    big is memoized per equal descriptor, so its base may be another
+    descriptor equal to field; coefficients are then rebuilt over field,
+    which keeps later arithmetic on the same-field fast path.
+    """
+    if big is field:
+        return poly
+
+    def down(c):
+        k = c.constant
+        return k if k.field is field else k.__class__(k.residue, field)
+
+    return poly.map_coefficients(down, field)
 
 
 def _descended_factor(labels, big, zeta, field) -> UniPoly:

@@ -2,7 +2,11 @@
 
 Matrices are lists (or tuples) of rows of field elements.  Inverse,
 determinant and rank all use ordinary row reduction with exact division,
-the same algorithm over every field.
+the same algorithm over every field.  Determinant and rank update only
+the live trailing block, the columns right of the pivot: the pivot column
+below the pivot is never read again, so an n x n determinant costs
+sum k^2 = (n-1)n(2n-1)/6 element updates (506 for n = 12, against 792
+for whole rows).
 """
 
 from __future__ import annotations
@@ -92,10 +96,12 @@ def mat_det(a, field):
             det = -det
         det = det * m[col][col]
         inv_p = field.inv(m[col][col])
+        live = m[col][col + 1:]
         for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv_p
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+            row = m[r]
+            if row[col]:
+                f = row[col] * inv_p
+                row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], live)]
     return det
 
 
@@ -111,10 +117,12 @@ def mat_rank(rows, field) -> int:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         inv_p = field.inv(m[rank][col])
+        live = m[rank][col + 1:]
         for r in range(rank + 1, n_rows):
-            if m[r][col]:
-                f = m[r][col] * inv_p
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+            row = m[r]
+            if row[col]:
+                f = row[col] * inv_p
+                row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], live)]
         rank += 1
         if rank == n_rows:
             break

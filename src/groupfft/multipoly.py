@@ -3,7 +3,11 @@
 Terms map exponent vectors to nonzero coefficients in one of the exact
 fields; printing and comparison use graded lexicographic order.  The
 determinant uses cofactor expansion with memoization on column subsets,
-capped at dimension 8.
+capped at dimension 8.  Evaluation walks a recursive Horner plan, built
+on a polynomial's first evaluation in one pass over its terms and kept on
+it: about one product per plan edge, where a term-by-term sum pays its
+coefficient product plus one per variable in the term.  The value is the
+same exact field element either way.
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ DET_DIMENSION_CAP = 8
 class MultiPoly:
     """Sparse multivariate polynomial over an exact field."""
 
-    __slots__ = ("variables", "terms", "ring")
+    __slots__ = ("variables", "terms", "ring", "_plan")
 
     def __init__(self, variables: tuple, terms: dict, ring):
         self.variables = tuple(variables)
         self.terms = {e: c for e, c in terms.items() if c}
         self.ring = ring
+        self._plan = None  # Horner plan, built by the first evaluate
 
     # -- constructors --------------------------------------------------------
 
@@ -176,30 +181,28 @@ class MultiPoly:
         return self.terms.get(tuple(exp), self.ring.zero)
 
     def evaluate(self, assignment: dict):
-        """Exact evaluation; every variable must be assigned."""
+        """Exact evaluation; every variable must be assigned.
+
+        Walks the Horner plan (built on the first call, then kept): about
+        one product per plan edge, with powers of each variable tabulated
+        only up to the largest exponent step it takes.
+        """
         missing = [v for v in self.variables if v not in assignment]
         if missing:
             raise PreconditionError(f"missing assignment for {missing}")
-        max_deg = [0] * len(self.variables)
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e > max_deg[i]:
-                    max_deg[i] = e
-        powers = []
-        for i, v in enumerate(self.variables):
-            tab = [self.ring.one]
-            x = assignment[v]
-            for _ in range(max_deg[i]):
+        if self._plan is None:
+            self._plan = _horner_plan(self.terms)
+        root, steps = self._plan
+        if root is None:
+            return self.ring.zero
+        powers = [None] * len(self.variables)
+        for i, top in steps:
+            x = assignment[self.variables[i]]
+            tab = [self.ring.one, x]
+            for _ in range(top - 1):
                 tab.append(tab[-1] * x)
-            powers.append(tab)
-        acc = self.ring.zero
-        for exp, c in self.terms.items():
-            val = c
-            for i, e in enumerate(exp):
-                if e:
-                    val = val * powers[i][e]
-            acc = acc + val
-        return acc
+            powers[i] = tab
+        return _walk(root, powers) if root.__class__ is tuple else root
 
     def map_coefficients(self, fn, new_ring) -> "MultiPoly":
         return MultiPoly(self.variables, {e: fn(c) for e, c in self.terms.items()}, new_ring)
@@ -243,6 +246,64 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.__str__()!r})"
+
+
+def _horner_plan(terms: dict):
+    """(root, steps): the recursive Horner form of a sum of terms.
+
+    A node stands for a sum of terms over the variables from some index
+    on.  It is a pair (parts, const): const is the coefficient of the
+    term free of those variables (None if absent), and each part
+    (i, branches) collects the terms whose first variable is i, grouped
+    by its exponent e >= 1 in descending order, each group's cofactor a
+    node over the later variables.  A node with no parts is stored as its
+    bare coefficient.  steps lists, per variable used, the largest power
+    the walk reads.  One pass over the terms fills a trie; the plan is
+    the frozen trie.
+    """
+    trie: list = [{}, None]
+    for exp, c in terms.items():
+        node = trie
+        for i, e in enumerate(exp):
+            if e:
+                node = node[0].setdefault(i, {}).setdefault(e, [{}, None])
+        node[1] = c
+    steps: dict = {}
+
+    def freeze(node):
+        parts_in, const = node
+        if not parts_in:
+            return const
+        parts = []
+        for i in sorted(parts_in):
+            groups = parts_in[i]
+            exps = sorted(groups, reverse=True)
+            top = max([a - b for a, b in zip(exps, exps[1:])] + [exps[-1]])
+            if top > steps.get(i, 0):
+                steps[i] = top
+            parts.append((i, tuple((e, freeze(groups[e])) for e in exps)))
+        return (tuple(parts), const)
+
+    root = freeze(trie)
+    return root, tuple(sorted(steps.items()))
+
+
+def _walk(node, powers):
+    """Value of a Horner plan node; powers[i][k] is the k-th power of
+    variable i.  Within a part, sum_e x^e c_e is taken as
+    ((c_top x^(top - next) + c_next) ...) x^(lowest)."""
+    parts, acc = node
+    for i, branches in parts:
+        tab = powers[i]
+        val = None
+        for e, child in branches:
+            if child.__class__ is tuple:
+                child = _walk(child, powers)
+            val = child if val is None else val * tab[last - e] + child
+            last = e
+        val = val * tab[last]
+        acc = val if acc is None else acc + val
+    return acc
 
 
 def symbolic_det(rows: list) -> MultiPoly:

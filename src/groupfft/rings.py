@@ -29,6 +29,9 @@ raise ``TypeError``; dividing by zero, or a negative power of zero,
 raises :class:`NotInvertible`.  Element operations and ``==`` test
 ``other.field is self.field`` before falling back to comparing the
 descriptors, so the common same-field case costs one pointer comparison.
+An element of F_p or F_{p^r} never equals an int (``F7.zero == 0`` is
+False; test for zero with ``not x``): a coercing ``==`` would break the
+hash contract, since F7(3) would equal both 3 and 10.
 
 Residue kernel.  Multiplication in a quotient ring R[X]/(m), m monic of
 degree r, goes through :func:`mul_reduced`: the schoolbook product of the
@@ -40,9 +43,14 @@ no cascading reduction.  Two rings use it over plain Python ints:
 multiplied as ints and each output coefficient is reduced mod p once) and
 ``Q[X]/(Phi_d)`` (``CyclotomicField``: Phi_d is monic with integer
 coefficients, so its table is integral and the residues are scaled to
-integer numerators over a common denominator).  Towers (an ``ExtField``
-over an ``ExtField``) run the same helper on base-field elements and the
-element-valued table.
+integer numerators over a common denominator).  Over a prime base the
+inverse also runs on ints (:func:`inv_mod_p`, extended euclid on the
+coefficient lists: O(r^2) int operations and no element or ``UniPoly``
+object per step, where the generic :func:`ext_gcd` makes both), and sums and differences build their coefficients from
+int residues without an operator call each.  Towers (an ``ExtField`` over
+an ``ExtField``) run the same helper on base-field elements and the
+element-valued table, and they and Q(zeta_d) invert through
+:func:`ext_gcd`.
 
 No floating point is used anywhere.
 """
@@ -121,7 +129,9 @@ class FieldElem:
     The operator protocol shared by F_p, F_{p^r} and Q(zeta_d) lives here.
     An operand is coerced by :meth:`_coerce`; a subclass supplies ``_add``,
     ``_sub`` and ``_mul`` on two coerced elements of its own field, plus
-    ``__neg__`` and ``__bool__``.
+    ``__neg__`` and ``__bool__``.  ``==`` never coerces: an int equals no
+    element of F_p or F_{p^r} (only Q(zeta_d) compares with rationals), so
+    test for zero with ``not x``, never ``x == 0``.
     """
 
     __slots__ = ("residue", "field")
@@ -642,6 +652,48 @@ def mul_reduced(a, b, table, zero) -> list:
     return out
 
 
+def inv_mod_p(a, m, p: int) -> list:
+    """Coefficients of the inverse of a modulo m over F_p, on plain ints.
+
+    a (not divisible by m) and m, monic irreducible of degree r, are int
+    coefficient lists, constant term first; the result has exactly r.
+    Extended euclid tracking only the cofactor of a: t0 * a = r0 and
+    t1 * a = r1 modulo m throughout, until r1 is a nonzero constant.
+    """
+    r = len(m) - 1
+    r0, r1 = list(m), [c % p for c in a]
+    while r1 and not r1[-1]:
+        r1.pop()
+    t0, t1 = [0], [1]
+    while len(r1) > 1:
+        # r0 = q * r1 + rem, coefficients reduced mod p only at the end
+        d = len(r1) - 1
+        inv_lead = pow(r1[-1], -1, p)
+        rem = r0[:]
+        q = [0] * (len(r0) - d)
+        for k in range(len(q) - 1, -1, -1):
+            c = rem[k + d] * inv_lead % p
+            if c:
+                q[k] = c
+                for j in range(d):
+                    rem[k + j] -= c * r1[j]
+        rem = [x % p for x in rem[:d]]
+        while rem and not rem[-1]:
+            rem.pop()
+        # t0 - q * t1
+        t = t0 + [0] * (len(q) + len(t1) - 1 - len(t0))
+        for i, x in enumerate(q):
+            if x:
+                for j, y in enumerate(t1, i):
+                    t[j] -= x * y
+        t = [x % p for x in t]
+        while len(t) > 1 and not t[-1]:
+            t.pop()
+        r0, r1, t0, t1 = r1, rem, t1, t
+    c = pow(r1[0], -1, p)
+    return [x * c % p for x in t1] + [0] * (r - len(t1))
+
+
 # ---------------------------------------------------------------------------
 # Extension fields
 # ---------------------------------------------------------------------------
@@ -652,12 +704,26 @@ class ExtFieldElem(FieldElem):
 
     __slots__ = ()
 
+    # over a prime base, _add and _sub work on the int residues of the
+    # coefficients and skip one operator dispatch per coefficient
     def _add(self, o):
+        base = self.field._prime_base
+        if base is not None:
+            return ExtFieldElem(tuple([
+                PrimeFieldElem(a.residue + b.residue, base)
+                for a, b in zip(self.residue, o.residue)
+            ]), self.field)
         return self.__class__(
             tuple(a + b for a, b in zip(self.residue, o.residue)), self.field
         )
 
     def _sub(self, o):
+        base = self.field._prime_base
+        if base is not None:
+            return ExtFieldElem(tuple([
+                PrimeFieldElem(a.residue - b.residue, base)
+                for a, b in zip(self.residue, o.residue)
+            ]), self.field)
         return self.__class__(
             tuple(a - b for a, b in zip(self.residue, o.residue)), self.field
         )
@@ -709,6 +775,7 @@ class ExtField:
     is_finite = True
     _elem = ExtFieldElem
     var = "Y"  # the generator's name in printed elements
+    _prime_base = None  # the base field when it is F_p: int-residue kernels
 
     def __init__(self, base, modulus: UniPoly):
         if modulus.ring != base:
@@ -724,13 +791,13 @@ class ExtField:
             raise PreconditionError(f"modulus {modulus} is reducible over {base}")
         self._setup(base, modulus)
         self.order = base.order ** self.degree
-        # over a prime base the reduction table as int residues, for the
-        # integer kernel
-        self._int_red = (
-            [tuple(c.residue for c in row) for row in self._red]
-            if isinstance(base, PrimeField)
-            else None
-        )
+        # over a prime base, the reduction table and the modulus as int
+        # residues, for the integer kernels
+        self._int_red = None
+        if isinstance(base, PrimeField):
+            self._prime_base = base
+            self._int_red = [tuple(c.residue for c in row) for row in self._red]
+            self._int_modulus = [c.residue for c in modulus.coeffs]
         self._roots: dict = {}
 
     def _setup(self, base, modulus: UniPoly):
@@ -769,6 +836,14 @@ class ExtField:
     def inv(self, x: ExtFieldElem) -> ExtFieldElem:
         if not x:
             raise NotInvertible(f"division by zero in {self}")
+        base = self._prime_base
+        if base is not None:
+            out = inv_mod_p(
+                [c.residue for c in x.residue], self._int_modulus, base.p
+            )
+            return ExtFieldElem(
+                tuple([PrimeFieldElem(c, base) for c in out]), self
+            )
         g, u, _ = ext_gcd(x.poly, self.modulus)
         assert g.degree == 0, "modulus not coprime to nonzero residue"
         return self.from_poly(u.scale(self.base.inv(g.coefficient(0))))

@@ -175,6 +175,22 @@ class TestExitCodes:
     def test_factor_gcd_violation(self):
         assert run(["factor-xn1", "--n", "4", "--q", "2"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["groupdet", "--group", "C7", "--over", "Fq", "--q", "2"],  # point checks
+        ["groupdet", "--group", "C5", "--over", "Fq", "--q", "3"],  # symbolic check
+    ])
+    def test_verification_failure_exits_3(self, monkeypatch, capsys, argv):
+        """A failed self-check is exit 3 with one error line, no traceback;
+        here a determinant that reads zero at every point, and a wrong
+        symbolic determinant."""
+        from groupfft import factorize
+
+        monkeypatch.setattr(factorize, "mat_det", lambda rows, field: field.zero)
+        monkeypatch.setattr(factorize, "symbolic_det", lambda rows: rows[0][0])
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: factor product ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("field", ["Qzeta:abc", "Qzeta:", "Qzeta:1.5"])
     def test_bad_conductor(self, capsys, field):
         code = run(["fft", "--group", "C3", "--field", field, "--vector", "1,2,3"])

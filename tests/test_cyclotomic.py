@@ -26,7 +26,9 @@ from groupfft.rings import (
     QQ,
     ExtField,
     ExtFieldElem,
+    PrimeField,
     UniPoly,
+    find_irreducible,
     finite_field,
     primitive_nth_root,
     x_pow_minus_one,
@@ -175,9 +177,26 @@ class TestSplittingField:
             if s == 1:
                 assert big is field
             else:
-                assert big.base is field and big.degree == s
+                # memoized per equal descriptor: the base is the first
+                # descriptor equal to field that asked, not always field
+                assert big.base == field and big.degree == s
                 assert embed(field.one) == big.one
             primitive_nth_root(n, big)  # holds the root: no NoRootOfUnity
+
+    def test_finite_extensions_are_memoized(self):
+        f7 = finite_field(7, 1)
+        big, embed = splitting_field(f7, 5)
+        again = splitting_field(PrimeField(7), 5)
+        assert again[0] is big and again[1] is embed
+        # one descriptor, so one root cache
+        zeta = primitive_nth_root(5, big)
+        assert primitive_nth_root(5, again[0]) is zeta
+        # the canonical root is the one a fresh descriptor finds
+        fresh = ExtField(PrimeField(7), big.modulus)
+        assert big.modulus == find_irreducible(PrimeField(7), 4)
+        assert primitive_nth_root(5, fresh).residue == zeta.residue
+        # another n with the same ord_n(7) = 4 shares the extension
+        assert splitting_field(f7, 10)[0] is big
 
 
 class TestCycloRoots:

@@ -1,13 +1,20 @@
 """Vandermonde values, determinant factorizations, cyclotomic cosets."""
 
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from groupfft.abelian import AbelianGroup
-from groupfft.cyclotomic import cyclotomic_field, cyclotomic_polynomial
-from groupfft.errors import PreconditionError
+from groupfft.cyclotomic import cyclotomic_field, cyclotomic_polynomial, splitting_field
+from groupfft.errors import PreconditionError, VerificationError
 from groupfft.factorize import (
     det_over_finite_field,
     det_over_rationals,
@@ -16,8 +23,10 @@ from groupfft.factorize import (
     factor_xn_minus_one,
     q_cyclotomic_cosets,
     vandermonde_det,
+    verify_product_identity,
 )
 from groupfft.multipoly import MultiPoly
+from groupfft.transform import GroupVector, group_matrix
 from groupfft.numtheory import divisors, euler_phi, multiplicative_order
 from groupfft.rings import (
     QQ,
@@ -282,3 +291,94 @@ class TestCrossConsistency:
             for p_factor in by_divisor[entry.divisor]:
                 prod = prod * p_factor
             assert prod == reduced
+
+
+def _cyclic_matrix(n):
+    group = AbelianGroup.cyclic(n)
+    return lambda values, field: group_matrix(GroupVector(group, field, tuple(values))).rows()
+
+
+def _corrupted(fd):
+    """fd with its last factor's multiplicity doubled: a wrong product."""
+    last = fd.factors[-1]
+    return replace(fd, factors=fd.factors[:-1] + (replace(last, multiplicity=2),))
+
+
+class TestVerification:
+    def test_symbolic_check_raises_typed_error(self):
+        fd = det_over_rationals(6)
+        verify_product_identity(fd, _cyclic_matrix(6))
+        with pytest.raises(VerificationError, match="differs from group determinant"):
+            verify_product_identity(_corrupted(fd), _cyclic_matrix(6))
+
+    def test_point_check_raises_typed_error(self):
+        fd = det_over_rationals(8)
+        verify_product_identity(fd, _cyclic_matrix(8))
+        with pytest.raises(VerificationError, match="at a point"):
+            verify_product_identity(_corrupted(fd), _cyclic_matrix(8))
+
+    def test_point_check_over_an_extension_raises_typed_error(self):
+        fd = det_over_finite_field(7, F2)
+        big, embed = splitting_field(F2, 7)
+        with pytest.raises(VerificationError, match="at a point"):
+            verify_product_identity(_corrupted(fd), _cyclic_matrix(7), eval_field=big, lift=embed)
+
+    def test_checks_survive_python_o(self):
+        """Both checks raise VerificationError with assertions stripped."""
+        script = textwrap.dedent("""
+            from dataclasses import replace
+            from groupfft import AbelianGroup, VerificationError, det_over_rationals
+            from groupfft.factorize import verify_product_identity
+            from groupfft.transform import GroupVector, group_matrix
+
+            assert False, "assertions are on"
+            for n in (5, 8):  # symbolic check, then point checks
+                group = AbelianGroup.cyclic(n)
+                matrix_of = lambda values, field: group_matrix(
+                    GroupVector(group, field, tuple(values))).rows()
+                fd = det_over_rationals(n)
+                last = fd.factors[-1]
+                wrong = replace(fd, factors=fd.factors[:-1] + (replace(last, multiplicity=2),))
+                try:
+                    verify_product_identity(wrong, matrix_of)
+                except VerificationError as exc:
+                    print(n, "raised:", exc)
+                else:
+                    print(n, "passed a wrong product")
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "5 raised: factor product differs from group determinant",
+            "8 raised: factor product disagrees with determinant at a point",
+        ]
+
+    def test_points_are_pinned(self):
+        """The seeded points for C7 over F2 (evaluated in F_8): same seed,
+        same draws, same order as before the Horner evaluation."""
+        fd = det_over_finite_field(7, F2)
+        big, embed = splitting_field(F2, 7)
+        matrix_of = _cyclic_matrix(7)
+        points = []
+
+        def recording(values, field):
+            points.append([big.order_key(v) for v in values])
+            return matrix_of(values, field)
+
+        verify_product_identity(fd, recording, eval_field=big, lift=embed)
+        assert len(points) == 20
+        assert points[0] == [(0, 1, 0), (1, 1, 1), (1, 0, 1), (1, 1, 1),
+                             (0, 0, 1), (1, 1, 1), (0, 0, 0)]
+        assert points[-1] == [(0, 1, 1), (0, 1, 0), (0, 1, 1), (0, 1, 1),
+                              (1, 0, 0), (0, 1, 1), (0, 0, 1)]
+        digest = hashlib.sha256(repr(points).encode()).hexdigest()
+        assert digest == "a7764a06f3ed739778a13cafb64c554fad6cc24154ed7103531f6d7851eb599b"
+
+    def test_memoized_factors_keep_no_plan(self):
+        """Verification evaluates copies, so the memoized factors of
+        det_over_rationals and norm_form hold no Horner plan afterwards."""
+        fd = det_over_rationals(9)
+        assert all(e.poly._plan is None for e in fd.factors)

@@ -7,7 +7,7 @@ import pytest
 
 from groupfft.abelian import AbelianGroup
 from groupfft.cyclotomic import cyclotomic_field
-from groupfft.errors import PreconditionError
+from groupfft.errors import PreconditionError, VerificationError
 from groupfft.factorize import det_split_field, verify_product_identity
 from groupfft.frobenius import (
     FiniteGroup,
@@ -361,7 +361,7 @@ class TestAlternatingGroupDegreeThree:
 
         verify_product_identity(fd, matrix_of)
         wrong = replace(fd, factors=fd.factors[:3] + (replace(fd.factors[3], multiplicity=2),))
-        with pytest.raises(AssertionError, match="at a point"):
+        with pytest.raises(VerificationError, match="at a point"):
             verify_product_identity(wrong, matrix_of)
 
     def test_vanishing_beyond_degree_three(self, a4_data):

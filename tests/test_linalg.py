@@ -19,6 +19,7 @@ from groupfft.linalg import (
     mat_inverse,
     mat_mul,
     mat_rank,
+    transpose,
 )
 from groupfft.rings import QQ, PrimeField, UniPoly
 from groupfft.transform import interpolate_at_roots_of_unity
@@ -97,6 +98,54 @@ class TestDeterminant:
     def test_det_of_singular(self):
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         assert mat_det(m, QQ) == 0
+
+
+def _seeded_square(rng, n, make):
+    """A random n x n matrix, made singular or pivot-swapping by the draw:
+    kind 0 random, 1 a repeated row (singular), 2 a zero leading column
+    entry on top (forces a row swap), 3 a zero column (singular)."""
+    m = [[make(rng.randrange(-4, 5)) for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(4)
+    if kind == 1 and n > 1:
+        m[rng.randrange(1, n)] = list(m[0])
+    elif kind == 2:
+        m[0][0] = make(0)
+    elif kind == 3:
+        c = rng.randrange(n)
+        for row in m:
+            row[c] = make(0)
+    return m
+
+
+class TestAgainstSympy:
+    """mat_det and mat_rank (live trailing block) against sympy."""
+
+    def test_det_and_rank_over_q(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(43)
+        for _ in range(150):
+            n = rng.randrange(1, 8)
+            m = _seeded_square(rng, n, Fraction)
+            oracle = sympy.Matrix(m)
+            assert mat_det(m, QQ) == oracle.det()
+            assert mat_rank(m, QQ) == oracle.rank()
+            wide = m + [[Fraction(rng.randrange(-2, 3)) for _ in range(n)]]
+            assert mat_rank(transpose(wide), QQ) == sympy.Matrix(wide).rank()
+
+    @pytest.mark.parametrize("p", [2, 7])
+    def test_det_and_rank_over_f_p(self, p):
+        pytest.importorskip("sympy")
+        from sympy import GF
+        from sympy.polys.matrices import DomainMatrix
+
+        field, dom = PrimeField(p), GF(p)
+        rng = random.Random(47 + p)
+        for _ in range(150):
+            n = rng.randrange(1, 8)
+            m = _seeded_square(rng, n, field.from_int)
+            oracle = DomainMatrix([[dom(x.residue) for x in row] for row in m], (n, n), dom)
+            assert mat_det(m, field).residue == int(oracle.det()) % p
+            assert mat_rank(m, field) == oracle.rank()
 
 
 class TestInterpolationOracle:

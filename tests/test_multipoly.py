@@ -159,6 +159,91 @@ class TestEvaluation:
             p.evaluate({"X_0": Fraction(1), "X_1": Fraction(1)})
 
 
+def _naive_value(poly, point):
+    """Oracle: sum over the terms of c * x_1^e_1 * ... by repeated products."""
+    acc = poly.ring.zero
+    for exp, c in poly.terms.items():
+        val = c
+        for v, e in zip(poly.variables, exp):
+            for _ in range(e):
+                val = val * point[v]
+        acc = acc + val
+    return acc
+
+
+def _horner_fields():
+    from groupfft.rings import ExtField, PrimeField, find_irreducible
+
+    f2, f3 = PrimeField(2), PrimeField(3)
+    f4 = ExtField(f2, find_irreducible(f2, 2))
+    return [
+        QQ,
+        PrimeField(7),
+        ExtField(f3, find_irreducible(f3, 2)),
+        ExtField(f4, find_irreducible(f4, 3)),
+        cyclotomic_field(5),
+    ]
+
+
+def _random_element(field, rng):
+    from groupfft.rings import ExtField, ExtFieldElem
+
+    if field == QQ:
+        return Fraction(rng.randrange(-20, 21), rng.randrange(1, 7))
+    if isinstance(field, ExtField) and not field.is_finite:
+        return field.from_residue([rng.randrange(-5, 6) for _ in range(field.degree)])
+    if isinstance(field, ExtField):
+        return ExtFieldElem(
+            tuple(_random_element(field.base, rng) for _ in range(field.degree)), field
+        )
+    return field.from_int(rng.randrange(field.order))
+
+
+class TestHornerEvaluation:
+    """evaluate walks a Horner plan; the oracle sums term by term."""
+
+    VARS = ("X_0", "X_1", "X_2", "X_3")
+
+    @pytest.mark.parametrize("field", _horner_fields(), ids=repr)
+    def test_random_sparse_polynomials(self, field):
+        rng = random.Random(61)
+        # exponents with gaps (0, 1, 3, 7): powers the walk must step over
+        for _ in range(60):
+            terms = {}
+            for _ in range(rng.randrange(0, 9)):
+                exp = tuple(rng.choice((0, 0, 1, 3, 7)) for _ in self.VARS)
+                terms[exp] = _random_element(field, rng)
+            poly = MultiPoly(self.VARS, terms, field)
+            for _ in range(3):
+                point = {v: _random_element(field, rng) for v in self.VARS}
+                assert poly.evaluate(point) == _naive_value(poly, point)
+
+    @pytest.mark.parametrize("field", _horner_fields(), ids=repr)
+    def test_zero_constant_and_single_terms(self, field):
+        rng = random.Random(5)
+        point = {v: _random_element(field, rng) for v in self.VARS}
+        assert MultiPoly.zero(self.VARS, field).evaluate(point) == field.zero
+        c = _random_element(field, rng)
+        assert MultiPoly.constant(c, self.VARS, field).evaluate(point) == c
+        lone = MultiPoly(self.VARS, {(0, 0, 5, 0): c}, field)
+        assert lone.evaluate(point) == c * point["X_2"] ** 5
+
+    def test_non_homogeneous_with_gaps_over_q(self):
+        x0, x1 = var("X_0", V2), var("X_1", V2)
+        p = 5 + (x0 ** 9 * x1 + 2 * x0 ** 4 + x0 * x1 ** 6 - 7 * x1 ** 2)
+        point = {"X_0": Fraction(-2, 3), "X_1": Fraction(5, 2)}
+        x, y = point["X_0"], point["X_1"]
+        assert p.evaluate(point) == x ** 9 * y + 2 * x ** 4 + x * y ** 6 - 7 * y ** 2 + 5
+        # the plan is kept: a second point reuses it
+        point2 = {"X_0": Fraction(3), "X_1": Fraction(-1)}
+        assert p.evaluate(point2) == _naive_value(p, point2)
+
+    def test_missing_variable_rejected_even_when_unused(self):
+        p = MultiPoly(V3, {(2, 0, 0): Fraction(1)}, QQ)
+        with pytest.raises(PreconditionError):
+            p.evaluate({"X_0": Fraction(1), "X_1": Fraction(1)})
+
+
 class TestPrinting:
     def test_graded_lex_output(self):
         group = AbelianGroup.cyclic(3)

@@ -13,10 +13,12 @@ from groupfft.numtheory import prime_factors
 from groupfft.rings import (
     QQ,
     ExtField,
+    ExtFieldElem,
     PrimeField,
     UniPoly,
     ext_gcd,
     find_irreducible,
+    finite_field,
     format_unipoly,
     is_irreducible,
     poly_powmod,
@@ -311,6 +313,82 @@ class TestFieldAxioms:
                     op(a, b)
                 with pytest.raises(TypeError):
                     op(b, a)
+
+
+def _prime_base_extensions():
+    return [finite_field(p, r) for p, r in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3))]
+
+
+class TestIntResidueInverse:
+    """ExtField.inv over a prime base runs extended euclid on int residues."""
+
+    @pytest.mark.parametrize("field", _prime_base_extensions(), ids=repr)
+    def test_every_nonzero_element(self, field):
+        count = 0
+        for x in field.iter_elements():
+            if x:
+                assert x * field.inv(x) == field.one
+                count += 1
+        assert count == field.order - 1
+
+    def _sample(self, field, rng, k):
+        return [
+            ExtFieldElem(tuple(field.base.from_int(rng.randrange(field.base.order))
+                               for _ in range(field.degree)), field)
+            for _ in range(k)
+        ]
+
+    def test_degree_twenty(self):
+        field = finite_field(3, 20)
+        rng = random.Random(20)
+        for x in self._sample(field, rng, 200):
+            if x:
+                assert x * field.inv(x) == field.one
+
+    @pytest.mark.parametrize("p,r", [(2, 6), (3, 20), (7, 4)])
+    def test_agrees_with_sympy_invert(self, p, r):
+        sympy = pytest.importorskip("sympy")
+        y = sympy.Symbol("y")
+        field = finite_field(p, r)
+
+        def to_sympy(coeffs):
+            return sum(int(c) * y ** k for k, c in enumerate(coeffs))
+
+        modulus = to_sympy(c.residue for c in field.modulus.coeffs)
+        rng = random.Random(p * 100 + r)
+        for x in self._sample(field, rng, 25):
+            if not x:
+                continue
+            expected = sympy.Poly(
+                sympy.invert(to_sympy(c.residue for c in x.residue), modulus, modulus=p),
+                y, modulus=p,
+            )
+            got = [c.residue for c in field.inv(x).residue]
+            want = [int(c) % p for c in reversed(expected.all_coeffs())]
+            assert got == want + [0] * (r - len(want))
+
+    @pytest.mark.parametrize("field", _prime_base_extensions(), ids=repr)
+    def test_zero_rejected(self, field):
+        with pytest.raises(NotInvertible):
+            field.inv(field.zero)
+
+
+class TestEqualityWithInts:
+    """F_p and F_{p^r} elements never equal an int.  A coercing == could not
+    keep the hash contract: F7(3) would equal both 3 and 10, which differ."""
+
+    def test_finite_field_elements_are_not_ints(self):
+        assert F7.zero != 0 and not F7.zero
+        assert F7.one != 1 and F7.one
+        assert F9.one != 1 and F9.zero != 0 and not F9.zero
+        assert F7.from_int(3) != 3 and F7.from_int(3) != 10
+        # arithmetic still coerces ints
+        assert F7.one + 1 == F7.from_int(2)
+
+    def test_rational_cyclotomic_elements_equal_their_value(self):
+        k = _cyclo(5)
+        assert k.zero == 0 and k.one == 1 and hash(k.one) == hash(1)
+        assert k.zeta != 1
 
 
 class TestFormatting:
