@@ -2,11 +2,17 @@
 rational idempotent bases.
 
 The field Q(zeta_d) is the extension Q[X]/(Phi_d): ``CyclotomicField`` is
-an ``ExtField`` over ``QQ`` and ``CycloElem`` an ``ExtFieldElem`` whose
-residue is the tuple of its phi(d) rational coefficients.  They add only
-what differs from F_q[Y]/(m): the product on integer numerators, equality
-with rational numbers, the root formula, the embeddings Q(zeta_d) ->
-Q(zeta_D) for d | D, and the generator name ``zeta`` (the class of X).
+an ``ExtField`` over ``QQ`` and ``CycloElem`` an ``ExtFieldElem``.  They
+add only what differs from F_q[Y]/(m): the representation, phi(d) integer
+numerators over one positive integer denominator prime to them, with
+``+ - *`` on ints (Phi_d is monic and integral, so products reduce through
+an integral table); the inverse through the norm, 1/x = den * P / norm(N)
+for x = N/den and P the product of the other Galois conjugates of N;
+equality with rational numbers; the root formula; the conjugates and the
+embeddings Q(zeta_d) -> Q(zeta_D) for d | D, both through one table of
+the integer residues of zeta^j; and the generator name ``zeta`` (the
+class of X).  ``residue``, the tuple of the phi(d) rational coefficients,
+is still there as the ``Fraction`` view, built on demand.
 :func:`splitting_field` gives the smallest extension of any field here that
 holds the n-th roots of unity.  The rational basis of Q[X]/(X^n - 1) is
 built from the complementary factors (X^n - 1)/Phi_d and their inverses
@@ -17,10 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
-from .errors import NoRootOfUnity, PreconditionError, RingMismatch
+from .errors import (
+    NoRootOfUnity,
+    NotInvertible,
+    PreconditionError,
+    RingMismatch,
+    VerificationError,
+)
 from .numtheory import divisors, euler_phi, multiplicative_order
 from .rings import (
     QQ,
@@ -54,66 +66,195 @@ def cyclotomic_polynomial(d: int) -> UniPoly:
 
 
 class CycloElem(ExtFieldElem):
-    """Element of Q(zeta_d): its residue is the tuple of its phi(d)
-    rational coefficients on 1, zeta, ..., zeta^(phi(d) - 1)."""
+    """Element of Q(zeta_d), held as integer numerators over one denominator.
 
-    __slots__ = ()
+    ``num`` is the tuple of phi(d) ints and ``den`` a positive int, the
+    element being (num[0] + num[1] zeta + ... ) / den, in canonical form:
+    gcd(den, *num) == 1, so equal elements have equal (num, den).
+    ``residue``, the tuple of the phi(d) rational coefficients, is the
+    ``Fraction`` view, built on demand.
+    """
+
+    __slots__ = ("num", "den")
     _scalars = (Fraction,)
 
-    def _mul(self, o):
-        """Product on integer numerators.
+    def __init__(self, num: tuple, den: int, field: "CyclotomicField"):
+        self.num = num
+        self.den = den
+        self.field = field
 
-        Each residue is scaled to integers over the lcm of its
-        denominators, the integer residues are multiplied and reduced by
-        the field's integral table, and the phi(d) results are divided
-        once.
-        """
-        ca, cb = self.residue, o.residue
-        da = lcm(*(c.denominator for c in ca))
-        db = lcm(*(c.denominator for c in cb))
-        out = mul_reduced(
-            [c.numerator * (da // c.denominator) for c in ca],
-            [c.numerator * (db // c.denominator) for c in cb],
-            self.field._int_red,
-            0,
+    @property
+    def residue(self) -> tuple:
+        den = self.den
+        return tuple([Fraction(c, den) for c in self.num])
+
+    def _add(self, o):
+        da, db = self.den, o.den
+        if da == db:
+            return _canonical([a + b for a, b in zip(self.num, o.num)], da, self.field)
+        return _canonical(
+            [a * db + b * da for a, b in zip(self.num, o.num)], da * db, self.field
         )
-        den = da * db
-        return CycloElem(tuple([Fraction(c, den) for c in out]), self.field)
+
+    def _sub(self, o):
+        da, db = self.den, o.den
+        if da == db:
+            return _canonical([a - b for a, b in zip(self.num, o.num)], da, self.field)
+        return _canonical(
+            [a * db - b * da for a, b in zip(self.num, o.num)], da * db, self.field
+        )
+
+    def _mul(self, o):
+        """Product on integer numerators, through the field's integral
+        reduction table."""
+        out = mul_reduced(self.num, o.num, self.field._int_red, 0)
+        return _canonical(out, self.den * o.den, self.field)
+
+    def __neg__(self):
+        return CycloElem(tuple([-a for a in self.num]), self.den, self.field)
+
+    def __bool__(self) -> bool:
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
+        if other.__class__ is CycloElem:
+            return (
+                other.num == self.num
+                and other.den == self.den
+                and (other.field is self.field or other.field == self.field)
+            )
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        return ExtFieldElem.__eq__(self, other)
+            return (
+                self.is_constant
+                and self.num[0] == other.numerator
+                and self.den == other.denominator
+            )
+        return False
 
     def __hash__(self) -> int:
         # a rational element equals its value as an int or Fraction
         if self.is_constant:
-            return hash(self.residue[0])
-        return hash((self.field, self.residue))
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.field, self.num, self.den))
 
-    is_rational = ExtFieldElem.is_constant
-    rational_value = ExtFieldElem.constant
+    @property
+    def is_constant(self) -> bool:
+        return not any(self.num[1:])
+
+    @property
+    def constant(self) -> Fraction:
+        """The rational value of a rational element."""
+        if not self.is_constant:
+            raise PreconditionError("element does not lie in the base field")
+        return Fraction(self.num[0], self.den)
+
+    is_rational = is_constant
+    rational_value = constant
+
+
+def _canonical(num: list, den: int, field) -> CycloElem:
+    """num / den (den > 0) in canonical form."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return CycloElem(tuple(num), den, field)
 
 
 class CyclotomicField(ExtField):
     """Descriptor for Q(zeta_d) = Q[X]/(Phi_d), an extension of Q."""
 
     is_finite = False
-    _elem = CycloElem
     var = "z"
 
     def __init__(self, d: int):
         if d < 1:
             raise PreconditionError("conductor must be >= 1")
         self.conductor = d
+        self._zero_tail = (0,) * (euler_phi(d) - 1)
         self._setup(QQ, cyclotomic_polynomial(d))
         # Phi_d is monic with integer coefficients, so its table is integral
         self._int_red = [tuple(int(c) for c in row) for row in self._red]
         self.zeta = self.gen
 
+    def from_base(self, c) -> CycloElem:
+        """The rational c, an int or a Fraction."""
+        return CycloElem((c.numerator,) + self._zero_tail, c.denominator, self)
+
+    from_int = from_base
+
+    def _from_coeffs(self, coeffs: tuple) -> CycloElem:
+        # over the lcm of the reduced denominators the numerators have no
+        # common factor with it, so the result is canonical
+        den = lcm(*(c.denominator for c in coeffs))
+        return CycloElem(
+            tuple([c.numerator * (den // c.denominator) for c in coeffs]), den, self
+        )
+
     def from_residue(self, coeffs) -> CycloElem:
         """Element from rational coefficients of 1, zeta, zeta^2, ..."""
         return self.from_poly(UniPoly.make([Fraction(c) for c in coeffs], QQ))
+
+    @cached_property
+    def _zeta_powers(self) -> list[tuple]:
+        """Integer residues of zeta^j for j = 0 .. d-1."""
+        r = self.degree
+        top = [-int(c) for c in self.modulus.coeffs[:r]]  # zeta^r
+        row = [1] + [0] * (r - 1)
+        out = []
+        for _ in range(self.conductor):
+            out.append(tuple(row))
+            lead = row[-1]
+            row = [0] + row[:-1]
+            if lead:
+                row = [c + lead * t for c, t in zip(row, top)]
+        return out
+
+    def _substitute(self, num, k: int) -> tuple:
+        """Integer residue of num[0] + num[1] zeta^k + num[2] zeta^(2k) + ...,
+        zeta this field's generator.
+
+        For the numerators of an element of Q(zeta_e) this is its image
+        under zeta_e -> zeta^k: the automorphism sigma_k when e = d and k
+        is a unit mod d, the embedding when e k = d.  Either map takes an
+        element to an algebraic integer only if the element is one, and
+        the algebraic integers of Q(zeta_e) are Z[zeta_e], so numerators
+        prime to a denominator stay prime to it: the image of a canonical
+        element is canonical.
+        """
+        powers, d = self._zeta_powers, self.conductor
+        out = [0] * self.degree
+        for i, a in enumerate(num):
+            if a:
+                for j, t in enumerate(powers[k * i % d]):
+                    if t:
+                        out[j] += a * t
+        return tuple(out)
+
+    def inv(self, x: CycloElem) -> CycloElem:
+        """1/x by the norm: x = N/den with N an algebraic integer, and
+        N * P = norm(N), P the product of the other conjugates of N, so
+        1/x = den * P / norm(N), all on integers.  The norm of a nonzero
+        element is a positive integer (Q(zeta_d), d > 2, has no real
+        embedding); anything else raises VerificationError.
+        """
+        if not x:
+            raise NotInvertible(f"division by zero in {self}")
+        num, den = x.num, x.den
+        if x.is_constant:
+            n = num[0]
+            return CycloElem((den if n > 0 else -den,) + self._zero_tail, abs(n), self)
+        d, table = self.conductor, self._int_red
+        prod = None
+        for m in range(2, d):
+            if gcd(m, d) == 1:
+                conj = self._substitute(num, m)
+                prod = conj if prod is None else mul_reduced(prod, conj, table, 0)
+        norm = mul_reduced(num, prod, table, 0)
+        if norm[0] <= 0 or any(norm[1:]):
+            raise VerificationError(f"norm of {x} in {self} is not a positive integer")
+        return _canonical([den * c for c in prod], norm[0], self)
 
     def primitive_nth_root(self, n: int) -> CycloElem:
         d = self.conductor
@@ -133,7 +274,9 @@ class CyclotomicField(ExtField):
             raise RingMismatch(
                 f"no canonical embedding of Q(zeta_{d}) into {self}"
             )
-        return self.from_poly(elem.poly.substitute_power(self.conductor // d))
+        return CycloElem(
+            self._substitute(elem.num, self.conductor // d), elem.den, self
+        )
 
     def __repr__(self) -> str:
         return f"Q(zeta_{self.conductor})"
@@ -182,11 +325,11 @@ def galois_conjugates(a: CycloElem) -> list[CycloElem]:
     """Images of a under zeta -> zeta^m for gcd(m, d) = 1, m ascending."""
     field = a.field
     d = field.conductor
-    out = []
-    for m in range(1, d + 1):
-        if gcd(m, d) == 1:
-            out.append(field.from_poly(a.poly.substitute_power(m)))
-    return out
+    return [
+        CycloElem(field._substitute(a.num, m), a.den, field)
+        for m in range(1, d + 1)
+        if gcd(m, d) == 1
+    ]
 
 
 def norm_to_rationals(a: CycloElem) -> Fraction:

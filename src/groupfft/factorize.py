@@ -115,16 +115,16 @@ def vandermonde_det(n: int, field):
 
 def _random_elem(field, rng: random.Random):
     """A seeded element that draws every coefficient of an extension."""
-    if field.is_finite:
-        if isinstance(field, ExtField):
+    if isinstance(field, ExtField):
+        if field.is_finite:
             return ExtFieldElem(
                 tuple(_random_elem(field.base, rng) for _ in range(field.degree)), field
             )
+        # Q(zeta_d): small integer coefficients
+        return field.from_residue([rng.randrange(-9, 10) for _ in range(field.degree)])
+    if field.is_finite:
         return field.from_int(rng.randrange(field.order))
-    if field == QQ:
-        return Fraction(rng.randrange(-50, 51), rng.randrange(1, 9))
-    # Q(zeta_d): small integer coefficients
-    return field.from_residue([Fraction(rng.randrange(-9, 10)) for _ in range(field.degree)])
+    return Fraction(rng.randrange(-50, 51), rng.randrange(1, 9))
 
 
 def verify_product_identity(fd: FactoredDeterminant, matrix_of, eval_field=None, lift=None):

@@ -5,8 +5,10 @@ Fields implemented here: the rationals (``QQ``, elements are
 ``F[Y]/(m(Y))`` (:class:`ExtField`, m monic irreducible).  One extension
 construction serves both kinds: ``F_q[Y]/(m)`` over a finite base, towers
 included, and Q(zeta_d) = Q[X]/(Phi_d), the subclass
-:class:`groupfft.cyclotomic.CyclotomicField`, which adds only its integer
-product, its root formula and its embeddings.
+:class:`groupfft.cyclotomic.CyclotomicField`, which adds only its
+integer-numerator representation (through the ``from_base`` and
+``_from_coeffs`` hooks), its norm inverse, its root formula and its
+embeddings.
 
 A field descriptor provides: ``characteristic``, ``zero``, ``one``,
 ``from_int``, ``from_rational``, ``inv``, ``format_elem`` and
@@ -18,8 +20,9 @@ A field descriptor provides: ``characteristic``, ``zero``, ``one``,
 Element protocol.  Elements of F_p, F_{p^r} and Q(zeta_d) are immutable
 :class:`FieldElem` subclasses holding a ``residue`` and their ``field``:
 an int in [0, p) for F_p, and for an extension the fixed-length tuple of
-its base-field coefficients, constant term first (phi(d) ``Fraction``
-values for Q(zeta_d)).
+its base-field coefficients, constant term first.  Q(zeta_d) elements
+store integer numerators over one denominator instead; their ``residue``
+is the ``Fraction`` view (phi(d) values), built on demand.
 They support ``+ - * /`` with an element of the same field or an int on
 either side (Q(zeta_d) also takes a ``Fraction``), ``**`` with any int
 exponent, and ``==``/``hash`` by field and residue; a rational element of
@@ -42,15 +45,15 @@ no cascading reduction.  Two rings use it over plain Python ints:
 ``F_p[Y]/(m)`` (``ExtField`` over a prime field: the residues are
 multiplied as ints and each output coefficient is reduced mod p once) and
 ``Q[X]/(Phi_d)`` (``CyclotomicField``: Phi_d is monic with integer
-coefficients, so its table is integral and the residues are scaled to
-integer numerators over a common denominator).  Over a prime base the
+coefficients, so its table is integral and applies to the integer
+numerators as they are).  Over a prime base the
 inverse also runs on ints (:func:`inv_mod_p`, extended euclid on the
 coefficient lists: O(r^2) int operations and no element or ``UniPoly``
 object per step, where the generic :func:`ext_gcd` makes both), and sums and differences build their coefficients from
 int residues without an operator call each.  Towers (an ``ExtField`` over
 an ``ExtField``) run the same helper on base-field elements and the
-element-valued table, and they and Q(zeta_d) invert through
-:func:`ext_gcd`.
+element-valued table, and invert through :func:`ext_gcd`; Q(zeta_d)
+inverts through the norm, on its integer numerators.
 
 No floating point is used anywhere.
 """
@@ -713,7 +716,7 @@ class ExtFieldElem(FieldElem):
                 PrimeFieldElem(a.residue + b.residue, base)
                 for a, b in zip(self.residue, o.residue)
             ]), self.field)
-        return self.__class__(
+        return ExtFieldElem(
             tuple(a + b for a, b in zip(self.residue, o.residue)), self.field
         )
 
@@ -724,7 +727,7 @@ class ExtFieldElem(FieldElem):
                 PrimeFieldElem(a.residue - b.residue, base)
                 for a, b in zip(self.residue, o.residue)
             ]), self.field)
-        return self.__class__(
+        return ExtFieldElem(
             tuple(a - b for a, b in zip(self.residue, o.residue)), self.field
         )
 
@@ -741,7 +744,7 @@ class ExtFieldElem(FieldElem):
         return ExtFieldElem(tuple([PrimeFieldElem(c, base) for c in out]), field)
 
     def __neg__(self):
-        return self.__class__(tuple(-a for a in self.residue), self.field)
+        return ExtFieldElem(tuple(-a for a in self.residue), self.field)
 
     def __bool__(self) -> bool:
         return any(self.residue)
@@ -773,7 +776,6 @@ class ExtField:
     """
 
     is_finite = True
-    _elem = ExtFieldElem
     var = "Y"  # the generator's name in printed elements
     _prime_base = None  # the base field when it is F_p: int-residue kernels
 
@@ -820,7 +822,7 @@ class ExtField:
         return self.from_base(self.base.from_int(k))
 
     def from_base(self, c) -> ExtFieldElem:
-        return self._elem((c,) + (self.base.zero,) * (self.degree - 1), self)
+        return ExtFieldElem((c,) + (self.base.zero,) * (self.degree - 1), self)
 
     def from_rational(self, q: Fraction) -> ExtFieldElem:
         return self.from_base(self.base.from_rational(q))
@@ -829,9 +831,14 @@ class ExtField:
         """The class of a polynomial over the base field."""
         if p.degree >= self.degree:
             p = p % self.modulus
-        return self._elem(
-            p.coeffs + (self.base.zero,) * (self.degree - len(p.coeffs)), self
+        return self._from_coeffs(
+            p.coeffs + (self.base.zero,) * (self.degree - len(p.coeffs))
         )
+
+    def _from_coeffs(self, coeffs: tuple) -> ExtFieldElem:
+        """The element with these degree base-field coefficients, constant
+        term first; Q(zeta_d) overrides it with its own representation."""
+        return ExtFieldElem(coeffs, self)
 
     def inv(self, x: ExtFieldElem) -> ExtFieldElem:
         if not x:

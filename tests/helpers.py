@@ -1,31 +1,61 @@
 """Shared test helpers (a plain module, imported by the test files)."""
 
 from fractions import Fraction
+from math import gcd
 
-from groupfft.rings import QQ, ExtField, ExtFieldElem
+from groupfft.rings import ExtField, ExtFieldElem
 from groupfft.transform import GroupVector
 
 
-def random_vector(group, field, rng):
-    """A seeded random vector over Q, F_p, F_{p^r} or Q(zeta_d).
+def random_elem(field, rng):
+    """A seeded random element of Q, F_p, F_{p^r} or Q(zeta_d).
 
-    Extension-field entries draw every base-field coefficient;
-    Q(zeta_d) entries have small integer coefficients.
+    Extension-field entries draw every base-field coefficient, recursively
+    down to F_p for towers; Q(zeta_d) entries have small integer
+    coefficients.
     """
-
-    def rand_elem():
+    if isinstance(field, ExtField):
         if field.is_finite:
-            if isinstance(field, ExtField):
-                return ExtFieldElem(
-                    tuple(
-                        field.base.from_int(rng.randrange(field.base.order))
-                        for _ in range(field.degree)
-                    ),
-                    field,
-                )
-            return field.from_int(rng.randrange(field.order))
-        if field == QQ:
-            return Fraction(rng.randrange(-9, 10))
+            return ExtFieldElem(
+                tuple(random_elem(field.base, rng) for _ in range(field.degree)), field
+            )
         return field.from_residue([rng.randrange(-9, 10) for _ in range(field.degree)])
+    if field.is_finite:
+        return field.from_int(rng.randrange(field.order))
+    return Fraction(rng.randrange(-9, 10))
 
-    return GroupVector(group, field, tuple(rand_elem() for _ in range(group.order)))
+
+# conductors of the Q(zeta_d) oracle tests
+CYCLO_CONDUCTORS = [*range(1, 17), 20, 24, 30]
+
+
+def random_cyclo(field, rng):
+    """A seeded element of Q(zeta_d) whose coefficients mix zeros, small
+    integers and fractions, so most elements have a denominator above 1."""
+    coeffs = []
+    for _ in range(field.degree):
+        roll = rng.random()
+        if roll < 0.2:
+            coeffs.append(Fraction(0))
+        elif roll < 0.6:
+            coeffs.append(Fraction(rng.randrange(-20, 21), rng.randrange(1, 13)))
+        else:
+            coeffs.append(Fraction(rng.randrange(-9, 10)))
+    return field.from_residue(coeffs)
+
+
+def is_canonical(x):
+    """x, an element of Q(zeta_d), has a positive denominator prime to
+    its numerators."""
+    return x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+def sympy_poly(sympy, coeffs, x):
+    """The sympy polynomial in x with these rational coefficients,
+    constant term first."""
+    return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
+
+
+def random_vector(group, field, rng):
+    """A seeded random vector over Q, F_p, F_{p^r} or Q(zeta_d)."""
+    return GroupVector(group, field, tuple(random_elem(field, rng) for _ in range(group.order)))

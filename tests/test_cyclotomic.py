@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -34,6 +35,8 @@ from groupfft.rings import (
     x_pow_minus_one,
 )
 from groupfft.transform import convolve, group_idempotents
+
+from helpers import CYCLO_CONDUCTORS, is_canonical, random_cyclo, sympy_poly
 
 
 def qpoly(*ints):
@@ -103,6 +106,46 @@ class TestCycloArithmetic:
         k = cyclotomic_field(5)
         assert hash(k.zeta * k.one) == hash(k.zeta)
         assert len({k.zeta, k.zeta ** 6, k.zeta ** 2}) == 2
+
+
+class TestCycloInverse:
+    """The norm-based inverse against the product and against sympy."""
+
+    @pytest.mark.parametrize("d", CYCLO_CONDUCTORS)
+    def test_inverse_times_element_is_one(self, d):
+        k = cyclotomic_field(d)
+        rng = random.Random(400 + d)
+        for _ in range(200):
+            x = random_cyclo(k, rng)
+            if not x:
+                with pytest.raises(NotInvertible):
+                    k.inv(x)
+                continue
+            y = k.inv(x)
+            assert is_canonical(y)
+            assert x * y == k.one
+        with pytest.raises(NotInvertible):
+            k.inv(k.zero)
+
+    @pytest.mark.parametrize("d", CYCLO_CONDUCTORS)
+    def test_inverse_against_sympy(self, d):
+        sympy = pytest.importorskip("sympy")
+        X = sympy.Symbol("X")
+        phi = sympy.cyclotomic_poly(d, X)
+        k = cyclotomic_field(d)
+        rng = random.Random(500 + d)
+        for _ in range(8):
+            x = random_cyclo(k, rng)
+            if not x:
+                continue
+            expected = sympy.invert(sympy_poly(sympy, x.residue, X), phi, X, domain="QQ")
+            got = sympy_poly(sympy, k.inv(x).residue, X)
+            assert sympy.expand(expected - got) == 0
+
+    def test_rational_forms_share_one_hash_class(self):
+        k = cyclotomic_field(7)
+        assert len({k.from_int(3), 3, Fraction(3)}) == 1
+        assert len({k.from_rational(Fraction(-5, 6)), Fraction(-5, 6)}) == 1
 
 
 class TestCycloAsExtField:
@@ -247,6 +290,26 @@ class TestGaloisConjugates:
                 b = k.from_residue([rng.randrange(-5, 6) for _ in range(deg)])
                 na, nb = norm_to_rationals(a), norm_to_rationals(b)
                 assert norm_to_rationals(a * b) == na * nb
+
+    @pytest.mark.parametrize("d", CYCLO_CONDUCTORS)
+    def test_conjugates_and_embeddings_match_substitution(self, d):
+        """zeta -> zeta^m and Q(zeta_d) -> Q(zeta_(kd)) against the
+        UniPoly route: substitute a power of X, then reduce."""
+        k = cyclotomic_field(d)
+        rng = random.Random(600 + d)
+        units = [m for m in range(1, d + 1) if gcd(m, d) == 1]
+        for _ in range(10):
+            x = random_cyclo(k, rng)
+            conjugates = galois_conjugates(x)
+            assert len(conjugates) == len(units)
+            for m, c in zip(units, conjugates):
+                assert c == k.from_poly(x.poly.substitute_power(m) % k.modulus)
+                assert is_canonical(c)
+            for mult in (2, 3):
+                big = cyclotomic_field(mult * d)
+                lifted = big.embed_from(x)
+                expected = x.poly.substitute_power(mult) % big.modulus
+                assert lifted == big.from_poly(expected) and is_canonical(lifted)
 
 
 class TestComplementaryFactors:

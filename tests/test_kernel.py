@@ -1,26 +1,30 @@
 """The residue kernel: products in F_p[Y]/(m), towers and Q[X]/(Phi_d).
 
 Every product is compared with the generic polynomial route, the product
-of the two residue polynomials followed by a division by the modulus.
-A few cases are also checked against sympy, an implementation the library
-does not share (test-only dependency; those tests skip without it).
+of the two residue polynomials followed by a division by the modulus; in
+Q(zeta_d), sums and differences too, and every result must be canonical
+(a positive denominator prime to the integer numerators).  A few cases are
+also checked against sympy, an implementation the library does not share
+(test-only dependency; those tests skip without it).
 """
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from groupfft.cyclotomic import cyclotomic_field, cyclotomic_polynomial
+from groupfft.cyclotomic import CycloElem, cyclotomic_field, cyclotomic_polynomial
 from groupfft.rings import (
     QQ,
     ExtField,
-    ExtFieldElem,
     PrimeField,
     UniPoly,
     find_irreducible,
     reduction_table,
 )
+
+from helpers import CYCLO_CONDUCTORS, is_canonical, random_cyclo, random_elem, sympy_poly
 
 F4 = ExtField(PrimeField(2), find_irreducible(2, 2))
 EXT_FIELDS = [
@@ -35,19 +39,11 @@ EXT_FIELDS = [
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 20, 30]
 
 
-def _random_ext(field, rng):
-    base = field.base
-    if isinstance(base, PrimeField):
-        coeffs = [base.from_int(rng.randrange(base.p)) for _ in range(field.degree)]
-    else:
-        coeffs = [_random_ext(base, rng) for _ in range(field.degree)]
-    return ExtFieldElem(tuple(coeffs), field)
-
-
-def _reference(a, b):
-    """Residue of a * b by the generic route: UniPoly product, then remainder."""
+def _reference(a, b, op=operator.mul):
+    """Residue of op(a, b) by the generic route: the operation on the two
+    residue polynomials, then the remainder by the modulus."""
     field = a.field
-    rem = (a.poly * b.poly) % field.modulus
+    rem = op(a.poly, b.poly) % field.modulus
     return rem.coeffs + (field.base.zero,) * (field.degree - len(rem.coeffs))
 
 
@@ -57,19 +53,6 @@ def _check_products(field, samples, rng):
             product = a * b
             assert product.field is field
             assert product.residue == _reference(a, b)
-
-
-def _random_cyclo(field, rng):
-    coeffs = []
-    for _ in range(field.degree):
-        roll = rng.random()
-        if roll < 0.2:
-            coeffs.append(Fraction(0))
-        elif roll < 0.6:
-            coeffs.append(Fraction(rng.randrange(-20, 21), rng.randrange(1, 13)))
-        else:
-            coeffs.append(Fraction(rng.randrange(-9, 10)))
-    return field.from_residue(coeffs)
 
 
 class TestReductionTable:
@@ -89,7 +72,7 @@ class TestExtFieldProducts:
     def test_products_match_polynomial_remainder(self, field):
         rng = random.Random(field.order)
         samples = [field.zero, field.one, field.gen] + [
-            _random_ext(field, rng) for _ in range(40)
+            random_elem(field, rng) for _ in range(40)
         ]
         _check_products(field, samples, rng)
 
@@ -102,12 +85,33 @@ class TestCycloProducts:
         field = cyclotomic_field(d)
         rng = random.Random(d)
         samples = [field.zero, field.one, field.zeta] + [
-            _random_cyclo(field, rng) for _ in range(30)
+            random_cyclo(field, rng) for _ in range(30)
         ]
         for x in samples:
             assert len(x.residue) == field.degree
             assert all(type(c) is Fraction for c in x.residue)
         _check_products(field, samples, rng)
+
+    @pytest.mark.parametrize("d", CYCLO_CONDUCTORS)
+    def test_every_operator_gives_canonical_numerators(self, d):
+        field = cyclotomic_field(d)
+        rng = random.Random(300 + d)
+        samples = [random_cyclo(field, rng) for _ in range(20)]
+        assert sum(x.den != 1 for x in samples) >= 4
+        for a in samples:
+            assert is_canonical(a)
+            for b in rng.sample(samples, 6):
+                for op in (operator.add, operator.sub, operator.mul):
+                    got = op(a, b)
+                    assert type(got) is CycloElem and is_canonical(got)
+                    assert got.residue == _reference(a, b, op)
+            for got, expected in [
+                (-a, [-c for c in a.residue]),
+                (a + 3, [a.residue[0] + 3, *a.residue[1:]]),
+                (Fraction(-2, 9) * a, [Fraction(-2, 9) * c for c in a.residue]),
+                (a - a, [0] * field.degree),
+            ]:
+                assert is_canonical(got) and list(got.residue) == expected
 
     def test_scalar_operands(self):
         field = cyclotomic_field(5)
@@ -117,27 +121,22 @@ class TestCycloProducts:
         assert a * 0 == field.zero
 
 
-def _sympy_poly(sympy, coeffs, x):
-    return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
-
-
 class TestAgainstSympy:
-    @pytest.mark.parametrize("d", [3, 7, 12, 15, 30])
+    @pytest.mark.parametrize("d", CYCLO_CONDUCTORS)
     def test_cyclotomic_products(self, d):
+        """Sums, differences and products against sympy.rem modulo Phi_d."""
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("X")
         field = cyclotomic_field(d)
         rng = random.Random(100 + d)
         phi = sympy.cyclotomic_poly(d, x)
         for _ in range(10):
-            a, b = _random_cyclo(field, rng), _random_cyclo(field, rng)
-            expected = sympy.rem(
-                _sympy_poly(sympy, a.residue, x) * _sympy_poly(sympy, b.residue, x),
-                phi,
-                x,
-            )
-            got = _sympy_poly(sympy, (a * b).residue, x)
-            assert sympy.expand(expected - got) == 0
+            a, b = random_cyclo(field, rng), random_cyclo(field, rng)
+            pa, pb = sympy_poly(sympy, a.residue, x), sympy_poly(sympy, b.residue, x)
+            for op in (operator.add, operator.sub, operator.mul):
+                expected = sympy.rem(sympy.expand(op(pa, pb)), phi, x)
+                got = sympy_poly(sympy, op(a, b).residue, x)
+                assert sympy.expand(expected - got) == 0
 
     @pytest.mark.parametrize("field", EXT_FIELDS[:6], ids=repr)
     def test_prime_base_products(self, field):
@@ -147,7 +146,7 @@ class TestAgainstSympy:
         modulus = sympy.Poly([c.residue for c in reversed(field.modulus.coeffs)], x, modulus=p)
         rng = random.Random(200 + field.order)
         for _ in range(10):
-            a, b = _random_ext(field, rng), _random_ext(field, rng)
+            a, b = random_elem(field, rng), random_elem(field, rng)
             pa = sympy.Poly([c.residue for c in reversed(a.residue)], x, modulus=p)
             pb = sympy.Poly([c.residue for c in reversed(b.residue)], x, modulus=p)
             rem = (pa * pb).rem(modulus)

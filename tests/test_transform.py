@@ -207,6 +207,8 @@ class TestConvolution:
 
 
 F9 = ExtField(PrimeField(3), find_irreducible(3, 2))
+F4 = ExtField(PrimeField(2), find_irreducible(2, 2))
+F4_TOWER = ExtField(F4, find_irreducible(F4, 3))  # F_64 as (F_2^2)^3
 
 # (cyclic orders, field): radix 2, 3 and 5 stages, prime lengths, several
 # factors, non-normalized orders, trivial factors and every kind of field.
@@ -227,7 +229,15 @@ FAST_CASES = [
     ((4, 4), cyclotomic_field(4)),
     ((2,) * 5, QQ),
     ((2,) * 5, F9),
+    ((7,), F4_TOWER),
+    ((3, 3), F4_TOWER),
 ]
+
+
+def test_tower_draws_leave_the_prime_field():
+    b = random_vector(AbelianGroup.cyclic(5), F4_TOWER, random.Random(5))
+    coeffs = [c for v in b.values for c in v.residue]
+    assert any(not c.is_constant for c in coeffs)
 
 
 class TestFastAgainstReference:
