@@ -8,7 +8,7 @@ file that cannot be read, is not JSON, or lacks labels and table),
 2 precondition violation (e.g. the characteristic divides the group
 order), 3 verification failure (a computed result failed the library's
 own check of its identity, such as a factor product that differs from the
-group determinant).
+group determinant, or any failed --verify cross-check).
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def _sampled_round_trip_check(group, field, seed: int, samples: int = 20):
         values = tuple(factorize._random_elem(field, rng) for _ in range(group.order))
         vec = transform.GroupVector(group, field, values)
         if transform.inverse_fft(transform.fft(vec)).values != vec.values:
-            raise AssertionError("sampled round-trip self-check failed")
+            raise VerificationError("sampled round-trip self-check failed")
 
 
 def _cmd_fft(req: CommandRequest) -> tuple[int, str]:
@@ -158,10 +158,10 @@ def _cmd_fft(req: CommandRequest) -> tuple[int, str]:
     out = transform.fft(vec)
     if req.verify:
         if out.values != transform.fft_reference(vec).values:
-            raise AssertionError("fast transform differs from the reference sum")
+            raise VerificationError("fast transform differs from the reference sum")
         back = transform.inverse_fft(out)
         if back.values != vec.values:
-            raise AssertionError("round-trip self-check failed")
+            raise VerificationError("round-trip self-check failed")
         _sampled_round_trip_check(group, field, req.seed)
     if req.json_output:
         return 0, json.dumps(
@@ -176,10 +176,10 @@ def _cmd_ifft(req: CommandRequest) -> tuple[int, str]:
     out = transform.inverse_fft(dual_vec)
     if req.verify:
         if out.values != transform.inverse_fft_reference(dual_vec).values:
-            raise AssertionError("fast inverse transform differs from the reference sum")
+            raise VerificationError("fast inverse transform differs from the reference sum")
         forward = transform.fft(out)
         if forward.values != dual_vec.values:
-            raise AssertionError("round-trip self-check failed")
+            raise VerificationError("round-trip self-check failed")
         _sampled_round_trip_check(group, field, req.seed)
     if req.json_output:
         return 0, json.dumps(
@@ -192,7 +192,7 @@ def _cmd_weight(req: CommandRequest) -> tuple[int, str]:
     group, field, vec = _transform_request(req)
     rank = transform.blahut_weight(vec)
     if req.verify and rank != vec.hamming_weight():
-        raise AssertionError("rank does not match the direct nonzero count")
+        raise VerificationError("rank does not match the direct nonzero count")
     if req.json_output:
         return 0, json.dumps(
             {
@@ -219,7 +219,7 @@ def _cmd_idempotents(req: CommandRequest) -> tuple[int, str]:
             field.one if a == ident else field.zero for a in group.elements()
         )
         if total.values != expected:
-            raise AssertionError("idempotents do not sum to the identity indicator")
+            raise VerificationError("idempotents do not sum to the identity indicator")
     if req.json_output:
         payload = [
             {"character": list(chi.residues), "values": _json_values(e)}
@@ -338,7 +338,7 @@ def _cmd_frobenius(req: CommandRequest) -> tuple[int, str]:
     psi2 = frobenius.frobenius_polynomial(data.representations[2])
     identity_ok = psi2.polynomial == result.det_m
     if not identity_ok:
-        raise AssertionError("power-sum factor does not reproduce det M")
+        raise VerificationError("power-sum factor does not reproduce det M")
     if req.json_output:
         return 0, json.dumps(
             {

@@ -1,17 +1,24 @@
 """Exact linear algebra over any of the implemented fields.
 
 Matrices are lists (or tuples) of rows of field elements.  Inverse,
-determinant and rank all use ordinary row reduction with exact division,
-the same algorithm over every field.  Determinant and rank update only
-the live trailing block, the columns right of the pivot: the pivot column
-below the pivot is never read again, so an n x n determinant costs
-sum k^2 = (n-1)n(2n-1)/6 element updates (506 for n = 12, against 792
-for whole rows).
+determinant and rank all use ordinary row reduction with exact division.
+Determinant and rank update only the live trailing block, the columns
+right of the pivot: the pivot column below the pivot is never read again,
+so an n x n determinant costs sum k^2 = (n-1)n(2n-1)/6 cell updates (506
+for n = 12, against 792 for whole rows).
+
+Over F_p, determinant and rank read each entry's int residue once and run
+that elimination on plain ints: a cell update is one ``(x - f * y) % p``
+in a list comprehension and a pivot inverse is one ``pow(x, -1, p)``, so
+no element object is made per cell.  Only the determinant is wrapped back
+into an element of the caller's F_p.  Every other field eliminates on its
+elements.  Shape checks raise PreconditionError, under ``python -O`` too.
 """
 
 from __future__ import annotations
 
-from .errors import NotInvertible, PreconditionError
+from .errors import NotInvertible, PreconditionError, RingMismatch
+from .rings import PrimeField, PrimeFieldElem
 
 
 def identity_matrix(n: int, field) -> list[list]:
@@ -20,9 +27,16 @@ def identity_matrix(n: int, field) -> list[list]:
     ]
 
 
+def _require_width(rows, width: int, what: str):
+    if any(len(row) != width for row in rows):
+        raise PreconditionError(f"{what}: every row needs {width} entries")
+
+
 def mat_mul(a, b, field) -> list[list]:
-    n, k, m = len(a), len(b), len(b[0])
-    assert all(len(row) == k for row in a)
+    n, k = len(a), len(b)
+    m = len(b[0]) if k else 0
+    _require_width(a, k, "left factor")
+    _require_width(b, m, "right factor")
     out = []
     for i in range(n):
         row = []
@@ -80,13 +94,65 @@ def mat_inverse(a, field) -> list[list]:
     return [row[n:] for row in aug]
 
 
+def _working_copy(rows, field):
+    """A mutable copy of the matrix, and p over F_p (None otherwise).
+
+    Over F_p the copy holds the int residue of each entry; otherwise it
+    holds the entries themselves.
+    """
+    if isinstance(field, PrimeField):
+        return [
+            [x.residue if x.__class__ is PrimeFieldElem and x.field is field
+             else _residue(x, field) for x in row]
+            for row in rows
+        ], field.p
+    return [list(row) for row in rows], None
+
+
+def _residue(x, field) -> int:
+    """The residue of an F_p entry: an element of an equal descriptor, or an int."""
+    if x.__class__ is PrimeFieldElem and x.field == field:
+        return x.residue
+    if isinstance(x, int):
+        return x % field.p
+    raise RingMismatch(f"{x!r} is not an element of {field}")
+
+
+def _eliminate_below(m, top, col, field, p):
+    """Pivot on the nonzero m[top][col]: subtract multiples of row top from
+    every row below it so that their column col vanishes.
+
+    Only the live trailing block, the columns right of col, is written;
+    col itself is never read again.  Entries are int residues mod p, or
+    field elements when p is None.
+    """
+    pivot_row = m[top]
+    live = pivot_row[col + 1:]
+    if p is None:
+        inv_p = field.inv(pivot_row[col])
+        for row in m[top + 1:]:
+            if row[col]:
+                f = row[col] * inv_p
+                row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], live)]
+    else:
+        inv_p = pow(pivot_row[col], -1, p)
+        for row in m[top + 1:]:
+            if row[col]:
+                f = row[col] * inv_p % p
+                row[col + 1:] = [(x - f * y) % p for x, y in zip(row[col + 1:], live)]
+
+
 def mat_det(a, field):
-    """Determinant by elimination with exact division."""
+    """Determinant by elimination with exact division.
+
+    The result is an element of ``field`` itself (over F_p, of the very
+    descriptor passed in); the input is not modified.
+    """
     n = len(a)
     if any(len(row) != n for row in a):
         raise PreconditionError("matrix is not square")
-    m = [list(row) for row in a]
-    det = field.one
+    m, p = _working_copy(a, field)
+    det = field.one if p is None else 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
@@ -95,34 +161,23 @@ def mat_det(a, field):
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
         det = det * m[col][col]
-        inv_p = field.inv(m[col][col])
-        live = m[col][col + 1:]
-        for r in range(col + 1, n):
-            row = m[r]
-            if row[col]:
-                f = row[col] * inv_p
-                row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], live)]
-    return det
+        _eliminate_below(m, col, col, field, p)
+    return det if p is None else PrimeFieldElem(det, field)
 
 
 def mat_rank(rows, field) -> int:
     """Rank by row reduction with exact division, over any field."""
-    m = [list(row) for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    _require_width(rows, n_cols, "rank")
+    m, p = _working_copy(rows, field)
     rank = 0
     for col in range(n_cols):
         pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv_p = field.inv(m[rank][col])
-        live = m[rank][col + 1:]
-        for r in range(rank + 1, n_rows):
-            row = m[r]
-            if row[col]:
-                f = row[col] * inv_p
-                row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], live)]
+        _eliminate_below(m, rank, col, field, p)
         rank += 1
         if rank == n_rows:
             break

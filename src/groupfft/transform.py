@@ -27,12 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import (
-    AbelianGroup,
-    GroupElement,
-    character_matrix,
-    character_matrix_inverse,
-)
+from .abelian import AbelianGroup, character_matrix, character_matrix_inverse
 from .cyclotomic import splitting_field
 from .errors import NoRootOfUnity, PreconditionError, RingMismatch
 from .linalg import mat_eq, mat_mul, mat_pow, mat_rank, transpose
@@ -210,20 +205,30 @@ def inverse_fft_reference(B: GroupVector) -> GroupVector:
 def group_matrix(b: GroupVector) -> GroupMatrix:
     """M(b) with entry (row tau, column sigma) = b_{tau^-1 sigma}.
 
-    For a cyclic group this is the circulant with first row b.
+    For a cyclic group this is the circulant with first row b.  On the
+    dual side, characters multiply by the same rule on residue tuples, so
+    the entry (row psi, column chi) is B_{psi^-1 chi} by the same indices.
+
+    The index of tau^-1 sigma in the canonical order is
+    sum_i ((sigma_i - tau_i) mod d_i) * w_i, with w_i the mixed-radix weight
+    of the factor C_{d_i}.  One d_i x d_i table of those terms per factor
+    builds the index rows factor by factor, outer factor first, which is
+    the lexicographic order of both tau and sigma: about n^2 int additions
+    and no group lookup.
     """
     group = b.group
-    if b.dual:
-        elements = [GroupElement(chi.residues) for chi in group.characters()]
-    else:
-        elements = group.elements()
-    rows = []
-    for tau in elements:
-        inv_tau = group.inverse(tau)
-        rows.append(
-            tuple(b.values[group.index(group.mul(inv_tau, sigma))] for sigma in elements)
-        )
-    return GroupMatrix(group, b.field, tuple(rows), dual=b.dual)
+    index_rows = [[0]]
+    weight = group.order
+    for d in group.divisors:
+        weight //= d
+        table = [[(s - t) % d * weight for s in range(d)] for t in range(d)]
+        index_rows = [
+            [k + offset for k in row for offset in terms]
+            for row in index_rows for terms in table
+        ]
+    values = b.values
+    rows = tuple(tuple([values[k] for k in row]) for row in index_rows)
+    return GroupMatrix(group, b.field, rows, dual=b.dual)
 
 
 def dual_matrix(B: GroupVector) -> GroupMatrix:

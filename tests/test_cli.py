@@ -7,6 +7,7 @@ import pytest
 
 from groupfft import transform
 from groupfft.abelian import AbelianGroup, parse_group
+from groupfft.errors import VerificationError
 from groupfft.rings import finite_field
 from groupfft.cli import (
     CommandRequest,
@@ -191,6 +192,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: factor product ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["weight", "--group", "C6", "--field", "F7", "--vector", "1,2,0,0,3,1"],
+         "rank does not match the direct nonzero count"),
+        (["fft", "--group", "C6", "--field", "F7", "--vector", "1,2,0,0,3,1"],
+         "fast transform differs from the reference sum"),
+    ])
+    def test_failed_verify_exits_3(self, monkeypatch, capsys, argv, message):
+        """--verify on a wrong rank or a wrong reference sum: exit 3 with one
+        error line and no traceback; without --verify the request succeeds."""
+        monkeypatch.setattr(transform, "blahut_weight", lambda vec: vec.hamming_weight() + 1)
+        monkeypatch.setattr(
+            transform, "fft_reference",
+            lambda vec: replace(transform.fft(vec), values=(vec.field.zero,) * vec.group.order),
+        )
+        assert run(["--verify", *argv]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run(argv) == 0
+
     @pytest.mark.parametrize("field", ["Qzeta:abc", "Qzeta:", "Qzeta:1.5"])
     def test_bad_conductor(self, capsys, field):
         code = run(["fft", "--group", "C3", "--field", field, "--vector", "1,2,3"])
@@ -247,8 +266,9 @@ class TestDispatchDirect:
         req = CommandRequest(
             subcommand=subcommand, group="C6", field="F7", vector="1,2,0,0,3,1", verify=True
         )
-        with pytest.raises(AssertionError, match="reference sum"):
-            dispatch(req)
+        code, out = dispatch(req)
+        assert code == 3 and out.startswith("error: fast ")
+        assert out.endswith("transform differs from the reference sum")
 
     def test_sampled_check_leaves_the_prime_field(self, monkeypatch):
         # Frobenius x -> x^3 fixes F3, so only vectors with entries outside
@@ -260,7 +280,7 @@ class TestDispatchDirect:
 
         monkeypatch.setattr(transform, "fft", frobenius_first)
         group = AbelianGroup.cyclic(4)
-        with pytest.raises(AssertionError, match="sampled round-trip"):
+        with pytest.raises(VerificationError, match="sampled round-trip"):
             _sampled_round_trip_check(group, parse_field_descriptor("F9"), seed=0)
 
     @pytest.mark.parametrize(

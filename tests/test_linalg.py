@@ -4,14 +4,19 @@ The rank over Q is also checked against sympy, an implementation the
 library does not share (test-only dependency; that test skips without it).
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from groupfft.abelian import AbelianGroup, character_matrix, character_matrix_inverse
 from groupfft.cyclotomic import cyclotomic_field
-from groupfft.errors import NotInvertible
+from groupfft.errors import NotInvertible, PreconditionError, RingMismatch
 from groupfft.linalg import (
     identity_matrix,
     mat_det,
@@ -132,20 +137,125 @@ class TestAgainstSympy:
             wide = m + [[Fraction(rng.randrange(-2, 3)) for _ in range(n)]]
             assert mat_rank(transpose(wide), QQ) == sympy.Matrix(wide).rank()
 
-    @pytest.mark.parametrize("p", [2, 7])
+    @pytest.mark.parametrize("p", [2, 7, 257, 2**31 - 1])
     def test_det_and_rank_over_f_p(self, p):
+        """The int-residue elimination over F_p: square matrices (singular,
+        row-swapping, zero columns), then rectangular ones, taller and
+        wider, with entries drawn over all of F_p."""
         pytest.importorskip("sympy")
         from sympy import GF
         from sympy.polys.matrices import DomainMatrix
 
         field, dom = PrimeField(p), GF(p)
+
+        def oracle(m, shape):
+            return DomainMatrix([[dom(x.residue) for x in row] for row in m], shape, dom)
+
         rng = random.Random(47 + p)
         for _ in range(150):
             n = rng.randrange(1, 8)
             m = _seeded_square(rng, n, field.from_int)
-            oracle = DomainMatrix([[dom(x.residue) for x in row] for row in m], (n, n), dom)
-            assert mat_det(m, field).residue == int(oracle.det()) % p
-            assert mat_rank(m, field) == oracle.rank()
+            before = [list(row) for row in m]
+            det = mat_det(m, field)
+            assert det.field is field
+            assert det.residue == int(oracle(m, (n, n)).det()) % p
+            assert mat_rank(m, field) == oracle(m, (n, n)).rank()
+            assert m == before
+        for _ in range(100):
+            rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+            m = [[field.from_int(rng.randrange(p)) for _ in range(cols)] for _ in range(rows)]
+            kind = rng.randrange(3)
+            if kind == 1:
+                m[0][0] = field.zero
+            elif kind == 2:
+                for c in rng.sample(range(cols), rng.randrange(1, cols + 1)):
+                    for row in m:
+                        row[c] = field.zero
+            before = [list(row) for row in m]
+            assert mat_rank(m, field) == oracle(m, (rows, cols)).rank()
+            assert m == before
+
+
+class TestPrimeFieldEntries:
+    """What the F_p elimination accepts as entries."""
+
+    def test_det_is_an_element_of_the_callers_descriptor(self):
+        other = PrimeField(7)
+        m = [[other.from_int(2), other.from_int(3)], [other.from_int(1), other.from_int(5)]]
+        det = mat_det(m, F7)
+        assert det.field is F7 and det.residue == 0 and not det
+        det = mat_det([[other.from_int(2), other.from_int(3)], [other.one, other.one]], F7)
+        assert det.field is F7 and det.residue == 6
+        assert mat_det([], F7).field is F7 and mat_det([], F7).residue == 1
+
+    def test_int_entries_read_mod_p(self):
+        assert mat_rank([[7, 14], [1, 2]], F7) == 1
+        assert mat_det([[3, 1], [1, 3]], F7) == F7.from_int(1)
+
+    def test_entry_of_another_field_rejected(self):
+        m = [[F7.one, PrimeField(11).one], [F7.zero, F7.one]]
+        with pytest.raises(RingMismatch):
+            mat_det(m, F7)
+        with pytest.raises(RingMismatch):
+            mat_rank(m, F7)
+
+    def test_other_fields_keep_their_elements(self):
+        k = cyclotomic_field(3)
+        z = k.primitive_nth_root(3)
+        det = mat_det([[z, k.one], [k.one, z]], k)
+        assert det == z * z - k.one
+        assert mat_det([[Fraction(1, 2), 1], [3, 4]], QQ) == Fraction(-1)
+
+
+_RAGGED = [
+    ("rank", lambda f: mat_rank([[f(0), f(1)], [f(1), f(0), f(1)]], F7)),
+    ("rank, short row", lambda f: mat_rank([[f(0), f(1)], [f(1)]], F7)),
+    ("rank over Q", lambda f: mat_rank([[0, 1], [1, 0, 1]], QQ)),
+    ("det", lambda f: mat_det([[f(1), f(2)], [f(3)]], F7)),
+    ("mul, ragged left", lambda f: mat_mul([[f(1), f(2)], [f(3)]], identity_matrix(2, F7), F7)),
+    ("mul, ragged right", lambda f: mat_mul(identity_matrix(2, F7), [[f(1), f(2)], [f(3)]], F7)),
+    ("mul, inner mismatch", lambda f: mat_mul([[f(1), f(2), f(3)]], identity_matrix(2, F7), F7)),
+]
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("call", [c for _, c in _RAGGED], ids=[i for i, _ in _RAGGED])
+    def test_ragged_input_rejected(self, call):
+        with pytest.raises(PreconditionError):
+            call(F7.from_int)
+
+    def test_ragged_input_rejected_under_dash_o(self):
+        """The same checks with assertions off: typed errors, not IndexError
+        and not a silently truncated rank."""
+        script = textwrap.dedent("""
+            from groupfft.errors import PreconditionError
+            from groupfft.linalg import identity_matrix, mat_det, mat_mul, mat_rank
+            from groupfft.rings import PrimeField
+
+            assert False, "assertions are on"
+            F7 = PrimeField(7)
+            f = F7.from_int
+            calls = [
+                lambda: mat_rank([[f(0), f(1)], [f(1), f(0), f(1)]], F7),
+                lambda: mat_rank([[f(0), f(1)], [f(1)]], F7),
+                lambda: mat_det([[f(1), f(2)], [f(3)]], F7),
+                lambda: mat_mul([[f(1), f(2)], [f(3)]], identity_matrix(2, F7), F7),
+                lambda: mat_mul(identity_matrix(2, F7), [[f(1), f(2)], [f(3)]], F7),
+            ]
+            for call in calls:
+                try:
+                    call()
+                except PreconditionError:
+                    print("PreconditionError")
+                else:
+                    print("accepted")
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["PreconditionError"] * 5
 
 
 class TestInterpolationOracle:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from groupfft.abelian import AbelianGroup
+from groupfft.abelian import AbelianGroup, GroupElement
 from groupfft.cyclotomic import cyclotomic_field
 from groupfft.errors import NoRootOfUnity, PreconditionError
 from groupfft.linalg import identity_matrix, mat_eq, mat_mul, mat_pow
@@ -102,6 +102,26 @@ class TestGroupMatrices:
         assert rows[0][0] == MultiPoly.variable("X_0", variables, QQ)
         assert rows[1][0] == MultiPoly.variable("X_2", variables, QQ)
         assert rows[2][1] == MultiPoly.variable("X_2", variables, QQ)
+
+    @pytest.mark.parametrize("divisors", [(1,), (7,), (2, 6), (3, 5), (4, 4, 4), (2,) * 5],
+                             ids=lambda d: "x".join(f"C{k}" for k in d))
+    @pytest.mark.parametrize("dual", [False, True], ids=["group", "dual"])
+    def test_against_the_definition(self, divisors, dual):
+        """Entry (tau, sigma) is b at tau^-1 sigma, found here by the group's
+        own inverse, mul and index; on the dual side tau and sigma are
+        characters, read as residue tuples."""
+        group = AbelianGroup(divisors)
+        rng = random.Random(sum(divisors) + dual)
+        b = GroupVector(group, F13, random_vector(group, F13, rng).values, dual=dual)
+        m = group_matrix(b)
+        assert (m.group, m.field, m.dual) == (group, F13, dual)
+        elements = [GroupElement(chi.residues) for chi in group.characters()] if dual \
+            else group.elements()
+        assert m.entries == tuple(
+            tuple(b.values[group.index(group.mul(group.inverse(tau), sigma))]
+                  for sigma in elements)
+            for tau in elements
+        )
 
     def test_product_is_convolution(self):
         rng = random.Random(9)
@@ -324,6 +344,22 @@ class TestBlahut:
         for _ in range(200):
             b = random_vector(group, F7, rng)
             assert blahut_weight(b) == b.hamming_weight()
+
+    @pytest.mark.parametrize("divisors, p", [((64,), 257), ((2, 6), 13)],
+                             ids=["C64-F257", "C2xC6-F13"])
+    def test_every_weight(self, divisors, p):
+        """Rank equals Hamming weight for seeded vectors of each weight
+        0..n, with the nonzero entries drawn over all of F_p."""
+        group, field = AbelianGroup(divisors), PrimeField(p)
+        n = group.order
+        rng = random.Random(n + p)
+        for weight in range(n + 1):
+            support = set(rng.sample(range(n), weight))
+            values = tuple(
+                field.from_int(rng.randrange(1, p)) if i in support else field.zero
+                for i in range(n)
+            )
+            assert blahut_weight(GroupVector(group, field, values)) == weight
 
     def test_lift_to_extension(self):
         # F_5 has no cube root of 1; the computation lifts to F_25
