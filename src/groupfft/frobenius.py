@@ -25,7 +25,7 @@ from functools import reduce
 from math import factorial
 
 from .cyclotomic import CycloElem, CyclotomicField, cyclotomic_field
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .factorize import FactorEntry, FactoredDeterminant, verify_product_identity
 from .linalg import identity_matrix, mat_eq, mat_inverse, mat_mul
 from .multipoly import MultiPoly, symbolic_det
@@ -322,7 +322,8 @@ def block_diagonalize_s3() -> S3BlockDiagonalization:
     the irreducibles, each irreducible contributing degree-many copies;
     the conjugated matrix is verified entry by entry against the blocks
     sum_g X_g rho(g), and the determinant identity
-    det A = L0 * L1 * (det M)^2 is checked symbolically.
+    det A = L0 * L1 * (det M)^2 is checked symbolically.  A failed check
+    raises VerificationError, also under ``python -O``.
     """
     data = s3()
     group = data.group
@@ -354,11 +355,11 @@ def block_diagonalize_s3() -> S3BlockDiagonalization:
         for j in range(n):
             want = expected[i][j] if expected[i][j] is not None else zero_poly
             if conj[i][j] != want:
-                raise AssertionError(f"conjugated matrix mismatch at ({i},{j})")
+                raise VerificationError(f"conjugated matrix mismatch at ({i},{j})")
     det_m = m_block[0][0] * m_block[1][1] - m_block[0][1] * m_block[1][0]
     det_a = symbolic_det(a)
     if det_a != l0 * l1 * det_m * det_m:
-        raise AssertionError("determinant does not equal L0 * L1 * (det M)^2")
+        raise VerificationError("determinant does not equal L0 * L1 * (det M)^2")
     return S3BlockDiagonalization(
         group,
         tuple(tuple(row) for row in p),

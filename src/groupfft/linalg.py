@@ -17,7 +17,7 @@ elements.  Shape checks raise PreconditionError, under ``python -O`` too.
 
 from __future__ import annotations
 
-from .errors import NotInvertible, PreconditionError, RingMismatch
+from .errors import NotInvertible, PreconditionError
 from .rings import PrimeField, PrimeFieldElem
 
 
@@ -103,19 +103,10 @@ def _working_copy(rows, field):
     if isinstance(field, PrimeField):
         return [
             [x.residue if x.__class__ is PrimeFieldElem and x.field is field
-             else _residue(x, field) for x in row]
+             else field.residue_of(x) for x in row]
             for row in rows
         ], field.p
     return [list(row) for row in rows], None
-
-
-def _residue(x, field) -> int:
-    """The residue of an F_p entry: an element of an equal descriptor, or an int."""
-    if x.__class__ is PrimeFieldElem and x.field == field:
-        return x.residue
-    if isinstance(x, int):
-        return x % field.p
-    raise RingMismatch(f"{x!r} is not an element of {field}")
 
 
 def _eliminate_below(m, top, col, field, p):

@@ -8,11 +8,23 @@ on a polynomial's first evaluation in one pass over its terms and kept on
 it: about one product per plan edge, where a term-by-term sum pays its
 coefficient product plus one per variable in the term.  The value is the
 same exact field element either way.
+
+Over Q the plan runs on ints.  With c the lcm of the coefficient
+denominators and D the total degree, it is the plan of c * P homogenized
+to degree D by one extra variable.  A point of ints and Fractions is
+scaled to integers y over the lcm L of its denominators; the walk at
+(y, L) gives c * L^D * P(x) with no Fraction made, and the value is one
+Fraction(value, c * L^D).  A Q polynomial at other values (elements of
+Q(zeta_d)) keeps the walk on its coefficients.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .errors import PreconditionError, RingMismatch
+from .rings import RationalField
 
 DET_DIMENSION_CAP = 8
 
@@ -20,13 +32,16 @@ DET_DIMENSION_CAP = 8
 class MultiPoly:
     """Sparse multivariate polynomial over an exact field."""
 
-    __slots__ = ("variables", "terms", "ring", "_plan")
+    __slots__ = ("variables", "terms", "ring", "_plan", "_int_plan")
 
     def __init__(self, variables: tuple, terms: dict, ring):
         self.variables = tuple(variables)
         self.terms = {e: c for e, c in terms.items() if c}
         self.ring = ring
-        self._plan = None  # Horner plan, built by the first evaluate
+        # Horner plans, built by the first evaluate that needs one: on the
+        # coefficients, and over Q on integers (see _rational_plan)
+        self._plan = None
+        self._int_plan = None
 
     # -- constructors --------------------------------------------------------
 
@@ -185,11 +200,19 @@ class MultiPoly:
 
         Walks the Horner plan (built on the first call, then kept): about
         one product per plan edge, with powers of each variable tabulated
-        only up to the largest exponent step it takes.
+        only up to the largest exponent step it takes.  Over Q, at a point
+        of ints and Fractions, the plan is the integer one of
+        :func:`_rational_plan` and the walk makes no Fraction.
         """
         missing = [v for v in self.variables if v not in assignment]
         if missing:
             raise PreconditionError(f"missing assignment for {missing}")
+        if isinstance(self.ring, RationalField):
+            if self._int_plan is None:
+                self._int_plan = _rational_plan(self.terms)
+            value = _rational_value(self._int_plan, self.variables, assignment)
+            if value is not None:
+                return value
         if self._plan is None:
             self._plan = _horner_plan(self.terms)
         root, steps = self._plan
@@ -304,6 +327,59 @@ def _walk(node, powers):
         val = val * tab[last]
         acc = val if acc is None else acc + val
     return acc
+
+
+def _rational_plan(terms: dict):
+    """(c, degree, root, steps): a Horner plan over the integers for a
+    polynomial P over Q.
+
+    c is the lcm of the coefficient denominators and degree the total
+    degree D.  The plan is that of c * P homogenized to degree D by one
+    more variable, after the others: the term c_e x^e becomes the int
+    c * c_e times x^e t^(D - |e|).  At x = y / L, y integers, its value
+    at (y, L) is c * L^D * P(x).
+    """
+    c = lcm(*(v.denominator for v in terms.values()))
+    degree = max(map(sum, terms), default=0)
+    root, steps = _horner_plan({
+        e + (degree - sum(e),): v.numerator * (c // v.denominator)
+        for e, v in terms.items()
+    })
+    return c, degree, root, steps
+
+
+def _rational_value(plan, variables: tuple, assignment: dict):
+    """P(x) from its _rational_plan, as a Fraction, when every variable
+    the plan reads is assigned an int or a Fraction; None otherwise.
+
+    The point is scaled to integers y over the lcm L of its denominators,
+    and the walk runs on ints, with L for the homogenizing variable.
+    """
+    c, degree, root, steps = plan
+    if root is None:
+        return Fraction(0)
+    nvars = len(variables)
+    xs = {}
+    for i, _ in steps:
+        if i < nvars:
+            x = assignment[variables[i]]
+            if not isinstance(x, (int, Fraction)):
+                return None
+            xs[i] = x
+    den = lcm(*(x.denominator for x in xs.values()))
+    powers = [None] * (nvars + 1)
+    for i, top in steps:
+        if i == nvars:
+            y = den
+        else:
+            x = xs[i]
+            y = x.numerator * (den // x.denominator)
+        tab = [1, y]
+        for _ in range(top - 1):
+            tab.append(tab[-1] * y)
+        powers[i] = tab
+    value = _walk(root, powers) if root.__class__ is tuple else root
+    return Fraction(value, c * den ** degree)
 
 
 def symbolic_det(rows: list) -> MultiPoly:

@@ -18,11 +18,14 @@ A field descriptor provides: ``characteristic``, ``zero``, ``one``,
 :func:`groupfft.cyclotomic.cyclotomic_field` does Q(zeta_d).
 
 Element protocol.  Elements of F_p, F_{p^r} and Q(zeta_d) are immutable
-:class:`FieldElem` subclasses holding a ``residue`` and their ``field``:
-an int in [0, p) for F_p, and for an extension the fixed-length tuple of
-its base-field coefficients, constant term first.  Q(zeta_d) elements
-store integer numerators over one denominator instead; their ``residue``
-is the ``Fraction`` view (phi(d) values), built on demand.
+:class:`FieldElem` subclasses holding their ``field`` and exposing a
+``residue``: an int in [0, p) for F_p, and for an extension the
+fixed-length tuple of its base-field coefficients, constant term first.
+Only F_p stores it as it is.  An element of F_p[Y]/(m) stores its
+coefficients as ints in [0, p) (``coeffs``) and a tower its base-field
+elements; Q(zeta_d) elements store integer numerators over one
+denominator.  Over F_p and over Q the ``residue`` tuple is a view (of
+F_p elements, of ``Fraction``s), built on demand.
 They support ``+ - * /`` with an element of the same field or an int on
 either side (Q(zeta_d) also takes a ``Fraction``), ``**`` with any int
 exponent, and ``==``/``hash`` by field and residue; a rational element of
@@ -42,18 +45,21 @@ two coefficient lists, then one pass through a table of X^k mod m for
 k = r .. 2r-2 built once per field by :func:`reduction_table`.  Each
 high coefficient c_k is folded in as c_k * (X^k mod m); no division and
 no cascading reduction.  Two rings use it over plain Python ints:
-``F_p[Y]/(m)`` (``ExtField`` over a prime field: the residues are
-multiplied as ints and each output coefficient is reduced mod p once) and
-``Q[X]/(Phi_d)`` (``CyclotomicField``: Phi_d is monic with integer
+``F_p[Y]/(m)`` (``ExtField`` over a prime field: the int coefficients are
+multiplied as they are and each output coefficient is reduced mod p once)
+and ``Q[X]/(Phi_d)`` (``CyclotomicField``: Phi_d is monic with integer
 coefficients, so its table is integral and applies to the integer
-numerators as they are).  Over a prime base the
-inverse also runs on ints (:func:`inv_mod_p`, extended euclid on the
+numerators as they are).  Over a prime base every other operation runs on
+the int coefficients too: sums, differences and negation one ``% p`` per
+coefficient, the inverse :func:`inv_mod_p` (extended euclid on the
 coefficient lists: O(r^2) int operations and no element or ``UniPoly``
-object per step, where the generic :func:`ext_gcd` makes both), and sums and differences build their coefficients from
-int residues without an operator call each.  Towers (an ``ExtField`` over
-an ``ExtField``) run the same helper on base-field elements and the
-element-valued table, and invert through :func:`ext_gcd`; Q(zeta_d)
-inverts through the norm, on its integer numerators.
+object per step, where the generic :func:`ext_gcd` makes both), and
+``iter_elements``, ``order_key``, ``==`` and ``hash``; an F_p element is
+made only where a caller reads ``residue``, ``constant`` or ``poly``.
+Towers (an ``ExtField`` over an ``ExtField``) run the same helper on
+base-field elements and the element-valued table, and invert through
+:func:`ext_gcd`; Q(zeta_d) inverts through the norm, on its integer
+numerators.
 
 No floating point is used anywhere.
 """
@@ -127,24 +133,21 @@ QQ = RationalField()
 # ---------------------------------------------------------------------------
 
 class FieldElem:
-    """An element of the field descriptor ``field``, held as ``residue``.
+    """An element of the field descriptor ``field``.
 
     The operator protocol shared by F_p, F_{p^r} and Q(zeta_d) lives here.
-    An operand is coerced by :meth:`_coerce`; a subclass supplies ``_add``,
-    ``_sub`` and ``_mul`` on two coerced elements of its own field, plus
-    ``__neg__`` and ``__bool__``.  ``==`` never coerces: an int equals no
+    An operand is coerced by :meth:`_coerce`; a subclass holds the value,
+    and supplies ``_add``, ``_sub`` and ``_mul`` on two coerced elements of
+    its own field, plus ``__neg__``, ``__bool__``, ``__eq__`` and
+    ``__hash__``.  ``==`` never coerces: an int equals no
     element of F_p or F_{p^r} (only Q(zeta_d) compares with rationals), so
     test for zero with ``not x``, never ``x == 0``.
     """
 
-    __slots__ = ("residue", "field")
+    __slots__ = ("field",)
 
     # operand types taken through field.from_rational, besides int
     _scalars: tuple = ()
-
-    def __init__(self, residue, field):
-        self.residue = residue
-        self.field = field
 
     def _coerce(self, other):
         """other as an element of self.field, or None for a foreign type.
@@ -211,16 +214,6 @@ class FieldElem:
             k >>= 1
         return result
 
-    def __eq__(self, other) -> bool:
-        return (
-            other.__class__ is self.__class__
-            and other.residue == self.residue
-            and (other.field is self.field or other.field == self.field)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.residue))
-
     def __repr__(self) -> str:
         return self.field.format_elem(self)
 
@@ -232,7 +225,7 @@ class FieldElem:
 class PrimeFieldElem(FieldElem):
     """Residue in F_p, an int in [0, p)."""
 
-    __slots__ = ()
+    __slots__ = ("residue",)
 
     def __init__(self, residue: int, field: "PrimeField"):
         self.residue = residue % field.p
@@ -257,6 +250,16 @@ class PrimeFieldElem(FieldElem):
 
     def __bool__(self) -> bool:
         return self.residue != 0
+
+    def __eq__(self, other) -> bool:
+        return (
+            other.__class__ is PrimeFieldElem
+            and other.residue == self.residue
+            and (other.field is self.field or other.field == self.field)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.residue))
 
 
 class PrimeField:
@@ -288,6 +291,14 @@ class PrimeField:
         if q.denominator % self.p == 0:
             raise NotInvertible(f"denominator {q.denominator} vanishes in {self}")
         return self.from_int(q.numerator) / self.from_int(q.denominator)
+
+    def residue_of(self, x) -> int:
+        """The int residue of x: an element of this or an equal F_p, or an int."""
+        if x.__class__ is PrimeFieldElem and (x.field is self or x.field == self):
+            return x.residue
+        if isinstance(x, int):
+            return x % self.p
+        raise RingMismatch(f"{x!r} is not an element of {self}")
 
     def inv(self, x: PrimeFieldElem) -> PrimeFieldElem:
         if not x:
@@ -702,52 +713,82 @@ def inv_mod_p(a, m, p: int) -> list:
 # ---------------------------------------------------------------------------
 
 class ExtFieldElem(FieldElem):
-    """Element of F[Y]/(m(Y)); its residue is the fixed-length tuple of
-    base-field coefficients, constant term first."""
+    """Element of F[Y]/(m(Y)).
 
-    __slots__ = ()
+    ``coeffs`` holds its degree coefficients, constant term first: ints in
+    [0, p) over a prime base F_p, base-field elements over an extension
+    (towers).  ``residue``, the tuple of base-field elements, is the
+    coefficients themselves over an extension and a view built on demand
+    over F_p.  ``ExtFieldElem(residue, field)`` takes that tuple; the
+    kernels make their results with :func:`_ext_elem`.
+    """
 
-    # over a prime base, _add and _sub work on the int residues of the
-    # coefficients and skip one operator dispatch per coefficient
-    def _add(self, o):
-        base = self.field._prime_base
+    __slots__ = ("coeffs",)
+
+    def __init__(self, residue, field):
+        base = field._prime_base
         if base is not None:
-            return ExtFieldElem(tuple([
-                PrimeFieldElem(a.residue + b.residue, base)
-                for a, b in zip(self.residue, o.residue)
-            ]), self.field)
-        return ExtFieldElem(
-            tuple(a + b for a, b in zip(self.residue, o.residue)), self.field
-        )
+            residue = [base.residue_of(c) for c in residue]
+        self.coeffs = tuple(residue)
+        self.field = field
+
+    @property
+    def residue(self) -> tuple:
+        base = self.field._prime_base
+        if base is None:
+            return self.coeffs
+        return tuple([PrimeFieldElem(c, base) for c in self.coeffs])
+
+    def _add(self, o):
+        field = self.field
+        base = field._prime_base
+        if base is not None:
+            p = base.p
+            return _ext_elem(
+                tuple([(a + b) % p for a, b in zip(self.coeffs, o.coeffs)]), field
+            )
+        return _ext_elem(tuple([a + b for a, b in zip(self.coeffs, o.coeffs)]), field)
 
     def _sub(self, o):
-        base = self.field._prime_base
+        field = self.field
+        base = field._prime_base
         if base is not None:
-            return ExtFieldElem(tuple([
-                PrimeFieldElem(a.residue - b.residue, base)
-                for a, b in zip(self.residue, o.residue)
-            ]), self.field)
-        return ExtFieldElem(
-            tuple(a - b for a, b in zip(self.residue, o.residue)), self.field
-        )
+            p = base.p
+            return _ext_elem(
+                tuple([(a - b) % p for a, b in zip(self.coeffs, o.coeffs)]), field
+            )
+        return _ext_elem(tuple([a - b for a, b in zip(self.coeffs, o.coeffs)]), field)
 
     def _mul(self, o):
         field = self.field
-        if field._int_red is None:
-            out = mul_reduced(self.residue, o.residue, field._red, field.base.zero)
-            return ExtFieldElem(tuple(out), field)
-        base = field.base
-        out = mul_reduced(
-            [c.residue for c in self.residue], [c.residue for c in o.residue],
-            field._int_red, 0,
-        )
-        return ExtFieldElem(tuple([PrimeFieldElem(c, base) for c in out]), field)
+        base = field._prime_base
+        if base is not None:
+            p = base.p
+            out = mul_reduced(self.coeffs, o.coeffs, field._int_red, 0)
+            return _ext_elem(tuple([c % p for c in out]), field)
+        out = mul_reduced(self.coeffs, o.coeffs, field._red, field.base.zero)
+        return _ext_elem(tuple(out), field)
 
     def __neg__(self):
-        return ExtFieldElem(tuple(-a for a in self.residue), self.field)
+        field = self.field
+        base = field._prime_base
+        if base is not None:
+            p = base.p
+            return _ext_elem(tuple([-a % p for a in self.coeffs]), field)
+        return _ext_elem(tuple([-a for a in self.coeffs]), field)
 
     def __bool__(self) -> bool:
-        return any(self.residue)
+        return any(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return (
+            other.__class__ is self.__class__
+            and other.coeffs == self.coeffs
+            and (other.field is self.field or other.field == self.field)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.coeffs))
 
     @property
     def poly(self) -> UniPoly:
@@ -756,14 +797,28 @@ class ExtFieldElem(FieldElem):
 
     @property
     def is_constant(self) -> bool:
-        return not any(self.residue[1:])
+        return not any(self.coeffs[1:])
 
     @property
     def constant(self):
         """The base-field value of a constant element."""
         if not self.is_constant:
             raise PreconditionError("element does not lie in the base field")
-        return self.residue[0]
+        base = self.field._prime_base
+        c = self.coeffs[0]
+        return c if base is None else PrimeFieldElem(c, base)
+
+
+_new_object = object.__new__
+
+
+def _ext_elem(coeffs: tuple, field) -> ExtFieldElem:
+    """The element of field with these coefficients, already in the
+    field's representation (ints in [0, p) over a prime base)."""
+    x = _new_object(ExtFieldElem)
+    x.coeffs = coeffs
+    x.field = field
+    return x
 
 
 class ExtField:
@@ -777,7 +832,7 @@ class ExtField:
 
     is_finite = True
     var = "Y"  # the generator's name in printed elements
-    _prime_base = None  # the base field when it is F_p: int-residue kernels
+    _prime_base = None  # the base field when it is F_p: int coefficients
 
     def __init__(self, base, modulus: UniPoly):
         if modulus.ring != base:
@@ -791,13 +846,16 @@ class ExtField:
             raise PreconditionError("modulus must be monic of degree >= 1")
         if modulus.degree > 1 and not is_irreducible(modulus):
             raise PreconditionError(f"modulus {modulus} is reducible over {base}")
-        self._setup(base, modulus)
-        self.order = base.order ** self.degree
-        # over a prime base, the reduction table and the modulus as int
-        # residues, for the integer kernels
-        self._int_red = None
+        # the representation is fixed before _setup builds zero, one and gen
         if isinstance(base, PrimeField):
             self._prime_base = base
+            self._zero_tail = (0,) * (modulus.degree - 1)
+        else:
+            self._zero_tail = (base.zero,) * (modulus.degree - 1)
+        self._setup(base, modulus)
+        self.order = base.order ** self.degree
+        if self._prime_base is not None:
+            # the reduction table and the modulus as int residues
             self._int_red = [tuple(c.residue for c in row) for row in self._red]
             self._int_modulus = [c.residue for c in modulus.coeffs]
         self._roots: dict = {}
@@ -822,7 +880,10 @@ class ExtField:
         return self.from_base(self.base.from_int(k))
 
     def from_base(self, c) -> ExtFieldElem:
-        return ExtFieldElem((c,) + (self.base.zero,) * (self.degree - 1), self)
+        base = self._prime_base
+        if base is not None:
+            c = base.residue_of(c)
+        return _ext_elem((c,) + self._zero_tail, self)
 
     def from_rational(self, q: Fraction) -> ExtFieldElem:
         return self.from_base(self.base.from_rational(q))
@@ -845,23 +906,23 @@ class ExtField:
             raise NotInvertible(f"division by zero in {self}")
         base = self._prime_base
         if base is not None:
-            out = inv_mod_p(
-                [c.residue for c in x.residue], self._int_modulus, base.p
-            )
-            return ExtFieldElem(
-                tuple([PrimeFieldElem(c, base) for c in out]), self
+            return _ext_elem(
+                tuple(inv_mod_p(x.coeffs, self._int_modulus, base.p)), self
             )
         g, u, _ = ext_gcd(x.poly, self.modulus)
         assert g.degree == 0, "modulus not coprime to nonzero residue"
         return self.from_poly(u.scale(self.base.inv(g.coefficient(0))))
 
     def iter_elements(self) -> Iterator[ExtFieldElem]:
-        elems = list(self.base.iter_elements())
-        for tail in itertools.product(elems, repeat=self.degree):
-            yield ExtFieldElem(tuple(reversed(tail)), self)
+        base = self._prime_base
+        digits = range(base.p) if base is not None else list(self.base.iter_elements())
+        for tail in itertools.product(digits, repeat=self.degree):
+            yield _ext_elem(tuple(reversed(tail)), self)
 
     def order_key(self, x: ExtFieldElem):
-        return tuple(self.base.order_key(c) for c in reversed(x.residue))
+        if self._prime_base is not None:
+            return tuple(reversed(x.coeffs))
+        return tuple(self.base.order_key(c) for c in reversed(x.coeffs))
 
     def primitive_nth_root(self, n: int) -> ExtFieldElem:
         return _cached_root_of_unity(self, n)

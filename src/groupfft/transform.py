@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .abelian import AbelianGroup, character_matrix, character_matrix_inverse
 from .cyclotomic import splitting_field
-from .errors import NoRootOfUnity, PreconditionError, RingMismatch
+from .errors import NoRootOfUnity, PreconditionError, RingMismatch, VerificationError
 from .linalg import mat_eq, mat_mul, mat_pow, mat_rank, transpose
 from .multipoly import MultiPoly
 from .numtheory import factorization
@@ -292,6 +292,7 @@ def diagonalize(b: GroupVector) -> tuple:
     """Eigenvalues of M(b): verifies P^-1 M(b) P is diagonal, returns the diagonal.
 
     The diagonal equals the forward transform of b, in character order.
+    A failed check raises VerificationError, also under ``python -O``.
     """
     group, field = b.group, b.field
     _require_invertible_order(group, field)
@@ -313,7 +314,8 @@ def diagonalize(b: GroupVector) -> tuple:
 def dual_diagonalize(b: GroupVector) -> tuple:
     """Dual-side identity: tP^-1 M^(B) tP = n * Diag(b at sigma^-1).
 
-    Returns that diagonal (indexed by elements in canonical order).
+    Returns that diagonal (indexed by elements in canonical order).  A
+    failed check raises VerificationError, also under ``python -O``.
     """
     group, field = b.group, b.field
     _require_invertible_order(group, field)
@@ -338,12 +340,12 @@ def dual_diagonalize(b: GroupVector) -> tuple:
 
 def _assert_same(got, expected, message):
     if got != expected:
-        raise AssertionError(f"{message}: {got!r} != {expected!r}")
+        raise VerificationError(f"{message}: {got!r} != {expected!r}")
 
 
 def _assert_zero(x, message):
     if x:
-        raise AssertionError(message)
+        raise VerificationError(message)
 
 
 def symbolic_vector(group: AbelianGroup, field) -> GroupVector:
@@ -405,7 +407,8 @@ def circulant_idempotent_matrices(n: int, field) -> list[list[list]]:
 
 
 def shift_power_from_idempotents(n: int, field, h: int) -> list[list]:
-    """Reconstruct K^h as sum_l zeta^(h l) E_l and verify the identity."""
+    """Reconstruct K^h as sum_l zeta^(h l) E_l and verify the identity
+    (VerificationError, also under ``python -O``)."""
     zeta = primitive_nth_root(n, field)
     es = circulant_idempotent_matrices(n, field)
     acc = None
@@ -418,7 +421,7 @@ def shift_power_from_idempotents(n: int, field, h: int) -> list[list]:
     k = shift_matrix(n, field).rows()
     expected = mat_pow(k, h, field)
     if not mat_eq(acc, expected):
-        raise AssertionError("shift-power reconstruction identity failed")
+        raise VerificationError("shift-power reconstruction identity failed")
     return acc
 
 

@@ -1,7 +1,12 @@
 """Shared test helpers (a plain module, imported by the test files)."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from groupfft.rings import ExtField, ExtFieldElem
 from groupfft.transform import GroupVector
@@ -59,3 +64,26 @@ def sympy_poly(sympy, coeffs, x):
 def random_vector(group, field, rng):
     """A seeded random vector over Q, F_p, F_{p^r} or Q(zeta_d)."""
     return GroupVector(group, field, tuple(random_elem(field, rng) for _ in range(group.order)))
+
+
+def check_under_o(call, *setup):
+    """Run the setup snippets, then call, in a fresh ``python -O``
+    interpreter (asserts stripped) with the library on the path; the one
+    line it prints: "raised: <message>" for a VerificationError, else
+    "passed"."""
+    script = "".join(map(textwrap.dedent, setup)) + textwrap.dedent(f"""
+        assert False, "assertions are on"
+        from groupfft.errors import VerificationError
+        try:
+            {call}
+        except VerificationError as exc:
+            print("raised:", exc)
+        else:
+            print("passed")
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()

@@ -210,6 +210,30 @@ class TestFactorXnMinusOne:
         assert prod == x_pow_minus_one(n, field)
 
 
+class TestXnMinusOneAgainstSympy:
+    """factor_xn_minus_one against sympy's factorization over GF(p), an
+    implementation the library does not share (test-only dependency)."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_factor_list(self, p):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("X")
+        field = PrimeField(p)
+        for n in range(1, 25):
+            if n % p == 0:
+                continue
+            # Poly.factor_list: sympy.factor_list(..., modulus=p) gives the
+            # same factors through a deprecated ordered comparison
+            _, sympy_factors = sympy.Poly(x**n - 1, x, modulus=p).factor_list()
+            expected = sorted(
+                [int(c) % p for c in reversed(f.all_coeffs())]
+                for f, multiplicity in sympy_factors for _ in range(multiplicity)
+            )
+            got = sorted([c.residue for c in cf.poly.coeffs]
+                         for cf in factor_xn_minus_one(n, field))
+            assert got == expected, n
+
+
 class TestFactorCyclotomic:
     def test_d3_q2(self):
         factors = factor_cyclotomic(3, F2)
@@ -381,4 +405,4 @@ class TestVerification:
         """Verification evaluates copies, so the memoized factors of
         det_over_rationals and norm_form hold no Horner plan afterwards."""
         fd = det_over_rationals(9)
-        assert all(e.poly._plan is None for e in fd.factors)
+        assert all(e.poly._plan is None and e.poly._int_plan is None for e in fd.factors)

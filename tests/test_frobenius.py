@@ -22,6 +22,8 @@ from groupfft.frobenius import (
 )
 from groupfft.multipoly import MultiPoly, symbolic_det
 
+from helpers import check_under_o
+
 
 @pytest.fixture(scope="module")
 def s3_data():
@@ -152,6 +154,34 @@ class TestBlockDiagonalization:
             for j in range(6):
                 if j not in block_cols[i]:
                     assert conj[i][j].is_zero
+
+
+class TestChecksUnderO:
+    """Both checks of block_diagonalize_s3 raise VerificationError on a
+    corrupted collaborator, with assertions stripped."""
+
+    def test_wrong_block(self):
+        setup = """
+            import groupfft.frobenius as fr
+            right = fr.generic_matrix
+            def wrong(rep):
+                block = right(rep)
+                if rep.degree == 2:
+                    block[1][1] = block[1][1] * 2
+                return block
+            fr.generic_matrix = wrong
+        """
+        assert (check_under_o("fr.block_diagonalize_s3()", setup)
+                == "raised: conjugated matrix mismatch at (3,3)")
+
+    def test_wrong_determinant(self):
+        setup = """
+            import groupfft.frobenius as fr
+            right = fr.symbolic_det
+            fr.symbolic_det = lambda rows: right(rows) * 2
+        """
+        assert (check_under_o("fr.block_diagonalize_s3()", setup)
+                == "raised: determinant does not equal L0 * L1 * (det M)^2")
 
 
 class TestExtendedCharacters:

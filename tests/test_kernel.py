@@ -15,12 +15,17 @@ from fractions import Fraction
 import pytest
 
 from groupfft.cyclotomic import CycloElem, cyclotomic_field, cyclotomic_polynomial
+from groupfft.errors import RingMismatch
 from groupfft.rings import (
     QQ,
     ExtField,
+    ExtFieldElem,
     PrimeField,
+    PrimeFieldElem,
     UniPoly,
     find_irreducible,
+    finite_field,
+    primitive_nth_root,
     reduction_table,
 )
 
@@ -75,6 +80,92 @@ class TestExtFieldProducts:
             random_elem(field, rng) for _ in range(40)
         ]
         _check_products(field, samples, rng)
+
+
+class TestPrimeBaseRepresentation:
+    """An element of F_p[Y]/(m) holds its coefficients as ints in [0, p);
+    ``residue`` is the tuple of F_p elements, built on demand.  A tower
+    keeps base-field elements as its coefficients."""
+
+    @pytest.mark.parametrize("field", EXT_FIELDS[:6], ids=repr)
+    def test_constructor_matches_arithmetic(self, field):
+        p, r = field.characteristic, field.degree
+        rng = random.Random(400 + field.order)
+        for _ in range(20):
+            ints = [rng.randrange(p) for _ in range(r)]
+            built = ExtFieldElem(tuple(field.base.from_int(c) for c in ints), field)
+            by_arithmetic = field.zero
+            for k, c in enumerate(ints):
+                by_arithmetic = by_arithmetic + c * field.gen ** k
+            assert built == by_arithmetic and hash(built) == hash(by_arithmetic)
+            assert built.coeffs == tuple(ints)
+            assert all(type(c) is int for c in (built * built).coeffs)
+
+    @pytest.mark.parametrize("field", EXT_FIELDS[:6], ids=repr)
+    def test_residue_is_a_tuple_of_base_elements(self, field):
+        rng = random.Random(500 + field.order)
+        for x in [field.zero, field.one, field.gen] + [random_elem(field, rng) for _ in range(10)]:
+            residue = x.residue
+            assert type(residue) is tuple and len(residue) == field.degree
+            assert all(type(c) is PrimeFieldElem and c.field is field.base for c in residue)
+            assert tuple(c.residue for c in residue) == x.coeffs
+            assert x.poly == UniPoly.make(residue, field.base)
+        assert field.from_int(3).constant == field.base.from_int(3)
+
+    def test_equal_but_distinct_base_descriptor(self):
+        field = finite_field(3, 2)
+        other = PrimeField(3)
+        assert other is not field.base and other == field.base
+        for k in range(3):
+            x = field.from_base(other.from_int(k))
+            assert x.field is field and x == field.from_int(k)
+        y = ExtFieldElem((other.from_int(2), other.from_int(1)), field)
+        assert y == 2 + field.gen
+        with pytest.raises(RingMismatch):
+            field.from_base(PrimeField(5).one)
+        with pytest.raises(RingMismatch):
+            ExtFieldElem((PrimeField(5).one, other.zero), field)
+
+    # (p, r): the modulus, then n -> coefficients of the canonical
+    # primitive n-th root, constant term first
+    CANONICAL = {
+        (3, 2): ([1, 0, 1], {8: [1, 1], 4: [0, 1], 2: [2, 0]}),
+        (2, 6): ([1, 1, 0, 0, 0, 0, 1], {
+            63: [0, 1, 0, 0, 0, 0], 21: [1, 1, 0, 0, 0, 0], 9: [0, 1, 1, 0, 0, 0],
+            7: [0, 1, 1, 1, 0, 0], 3: [0, 1, 0, 1, 1, 1]}),
+        (3, 4): ([2, 1, 0, 0, 1], {
+            80: [0, 1, 0, 0], 16: [0, 2, 1, 0], 10: [1, 0, 1, 0], 5: [2, 0, 2, 0]}),
+        (3, 20): ([1, 2, 0, 1] + [0] * 16 + [1], {
+            4: [0, 2, 2, 2, 2, 2, 2, 1, 2, 1, 0, 0, 1, 1, 1, 2, 1, 2, 0, 1],
+            5: [2, 1, 2, 0, 2, 0, 1, 1, 2, 2, 2, 2, 0, 1, 1, 2, 2, 0, 2, 0],
+            61: [2, 0, 1, 0, 1, 1, 2, 2, 0, 2, 1, 2, 1, 0, 0, 0, 0, 0, 0, 0]}),
+    }
+
+    @pytest.mark.parametrize("p,r", CANONICAL)
+    def test_canonical_roots_are_pinned(self, p, r):
+        modulus, roots = self.CANONICAL[p, r]
+        field = finite_field(p, r)
+        assert [c.residue for c in field.modulus.coeffs] == modulus
+        for n, coeffs in roots.items():
+            zeta = primitive_nth_root(n, field)
+            assert [c.residue for c in zeta.residue] == coeffs
+
+    def test_tower_is_pinned(self):
+        f4 = finite_field(2, 2)
+        tower = ExtField(f4, find_irreducible(f4, 3))
+        assert str(tower.modulus) == "X^3 + (Y)"
+        assert all(type(c) is ExtFieldElem and c.field is f4 for c in tower.gen.coeffs)
+        assert tower.gen.residue == tower.gen.coeffs
+
+        def nested(x):
+            return tuple(c.coeffs for c in x.coeffs)
+
+        for n, expected in [(63, ((1, 0), (1, 0), (0, 0))), (21, ((0, 0), (1, 0), (1, 0))),
+                            (7, ((0, 0), (1, 1), (1, 0))), (3, ((0, 1), (0, 0), (0, 0)))]:
+            assert nested(primitive_nth_root(n, tower)) == expected
+        assert nested(tower.inv(tower.gen + 1)) == ((0, 1), (0, 1), (0, 1))
+        keys = [tower.order_key(x) for x in tower.iter_elements()]
+        assert len(keys) == 64 and keys == sorted(keys)
 
 
 class TestCycloProducts:

@@ -244,6 +244,92 @@ class TestHornerEvaluation:
             p.evaluate({"X_0": Fraction(1), "X_1": Fraction(1)})
 
 
+def _fraction_sum(poly, point):
+    """Independent oracle over Q: the sum of c * prod x^e over the terms,
+    each factor a Fraction power, no Horner plan."""
+    total = Fraction(0)
+    for exp, c in poly.terms.items():
+        term = Fraction(c)
+        for v, e in zip(poly.variables, exp):
+            term *= Fraction(point[v]) ** e
+        total += term
+    return total
+
+
+class TestRationalPlan:
+    """Over Q, at points of ints and Fractions, evaluate walks an integer
+    plan: coefficients over their common denominator, homogenized, at the
+    point scaled to integers."""
+
+    VARS = ("X_0", "X_1", "X_2")
+
+    def _random_poly(self, rng, homogeneous_degree=None):
+        terms = {}
+        for _ in range(rng.randrange(1, 9)):
+            if homogeneous_degree is None:
+                exp = tuple(rng.choice((0, 0, 1, 2, 5)) for _ in self.VARS)
+            else:
+                cuts = sorted(rng.randrange(homogeneous_degree + 1) for _ in range(2))
+                exp = (cuts[0], cuts[1] - cuts[0], homogeneous_degree - cuts[1])
+            terms[exp] = Fraction(rng.randrange(-30, 31), rng.randrange(1, 13))
+        return MultiPoly(self.VARS, terms, QQ)
+
+    def _random_point(self, rng):
+        # ints, Fractions with negative values, and zeros, mixed
+        values = [rng.randrange(-6, 7), Fraction(rng.randrange(-40, 41), rng.randrange(1, 10)),
+                  0, Fraction(-7, 4), Fraction(5)]
+        return {v: rng.choice(values) for v in self.VARS}
+
+    @pytest.mark.parametrize("homogeneous_degree", [None, 3])
+    def test_against_a_term_by_term_sum(self, homogeneous_degree):
+        rng = random.Random(71 if homogeneous_degree is None else 72)
+        for _ in range(80):
+            poly = self._random_poly(rng, homogeneous_degree)
+            for _ in range(4):
+                point = self._random_point(rng)
+                got = poly.evaluate(point)
+                assert type(got) is Fraction and got == _fraction_sum(poly, point)
+            assert poly._int_plan is not None and poly._plan is None
+
+    def test_zero_and_constant_polynomials(self):
+        point = {"X_0": Fraction(-3, 7), "X_1": 4, "X_2": Fraction(1, 9)}
+        assert MultiPoly.zero(self.VARS, QQ).evaluate(point) == 0
+        for c in (Fraction(-5, 12), Fraction(3), 7):
+            got = MultiPoly.constant(c, self.VARS, QQ).evaluate(point)
+            assert type(got) is Fraction and got == c
+        assert MultiPoly.constant(Fraction(2, 3), self.VARS, QQ).evaluate(
+            {"X_0": 1, "X_1": 2, "X_2": 3}) == Fraction(2, 3)
+
+    def test_norm_form_at_integer_and_rational_points(self):
+        from groupfft.factorize import norm_form
+
+        poly = norm_form(6, 6)
+        poly = MultiPoly(poly.variables, poly.terms, QQ)  # a copy: keep the memo plan-free
+        rng = random.Random(73)
+        for _ in range(20):
+            point = {v: Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for v in poly.variables}
+            assert poly.evaluate(point) == _fraction_sum(poly, point)
+
+    def test_values_in_q_zeta_keep_the_element_walk(self):
+        field = cyclotomic_field(5)
+        rng = random.Random(74)
+        for _ in range(20):
+            poly = self._random_poly(rng)
+            point = {v: field.from_residue([rng.randrange(-4, 5) for _ in range(4)])
+                     for v in self.VARS}
+            expected = field.zero
+            for exp, c in poly.terms.items():
+                term = field.from_rational(c)
+                for v, e in zip(self.VARS, exp):
+                    term = term * point[v] ** e
+                expected = expected + term
+            assert poly.evaluate(point) == expected
+            # a rational point afterwards takes the integer plan
+            rational = {v: Fraction(k, 3) for k, v in enumerate(self.VARS, 1)}
+            assert poly.evaluate(rational) == _fraction_sum(poly, rational)
+            assert poly._plan is not None and poly._int_plan is not None
+
+
 class TestPrinting:
     def test_graded_lex_output(self):
         group = AbelianGroup.cyclic(3)

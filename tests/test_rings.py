@@ -135,6 +135,27 @@ class TestIrreducibility:
             is_irreducible(qpoly(1, 1, 1))
 
 
+class TestIrreducibilityAgainstSympy:
+    """is_irreducible against sympy's Poly(..., modulus=p).is_irreducible
+    (test-only dependency)."""
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_random_polynomials(self, p):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("X")
+        field = PrimeField(p)
+        rng = random.Random(900 + p)
+        verdicts = set()
+        for _ in range(150):
+            degree = rng.randrange(1, 7)
+            coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+            expected = sympy.Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible
+            got = is_irreducible(UniPoly.from_ints(coeffs, field))
+            assert got == expected, coeffs
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+
 class TestFindIrreducible:
     def test_degree_one(self):
         assert find_irreducible(2, 1) == UniPoly.from_ints([0, 1], F2)

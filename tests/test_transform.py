@@ -32,7 +32,7 @@ from groupfft.transform import (
     symbolic_vector,
 )
 
-from helpers import random_vector
+from helpers import check_under_o, random_vector
 
 F7 = PrimeField(7)
 F13 = PrimeField(13)
@@ -444,6 +444,55 @@ class TestShiftAlgebra:
         field = PrimeField(13)
         for h in range(4):
             shift_power_from_idempotents(4, field, h)
+
+
+class TestChecksUnderO:
+    """Each identity check of this module raises VerificationError on a
+    corrupted collaborator, with assertions stripped."""
+
+    DIAGONALIZE = """
+        import groupfft.transform as t
+        from groupfft.abelian import AbelianGroup
+        from groupfft.rings import PrimeField
+        F7 = PrimeField(7)
+        values = tuple(F7.from_int(k) for k in (3, 1, 4, 1, 5, 2))
+        b = t.GroupVector(AbelianGroup.cyclic(6), F7, values)
+    """
+
+    def test_wrong_diagonal(self):
+        corrupt = """
+            right_fft = t.fft
+            def wrong_fft(b):
+                out = right_fft(b)
+                values = (out.values[0] + 1,) + out.values[1:]
+                return t.GroupVector(out.group, out.field, values, out.dual)
+            t.fft = wrong_fft
+        """
+        assert (check_under_o("t.diagonalize(b)", self.DIAGONALIZE, corrupt)
+                == "raised: diagonal mismatch: 2 != 3")
+
+    def test_nonzero_off_diagonal(self):
+        # P + E_01 in place of P: row 0 of P^-1 M P gains lambda_0 / n at column 1
+        corrupt = """
+            right_p = t.character_matrix
+            def wrong_p(group, field):
+                p = [list(row) for row in right_p(group, field)]
+                p[0][1] = p[0][1] + 1
+                return p
+            t.character_matrix = wrong_p
+        """
+        assert (check_under_o("t.diagonalize(b)", self.DIAGONALIZE, corrupt)
+                == "raised: off-diagonal entry is nonzero")
+
+    def test_wrong_shift_power(self):
+        setup = """
+            import groupfft.transform as t
+            from groupfft.rings import PrimeField
+            right = t.circulant_idempotent_matrices
+            t.circulant_idempotent_matrices = lambda n, field: right(n, field)[::-1]
+        """
+        assert (check_under_o("t.shift_power_from_idempotents(4, PrimeField(13), 1)", setup)
+                == "raised: shift-power reconstruction identity failed")
 
 
 class TestInterpolation:
