@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 from .abelian import AbelianGroup, Character, character_matrix
 from .cyclotomic import cyclotomic_field, cyclotomic_polynomial, splitting_field
@@ -42,6 +42,13 @@ from .rings import (
 from .transform import GroupVector, group_matrix, group_variables
 
 _SYMBOLIC_VERIFY_CAP = 6
+# Most monomials a factor may expand to.  A product of k linear forms in n
+# variables has up to C(n + k - 1, k) of them, and its expansion's time and
+# memory grow with that count: 3,003 (C9 over F_2 or Q, k = 6) takes about
+# 0.2 s, 27,132 (C14 over F_3 or Q, k = 6) about 5 s and 64 MB, while
+# 2,704,156 (C13 over F_2, k = 12) ran for minutes at about 400 MB.  The
+# cap admits every factorization that finishes in seconds.
+FORM_PRODUCT_CAP = 30_000
 _POINT_CHECKS = 20
 _VERIFY_SEED = 0x5EED
 
@@ -95,7 +102,7 @@ def vandermonde_det(n: int, field):
     """Determinant of the character matrix of C_n.
 
     Computed both from the product formula over pairs of roots of unity
-    and by direct elimination; the two are asserted equal.
+    and by direct elimination; VerificationError if the two differ.
     """
     group = AbelianGroup.cyclic(n)
     p = character_matrix(group, field)
@@ -105,7 +112,8 @@ def vandermonde_det(n: int, field):
     for ell in range(1, n):
         for i in range(ell):
             product = product * powers[i] * (powers[ell - i] - field.one)
-    assert product == direct, "product formula disagrees with direct determinant"
+    if product != direct:
+        raise VerificationError("product formula disagrees with direct determinant")
     return direct
 
 
@@ -184,7 +192,8 @@ def linear_forms(group: AbelianGroup, field) -> list[LinearForm]:
     out = []
     for chi in group.characters():
         coeffs = tuple(powers[group.pairing_exponent(a, chi)] for a in elements)
-        assert coeffs[group.index(group.identity)] == field.one
+        if coeffs[group.index(group.identity)] != field.one:
+            raise VerificationError("a character is not 1 at the identity")
         out.append(LinearForm(chi, coeffs))
     return out
 
@@ -212,6 +221,17 @@ def det_split_field(group: AbelianGroup, field=None) -> FactoredDeterminant:
 # Over Q: norm forms, one per divisor of n
 # ---------------------------------------------------------------------------
 
+def _require_expandable(n: int, k: int):
+    """Refuse a product of k linear forms in n variables whose expansion
+    may exceed FORM_PRODUCT_CAP monomials, before anything is built."""
+    count = comb(n + k - 1, k)
+    if count > FORM_PRODUCT_CAP:
+        raise PreconditionError(
+            f"a product of {k} linear forms in {n} variables expands to up to "
+            f"{count} monomials; factors are capped at {FORM_PRODUCT_CAP}"
+        )
+
+
 def _product_of_forms(variables, zeta, exponents, field) -> MultiPoly:
     """Product over l in exponents of X_0 + zeta^l X_1 + ... + zeta^(l(n-1)) X_(n-1)."""
     acc = None
@@ -233,19 +253,23 @@ def norm_form(n: int, d: int) -> MultiPoly:
 
     Product over the galois conjugates of X_0 + zeta_d X_1 + ... +
     zeta_d^(n-1) X_(n-1), expanded in Q(zeta_d) and verified to have
-    rational coefficients.
+    rational coefficients.  Refused (PreconditionError) when it may have
+    more than FORM_PRODUCT_CAP monomials.
     """
     if n % d != 0:
         raise PreconditionError(f"{d} does not divide {n}")
+    _require_expandable(n, euler_phi(d))
     group = AbelianGroup.cyclic(n)
     variables = group_variables(group)
     kd = cyclotomic_field(d)
     units = [m for m in range(1, d + 1) if gcd(m, d) == 1]
     acc = _product_of_forms(variables, kd.zeta, units, kd)
-    assert acc.is_homogeneous(euler_phi(d))
+    if not acc.is_homogeneous(euler_phi(d)):
+        raise VerificationError(f"norm form is not homogeneous of degree {euler_phi(d)}")
 
     def to_rational(c):
-        assert c.is_rational, "norm form coefficient is not rational"
+        if not c.is_rational:
+            raise VerificationError("norm form coefficient is not rational")
         return c.rational_value
 
     return acc.map_coefficients(to_rational, QQ)
@@ -253,7 +277,12 @@ def norm_form(n: int, d: int) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def det_over_rationals(n: int) -> FactoredDeterminant:
-    """Irreducible factorization over Q of the cyclic group determinant."""
+    """Irreducible factorization over Q of the cyclic group determinant.
+
+    Refused (PreconditionError) when the factor of the divisor n may have
+    more than FORM_PRODUCT_CAP monomials.
+    """
+    _require_expandable(n, euler_phi(n))
     group = AbelianGroup.cyclic(n)
     entries = tuple(
         FactorEntry(
@@ -347,16 +376,21 @@ def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
     out = []
     for labels in q_cyclotomic_cosets(n, q):
         poly = _descended_factor(labels, big, zeta, field)
-        assert poly.degree == len(labels)
-        assert poly.is_monic
+        if poly.degree != len(labels):
+            raise VerificationError(f"coset factor of {labels} has degree {poly.degree}")
+        if not poly.is_monic:
+            raise VerificationError(f"coset factor of {labels} is not monic")
         # descent identity over F_q, and irreducibility of the emitted factor
-        assert poly ** q == poly.substitute_power(q), "descent identity failed"
-        assert is_irreducible(poly), "coset factor is not irreducible"
+        if poly ** q != poly.substitute_power(q):
+            raise VerificationError("descent identity failed")
+        if not is_irreducible(poly):
+            raise VerificationError("coset factor is not irreducible")
         out.append(CosetFactor(labels, poly))
     prod = UniPoly.constant(field.one, field)
     for cf in out:
         prod = prod * cf.poly
-    assert prod == x_pow_minus_one(n, field), "coset factors do not multiply to X^n - 1"
+    if prod != x_pow_minus_one(n, field):
+        raise VerificationError("coset factors do not multiply to X^n - 1")
     return out
 
 
@@ -378,16 +412,19 @@ def factor_cyclotomic(d: int, field) -> list[CosetFactor]:
         if gcd(coset[0], d) != 1:
             continue
         poly = _descended_factor(coset, big, zeta, field)
-        assert poly.degree == r and poly.is_monic
+        if poly.degree != r or not poly.is_monic:
+            raise VerificationError(f"coset factor of {coset} is not monic of degree {r}")
         out.append(CosetFactor(coset, poly))
-    assert len(out) == euler_phi(d) // r
+    if len(out) != euler_phi(d) // r:
+        raise VerificationError(f"{len(out)} coset factors, expected {euler_phi(d) // r}")
     prod = UniPoly.constant(field.one, field)
     for cf in out:
         prod = prod * cf.poly
     phi_mod = cyclotomic_polynomial(d).map_coefficients(
         lambda c: field.from_rational(c), field
     )
-    assert prod == phi_mod, "coset factors do not multiply to Phi_d mod q"
+    if prod != phi_mod:
+        raise VerificationError("coset factors do not multiply to Phi_d mod q")
     return out
 
 
@@ -396,16 +433,19 @@ def det_over_finite_field(n: int, field) -> FactoredDeterminant:
 
     One multivariate factor per q-stable label set L: the product over
     l in L of X_0 + zeta^l X_1 + ... + zeta^(l(n-1)) X_(n-1), computed in
-    the splitting extension and verified to descend to F_q.
+    the splitting extension and verified to descend to F_q.  Refused
+    (PreconditionError) when a factor may have more than FORM_PRODUCT_CAP
+    monomials, before the extension is built.
     """
     _check_finite(field, n)
+    cosets = q_cyclotomic_cosets(n, field.order)
+    _require_expandable(n, max(map(len, cosets)))
     group = AbelianGroup.cyclic(n)
     variables = group_variables(group)
-    q = field.order
     big, embed = splitting_field(field, n)
     zeta = primitive_nth_root(n, big)
     entries = []
-    for labels in q_cyclotomic_cosets(n, q):
+    for labels in cosets:
         poly = _descend(_product_of_forms(variables, zeta, labels, big), big, field)
         entries.append(
             FactorEntry(

@@ -16,6 +16,14 @@ scaled to integers y over the lcm L of its denominators; the walk at
 (y, L) gives c * L^D * P(x) with no Fraction made, and the value is one
 Fraction(value, c * L^D).  A Q polynomial at other values (elements of
 Q(zeta_d)) keeps the walk on its coefficients.
+
+Over a small F_p[Y]/(m), one with :func:`groupfft.rings.log_tables`, the
+plan's leaves are the logs of the coefficients and the walk runs on logs:
+a power of a coordinate is a multiple of its log, a product one int
+addition and a sum one Zech table lookup, with 0 for the value zero (the
+plan's None still marks an absent constant).  The walk makes no element;
+the value is wrapped back into ``self.ring``.  Towers, Q(zeta_d) and
+larger fields keep the walk on their elements.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import PreconditionError, RingMismatch
-from .rings import RationalField
+from .rings import RationalField, log_tables, zech_sum
 
 DET_DIMENSION_CAP = 8
 
@@ -32,16 +40,18 @@ DET_DIMENSION_CAP = 8
 class MultiPoly:
     """Sparse multivariate polynomial over an exact field."""
 
-    __slots__ = ("variables", "terms", "ring", "_plan", "_int_plan")
+    __slots__ = ("variables", "terms", "ring", "_plan", "_int_plan", "_log_plan")
 
     def __init__(self, variables: tuple, terms: dict, ring):
         self.variables = tuple(variables)
         self.terms = {e: c for e, c in terms.items() if c}
         self.ring = ring
         # Horner plans, built by the first evaluate that needs one: on the
-        # coefficients, and over Q on integers (see _rational_plan)
+        # coefficients, over Q on integers (see _rational_plan), and over a
+        # small F_{p^r} on logarithms (see _log_value)
         self._plan = None
         self._int_plan = None
+        self._log_plan = None
 
     # -- constructors --------------------------------------------------------
 
@@ -202,17 +212,28 @@ class MultiPoly:
         one product per plan edge, with powers of each variable tabulated
         only up to the largest exponent step it takes.  Over Q, at a point
         of ints and Fractions, the plan is the integer one of
-        :func:`_rational_plan` and the walk makes no Fraction.
+        :func:`_rational_plan` and the walk makes no Fraction.  Over an
+        F_p[Y]/(m) that has :func:`groupfft.rings.log_tables`, the plan's
+        leaves are logarithms and the walk makes no element
+        (:func:`_log_value`); the value is an element of ``self.ring``.
         """
         missing = [v for v in self.variables if v not in assignment]
         if missing:
             raise PreconditionError(f"missing assignment for {missing}")
-        if isinstance(self.ring, RationalField):
+        ring = self.ring
+        if isinstance(ring, RationalField):
             if self._int_plan is None:
                 self._int_plan = _rational_plan(self.terms)
             value = _rational_value(self._int_plan, self.variables, assignment)
             if value is not None:
                 return value
+        tables = log_tables(ring)
+        if tables is not None:
+            if self._log_plan is None:
+                self._log_plan = _horner_plan(
+                    {e: tables.log_of(c, ring) for e, c in self.terms.items()})
+            value = _log_value(self._log_plan, self.variables, assignment, tables, ring)
+            return tables.elem(value, ring)
         if self._plan is None:
             self._plan = _horner_plan(self.terms)
         root, steps = self._plan
@@ -326,6 +347,49 @@ def _walk(node, powers):
             last = e
         val = val * tab[last]
         acc = val if acc is None else acc + val
+    return acc
+
+
+def _log_value(plan, variables: tuple, assignment: dict, tables, ring) -> int:
+    """The log of P(x) (0 for zero), from P's Horner plan on the logs of
+    its coefficients, with the logs of ``tables`` (see
+    :class:`groupfft.rings.LogTables`).
+
+    The k-th power of a coordinate of log l has log k * l, or 0 when the
+    coordinate is zero; 0 is a value here, distinct from the plan's None
+    for an absent constant.
+    """
+    root, steps = plan
+    if root is None:
+        return 0
+    if root.__class__ is not tuple:
+        return root
+    powers = [None] * len(variables)
+    for i, top in steps:
+        l = tables.log_of(assignment[variables[i]], ring)
+        powers[i] = [k * l for k in range(top + 1)]
+    return _log_walk(root, powers, tables.zech, tables.n)
+
+
+def _log_walk(node, powers, zech: list, n: int) -> int:
+    """_walk on logs: a product adds two logs, 0 when either is 0, and a
+    sum is one Zech table lookup (:func:`groupfft.rings.zech_sum`)."""
+    parts, acc = node
+    for i, branches in parts:
+        tab = powers[i]
+        val = None
+        for e, child in branches:
+            if child.__class__ is tuple:
+                child = _log_walk(child, powers, zech, n)
+            if val is None:
+                val = child
+            else:
+                t = tab[last - e]
+                val = zech_sum(val + t if val and t else 0, child, zech, n)
+            last = e
+        t = tab[last]
+        val = val + t if val and t else 0
+        acc = val if acc is None else zech_sum(acc, val, zech, n)
     return acc
 
 

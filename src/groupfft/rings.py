@@ -61,6 +61,16 @@ base-field elements and the element-valued table, and invert through
 :func:`ext_gcd`; Q(zeta_d) inverts through the norm, on its integer
 numerators.
 
+Zech logarithms.  For bulk work in a small F_p[Y]/(m), order at most
+``LOG_ORDER_CAP``, :func:`log_tables` gives three plain-int tables, built
+on first use and shared by equal descriptors: ``log`` by int code
+sum_k c_k p^k, ``exp`` (coefficient tuples) and the Zech table
+Z[d] = log(1 + g^d) for a generator g.  On logs a product is one int
+addition and a sum one table lookup (:func:`zech_sum`), exact as before;
+``MultiPoly.evaluate``, ``mat_det`` and ``mat_rank`` run on them and wrap
+their result back into the caller's descriptor.  Elements keep the
+residue kernel: the tables pay only where many operations share them.
+
 No floating point is used anywhere.
 """
 
@@ -857,7 +867,7 @@ class ExtField:
         if self._prime_base is not None:
             # the reduction table and the modulus as int residues
             self._int_red = [tuple(c.residue for c in row) for row in self._red]
-            self._int_modulus = [c.residue for c in modulus.coeffs]
+            self._int_modulus = tuple(c.residue for c in modulus.coeffs)
         self._roots: dict = {}
 
     def _setup(self, base, modulus: UniPoly):
@@ -945,6 +955,112 @@ class ExtField:
         if isinstance(self.base, PrimeField):
             return f"F{p}^{self.degree}"
         return f"({self.base!r})^{self.degree}"
+
+
+# ---------------------------------------------------------------------------
+# Zech logarithms: bulk arithmetic in a small F_p[Y]/(m)
+# ---------------------------------------------------------------------------
+
+# Largest order q whose tables log_tables builds: the range that was
+# measured.  The benchmark's determinants split in F_4 .. F_343, where
+# the tables win (groupdet's point checks); at q = 512 (r = 9 over F_2)
+# the build takes about 5 ms on a 2-core x86-64 VM, the cost of some 700
+# element products, and the tables hold about 76 KB.  Both grow linearly
+# in q, so a one-shot request in a larger field (a single rank in
+# F_{2^12}, say) would pay more for the build than it saves; larger
+# fields keep the element path until a workload shows the tables win.
+LOG_ORDER_CAP = 1 << 9
+
+
+class LogTables:
+    """Discrete-logarithm tables of F_q = F_p[Y]/(m), on plain ints.
+
+    With g a generator of F_q^* and n = q - 1, a nonzero g^k is held as a
+    log: any int l >= 1 with l = k (mod n); 1 is logged as n, never 0.
+    Zero is held as 0, so a held value is nonzero exactly when it is
+    truthy.  A product is one addition of logs, zero when either is 0;
+    a sum g^a + g^b is a + Z[(b - a) mod n] through the Zech table
+    Z[d] = log(1 + g^d), 0 where 1 + g^d = 0 (Huber, IEEE Trans. IT 1990).
+    Logs are reduced mod n only where a table is read: a sum adds at most
+    n to its first operand, so they stay small ints.
+
+    ``log`` is indexed by an element's int code sum_k c_k p^k, ``exp[k]``
+    is the coefficient tuple of g^k, and ``neg_one`` is the log of -1.
+    The tables hold no element object: every equal descriptor shares
+    them, and :meth:`elem` wraps a log into the caller's descriptor.
+    """
+
+    __slots__ = ("p", "n", "log", "exp", "zech", "neg_one")
+
+    def __init__(self, p: int, modulus: tuple):
+        r = len(modulus) - 1
+        q = p ** r
+        table = reduction_table(modulus, 0)
+        one = (1,) + (0,) * (r - 1)
+        weights = [p ** k for k in range(r)]
+        # the first generator in code order: walk each candidate's powers
+        # until they return to 1; q - 1 steps means it generates F_q^*
+        for cand in range(2, q):
+            g = tuple((cand // w) % p for w in weights)
+            exp = [one]
+            x = g
+            while x != one:
+                exp.append(x)
+                x = tuple([c % p for c in mul_reduced(x, g, table, 0)])
+            if len(exp) == q - 1:
+                break
+        n = q - 1
+        codes = [sum([c * w for c, w in zip(x, weights)]) for x in exp]
+        log = [0] * q
+        for k, code in enumerate(codes):
+            log[code] = k or n
+        # 1 + g^d changes only the constant coefficient
+        self.zech = [log[code - x[0] + (x[0] + 1) % p] for code, x in zip(codes, exp)]
+        self.p, self.n, self.log, self.exp = p, n, log, exp
+        self.neg_one = log[p - 1]
+
+    def log_of(self, x, field) -> int:
+        """The log of x: an element of field or of an equal descriptor, or
+        an int; TypeError for any other value, as field arithmetic gives."""
+        y = x
+        if x.__class__ is not ExtFieldElem or x.field is not field:
+            y = field.zero._coerce(x)
+            if y is None:
+                raise TypeError(f"{x!r} is not an element of {field}")
+        p, code = self.p, 0
+        for c in reversed(y.coeffs):
+            code = code * p + c
+        return self.log[code]
+
+    def elem(self, l: int, field) -> ExtFieldElem:
+        """The element of field whose log is l (0 for zero)."""
+        return _ext_elem(self.exp[l % self.n], field) if l else field.zero
+
+
+def zech_sum(a: int, b: int, zech: list, n: int) -> int:
+    """The log of g^a + g^b, for logs a and b of :class:`LogTables`
+    (0 for zero) with ``zech`` and ``n`` from the same tables."""
+    if not a:
+        return b
+    if not b:
+        return a
+    z = zech[(b - a) % n]
+    return a + z if z else 0
+
+
+@lru_cache(maxsize=None)
+def _log_tables(p: int, modulus: tuple) -> LogTables:
+    return LogTables(p, modulus)
+
+
+def log_tables(field):
+    """The :class:`LogTables` of field when it is F_p[Y]/(m) of order at
+    most LOG_ORDER_CAP, else None.  Built on first use and memoized per
+    (p, m), so equal descriptors share one set."""
+    base = getattr(field, "_prime_base", None)
+    if base is None or field.order > LOG_ORDER_CAP:
+        return None
+    return _log_tables(base.p, field._int_modulus)
 
 
 @lru_cache(maxsize=None)

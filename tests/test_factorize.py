@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -16,11 +17,13 @@ from groupfft.abelian import AbelianGroup
 from groupfft.cyclotomic import cyclotomic_field, cyclotomic_polynomial, splitting_field
 from groupfft.errors import PreconditionError, VerificationError
 from groupfft.factorize import (
+    FORM_PRODUCT_CAP,
     det_over_finite_field,
     det_over_rationals,
     det_split_field,
     factor_cyclotomic,
     factor_xn_minus_one,
+    norm_form,
     q_cyclotomic_cosets,
     vandermonde_det,
     verify_product_identity,
@@ -37,6 +40,8 @@ from groupfft.rings import (
     is_irreducible,
     x_pow_minus_one,
 )
+
+from helpers import check_under_o
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -405,4 +410,111 @@ class TestVerification:
         """Verification evaluates copies, so the memoized factors of
         det_over_rationals and norm_form hold no Horner plan afterwards."""
         fd = det_over_rationals(9)
-        assert all(e.poly._plan is None and e.poly._int_plan is None for e in fd.factors)
+        assert all(e.poly._plan is None and e.poly._int_plan is None
+                   and e.poly._log_plan is None for e in fd.factors)
+
+
+class TestExpansionCap:
+    """A factor whose expansion may exceed FORM_PRODUCT_CAP monomials is
+    refused before anything is expanded."""
+
+    def test_library_refuses_c13_over_f2(self):
+        # ord_13(2) = 12: one factor is a product of 12 forms in 13 variables
+        with pytest.raises(PreconditionError, match="2704156 monomials"):
+            det_over_finite_field(13, F2)
+        with pytest.raises(PreconditionError, match="2704156 monomials"):
+            det_over_rationals(13)
+        with pytest.raises(PreconditionError, match="2704156 monomials"):
+            norm_form(13, 13)
+
+    def test_refusal_takes_under_a_second(self):
+        # timed in-process: the refusal itself, not interpreter start-up
+        for refuse in (lambda: det_over_finite_field(13, F2),
+                       lambda: det_over_rationals(13)):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError):
+                refuse()
+            assert time.perf_counter() - start < 1
+
+    def test_cli_exits_2(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for over in (["Fq", "--q", "2"], ["Q"]):
+            # the timeout only stops a run that expands after all
+            proc = subprocess.run(
+                [sys.executable, "-m", "groupfft.cli", "groupdet", "--group", "C13",
+                 "--over", *over], env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 2, proc.stderr
+            assert "capped at 30000" in proc.stderr
+
+    def test_largest_admitted_cases_still_factor(self):
+        # C(14, 6) = 3,003 monomials in the degree-6 factor, both ways
+        assert FORM_PRODUCT_CAP >= 3003
+        assert [len(e.coset) for e in det_over_finite_field(9, F2).factors] == [1, 6, 2]
+        assert max(len(e.poly.terms) for e in det_over_rationals(9).factors) <= 3003
+
+
+class TestChecksUnderO:
+    """Each identity factorize checks raises VerificationError under
+    python -O, where an assert would vanish, when a collaborator is
+    corrupted in the subprocess."""
+
+    IMPORT = """
+        from fractions import Fraction
+        from groupfft import factorize as f
+        from groupfft.abelian import AbelianGroup
+        from groupfft.rings import PrimeField, UniPoly
+    """
+
+    @pytest.mark.parametrize("corrupt, call, message", [
+        ("f.mat_det = lambda a, field: field.one",
+         "f.vandermonde_det(3, PrimeField(7))",
+         "product formula disagrees with direct determinant"),
+        ("orig = f.root_powers\n"
+         "f.root_powers = lambda n, field: [2 * x for x in orig(n, field)]",
+         "f.linear_forms(AbelianGroup.cyclic(3), PrimeField(7))",
+         "a character is not 1 at the identity"),
+        ("orig = f._product_of_forms\n"
+         "f._product_of_forms = lambda v, z, e, k: orig(v, z, e, k) + "
+         "f.MultiPoly.constant(k.one, v, k)",
+         "f.norm_form(5, 5)",
+         "norm form is not homogeneous of degree 4"),
+        ("orig = f._product_of_forms\n"
+         "f._product_of_forms = lambda v, z, e, k: orig(v, z, e, k).scale(k.zeta)",
+         "f.norm_form(5, 5)",
+         "norm form coefficient is not rational"),
+    ], ids=["vandermonde_det", "linear_forms", "norm_form-degree", "norm_form-rational"])
+    def test_forms_and_values(self, corrupt, call, message):
+        assert check_under_o(call, self.IMPORT, corrupt + "\n") == f"raised: {message}"
+
+    # corruptions shared by the two coset factorizations
+    TIMES_X = ("orig = f._descended_factor\n"
+               "f._descended_factor = lambda *a: orig(*a) * UniPoly.gen(a[3])")
+    DOUBLED = ("orig = f._descended_factor\n"
+               "f._descended_factor = lambda *a: orig(*a).scale(a[3].from_int(2))")
+    DROP_LAST = ("orig = f.q_cyclotomic_cosets\n"
+                 "f.q_cyclotomic_cosets = lambda n, q: orig(n, q)[:-1]")
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (TIMES_X, "coset factor of (0,) has degree 2"),
+        (DOUBLED, "coset factor of (0,) is not monic"),
+        ("f.UniPoly.substitute_power = lambda self, k: self", "descent identity failed"),
+        ("f.is_irreducible = lambda poly: False", "coset factor is not irreducible"),
+        (DROP_LAST, "coset factors do not multiply to X^n - 1"),
+    ], ids=["degree", "monic", "descent", "irreducible", "product"])
+    def test_factor_xn_minus_one(self, corrupt, message):
+        out = check_under_o("f.factor_xn_minus_one(7, PrimeField(3))",
+                            self.IMPORT, corrupt + "\n")
+        assert out == f"raised: {message}"
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (TIMES_X, "coset factor of (1, 2, 4) is not monic of degree 3"),
+        (DROP_LAST, "1 coset factors, expected 2"),
+        ("orig = f.cyclotomic_polynomial\n"
+         "f.cyclotomic_polynomial = lambda d: orig(d).scale(Fraction(2))",
+         "coset factors do not multiply to Phi_d mod q"),
+    ], ids=["degree", "count", "product"])
+    def test_factor_cyclotomic(self, corrupt, message):
+        out = check_under_o("f.factor_cyclotomic(7, PrimeField(2))",
+                            self.IMPORT, corrupt + "\n")
+        assert out == f"raised: {message}"

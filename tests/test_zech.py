@@ -1,0 +1,262 @@
+"""Zech-logarithm kernels of small F_{p^r}: the tables, evaluate, mat_det
+and mat_rank, each against plain element arithmetic.
+
+Every field of order up to rings.LOG_ORDER_CAP that is F_p[Y]/(m) runs
+MultiPoly.evaluate and the determinant and rank eliminations on logs; the
+references here never do: a term-by-term sum of element products, a
+Leibniz-formula determinant, and a rank read off its minors.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from groupfft.linalg import mat_det, mat_rank
+from groupfft.multipoly import MultiPoly
+from groupfft.rings import (
+    LOG_ORDER_CAP,
+    ExtField,
+    PrimeField,
+    find_irreducible,
+    finite_field,
+    log_tables,
+    zech_sum,
+)
+
+from helpers import random_elem
+
+SMALL = [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (2, 6), (3, 4), (7, 3)]
+# the largest field under the cap, and one just above it
+AT_CAP = (2, 9)
+ABOVE_CAP = (23, 2)
+FIELDS = SMALL + [AT_CAP, ABOVE_CAP]
+VARS = ("X_0", "X_1", "X_2", "X_3")
+
+
+def _field(pr):
+    return finite_field(*pr)
+
+
+def _name(pr):
+    return f"F{pr[0]}^{pr[1]}"
+
+
+def _leibniz(a, field):
+    """det a as the signed sum over permutations of element products."""
+    n = len(a)
+    total = field.zero
+    for perm in itertools.permutations(range(n)):
+        sign = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        term = field.one
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        total = total - term if sign else total + term
+    return total
+
+
+def _minor_rank(a, field):
+    """The size of the largest square submatrix with a nonzero Leibniz
+    determinant."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    for k in range(min(rows, cols), 0, -1):
+        for ri in itertools.combinations(range(rows), k):
+            for ci in itertools.combinations(range(cols), k):
+                if _leibniz([[a[i][j] for j in ci] for i in ri], field):
+                    return k
+    return 0
+
+
+def _sparse_elem(field, rng):
+    """An element that is zero about a third of the time."""
+    return field.zero if rng.random() < 0.35 else random_elem(field, rng)
+
+
+def _term_sum(poly, point):
+    """poly at point as the sum of coefficient times variable powers."""
+    total = poly.ring.zero
+    for exp, c in poly.terms.items():
+        term = c
+        for v, e in zip(poly.variables, exp):
+            for _ in range(e):
+                term = term * point[v]
+        total = total + term
+    return total
+
+
+class TestTables:
+    @pytest.mark.parametrize("pr", SMALL + [AT_CAP], ids=_name)
+    def test_exp_and_log_are_inverse(self, pr):
+        field = _field(pr)
+        t = log_tables(field)
+        assert t.n == field.order - 1 and len(t.exp) == t.n
+        for x in field.iter_elements():
+            if x:
+                log = t.log_of(x, field)
+                assert 1 <= log <= t.n and t.elem(log, field) == x
+        for k in range(t.n):
+            x = t.elem(k or t.n, field)
+            assert x.field is field and t.log_of(x, field) == (k or t.n)
+        assert t.log_of(field.zero, field) == 0 and t.elem(0, field) == field.zero
+        assert t.elem(t.neg_one, field) == -field.one
+
+    @pytest.mark.parametrize("pr", SMALL + [AT_CAP], ids=_name)
+    def test_zech_table_is_element_addition(self, pr):
+        field = _field(pr)
+        t = log_tables(field)
+        for d in range(t.n):
+            expected = field.one + t.elem(d or t.n, field)
+            z = t.zech[d]
+            assert (z == 0) == (not expected)
+            assert t.elem(z, field) == expected
+
+    @pytest.mark.parametrize("pr", [(2, 2), (3, 2), (2, 3)], ids=_name)
+    def test_zech_sum_on_every_pair(self, pr):
+        field = _field(pr)
+        t = log_tables(field)
+        # unreduced logs too: l and l + n stand for the same element
+        logs = [0, *range(1, t.n + 1), *range(t.n + 1, 2 * t.n + 1)]
+        for a in logs:
+            for b in logs:
+                got = t.elem(zech_sum(a, b, t.zech, t.n), field)
+                assert got == t.elem(a, field) + t.elem(b, field)
+
+    def test_equal_descriptors_share_tables(self):
+        base = PrimeField(3)
+        mine = ExtField(base, find_irreducible(base, 4))
+        assert mine is not finite_field(3, 4)
+        assert log_tables(mine) is log_tables(finite_field(3, 4))
+
+    def test_which_fields_have_tables(self):
+        assert log_tables(_field(AT_CAP)) is not None
+        assert _field(ABOVE_CAP).order > LOG_ORDER_CAP
+        assert log_tables(_field(ABOVE_CAP)) is None
+        assert log_tables(PrimeField(7)) is None
+        f4 = finite_field(2, 2)
+        assert log_tables(ExtField(f4, find_irreducible(f4, 2))) is None  # a tower
+
+    def test_foreign_value_is_a_type_error(self):
+        field = _field((3, 2))
+        with pytest.raises(TypeError):
+            log_tables(field).log_of(0.5, field)
+
+
+class TestEvaluate:
+    def _random_poly(self, field, rng):
+        terms = {}
+        for _ in range(rng.randrange(1, 10)):
+            exp = tuple(rng.choice((0, 0, 1, 2, 3, 7)) for _ in VARS)
+            terms[exp] = random_elem(field, rng)
+        return MultiPoly(VARS, terms, field)
+
+    @pytest.mark.parametrize("pr", FIELDS, ids=_name)
+    def test_against_a_term_by_term_sum(self, pr):
+        field = _field(pr)
+        rng = random.Random(repr(pr))
+        for _ in range(25):
+            poly = self._random_poly(field, rng)
+            for _ in range(3):
+                point = {v: _sparse_elem(field, rng) for v in VARS}
+                got = poly.evaluate(point)
+                assert got.field is field and got == _term_sum(poly, point)
+        on_logs = log_tables(field) is not None
+        assert (poly._log_plan is not None) == on_logs
+        assert (poly._plan is None) == on_logs
+
+    @pytest.mark.parametrize("pr", FIELDS, ids=_name)
+    def test_internal_cancellation(self, pr):
+        field = _field(pr)
+        rng = random.Random(17)
+        x = {v: MultiPoly.variable(v, VARS, field) for v in VARS}
+        a = random_elem(field, rng) or field.one
+        b = random_elem(field, rng) or field.one
+        difference = x["X_0"] - x["X_1"]
+        # the difference, and a walk in which a zero sum is multiplied and
+        # added to further terms
+        nested = (difference * x["X_2"] * x["X_2"] + x["X_3"]) * x["X_3"]
+        point = {"X_0": a, "X_1": a, "X_2": b, "X_3": b}
+        assert difference.evaluate(point) == field.zero
+        assert nested.evaluate(point) == b * b
+        square = (x["X_0"] + x["X_1"]) ** field.characteristic
+        assert square.evaluate(point) == _term_sum(square, point)
+
+    @pytest.mark.parametrize("pr", FIELDS, ids=_name)
+    def test_zero_and_constant_polynomials(self, pr):
+        field = _field(pr)
+        point = {v: field.gen for v in VARS}
+        zero = MultiPoly.zero(VARS, field).evaluate(point)
+        assert zero.field is field and not zero
+        for c in (field.one, -field.one, field.gen, field.gen * field.gen + field.one):
+            got = MultiPoly.constant(c, VARS, field).evaluate(point)
+            assert got.field is field and got == c
+
+    def test_int_coordinates(self):
+        field = _field((5, 2))
+        poly = MultiPoly.linear({"X_0": field.gen, "X_1": field.one}, VARS[:2], field)
+        assert poly.evaluate({"X_0": 3, "X_1": -1}) == field.gen * 3 - field.one
+
+
+class TestElimination:
+    def _random_matrix(self, field, rng, rows, cols):
+        return [[_sparse_elem(field, rng) for _ in range(cols)] for _ in range(rows)]
+
+    @pytest.mark.parametrize("pr", FIELDS, ids=_name)
+    def test_det_against_leibniz(self, pr):
+        field = _field(pr)
+        rng = random.Random(repr(pr) + "det")
+        for _ in range(20):
+            n = rng.randrange(1, 6)
+            a = self._random_matrix(field, rng, n, n)
+            before = [list(row) for row in a]
+            det = mat_det(a, field)
+            assert det.field is field and det == _leibniz(a, field)
+            assert a == before
+
+    @pytest.mark.parametrize("pr", FIELDS, ids=_name)
+    def test_empty_matrix(self, pr):
+        field = _field(pr)
+        det = mat_det([], field)
+        assert det.field is field and det == field.one
+        assert mat_rank([], field) == 0
+
+    @pytest.mark.parametrize("pr", FIELDS, ids=_name)
+    def test_zero_pivots_and_singular_matrices(self, pr):
+        field = _field(pr)
+        rng = random.Random(repr(pr) + "sing")
+        r = [[random_elem(field, rng) or field.one for _ in range(4)] for _ in range(4)]
+        c = random_elem(field, rng) or field.gen
+        # a zero leading entry: the first pivot comes from a row swap
+        swapped = [[field.zero] + r[0][1:], r[1], r[2], r[3]]
+        # a zero pivot reached mid-elimination: rows 0 and 1 agree on column 0
+        mid = [r[0], [r[0][0]] + r[1][1:], r[2], r[3]]
+        # a row that is a combination of two others, and a zero column
+        combo = [r[0], r[1], [x + c * y for x, y in zip(r[0], r[1])], r[3]]
+        zero_col = [[field.zero] + row[1:] for row in r]
+        for a in (swapped, mid, combo, zero_col):
+            det = mat_det(a, field)
+            assert det.field is field and det == _leibniz(a, field)
+            assert mat_rank(a, field) == _minor_rank(a, field)
+        assert not mat_det(combo, field) and mat_rank(combo, field) == 3
+        assert not mat_det(zero_col, field)
+
+    @pytest.mark.parametrize("pr", FIELDS, ids=_name)
+    def test_rank_of_rectangular_and_deficient_matrices(self, pr):
+        field = _field(pr)
+        rng = random.Random(repr(pr) + "rank")
+        for rows, cols in ((3, 5), (5, 3), (4, 4), (1, 4), (4, 1)):
+            a = self._random_matrix(field, rng, rows, cols)
+            before = [list(row) for row in a]
+            assert mat_rank(a, field) == _minor_rank(a, field)
+            assert a == before
+        # rank 2 by construction: every row a combination of two rows
+        u, v = (self._random_matrix(field, rng, 1, 5)[0] for _ in range(2))
+        u[0], v[1] = field.one, field.one
+        u[1], v[0] = field.zero, field.zero
+        deficient = []
+        for _ in range(4):
+            s, t = random_elem(field, rng), random_elem(field, rng)
+            deficient.append([s * x + t * y for x, y in zip(u, v)])
+        deficient[0] = u
+        deficient[1] = v
+        assert mat_rank(deficient, field) == 2 == _minor_rank(deficient, field)
+        assert mat_rank([[field.zero] * 3] * 2, field) == 0
