@@ -63,12 +63,6 @@ class AbelianGroup:
     def exponent(self) -> int:
         return lcm(*self.divisors)
 
-    @property
-    def is_elementary_divisor_form(self) -> bool:
-        return all(
-            b % a == 0 for a, b in zip(self.divisors, self.divisors[1:])
-        )
-
     def normalized(self) -> "AbelianGroup":
         return AbelianGroup(invariant_factors(self.divisors))
 

@@ -363,18 +363,6 @@ def complementary_inverse(n: int, d: int) -> UniPoly:
     return u
 
 
-def prime_complementary_inverse_shortcut(p: int) -> UniPoly:
-    """Derivative-based closed form for the inverse of X - 1 modulo Phi_p.
-
-    Cross-check only; equals complementary_inverse(p, p) for prime p.
-    Derived from differentiating X^p - 1 = (X - 1) * Phi_p.
-    """
-    phi_p = cyclotomic_polynomial(p)
-    dphi = phi_p.derivative()
-    geom = UniPoly.make([Fraction(1)] * (p - 1), QQ)  # (X^(p-1) - 1)/(X - 1)
-    return dphi.scale(Fraction(1, p)) - geom
-
-
 @dataclass(frozen=True)
 class RationalBasisElement:
     """One member of the rational basis of Q[X]/(X^n - 1).

@@ -101,9 +101,6 @@ class FiniteGroup:
                 return j
         raise PreconditionError(f"element {self.labels[i]} has no inverse")
 
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
-
     def variables(self) -> tuple[str, ...]:
         return tuple(f"X_{lab}" for lab in self.labels)
 

@@ -6,33 +6,16 @@ determinant uses cofactor expansion with memoization on column subsets,
 capped at dimension 8.  Evaluation walks a recursive Horner plan, built
 on a polynomial's first evaluation in one pass over its terms and kept on
 it: about one product per plan edge, where a term-by-term sum pays its
-coefficient product plus one per variable in the term.  The value is the
-same exact field element either way.
-
-Over Q the plan runs on ints.  With c the lcm of the coefficient
-denominators and D the total degree, it is the plan of c * P homogenized
-to degree D by one extra variable.  A point of ints and Fractions is
-scaled to integers y over the lcm L of its denominators; the walk at
-(y, L) gives c * L^D * P(x) with no Fraction made, and the value is one
-Fraction(value, c * L^D).  A Q polynomial at other values (elements of
-Q(zeta_d)) keeps the walk on its coefficients.
-
-Over a small F_p[Y]/(m), one with :func:`groupfft.rings.log_tables`, the
-plan's leaves are the logs of the coefficients and the walk runs on logs:
-a power of a coordinate is a multiple of its log, a product one int
-addition and a sum one Zech table lookup, with 0 for the value zero (the
-plan's None still marks an absent constant).  The walk makes no element;
-the value is wrapped back into ``self.ring``.  Towers, Q(zeta_d) and
-larger fields keep the walk on their elements.
+coefficient product plus one per variable in the term.  Plan and walk
+belong to the ring's :func:`groupfft.rings.kernel` (on ints over Q, on
+logarithms over a small F_{p^r}); the value is the same exact element of
+the ring either way.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 from .errors import PreconditionError, RingMismatch
-from .rings import RationalField, log_tables, zech_sum
+from .rings import kernel, square_and_multiply
 
 DET_DIMENSION_CAP = 8
 
@@ -40,18 +23,14 @@ DET_DIMENSION_CAP = 8
 class MultiPoly:
     """Sparse multivariate polynomial over an exact field."""
 
-    __slots__ = ("variables", "terms", "ring", "_plan", "_int_plan", "_log_plan")
+    __slots__ = ("variables", "terms", "ring", "_plan")
 
     def __init__(self, variables: tuple, terms: dict, ring):
         self.variables = tuple(variables)
         self.terms = {e: c for e, c in terms.items() if c}
         self.ring = ring
-        # Horner plans, built by the first evaluate that needs one: on the
-        # coefficients, over Q on integers (see _rational_plan), and over a
-        # small F_{p^r} on logarithms (see _log_value)
+        # the ring kernel's Horner plan, built by the first evaluate
         self._plan = None
-        self._int_plan = None
-        self._log_plan = None
 
     # -- constructors --------------------------------------------------------
 
@@ -170,14 +149,9 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise PreconditionError("negative power of a polynomial")
-        result = MultiPoly.constant(self.ring.one, self.variables, self.ring)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        if not k:
+            return MultiPoly.constant(self.ring.one, self.variables, self.ring)
+        return square_and_multiply(self, k, MultiPoly.__mul__)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -208,45 +182,18 @@ class MultiPoly:
     def evaluate(self, assignment: dict):
         """Exact evaluation; every variable must be assigned.
 
-        Walks the Horner plan (built on the first call, then kept): about
-        one product per plan edge, with powers of each variable tabulated
-        only up to the largest exponent step it takes.  Over Q, at a point
-        of ints and Fractions, the plan is the integer one of
-        :func:`_rational_plan` and the walk makes no Fraction.  Over an
-        F_p[Y]/(m) that has :func:`groupfft.rings.log_tables`, the plan's
-        leaves are logarithms and the walk makes no element
-        (:func:`_log_value`); the value is an element of ``self.ring``.
+        Walks the ring kernel's Horner plan, built on the first call and
+        kept: about one product per plan edge, with powers of each
+        variable tabulated only up to the largest exponent step it takes.
+        The value is an element of ``self.ring``.
         """
         missing = [v for v in self.variables if v not in assignment]
         if missing:
             raise PreconditionError(f"missing assignment for {missing}")
-        ring = self.ring
-        if isinstance(ring, RationalField):
-            if self._int_plan is None:
-                self._int_plan = _rational_plan(self.terms)
-            value = _rational_value(self._int_plan, self.variables, assignment)
-            if value is not None:
-                return value
-        tables = log_tables(ring)
-        if tables is not None:
-            if self._log_plan is None:
-                self._log_plan = _horner_plan(
-                    {e: tables.log_of(c, ring) for e, c in self.terms.items()})
-            value = _log_value(self._log_plan, self.variables, assignment, tables, ring)
-            return tables.elem(value, ring)
+        kern = kernel(self.ring)
         if self._plan is None:
-            self._plan = _horner_plan(self.terms)
-        root, steps = self._plan
-        if root is None:
-            return self.ring.zero
-        powers = [None] * len(self.variables)
-        for i, top in steps:
-            x = assignment[self.variables[i]]
-            tab = [self.ring.one, x]
-            for _ in range(top - 1):
-                tab.append(tab[-1] * x)
-            powers[i] = tab
-        return _walk(root, powers) if root.__class__ is tuple else root
+            self._plan = kern.plan(self.terms)
+        return kern.value(self._plan, [assignment[v] for v in self.variables])
 
     def map_coefficients(self, fn, new_ring) -> "MultiPoly":
         return MultiPoly(self.variables, {e: fn(c) for e, c in self.terms.items()}, new_ring)
@@ -290,160 +237,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.__str__()!r})"
-
-
-def _horner_plan(terms: dict):
-    """(root, steps): the recursive Horner form of a sum of terms.
-
-    A node stands for a sum of terms over the variables from some index
-    on.  It is a pair (parts, const): const is the coefficient of the
-    term free of those variables (None if absent), and each part
-    (i, branches) collects the terms whose first variable is i, grouped
-    by its exponent e >= 1 in descending order, each group's cofactor a
-    node over the later variables.  A node with no parts is stored as its
-    bare coefficient.  steps lists, per variable used, the largest power
-    the walk reads.  One pass over the terms fills a trie; the plan is
-    the frozen trie.
-    """
-    trie: list = [{}, None]
-    for exp, c in terms.items():
-        node = trie
-        for i, e in enumerate(exp):
-            if e:
-                node = node[0].setdefault(i, {}).setdefault(e, [{}, None])
-        node[1] = c
-    steps: dict = {}
-
-    def freeze(node):
-        parts_in, const = node
-        if not parts_in:
-            return const
-        parts = []
-        for i in sorted(parts_in):
-            groups = parts_in[i]
-            exps = sorted(groups, reverse=True)
-            top = max([a - b for a, b in zip(exps, exps[1:])] + [exps[-1]])
-            if top > steps.get(i, 0):
-                steps[i] = top
-            parts.append((i, tuple((e, freeze(groups[e])) for e in exps)))
-        return (tuple(parts), const)
-
-    root = freeze(trie)
-    return root, tuple(sorted(steps.items()))
-
-
-def _walk(node, powers):
-    """Value of a Horner plan node; powers[i][k] is the k-th power of
-    variable i.  Within a part, sum_e x^e c_e is taken as
-    ((c_top x^(top - next) + c_next) ...) x^(lowest)."""
-    parts, acc = node
-    for i, branches in parts:
-        tab = powers[i]
-        val = None
-        for e, child in branches:
-            if child.__class__ is tuple:
-                child = _walk(child, powers)
-            val = child if val is None else val * tab[last - e] + child
-            last = e
-        val = val * tab[last]
-        acc = val if acc is None else acc + val
-    return acc
-
-
-def _log_value(plan, variables: tuple, assignment: dict, tables, ring) -> int:
-    """The log of P(x) (0 for zero), from P's Horner plan on the logs of
-    its coefficients, with the logs of ``tables`` (see
-    :class:`groupfft.rings.LogTables`).
-
-    The k-th power of a coordinate of log l has log k * l, or 0 when the
-    coordinate is zero; 0 is a value here, distinct from the plan's None
-    for an absent constant.
-    """
-    root, steps = plan
-    if root is None:
-        return 0
-    if root.__class__ is not tuple:
-        return root
-    powers = [None] * len(variables)
-    for i, top in steps:
-        l = tables.log_of(assignment[variables[i]], ring)
-        powers[i] = [k * l for k in range(top + 1)]
-    return _log_walk(root, powers, tables.zech, tables.n)
-
-
-def _log_walk(node, powers, zech: list, n: int) -> int:
-    """_walk on logs: a product adds two logs, 0 when either is 0, and a
-    sum is one Zech table lookup (:func:`groupfft.rings.zech_sum`)."""
-    parts, acc = node
-    for i, branches in parts:
-        tab = powers[i]
-        val = None
-        for e, child in branches:
-            if child.__class__ is tuple:
-                child = _log_walk(child, powers, zech, n)
-            if val is None:
-                val = child
-            else:
-                t = tab[last - e]
-                val = zech_sum(val + t if val and t else 0, child, zech, n)
-            last = e
-        t = tab[last]
-        val = val + t if val and t else 0
-        acc = val if acc is None else zech_sum(acc, val, zech, n)
-    return acc
-
-
-def _rational_plan(terms: dict):
-    """(c, degree, root, steps): a Horner plan over the integers for a
-    polynomial P over Q.
-
-    c is the lcm of the coefficient denominators and degree the total
-    degree D.  The plan is that of c * P homogenized to degree D by one
-    more variable, after the others: the term c_e x^e becomes the int
-    c * c_e times x^e t^(D - |e|).  At x = y / L, y integers, its value
-    at (y, L) is c * L^D * P(x).
-    """
-    c = lcm(*(v.denominator for v in terms.values()))
-    degree = max(map(sum, terms), default=0)
-    root, steps = _horner_plan({
-        e + (degree - sum(e),): v.numerator * (c // v.denominator)
-        for e, v in terms.items()
-    })
-    return c, degree, root, steps
-
-
-def _rational_value(plan, variables: tuple, assignment: dict):
-    """P(x) from its _rational_plan, as a Fraction, when every variable
-    the plan reads is assigned an int or a Fraction; None otherwise.
-
-    The point is scaled to integers y over the lcm L of its denominators,
-    and the walk runs on ints, with L for the homogenizing variable.
-    """
-    c, degree, root, steps = plan
-    if root is None:
-        return Fraction(0)
-    nvars = len(variables)
-    xs = {}
-    for i, _ in steps:
-        if i < nvars:
-            x = assignment[variables[i]]
-            if not isinstance(x, (int, Fraction)):
-                return None
-            xs[i] = x
-    den = lcm(*(x.denominator for x in xs.values()))
-    powers = [None] * (nvars + 1)
-    for i, top in steps:
-        if i == nvars:
-            y = den
-        else:
-            x = xs[i]
-            y = x.numerator * (den // x.denominator)
-        tab = [1, y]
-        for _ in range(top - 1):
-            tab.append(tab[-1] * y)
-        powers[i] = tab
-    value = _walk(root, powers) if root.__class__ is tuple else root
-    return Fraction(value, c * den ** degree)
 
 
 def symbolic_det(rows: list) -> MultiPoly:

@@ -39,7 +39,7 @@ An element of F_p or F_{p^r} never equals an int (``F7.zero == 0`` is
 False; test for zero with ``not x``): a coercing ``==`` would break the
 hash contract, since F7(3) would equal both 3 and 10.
 
-Residue kernel.  Multiplication in a quotient ring R[X]/(m), m monic of
+Residue products.  Multiplication in a quotient ring R[X]/(m), m monic of
 degree r, goes through :func:`mul_reduced`: the schoolbook product of the
 two coefficient lists, then one pass through a table of X^k mod m for
 k = r .. 2r-2 built once per field by :func:`reduction_table`.  Each
@@ -61,15 +61,23 @@ base-field elements and the element-valued table, and invert through
 :func:`ext_gcd`; Q(zeta_d) inverts through the norm, on its integer
 numerators.
 
-Zech logarithms.  For bulk work in a small F_p[Y]/(m), order at most
-``LOG_ORDER_CAP``, :func:`log_tables` gives three plain-int tables, built
-on first use and shared by equal descriptors: ``log`` by int code
-sum_k c_k p^k, ``exp`` (coefficient tuples) and the Zech table
-Z[d] = log(1 + g^d) for a generator g.  On logs a product is one int
-addition and a sum one table lookup (:func:`zech_sum`), exact as before;
-``MultiPoly.evaluate``, ``mat_det`` and ``mat_rank`` run on them and wrap
-their result back into the caller's descriptor.  Elements keep the
-residue kernel: the tables pay only where many operations share them.
+Kernels.  :func:`kernel` picks, once per descriptor, how the bulk loops
+hold a field's values: the row updates of ``mat_det`` and ``mat_rank``
+and the Horner walk of ``MultiPoly.evaluate``.  F_p eliminates on int
+residues, a cell update one ``(x - f * y) % p`` and a pivot inverse one
+``pow(x, -1, p)``, and evaluates on its elements.  A small F_p[Y]/(m),
+order at most ``LOG_ORDER_CAP``, runs both on Zech logarithms
+(:class:`LogTables`): a product is one int addition and a sum one table
+lookup (:func:`zech_sum`).  Q eliminates on ``Fraction``s; at a point of
+ints and Fractions it evaluates c * P, c the lcm of the coefficient
+denominators, homogenized to the total degree D by one more variable, at
+the point scaled to integers y over the lcm L of its denominators: the
+walk gives c * L^D * P(x) on ints.  Every other field (towers, Q(zeta_d),
+larger F_{p^r}) works on its elements.  A kernel makes one working copy
+per matrix, keeps its inner loops specialised, and wraps each result back
+into the descriptor it was picked for.  Single element operations keep
+the residue products above: the tables pay only where many operations
+share them.
 
 No floating point is used anywhere.
 """
@@ -77,13 +85,20 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator
 
-from .errors import NoRootOfUnity, NotInvertible, PreconditionError, RingMismatch
+from .errors import (
+    NoRootOfUnity,
+    NotInvertible,
+    PreconditionError,
+    RingMismatch,
+    VerificationError,
+)
 from .numtheory import is_prime, prime_factors
 
 # The rationals are stored reduced with positive denominator and structural
@@ -100,6 +115,7 @@ class RationalField:
 
     characteristic = 0
     is_finite = False
+    _kernel = None  # see kernel()
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -141,6 +157,21 @@ QQ = RationalField()
 # ---------------------------------------------------------------------------
 # Field elements
 # ---------------------------------------------------------------------------
+
+def square_and_multiply(x, k: int, mul):
+    """x to the power k >= 1 with the product ``mul``, reading the bits of
+    k from the top down: k.bit_length() - 1 squarings and popcount(k) - 1
+    products by x, none of them by one.  The caller supplies x^0.
+    """
+    if k < 1:
+        raise PreconditionError(f"square and multiply needs an exponent >= 1, not {k}")
+    result = x
+    for bit in bin(k)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
+
 
 class FieldElem:
     """An element of the field descriptor ``field``.
@@ -215,14 +246,7 @@ class FieldElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.field.inv(self) ** (-k)
-        result = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return square_and_multiply(self, k, operator.mul) if k else self.field.one
 
     def __repr__(self) -> str:
         return self.field.format_elem(self)
@@ -276,6 +300,7 @@ class PrimeField:
     """Descriptor for F_p, p prime (checked at construction)."""
 
     is_finite = True
+    _kernel = None  # see kernel()
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -369,18 +394,9 @@ class UniPoly:
         return UniPoly.make((c,), ring)
 
     @staticmethod
-    def from_ints(ints, ring) -> "UniPoly":
-        return UniPoly.make([ring.from_int(k) for k in ints], ring)
-
-    @staticmethod
     def gen(ring) -> "UniPoly":
         """The polynomial X."""
         return UniPoly.make((ring.zero, ring.one), ring)
-
-    @staticmethod
-    def gen_pow(k: int, ring) -> "UniPoly":
-        """The polynomial X^k."""
-        return UniPoly.make([ring.zero] * k + [ring.one], ring)
 
     # -- structure ---------------------------------------------------------
 
@@ -480,14 +496,9 @@ class UniPoly:
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
             raise PreconditionError("negative polynomial power")
-        result = UniPoly.constant(self.ring.one, self.ring)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        if not k:
+            return UniPoly.constant(self.ring.one, self.ring)
+        return square_and_multiply(self, k, operator.mul)
 
     # -- transformations ----------------------------------------------------
 
@@ -514,12 +525,6 @@ class UniPoly:
             out[i * k] = c
         return UniPoly.make(out, self.ring)
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly.make(
-            [self.ring.from_int(i) * c for i, c in enumerate(self.coeffs)][1:],
-            self.ring,
-        )
-
     def map_coefficients(self, fn, new_ring) -> "UniPoly":
         return UniPoly.make([fn(c) for c in self.coeffs], new_ring)
 
@@ -539,14 +544,9 @@ def x_pow_minus_one(n: int, ring) -> UniPoly:
 
 def poly_powmod(base: UniPoly, exp: int, mod: UniPoly) -> UniPoly:
     """base**exp reduced modulo mod, by square and multiply."""
-    result = UniPoly.constant(base.ring.one, base.ring)
-    acc = base % mod
-    while exp:
-        if exp & 1:
-            result = (result * acc) % mod
-        acc = (acc * acc) % mod
-        exp >>= 1
-    return result
+    if not exp:
+        return UniPoly.constant(base.ring.one, base.ring)
+    return square_and_multiply(base % mod, exp, lambda a, b: (a * b) % mod)
 
 
 def ext_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
@@ -578,7 +578,8 @@ def ext_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
         else:
             u = zero
             v = UniPoly.constant(ring.inv(bg.coefficient(0)), ring)
-    assert u * a + v * b == g, "Bezout identity recheck failed"
+    if u * a + v * b != g:
+        raise VerificationError("Bezout identity recheck failed")
     return g, u, v
 
 
@@ -630,7 +631,7 @@ def find_irreducible(field_or_p, r: int) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# Residue kernel: products in R[X]/(m) for monic m
+# Residue products in R[X]/(m) for monic m
 # ---------------------------------------------------------------------------
 
 def reduction_table(modulus_coeffs, zero) -> list[tuple]:
@@ -730,7 +731,7 @@ class ExtFieldElem(FieldElem):
     (towers).  ``residue``, the tuple of base-field elements, is the
     coefficients themselves over an extension and a view built on demand
     over F_p.  ``ExtFieldElem(residue, field)`` takes that tuple; the
-    kernels make their results with :func:`_ext_elem`.
+    operators make their results with :func:`_ext_elem`.
     """
 
     __slots__ = ("coeffs",)
@@ -843,6 +844,7 @@ class ExtField:
     is_finite = True
     var = "Y"  # the generator's name in printed elements
     _prime_base = None  # the base field when it is F_p: int coefficients
+    _kernel = None  # see kernel()
 
     def __init__(self, base, modulus: UniPoly):
         if modulus.ring != base:
@@ -920,7 +922,8 @@ class ExtField:
                 tuple(inv_mod_p(x.coeffs, self._int_modulus, base.p)), self
             )
         g, u, _ = ext_gcd(x.poly, self.modulus)
-        assert g.degree == 0, "modulus not coprime to nonzero residue"
+        if g.degree != 0:
+            raise VerificationError("modulus not coprime to nonzero residue")
         return self.from_poly(u.scale(self.base.inv(g.coefficient(0))))
 
     def iter_elements(self) -> Iterator[ExtFieldElem]:
@@ -1063,6 +1066,293 @@ def log_tables(field):
     return _log_tables(base.p, field._int_modulus)
 
 
+# ---------------------------------------------------------------------------
+# Kernels: one representation per field for elimination and evaluation
+# ---------------------------------------------------------------------------
+
+def kernel(field):
+    """The kernel of field (see the module docstring), picked on first use
+    and kept on the descriptor.
+
+    A kernel holds the values of its field for bulk work:
+    ``working_copy(rows)`` holds a matrix, one held value per entry,
+    nonzero exactly when it is truthy; ``eliminate_below(m, top, col)``
+    clears column col below the pivot m[top][col]; ``signed_product``
+    multiplies held values into an element of the field; ``plan(terms)``
+    and ``value(plan, xs)`` evaluate a sum of terms at the point xs,
+    one value per variable.
+    """
+    k = field._kernel
+    if k is None:
+        if isinstance(field, RationalField):
+            k = RationalKernel(field)
+        elif isinstance(field, PrimeField):
+            k = IntKernel(field)
+        else:
+            tables = log_tables(field)
+            k = ElementKernel(field) if tables is None else LogKernel(field, tables)
+        field._kernel = k
+    return k
+
+
+class ElementKernel:
+    """Values held as the field's own elements; the other kernels replace
+    only what they hold differently."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field):
+        self.field = field
+
+    def working_copy(self, rows) -> list[list]:
+        return [list(row) for row in rows]
+
+    def eliminate_below(self, m, top: int, col: int):
+        """Subtract multiples of row top from every row below it so that
+        their column col vanishes, m[top][col] being nonzero.  Only the
+        columns right of col are written: col is never read again."""
+        pivot_row = m[top]
+        live = pivot_row[col + 1:]
+        inv_p = self.field.inv(pivot_row[col])
+        for row in m[top + 1:]:
+            if row[col]:
+                f = row[col] * inv_p
+                row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], live)]
+
+    def signed_product(self, held, negate: bool):
+        """The product of the held values, negated if negate."""
+        out = self.field.one
+        for x in held:
+            out = out * x
+        return -out if negate else out
+
+    def plan(self, terms: dict):
+        return horner_plan(terms)
+
+    def value(self, plan, xs):
+        root, steps = plan
+        if root is None:
+            return self.field.zero
+        if root.__class__ is not tuple:
+            return root
+        return _walk(root, _power_tables(steps, xs, self.field.one))
+
+
+class IntKernel(ElementKernel):
+    """F_p: elimination on int residues; evaluation on elements."""
+
+    __slots__ = ()
+
+    def working_copy(self, rows) -> list[list]:
+        field = self.field
+        return [
+            [x.residue if x.__class__ is PrimeFieldElem and x.field is field
+             else field.residue_of(x) for x in row]
+            for row in rows
+        ]
+
+    def eliminate_below(self, m, top: int, col: int):
+        p = self.field.p
+        pivot_row = m[top]
+        live = pivot_row[col + 1:]
+        inv_p = pow(pivot_row[col], -1, p)
+        for row in m[top + 1:]:
+            if row[col]:
+                f = row[col] * inv_p % p
+                row[col + 1:] = [(x - f * y) % p for x, y in zip(row[col + 1:], live)]
+
+    def signed_product(self, held, negate: bool):
+        p = self.field.p
+        out = 1
+        for x in held:
+            out = out * x % p
+        return PrimeFieldElem(-out if negate else out, self.field)
+
+
+class LogKernel(ElementKernel):
+    """A small F_p[Y]/(m): elimination and evaluation on the logs of
+    :class:`LogTables`, 0 for zero."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self, field, tables: LogTables):
+        self.field = field
+        self.tables = tables
+
+    def working_copy(self, rows) -> list[list]:
+        log_of, field = self.tables.log_of, self.field
+        return [[log_of(x, field) for x in row] for row in rows]
+
+    def eliminate_below(self, m, top: int, col: int):
+        # x - f * y is the Zech sum of x and (-f) * y, and the log of
+        # -f = -x0 / pivot is log(-1) + log x0 - log pivot, once per row
+        tables = self.tables
+        zech, n = tables.zech, tables.n
+        pivot_row = m[top]
+        live = pivot_row[col + 1:]
+        shift = tables.neg_one - pivot_row[col]
+        for row in m[top + 1:]:
+            if row[col]:
+                f = (row[col] + shift) % n
+                row[col + 1:] = [zech_sum(x, f + y if y else 0, zech, n)
+                                 for x, y in zip(row[col + 1:], live)]
+
+    def signed_product(self, held, negate: bool):
+        # start at log 1 = n, so that an empty product is one
+        tables = self.tables
+        return tables.elem(sum(held, tables.n) + negate * tables.neg_one, self.field)
+
+    def plan(self, terms: dict):
+        log_of, field = self.tables.log_of, self.field
+        return horner_plan({e: log_of(c, field) for e, c in terms.items()})
+
+    def value(self, plan, xs):
+        # the k-th power of a coordinate of log l has log k * l, 0 for
+        # zero; 0 is a value here, distinct from the plan's None for an
+        # absent constant
+        tables, field = self.tables, self.field
+        root, steps = plan
+        if root is None or root.__class__ is not tuple:
+            return tables.elem(root or 0, field)
+        powers = [None] * len(xs)
+        for i, top in steps:
+            log = tables.log_of(xs[i], field)
+            powers[i] = [k * log for k in range(top + 1)]
+        return tables.elem(_log_walk(root, powers, tables.zech, tables.n), field)
+
+
+class RationalKernel(ElementKernel):
+    """Q: elimination on Fractions; evaluation on an integer plan at
+    points of ints and Fractions, on the coefficients elsewhere.
+
+    The plan is [c, D, root, steps, coefficients]: c the lcm of the
+    coefficient denominators, D the total degree, and the Horner plan of
+    c * P homogenized to degree D by one more variable, after the others.
+    The last slot holds the terms until a point outside Q first needs
+    their own plan.
+    """
+
+    __slots__ = ()
+
+    def plan(self, terms: dict):
+        c = lcm(*(v.denominator for v in terms.values()))
+        degree = max(map(sum, terms), default=0)
+        root, steps = horner_plan({
+            e + (degree - sum(e),): v.numerator * (c // v.denominator)
+            for e, v in terms.items()
+        })
+        return [c, degree, root, steps, terms]
+
+    def value(self, plan, xs):
+        c, degree, root, steps, coefficients = plan
+        if root is None:
+            return Fraction(0)
+        nvars = len(xs)
+        read = [i for i, _ in steps if i < nvars]
+        if not all(isinstance(xs[i], (int, Fraction)) for i in read):
+            if coefficients.__class__ is dict:
+                coefficients = plan[4] = horner_plan(coefficients)
+            return ElementKernel.value(self, coefficients, xs)
+        den = lcm(*(xs[i].denominator for i in read))
+        ys = [None] * nvars + [den]
+        for i in read:
+            ys[i] = xs[i].numerator * (den // xs[i].denominator)
+        value = _walk(root, _power_tables(steps, ys, 1)) if root.__class__ is tuple else root
+        return Fraction(value, c * den ** degree)
+
+
+def horner_plan(terms: dict):
+    """(root, steps): the recursive Horner form of a sum of terms.
+
+    A node stands for a sum of terms over the variables from some index
+    on.  It is a pair (parts, const): const is the coefficient of the
+    term free of those variables (None if absent), and each part
+    (i, branches) collects the terms whose first variable is i, grouped
+    by its exponent e >= 1 in descending order, each group's cofactor a
+    node over the later variables.  A node with no parts is stored as its
+    bare coefficient.  steps lists, per variable used, the largest power
+    the walk reads.  One pass over the terms fills a trie; the plan is
+    the frozen trie.
+    """
+    trie: list = [{}, None]
+    for exp, c in terms.items():
+        node = trie
+        for i, e in enumerate(exp):
+            if e:
+                node = node[0].setdefault(i, {}).setdefault(e, [{}, None])
+        node[1] = c
+    steps: dict = {}
+
+    def freeze(node):
+        parts_in, const = node
+        if not parts_in:
+            return const
+        parts = []
+        for i in sorted(parts_in):
+            groups = parts_in[i]
+            exps = sorted(groups, reverse=True)
+            top = max([a - b for a, b in zip(exps, exps[1:])] + [exps[-1]])
+            if top > steps.get(i, 0):
+                steps[i] = top
+            parts.append((i, tuple((e, freeze(groups[e])) for e in exps)))
+        return (tuple(parts), const)
+
+    root = freeze(trie)
+    return root, tuple(sorted(steps.items()))
+
+
+def _power_tables(steps, xs, one) -> list:
+    """powers[i][k] = xs[i]^k for k up to the largest step variable i takes."""
+    powers = [None] * len(xs)
+    for i, top in steps:
+        x = xs[i]
+        tab = [one, x]
+        for _ in range(top - 1):
+            tab.append(tab[-1] * x)
+        powers[i] = tab
+    return powers
+
+
+def _walk(node, powers):
+    """Value of a Horner plan node; powers[i][k] is the k-th power of
+    variable i.  Within a part, sum_e x^e c_e is taken as
+    ((c_top x^(top - next) + c_next) ...) x^(lowest)."""
+    parts, acc = node
+    for i, branches in parts:
+        tab = powers[i]
+        val = None
+        for e, child in branches:
+            if child.__class__ is tuple:
+                child = _walk(child, powers)
+            val = child if val is None else val * tab[last - e] + child
+            last = e
+        val = val * tab[last]
+        acc = val if acc is None else acc + val
+    return acc
+
+
+def _log_walk(node, powers, zech: list, n: int) -> int:
+    """_walk on logs: a product adds two logs, 0 when either is 0, and a
+    sum is one Zech table lookup (:func:`zech_sum`)."""
+    parts, acc = node
+    for i, branches in parts:
+        tab = powers[i]
+        val = None
+        for e, child in branches:
+            if child.__class__ is tuple:
+                child = _log_walk(child, powers, zech, n)
+            if val is None:
+                val = child
+            else:
+                t = tab[last - e]
+                val = zech_sum(val + t if val and t else 0, child, zech, n)
+            last = e
+        t = tab[last]
+        val = val + t if val and t else 0
+        acc = val if acc is None else zech_sum(acc, val, zech, n)
+    return acc
+
+
 @lru_cache(maxsize=None)
 def finite_field(p: int, r: int):
     """F_p for r = 1, else F_p[Y]/(m) with m = find_irreducible(p, r).
@@ -1128,9 +1418,9 @@ def _finite_field_root_of_unity(field, n: int):
 def primitive_nth_root(n: int, field):
     """Element of exact multiplicative order n in the given field."""
     zeta = field.primitive_nth_root(n)
-    if __debug__ and n > 1:
-        assert zeta ** n == field.one
-        assert all(zeta ** (n // ell) != field.one for ell in prime_factors(n))
+    if n > 1 and (zeta ** n != field.one
+                  or any(zeta ** (n // ell) == field.one for ell in prime_factors(n))):
+        raise VerificationError(f"{zeta} is not a primitive {n}-th root of unity in {field}")
     return zeta
 
 

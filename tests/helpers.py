@@ -8,7 +8,8 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from groupfft.rings import ExtField, ExtFieldElem
+from groupfft.cyclotomic import cyclotomic_polynomial
+from groupfft.rings import QQ, ExtField, ExtFieldElem, UniPoly
 from groupfft.transform import GroupVector
 
 
@@ -28,6 +29,37 @@ def random_elem(field, rng):
     if field.is_finite:
         return field.from_int(rng.randrange(field.order))
     return Fraction(rng.randrange(-9, 10))
+
+
+def from_ints(ints, ring):
+    """The polynomial over ring with these int coefficients, constant
+    term first."""
+    return UniPoly.make([ring.from_int(k) for k in ints], ring)
+
+
+def gen_pow(k, ring):
+    """The polynomial X^k over ring."""
+    return UniPoly.make([ring.zero] * k + [ring.one], ring)
+
+
+def index_of(group, label):
+    """The index of the element of a FiniteGroup with this label."""
+    return group.labels.index(label)
+
+
+def is_elementary_divisor_form(group):
+    """Each divisor of an AbelianGroup divides the next."""
+    return all(b % a == 0 for a, b in zip(group.divisors, group.divisors[1:]))
+
+
+def prime_complementary_inverse_shortcut(p):
+    """Derivative-based closed form for the inverse of X - 1 modulo Phi_p,
+    p prime: a cross-check of complementary_inverse(p, p), derived from
+    differentiating X^p - 1 = (X - 1) * Phi_p."""
+    phi_p = cyclotomic_polynomial(p).coeffs
+    dphi = UniPoly.make([i * c for i, c in enumerate(phi_p)][1:], QQ)
+    geom = UniPoly.make([Fraction(1)] * (p - 1), QQ)  # (X^(p-1) - 1)/(X - 1)
+    return dphi.scale(Fraction(1, p)) - geom
 
 
 # conductors of the Q(zeta_d) oracle tests

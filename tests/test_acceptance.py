@@ -58,7 +58,7 @@ from groupfft.transform import (
     symbolic_vector,
 )
 
-from helpers import random_vector
+from helpers import from_ints, random_vector
 
 SEED = 20120913
 
@@ -155,7 +155,7 @@ def check_criterion_3():
     ]
     assert [b.poly for b in rational_basis_cyclic(3)] == expected
 
-    one = UniPoly.from_ints([1], QQ)
+    one = from_ints([1], QQ)
     for n in range(1, 13):
         modulus = x_pow_minus_one(n, QQ)
         heads = [b.poly for b in rational_basis_cyclic(n) if b.j == 0]

@@ -16,7 +16,6 @@ from groupfft.cyclotomic import (
     cyclotomic_polynomial,
     galois_conjugates,
     norm_to_rationals,
-    prime_complementary_inverse_shortcut,
     rational_basis_abelian,
     rational_basis_cyclic,
     splitting_field,
@@ -36,11 +35,19 @@ from groupfft.rings import (
 )
 from groupfft.transform import convolve, group_idempotents
 
-from helpers import CYCLO_CONDUCTORS, is_canonical, random_cyclo, sympy_poly
+from helpers import (
+    CYCLO_CONDUCTORS,
+    from_ints,
+    gen_pow,
+    is_canonical,
+    prime_complementary_inverse_shortcut,
+    random_cyclo,
+    sympy_poly,
+)
 
 
 def qpoly(*ints):
-    return UniPoly.from_ints(ints, QQ)
+    return from_ints(ints, QQ)
 
 
 class TestCyclotomicPolynomials:
@@ -399,7 +406,7 @@ class TestRationalBasisCyclic:
             for d2 in divisors(n):
                 reduced = b.poly % cyclotomic_polynomial(d2)
                 if d2 == b.d:
-                    assert reduced == UniPoly.gen_pow(b.j, QQ) % cyclotomic_polynomial(d2)
+                    assert reduced == gen_pow(b.j, QQ) % cyclotomic_polynomial(d2)
                 else:
                     assert reduced.is_zero
 

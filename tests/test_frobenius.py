@@ -22,7 +22,7 @@ from groupfft.frobenius import (
 )
 from groupfft.multipoly import MultiPoly, symbolic_det
 
-from helpers import check_under_o
+from helpers import check_under_o, index_of
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def s3_blocks():
 class TestFiniteGroup:
     def test_s3_relations(self, s3_data):
         g = s3_data.group
-        e, s, s2, t = (g.index_of(x) for x in ("e", "s", "s2", "t"))
+        e, s, s2, t = (index_of(g, x) for x in ("e", "s", "s2", "t"))
         assert g.mul(s, g.mul(s, s)) == e
         assert g.mul(t, t) == e
         assert g.mul(g.mul(t, s), t) == s2
@@ -67,7 +67,7 @@ class TestRepresentations:
         rep = s3_data.representations[2]
         field = rep.field
         j = field.zeta
-        ts = g.index_of("ts")
+        ts = index_of(g, "ts")
         assert rep.images[ts] == ((field.zero, j * j), (j, field.zero))
 
     def test_homomorphism_exhaustive(self, s3_data):
@@ -96,7 +96,7 @@ class TestRepresentations:
         g = s3_data.group
         field = cyclotomic_field(3)
         bad = [[[field.one]] for _ in range(6)]
-        bad[g.index_of("t")] = [[field.from_int(2)]]
+        bad[index_of(g, "t")] = [[field.from_int(2)]]
         with pytest.raises(PreconditionError):
             Representation.build(g, "bad", field, bad)
 
@@ -223,7 +223,7 @@ class TestExtendedCharacters:
         rep = s3_data.representations[2]
         chi = TupleCharacter.from_representation(rep)
         g = s3_data.group
-        s = g.index_of("s")
+        s = index_of(g, "s")
         # chi(s)^2 - chi(s^2) = (-1)^2 - (-1) = 2
         assert extended_character(chi, (s, s)) == rep.field.from_int(2)
 

@@ -1,4 +1,4 @@
-"""The residue kernel: products in F_p[Y]/(m), towers and Q[X]/(Phi_d).
+"""Residue products in F_p[Y]/(m), towers and Q[X]/(Phi_d).
 
 Every product is compared with the generic polynomial route, the product
 of the two residue polynomials followed by a division by the modulus; in
@@ -29,7 +29,14 @@ from groupfft.rings import (
     reduction_table,
 )
 
-from helpers import CYCLO_CONDUCTORS, is_canonical, random_cyclo, random_elem, sympy_poly
+from helpers import (
+    CYCLO_CONDUCTORS,
+    gen_pow,
+    is_canonical,
+    random_cyclo,
+    random_elem,
+    sympy_poly,
+)
 
 F4 = ExtField(PrimeField(2), find_irreducible(2, 2))
 EXT_FIELDS = [
@@ -68,7 +75,7 @@ class TestReductionTable:
         table = reduction_table([int(c) for c in phi.coeffs], 0)
         assert len(table) == r - 1
         for k, row in enumerate(table, start=r):
-            expected = UniPoly.gen_pow(k, QQ) % phi
+            expected = gen_pow(k, QQ) % phi
             assert UniPoly.make([Fraction(c) for c in row], QQ) == expected
 
 

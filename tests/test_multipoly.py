@@ -11,7 +11,7 @@ from groupfft.errors import PreconditionError
 from groupfft.factorize import linear_forms
 from groupfft.linalg import mat_det
 from groupfft.multipoly import MultiPoly, symbolic_det
-from groupfft.rings import QQ
+from groupfft.rings import QQ, horner_plan
 from groupfft.transform import group_matrix, group_variables, symbolic_vector, GroupVector
 
 V2 = ("X_0", "X_1")
@@ -289,7 +289,9 @@ class TestRationalPlan:
                 point = self._random_point(rng)
                 got = poly.evaluate(point)
                 assert type(got) is Fraction and got == _fraction_sum(poly, point)
-            assert poly._int_plan is not None and poly._plan is None
+            # the one plan is the integer plan: the coefficients' own plan
+            # was never built
+            assert poly._plan[4] is poly.terms
 
     def test_zero_and_constant_polynomials(self):
         point = {"X_0": Fraction(-3, 7), "X_1": 4, "X_2": Fraction(1, 9)}
@@ -327,7 +329,8 @@ class TestRationalPlan:
             # a rational point afterwards takes the integer plan
             rational = {v: Fraction(k, 3) for k, v in enumerate(self.VARS, 1)}
             assert poly.evaluate(rational) == _fraction_sum(poly, rational)
-            assert poly._plan is not None and poly._int_plan is not None
+            # the integer plan, now holding the coefficients' own plan too
+            assert poly._plan[4] == horner_plan(poly.terms)
 
 
 class TestPrinting:

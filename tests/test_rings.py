@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupfft.cyclotomic import cyclotomic_field
 from groupfft.errors import NoRootOfUnity, NotInvertible, PreconditionError, RingMismatch
+from groupfft.linalg import identity_matrix, mat_mul, mat_pow
+from groupfft.multipoly import MultiPoly
 from groupfft.numtheory import prime_factors
 from groupfft.rings import (
     QQ,
@@ -23,8 +26,11 @@ from groupfft.rings import (
     is_irreducible,
     poly_powmod,
     primitive_nth_root,
+    square_and_multiply,
     x_pow_minus_one,
 )
+
+from helpers import check_under_o, from_ints
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -36,7 +42,7 @@ F4_TOWER = ExtField(F4, find_irreducible(F4, 3))
 
 
 def qpoly(*ints):
-    return UniPoly.from_ints(ints, QQ)
+    return from_ints(ints, QQ)
 
 
 class TestPolyArithmetic:
@@ -50,8 +56,8 @@ class TestPolyArithmetic:
         assert r.is_zero
 
     def test_freshman_dream_char2(self):
-        xp1 = UniPoly.from_ints([1, 1], F2)
-        assert xp1 * xp1 == UniPoly.from_ints([1, 0, 1], F2)
+        xp1 = from_ints([1, 1], F2)
+        assert xp1 * xp1 == from_ints([1, 0, 1], F2)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -59,7 +65,7 @@ class TestPolyArithmetic:
 
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatch):
-            qpoly(1) + UniPoly.from_ints([1], F2)
+            qpoly(1) + from_ints([1], F2)
 
     @given(
         a=st.lists(st.integers(0, 6), min_size=0, max_size=8),
@@ -67,8 +73,8 @@ class TestPolyArithmetic:
     )
     @settings(max_examples=200, deadline=None)
     def test_divrem_invariant_f7(self, a, b):
-        pa = UniPoly.from_ints(a, F7)
-        pb = UniPoly.from_ints(b, F7)
+        pa = from_ints(a, F7)
+        pb = from_ints(b, F7)
         if pb.is_zero:
             return
         q, r = divmod(pa, pb)
@@ -90,8 +96,8 @@ class TestExtGcd:
 
     def test_divisor_case_f5(self):
         # X^2 + 1 at X = 2 over F5: 4 + 1 = 0, so X - 2 divides it
-        a = UniPoly.from_ints([1, 0, 1], F5)
-        b = UniPoly.from_ints([-2, 1], F5)
+        a = from_ints([1, 0, 1], F5)
+        b = from_ints([-2, 1], F5)
         assert a.evaluate(F5.from_int(2)) == F5.zero
         g, u, v = ext_gcd(a, b)
         assert g == b.monic()
@@ -105,8 +111,8 @@ class TestExtGcd:
     def test_degree_bounds_random(self):
         rng = random.Random(7)
         for _ in range(200):
-            a = UniPoly.from_ints([rng.randrange(7) for _ in range(rng.randrange(1, 7))], F7)
-            b = UniPoly.from_ints([rng.randrange(7) for _ in range(rng.randrange(1, 7))], F7)
+            a = from_ints([rng.randrange(7) for _ in range(rng.randrange(1, 7))], F7)
+            b = from_ints([rng.randrange(7) for _ in range(rng.randrange(1, 7))], F7)
             if a.is_zero and b.is_zero:
                 continue
             g, u, v = ext_gcd(a, b)
@@ -118,13 +124,13 @@ class TestExtGcd:
 
 class TestIrreducibility:
     def test_phi3_mod2_irreducible(self):
-        assert is_irreducible(UniPoly.from_ints([1, 1, 1], F2))
+        assert is_irreducible(from_ints([1, 1, 1], F2))
 
     def test_square_reducible(self):
-        assert not is_irreducible(UniPoly.from_ints([1, 0, 1], F2))
+        assert not is_irreducible(from_ints([1, 0, 1], F2))
 
     def test_phi3_mod7_reducible(self):
-        f = UniPoly.from_ints([1, 1, 1], F7)
+        f = from_ints([1, 1, 1], F7)
         # independent oracle: scan for roots
         roots = [a for a in range(7) if f.evaluate(F7.from_int(a)) == F7.zero]
         assert roots == [2, 4]
@@ -150,7 +156,7 @@ class TestIrreducibilityAgainstSympy:
             degree = rng.randrange(1, 7)
             coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
             expected = sympy.Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible
-            got = is_irreducible(UniPoly.from_ints(coeffs, field))
+            got = is_irreducible(from_ints(coeffs, field))
             assert got == expected, coeffs
             verdicts.add(got)
         assert verdicts == {True, False}
@@ -158,7 +164,7 @@ class TestIrreducibilityAgainstSympy:
 
 class TestFindIrreducible:
     def test_degree_one(self):
-        assert find_irreducible(2, 1) == UniPoly.from_ints([0, 1], F2)
+        assert find_irreducible(2, 1) == from_ints([0, 1], F2)
 
     def test_unique_quadratic_over_f2(self):
         # enumeration oracle: the only irreducible monic quadratic over F2
@@ -168,15 +174,15 @@ class TestFindIrreducible:
             )
 
         candidates = [
-            UniPoly.from_ints([c0, c1, 1], F2) for c0 in range(2) for c1 in range(2)
+            from_ints([c0, c1, 1], F2) for c0 in range(2) for c1 in range(2)
         ]
         brute = [p for p in candidates if brute_irreducible(p)]
         assert len(brute) == 1
         assert find_irreducible(2, 2) == brute[0]
-        assert brute[0] == UniPoly.from_ints([1, 1, 1], F2)
+        assert brute[0] == from_ints([1, 1, 1], F2)
 
     def test_over_f3(self):
-        assert find_irreducible(3, 2) == UniPoly.from_ints([1, 0, 1], F3)
+        assert find_irreducible(3, 2) == from_ints([1, 0, 1], F3)
 
     def test_result_is_irreducible(self):
         for p, r in [(2, 3), (3, 3), (5, 2), (13, 2)]:
@@ -418,10 +424,105 @@ class TestFormatting:
         p = UniPoly.make([Fraction(-2, 3), Fraction(-1, 3)], QQ)
         assert format_unipoly(p) == "-1/3*X - 2/3"
         assert format_unipoly(UniPoly.zero(QQ)) == "0"
-        assert format_unipoly(UniPoly.from_ints([1, 1, 1], F2)) == "X^2 + X + 1"
+        assert format_unipoly(from_ints([1, 1, 1], F2)) == "X^2 + X + 1"
 
     def test_powmod(self):
-        f = UniPoly.from_ints([1, 1, 1], F2)
+        f = from_ints([1, 1, 1], F2)
         h = poly_powmod(UniPoly.gen(F2), 4, f)
         # X^4 = X mod (X^2+X+1) since roots have order 3
         assert h == UniPoly.gen(F2) % f
+
+
+class TestSquareAndMultiply:
+    def test_counts_products(self):
+        # x^k on exponents: a product adds them, and a fresh tuple per
+        # product tells a squaring (both operands one object) from the rest
+        for k in range(1, 65):
+            squarings = others = 0
+
+            def mul(a, b):
+                nonlocal squarings, others
+                assert a[0] and b[0], "a product by one"
+                if a is b:
+                    squarings += 1
+                else:
+                    others += 1
+                return (a[0] + b[0],)
+
+            assert square_and_multiply((1,), k, mul) == (k,)
+            assert squarings == k.bit_length() - 1
+            assert others == bin(k).count("1") - 1
+
+    def test_callers_against_repeated_products(self):
+        f9, q5 = finite_field(3, 2), cyclotomic_field(5)
+        x = MultiPoly.variable("X", ("X", "Y"), F7)
+        y = MultiPoly.variable("Y", ("X", "Y"), F7)
+        mod = from_ints([2, 0, 1, 1], F5)
+        base = from_ints([1, 3, 0, 4, 2], F5)
+        matrix = [[F7.from_int(2), F7.one], [F7.from_int(5), F7.from_int(3)]]
+        for k in range(0, 19):
+            for elem in (f9.gen + f9.one, q5.zeta - 2, F4_TOWER.gen):
+                expected = elem.field.one
+                for _ in range(k):
+                    expected = expected * elem
+                assert elem ** k == expected
+            poly = UniPoly.constant(F5.one, F5)
+            multi = MultiPoly.constant(F7.one, x.variables, F7)
+            power = identity_matrix(2, F7)
+            for _ in range(k):
+                poly = poly * base
+                multi = multi * (x + y * 3)
+                power = mat_mul(power, matrix, F7)
+            assert base ** k == poly and poly_powmod(base, k, mod) == poly % mod
+            assert (x + y * 3) ** k == multi
+            assert mat_pow(matrix, k, F7) == power
+        # a negative exponent, where the old loops never ended
+        with pytest.raises(PreconditionError):
+            poly_powmod(base, -1, mod)
+        with pytest.raises(PreconditionError):
+            mat_pow(matrix, -1, F7)
+
+
+class TestChecksUnderO:
+    """The identity checks of rings raise VerificationError under
+    ``python -O`` too, each fed a corrupted collaborator."""
+
+    def test_bezout_recheck(self):
+        # a division whose first remainder is off by one
+        setup = """
+            import groupfft.rings as r
+            from groupfft.rings import QQ, UniPoly
+            right = UniPoly.__divmod__
+            calls = []
+            def wrong(a, b):
+                q, rem = right(a, b)
+                calls.append(b)
+                return (q, rem + UniPoly.constant(QQ.one, QQ)) if len(calls) == 1 else (q, rem)
+            UniPoly.__divmod__ = wrong
+            a = UniPoly.make([QQ.one, QQ.zero, QQ.one], QQ)
+            b = UniPoly.make([QQ.from_int(-2), QQ.one], QQ)
+        """
+        assert check_under_o("r.ext_gcd(a, b)", setup) == "raised: Bezout identity recheck failed"
+
+    def test_gcd_degree_of_an_inverse(self):
+        # a tower over F4 built on the reducible X^2 + 1 = (X + 1)^2
+        setup = """
+            import groupfft.rings as r
+            f4 = r.finite_field(2, 2)
+            r.is_irreducible = lambda f: True
+            bad = r.ExtField(f4, r.UniPoly.make([f4.one, f4.zero, f4.one], f4))
+        """
+        assert (check_under_o("bad.inv(bad.gen + bad.one)", setup)
+                == "raised: modulus not coprime to nonzero residue")
+
+    @pytest.mark.parametrize("n, root", [(3, 3), (6, 2)], ids=["not-a-root", "not-primitive"])
+    def test_root_of_unity_order(self, n, root):
+        # an F7 whose canonical root is 3 (of order 6) or 2 (of order 3)
+        setup = f"""
+            import groupfft.rings as r
+            class Wrong(r.PrimeField):
+                def primitive_nth_root(self, n):
+                    return self.from_int({root})
+        """
+        assert (check_under_o(f"r.primitive_nth_root({n}, Wrong(7))", setup)
+                == f"raised: {root} is not a primitive {n}-th root of unity in F7")

@@ -1,25 +1,37 @@
-"""Zech-logarithm kernels of small F_{p^r}: the tables, evaluate, mat_det
-and mat_rank, each against plain element arithmetic.
+"""The kernels of rings.kernel: the Zech-logarithm tables, and evaluate,
+mat_det and mat_rank on every kind of kernel, each against plain element
+arithmetic.
 
 Every field of order up to rings.LOG_ORDER_CAP that is F_p[Y]/(m) runs
-MultiPoly.evaluate and the determinant and rank eliminations on logs; the
-references here never do: a term-by-term sum of element products, a
+MultiPoly.evaluate and the determinant and rank eliminations on logs; F_p
+eliminates on int residues, Q evaluates on an integer plan, and towers,
+Q(zeta_d) and larger fields work on their elements.  The references here
+never do any of that: a term-by-term sum of element products, a
 Leibniz-formula determinant, and a rank read off its minors.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from groupfft.cyclotomic import cyclotomic_field
 from groupfft.linalg import mat_det, mat_rank
 from groupfft.multipoly import MultiPoly
 from groupfft.rings import (
     LOG_ORDER_CAP,
+    QQ,
+    ElementKernel,
     ExtField,
+    IntKernel,
+    LogKernel,
     PrimeField,
+    RationalKernel,
     find_irreducible,
     finite_field,
+    horner_plan,
+    kernel,
     log_tables,
     zech_sum,
 )
@@ -30,16 +42,33 @@ SMALL = [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (2, 6), (3, 4), (7, 3)]
 # the largest field under the cap, and one just above it
 AT_CAP = (2, 9)
 ABOVE_CAP = (23, 2)
-FIELDS = SMALL + [AT_CAP, ABOVE_CAP]
+# a field of each other kernel: ints mod p, a tower's elements, Q, Q(zeta_d)
+_F4 = finite_field(2, 2)
+OTHER = {
+    "F7": finite_field(7, 1),
+    "(F2^2)^3": ExtField(_F4, find_irreducible(_F4, 3)),
+    "Q": QQ,
+    "Q(zeta_5)": cyclotomic_field(5),
+}
+FIELDS = SMALL + [AT_CAP, ABOVE_CAP] + list(OTHER)
 VARS = ("X_0", "X_1", "X_2", "X_3")
 
 
 def _field(pr):
-    return finite_field(*pr)
+    return OTHER[pr] if pr in OTHER else finite_field(*pr)
 
 
 def _name(pr):
-    return f"F{pr[0]}^{pr[1]}"
+    return pr if pr in OTHER else f"F{pr[0]}^{pr[1]}"
+
+
+def _of(x, field):
+    """x is an element of this very descriptor (of Q: a Fraction)."""
+    return type(x) is Fraction if field is QQ else x.field is field
+
+
+def _other_than_one(field):
+    return getattr(field, "gen", None) or field.from_int(3)
 
 
 def _leibniz(a, field):
@@ -135,6 +164,22 @@ class TestTables:
         f4 = finite_field(2, 2)
         assert log_tables(ExtField(f4, find_irreducible(f4, 2))) is None  # a tower
 
+    def test_kernel_per_field(self):
+        expected = {
+            (2, 2): LogKernel, AT_CAP: LogKernel, ABOVE_CAP: ElementKernel,
+            "F7": IntKernel, "(F2^2)^3": ElementKernel, "Q": RationalKernel,
+            "Q(zeta_5)": ElementKernel,
+        }
+        for pr, kind in expected.items():
+            field = _field(pr)
+            k = kernel(field)
+            assert type(k) is kind and k.field is field and kernel(field) is k
+        # an equal descriptor has a kernel of its own, sharing the tables
+        base = PrimeField(3)
+        mine = ExtField(base, find_irreducible(base, 2))
+        assert kernel(mine) is not kernel(finite_field(3, 2))
+        assert kernel(mine).tables is kernel(finite_field(3, 2)).tables
+
     def test_foreign_value_is_a_type_error(self):
         field = _field((3, 2))
         with pytest.raises(TypeError):
@@ -158,10 +203,12 @@ class TestEvaluate:
             for _ in range(3):
                 point = {v: _sparse_elem(field, rng) for v in VARS}
                 got = poly.evaluate(point)
-                assert got.field is field and got == _term_sum(poly, point)
-        on_logs = log_tables(field) is not None
-        assert (poly._log_plan is not None) == on_logs
-        assert (poly._plan is None) == on_logs
+                assert _of(got, field) and got == _term_sum(poly, point)
+        assert poly._plan == kernel(field).plan(poly.terms)
+        tables = log_tables(field)
+        if tables is not None:
+            assert poly._plan == horner_plan(
+                {e: tables.log_of(c, field) for e, c in poly.terms.items()})
 
     @pytest.mark.parametrize("pr", FIELDS, ids=_name)
     def test_internal_cancellation(self, pr):
@@ -183,12 +230,13 @@ class TestEvaluate:
     @pytest.mark.parametrize("pr", FIELDS, ids=_name)
     def test_zero_and_constant_polynomials(self, pr):
         field = _field(pr)
-        point = {v: field.gen for v in VARS}
+        g = _other_than_one(field)
+        point = {v: g for v in VARS}
         zero = MultiPoly.zero(VARS, field).evaluate(point)
-        assert zero.field is field and not zero
-        for c in (field.one, -field.one, field.gen, field.gen * field.gen + field.one):
+        assert _of(zero, field) and not zero
+        for c in (field.one, -field.one, g, g * g + field.one):
             got = MultiPoly.constant(c, VARS, field).evaluate(point)
-            assert got.field is field and got == c
+            assert _of(got, field) and got == c
 
     def test_int_coordinates(self):
         field = _field((5, 2))
@@ -209,14 +257,14 @@ class TestElimination:
             a = self._random_matrix(field, rng, n, n)
             before = [list(row) for row in a]
             det = mat_det(a, field)
-            assert det.field is field and det == _leibniz(a, field)
+            assert _of(det, field) and det == _leibniz(a, field)
             assert a == before
 
     @pytest.mark.parametrize("pr", FIELDS, ids=_name)
     def test_empty_matrix(self, pr):
         field = _field(pr)
         det = mat_det([], field)
-        assert det.field is field and det == field.one
+        assert _of(det, field) and det == field.one
         assert mat_rank([], field) == 0
 
     @pytest.mark.parametrize("pr", FIELDS, ids=_name)
@@ -224,7 +272,7 @@ class TestElimination:
         field = _field(pr)
         rng = random.Random(repr(pr) + "sing")
         r = [[random_elem(field, rng) or field.one for _ in range(4)] for _ in range(4)]
-        c = random_elem(field, rng) or field.gen
+        c = random_elem(field, rng) or _other_than_one(field)
         # a zero leading entry: the first pivot comes from a row swap
         swapped = [[field.zero] + r[0][1:], r[1], r[2], r[3]]
         # a zero pivot reached mid-elimination: rows 0 and 1 agree on column 0
@@ -234,7 +282,7 @@ class TestElimination:
         zero_col = [[field.zero] + row[1:] for row in r]
         for a in (swapped, mid, combo, zero_col):
             det = mat_det(a, field)
-            assert det.field is field and det == _leibniz(a, field)
+            assert _of(det, field) and det == _leibniz(a, field)
             assert mat_rank(a, field) == _minor_rank(a, field)
         assert not mat_det(combo, field) and mat_rank(combo, field) == 3
         assert not mat_det(zero_col, field)
