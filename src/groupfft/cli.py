@@ -306,17 +306,26 @@ def _cmd_vandermonde(req: CommandRequest) -> tuple[int, str]:
 
 def _read_cayley(path: str):
     """(labels, table, name) from a JSON file holding an object with
-    "labels", "table" and an optional "name"."""
+    "labels", a list of names, "table", a list of rows of element indices,
+    and an optional "name"."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-        return data["labels"], data["table"], data.get("name", "G")
+        labels, table, name = data["labels"], data["table"], data.get("name", "G")
     except OSError as exc:
         raise CLIUsageError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise CLIUsageError(f"{path} is not valid JSON: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise CLIUsageError(f'{path} must hold an object with "labels" and "table"') from exc
+    if not (
+        isinstance(labels, list)
+        and not any(isinstance(x, (list, dict)) for x in labels)
+        and isinstance(table, list)
+        and all(isinstance(row, list) and all(isinstance(x, int) for x in row) for row in table)
+    ):
+        raise CLIUsageError(f'{path}: "labels" must list names and "table" rows of element indices')
+    return labels, table, name
 
 
 def _cmd_frobenius(req: CommandRequest) -> tuple[int, str]:

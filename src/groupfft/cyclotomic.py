@@ -121,7 +121,7 @@ class CycloElem(ExtFieldElem):
             return (
                 other.num == self.num
                 and other.den == self.den
-                and (other.field is self.field or other.field == self.field)
+                and other.field is self.field
             )
         if isinstance(other, (int, Fraction)):
             return (
@@ -282,7 +282,6 @@ class CyclotomicField(ExtField):
         return f"Q(zeta_{self.conductor})"
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_field(d: int) -> CyclotomicField:
     return CyclotomicField(d)
 
@@ -292,29 +291,22 @@ def splitting_field(field, n: int):
     n-th root of unity, and the embedding of field into it.
 
     big is field itself when it already holds one.  Over F_q it is
-    F_q[Y]/(m), m the smallest irreducible of degree ord_n(q), memoized
-    per (field, degree) so equal requests share one descriptor and its
-    cache of roots; over Q(zeta_d), whose roots of unity are the
-    lcm(2, d)-th roots, it is Q(zeta_lcm(d, n)).  n must be prime to the
-    characteristic.
+    F_q[Y]/(m), m the smallest irreducible of degree ord_n(q); over
+    Q(zeta_d), whose roots of unity are the lcm(2, d)-th roots, it is
+    Q(zeta_lcm(d, n)).  n must be prime to the characteristic.
     """
     if field.is_finite:
         s = multiplicative_order(field.order, n) if n > 1 else 1
         if s == 1:
             return field, _identity
-        return _finite_extension(field, s)
+        big = ExtField(field, find_irreducible(field, s))
+        return big, big.from_base
     cyclo = isinstance(field, CyclotomicField)
     d = field.conductor if cyclo else 1
     if lcm(2, d) % n == 0:
         return field, _identity
     big = cyclotomic_field(lcm(d, n))
     return big, big.embed_from if cyclo else big.from_rational
-
-
-@lru_cache(maxsize=None)
-def _finite_extension(field, s: int):
-    big = ExtField(field, find_irreducible(field, s))
-    return big, big.from_base
 
 
 def _identity(x):

@@ -334,20 +334,10 @@ def q_cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
 
 def _descend(poly, big, field):
     """poly, whose coefficients lie in field inside its splitting field
-    big, as a polynomial over field, with elements of field itself.
-
-    big is memoized per equal descriptor, so its base may be another
-    descriptor equal to field; coefficients are then rebuilt over field,
-    which keeps later arithmetic on the same-field fast path.
-    """
+    big, as a polynomial over field."""
     if big is field:
         return poly
-
-    def down(c):
-        k = c.constant
-        return k if k.field is field else k.__class__(k.residue, field)
-
-    return poly.map_coefficients(down, field)
+    return poly.map_coefficients(lambda c: c.constant, field)
 
 
 def _descended_factor(labels, big, zeta, field) -> UniPoly:

@@ -462,10 +462,12 @@ def frobenius_polynomial(rep: Representation) -> FrobeniusPolynomial:
     # raw tuple-sum form from the extended character
     raw = _tuple_sum(f, char.value, variables, field).scale(sign)
 
-    assert psi.is_homogeneous(f), "factor is not homogeneous of the right degree"
+    if not psi.is_homogeneous(f):
+        raise VerificationError("factor is not homogeneous of the right degree")
     exp0, c0 = next(iter(psi.terms.items()))
     ratio = raw.coefficient(exp0) / c0
-    assert raw == psi.scale(ratio), "tuple-sum form is not proportional to the power-sum form"
+    if raw != psi.scale(ratio):
+        raise VerificationError("tuple-sum form is not proportional to the power-sum form")
     return FrobeniusPolynomial(psi, raw, ratio)
 
 

@@ -66,7 +66,7 @@ class MultiPoly:
     # -- alignment ------------------------------------------------------------
 
     def _aligned_with(self, other: "MultiPoly"):
-        if self.ring is not other.ring and self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingMismatch(f"polynomials over {self.ring} and {other.ring}")
         if self.variables == other.variables:
             return self, other
@@ -156,7 +156,7 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             return False
         a, b = self._aligned_with(other)
         return a.terms == b.terms

@@ -14,8 +14,10 @@ A field descriptor provides: ``characteristic``, ``zero``, ``one``,
 ``from_int``, ``from_rational``, ``inv``, ``format_elem`` and
 ``primitive_nth_root``; finite fields additionally expose ``order``,
 ``iter_elements`` (canonical ordering) and ``order_key``.
-:func:`finite_field` memoizes F_p and F_{p^r} descriptors, as
-:func:`groupfft.cyclotomic.cyclotomic_field` does Q(zeta_d).
+Descriptors are canonical: a constructor called with equal arguments
+returns the descriptor it built first (:class:`_Canonical`), so one field
+is one object, with one cache of roots of unity and one kernel, and
+descriptors compare with ``is``.
 
 Element protocol.  Elements of F_p, F_{p^r} and Q(zeta_d) are immutable
 :class:`FieldElem` subclasses holding their ``field`` and exposing a
@@ -33,8 +35,7 @@ Q(zeta_d) also equals, and hashes as, its value.  Operands from two
 fields of one kind raise :class:`RingMismatch`; operands of two kinds
 raise ``TypeError``; dividing by zero, or a negative power of zero,
 raises :class:`NotInvertible`.  Element operations and ``==`` test
-``other.field is self.field`` before falling back to comparing the
-descriptors, so the common same-field case costs one pointer comparison.
+``other.field is self.field``: one pointer comparison.
 An element of F_p or F_{p^r} never equals an int (``F7.zero == 0`` is
 False; test for zero with ``not x``): a coercing ``==`` would break the
 hash contract, since F7(3) would equal both 3 and 10.
@@ -107,10 +108,31 @@ Rational = Fraction
 
 
 # ---------------------------------------------------------------------------
+# Canonical descriptors
+# ---------------------------------------------------------------------------
+
+# every descriptor built, keyed by (class, *constructor arguments)
+_descriptors: dict = {}
+
+
+class _Canonical(type):
+    """Metaclass of the field descriptors: a constructor call returns the
+    descriptor already built for equal arguments, so equal fields are one
+    object.  A construction that raises registers nothing."""
+
+    def __call__(cls, *args):
+        key = (cls, *args)
+        field = _descriptors.get(key)
+        if field is None:
+            field = _descriptors[key] = super().__call__(*args)
+        return field
+
+
+# ---------------------------------------------------------------------------
 # The rational field
 # ---------------------------------------------------------------------------
 
-class RationalField:
+class RationalField(metaclass=_Canonical):
     """Descriptor for Q.  Elements are Fraction instances."""
 
     characteristic = 0
@@ -140,12 +162,6 @@ class RationalField:
 
     def format_elem(self, x: Fraction) -> str:
         return str(x)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalField)
-
-    def __hash__(self) -> int:
-        return hash("QQ")
 
     def __repr__(self) -> str:
         return "Q"
@@ -198,7 +214,7 @@ class FieldElem:
         operator returns NotImplemented and Python raises TypeError.
         """
         if other.__class__ is self.__class__:
-            if other.field is not self.field and other.field != self.field:
+            if other.field is not self.field:
                 raise RingMismatch(f"elements of {self.field} and {other.field}")
             return other
         if isinstance(other, int):
@@ -289,14 +305,14 @@ class PrimeFieldElem(FieldElem):
         return (
             other.__class__ is PrimeFieldElem
             and other.residue == self.residue
-            and (other.field is self.field or other.field == self.field)
+            and other.field is self.field
         )
 
     def __hash__(self) -> int:
         return hash((self.field, self.residue))
 
 
-class PrimeField:
+class PrimeField(metaclass=_Canonical):
     """Descriptor for F_p, p prime (checked at construction)."""
 
     is_finite = True
@@ -328,8 +344,8 @@ class PrimeField:
         return self.from_int(q.numerator) / self.from_int(q.denominator)
 
     def residue_of(self, x) -> int:
-        """The int residue of x: an element of this or an equal F_p, or an int."""
-        if x.__class__ is PrimeFieldElem and (x.field is self or x.field == self):
+        """The int residue of x: an element of this field, or an int."""
+        if x.__class__ is PrimeFieldElem and x.field is self:
             return x.residue
         if isinstance(x, int):
             return x % self.p
@@ -352,12 +368,6 @@ class PrimeField:
 
     def format_elem(self, x: PrimeFieldElem) -> str:
         return str(x.residue)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("Fp", self.p))
 
     def __repr__(self) -> str:
         return f"F{self.p}"
@@ -422,7 +432,7 @@ class UniPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.ring.zero
 
     def _check_ring(self, other: "UniPoly"):
-        if other.ring is not self.ring and other.ring != self.ring:
+        if other.ring is not self.ring:
             raise RingMismatch(f"polynomials over {self.ring} and {other.ring}")
 
     # -- arithmetic ---------------------------------------------------------
@@ -610,12 +620,14 @@ def is_irreducible(f: UniPoly) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def find_irreducible(field_or_p, r: int) -> UniPoly:
     """Smallest monic irreducible polynomial of degree r over F_q.
 
     Candidates are scanned in lexicographic order of the coefficient
     sequence read from the highest degree down (constant term varies
-    fastest), so the result is deterministic.
+    fastest), so the result is deterministic.  Memoized: the search is
+    the cost of building F_{p^r} for a large r.
     """
     field = PrimeField(field_or_p) if isinstance(field_or_p, int) else field_or_p
     if r < 1:
@@ -795,7 +807,7 @@ class ExtFieldElem(FieldElem):
         return (
             other.__class__ is self.__class__
             and other.coeffs == self.coeffs
-            and (other.field is self.field or other.field == self.field)
+            and other.field is self.field
         )
 
     def __hash__(self) -> int:
@@ -832,7 +844,7 @@ def _ext_elem(coeffs: tuple, field) -> ExtFieldElem:
     return x
 
 
-class ExtField:
+class ExtField(metaclass=_Canonical):
     """Descriptor for an extension F[Y]/(m(Y)), m monic irreducible.
 
     Constructed directly, the base is a finite field: a prime field or
@@ -847,7 +859,7 @@ class ExtField:
     _kernel = None  # see kernel()
 
     def __init__(self, base, modulus: UniPoly):
-        if modulus.ring != base:
+        if modulus.ring is not base:
             raise RingMismatch("modulus must have coefficients in the base field")
         if not base.is_finite:
             raise PreconditionError(
@@ -943,16 +955,6 @@ class ExtField:
     def format_elem(self, x: ExtFieldElem) -> str:
         return format_unipoly(x.poly, var=self.var)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtField)
-            and other.base == self.base
-            and other.modulus.coeffs == self.modulus.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash(("Ext", self.base, self.modulus.coeffs))
-
     def __repr__(self) -> str:
         p = self.characteristic
         if isinstance(self.base, PrimeField):
@@ -989,8 +991,8 @@ class LogTables:
 
     ``log`` is indexed by an element's int code sum_k c_k p^k, ``exp[k]``
     is the coefficient tuple of g^k, and ``neg_one`` is the log of -1.
-    The tables hold no element object: every equal descriptor shares
-    them, and :meth:`elem` wraps a log into the caller's descriptor.
+    The tables hold no element object: :meth:`elem` wraps a log into the
+    field's descriptor.
     """
 
     __slots__ = ("p", "n", "log", "exp", "zech", "neg_one")
@@ -1023,8 +1025,8 @@ class LogTables:
         self.neg_one = log[p - 1]
 
     def log_of(self, x, field) -> int:
-        """The log of x: an element of field or of an equal descriptor, or
-        an int; TypeError for any other value, as field arithmetic gives."""
+        """The log of x, an element of field or an int; TypeError for any
+        other value, as field arithmetic gives."""
         y = x
         if x.__class__ is not ExtFieldElem or x.field is not field:
             y = field.zero._coerce(x)
@@ -1051,19 +1053,11 @@ def zech_sum(a: int, b: int, zech: list, n: int) -> int:
     return a + z if z else 0
 
 
-@lru_cache(maxsize=None)
-def _log_tables(p: int, modulus: tuple) -> LogTables:
-    return LogTables(p, modulus)
-
-
 def log_tables(field):
     """The :class:`LogTables` of field when it is F_p[Y]/(m) of order at
-    most LOG_ORDER_CAP, else None.  Built on first use and memoized per
-    (p, m), so equal descriptors share one set."""
-    base = getattr(field, "_prime_base", None)
-    if base is None or field.order > LOG_ORDER_CAP:
-        return None
-    return _log_tables(base.p, field._int_modulus)
+    most LOG_ORDER_CAP, else None.  Built on first use; they live on the
+    field's kernel."""
+    return getattr(kernel(field), "tables", None)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,9 +1082,10 @@ def kernel(field):
             k = RationalKernel(field)
         elif isinstance(field, PrimeField):
             k = IntKernel(field)
+        elif field._prime_base is not None and field.order <= LOG_ORDER_CAP:
+            k = LogKernel(field)
         else:
-            tables = log_tables(field)
-            k = ElementKernel(field) if tables is None else LogKernel(field, tables)
+            k = ElementKernel(field)
         field._kernel = k
     return k
 
@@ -1175,9 +1170,9 @@ class LogKernel(ElementKernel):
 
     __slots__ = ("tables",)
 
-    def __init__(self, field, tables: LogTables):
+    def __init__(self, field):
         self.field = field
-        self.tables = tables
+        self.tables = LogTables(field._prime_base.p, field._int_modulus)
 
     def working_copy(self, rows) -> list[list]:
         log_of, field = self.tables.log_of, self.field
@@ -1353,17 +1348,10 @@ def _log_walk(node, powers, zech: list, n: int) -> int:
     return acc
 
 
-@lru_cache(maxsize=None)
 def finite_field(p: int, r: int):
-    """F_p for r = 1, else F_p[Y]/(m) with m = find_irreducible(p, r).
-
-    Memoized, so every request for one field shares one descriptor and
-    its cache of roots of unity.
-    """
-    if r == 1:
-        return PrimeField(p)
-    base = finite_field(p, 1)
-    return ExtField(base, find_irreducible(base, r))
+    """F_p for r = 1, else F_p[Y]/(m) with m = find_irreducible(p, r)."""
+    base = PrimeField(p)
+    return base if r == 1 else ExtField(base, find_irreducible(base, r))
 
 
 def _cached_root_of_unity(field, n: int):

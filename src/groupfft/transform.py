@@ -241,7 +241,7 @@ def dual_matrix(B: GroupVector) -> GroupMatrix:
 def _require_convolvable(a: GroupVector, b: GroupVector):
     if a.group != b.group or a.dual or b.dual:
         raise PreconditionError("convolution needs two group-side vectors on one group")
-    if a.field != b.field:
+    if a.field is not b.field:
         raise RingMismatch(f"convolution of vectors over {a.field} and {b.field}")
 
 
@@ -446,7 +446,7 @@ def interpolate_at_roots_of_unity(targets, field) -> UniPoly:
         for ell in range(n):
             coeffs[ell] = coeffs[ell] + bh * inv_n * powers[(-h * ell) % n]
     result = UniPoly.make(coeffs, field)
-    if __debug__:
-        for h, bh in enumerate(targets):
-            assert result.evaluate(powers[h % n]) == bh
+    for h, bh in enumerate(targets):
+        if result.evaluate(powers[h]) != bh:
+            raise VerificationError(f"interpolant misses its target at zeta^{h}")
     return result

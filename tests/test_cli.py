@@ -366,8 +366,14 @@ class TestCayleyInput:
             "[1, 2]",
             '{"table": [[0]]}',
             '{"labels": ["e"]}',
+            '{"labels": 5, "table": [[0]]}',
+            '{"labels": ["e"], "table": 7}',
+            '{"labels": ["e"], "table": [[[0]]]}',
+            '{"labels": [["e"]], "table": [[0]]}',
+            '{"labels": ["a", "b"], "table": [[0, 1.0], [1, 0]]}',
         ],
-        ids=["missing", "not-json", "not-utf8", "json-list", "no-labels", "no-table"],
+        ids=["missing", "not-json", "not-utf8", "json-list", "no-labels", "no-table",
+             "int-labels", "int-table", "list-entry", "list-label", "float-entry"],
     )
     def test_unusable_file_is_a_parse_error(self, tmp_path, capsys, content):
         path = tmp_path / "group.json"

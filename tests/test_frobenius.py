@@ -157,8 +157,33 @@ class TestBlockDiagonalization:
 
 
 class TestChecksUnderO:
-    """Both checks of block_diagonalize_s3 raise VerificationError on a
-    corrupted collaborator, with assertions stripped."""
+    """The checks of block_diagonalize_s3 and frobenius_polynomial raise
+    VerificationError on a corrupted collaborator, with assertions
+    stripped."""
+
+    PSI2 = "fr.frobenius_polynomial(fr.s3().representations[2])"
+
+    def test_inhomogeneous_factor(self):
+        # a partition pattern of weight 1 adds a degree-1 term to psi
+        setup = """
+            import groupfft.frobenius as fr
+            right = fr._exponent_patterns
+            fr._exponent_patterns = lambda f: right(f) + [(1,) + (0,) * (f - 1)]
+        """
+        assert (check_under_o(self.PSI2, setup)
+                == "raised: factor is not homogeneous of the right degree")
+
+    def test_tuple_sum_not_proportional(self):
+        # an extended character doubled on the constant tuples only
+        setup = """
+            import groupfft.frobenius as fr
+            right = fr.TupleCharacter.value
+            def wrong(self, t):
+                return right(self, t) * 2 if len(set(t)) == 1 else right(self, t)
+            fr.TupleCharacter.value = wrong
+        """
+        assert (check_under_o(self.PSI2, setup)
+                == "raised: tuple-sum form is not proportional to the power-sum form")
 
     def test_wrong_block(self):
         setup = """

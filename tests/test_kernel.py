@@ -120,9 +120,10 @@ class TestPrimeBaseRepresentation:
         assert field.from_int(3).constant == field.base.from_int(3)
 
     def test_equal_but_distinct_base_descriptor(self):
+        # there is none: building F_3 again gives the base itself
         field = finite_field(3, 2)
         other = PrimeField(3)
-        assert other is not field.base and other == field.base
+        assert other is field.base
         for k in range(3):
             x = field.from_base(other.from_int(k))
             assert x.field is field and x == field.from_int(k)

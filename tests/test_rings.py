@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupfft.cyclotomic import cyclotomic_field
+import groupfft.rings as rings
+from groupfft.cli import parse_field_descriptor
+from groupfft.cyclotomic import CyclotomicField, cyclotomic_field, splitting_field
 from groupfft.errors import NoRootOfUnity, NotInvertible, PreconditionError, RingMismatch
 from groupfft.linalg import identity_matrix, mat_mul, mat_pow
 from groupfft.multipoly import MultiPoly
@@ -18,6 +20,7 @@ from groupfft.rings import (
     ExtField,
     ExtFieldElem,
     PrimeField,
+    RationalField,
     UniPoly,
     ext_gcd,
     find_irreducible,
@@ -416,6 +419,47 @@ class TestEqualityWithInts:
         k = _cyclo(5)
         assert k.zero == 0 and k.one == 1 and hash(k.one) == hash(1)
         assert k.zeta != 1
+
+
+class TestCanonicalDescriptors:
+    """Equal fields are one descriptor, whichever route builds them."""
+
+    def test_every_route_gives_one_object(self):
+        f9 = finite_field(3, 2)
+        assert PrimeField(3) is finite_field(3, 1) is f9.base is F3
+        assert ExtField(PrimeField(3), find_irreducible(3, 2)) is f9 is F9
+        assert splitting_field(F3, 8)[0] is f9  # ord_8(3) = 2
+        assert parse_field_descriptor("F9") is f9
+        assert parse_field_descriptor("Fq:3^2") is f9
+        assert parse_field_descriptor("Fp:3") is F3
+        k12 = cyclotomic_field(12)
+        assert CyclotomicField(12) is k12 is parse_field_descriptor("Qzeta:12")
+        assert splitting_field(cyclotomic_field(3), 4)[0] is k12
+        assert RationalField() is QQ is parse_field_descriptor("Q")
+
+    def test_failed_constructions_register_nothing(self):
+        reducible = from_ints([2, 0, 1], F3)  # X^2 - 1 over F3
+        calls = {
+            (PrimeField, 4): lambda: PrimeField(4),
+            (ExtField, F3, reducible): lambda: ExtField(F3, reducible),
+            (CyclotomicField, 0): lambda: CyclotomicField(0),
+        }
+        for key, call in calls.items():
+            for _ in range(2):
+                with pytest.raises(PreconditionError):
+                    call()
+            assert key not in rings._descriptors
+
+    def test_two_moduli_give_two_fields(self):
+        a_mod, b_mod = from_ints([1, 0, 1], F3), from_ints([2, 1, 1], F3)
+        a, b = ExtField(F3, a_mod), ExtField(F3, b_mod)
+        assert a is not b and a.order == b.order == 9
+        assert ExtField(F3, from_ints([1, 0, 1], F3)) is a
+        assert a.one != b.one and a.gen != b.gen
+        with pytest.raises(RingMismatch):
+            a.gen + b.gen
+        with pytest.raises(RingMismatch):
+            a.one * b.one
 
 
 class TestFormatting:

@@ -494,6 +494,20 @@ class TestChecksUnderO:
         assert (check_under_o("t.shift_power_from_idempotents(4, PrimeField(13), 1)", setup)
                 == "raised: shift-power reconstruction identity failed")
 
+    def test_wrong_interpolant(self):
+        # an F13 whose inverse of n is off by a factor 2 doubles the interpolant
+        setup = """
+            import groupfft.transform as t
+            from groupfft.rings import PrimeField
+            class Wrong(PrimeField):
+                def inv(self, x):
+                    return super().inv(x) * 2
+            F = Wrong(13)
+        """
+        assert (check_under_o("t.interpolate_at_roots_of_unity([F.one, F.zero, F.zero, F.zero], F)",
+                              setup)
+                == "raised: interpolant misses its target at zeta^0")
+
 
 class TestInterpolation:
     def test_constant(self):
