@@ -292,6 +292,8 @@ def _cmd_groupdet(req: CommandRequest) -> tuple[int, str]:
 
 
 def _cmd_vandermonde(req: CommandRequest) -> tuple[int, str]:
+    if req.n < 1:
+        raise PreconditionError("n must be >= 1")
     field = (
         parse_field_descriptor(req.field, zeta_conductor=req.n)
         if req.field
@@ -325,6 +327,8 @@ def _read_cayley(path: str):
         and all(isinstance(row, list) and all(isinstance(x, int) for x in row) for row in table)
     ):
         raise CLIUsageError(f'{path}: "labels" must list names and "table" rows of element indices')
+    if not isinstance(name, str):
+        raise CLIUsageError(f'{path}: "name" must be a string')
     return labels, table, name
 
 

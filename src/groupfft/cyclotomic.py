@@ -51,7 +51,9 @@ def cyclotomic_polynomial(d: int) -> UniPoly:
     """Monic minimal polynomial over Q of a primitive d-th root of unity.
 
     Computed by dividing X^d - 1 by the product of the lower-index
-    cyclotomic polynomials; the result has integer coefficients.
+    cyclotomic polynomials; the result has integer coefficients.  A
+    division that leaves a remainder, or a quotient of the wrong degree or
+    with a fractional coefficient, raises VerificationError.
     """
     if d < 1:
         raise PreconditionError("cyclotomic index must be >= 1")
@@ -59,9 +61,12 @@ def cyclotomic_polynomial(d: int) -> UniPoly:
     for dp in divisors(d):
         if dp != d:
             num, rem = divmod(num, cyclotomic_polynomial(dp))
-            assert rem.is_zero
-    assert num.degree == euler_phi(d)
-    assert all(c.denominator == 1 for c in num.coeffs)
+            if not rem.is_zero:
+                raise VerificationError(f"Phi_{dp} does not divide X^{d} - 1")
+    if num.degree != euler_phi(d):
+        raise VerificationError(f"Phi_{d} has degree {num.degree}, not phi({d})")
+    if any(c.denominator != 1 for c in num.coeffs):
+        raise VerificationError(f"Phi_{d} has a fractional coefficient")
     return num
 
 
@@ -191,6 +196,17 @@ class CyclotomicField(ExtField):
         return CycloElem(
             tuple([c.numerator * (den // c.denominator) for c in coeffs]), den, self
         )
+
+    def int_coords(self, x: CycloElem) -> list:
+        """The numerators of an algebraic integer x (denominator 1), as a
+        list of ints; inverted by from_int_coords."""
+        if x.den != 1:
+            raise PreconditionError(f"{x} is not an algebraic integer of {self}")
+        return list(x.num)
+
+    def from_int_coords(self, ints) -> CycloElem:
+        """The algebraic integer with these integer numerators."""
+        return CycloElem(tuple(ints), 1, self)
 
     def from_residue(self, coeffs) -> CycloElem:
         """Element from rational coefficients of 1, zeta, zeta^2, ..."""

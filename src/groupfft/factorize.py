@@ -11,6 +11,17 @@ Three regimes, mirroring the three fields of interest:
   multiplication by q on Z/nZ: each minimal stable label set L gives one
   factor, computed in a splitting extension and verified to descend.
 
+The factors over Q and F_q are products of eigenvalue forms
+sum_j zeta^(l j) X_j, so they lie in the integral group ring Z[C_N][X],
+N the order of zeta, until T -> zeta at the end.  They are expanded
+there, on packed ints (packed exponent vectors, after Monagan and Pearce):
+a monomial is one int of exponent fields, a coefficient one int of N
+counts, and a term of the form of l rotates the counts by l j mod N.
+Each surviving monomial then meets the field once: its int coordinates
+are read off one big-int product of the counts by the packed columns of
+the power table (Kronecker substitution).  The expansion makes no field
+product; the power table makes N - 1.
+
 Every factorization verifies its product identity on the spot: exactly
 (symbolically) up to n = 6, and at fixed pseudorandom points beyond.
 """
@@ -21,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 from .abelian import AbelianGroup, Character, character_matrix
 from .cyclotomic import cyclotomic_field, cyclotomic_polynomial, splitting_field
@@ -43,11 +54,15 @@ from .transform import GroupVector, group_matrix, group_variables
 
 _SYMBOLIC_VERIFY_CAP = 6
 # Most monomials a factor may expand to.  A product of k linear forms in n
-# variables has up to C(n + k - 1, k) of them, and its expansion's time and
-# memory grow with that count: 3,003 (C9 over F_2 or Q, k = 6) takes about
-# 0.2 s, 27,132 (C14 over F_3 or Q, k = 6) about 5 s and 64 MB, while
-# 2,704,156 (C13 over F_2, k = 12) ran for minutes at about 400 MB.  The
-# cap admits every factorization that finishes in seconds.
+# variables has up to C(n + k - 1, k) of them, and a factorization's time
+# and memory grow with that count.  Whole factorizations, checks included,
+# in a fresh process on a 2-core x86-64 VM: up to 3,003 (C9 over F_2 or Q,
+# k = 6) about 0.1 s and 19 MB; up to 27,132 (k = 6) C14 over Q about
+# 2.1 s and 65 MB, C14 over F_3 about 7.8 s and 47 MB, of which the
+# expansions take 0.5 and 0.6 s.  2,704,156 (C13 over F_2, k = 12) ran for
+# minutes at about 400 MB when the expansion multiplied in the field; it
+# was not run again.  The cap admits every factorization that finishes in
+# seconds.
 FORM_PRODUCT_CAP = 30_000
 _POINT_CHECKS = 20
 _VERIFY_SEED = 0x5EED
@@ -233,18 +248,84 @@ def _require_expandable(n: int, k: int):
 
 
 def _product_of_forms(variables, zeta, exponents, field) -> MultiPoly:
-    """Product over l in exponents of X_0 + zeta^l X_1 + ... + zeta^(l(n-1)) X_(n-1)."""
-    acc = None
-    for ell in exponents:
-        z = zeta ** ell
-        coeffs = {}
-        power = field.one
-        for v in variables:
-            coeffs[v] = power
-            power = power * z
-        form = MultiPoly.linear(coeffs, variables, field)
-        acc = form if acc is None else acc * form
-    return acc
+    """Product over l in exponents of X_0 + zeta^l X_1 + ... + zeta^(l(n-1)) X_(n-1),
+    zeta a root of unity in field.
+
+    Expanded in the group ring Z[C_N][X], N the order of zeta, where the
+    form of l is sum_j T^(l j mod N) X_j, on packed ints: a monomial is
+    one int of exponent fields, a coefficient one int of N count fields
+    (the coefficients of 1, T, ..., T^(N-1)), and a term of the form of l
+    adds a unit to the monomial and rotates the counts by l j.  Only the
+    power table takes field products.  Each surviving monomial is then
+    sent through T -> zeta once: every int coordinate of sum_e c_e zeta^e
+    is the dot product of the counts with that coordinate's column of the
+    power table, read off one big-int product by the packed reversed
+    columns (Kronecker substitution).  A count is at most k!, k the
+    number of forms, so with fields wider than N * k! * (largest
+    coordinate) nothing carries.
+    """
+    one = field.one
+    powers = [one]
+    z = zeta
+    while z != one:
+        powers.append(z)
+        z = z * zeta
+    order = len(powers)
+    labels = list(exponents)
+    k = len(labels)
+    n = len(variables)
+
+    # the expansion: {packed monomial: packed counts}
+    ebits = k.bit_length()
+    units = [1 << (ebits * j) for j in range(n)]
+    coords = [field.int_coords(x) for x in powers]
+    largest = max(abs(c) for row in coords for c in row)
+    width = (order * factorial(k) * largest).bit_length()
+    span = order * width
+    mask = (1 << span) - 1
+    acc = {0: 1}
+    for ell in labels:
+        # the variables' units, grouped by the rotation (in bits) of their term
+        by_shift: dict = {}
+        for j in range(n):
+            by_shift.setdefault(ell * j % order * width, []).append(units[j])
+        out: dict = {}
+        get = out.get
+        for mono, counts in acc.items():
+            for shift, group in by_shift.items():
+                rotated = ((counts << shift) & mask) | (counts >> (span - shift))
+                for u in group:
+                    m = mono + u
+                    out[m] = get(m, 0) + rotated
+        acc = out
+
+    # the map T -> zeta: coordinate t is the field at order - 1 of the
+    # product of the counts by column t reversed; the columns sit in
+    # blocks of 2 * order - 1 fields, negative entries in a second int
+    block = (2 * order - 1) * width
+    pos = neg = 0
+    for e, row in enumerate(coords):
+        for t, c in enumerate(row):
+            at = t * block + (order - 1 - e) * width
+            if c > 0:
+                pos |= c << at
+            elif c < 0:
+                neg |= -c << at
+    reads = [t * block + (order - 1) * width for t in range(len(coords[0]))]
+    low = (1 << width) - 1
+    emask = (1 << ebits) - 1
+    eshifts = [ebits * j for j in range(n)]
+    terms = {}
+    for mono, counts in acc.items():
+        hi = counts * pos
+        if neg:
+            lo = counts * neg
+            ints = [((hi >> r) & low) - ((lo >> r) & low) for r in reads]
+        else:
+            ints = [(hi >> r) & low for r in reads]
+        terms[tuple([(mono >> s) & emask for s in eshifts])] = field.from_int_coords(ints)
+    # MultiPoly drops the coefficients that vanish in the field
+    return MultiPoly(variables, terms, field)
 
 
 @lru_cache(maxsize=None)
@@ -357,9 +438,9 @@ def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
     in a splitting extension, verified to descend to F_q both by direct
     coefficient inspection and through the identity Q(X)^q = Q(X^q).
     """
-    _check_finite(field, n)
     if n < 1:
         raise PreconditionError("n must be >= 1")
+    _check_finite(field, n)
     q = field.order
     big, _ = splitting_field(field, n)
     zeta = primitive_nth_root(n, big)
@@ -392,6 +473,8 @@ def factor_cyclotomic(d: int, field) -> list[CosetFactor]:
     cosets of the subgroup generated by q in (Z/dZ)^*); there are
     phi(d)/r of them, all of degree r.
     """
+    if d < 1:
+        raise PreconditionError("cyclotomic index must be >= 1")
     _check_finite(field, d)
     q = field.order
     big, _ = splitting_field(field, d)

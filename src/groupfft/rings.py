@@ -13,7 +13,11 @@ embeddings.
 A field descriptor provides: ``characteristic``, ``zero``, ``one``,
 ``from_int``, ``from_rational``, ``inv``, ``format_elem`` and
 ``primitive_nth_root``; finite fields additionally expose ``order``,
-``iter_elements`` (canonical ordering) and ``order_key``.
+``iter_elements`` (canonical ordering) and ``order_key``.  F_p, F_{p^r}
+and Q(zeta_d) also read an element as a flat list of ints and back
+(``int_coords``, ``from_int_coords``): the residue, the coefficients over
+a prime base (over a tower, each coefficient's ints in turn), the
+integer numerators of an algebraic integer of Q(zeta_d).
 Descriptors are canonical: a constructor called with equal arguments
 returns the descriptor it built first (:class:`_Canonical`), so one field
 is one object, with one cache of roots of unity and one kernel, and
@@ -362,6 +366,14 @@ class PrimeField(metaclass=_Canonical):
 
     def order_key(self, x: PrimeFieldElem) -> int:
         return x.residue
+
+    def int_coords(self, x: PrimeFieldElem) -> list:
+        """x as a list of ints, inverted by from_int_coords: [residue]."""
+        return [x.residue]
+
+    def from_int_coords(self, ints) -> PrimeFieldElem:
+        """The element with these int coordinates, any ints, read mod p."""
+        return PrimeFieldElem(ints[0], self)
 
     def primitive_nth_root(self, n: int) -> PrimeFieldElem:
         return _cached_root_of_unity(self, n)
@@ -948,6 +960,29 @@ class ExtField(metaclass=_Canonical):
         if self._prime_base is not None:
             return tuple(reversed(x.coeffs))
         return tuple(self.base.order_key(c) for c in reversed(x.coeffs))
+
+    def int_coords(self, x: ExtFieldElem) -> list:
+        """x as a flat list of ints, inverted by from_int_coords: its
+        coefficients over a prime base; over a tower, the coordinates of
+        each coefficient in turn."""
+        if self._prime_base is not None:
+            return list(x.coeffs)
+        base = self.base
+        return [k for c in x.coeffs for k in base.int_coords(c)]
+
+    def from_int_coords(self, ints) -> ExtFieldElem:
+        """The element with these int coordinates, any ints, read mod p."""
+        base = self._prime_base
+        if base is not None:
+            p = base.p
+            return _ext_elem(tuple([k % p for k in ints]), self)
+        base = self.base
+        step = len(ints) // self.degree
+        return _ext_elem(
+            tuple([base.from_int_coords(ints[i:i + step])
+                   for i in range(0, len(ints), step)]),
+            self,
+        )
 
     def primitive_nth_root(self, n: int) -> ExtFieldElem:
         return _cached_root_of_unity(self, n)

@@ -9,6 +9,7 @@ from math import gcd
 from pathlib import Path
 
 from groupfft.cyclotomic import cyclotomic_polynomial
+from groupfft.multipoly import MultiPoly
 from groupfft.rings import QQ, ExtField, ExtFieldElem, UniPoly
 from groupfft.transform import GroupVector
 
@@ -93,6 +94,16 @@ def sympy_poly(sympy, coeffs, x):
     return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
 
 
+def sympy_multipoly(sympy, poly):
+    """The sympy expression of a MultiPoly over Q, in symbols named as
+    its variables."""
+    xs = sympy.symbols(poly.variables)
+    return sympy.Add(*(
+        sympy.Mul(sympy.Rational(c.numerator, c.denominator), *(x**e for x, e in zip(xs, exp)))
+        for exp, c in poly.terms.items()
+    ))
+
+
 def random_vector(group, field, rng):
     """A seeded random vector over Q, F_p, F_{p^r} or Q(zeta_d)."""
     return GroupVector(group, field, tuple(random_elem(field, rng) for _ in range(group.order)))
@@ -119,3 +130,20 @@ def check_under_o(call, *setup):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def product_of_forms_reference(variables, zeta, exponents, field):
+    """Product over l in exponents of X_0 + zeta^l X_1 + ... +
+    zeta^(l(n-1)) X_(n-1), expanded in field: one field product per term
+    pair.  The reference for factorize._product_of_forms."""
+    acc = None
+    for ell in exponents:
+        z = zeta ** ell
+        coeffs = {}
+        power = field.one
+        for v in variables:
+            coeffs[v] = power
+            power = power * z
+        form = MultiPoly.linear(coeffs, variables, field)
+        acc = form if acc is None else acc * form
+    return acc

@@ -177,6 +177,18 @@ class TestExitCodes:
         assert run(["factor-xn1", "--n", "4", "--q", "2"]) == 2
 
     @pytest.mark.parametrize("argv", [
+        ["factor-xn1", "--n", "0", "--q", "2"],
+        ["factor-xn1", "--n", "-2", "--q", "3"],
+        ["vandermonde", "--n", "0"],
+        ["vandermonde", "--n", "0", "--field", "F7"],
+    ])
+    def test_order_below_one_named_first(self, argv, capsys):
+        """n < 1 is reported as such, before the characteristic or the
+        conductor is checked against n."""
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: n must be >= 1\n"
+
+    @pytest.mark.parametrize("argv", [
         ["groupdet", "--group", "C7", "--over", "Fq", "--q", "2"],  # point checks
         ["groupdet", "--group", "C5", "--over", "Fq", "--q", "3"],  # symbolic check
     ])
@@ -371,9 +383,12 @@ class TestCayleyInput:
             '{"labels": ["e"], "table": [[[0]]]}',
             '{"labels": [["e"]], "table": [[0]]}',
             '{"labels": ["a", "b"], "table": [[0, 1.0], [1, 0]]}',
+            '{"labels": ["e"], "table": [[0]], "name": ["x", {"y": 1}]}',
+            '{"labels": ["e"], "table": [[0]], "name": 7}',
         ],
         ids=["missing", "not-json", "not-utf8", "json-list", "no-labels", "no-table",
-             "int-labels", "int-table", "list-entry", "list-label", "float-entry"],
+             "int-labels", "int-table", "list-entry", "list-label", "float-entry",
+             "list-name", "int-name"],
     )
     def test_unusable_file_is_a_parse_error(self, tmp_path, capsys, content):
         path = tmp_path / "group.json"

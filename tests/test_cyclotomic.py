@@ -38,6 +38,7 @@ from groupfft.transform import convolve, group_idempotents
 
 from helpers import (
     CYCLO_CONDUCTORS,
+    check_under_o,
     from_ints,
     gen_pow,
     is_canonical,
@@ -69,6 +70,32 @@ class TestCyclotomicPolynomials:
             for d in divisors(n):
                 prod = prod * cyclotomic_polynomial(d)
             assert prod == x_pow_minus_one(n, QQ)
+
+    def test_against_sympy_up_to_60(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("X")
+        for d in range(1, 61):
+            expected = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
+            assert [int(c) for c in cyclotomic_polynomial(d).coeffs] == expected
+
+    @pytest.mark.parametrize("corrupt, message", [
+        ("c.divmod = lambda a, b: (a // b, a)",
+         "Phi_1 does not divide X^15 - 1"),
+        ("orig = c.euler_phi\nc.euler_phi = lambda d: orig(d) + 1",
+         "Phi_1 has degree 1, not phi(1)"),
+        ("orig = c.x_pow_minus_one\n"
+         "c.x_pow_minus_one = lambda d, ring: orig(d, ring).scale(Fraction(1, 2))",
+         "Phi_1 has a fractional coefficient"),
+    ], ids=["remainder", "degree", "fraction"])
+    def test_checks_under_o(self, corrupt, message):
+        """Each check raises VerificationError under python -O, on a
+        corrupted collaborator."""
+        setup = """
+            from fractions import Fraction
+            import groupfft.cyclotomic as c
+        """
+        out = check_under_o("c.cyclotomic_polynomial(15)", setup, corrupt + "\n")
+        assert out == f"raised: {message}"
 
     def test_degrees_up_to_30(self):
         for d in range(1, 31):

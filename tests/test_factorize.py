@@ -8,16 +8,22 @@ import textwrap
 import time
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
 
 from groupfft.abelian import AbelianGroup
-from groupfft.cyclotomic import cyclotomic_field, cyclotomic_polynomial, splitting_field
+from groupfft.cyclotomic import (
+    CycloElem,
+    cyclotomic_field,
+    cyclotomic_polynomial,
+    splitting_field,
+)
 from groupfft.errors import PreconditionError, VerificationError
 from groupfft.factorize import (
     FORM_PRODUCT_CAP,
+    _product_of_forms,
     det_over_finite_field,
     det_over_rationals,
     det_split_field,
@@ -29,19 +35,23 @@ from groupfft.factorize import (
     verify_product_identity,
 )
 from groupfft.multipoly import MultiPoly
-from groupfft.transform import GroupVector, group_matrix
+from groupfft.transform import GroupVector, group_matrix, group_variables
 from groupfft.numtheory import divisors, euler_phi, multiplicative_order
 from groupfft.rings import (
     QQ,
     ExtField,
+    ExtFieldElem,
     PrimeField,
+    PrimeFieldElem,
     UniPoly,
     find_irreducible,
+    finite_field,
     is_irreducible,
+    primitive_nth_root,
     x_pow_minus_one,
 )
 
-from helpers import check_under_o, from_ints
+from helpers import check_under_o, from_ints, product_of_forms_reference, sympy_multipoly
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -451,6 +461,96 @@ class TestExpansionCap:
         assert FORM_PRODUCT_CAP >= 3003
         assert [len(e.coset) for e in det_over_finite_field(9, F2).factors] == [1, 6, 2]
         assert max(len(e.poly.terms) for e in det_over_rationals(9).factors) <= 3003
+
+
+NORM_CASES = [(n, d) for n in range(1, 13) for d in divisors(n)]
+COSET_CASES = [(n, q) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(1, 13) if gcd(n, q) == 1]
+FIELD_OF_ORDER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+def _units(d):
+    return [m for m in range(1, d + 1) if gcd(m, d) == 1]
+
+
+def _expandable(n, k):
+    return comb(n + k - 1, k) <= FORM_PRODUCT_CAP
+
+
+class TestFormProducts:
+    """_product_of_forms expands in Z[C_N] on packed ints; the products
+    must be the ones the element-by-element expansion in the field gives,
+    and the norm forms the resultants sympy computes."""
+
+    @pytest.mark.parametrize("n, d", NORM_CASES, ids=lambda c: str(c))
+    def test_norm_forms_match_field_expansion(self, n, d):
+        if not _expandable(n, euler_phi(d)):
+            with pytest.raises(PreconditionError):
+                norm_form(n, d)
+            return
+        kd = cyclotomic_field(d)
+        variables = group_variables(AbelianGroup.cyclic(n))
+        got = _product_of_forms(variables, kd.zeta, _units(d), kd)
+        assert got == product_of_forms_reference(variables, kd.zeta, _units(d), kd)
+
+    @pytest.mark.parametrize("n, q", COSET_CASES, ids=lambda c: str(c))
+    def test_coset_products_match_field_expansion(self, n, q):
+        """Every q-coset product, in the splitting field: F_p, F_p[Y]/(m)
+        and towers over F_4, F_8 and F_9."""
+        field = finite_field(*FIELD_OF_ORDER[q])
+        big, _ = splitting_field(field, n)
+        zeta = primitive_nth_root(n, big)
+        variables = group_variables(AbelianGroup.cyclic(n))
+        cosets = q_cyclotomic_cosets(n, q)
+        for labels in cosets:
+            if _expandable(n, len(labels)):
+                got = _product_of_forms(variables, zeta, labels, big)
+                assert got == product_of_forms_reference(variables, zeta, labels, big)
+        if not all(_expandable(n, len(labels)) for labels in cosets):
+            with pytest.raises(PreconditionError):
+                det_over_finite_field(n, field)
+
+    @pytest.mark.parametrize("n, d", [(n, d) for n, d in NORM_CASES if n <= 7],
+                             ids=lambda c: str(c))
+    def test_norm_form_is_a_resultant(self, n, d):
+        """norm_form(n, d) = Res_Y(Phi_d(Y), sum_j X_j Y^j), the product of
+        the form over the roots of Phi_d.  The resultant is the determinant
+        of sympy's Sylvester matrix, taken over Z[X_0, ..., X_(n-1)]:
+        sympy.resultant itself takes about 30 s on the case n = d = 7."""
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        y = sympy.Symbol("Y")
+        poly = norm_form(n, d)
+        form = sum(x * y**j for j, x in enumerate(sympy.symbols(poly.variables)))
+        matrix = DomainMatrix.from_Matrix(sylvester(sympy.cyclotomic_poly(d, y), form, y))
+        assert matrix.det() == matrix.domain.from_sympy(sympy_multipoly(sympy, poly))
+
+    @pytest.mark.parametrize("field, n, labels", [
+        (cyclotomic_field(9), 9, _units(9)),
+        (PrimeField(13), 12, (1, 5)),
+        (ExtField(finite_field(2, 2), find_irreducible(finite_field(2, 2), 3)), 7, (1, 2, 4)),
+    ], ids=["Q(zeta_9)", "F13", "F4-tower"])
+    def test_field_products_only_in_power_table(self, monkeypatch, field, n, labels):
+        """The expansion makes no field product: only the power table does,
+        N - 1 products for a root of order N."""
+        count = [0]
+
+        def counting(mul):
+            def wrapped(a, b):
+                if a.field is field:
+                    count[0] += 1
+                return mul(a, b)
+            return wrapped
+
+        for cls in (PrimeFieldElem, ExtFieldElem, CycloElem):
+            monkeypatch.setattr(cls, "_mul", counting(cls._mul))
+        zeta = primitive_nth_root(n, field)
+        variables = group_variables(AbelianGroup.cyclic(n))
+        count[0] = 0
+        poly = _product_of_forms(variables, zeta, labels, field)
+        assert len(poly.terms) > n
+        assert count[0] <= n
 
 
 class TestChecksUnderO:

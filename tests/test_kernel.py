@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from groupfft.cyclotomic import CycloElem, cyclotomic_field, cyclotomic_polynomial
-from groupfft.errors import RingMismatch
+from groupfft.errors import PreconditionError, RingMismatch
 from groupfft.rings import (
     QQ,
     ExtField,
@@ -174,6 +174,41 @@ class TestPrimeBaseRepresentation:
         assert nested(tower.inv(tower.gen + 1)) == ((0, 1), (0, 1), (0, 1))
         keys = [tower.order_key(x) for x in tower.iter_elements()]
         assert len(keys) == 64 and keys == sorted(keys)
+
+
+class TestIntCoords:
+    """int_coords flattens an element to ints and from_int_coords reads
+    them back, modulo p in a finite field."""
+
+    @pytest.mark.parametrize("field", [PrimeField(7), *EXT_FIELDS], ids=repr)
+    def test_round_trip_in_finite_fields(self, field):
+        rng = random.Random(11)
+        p = field.characteristic
+        for _ in range(30):
+            x = random_elem(field, rng)
+            ints = field.int_coords(x)
+            assert all(isinstance(k, int) and 0 <= k < p for k in ints)
+            assert field.from_int_coords(ints) == x
+            assert field.from_int_coords([k + 3 * p for k in ints]) == x
+
+    def test_tower_flattens_each_coefficient_in_turn(self):
+        tower = EXT_FIELDS[-1]
+        x = random_elem(tower, random.Random(3))
+        assert tower.int_coords(x) == [k for c in x.coeffs for k in F4.int_coords(c)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 12])
+    def test_algebraic_integers_of_q_zeta(self, d):
+        k = cyclotomic_field(d)
+        rng = random.Random(d)
+        for _ in range(20):
+            x = k.from_residue([rng.randrange(-9, 10) for _ in range(k.degree)])
+            assert k.int_coords(x) == list(x.num)
+            assert k.from_int_coords(k.int_coords(x)) == x
+
+    def test_q_zeta_refuses_a_denominator(self):
+        k = cyclotomic_field(5)
+        with pytest.raises(PreconditionError):
+            k.int_coords(k.from_rational(Fraction(1, 2)))
 
 
 class TestCycloProducts:

@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from groupfft.abelian import AbelianGroup
+from groupfft.abelian import AbelianGroup, parse_group
 from groupfft.cyclotomic import cyclotomic_field
 from groupfft.errors import PreconditionError
 from groupfft.factorize import linear_forms
+from groupfft.frobenius import s3
 from groupfft.linalg import mat_det
 from groupfft.multipoly import MultiPoly, symbolic_det
 from groupfft.rings import QQ, horner_plan
 from groupfft.transform import group_matrix, group_variables, symbolic_vector, GroupVector
+
+from helpers import sympy_multipoly
 
 V2 = ("X_0", "X_1")
 V3 = ("X_0", "X_1", "X_2")
@@ -129,6 +132,19 @@ class TestSymbolicDet:
             vec = GroupVector(group, field, tuple(point[v] for v in variables))
             numeric = mat_det(group_matrix(vec).rows(), field)
             assert det.evaluate(point) == numeric
+
+    @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C5", "C6", "C2xC2", "S3"])
+    def test_against_sympy_det(self, name):
+        """symbolic_det against sympy's Matrix.det on the same group matrix
+        of generic variables."""
+        sympy = pytest.importorskip("sympy")
+        if name == "S3":
+            rows = s3().group.symbolic_matrix(QQ)
+        else:
+            rows = group_matrix(symbolic_vector(parse_group(name), QQ)).rows()
+        matrix = sympy.Matrix([[sympy_multipoly(sympy, p) for p in row] for row in rows])
+        got = sympy_multipoly(sympy, symbolic_det(rows))
+        assert sympy.expand(matrix.det(method="berkowitz") - got) == 0
 
 
 class TestEvaluation:
