@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .numtheory import invariant_factors
 from .rings import root_powers
 
@@ -179,13 +179,16 @@ def bidual_identification(group: AbelianGroup) -> dict[GroupElement, Character]:
         for chi in group.characters():
             t1 = group.pairing_exponent(a, chi)
             t2 = dual.pairing_exponent(GroupElement(chi.residues), mapping[a])
-            assert t1 == t2, "bidual map does not respect the pairing"
+            if t1 != t2:
+                raise VerificationError("bidual map does not respect the pairing")
     for a in elements:
         for b in elements:
             lhs = mapping[group.mul(a, b)]
             rhs = dual.char_mul(mapping[a], mapping[b])
-            assert lhs == rhs, "bidual map is not a homomorphism"
-    assert len(set(mapping.values())) == group.order
+            if lhs != rhs:
+                raise VerificationError("bidual map is not a homomorphism")
+    if len(set(mapping.values())) != group.order:
+        raise VerificationError("bidual map is not injective")
     return mapping
 
 

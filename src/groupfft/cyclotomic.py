@@ -345,7 +345,8 @@ def norm_to_rationals(a: CycloElem) -> Fraction:
     prod = a.field.one
     for c in galois_conjugates(a):
         prod = prod * c
-    assert prod.is_rational
+    if not prod.is_rational:
+        raise VerificationError(f"the norm of {a} is not rational")
     return prod.rational_value
 
 
@@ -354,7 +355,8 @@ def complementary_factor(n: int, d: int) -> UniPoly:
     if d < 1 or n % d != 0:
         raise PreconditionError(f"{d} does not divide {n}")
     quo, rem = divmod(x_pow_minus_one(n, QQ), cyclotomic_polynomial(d))
-    assert rem.is_zero
+    if not rem.is_zero:
+        raise VerificationError(f"Phi_{d} does not divide X^{n} - 1")
     return quo
 
 
@@ -366,8 +368,10 @@ def complementary_inverse(n: int, d: int) -> UniPoly:
     psi = complementary_factor(n, d)
     phi_d = cyclotomic_polynomial(d)
     g, u, _ = ext_gcd(psi, phi_d)
-    assert g.degree == 0 and g.coefficient(0) == 1
-    assert (u * psi) % phi_d == UniPoly.constant(Fraction(1), QQ)
+    if g.degree != 0 or g.coefficient(0) != 1:
+        raise VerificationError(f"(X^{n} - 1)/Phi_{d} is not prime to Phi_{d}")
+    if (u * psi) % phi_d != UniPoly.constant(Fraction(1), QQ):
+        raise VerificationError(f"the inverse of (X^{n} - 1)/Phi_{d} modulo Phi_{d} fails")
     return u
 
 
@@ -403,7 +407,8 @@ def rational_basis_cyclic(n: int) -> list[RationalBasisElement]:
         for j in range(euler_phi(d)):
             out.append(RationalBasisElement(d, j, cur))
             cur = (cur * x) % modulus
-    assert len(out) == n
+    if len(out) != n:
+        raise VerificationError(f"{len(out)} rational basis elements, expected {n}")
     return out
 
 

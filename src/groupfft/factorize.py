@@ -421,14 +421,18 @@ def _descend(poly, big, field):
     return poly.map_coefficients(lambda c: c.constant, field)
 
 
-def _descended_factor(labels, big, zeta, field) -> UniPoly:
+def _descended_factor(labels, big, powers, field) -> UniPoly:
     """The product of X - zeta^l over the labels l, computed in the
-    splitting field big and descended to field."""
-    x = UniPoly.gen(big)
-    poly = UniPoly.constant(big.one, big)
+    splitting field big and descended to field; powers[l] is zeta^l.
+    Each linear factor costs one product per coefficient:
+    (X - z) * sum a_i X^i = sum (a_(i-1) - z a_i) X^i."""
+    coeffs = [big.one]
     for ell in labels:
-        poly = poly * (x - UniPoly.constant(zeta ** ell, big))
-    return _descend(poly, big, field)
+        z = powers[ell]
+        coeffs = ([-(z * coeffs[0])]
+                  + [a - z * b for a, b in zip(coeffs, coeffs[1:])]
+                  + [coeffs[-1]])
+    return _descend(UniPoly.make(coeffs, big), big, field)
 
 
 def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
@@ -443,10 +447,10 @@ def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
     _check_finite(field, n)
     q = field.order
     big, _ = splitting_field(field, n)
-    zeta = primitive_nth_root(n, big)
+    powers = root_powers(n, big)
     out = []
     for labels in q_cyclotomic_cosets(n, q):
-        poly = _descended_factor(labels, big, zeta, field)
+        poly = _descended_factor(labels, big, powers, field)
         if poly.degree != len(labels):
             raise VerificationError(f"coset factor of {labels} has degree {poly.degree}")
         if not poly.is_monic:
@@ -478,13 +482,13 @@ def factor_cyclotomic(d: int, field) -> list[CosetFactor]:
     _check_finite(field, d)
     q = field.order
     big, _ = splitting_field(field, d)
-    zeta = primitive_nth_root(d, big)
+    powers = root_powers(d, big)
     r = multiplicative_order(q, d)
     out = []
     for coset in q_cyclotomic_cosets(d, q):
         if gcd(coset[0], d) != 1:
             continue
-        poly = _descended_factor(coset, big, zeta, field)
+        poly = _descended_factor(coset, big, powers, field)
         if poly.degree != r or not poly.is_monic:
             raise VerificationError(f"coset factor of {coset} is not monic of degree {r}")
         out.append(CosetFactor(coset, poly))

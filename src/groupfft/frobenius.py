@@ -97,7 +97,11 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         for j in range(self.order):
             if self.table[i][j] == self.identity:
-                assert self.table[j][i] == self.identity
+                if self.table[j][i] != self.identity:
+                    raise PreconditionError(
+                        f"element {self.labels[i]} has only a one-sided inverse "
+                        f"{self.labels[j]}"
+                    )
                 return j
         raise PreconditionError(f"element {self.labels[i]} has no inverse")
 

@@ -1,15 +1,19 @@
 """Exact linear algebra over any of the implemented fields.
 
 Matrices are lists (or tuples) of rows of field elements.  Inverse,
-determinant and rank all use ordinary row reduction with exact division.
-Determinant and rank update only the live trailing block, the columns
-right of the pivot: the pivot column below the pivot is never read again,
-so an n x n determinant costs sum k^2 = (n-1)n(2n-1)/6 cell updates (506
-for n = 12, against 792 for whole rows).  They run on the field's
+determinant and rank all use row reduction with exact arithmetic: the
+inverse and, over every field but Q, the determinant and rank divide by
+the pivot; over Q they eliminate fraction-free (Bareiss), on integer rows
+with an exact integer division by the previous pivot.  Determinant and
+rank update only the live trailing block, the columns right of the pivot:
+the pivot column below the pivot is never read again, so an n x n
+determinant costs sum k^2 = (n-1)n(2n-1)/6 cell updates (506 for n = 12,
+against 792 for whole rows).  They run on the field's
 :func:`groupfft.rings.kernel`, which holds the working copy (int residues
-over F_p, logarithms over a small F_{p^r}, elements elsewhere) and wraps
-the determinant back into the caller's descriptor.  Shape checks raise
-PreconditionError, under ``python -O`` too.
+over F_p, logarithms over a small F_{p^r}, scaled integer rows over Q,
+elements elsewhere) and reads the determinant off it, in the caller's
+descriptor.  Shape checks raise PreconditionError, under ``python -O``
+too.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ def mat_inverse(a, field) -> list[list]:
 
 
 def mat_det(a, field):
-    """Determinant by elimination with exact division.
+    """Determinant by elimination on the field's kernel.
 
     The result is an element of the very descriptor ``field``; the input
     is not modified.
@@ -97,7 +101,7 @@ def mat_det(a, field):
         raise PreconditionError("matrix is not square")
     kern = kernel(field)
     m = kern.working_copy(a)
-    pivots, negate = [], False
+    negate = False
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
@@ -105,13 +109,12 @@ def mat_det(a, field):
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             negate = not negate
-        pivots.append(m[col][col])
         kern.eliminate_below(m, col, col)
-    return kern.signed_product(pivots, negate)
+    return kern.determinant(m, negate)
 
 
 def mat_rank(rows, field) -> int:
-    """Rank by row reduction with exact division, over any field."""
+    """Rank by row reduction on the field's kernel, over any field."""
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
     _require_width(rows, n_cols, "rank")

@@ -57,10 +57,15 @@ coefficients, so its table is integral and applies to the integer
 numerators as they are).  Over a prime base every other operation runs on
 the int coefficients too: sums, differences and negation one ``% p`` per
 coefficient, the inverse :func:`inv_mod_p` (extended euclid on the
-coefficient lists: O(r^2) int operations and no element or ``UniPoly``
-object per step, where the generic :func:`ext_gcd` makes both), and
-``iter_elements``, ``order_key``, ``==`` and ``hash``; an F_p element is
-made only where a caller reads ``residue``, ``constant`` or ``poly``.
+coefficient lists, :func:`ext_gcd_mod_p`: O(r^2) int operations and no
+element or ``UniPoly`` object per step, where the generic :func:`ext_gcd`
+makes both), and ``iter_elements``, ``order_key``, ``==`` and ``hash``;
+an F_p element is made only where a caller reads ``residue``,
+``constant`` or ``poly``.  F_p[X] itself runs on int lists where it is
+searched: :func:`is_irreducible` over F_p takes its powers X^(p^i) mod f,
+remainders and gcds (the same :func:`ext_gcd_mod_p`) on ints, and
+:func:`find_irreducible` scans int candidates and makes a ``UniPoly`` of
+the winner only.
 Towers (an ``ExtField`` over an ``ExtField``) run the same helper on
 base-field elements and the element-valued table, and invert through
 :func:`ext_gcd`; Q(zeta_d) inverts through the norm, on its integer
@@ -73,8 +78,11 @@ residues, a cell update one ``(x - f * y) % p`` and a pivot inverse one
 ``pow(x, -1, p)``, and evaluates on its elements.  A small F_p[Y]/(m),
 order at most ``LOG_ORDER_CAP``, runs both on Zech logarithms
 (:class:`LogTables`): a product is one int addition and a sum one table
-lookup (:func:`zech_sum`).  Q eliminates on ``Fraction``s; at a point of
-ints and Fractions it evaluates c * P, c the lcm of the coefficient
+lookup (:func:`zech_sum`).  Q eliminates fraction-free: each row is
+scaled to integers by the lcm of its denominators, a Bareiss update
+divides exactly by the previous pivot, and the determinant is the last
+pivot over the product of the row scales, one ``Fraction``.  At a point
+of ints and Fractions it evaluates c * P, c the lcm of the coefficient
 denominators, homogenized to the total degree D by one more variable, at
 the point scaled to integers y over the lcm L of its denominators: the
 walk gives c * L^D * P(x) on ints.  Every other field (towers, Q(zeta_d),
@@ -608,9 +616,10 @@ def ext_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
 def is_irreducible(f: UniPoly) -> bool:
     """Irreducibility over a finite field.
 
-    Uses the gcd test against X^(q^i) - X for i up to deg(f)/2: any
-    reducible f has an irreducible factor of degree at most deg(f)/2,
-    and every such factor divides X^(q^i) - X for its degree i.
+    Uses the gcd test against X^(q^i) - X for i up to deg(f)/2 (Ben-Or):
+    any reducible f has an irreducible factor of degree at most deg(f)/2,
+    and every such factor divides X^(q^i) - X for its degree i.  Over a
+    prime field the test runs on int coefficient lists.
     """
     field = f.ring
     if not getattr(field, "is_finite", False):
@@ -620,6 +629,8 @@ def is_irreducible(f: UniPoly) -> bool:
         raise PreconditionError("irreducibility is defined for degree >= 1")
     if n == 1:
         return True
+    if field.__class__ is PrimeField:
+        return _is_irreducible_mod_p([c.residue for c in f.coeffs], field.p)
     f = f.monic()
     q = field.order
     x = UniPoly.gen(field)
@@ -639,18 +650,24 @@ def find_irreducible(field_or_p, r: int) -> UniPoly:
     Candidates are scanned in lexicographic order of the coefficient
     sequence read from the highest degree down (constant term varies
     fastest), so the result is deterministic.  Memoized: the search is
-    the cost of building F_{p^r} for a large r.
+    the cost of building F_{p^r} for a large r.  Over a prime field the
+    candidates are int lists, and only the winner becomes a UniPoly.
     """
     field = PrimeField(field_or_p) if isinstance(field_or_p, int) else field_or_p
     if r < 1:
         raise PreconditionError("degree must be >= 1")
-    elems = list(field.iter_elements())
-    for tail in itertools.product(elems, repeat=r):
-        # tail is (c_{r-1}, ..., c_0); prepend the monic leading 1
-        coeffs = list(reversed(tail)) + [field.one]
-        cand = UniPoly.make(coeffs, field)
-        if is_irreducible(cand):
-            return cand
+    # tail is (c_{r-1}, ..., c_0); the monic leading 1 goes on top
+    if field.__class__ is PrimeField:
+        p = field.p
+        for tail in itertools.product(range(p), repeat=r):
+            coeffs = [*reversed(tail), 1]
+            if _is_irreducible_mod_p(coeffs, p):
+                return UniPoly(tuple([PrimeFieldElem(c, field) for c in coeffs]), field)
+    else:
+        for tail in itertools.product(list(field.iter_elements()), repeat=r):
+            cand = UniPoly.make([*reversed(tail), field.one], field)
+            if is_irreducible(cand):
+                return cand
     raise AssertionError("unreachable: irreducible polynomials of every degree exist")
 
 
@@ -701,46 +718,115 @@ def mul_reduced(a, b, table, zero) -> list:
     return out
 
 
-def inv_mod_p(a, m, p: int) -> list:
-    """Coefficients of the inverse of a modulo m over F_p, on plain ints.
+# ---------------------------------------------------------------------------
+# F_p[X] on int lists
+# ---------------------------------------------------------------------------
+# A polynomial over F_p is a list of ints, constant term first.  Inputs may
+# hold any ints (read mod p) and trailing zeros, but a divisor or modulus
+# ends in a coefficient prime to p; every result holds ints in [0, p) and
+# no trailing zero, so the zero polynomial is [].
 
-    a (not divisible by m) and m, monic irreducible of degree r, are int
-    coefficient lists, constant term first; the result has exactly r.
-    Extended euclid tracking only the cofactor of a: t0 * a = r0 and
-    t1 * a = r1 modulo m throughout, until r1 is a nonzero constant.
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul_mod_p(a, b, p: int) -> list:
+    """The product of a and b over F_p."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _trim([x % p for x in out])
+
+
+def _divmod_mod_p(a, b, p: int) -> tuple[list, list]:
+    """(quotient, remainder) of a by b over F_p."""
+    d = len(b) - 1
+    rem = list(a)
+    if len(rem) <= d:
+        return [], _trim([x % p for x in rem])
+    inv_lead = pow(b[-1], -1, p)
+    low = b[:d]
+    quo = [0] * (len(rem) - d)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + d] * inv_lead % p
+        if c:
+            quo[k] = c
+            rem[k:k + d] = [x - c * y for x, y in zip(rem[k:k + d], low)]
+    return quo, _trim([x % p for x in rem[:d]])
+
+
+def _powmod_mod_p(a, e: int, f, p: int) -> list:
+    """a^e modulo f over F_p, for e >= 1."""
+    return square_and_multiply(
+        _divmod_mod_p(a, f, p)[1], e,
+        lambda x, y: _divmod_mod_p(_mul_mod_p(x, y, p), f, p)[1],
+    )
+
+
+def ext_gcd_mod_p(f, h, p: int) -> tuple[list, list]:
+    """(g, t): g = gcd(f, h) monic and t * h = g modulo f, over F_p.
+
+    Extended euclid tracking only the cofactor of h:
+    t0 * h = r0 and t1 * h = r1 modulo f throughout; a nonzero constant
+    r1 ends it early, with g = 1.  The identity t * h = g (mod f) is
+    rechecked, and a failure raises VerificationError.
     """
-    r = len(m) - 1
-    r0, r1 = list(m), [c % p for c in a]
-    while r1 and not r1[-1]:
-        r1.pop()
-    t0, t1 = [0], [1]
+    r0, r1 = list(f), _divmod_mod_p(h, f, p)[1]
+    t0, t1 = [], [1]
     while len(r1) > 1:
-        # r0 = q * r1 + rem, coefficients reduced mod p only at the end
-        d = len(r1) - 1
-        inv_lead = pow(r1[-1], -1, p)
-        rem = r0[:]
-        q = [0] * (len(r0) - d)
-        for k in range(len(q) - 1, -1, -1):
-            c = rem[k + d] * inv_lead % p
-            if c:
-                q[k] = c
-                for j in range(d):
-                    rem[k + j] -= c * r1[j]
-        rem = [x % p for x in rem[:d]]
-        while rem and not rem[-1]:
-            rem.pop()
+        q, rem = _divmod_mod_p(r0, r1, p)
         # t0 - q * t1
         t = t0 + [0] * (len(q) + len(t1) - 1 - len(t0))
         for i, x in enumerate(q):
             if x:
                 for j, y in enumerate(t1, i):
                     t[j] -= x * y
-        t = [x % p for x in t]
-        while len(t) > 1 and not t[-1]:
-            t.pop()
-        r0, r1, t0, t1 = r1, rem, t1, t
-    c = pow(r1[0], -1, p)
-    return [x * c % p for x in t1] + [0] * (r - len(t1))
+        r0, r1, t0, t1 = r1, rem, t1, _trim([x % p for x in t])
+    if r1:
+        g, c, t = [1], pow(r1[0], -1, p), t1
+    else:
+        c, t = pow(r0[-1], -1, p), t0
+        g = [x * c % p for x in r0]
+    t = [x * c % p for x in t]
+    diff = _mul_mod_p(t, h, p)
+    diff += [0] * (len(g) - len(diff))
+    for i, c in enumerate(g):
+        diff[i] -= c
+    if _divmod_mod_p(diff, f, p)[1]:
+        raise VerificationError("Bezout identity recheck failed")
+    return g, t
+
+
+def inv_mod_p(a, m, p: int) -> list:
+    """Coefficients of the inverse of a modulo m over F_p, on plain ints.
+
+    a (not divisible by m) and m, monic irreducible of degree r, are int
+    coefficient lists, constant term first; the result has exactly r.
+    """
+    g, t = ext_gcd_mod_p(m, a, p)
+    if g != [1]:
+        raise VerificationError("modulus not coprime to nonzero residue")
+    return t + [0] * (len(m) - 1 - len(t))
+
+
+def _is_irreducible_mod_p(f, p: int) -> bool:
+    """is_irreducible for f of degree >= 1 over F_p, an int list."""
+    x = [0, 1]
+    h = x
+    for _ in range((len(f) - 1) // 2):
+        h = _powmod_mod_p(h, p, f, p)
+        # h - X
+        d = h + [0] * (2 - len(h))
+        d[1] -= 1
+        if len(ext_gcd_mod_p(f, d, p)[0]) > 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1106,10 +1192,12 @@ def kernel(field):
     A kernel holds the values of its field for bulk work:
     ``working_copy(rows)`` holds a matrix, one held value per entry,
     nonzero exactly when it is truthy; ``eliminate_below(m, top, col)``
-    clears column col below the pivot m[top][col]; ``signed_product``
-    multiplies held values into an element of the field; ``plan(terms)``
-    and ``value(plan, xs)`` evaluate a sum of terms at the point xs,
-    one value per variable.
+    clears column col below the pivot m[top][col], the pivots taken in
+    order; ``determinant(m, negate)`` reads the determinant, negated if
+    negate, off a square working copy whose every column has been
+    cleared, as an element of the field; ``plan(terms)`` and
+    ``value(plan, xs)`` evaluate a sum of terms at the point xs, one value
+    per variable.
     """
     k = field._kernel
     if k is None:
@@ -1149,11 +1237,11 @@ class ElementKernel:
                 f = row[col] * inv_p
                 row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], live)]
 
-    def signed_product(self, held, negate: bool):
-        """The product of the held values, negated if negate."""
+    def determinant(self, m, negate: bool):
+        """The product of the pivots on the diagonal, negated if negate."""
         out = self.field.one
-        for x in held:
-            out = out * x
+        for i, row in enumerate(m):
+            out = out * row[i]
         return -out if negate else out
 
     def plan(self, terms: dict):
@@ -1191,11 +1279,11 @@ class IntKernel(ElementKernel):
                 f = row[col] * inv_p % p
                 row[col + 1:] = [(x - f * y) % p for x, y in zip(row[col + 1:], live)]
 
-    def signed_product(self, held, negate: bool):
+    def determinant(self, m, negate: bool):
         p = self.field.p
         out = 1
-        for x in held:
-            out = out * x % p
+        for i, row in enumerate(m):
+            out = out * row[i] % p
         return PrimeFieldElem(-out if negate else out, self.field)
 
 
@@ -1227,10 +1315,11 @@ class LogKernel(ElementKernel):
                 row[col + 1:] = [zech_sum(x, f + y if y else 0, zech, n)
                                  for x, y in zip(row[col + 1:], live)]
 
-    def signed_product(self, held, negate: bool):
+    def determinant(self, m, negate: bool):
         # start at log 1 = n, so that an empty product is one
         tables = self.tables
-        return tables.elem(sum(held, tables.n) + negate * tables.neg_one, self.field)
+        logs = sum([row[i] for i, row in enumerate(m)], tables.n)
+        return tables.elem(logs + negate * tables.neg_one, self.field)
 
     def plan(self, terms: dict):
         log_of, field = self.tables.log_of, self.field
@@ -1251,9 +1340,23 @@ class LogKernel(ElementKernel):
         return tables.elem(_log_walk(root, powers, tables.zech, tables.n), field)
 
 
+class _ScaledRows(list):
+    """The integer working copy of a rational matrix: row i is s_i times
+    the input row, s_i the lcm of its denominators.  ``scale`` is the
+    product of the s_i and ``divisor`` the last pivot (1 before the
+    first), by which the next Bareiss update divides."""
+
+    __slots__ = ("scale", "divisor")
+
+
 class RationalKernel(ElementKernel):
-    """Q: elimination on Fractions; evaluation on an integer plan at
-    points of ints and Fractions, on the coefficients elsewhere.
+    """Q: fraction-free elimination on ints; evaluation on an integer plan
+    at points of ints and Fractions, on the coefficients elsewhere.
+
+    Elimination is Bareiss's (Math. Comp. 1968): with pivot a and previous
+    pivot b, a row below becomes (a * row - row[col] * pivot row) / b, an
+    exact division, so every value is a minor of the scaled matrix and the
+    last pivot of a square one is its determinant.
 
     The plan is [c, D, root, steps, coefficients]: c the lcm of the
     coefficient denominators, D the total degree, and the Horner plan of
@@ -1263,6 +1366,35 @@ class RationalKernel(ElementKernel):
     """
 
     __slots__ = ()
+
+    def working_copy(self, rows) -> _ScaledRows:
+        m = _ScaledRows()
+        scale = 1
+        try:
+            for row in rows:
+                s = lcm(*[x.denominator for x in row])
+                m.append([x.numerator * (s // x.denominator) for x in row])
+                scale *= s
+        except AttributeError:
+            raise RingMismatch("a matrix over Q has an entry outside Q") from None
+        m.scale, m.divisor = scale, 1
+        return m
+
+    def eliminate_below(self, m, top: int, col: int):
+        pivot_row = m[top]
+        live = pivot_row[col + 1:]
+        a, b = pivot_row[col], m.divisor
+        for row in m[top + 1:]:
+            f = row[col]
+            if f:
+                row[col + 1:] = [(a * x - f * y) // b for x, y in zip(row[col + 1:], live)]
+            else:
+                row[col + 1:] = [a * x // b for x in row[col + 1:]]
+        m.divisor = a
+
+    def determinant(self, m, negate: bool):
+        last = m[-1][-1] if m else 1
+        return Fraction(-last if negate else last, m.scale)
 
     def plan(self, terms: dict):
         c = lcm(*(v.denominator for v in terms.values()))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from groupfft.cyclotomic import cyclotomic_polynomial
 from groupfft.multipoly import MultiPoly
-from groupfft.rings import QQ, ExtField, ExtFieldElem, UniPoly
+from groupfft.rings import QQ, ExtField, ExtFieldElem, UniPoly, ext_gcd, poly_powmod
 from groupfft.transform import GroupVector
 
 
@@ -147,3 +147,19 @@ def product_of_forms_reference(variables, zeta, exponents, field):
         form = MultiPoly.linear(coeffs, variables, field)
         acc = form if acc is None else acc * form
     return acc
+
+
+def is_irreducible_reference(f):
+    """Ben-Or's test on field elements: gcd(f, X^(q^i) - X) for i up to
+    deg(f)/2, through the element-valued poly_powmod and ext_gcd.  The
+    reference for the int-list path of rings.is_irreducible."""
+    if f.degree == 1:
+        return True
+    f = f.monic()
+    x = UniPoly.gen(f.ring)
+    h = x
+    for _ in range(f.degree // 2):
+        h = poly_powmod(h, f.ring.order, f)
+        if ext_gcd(f, h - x)[0].degree > 0:
+            return False
+    return True

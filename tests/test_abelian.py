@@ -18,7 +18,7 @@ from groupfft.errors import NoRootOfUnity, PreconditionError
 from groupfft.linalg import identity_matrix, mat_eq, mat_mul
 from groupfft.rings import QQ, PrimeField
 
-from helpers import from_ints, is_elementary_divisor_form
+from helpers import check_under_o, from_ints, is_elementary_divisor_form
 
 
 def all_groups_of_order_up_to(n_max):
@@ -121,6 +121,26 @@ class TestDualAndBidual:
             mapping = bidual_identification(g)
             for a in g.elements():
                 assert mapping[a].residues == a.residues
+
+
+    @pytest.mark.parametrize("corrupt, message", [
+        ("orig = ab.Character\n"
+         "ab.Character = lambda residues: orig(tuple(-r % 4 for r in residues))",
+         "bidual map does not respect the pairing"),
+        ("ab.AbelianGroup.char_mul = lambda self, a, b: a",
+         "bidual map is not a homomorphism"),
+        ("ab.AbelianGroup.order = property(lambda self: 5)",
+         "bidual map is not injective"),
+    ], ids=["pairing", "homomorphism", "injective"])
+    def test_checks_under_o(self, corrupt, message):
+        """Each check raises VerificationError under python -O, on a
+        corrupted collaborator."""
+        setup = """
+            import groupfft.abelian as ab
+        """
+        out = check_under_o("ab.bidual_identification(ab.AbelianGroup.cyclic(4))",
+                            setup, corrupt + "\n")
+        assert out == f"raised: {message}"
 
 
 class TestCharacterMatrix:

@@ -438,6 +438,42 @@ class TestRationalBasisCyclic:
                     assert reduced.is_zero
 
 
+class TestChecksUnderO:
+    """The checks of the norm, the complementary factors and the rational
+    basis raise VerificationError under python -O, each on a corrupted
+    collaborator."""
+
+    SETUP = """
+        from fractions import Fraction
+        import groupfft.cyclotomic as c
+        from groupfft.rings import QQ, UniPoly
+    """
+
+    @pytest.mark.parametrize("corrupt, call, message", [
+        ("c.galois_conjugates = lambda a: [a]",
+         "c.norm_to_rationals(c.cyclotomic_field(5).zeta)",
+         "the norm of z is not rational"),
+        ("orig = c.cyclotomic_polynomial\norig(3)\n"
+         "c.cyclotomic_polynomial = lambda d: orig(d) + UniPoly.constant(QQ.one, QQ)",
+         "c.complementary_factor(6, 3)",
+         "Phi_3 does not divide X^6 - 1"),
+        ("orig = c.ext_gcd\n"
+         "c.ext_gcd = lambda a, b: (UniPoly.gen(QQ),) + orig(a, b)[1:]",
+         "c.complementary_inverse(6, 3)",
+         "(X^6 - 1)/Phi_3 is not prime to Phi_3"),
+        ("orig = c.ext_gcd\n"
+         "c.ext_gcd = lambda a, b: (lambda g, u, v: (g, u.scale(Fraction(2)), v))(*orig(a, b))",
+         "c.complementary_inverse(6, 3)",
+         "the inverse of (X^6 - 1)/Phi_3 modulo Phi_3 fails"),
+        ("c.rational_basis_cyclic(6)\n"
+         "orig = c.euler_phi\nc.euler_phi = lambda d: orig(d) + 1",
+         "c.rational_basis_cyclic(6)",
+         "10 rational basis elements, expected 6"),
+    ], ids=["norm", "complementary-factor", "inverse-gcd", "inverse-identity", "basis-size"])
+    def test_checks_under_o(self, corrupt, call, message):
+        assert check_under_o(call, self.SETUP, corrupt + "\n") == f"raised: {message}"
+
+
 class TestRationalBasisAbelian:
     def test_c2_matches_cyclic(self):
         group = AbelianGroup.cyclic(2)

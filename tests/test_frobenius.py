@@ -55,6 +55,15 @@ class TestFiniteGroup:
         with pytest.raises(PreconditionError):
             FiniteGroup.from_table(("a", "b", "c"), ((1, 0, 2), (0, 2, 1), (2, 1, 0)))
 
+    def test_one_sided_inverse_rejected(self):
+        # a loop of order 5 (a Latin square with identity a, not
+        # associative) in which c * d = a but d * c = b
+        table = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1),
+                 (3, 4, 1, 2, 0), (4, 2, 0, 1, 3))
+        loop = FiniteGroup(("a", "b", "c", "d", "e"), table, 0)
+        with pytest.raises(PreconditionError, match="element c has only a one-sided inverse d"):
+            loop.inv(2)
+
     def test_cyclic_group_table(self):
         g = cyclic_group(4).group
         assert g.mul(3, 2) == 1

@@ -126,16 +126,57 @@ class TestAgainstSympy:
     """mat_det and mat_rank (live trailing block) against sympy."""
 
     def test_det_and_rank_over_q(self):
+        """The fraction-free elimination over Q: square matrices (singular,
+        row-swapping, zero columns) of integral Fractions, of Fractions
+        with mixed denominators and of ints mixed with Fractions; a zero
+        pivot in the middle of the elimination; dependent rows; then
+        rectangular and empty matrices."""
         sympy = pytest.importorskip("sympy")
         rng = random.Random(43)
-        for _ in range(150):
-            n = rng.randrange(1, 8)
-            m = _seeded_square(rng, n, Fraction)
+
+        def mixed(k):
+            return Fraction(k, rng.randrange(1, 13)) if rng.randrange(3) else k
+
+        def check_square(m):
+            before = [list(row) for row in m]
             oracle = sympy.Matrix(m)
-            assert mat_det(m, QQ) == oracle.det()
+            det = mat_det(m, QQ)
+            assert type(det) is Fraction and det == oracle.det()
             assert mat_rank(m, QQ) == oracle.rank()
-            wide = m + [[Fraction(rng.randrange(-2, 3)) for _ in range(n)]]
-            assert mat_rank(transpose(wide), QQ) == sympy.Matrix(wide).rank()
+            assert m == before
+
+        for make in (Fraction, lambda k: Fraction(k, rng.randrange(1, 13)), mixed):
+            for _ in range(150):
+                n = rng.randrange(1, 8)
+                m = _seeded_square(rng, n, make)
+                check_square(m)
+                wide = m + [[make(rng.randrange(-2, 3)) for _ in range(n)]]
+                assert mat_rank(transpose(wide), QQ) == sympy.Matrix(wide).rank()
+        # the leading 2 x 2 block is singular, so the second pivot needs a
+        # row swap once the first column is cleared
+        for n in range(3, 8):
+            for _ in range(10):
+                m = [[mixed(rng.randrange(-4, 5)) for _ in range(n)] for _ in range(n)]
+                m[1][:2] = [2 * m[0][0], 2 * m[0][1]]
+                check_square(m)
+        # dependent rows: combinations of the first rows
+        for n in range(2, 8):
+            for _ in range(10):
+                m = [[mixed(rng.randrange(-4, 5)) for _ in range(n)] for _ in range(n)]
+                for i in range(rng.randrange(1, n), n):
+                    a, b = Fraction(rng.randrange(-3, 4), 2), rng.randrange(-3, 4)
+                    m[i] = [a * x + b * y for x, y in zip(m[0], m[1])]
+                check_square(m)
+        for _ in range(100):
+            rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+            m = [[mixed(rng.randrange(-3, 4)) if rng.randrange(4) else 0
+                  for _ in range(cols)] for _ in range(rows)]
+            before = [list(row) for row in m]
+            assert mat_rank(m, QQ) == sympy.Matrix(m).rank()
+            assert m == before
+        empty = mat_det([], QQ)
+        assert type(empty) is Fraction and empty == 1
+        assert mat_rank([], QQ) == 0 and mat_rank([[], []], QQ) == 0
 
     @pytest.mark.parametrize("p", [2, 7, 257, 2**31 - 1])
     def test_det_and_rank_over_f_p(self, p):
@@ -205,6 +246,13 @@ class TestPrimeFieldEntries:
         det = mat_det([[z, k.one], [k.one, z]], k)
         assert det == z * z - k.one
         assert mat_det([[Fraction(1, 2), 1], [3, 4]], QQ) == Fraction(-1)
+
+    def test_entry_outside_q_rejected(self):
+        k = cyclotomic_field(3)
+        with pytest.raises(RingMismatch):
+            mat_det([[k.zeta, 1], [1, 1]], QQ)
+        with pytest.raises(RingMismatch):
+            mat_rank([[1, F7.one]], QQ)
 
 
 _RAGGED = [

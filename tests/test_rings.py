@@ -1,5 +1,6 @@
 """Field and polynomial arithmetic: golden examples, axioms, gcd machinery."""
 
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -33,7 +34,7 @@ from groupfft.rings import (
     x_pow_minus_one,
 )
 
-from helpers import check_under_o, from_ints
+from helpers import check_under_o, from_ints, is_irreducible_reference
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -191,6 +192,71 @@ class TestFindIrreducible:
         for p, r in [(2, 3), (3, 3), (5, 2), (13, 2)]:
             f = find_irreducible(p, r)
             assert f.degree == r and f.is_monic and is_irreducible(f)
+
+
+class TestIntListPath:
+    """F_p[X] on int lists: the Ben-Or test and the searches over a prime
+    field, and the extended euclid behind ExtField.inv."""
+
+    @pytest.mark.parametrize("p, top", [(2, 8), (3, 5), (5, 3), (7, 3)])
+    def test_every_monic_polynomial_against_the_element_path(self, p, top):
+        field = PrimeField(p)
+        verdicts = set()
+        for degree in range(1, top + 1):
+            for tail in itertools.product(range(p), repeat=degree):
+                f = from_ints([*tail, 1], field)
+                got = is_irreducible(f)
+                assert got == is_irreducible_reference(f), f
+                assert is_irreducible(f.scale(field.from_int(p - 1))) == got
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("p, r, expected", [
+        (2, 12, "X^12 + X^3 + 1"),
+        (2, 16, "X^16 + X^5 + X^3 + X + 1"),
+        (2, 20, "X^20 + X^3 + 1"),
+        (3, 10, "X^10 + 2*X^2 + 1"),
+        (3, 12, "X^12 + X^2 + 2"),
+        (3, 20, "X^20 + X^3 + 2*X + 1"),
+        (5, 6, "X^6 + X + 2"),
+        (7, 4, "X^4 + X + 1"),
+    ])
+    def test_find_irreducible_pinned(self, p, r, expected):
+        f = find_irreducible(PrimeField(p), r)
+        assert str(f) == expected
+        assert f.ring is PrimeField(p) and all(c.field is PrimeField(p) for c in f.coeffs)
+        assert find_irreducible(p, r) == f
+
+    @pytest.mark.parametrize("p, r", [(2, 5), (3, 3), (5, 2), (7, 2)])
+    def test_find_irreducible_is_the_first_in_scan_order(self, p, r):
+        field = PrimeField(p)
+        for tail in itertools.product(range(p), repeat=r):
+            f = from_ints([*reversed(tail), 1], field)
+            if is_irreducible_reference(f):
+                break
+        assert find_irreducible(field, r) == f
+
+    def test_ext_gcd_mod_p_against_ext_gcd(self):
+        rng = random.Random(71)
+        for p in (2, 3, 7):
+            field = PrimeField(p)
+            for _ in range(60):
+                f = [rng.randrange(p) for _ in range(rng.randrange(1, 7))] + [rng.randrange(1, p)]
+                h = [rng.randrange(p) for _ in range(rng.randrange(0, 9))]
+                g, t = rings.ext_gcd_mod_p(f, h, p)
+                expected = ext_gcd(from_ints(f, field), from_ints(h, field))[0]
+                assert from_ints(g, field) == expected
+                assert len(t) < len(f)
+                assert (from_ints(t, field) * from_ints(h, field)) % from_ints(f, field) == (
+                    expected % from_ints(f, field))
+
+    @pytest.mark.parametrize("field", [F4, F9, finite_field(2, 5), finite_field(3, 4)],
+                             ids=repr)
+    def test_inverse_of_every_element(self, field):
+        for x in field.iter_elements():
+            if x:
+                y = field.inv(x)
+                assert x * y == field.one and len(y.coeffs) == field.degree
 
 
 class TestPrimitiveRoots:
@@ -547,6 +613,26 @@ class TestChecksUnderO:
             b = UniPoly.make([QQ.from_int(-2), QQ.one], QQ)
         """
         assert check_under_o("r.ext_gcd(a, b)", setup) == "raised: Bezout identity recheck failed"
+
+    def test_bezout_recheck_on_int_lists(self):
+        # the int-list euclid of is_irreducible over F_3, its first
+        # remainder off by one
+        setup = """
+            import groupfft.rings as r
+            right = r._divmod_mod_p
+            calls = []
+            def wrong(a, b, p):
+                q, rem = right(a, b, p)
+                if len(b) < 5:
+                    calls.append(b)
+                    if len(calls) == 1:
+                        rem = r._trim([(rem[0] + 1) % p] + rem[1:] if rem else [1])
+                return q, rem
+            r._divmod_mod_p = wrong
+            F3 = r.PrimeField(3)
+            f = r.UniPoly.make([F3.from_int(c) for c in (1, 0, 2, 0, 1)], F3)
+        """
+        assert check_under_o("r.is_irreducible(f)", setup) == "raised: Bezout identity recheck failed"
 
     def test_gcd_degree_of_an_inverse(self):
         # a tower over F4 built on the reducible X^2 + 1 = (X + 1)^2
