@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import factorize, frobenius, transform
 from .abelian import AbelianGroup, parse_group
@@ -404,7 +405,11 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
         return 2, f"error: {exc}"
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and argparse reads the output streams and the terminal
+    width when it prints, not when it is built."""
     parser = argparse.ArgumentParser(
         prog="groupfft",
         description=(

@@ -42,6 +42,7 @@ from .rings import (
     ext_gcd,
     find_irreducible,
     mul_reduced,
+    reduction_table,
     x_pow_minus_one,
 )
 
@@ -180,7 +181,8 @@ class CyclotomicField(ExtField):
         self._zero_tail = (0,) * (euler_phi(d) - 1)
         self._setup(QQ, cyclotomic_polynomial(d))
         # Phi_d is monic with integer coefficients, so its table is integral
-        self._int_red = [tuple(int(c) for c in row) for row in self._red]
+        self._int_modulus = tuple(int(c) for c in self.modulus.coeffs)
+        self._int_red = reduction_table(self._int_modulus, 0)
         self.zeta = self.gen
 
     def from_base(self, c) -> CycloElem:
@@ -207,6 +209,14 @@ class CyclotomicField(ExtField):
     def from_int_coords(self, ints) -> CycloElem:
         """The algebraic integer with these integer numerators."""
         return CycloElem(tuple(ints), 1, self)
+
+    def _numerators(self, values) -> tuple[list, int]:
+        den = lcm(*[x.den for x in values])
+        return [x.num if x.den == den else [c * (den // x.den) for c in x.num]
+                for x in values], den
+
+    def _from_numerators(self, ints: list, den: int) -> CycloElem:
+        return _canonical(ints, den, self)
 
     def from_residue(self, coeffs) -> CycloElem:
         """Element from rational coefficients of 1, zeta, zeta^2, ..."""

@@ -20,7 +20,10 @@ counts, and a term of the form of l rotates the counts by l j mod N.
 Each surviving monomial then meets the field once: its int coordinates
 are read off one big-int product of the counts by the packed columns of
 the power table (Kronecker substitution).  The expansion makes no field
-product; the power table makes N - 1.
+product; the power table makes N - 1.  Its monomials are packed by
+:class:`groupfft.multipoly.Packing`, the packing of ``MultiPoly``'s
+products, which run the symbolic checks below on packed monomials and
+int-held coefficients too.
 
 Every factorization verifies its product identity on the spot: exactly
 (symbolically) up to n = 6, and at fixed pseudorandom points beyond.
@@ -38,7 +41,7 @@ from .abelian import AbelianGroup, Character, character_matrix
 from .cyclotomic import cyclotomic_field, cyclotomic_polynomial, splitting_field
 from .errors import PreconditionError, VerificationError
 from .linalg import mat_det
-from .multipoly import MultiPoly, symbolic_det
+from .multipoly import MultiPoly, Packing, symbolic_det
 from .numtheory import divisors, euler_phi, multiplicative_order
 from .rings import (
     QQ,
@@ -276,8 +279,8 @@ def _product_of_forms(variables, zeta, exponents, field) -> MultiPoly:
     n = len(variables)
 
     # the expansion: {packed monomial: packed counts}
-    ebits = k.bit_length()
-    units = [1 << (ebits * j) for j in range(n)]
+    packing = Packing(n, k)
+    units = [1 << s for s in packing.shifts]
     coords = [field.int_coords(x) for x in powers]
     largest = max(abs(c) for row in coords for c in row)
     width = (order * factorial(k) * largest).bit_length()
@@ -313,8 +316,7 @@ def _product_of_forms(variables, zeta, exponents, field) -> MultiPoly:
                 neg |= -c << at
     reads = [t * block + (order - 1) * width for t in range(len(coords[0]))]
     low = (1 << width) - 1
-    emask = (1 << ebits) - 1
-    eshifts = [ebits * j for j in range(n)]
+    unpack = packing.unpack
     terms = {}
     for mono, counts in acc.items():
         hi = counts * pos
@@ -323,7 +325,7 @@ def _product_of_forms(variables, zeta, exponents, field) -> MultiPoly:
             ints = [((hi >> r) & low) - ((lo >> r) & low) for r in reads]
         else:
             ints = [(hi >> r) & low for r in reads]
-        terms[tuple([(mono >> s) & emask for s in eshifts])] = field.from_int_coords(ints)
+        terms[unpack(mono)] = field.from_int_coords(ints)
     # MultiPoly drops the coefficients that vanish in the field
     return MultiPoly(variables, terms, field)
 

@@ -10,6 +10,17 @@ coefficient product plus one per variable in the term.  Plan and walk
 belong to the ring's :func:`groupfft.rings.kernel` (on ints over Q, on
 logarithms over a small F_{p^r}); the value is the same exact element of
 the ring either way.
+
+Products and the determinant run on packed monomials and held
+coefficients.  A monomial becomes one int of fixed-width exponent fields
+(:class:`Packing`, after Monagan and Pearce), wide enough for the known
+degree bound, so multiplying two monomials is one int addition; a product
+packs once on entry and unpacks once on exit, and the determinant packs
+the matrix once and keeps every memoized minor packed.  The ring kernel's
+``hold`` and ``release`` hold the coefficients: residues over F_p,
+numerators over one denominator over Q, one Kronecker-packed int over
+F_p[Y]/(m) and Q(zeta_d), elements over towers.  Every held form shares
+one pair loop, :func:`_accumulate`.
 """
 
 from __future__ import annotations
@@ -120,21 +131,21 @@ class MultiPoly:
         return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()}, self.ring)
 
     def __mul__(self, other):
+        """The product on packed monomials and held coefficients: one int
+        addition per term pair for the monomial, one product of held
+        values for the coefficient."""
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         a, b = self._aligned_with(other)
-        terms: dict = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                cur = terms.get(exp)
-                s = prod if cur is None else cur + prod
-                if s:
-                    terms[exp] = s
-                elif cur is not None:
-                    del terms[exp]
-        return MultiPoly(a.variables, terms, a.ring)
+        if not a.terms or not b.terms:
+            return MultiPoly.zero(a.variables, a.ring)
+        packing = Packing(len(a.variables), a._degree() + b._degree())
+        kern = kernel(a.ring)
+        (ha, hb), context = kern.hold([list(a.terms.values()), list(b.terms.values())])
+        acc: dict = {}
+        _accumulate(acc, zip(map(packing.pack, a.terms), ha),
+                   list(zip(map(packing.pack, b.terms), hb)))
+        return _released(acc, kern, context, packing, a.variables, a.ring)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -172,6 +183,10 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def _degree(self) -> int:
+        """The total degree, 0 for the zero polynomial."""
+        return max(map(sum, self.terms), default=0)
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self.terms)
@@ -239,11 +254,54 @@ class MultiPoly:
         return f"MultiPoly({self.__str__()!r})"
 
 
+class Packing:
+    """Exponent tuples of nvars entries as ints of fixed-width fields, wide
+    enough for exponents up to degree: the tuple e packs to
+    sum_j e_j 2^(w j), so that multiplying two monomials of total degree
+    at most degree is one int addition (Monagan and Pearce's packed
+    exponent vectors)."""
+
+    __slots__ = ("shifts", "mask")
+
+    def __init__(self, nvars: int, degree: int):
+        width = degree.bit_length()
+        self.shifts = [width * j for j in range(nvars)]
+        self.mask = (1 << width) - 1
+
+    def pack(self, exp) -> int:
+        return sum([e << s for e, s in zip(exp, self.shifts)])
+
+    def unpack(self, mono: int) -> tuple:
+        mask = self.mask
+        return tuple([(mono >> s) & mask for s in self.shifts])
+
+
+def _accumulate(acc: dict, a, b):
+    """Add every product of a term of a by a term of b into acc, the terms
+    (packed monomial, held coefficient) pairs: the one pair loop of the
+    products and the determinant.  b is iterated once per term of a."""
+    get = acc.get
+    for ma, ca in a:
+        for mb, cb in b:
+            m = ma + mb
+            acc[m] = get(m, 0) + ca * cb
+
+
+def _released(acc: dict, kern, context, packing, variables, ring) -> MultiPoly:
+    """The polynomial of the packed sums acc, unpacked once."""
+    values = kern.release(list(acc.values()), context)
+    unpack = packing.unpack
+    return MultiPoly(variables, {unpack(m): c for m, c in zip(acc, values) if c}, ring)
+
+
 def symbolic_det(rows: list) -> MultiPoly:
     """Determinant of a square matrix of MultiPoly entries.
 
     Cofactor expansion memoized on the set of active columns; capped at
-    dimension 8, which covers everything at desk scale.
+    dimension 8, which covers everything at desk scale.  The matrix is
+    packed once, a row per held group (its degree bound n times the
+    largest entry degree), every minor stays packed, and the determinant
+    is unpacked once.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -261,26 +319,34 @@ def symbolic_det(rows: list) -> MultiPoly:
                     merged.append(v)
     vars_t = tuple(merged)
     ring = rows[0][0].ring
+    if any(p.ring is not ring for row in rows for p in row):
+        raise RingMismatch(f"entries over {ring} and another ring")
     grid = [[p._reindexed(vars_t) for p in row] for row in rows]
-    one = MultiPoly.constant(ring.one, vars_t, ring)
+    packing = Packing(len(vars_t), n * max(p._degree() for row in grid for p in row))
+    kern = kernel(ring)
+    held, context = kern.hold([[c for p in row for c in p.terms.values()] for row in grid])
+    # each entry as {packed monomial: held coefficient}, and its negative
+    plus, minus = [], []
+    for row, values in zip(grid, held):
+        it = iter(values)
+        plus.append([{packing.pack(e): next(it) for e in p.terms} for p in row])
+        minus.append([{m: -c for m, c in entry.items()} for entry in plus[-1]])
     memo: dict = {}
 
-    def minor(cols: tuple) -> MultiPoly:
-        if not cols:
-            return one
+    def minor(cols: tuple) -> dict:
+        if len(cols) == 1:
+            return plus[n - 1][cols[0]]
         cached = memo.get(cols)
         if cached is not None:
             return cached
         r = n - len(cols)
-        acc = MultiPoly.zero(vars_t, ring)
+        acc: dict = {}
         for idx, c in enumerate(cols):
-            entry = grid[r][c]
-            if entry.is_zero:
-                continue
-            sub = minor(cols[:idx] + cols[idx + 1:])
-            term = entry * sub
-            acc = acc + term if idx % 2 == 0 else acc - term
-        memo[cols] = acc
+            entry = (plus if idx % 2 == 0 else minus)[r][c]
+            if entry:
+                sub = minor(cols[:idx] + cols[idx + 1:])
+                _accumulate(acc, entry.items(), sub.items())
+        acc = memo[cols] = {m: v for m, v in acc.items() if v}
         return acc
 
-    return minor(tuple(range(n)))
+    return _released(minor(tuple(range(n))), kern, context, packing, vars_t, ring)

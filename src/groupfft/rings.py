@@ -88,7 +88,18 @@ the point scaled to integers y over the lcm L of its denominators: the
 walk gives c * L^D * P(x) on ints.  Every other field (towers, Q(zeta_d),
 larger F_{p^r}) works on its elements.  A kernel makes one working copy
 per matrix, keeps its inner loops specialised, and wraps each result back
-into the descriptor it was picked for.  Single element operations keep
+into the descriptor it was picked for.  The products of ``MultiPoly`` and
+``symbolic_det`` hold their coefficients through the kernel too
+(``hold``, ``release``): F_p as int residues, reduced mod p once per
+output coefficient; Q as integer numerators over each group's common
+denominator; F_p[Y]/(m), log-kernel fields included, and Q(zeta_d) as
+numerator vectors over one denominator, each packed into one int by
+Kronecker substitution T -> 2^W (Harvey, JSC 2009), W chosen from an l1
+bound so that no digit carries.  A product stays unreduced in Z[T]; each
+output coefficient is split into its balanced base-2^W digits
+(:func:`kronecker_digits`, which raises VerificationError on anything
+left over) and folded once through the integral reduction table.
+Towers hold their elements.  Single element operations keep
 the residue products above: the tables pay only where many operations
 share them.
 
@@ -675,9 +686,9 @@ def find_irreducible(field_or_p, r: int) -> UniPoly:
 # Residue products in R[X]/(m) for monic m
 # ---------------------------------------------------------------------------
 
-def reduction_table(modulus_coeffs, zero) -> list[tuple]:
+def reduction_table(modulus_coeffs, zero, rows=None) -> list[tuple]:
     """Rows X^k mod m for k = r .. 2r-2, m monic of degree r given by its
-    coefficients (constant term first).
+    coefficients (constant term first); or for k = r .. r + rows - 1.
 
     Works over any commutative ring whose elements support ``+ - *``:
     plain ints for an integral m, or field elements.
@@ -686,7 +697,7 @@ def reduction_table(modulus_coeffs, zero) -> list[tuple]:
     row = [zero - c for c in modulus_coeffs[:r]]  # X^r = -(m - X^r)
     first = tuple(row)
     table = []
-    for _ in range(r - 1):
+    for _ in range(r - 1 if rows is None else rows):
         table.append(tuple(row))
         # X * row, with the X^r term folded back in through the first row
         lead = row[-1]
@@ -709,8 +720,15 @@ def mul_reduced(a, b, table, zero) -> list:
         if x:
             for j, y in enumerate(b, i):
                 prod[j] += x * y
-    out = prod[:r]
-    for row, c in zip(table, prod[r:]):
+    return fold_reduced(prod, table, r)
+
+
+def fold_reduced(coeffs: list, table, r: int) -> list:
+    """The first r coefficients of coeffs (constant term first, at least
+    r of them) with each higher c_k folded in as c_k * (X^k mod m), the
+    row of table for X^k; table holds a row for every such k."""
+    out = coeffs[:r]
+    for row, c in zip(table, coeffs[r:]):
         if c:
             for i, t in enumerate(row):
                 if t:
@@ -1070,6 +1088,17 @@ class ExtField(metaclass=_Canonical):
             self,
         )
 
+    def _numerators(self, values) -> tuple[list, int]:
+        """(vectors, den): each of values, elements of this field over a
+        prime base, as its degree integer coordinates over the common
+        denominator den; inverted by _from_numerators."""
+        return [x.coeffs for x in values], 1
+
+    def _from_numerators(self, ints: list, den: int) -> ExtFieldElem:
+        """The element with these integer coordinates over den, any ints."""
+        p = self._prime_base.p
+        return _ext_elem(tuple([c % p for c in ints]), self)
+
     def primitive_nth_root(self, n: int) -> ExtFieldElem:
         return _cached_root_of_unity(self, n)
 
@@ -1163,6 +1192,25 @@ class LogTables:
         return _ext_elem(self.exp[l % self.n], field) if l else field.zero
 
 
+def kronecker_digits(k: int, width: int, count: int) -> list:
+    """The count balanced base-2^width digits of k, lowest first, each in
+    [-2^(width-1), 2^(width-1)): the coefficients of a polynomial in T
+    packed as its value at T = 2^width.  VerificationError if k does not
+    fit in count digits, the sign that a coefficient overflowed its
+    width."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = []
+    for _ in range(count):
+        d = k & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        k = (k - d) >> width
+    if k:
+        raise VerificationError(f"a packed coefficient overflowed its {width}-bit digits")
+    return out
+
+
 def zech_sum(a: int, b: int, zech: list, n: int) -> int:
     """The log of g^a + g^b, for logs a and b of :class:`LogTables`
     (0 for zero) with ``zech`` and ``n`` from the same tables."""
@@ -1197,7 +1245,11 @@ def kernel(field):
     negate, off a square working copy whose every column has been
     cleared, as an element of the field; ``plan(terms)`` and
     ``value(plan, xs)`` evaluate a sum of terms at the point xs, one value
-    per variable.
+    per variable.  ``hold(groups)`` holds lists of values for sums of
+    products that take one value from each list (a product of two
+    polynomials, a determinant by rows): it returns the held lists and a
+    context, for ``release(values, context)`` to read such sums back as
+    elements.  A held zero is 0, which every held form adds as zero.
     """
     k = field._kernel
     if k is None:
@@ -1215,12 +1267,58 @@ def kernel(field):
 
 class ElementKernel:
     """Values held as the field's own elements; the other kernels replace
-    only what they hold differently."""
+    only what they hold differently.  For products, F_p[Y]/(m) and
+    Q(zeta_d) hold Kronecker-packed ints (see the module docstring), with
+    ``table`` their integral reduction table, grown as release needs it;
+    towers, with no table, hold their elements."""
 
-    __slots__ = ("field",)
+    __slots__ = ("field", "table")
 
     def __init__(self, field):
         self.field = field
+        self.table = getattr(field, "_int_red", None)
+
+    def hold(self, groups):
+        """The held groups and the context (den, W, digits): den the
+        product of the groups' denominators, W the digit width and digits
+        the number of T-coefficients a sum of products can have.
+
+        W comes from an l1 bound: a coefficient of a sum of products, one
+        factor per group, is at most the product of the groups' l1 norms
+        (each at least 1), since |AB|_1 <= |A|_1 |B|_1; with it below
+        2^(W-1) no balanced digit carries.
+        """
+        field = self.field
+        if self.table is None:  # elements, or F_p residues (IntKernel)
+            return self.working_copy(groups), None
+        lifted = [field._numerators(values) for values in groups]
+        bound = den = 1
+        for vectors, d in lifted:
+            bound *= max(1, sum([abs(c) for v in vectors for c in v]))
+            den *= d
+        width = bound.bit_length() + 1
+        held = []
+        for vectors, _ in lifted:
+            packed = []
+            for v in vectors:
+                k = 0
+                for c in reversed(v):
+                    k = (k << width) + c
+                packed.append(k)
+            held.append(packed)
+        return held, (den, width, len(groups) * (field.degree - 1) + 1)
+
+    def release(self, values, context) -> list:
+        """The held sums of products values as elements of the field."""
+        if context is None:
+            return values
+        den, width, digits = context
+        field, r = self.field, self.field.degree
+        if len(self.table) < digits - r:
+            self.table = reduction_table(field._int_modulus, 0, digits - r)
+        table, make = self.table, field._from_numerators
+        return [make(fold_reduced(kronecker_digits(v, width, digits), table, r), den)
+                for v in values]
 
     def working_copy(self, rows) -> list[list]:
         return [list(row) for row in rows]
@@ -1257,9 +1355,14 @@ class ElementKernel:
 
 
 class IntKernel(ElementKernel):
-    """F_p: elimination on int residues; evaluation on elements."""
+    """F_p: elimination and products on int residues, each result reduced
+    mod p once; evaluation on elements."""
 
     __slots__ = ()
+
+    def release(self, values, context) -> list:
+        field = self.field
+        return [PrimeFieldElem(v, field) for v in values]
 
     def working_copy(self, rows) -> list[list]:
         field = self.field
@@ -1294,7 +1397,7 @@ class LogKernel(ElementKernel):
     __slots__ = ("tables",)
 
     def __init__(self, field):
-        self.field = field
+        super().__init__(field)
         self.tables = LogTables(field._prime_base.p, field._int_modulus)
 
     def working_copy(self, rows) -> list[list]:
@@ -1363,9 +1466,19 @@ class RationalKernel(ElementKernel):
     c * P homogenized to degree D by one more variable, after the others.
     The last slot holds the terms until a point outside Q first needs
     their own plan.
+
+    Products hold each group as integer numerators over its common
+    denominator; a released sum is one ``Fraction`` over their product.
     """
 
     __slots__ = ()
+
+    def hold(self, groups):
+        m = self.working_copy(groups)
+        return m, m.scale
+
+    def release(self, values, den) -> list:
+        return [Fraction(v, den) for v in values]
 
     def working_copy(self, rows) -> _ScaledRows:
         m = _ScaledRows()

@@ -132,6 +132,40 @@ def check_under_o(call, *setup):
     return proc.stdout.strip()
 
 
+def mul_reference(a, b):
+    """a * b for two MultiPolys, expanded term pair by term pair on tuple
+    exponents with one field product each.  The reference for the packed
+    MultiPoly.__mul__."""
+    a, b = a._aligned_with(b)
+    terms = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            prod = ca * cb
+            cur = terms.get(exp)
+            s = prod if cur is None else cur + prod
+            if s:
+                terms[exp] = s
+            elif cur is not None:
+                del terms[exp]
+    return MultiPoly(a.variables, terms, a.ring)
+
+
+def det_reference(rows):
+    """Determinant of a square matrix of MultiPolys by Laplace expansion
+    along the first row, products through mul_reference.  The reference
+    for symbolic_det."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = None
+    for j, entry in enumerate(rows[0]):
+        minor = det_reference([row[:j] + row[j + 1:] for row in rows[1:]])
+        term = mul_reference(entry, minor)
+        term = term if j % 2 == 0 else -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def product_of_forms_reference(variables, zeta, exponents, field):
     """Product over l in exponents of X_0 + zeta^l X_1 + ... +
     zeta^(l(n-1)) X_(n-1), expanded in field: one field product per term
@@ -145,7 +179,7 @@ def product_of_forms_reference(variables, zeta, exponents, field):
             coeffs[v] = power
             power = power * z
         form = MultiPoly.linear(coeffs, variables, field)
-        acc = form if acc is None else acc * form
+        acc = form if acc is None else mul_reference(acc, form)
     return acc
 
 

@@ -12,6 +12,7 @@ from groupfft.rings import finite_field
 from groupfft.cli import (
     CommandRequest,
     _sampled_round_trip_check,
+    build_parser,
     dispatch,
     main,
     parse_field_descriptor,
@@ -226,6 +227,49 @@ class TestExitCodes:
     def test_bad_conductor(self, capsys, field):
         code = run(["fft", "--group", "C3", "--field", field, "--vector", "1,2,3"])
         assert_clean_parse_error(code, capsys)
+
+
+class TestParserBuiltOnce:
+    """main reuses one parser per process; every request prints what it
+    would with a parser built for it alone."""
+
+    ARGVS = [
+        (["fft", "--group", "C2", "--field", "Q", "--vector", "1,1"], 0),
+        (["--json", "groupdet", "--group", "C3", "--over", "Q"], 0),
+        (["fft", "--group", "C2"], 1),  # usage error, from argparse
+        (["groupdet", "--group", "C3", "--over", "R"], 1),  # a bad choice
+        (["transmogrify"], 1),
+        (["fft", "--group", "C2", "--field", "Z9", "--vector", "1,0"], 1),
+        (["fft", "--group", "C2", "--field", "F2", "--vector", "1,0"], 2),
+        (["--verify", "weight", "--group", "C6", "--field", "F7", "--vector", "1,2,0,0,3,1"], 3),
+        (["--help"], 0),
+        (["groupdet", "--help"], 0),
+        (["cyclo", "phi", "12"], 0),
+    ]
+
+    def _outcomes(self, capsys, fresh):
+        out = []
+        for argv, _ in self.ARGVS:
+            if fresh:
+                build_parser.cache_clear()
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    @pytest.mark.parametrize("columns", ["200", "50"])
+    def test_same_output_as_a_fresh_parser(self, monkeypatch, capsys, columns):
+        # a wrong rank, so that --verify fails (exit 3)
+        monkeypatch.setattr(transform, "blahut_weight", lambda vec: vec.hamming_weight() + 1)
+        monkeypatch.setenv("COLUMNS", "80")
+        build_parser.cache_clear()
+        parser = build_parser()
+        # the help wraps at the width in force when it prints, not at 80
+        monkeypatch.setenv("COLUMNS", columns)
+        reused = self._outcomes(capsys, fresh=False)
+        assert build_parser() is parser
+        assert reused == self._outcomes(capsys, fresh=True)
+        assert [code for code, _, _ in reused] == [code for _, code in self.ARGVS]
 
 
 def assert_clean_parse_error(code, capsys):
