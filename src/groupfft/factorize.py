@@ -41,7 +41,7 @@ from .abelian import AbelianGroup, Character, character_matrix
 from .cyclotomic import cyclotomic_field, cyclotomic_polynomial, splitting_field
 from .errors import PreconditionError, VerificationError
 from .linalg import mat_det
-from .multipoly import MultiPoly, Packing, symbolic_det
+from .multipoly import MultiPoly, Packing, product_of_powers, symbolic_det
 from .numtheory import divisors, euler_phi, multiplicative_order
 from .rings import (
     QQ,
@@ -102,10 +102,11 @@ class FactoredDeterminant:
     factors: tuple[FactorEntry, ...]
 
     def product(self) -> MultiPoly:
-        acc = MultiPoly.constant(self.field.one, self.variables, self.field)
-        for entry in self.factors:
-            acc = acc * entry.poly ** entry.multiplicity
-        return acc
+        """The product of the factors, each to its multiplicity."""
+        return product_of_powers(
+            [(entry.poly, entry.multiplicity) for entry in self.factors],
+            self.variables, self.field,
+        )
 
 
 @dataclass(frozen=True)

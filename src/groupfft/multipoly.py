@@ -20,7 +20,9 @@ the matrix once and keeps every memoized minor packed.  The ring kernel's
 ``hold`` and ``release`` hold the coefficients: residues over F_p,
 numerators over one denominator over Q, one Kronecker-packed int over
 F_p[Y]/(m) and Q(zeta_d), elements over towers.  Every held form shares
-one pair loop, :func:`_accumulate`.
+one pair loop, :func:`_accumulate`.  A product of powers of several
+polynomials (:func:`product_of_powers`) packs and holds each factor once
+and unpacks once.
 """
 
 from __future__ import annotations
@@ -292,6 +294,48 @@ def _released(acc: dict, kern, context, packing, variables, ring) -> MultiPoly:
     values = kern.release(list(acc.values()), context)
     unpack = packing.unpack
     return MultiPoly(variables, {unpack(m): c for m, c in zip(acc, values) if c}, ring)
+
+
+def _packed_mul(x: dict, y: dict) -> dict:
+    """The product of two packed polynomials {packed monomial: held
+    coefficient}, exact zeros dropped."""
+    acc: dict = {}
+    _accumulate(acc, x.items(), list(y.items()))
+    return {m: v for m, v in acc.items() if v}
+
+
+def product_of_powers(factors, variables, ring) -> MultiPoly:
+    """The product of f^k over the (f, k) pairs of factors, k >= 0, in the
+    variables (then those of the factors not among them) over ring.
+
+    One packed accumulation: every factor is packed and held once, for
+    its degree bound sum k * deg(f), its powers are taken by square and
+    multiply on the packed form, and the product is unpacked once.  A
+    factor held k times counts k times in the held context.
+    """
+    merged = list(variables)
+    for f, _ in factors:
+        if f.ring is not ring:
+            raise RingMismatch(f"a factor over {f.ring}, not {ring}")
+        merged.extend(v for v in f.variables if v not in merged)
+    vars_t = tuple(merged)
+    factors = [(f._reindexed(vars_t), k) for f, k in factors if k]
+    if any(not f.terms for f, _ in factors):
+        return MultiPoly.zero(vars_t, ring)
+    if not factors:
+        return MultiPoly.constant(ring.one, vars_t, ring)
+    packing = Packing(len(vars_t), sum(k * f._degree() for f, k in factors))
+    kern = kernel(ring)
+    held, context = kern.hold([list(f.terms.values()) for f, k in factors for _ in range(k)])
+    acc = None
+    start = 0
+    for f, k in factors:
+        # the k held copies of f are equal; the power reads the first
+        packed = dict(zip(map(packing.pack, f.terms), held[start]))
+        start += k
+        power = square_and_multiply(packed, k, _packed_mul)
+        acc = power if acc is None else _packed_mul(acc, power)
+    return _released(acc, kern, context, packing, vars_t, ring)
 
 
 def symbolic_det(rows: list) -> MultiPoly:

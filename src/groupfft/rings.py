@@ -101,7 +101,10 @@ output coefficient is split into its balanced base-2^W digits
 left over) and folded once through the integral reduction table.
 Towers hold their elements.  Single element operations keep
 the residue products above: the tables pay only where many operations
-share them.
+share them.  The transforms of :mod:`groupfft.transform` run on the
+kernel too (``dft``, ``convolve``): F_p on int residues
+(:class:`ResidueDFT`), every other field on its elements, each kernel
+keeping its root-power tables per exponent.
 
 No floating point is used anywhere.
 """
@@ -123,7 +126,7 @@ from .errors import (
     RingMismatch,
     VerificationError,
 )
-from .numtheory import is_prime, prime_factors
+from .numtheory import factorization, is_prime, prime_factors
 
 # The rationals are stored reduced with positive denominator and structural
 # equality -- exactly what fractions.Fraction guarantees.
@@ -662,24 +665,30 @@ def find_irreducible(field_or_p, r: int) -> UniPoly:
     sequence read from the highest degree down (constant term varies
     fastest), so the result is deterministic.  Memoized: the search is
     the cost of building F_{p^r} for a large r.  Over a prime field the
-    candidates are int lists, and only the winner becomes a UniPoly.
+    candidates are int lists, made one at a time from a counter whose
+    base-p digits are c_0, c_1, ...: the same order, and no table of p
+    entries, so any p will do; only the winner becomes a UniPoly.
     """
     field = PrimeField(field_or_p) if isinstance(field_or_p, int) else field_or_p
     if r < 1:
         raise PreconditionError("degree must be >= 1")
-    # tail is (c_{r-1}, ..., c_0); the monic leading 1 goes on top
     if field.__class__ is PrimeField:
         p = field.p
-        for tail in itertools.product(range(p), repeat=r):
-            coeffs = [*reversed(tail), 1]
+        for k in range(p ** r):
+            coeffs = []
+            for _ in range(r):
+                k, c = divmod(k, p)
+                coeffs.append(c)
+            coeffs.append(1)
             if _is_irreducible_mod_p(coeffs, p):
                 return UniPoly(tuple([PrimeFieldElem(c, field) for c in coeffs]), field)
     else:
+        # tail is (c_{r-1}, ..., c_0); the monic leading 1 goes on top
         for tail in itertools.product(list(field.iter_elements()), repeat=r):
             cand = UniPoly.make([*reversed(tail), field.one], field)
             if is_irreducible(cand):
                 return cand
-    raise AssertionError("unreachable: irreducible polynomials of every degree exist")
+    raise VerificationError(f"no monic irreducible polynomial of degree {r} over {field}")
 
 
 # ---------------------------------------------------------------------------
@@ -1250,6 +1259,9 @@ def kernel(field):
     polynomials, a determinant by rows): it returns the held lists and a
     context, for ``release(values, context)`` to read such sums back as
     elements.  A held zero is 0, which every held form adds as zero.
+    ``dft(values, divisors, inverse)`` and ``convolve(a, b, divisors)``
+    transform and convolve vectors over C_{d_1} x ... x C_{d_k}, elements
+    in and out.
     """
     k = field._kernel
     if k is None:
@@ -1272,11 +1284,12 @@ class ElementKernel:
     ``table`` their integral reduction table, grown as release needs it;
     towers, with no table, hold their elements."""
 
-    __slots__ = ("field", "table")
+    __slots__ = ("field", "table", "roots")
 
     def __init__(self, field):
         self.field = field
         self.table = getattr(field, "_int_red", None)
+        self.roots: dict = {}
 
     def hold(self, groups):
         """The held groups and the context (den, W, digits): den the
@@ -1353,12 +1366,81 @@ class ElementKernel:
             return root
         return _walk(root, _power_tables(steps, xs, self.field.one))
 
+    def powers(self, e: int) -> list:
+        """[zeta^0, ..., zeta^(e-1)] for the canonical primitive e-th root
+        zeta, built once per exponent and kept; NoRootOfUnity if the field
+        has none.  Callers must not change the list."""
+        table = self.roots.get(e)
+        if table is None:
+            table = self.roots[e] = root_powers(e, self.field)
+        return table
+
+    def dft(self, values, divisors, inverse=False) -> list:
+        """The transform of values over C_{d_1} x ... x C_{d_k}, d_i the
+        divisors, in lexicographic order: sum_sigma zeta^t(sigma, chi)
+        values_sigma for every chi, or with inverse (1/n) sum_chi
+        zeta^-t(sigma, chi) values_chi for every sigma.  Int entries are
+        read as field elements; other values (MultiPolys, say) need only
+        ``+`` and a product by an element.  Row-column over the factors,
+        each line decimated in time (:func:`_dft_line`)."""
+        field = self.field
+        powers = self.powers(lcm(*divisors))
+        values = [field.from_int(x) if isinstance(x, int) else x for x in values]
+        if not inverse:
+            return _dft(values, divisors, powers)
+        inv_n = field.inv(field.from_int(len(values)))
+        conjugate = powers[:1] + powers[:0:-1]
+        return [inv_n * v for v in _dft(values, divisors, conjugate)]
+
+    def convolve(self, a, b, divisors) -> list:
+        """The group-ring convolution of a and b: the inverse transform of
+        the product of their transforms."""
+        products = [x * y for x, y in zip(self.dft(a, divisors), self.dft(b, divisors))]
+        return self.dft(products, divisors, inverse=True)
+
 
 class IntKernel(ElementKernel):
-    """F_p: elimination and products on int residues, each result reduced
-    mod p once; evaluation on elements."""
+    """F_p: elimination, products and transforms on int residues, each
+    result reduced mod p once; evaluation on elements.  A transform reads
+    its residues once and makes its elements once; a vector of other
+    values takes the element transform."""
 
-    __slots__ = ()
+    __slots__ = ("dfts",)
+
+    def __init__(self, field):
+        super().__init__(field)
+        self.dfts: dict = {}
+
+    def _dft_of(self, e: int) -> "ResidueDFT":
+        dft = self.dfts.get(e)
+        if dft is None:
+            zeta = primitive_nth_root(e, self.field).residue
+            dft = self.dfts[e] = ResidueDFT(self.field.p, zeta, e)
+        return dft
+
+    def dft(self, values, divisors, inverse=False) -> list:
+        try:
+            (x,) = self.working_copy([values])
+        except RingMismatch:
+            return ElementKernel.dft(self, values, divisors, inverse)
+        return self._released(self._dft_of(lcm(*divisors)).run(x, divisors, inverse), inverse)
+
+    def convolve(self, a, b, divisors) -> list:
+        try:
+            x, y = self.working_copy([a, b])
+        except RingMismatch:
+            return ElementKernel.convolve(self, a, b, divisors)
+        run = self._dft_of(lcm(*divisors)).run
+        products = list(map(operator.mul, run(x, divisors), run(y, divisors)))
+        return self._released(run(products, divisors, True), True)
+
+    def _released(self, values, inverse) -> list:
+        """The residues as elements, each divided by n = len(values) if inverse."""
+        field = self.field
+        if inverse:
+            inv_n = pow(len(values), -1, field.p)
+            return [PrimeFieldElem(v * inv_n, field) for v in values]
+        return [PrimeFieldElem(v, field) for v in values]
 
     def release(self, values, context) -> list:
         field = self.field
@@ -1536,6 +1618,133 @@ class RationalKernel(ElementKernel):
         return Fraction(value, c * den ** degree)
 
 
+# ---------------------------------------------------------------------------
+# Discrete Fourier transforms on the kernels
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _radices(m: int) -> tuple:
+    """The prime factors of m, with multiplicity, smallest first."""
+    return tuple(p for p, k in factorization(m).items() for _ in range(k))
+
+
+def _row_column(values, divisors, line) -> list:
+    """values with ``line(x, d)`` applied to every line of the
+    lexicographic array that runs along a factor C_d, d > 1.
+
+    The characters of C_{d_1} x ... x C_{d_k} factor, so the transform
+    over the product is the 1-D DFT along each factor in turn."""
+    out = list(values)
+    n = len(out)
+    stride = n
+    for d in divisors:
+        block, stride = stride, stride // d
+        if d == 1:
+            continue
+        for start in range(0, n, block):
+            for j in range(start, start + stride):
+                out[j:j + block:stride] = line(out[j:j + block:stride], d)
+    return out
+
+
+def _dft(values, divisors, powers: list) -> list:
+    """sum_sigma zeta^t(sigma, chi) values_sigma for every chi, row-column.
+
+    powers is the table [zeta^0, ..., zeta^(e-1)] of a primitive e-th root,
+    e the group exponent.  Along the factor C_d the pairing restricts to the
+    1-D DFT with root powers[e // d].
+    """
+    e = len(powers)
+    return _row_column(values, divisors,
+                       lambda x, d: _dft_line(x, _radices(d), powers, e // d))
+
+
+def _dft_line(x: list, radices, powers: list, step: int) -> list:
+    """X_k = sum_j w^(j k) x_j with w = powers[step], len(x) = prod(radices).
+
+    Decimation in time on p = radices[0]: with Y_r the transform of
+    x[r::p] (root w^p, length q = len(x) / p),
+    X_k = Y_0[k mod q] + sum_{r >= 1} w^(r k) Y_r[k mod q].
+    """
+    m = len(x)
+    if m == 1:
+        return x
+    p, e = radices[0], len(powers)
+    q = m // p
+    subs = [_dft_line(x[r::p], radices[1:], powers, step * p) for r in range(p)]
+    out = subs[0] * p
+    for r in range(1, p):
+        y, r_step = subs[r], r * step
+        for k in range(m):
+            t = k * r_step % e
+            out[k] = out[k] + (y[k % q] if t == 0 else powers[t] * y[k % q])
+    return out
+
+
+# lines up to this length, and lines of prime length, are one matrix product
+DFT_LEAF = 16
+# a table of root powers is kept if it has at most this many entries
+DFT_TABLE_CAP = 1 << 16
+
+
+class ResidueDFT:
+    """The transforms of :func:`_dft` over F_p on int residues, with the
+    root powers of one exponent e, kept by the field's :class:`IntKernel`.
+
+    The recursion is :func:`_dft_line`'s, one ``% p`` per level, down to
+    lines of length at most ``DFT_LEAF`` or of prime length: each of those
+    is one product by its DFT matrix, a C-level ``sum(map(mul, row, x))``
+    per output.  The inverse runs on the conjugate root,
+    w^-1 = powers[e - step], and leaves the 1/n to the caller.  The
+    matrices, and the twiddles w^(r k) of the longer lines, are built per
+    line length and root step on first use and kept, up to
+    ``DFT_TABLE_CAP`` entries each; a larger one (a prime length above
+    256) is made a row at a time for every line.
+    """
+
+    __slots__ = ("p", "e", "powers", "tables")
+
+    def __init__(self, p: int, zeta: int, e: int):
+        self.p, self.e = p, e
+        powers = [1]
+        for _ in range(e - 1):
+            powers.append(powers[-1] * zeta % p)
+        self.powers = powers
+        self.tables: dict = {}
+
+    def run(self, x: list, divisors, inverse=False) -> list:
+        """The transform of the ints x, reduced mod p; with inverse the
+        conjugate transform, n times the inverse."""
+        e = self.e
+        sign = -1 if inverse else 1
+        return _row_column(x, divisors, lambda line, d: self._line(line, sign * (e // d) % e))
+
+    def _rows(self, m: int, step: int, rs):
+        """The rows [w^(r k) for k < m] for r in rs, w = powers[step]."""
+        rows = self.tables.get((m, step))
+        if rows is None:
+            powers, e = self.powers, self.e
+            rows = ([powers[r * k * step % e] for k in range(m)] for r in rs)
+            if m * len(rs) <= DFT_TABLE_CAP:
+                rows = self.tables[m, step] = list(rows)
+        return rows
+
+    def _line(self, x: list, step: int) -> list:
+        """X_k = sum_j w^(j k) x_j mod p with w = powers[step]."""
+        p, m = self.p, len(x)
+        radices = _radices(m)
+        if m <= DFT_LEAF or len(radices) == 1:
+            return [sum(map(operator.mul, row, x)) % p for row in self._rows(m, step, range(m))]
+        radix = radices[0]
+        twiddles = self._rows(m, step, range(1, radix))
+        sub_step = step * radix % self.e
+        subs = [self._line(x[r::radix], sub_step) for r in range(radix)]
+        out = subs[0] * radix
+        for row, y in zip(twiddles, subs[1:]):
+            out = list(map(operator.add, out, map(operator.mul, row, y * radix)))
+        return [v % p for v in out]
+
+
 def horner_plan(terms: dict):
     """(root, steps): the recursive Horner form of a sum of terms.
 
@@ -1670,7 +1879,8 @@ def _finite_field_root_of_unity(field, n: int):
         if not any((cand ** (n // ell)) == field.one for ell in primes):
             z = cand
             break
-    assert z is not None, "cyclic group F_q^* must contain an order-n element"
+    if z is None:
+        raise VerificationError(f"{field} has no element of order {n}, though n divides q - 1")
     best = z
     best_key = field.order_key(z)
     w = z

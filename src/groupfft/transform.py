@@ -21,6 +21,18 @@ multiplies transforms whenever the transform exists.  The O(n^2) sums are
 kept as ``fft_reference``, ``inverse_fft_reference`` and
 ``convolve_reference``: the auditable oracles that tests and the CLI's
 ``--verify`` compare the fast path against.
+
+The transforms run on the field's kernel (:func:`groupfft.rings.kernel`,
+its ``dft`` and ``convolve``), which keeps the root-power tables, one per
+group exponent.  Over F_p the kernel reads the residues once, runs the
+same recursion on ints with one ``% p`` per level, multiplies a
+convolution's transforms on ints, and makes the output elements once,
+with the 1/n of an inverse folded in (:class:`groupfft.rings.ResidueDFT`,
+which also keeps the twiddles and the DFT matrices of short and
+prime-length lines).  Every other field, and every vector that is not
+all elements of F_p or ints (the MultiPolys of ``symbolic_vector``, say),
+transforms its elements.  Int entries are read as field elements on every
+path.
 """
 
 from __future__ import annotations
@@ -32,8 +44,7 @@ from .cyclotomic import splitting_field
 from .errors import NoRootOfUnity, PreconditionError, RingMismatch, VerificationError
 from .linalg import mat_eq, mat_mul, mat_pow, mat_rank, transpose
 from .multipoly import MultiPoly
-from .numtheory import factorization
-from .rings import UniPoly, primitive_nth_root, root_powers
+from .rings import UniPoly, kernel, primitive_nth_root, root_powers
 
 
 @dataclass(frozen=True)
@@ -85,58 +96,6 @@ def _require_invertible_order(group: AbelianGroup, field):
         )
 
 
-def _dft(values, group: AbelianGroup, powers: list) -> list:
-    """sum_sigma zeta^t(sigma, chi) values_sigma for every chi, row-column.
-
-    powers is the table [zeta^0, ..., zeta^(e-1)] of a primitive e-th root,
-    e the group exponent.  Along the factor C_d the pairing restricts to the
-    1-D DFT with root powers[e // d]; it is applied to every line of the
-    lexicographic array that runs along that factor.
-    """
-    out = list(values)
-    n, e = len(out), len(powers)
-    stride = n
-    for d in group.divisors:
-        block, stride = stride, stride // d
-        if d == 1:
-            continue
-        radices = [p for p, k in factorization(d).items() for _ in range(k)]
-        for start in range(0, n, block):
-            for j in range(start, start + stride):
-                line = out[j:j + block:stride]
-                out[j:j + block:stride] = _dft_line(line, radices, powers, e // d)
-    return out
-
-
-def _dft_line(x: list, radices: list, powers: list, step: int) -> list:
-    """X_k = sum_j w^(j k) x_j with w = powers[step], len(x) = prod(radices).
-
-    Decimation in time on p = radices[0]: with Y_r the transform of
-    x[r::p] (root w^p, length q = len(x) / p),
-    X_k = Y_0[k mod q] + sum_{r >= 1} w^(r k) Y_r[k mod q].
-    """
-    m = len(x)
-    if m == 1:
-        return x
-    p, e = radices[0], len(powers)
-    q = m // p
-    subs = [_dft_line(x[r::p], radices[1:], powers, step * p) for r in range(p)]
-    out = subs[0] * p
-    for r in range(1, p):
-        y, r_step = subs[r], r * step
-        for k in range(m):
-            t = k * r_step % e
-            out[k] = out[k] + (y[k % q] if t == 0 else powers[t] * y[k % q])
-    return out
-
-
-def _inverse_dft(values, group: AbelianGroup, field, powers: list) -> list:
-    """(1/n) sum_chi zeta^-t(sigma, chi) values_chi for every sigma."""
-    inv_n = field.inv(field.from_int(group.order))
-    conjugate = powers[:1] + powers[:0:-1]
-    return [inv_n * v for v in _dft(values, group, conjugate)]
-
-
 def fft(b: GroupVector) -> GroupVector:
     """Forward transform: B_chi = sum_sigma chi(sigma) b_sigma.
 
@@ -146,7 +105,7 @@ def fft(b: GroupVector) -> GroupVector:
     if b.dual:
         raise PreconditionError("input is already on the dual side")
     group, field = b.group, b.field
-    out = _dft(b.values, group, root_powers(group.exponent, field))
+    out = kernel(field).dft(b.values, group.divisors)
     return GroupVector(group, field, tuple(out), dual=True)
 
 
@@ -160,7 +119,7 @@ def inverse_fft(B: GroupVector) -> GroupVector:
         raise PreconditionError("input is not on the dual side")
     group, field = B.group, B.field
     _require_invertible_order(group, field)
-    out = _inverse_dft(B.values, group, field, root_powers(group.exponent, field))
+    out = kernel(field).dft(B.values, group.divisors, inverse=True)
     return GroupVector(group, field, tuple(out), dual=False)
 
 
@@ -257,35 +216,34 @@ def convolve(a: GroupVector, b: GroupVector) -> GroupVector:
     _require_convolvable(a, b)
     group, field = a.group, a.field
     try:
-        powers = root_powers(group.exponent, field)
+        out = kernel(field).convolve(a.values, b.values, group.divisors)
     except NoRootOfUnity:
         return convolve_reference(a, b)
-    products = [
-        x * y
-        for x, y in zip(_dft(a.values, group, powers), _dft(b.values, group, powers))
-    ]
-    return GroupVector(group, field, tuple(_inverse_dft(products, group, field, powers)))
+    return GroupVector(group, field, tuple(out))
 
 
 def convolve_reference(a: GroupVector, b: GroupVector) -> GroupVector:
     """Group-ring convolution as the direct O(n^2) sum; valid in any field."""
     _require_convolvable(a, b)
-    group = a.group
+    group, field = a.group, a.field
+    # int entries are read as field elements, as the transforms read them
+    a_values, b_values = (
+        [field.from_int(x) if isinstance(x, int) else x for x in v.values] for v in (a, b)
+    )
     elements = group.elements()
     out = [None] * group.order
     for sigma in elements:
-        va = a.values[group.index(sigma)]
+        va = a_values[group.index(sigma)]
         if not va:
             continue
         for tau in elements:
-            vb = b.values[group.index(tau)]
+            vb = b_values[group.index(tau)]
             if not vb:
                 continue
             k = group.index(group.mul(sigma, tau))
             term = va * vb
             out[k] = term if out[k] is None else out[k] + term
-    zero = a.field.zero
-    return GroupVector(group, a.field, tuple(zero if v is None else v for v in out))
+    return GroupVector(group, field, tuple(field.zero if v is None else v for v in out))
 
 
 def diagonalize(b: GroupVector) -> tuple:

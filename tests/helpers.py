@@ -166,6 +166,17 @@ def det_reference(rows):
     return acc
 
 
+def factored_product_reference(fd):
+    """The product of a FactoredDeterminant's factors, each to its
+    multiplicity, one factor at a time through mul_reference.  The
+    reference for FactoredDeterminant.product."""
+    acc = MultiPoly.constant(fd.field.one, fd.variables, fd.field)
+    for entry in fd.factors:
+        for _ in range(entry.multiplicity):
+            acc = mul_reference(acc, entry.poly)
+    return acc
+
+
 def product_of_forms_reference(variables, zeta, exponents, field):
     """Product over l in exponents of X_0 + zeta^l X_1 + ... +
     zeta^(l(n-1)) X_(n-1), expanded in field: one field product per term

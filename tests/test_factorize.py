@@ -23,6 +23,8 @@ from groupfft.cyclotomic import (
 from groupfft.errors import PreconditionError, VerificationError
 from groupfft.factorize import (
     FORM_PRODUCT_CAP,
+    FactorEntry,
+    FactoredDeterminant,
     _product_of_forms,
     det_over_finite_field,
     det_over_rationals,
@@ -51,7 +53,15 @@ from groupfft.rings import (
     x_pow_minus_one,
 )
 
-from helpers import check_under_o, from_ints, product_of_forms_reference, sympy_multipoly
+from helpers import (
+    check_under_o,
+    factored_product_reference,
+    from_ints,
+    product_of_forms_reference,
+    random_cyclo,
+    random_elem,
+    sympy_multipoly,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -311,6 +321,89 @@ class TestDetOverFiniteField:
     def test_coset_labels_attached(self):
         fd = det_over_finite_field(5, F2)
         assert [e.coset for e in fd.factors] == [(0,), (1, 2, 3, 4)]
+
+
+def _random_poly(variables, field, rng, terms):
+    """A seeded polynomial of up to terms terms of degree at most 2; over
+    Q and Q(zeta_d) most coefficients have a denominator above 1."""
+    coeffs = {}
+    for _ in range(terms):
+        exp = [0] * len(variables)
+        for _ in range(rng.randrange(3)):
+            exp[rng.randrange(len(variables))] += 1
+        if field is QQ:
+            c = Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        elif field.characteristic == 0:
+            c = random_cyclo(field, rng)
+        else:
+            c = random_elem(field, rng)
+        coeffs[tuple(exp)] = c
+    return MultiPoly(variables, coeffs, field)
+
+
+def _entry(poly, multiplicity):
+    return FactorEntry(poly, multiplicity, claimed_irreducible=False, label="f")
+
+
+F4 = finite_field(2, 2)
+F9 = finite_field(3, 2)
+PRODUCT_FIELDS = [QQ, F2, F7, PrimeField(2**61 - 1), F4, F9,
+                  ExtField(F4, find_irreducible(F4, 3)), cyclotomic_field(5),
+                  cyclotomic_field(12)]
+
+
+class TestFactoredProduct:
+    """FactoredDeterminant.product, one packed accumulation, against the
+    one-factor-at-a-time loop of helpers.factored_product_reference."""
+
+    @pytest.mark.parametrize("fd", [
+        pytest.param(lambda: det_over_rationals(6), id="Q-C6"),
+        pytest.param(lambda: det_over_rationals(8), id="Q-C8"),
+        pytest.param(lambda: det_over_finite_field(6, F7), id="F7-C6"),
+        pytest.param(lambda: det_over_finite_field(7, F2), id="F2-C7"),
+        pytest.param(lambda: det_over_finite_field(5, F4), id="F4-C5"),
+        pytest.param(lambda: det_over_finite_field(4, F9), id="F9-C4"),
+        pytest.param(lambda: det_split_field(AbelianGroup((2, 3))), id="split-C2xC3"),
+        pytest.param(lambda: det_split_field(AbelianGroup((2, 2)), F5), id="split-C2xC2-F5"),
+    ])
+    def test_factorizations(self, fd):
+        fd = fd()
+        assert fd.product() == factored_product_reference(fd)
+
+    def test_multiplicities_over_s3(self):
+        from groupfft.frobenius import frobenius_factorization, s3
+
+        g = s3()
+        fd = frobenius_factorization(g.group, g.representations)
+        assert any(e.multiplicity > 1 for e in fd.factors)
+        assert fd.product() == factored_product_reference(fd)
+
+    @pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=repr)
+    def test_random_powers(self, field):
+        import random
+
+        rng = random.Random(repr(field))
+        variables = ("X_0", "X_1", "X_2")
+        for _ in range(4):
+            entries = tuple(
+                _entry(_random_poly(variables[:rng.randrange(1, 4)], field, rng,
+                                    rng.randrange(1, 4)), rng.randrange(4))
+                for _ in range(rng.randrange(1, 4))
+            )
+            fd = FactoredDeterminant(field, variables[:2], entries)
+            got = fd.product()
+            assert got == factored_product_reference(fd)
+            assert got.variables[:2] == variables[:2]
+
+    def test_empty_and_zero(self):
+        x = MultiPoly.variable("X_0", ("X_0",), F7)
+        assert FactoredDeterminant(F7, ("X_0",), ()).product() == MultiPoly.constant(
+            F7.one, ("X_0",), F7)
+        assert FactoredDeterminant(F7, ("X_0",), (_entry(x, 0),)).product() == MultiPoly.constant(
+            F7.one, ("X_0",), F7)
+        zero = MultiPoly.zero(("X_0",), F7)
+        fd = FactoredDeterminant(F7, ("X_0",), (_entry(x, 2), _entry(zero, 1)))
+        assert fd.product().is_zero and fd.product() == factored_product_reference(fd)
 
 
 class TestCrossConsistency:

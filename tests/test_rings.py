@@ -236,6 +236,13 @@ class TestIntListPath:
                 break
         assert find_irreducible(field, r) == f
 
+    def test_find_irreducible_over_a_large_prime(self):
+        # the candidates are made one at a time: no table of p residues
+        p = 2**31 - 1
+        f = find_irreducible(p, 2)
+        assert [c.residue for c in f.coeffs] == [1, 0, 1]
+        assert not finite_field(p, 2).gen ** 2 + 1
+
     def test_ext_gcd_mod_p_against_ext_gcd(self):
         rng = random.Random(71)
         for p in (2, 3, 7):
@@ -656,3 +663,27 @@ class TestChecksUnderO:
         """
         assert (check_under_o(f"r.primitive_nth_root({n}, Wrong(7))", setup)
                 == f"raised: {root} is not a primitive {n}-th root of unity in F7")
+
+    @pytest.mark.parametrize("over, name", [("F3", "F3"), ("F4", "F2^2")])
+    def test_no_irreducible_found(self, over, name):
+        # an irreducibility test that rejects every candidate, on the int
+        # path over F3 and the element path over F4
+        setup = """
+            import groupfft.rings as r
+            F3, F4 = r.PrimeField(3), r.finite_field(2, 2)
+            r._is_irreducible_mod_p = lambda coeffs, p: False
+            r.is_irreducible = lambda f: False
+        """
+        assert (check_under_o(f"r.find_irreducible({over}, 2)", setup)
+                == f"raised: no monic irreducible polynomial of degree 2 over {name}")
+
+    def test_no_element_of_order_n(self):
+        # an F13 whose only candidate for a generator is zero
+        setup = """
+            import groupfft.rings as r
+            class Wrong(r.PrimeField):
+                def iter_elements(self):
+                    return iter([self.zero])
+        """
+        assert (check_under_o("r.primitive_nth_root(4, Wrong(13))", setup)
+                == "raised: F13 has no element of order 4, though n divides q - 1")

@@ -7,10 +7,21 @@ import pytest
 
 from groupfft.abelian import AbelianGroup, GroupElement
 from groupfft.cyclotomic import cyclotomic_field
-from groupfft.errors import NoRootOfUnity, PreconditionError
+from groupfft.errors import NoRootOfUnity, PreconditionError, RingMismatch
 from groupfft.linalg import identity_matrix, mat_eq, mat_mul, mat_pow
 from groupfft.multipoly import MultiPoly
-from groupfft.rings import QQ, ExtField, PrimeField, UniPoly, find_irreducible, primitive_nth_root
+from groupfft.rings import (
+    DFT_TABLE_CAP,
+    QQ,
+    ElementKernel,
+    ExtField,
+    PrimeField,
+    UniPoly,
+    find_irreducible,
+    kernel,
+    primitive_nth_root,
+    root_powers,
+)
 from groupfft.transform import (
     GroupVector,
     blahut_weight,
@@ -323,6 +334,132 @@ class TestFastAgainstReference:
             convolve(a, b)
         with pytest.raises(PreconditionError):
             convolve_reference(a, b)
+
+
+# (cyclic orders, F_p) for the int transforms: trivial, short lines,
+# several factors, radix-2 and radix-3 levels above the DFT_LEAF leaves,
+# and a prime length above DFT_LEAF
+KERNEL_CASES = [
+    ((1,), F13),
+    ((2, 6), F13),
+    ((4, 4, 4), F13),
+    ((3, 9), PrimeField(19)),
+    ((81,), PrimeField(163)),
+    ((127,), PrimeField(509)),
+    ((256,), PrimeField(257)),
+]
+
+
+class TestKernelDFT:
+    """The int transforms of IntKernel against the O(n^2) references and
+    against the element transforms of the same kernel."""
+
+    @pytest.mark.parametrize(
+        "divisors,field", KERNEL_CASES, ids=[f"{d}-{f!r}" for d, f in KERNEL_CASES]
+    )
+    def test_against_reference(self, divisors, field):
+        group = AbelianGroup(divisors)
+        rng = random.Random(repr(divisors))
+        a = random_vector(group, field, rng)
+        b = random_vector(group, field, rng)
+        assert fft(a) == fft_reference(a)
+        B = GroupVector(group, field, b.values, dual=True)
+        assert inverse_fft(B) == inverse_fft_reference(B)
+        assert convolve(a, b) == convolve_reference(a, b)
+
+    @pytest.mark.parametrize(
+        "divisors,field", KERNEL_CASES, ids=[f"{d}-{f!r}" for d, f in KERNEL_CASES]
+    )
+    def test_against_the_element_transform(self, divisors, field):
+        kern = kernel(field)
+        rng = random.Random(repr(divisors))
+        a = random_vector(AbelianGroup(divisors), field, rng).values
+        b = random_vector(AbelianGroup(divisors), field, rng).values
+        for inverse in (False, True):
+            assert (kern.dft(a, divisors, inverse)
+                    == ElementKernel.dft(kern, a, divisors, inverse))
+        assert kern.convolve(a, b, divisors) == ElementKernel.convolve(kern, a, b, divisors)
+
+    def test_prime_length_above_the_table_cap(self):
+        # C263 over F1579: a 263 x 263 matrix is above DFT_TABLE_CAP, so its
+        # rows are made for each line and none is kept
+        field = PrimeField(1579)
+        kern = kernel(field)
+        rng = random.Random(263)
+        a = random_vector(AbelianGroup.cyclic(263), field, rng).values
+        for inverse in (False, True):
+            assert kern.dft(a, (263,), inverse) == ElementKernel.dft(kern, a, (263,), inverse)
+        assert 263 * 263 > DFT_TABLE_CAP and not kern.dfts[263].tables
+
+    def test_root_tables_are_kept_per_exponent(self):
+        field = PrimeField(17)
+        kern = kernel(field)
+        assert kern.powers(16) is kern.powers(16)
+        assert kern.powers(16) == root_powers(16, field)
+        assert root_powers(16, field) is not root_powers(16, field)
+
+    def test_symbolic_vector_takes_the_element_transform(self):
+        x = symbolic_vector(AbelianGroup((2, 2)), F13)
+        X = fft(x)
+        assert all(isinstance(v, MultiPoly) for v in X.values)
+        assert X == fft_reference(x)
+        assert inverse_fft(X) == x
+
+    def test_elements_of_another_prime_field(self):
+        b = GroupVector(C2, PrimeField(5), (F7.one, F7.one))
+        with pytest.raises(RingMismatch):
+            fft(b)
+
+
+# (group, field) for int entries: the int kernel, the log kernel, elements
+INT_ENTRY_CASES = [
+    (AbelianGroup.cyclic(4), PrimeField(5)),
+    (AbelianGroup.cyclic(8), ExtField(PrimeField(3), find_irreducible(3, 2))),
+    (AbelianGroup((2, 2)), cyclotomic_field(4)),
+    (AbelianGroup.cyclic(4), cyclotomic_field(4)),
+]
+
+
+class TestIntEntries:
+    """Int entries are read as field elements: every output slot is an
+    element of the field, equal to the output for the elements."""
+
+    def test_c4_f5(self):
+        F5 = PrimeField(5)
+        out = fft(GroupVector(AbelianGroup.cyclic(4), F5, (1, 2, 3, 4)))
+        assert out.values == tuple(F5.from_int(k) for k in (0, 4, 3, 2))
+
+    @pytest.mark.parametrize(
+        "group,field", INT_ENTRY_CASES, ids=[f"{g.describe()}-{f!r}" for g, f in INT_ENTRY_CASES]
+    )
+    def test_every_output_is_an_element(self, group, field):
+        n = group.order
+        ints = tuple(range(1, n + 1))
+        mixed = tuple(k if k % 2 else field.from_int(k) for k in ints)
+        elements = tuple(field.from_int(k) for k in ints)
+        kind = field.one.__class__
+        for values in (ints, mixed):
+            outputs = [
+                (fft(GroupVector(group, field, values)),
+                 fft(GroupVector(group, field, elements))),
+                (inverse_fft(GroupVector(group, field, values, dual=True)),
+                 inverse_fft(GroupVector(group, field, elements, dual=True))),
+                (convolve(GroupVector(group, field, values), GroupVector(group, field, ints)),
+                 convolve(GroupVector(group, field, elements),
+                          GroupVector(group, field, elements))),
+            ]
+            for got, want in outputs:
+                assert all(v.__class__ is kind and v.field is field for v in got.values)
+                assert got == want
+
+    def test_convolve_fallback(self):
+        F5 = PrimeField(5)
+        group = AbelianGroup.cyclic(5)
+        a = GroupVector(group, F5, (1, 2, 3, 4, 5))
+        out = convolve(a, a)
+        assert all(v.__class__ is F5.one.__class__ for v in out.values)
+        assert out == convolve_reference(GroupVector(group, F5, tuple(map(F5.from_int, a.values))),
+                                         GroupVector(group, F5, tuple(map(F5.from_int, a.values))))
 
 
 class TestBlahut:
