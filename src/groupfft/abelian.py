@@ -7,7 +7,9 @@ one is supplied, through the pairing exponent
 
     t(sigma, chi) = sum_i  chi_i * sigma_i * (e / d_i)   (mod e),
 
-where e is the group exponent; the character value is zeta_e ** t.
+where e is the group exponent; the character value is zeta_e ** t, read
+off the field's :func:`groupfft.rings.root_table`.  Every O(n^2) sum of
+character values is a product by one of the two character matrices.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import lcm
 
 from .errors import PreconditionError, VerificationError
 from .numtheory import invariant_factors
-from .rings import root_powers
+from .rings import root_table
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,7 @@ def character_matrix(group: AbelianGroup, field) -> list[list]:
 
     Requires a primitive e-th root of unity in the field, e the exponent.
     """
-    powers = root_powers(group.exponent, field)
+    powers = root_table(group.exponent, field)
     elements = group.elements()
     characters = group.characters()
     return [
@@ -210,14 +212,11 @@ def character_matrix_inverse(group: AbelianGroup, field) -> list[list]:
     """P^-1 = (1/n) * transpose of (chi^-1(sigma))."""
     e = group.exponent
     n = group.order
-    powers = root_powers(e, field)
+    powers = root_table(e, field)
     inv_n = field.inv(field.from_int(n))
     elements = group.elements()
     characters = group.characters()
     return [
-        [
-            inv_n * powers[(-group.pairing_exponent(a, chi)) % e if e > 1 else 0]
-            for a in elements
-        ]
+        [inv_n * powers[-group.pairing_exponent(a, chi) % e] for a in elements]
         for chi in characters
     ]

@@ -224,18 +224,11 @@ class CyclotomicField(ExtField):
 
     @cached_property
     def _zeta_powers(self) -> list[tuple]:
-        """Integer residues of zeta^j for j = 0 .. d-1."""
+        """Integer residues of zeta^j for j = 0 .. d-1: the unit rows,
+        then the rows X^j mod Phi_d of the reduction table."""
         r = self.degree
-        top = [-int(c) for c in self.modulus.coeffs[:r]]  # zeta^r
-        row = [1] + [0] * (r - 1)
-        out = []
-        for _ in range(self.conductor):
-            out.append(tuple(row))
-            lead = row[-1]
-            row = [0] + row[:-1]
-            if lead:
-                row = [c + lead * t for c, t in zip(row, top)]
-        return out
+        units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        return units + reduction_table(self._int_modulus, 0, self.conductor - r)
 
     def _substitute(self, num, k: int) -> tuple:
         """Integer residue of num[0] + num[1] zeta^k + num[2] zeta^(2k) + ...,

@@ -19,8 +19,8 @@ a monomial is one int of exponent fields, a coefficient one int of N
 counts, and a term of the form of l rotates the counts by l j mod N.
 Each surviving monomial then meets the field once: its int coordinates
 are read off one big-int product of the counts by the packed columns of
-the power table (Kronecker substitution).  The expansion makes no field
-product; the power table makes N - 1.  Its monomials are packed by
+the field's :func:`groupfft.rings.root_table` (Kronecker substitution).
+The expansion makes no field product.  Its monomials are packed by
 :class:`groupfft.multipoly.Packing`, the packing of ``MultiPoly``'s
 products, which run the symbolic checks below on packed monomials and
 int-held coefficients too.
@@ -49,8 +49,7 @@ from .rings import (
     ExtFieldElem,
     UniPoly,
     is_irreducible,
-    primitive_nth_root,
-    root_powers,
+    root_table,
     x_pow_minus_one,
 )
 from .transform import GroupVector, group_matrix, group_variables
@@ -126,7 +125,7 @@ def vandermonde_det(n: int, field):
     group = AbelianGroup.cyclic(n)
     p = character_matrix(group, field)
     direct = mat_det(p, field)
-    powers = root_powers(n, field)
+    powers = root_table(n, field)
     product = field.one
     for ell in range(1, n):
         for i in range(ell):
@@ -206,11 +205,10 @@ def _abelian_matrix(group: AbelianGroup):
 # ---------------------------------------------------------------------------
 
 def linear_forms(group: AbelianGroup, field) -> list[LinearForm]:
-    powers = root_powers(group.exponent, field)
-    elements = group.elements()
+    """The eigenvalue form of each character: a column of the character matrix."""
+    columns = zip(*character_matrix(group, field))
     out = []
-    for chi in group.characters():
-        coeffs = tuple(powers[group.pairing_exponent(a, chi)] for a in elements)
+    for chi, coeffs in zip(group.characters(), columns):
         if coeffs[group.index(group.identity)] != field.one:
             raise VerificationError("a character is not 1 at the identity")
         out.append(LinearForm(chi, coeffs))
@@ -251,29 +249,23 @@ def _require_expandable(n: int, k: int):
         )
 
 
-def _product_of_forms(variables, zeta, exponents, field) -> MultiPoly:
+def _product_of_forms(variables, powers, exponents, field) -> MultiPoly:
     """Product over l in exponents of X_0 + zeta^l X_1 + ... + zeta^(l(n-1)) X_(n-1),
-    zeta a root of unity in field.
+    powers = root_table(N, field) the powers of zeta, a primitive N-th root.
 
-    Expanded in the group ring Z[C_N][X], N the order of zeta, where the
-    form of l is sum_j T^(l j mod N) X_j, on packed ints: a monomial is
-    one int of exponent fields, a coefficient one int of N count fields
-    (the coefficients of 1, T, ..., T^(N-1)), and a term of the form of l
-    adds a unit to the monomial and rotates the counts by l j.  Only the
-    power table takes field products.  Each surviving monomial is then
-    sent through T -> zeta once: every int coordinate of sum_e c_e zeta^e
-    is the dot product of the counts with that coordinate's column of the
-    power table, read off one big-int product by the packed reversed
-    columns (Kronecker substitution).  A count is at most k!, k the
-    number of forms, so with fields wider than N * k! * (largest
-    coordinate) nothing carries.
+    Expanded in the group ring Z[C_N][X], where the form of l is
+    sum_j T^(l j mod N) X_j, on packed ints: a monomial is one int of
+    exponent fields, a coefficient one int of N count fields (the
+    coefficients of 1, T, ..., T^(N-1)), and a term of the form of l adds
+    a unit to the monomial and rotates the counts by l j.  No field
+    product is taken.  Each surviving monomial is then sent through
+    T -> zeta once: every int coordinate of sum_e c_e zeta^e is the dot
+    product of the counts with that coordinate's column of the power
+    table, read off one big-int product by the packed reversed columns
+    (Kronecker substitution).  A count is at most k!, k the number of
+    forms, so with fields wider than N * k! * (largest coordinate)
+    nothing carries.
     """
-    one = field.one
-    powers = [one]
-    z = zeta
-    while z != one:
-        powers.append(z)
-        z = z * zeta
     order = len(powers)
     labels = list(exponents)
     k = len(labels)
@@ -340,14 +332,14 @@ def norm_form(n: int, d: int) -> MultiPoly:
     rational coefficients.  Refused (PreconditionError) when it may have
     more than FORM_PRODUCT_CAP monomials.
     """
-    if n % d != 0:
-        raise PreconditionError(f"{d} does not divide {n}")
+    if d < 1 or n % d != 0:
+        raise PreconditionError(f"{d} is not a positive divisor of {n}")
     _require_expandable(n, euler_phi(d))
     group = AbelianGroup.cyclic(n)
     variables = group_variables(group)
     kd = cyclotomic_field(d)
     units = [m for m in range(1, d + 1) if gcd(m, d) == 1]
-    acc = _product_of_forms(variables, kd.zeta, units, kd)
+    acc = _product_of_forms(variables, root_table(d, kd), units, kd)
     if not acc.is_homogeneous(euler_phi(d)):
         raise VerificationError(f"norm form is not homogeneous of degree {euler_phi(d)}")
 
@@ -366,6 +358,8 @@ def det_over_rationals(n: int) -> FactoredDeterminant:
     Refused (PreconditionError) when the factor of the divisor n may have
     more than FORM_PRODUCT_CAP monomials.
     """
+    if n < 1:
+        raise PreconditionError(f"the cyclic group C_n needs n >= 1, not {n}")
     _require_expandable(n, euler_phi(n))
     group = AbelianGroup.cyclic(n)
     entries = tuple(
@@ -399,8 +393,11 @@ def _check_finite(field, n: int):
 def q_cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
     """Minimal subsets of Z/nZ stable under multiplication by q,
 
-    ordered by smallest member; they partition Z/nZ.
+    ordered by smallest member; they partition Z/nZ.  Needs n >= 1 and q
+    prime to n (PreconditionError), else the orbits are not stable.
     """
+    if n < 1 or gcd(n, q) != 1:
+        raise PreconditionError(f"cosets of {q} in Z/{n}Z need n >= 1 prime to {q}")
     seen = [False] * n
     out = []
     for start in range(n):
@@ -450,7 +447,7 @@ def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
     _check_finite(field, n)
     q = field.order
     big, _ = splitting_field(field, n)
-    powers = root_powers(n, big)
+    powers = root_table(n, big)
     out = []
     for labels in q_cyclotomic_cosets(n, q):
         poly = _descended_factor(labels, big, powers, field)
@@ -485,7 +482,7 @@ def factor_cyclotomic(d: int, field) -> list[CosetFactor]:
     _check_finite(field, d)
     q = field.order
     big, _ = splitting_field(field, d)
-    powers = root_powers(d, big)
+    powers = root_table(d, big)
     r = multiplicative_order(q, d)
     out = []
     for coset in q_cyclotomic_cosets(d, q):
@@ -523,10 +520,10 @@ def det_over_finite_field(n: int, field) -> FactoredDeterminant:
     group = AbelianGroup.cyclic(n)
     variables = group_variables(group)
     big, embed = splitting_field(field, n)
-    zeta = primitive_nth_root(n, big)
+    powers = root_table(n, big)
     entries = []
     for labels in cosets:
-        poly = _descend(_product_of_forms(variables, zeta, labels, big), big, field)
+        poly = _descend(_product_of_forms(variables, powers, labels, big), big, field)
         entries.append(
             FactorEntry(
                 poly=poly,

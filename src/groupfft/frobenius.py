@@ -29,8 +29,7 @@ from .errors import PreconditionError, VerificationError
 from .factorize import FactorEntry, FactoredDeterminant, verify_product_identity
 from .linalg import identity_matrix, mat_eq, mat_inverse, mat_mul
 from .multipoly import MultiPoly, symbolic_det
-
-_ASSOC_EXHAUSTIVE_CAP = 24
+from .rings import root_table
 
 
 @dataclass(frozen=True)
@@ -69,19 +68,13 @@ class FiniteGroup:
         )
         if identity is None:
             raise PreconditionError("no identity element")
-        if n <= _ASSOC_EXHAUSTIVE_CAP:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            import random
-
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(4096)
-            )
-        for a, b, c in triples:
-            if table[table[a][b]][c] != table[a][table[b][c]]:
-                raise PreconditionError("composition table is not associative")
+        # Light's test: the s with (x s) y = x (s y) for all x, y are
+        # closed under products, so checking a generating set checks all
+        for s in _generators(table, identity):
+            for x_row in table:
+                xs_row = table[x_row[s]]
+                if any(xs_row[y] != x_row[sy] for y, sy in enumerate(table[s])):
+                    raise PreconditionError("composition table is not associative")
         group = FiniteGroup(labels, table, identity, name)
         for i in range(n):
             group.inv(i)  # raises if some element has no inverse
@@ -119,6 +112,24 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return self.name
+
+
+def _generators(table, identity: int) -> list[int]:
+    """Elements whose right products from the identity reach the whole
+    table, picked greedily in index order; over a group each one at least
+    doubles the subgroup reached, so there are at most log2 n of them."""
+    reached, out = {identity}, []
+    for g in range(len(table)):
+        if g not in reached:
+            out.append(g)
+            todo = list(reached)
+            while todo:
+                row = table[todo.pop()]
+                for s in out:
+                    if row[s] not in reached:
+                        reached.add(row[s])
+                        todo.append(row[s])
+    return out
 
 
 @dataclass(frozen=True)
@@ -274,10 +285,10 @@ def cyclic_group(n: int) -> GroupWithReps:
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     group = FiniteGroup.from_table(labels, table, name=f"C{n}")
     field = cyclotomic_field(n)
-    zeta = field.zeta
+    powers = root_table(n, field)
     reps = tuple(
         Representation.build(
-            group, f"chi{h}", field, [[[zeta ** ((h * i) % n)]] for i in range(n)]
+            group, f"chi{h}", field, [[[powers[h * i % n]]] for i in range(n)]
         )
         for h in range(n)
     )

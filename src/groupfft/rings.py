@@ -20,8 +20,9 @@ a prime base (over a tower, each coefficient's ints in turn), the
 integer numerators of an algebraic integer of Q(zeta_d).
 Descriptors are canonical: a constructor called with equal arguments
 returns the descriptor it built first (:class:`_Canonical`), so one field
-is one object, with one cache of roots of unity and one kernel, and
-descriptors compare with ``is``.
+is one object, with one kernel and one :func:`root_table` per exponent,
+which every root of unity and root power is read from, and descriptors
+compare with ``is``.
 
 Element protocol.  Elements of F_p, F_{p^r} and Q(zeta_d) are immutable
 :class:`FieldElem` subclasses holding their ``field`` and exposing a
@@ -103,8 +104,8 @@ Towers hold their elements.  Single element operations keep
 the residue products above: the tables pay only where many operations
 share them.  The transforms of :mod:`groupfft.transform` run on the
 kernel too (``dft``, ``convolve``): F_p on int residues
-(:class:`ResidueDFT`), every other field on its elements, each kernel
-keeping its root-power tables per exponent.
+(:class:`ResidueDFT`, which keeps the residues of the root table), every
+other field on its elements and the root table itself.
 
 No floating point is used anywhere.
 """
@@ -167,6 +168,9 @@ class RationalField(metaclass=_Canonical):
 
     zero = Fraction(0)
     one = Fraction(1)
+
+    def __init__(self):
+        self._roots: dict = {}  # see root_table()
 
     def from_int(self, k: int) -> Fraction:
         return Fraction(k)
@@ -350,7 +354,7 @@ class PrimeField(metaclass=_Canonical):
         self.p = p
         self.zero = PrimeFieldElem(0, self)
         self.one = PrimeFieldElem(1, self)
-        self._roots: dict = {}
+        self._roots: dict = {}  # see root_table()
 
     @property
     def characteristic(self) -> int:
@@ -398,7 +402,7 @@ class PrimeField(metaclass=_Canonical):
         return PrimeFieldElem(ints[0], self)
 
     def primitive_nth_root(self, n: int) -> PrimeFieldElem:
-        return _cached_root_of_unity(self, n)
+        return _finite_field_root_of_unity(self, n)
 
     def format_elem(self, x: PrimeFieldElem) -> str:
         return str(x.residue)
@@ -580,7 +584,9 @@ class UniPoly:
 
 
 def x_pow_minus_one(n: int, ring) -> UniPoly:
-    """X^n - 1 over the given ring."""
+    """X^n - 1 over the given ring, n >= 1."""
+    if n < 1:
+        raise PreconditionError(f"X^n - 1 needs n >= 1, not {n}")
     return UniPoly.make(
         [-ring.one] + [ring.zero] * (n - 1) + [ring.one], ring
     )
@@ -1007,13 +1013,13 @@ class ExtField(metaclass=_Canonical):
             # the reduction table and the modulus as int residues
             self._int_red = [tuple(c.residue for c in row) for row in self._red]
             self._int_modulus = tuple(c.residue for c in modulus.coeffs)
-        self._roots: dict = {}
 
     def _setup(self, base, modulus: UniPoly):
         """The quotient ring base[Y]/(modulus), shared with Q(zeta_d)."""
         self.base = base
         self.modulus = modulus
         self.degree = modulus.degree
+        self._roots: dict = {}  # see root_table()
         # X^k mod modulus for k = r .. 2r-2, over base elements
         self._red = reduction_table(modulus.coeffs, base.zero)
         self.zero = self.from_base(base.zero)
@@ -1109,7 +1115,7 @@ class ExtField(metaclass=_Canonical):
         return _ext_elem(tuple([c % p for c in ints]), self)
 
     def primitive_nth_root(self, n: int) -> ExtFieldElem:
-        return _cached_root_of_unity(self, n)
+        return _finite_field_root_of_unity(self, n)
 
     def format_elem(self, x: ExtFieldElem) -> str:
         return format_unipoly(x.poly, var=self.var)
@@ -1284,12 +1290,11 @@ class ElementKernel:
     ``table`` their integral reduction table, grown as release needs it;
     towers, with no table, hold their elements."""
 
-    __slots__ = ("field", "table", "roots")
+    __slots__ = ("field", "table")
 
     def __init__(self, field):
         self.field = field
         self.table = getattr(field, "_int_red", None)
-        self.roots: dict = {}
 
     def hold(self, groups):
         """The held groups and the context (den, W, digits): den the
@@ -1366,15 +1371,6 @@ class ElementKernel:
             return root
         return _walk(root, _power_tables(steps, xs, self.field.one))
 
-    def powers(self, e: int) -> list:
-        """[zeta^0, ..., zeta^(e-1)] for the canonical primitive e-th root
-        zeta, built once per exponent and kept; NoRootOfUnity if the field
-        has none.  Callers must not change the list."""
-        table = self.roots.get(e)
-        if table is None:
-            table = self.roots[e] = root_powers(e, self.field)
-        return table
-
     def dft(self, values, divisors, inverse=False) -> list:
         """The transform of values over C_{d_1} x ... x C_{d_k}, d_i the
         divisors, in lexicographic order: sum_sigma zeta^t(sigma, chi)
@@ -1384,7 +1380,7 @@ class ElementKernel:
         ``+`` and a product by an element.  Row-column over the factors,
         each line decimated in time (:func:`_dft_line`)."""
         field = self.field
-        powers = self.powers(lcm(*divisors))
+        powers = root_table(lcm(*divisors), field)
         values = [field.from_int(x) if isinstance(x, int) else x for x in values]
         if not inverse:
             return _dft(values, divisors, powers)
@@ -1414,8 +1410,8 @@ class IntKernel(ElementKernel):
     def _dft_of(self, e: int) -> "ResidueDFT":
         dft = self.dfts.get(e)
         if dft is None:
-            zeta = primitive_nth_root(e, self.field).residue
-            dft = self.dfts[e] = ResidueDFT(self.field.p, zeta, e)
+            residues = [x.residue for x in root_table(e, self.field)]
+            dft = self.dfts[e] = ResidueDFT(self.field.p, residues)
         return dft
 
     def dft(self, values, divisors, inverse=False) -> list:
@@ -1689,7 +1685,8 @@ DFT_TABLE_CAP = 1 << 16
 
 class ResidueDFT:
     """The transforms of :func:`_dft` over F_p on int residues, with the
-    root powers of one exponent e, kept by the field's :class:`IntKernel`.
+    residues of the :func:`root_table` of one exponent e, kept by the
+    field's :class:`IntKernel`.
 
     The recursion is :func:`_dft_line`'s, one ``% p`` per level, down to
     lines of length at most ``DFT_LEAF`` or of prime length: each of those
@@ -1704,12 +1701,8 @@ class ResidueDFT:
 
     __slots__ = ("p", "e", "powers", "tables")
 
-    def __init__(self, p: int, zeta: int, e: int):
-        self.p, self.e = p, e
-        powers = [1]
-        for _ in range(e - 1):
-            powers.append(powers[-1] * zeta % p)
-        self.powers = powers
+    def __init__(self, p: int, powers: list):
+        self.p, self.e, self.powers = p, len(powers), powers
         self.tables: dict = {}
 
     def run(self, x: list, divisors, inverse=False) -> list:
@@ -1843,14 +1836,6 @@ def finite_field(p: int, r: int):
     return base if r == 1 else ExtField(base, find_irreducible(base, r))
 
 
-def _cached_root_of_unity(field, n: int):
-    """The canonical root from the field's own cache; a miss is not cached."""
-    root = field._roots.get(n)
-    if root is None:
-        root = field._roots[n] = _finite_field_root_of_unity(field, n)
-    return root
-
-
 def _finite_field_root_of_unity(field, n: int):
     """Canonical primitive n-th root of unity in a finite field.
 
@@ -1859,8 +1844,6 @@ def _finite_field_root_of_unity(field, n: int):
     cyclic subgroup of that order, so it suffices to find one and then
     minimize over its primitive powers.
     """
-    if n < 1:
-        raise PreconditionError("root-of-unity order must be >= 1")
     p = field.characteristic
     if gcd(n, p) != 1:
         raise NoRootOfUnity(f"{n} shares a factor with the characteristic {p}")
@@ -1893,22 +1876,36 @@ def _finite_field_root_of_unity(field, n: int):
     return best
 
 
+def root_table(n: int, field) -> list:
+    """[zeta^0, ..., zeta^(n-1)], zeta the descriptor's canonical
+    ``primitive_nth_root(n)`` (a search over F_q, a formula over Q and
+    Q(zeta_d)), built once and kept in ``field._roots``; callers must not
+    change it.  The exact order n is checked on the table
+    (VerificationError).  n < 1 raises PreconditionError and a field
+    without the root NoRootOfUnity; neither keeps anything."""
+    table = field._roots.get(n)
+    if table is None:
+        if n < 1:
+            raise PreconditionError(f"root-of-unity order must be >= 1, not {n}")
+        zeta, one = field.primitive_nth_root(n), field.one
+        table = [one]
+        for _ in range(n - 1):
+            table.append(table[-1] * zeta)
+        if table[-1] * zeta != one or any(table[n // ell] == one for ell in prime_factors(n)):
+            raise VerificationError(f"{zeta} is not a primitive {n}-th root of unity in {field}")
+        field._roots[n] = table
+    return table
+
+
 def primitive_nth_root(n: int, field):
-    """Element of exact multiplicative order n in the given field."""
-    zeta = field.primitive_nth_root(n)
-    if n > 1 and (zeta ** n != field.one
-                  or any(zeta ** (n // ell) == field.one for ell in prime_factors(n))):
-        raise VerificationError(f"{zeta} is not a primitive {n}-th root of unity in {field}")
-    return zeta
+    """The canonical element of exact multiplicative order n in field."""
+    return root_table(n, field)[1 % n]
 
 
 def root_powers(n: int, field) -> list:
-    """[1, zeta, ..., zeta^(n-1)] for the canonical primitive n-th root zeta."""
-    zeta = primitive_nth_root(n, field)
-    powers = [field.one]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * zeta)
-    return powers
+    """[1, zeta, ..., zeta^(n-1)] for the canonical primitive n-th root
+    zeta, as a new list."""
+    return list(root_table(n, field))
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,14 @@ factors p_i of n, counted with multiplicity, instead of n^2.  ``convolve``
 multiplies transforms whenever the transform exists.  The O(n^2) sums are
 kept as ``fft_reference``, ``inverse_fft_reference`` and
 ``convolve_reference``: the auditable oracles that tests and the CLI's
-``--verify`` compare the fast path against.
+``--verify`` compare the fast path against; the first two are products by
+the character matrix and its inverse, as are the idempotents and the
+interpolation at roots of unity.
 
 The transforms run on the field's kernel (:func:`groupfft.rings.kernel`,
-its ``dft`` and ``convolve``), which keeps the root-power tables, one per
-group exponent.  Over F_p the kernel reads the residues once, runs the
+its ``dft`` and ``convolve``) and read the root table of the group
+exponent (:func:`groupfft.rings.root_table`), kept on the field
+descriptor.  Over F_p the kernel reads the residues once, runs the
 same recursion on ints with one ``% p`` per level, multiplies a
 convolution's transforms on ints, and makes the output elements once,
 with the 1/n of an inverse folded in (:class:`groupfft.rings.ResidueDFT`,
@@ -38,13 +41,15 @@ path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 from .abelian import AbelianGroup, character_matrix, character_matrix_inverse
 from .cyclotomic import splitting_field
 from .errors import NoRootOfUnity, PreconditionError, RingMismatch, VerificationError
 from .linalg import mat_eq, mat_mul, mat_pow, mat_rank, transpose
 from .multipoly import MultiPoly
-from .rings import UniPoly, kernel, primitive_nth_root, root_powers
+from .rings import UniPoly, kernel, root_table
 
 
 @dataclass(frozen=True)
@@ -123,42 +128,28 @@ def inverse_fft(B: GroupVector) -> GroupVector:
     return GroupVector(group, field, tuple(out), dual=False)
 
 
+def _dot(column, values):
+    """sum_i column[i] * values[i], summed in order."""
+    return reduce(add, map(mul, column, values))
+
+
 def fft_reference(b: GroupVector) -> GroupVector:
-    """The forward transform as the direct O(n^2) sum over the pairing."""
+    """The forward transform as the direct O(n^2) product by the character matrix."""
     if b.dual:
         raise PreconditionError("input is already on the dual side")
     group, field = b.group, b.field
-    powers = root_powers(group.exponent, field)
-    elements = group.elements()
-    out = []
-    for chi in group.characters():
-        acc = None
-        for a in elements:
-            term = powers[group.pairing_exponent(a, chi)] * b.values[group.index(a)]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return GroupVector(group, field, tuple(out), dual=True)
+    columns = zip(*character_matrix(group, field))
+    return GroupVector(group, field, tuple(_dot(c, b.values) for c in columns), dual=True)
 
 
 def inverse_fft_reference(B: GroupVector) -> GroupVector:
-    """The inverse transform as the direct O(n^2) sum over the pairing."""
+    """The inverse transform as the direct O(n^2) product by its inverse."""
     if not B.dual:
         raise PreconditionError("input is not on the dual side")
     group, field = B.group, B.field
     _require_invertible_order(group, field)
-    powers = root_powers(group.exponent, field)
-    e = group.exponent
-    inv_n = field.inv(field.from_int(group.order))
-    characters = group.characters()
-    out = []
-    for a in group.elements():
-        acc = None
-        for chi in characters:
-            t = (-group.pairing_exponent(a, chi)) % e
-            term = powers[t] * B.values[group.char_index(chi)]
-            acc = term if acc is None else acc + term
-        out.append(inv_n * acc)
-    return GroupVector(group, field, tuple(out), dual=False)
+    columns = zip(*character_matrix_inverse(group, field))
+    return GroupVector(group, field, tuple(_dot(c, B.values) for c in columns), dual=False)
 
 
 def group_matrix(b: GroupVector) -> GroupMatrix:
@@ -367,11 +358,11 @@ def circulant_idempotent_matrices(n: int, field) -> list[list[list]]:
 def shift_power_from_idempotents(n: int, field, h: int) -> list[list]:
     """Reconstruct K^h as sum_l zeta^(h l) E_l and verify the identity
     (VerificationError, also under ``python -O``)."""
-    zeta = primitive_nth_root(n, field)
+    powers = root_table(n, field)
     es = circulant_idempotent_matrices(n, field)
     acc = None
     for ell, e_mat in enumerate(es):
-        c = zeta ** ((h * ell) % n)
+        c = powers[h * ell % n]
         scaled = [[c * x for x in row] for row in e_mat]
         acc = scaled if acc is None else [
             [a + s for a, s in zip(ra, rs)] for ra, rs in zip(acc, scaled)
@@ -387,7 +378,8 @@ def interpolate_at_roots_of_unity(targets, field) -> UniPoly:
     """Unique P of degree <= n-1 with P(zeta^h) = targets[h] for all h.
 
     Built as sum_h targets[h] * P_h with P_h = (1/n) sum_l zeta^(-h l) X^l,
-    the polynomial that is 1 at zeta^h and 0 at the other n-th roots.
+    the polynomial that is 1 at zeta^h and 0 at the other n-th roots: a
+    product by the inverse character matrix of C_n.
     """
     targets = list(targets)
     n = len(targets)
@@ -395,15 +387,9 @@ def interpolate_at_roots_of_unity(targets, field) -> UniPoly:
         raise PreconditionError("need at least one target value")
     if field.characteristic and n % field.characteristic == 0:
         raise PreconditionError("n is not invertible in the field")
-    inv_n = field.inv(field.from_int(n))
-    powers = root_powers(n, field)
-    coeffs = [field.zero] * n
-    for h, bh in enumerate(targets):
-        if not bh:
-            continue
-        for ell in range(n):
-            coeffs[ell] = coeffs[ell] + bh * inv_n * powers[(-h * ell) % n]
-    result = UniPoly.make(coeffs, field)
+    columns = zip(*character_matrix_inverse(AbelianGroup.cyclic(n), field))
+    result = UniPoly.make([_dot(c, targets) for c in columns], field)
+    powers = root_table(n, field)
     for h, bh in enumerate(targets):
         if result.evaluate(powers[h]) != bh:
             raise VerificationError(f"interpolant misses its target at zeta^{h}")

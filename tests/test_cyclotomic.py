@@ -266,10 +266,10 @@ class TestSplittingField:
         big, embed = splitting_field(f7, 5)
         again = splitting_field(PrimeField(7), 5)
         assert again[0] is big and again[1] == embed
-        # one descriptor, so one root cache
+        # one descriptor, so one root table
         zeta = primitive_nth_root(5, big)
         assert primitive_nth_root(5, again[0]) is zeta
-        # the canonical root is the one a search past the cache finds
+        # the canonical root is the one a fresh search finds
         assert big.modulus == find_irreducible(PrimeField(7), 4)
         assert _finite_field_root_of_unity(big, 5) == zeta
         # another n with the same ord_n(7) = 4 shares the extension
@@ -379,6 +379,12 @@ class TestComplementaryFactors:
 
         with pytest.raises(PreconditionError):
             complementary_factor(6, 4)
+
+    @pytest.mark.parametrize("fn", [complementary_factor, complementary_inverse])
+    def test_order_zero_rejected(self, fn):
+        # X^0 - 1 = 0: no quotient by Phi_1, rather than the old answer 1
+        with pytest.raises(PreconditionError):
+            fn(0, 1)
 
 
 class TestRationalBasisCyclic:

@@ -50,6 +50,7 @@ from groupfft.rings import (
     finite_field,
     is_irreducible,
     primitive_nth_root,
+    root_table,
     x_pow_minus_one,
 )
 
@@ -175,6 +176,12 @@ class TestCosets:
                 assert flat == list(range(n))
                 for c in cosets:
                     assert set((x * q) % n for x in c) == set(c)
+
+    @pytest.mark.parametrize("n, q", [(6, 3), (4, 2), (0, 3), (-5, 2)])
+    def test_q_not_prime_to_n_refused(self, n, q):
+        # q = 3 on Z/6Z gave [(0,), (1, 3), (2,), (4,), (5,)]: 2 * 3 = 0 is not in {2}
+        with pytest.raises(PreconditionError):
+            q_cyclotomic_cosets(n, q)
 
     def test_minimality_against_subgroup_size(self):
         # each coset's size is the order of q modulo n/gcd(n, l)
@@ -569,6 +576,20 @@ def _expandable(n, k):
     return comb(n + k - 1, k) <= FORM_PRODUCT_CAP
 
 
+class TestOrdersBelowOne:
+    """Orders below 1 are refused with PreconditionError."""
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_det_over_rationals(self, n):
+        with pytest.raises(PreconditionError):
+            det_over_rationals(n)
+
+    @pytest.mark.parametrize("n, d", [(6, 0), (6, -3), (6, 4)])
+    def test_norm_form(self, n, d):
+        with pytest.raises(PreconditionError):
+            norm_form(n, d)
+
+
 class TestFormProducts:
     """_product_of_forms expands in Z[C_N] on packed ints; the products
     must be the ones the element-by-element expansion in the field gives,
@@ -582,7 +603,7 @@ class TestFormProducts:
             return
         kd = cyclotomic_field(d)
         variables = group_variables(AbelianGroup.cyclic(n))
-        got = _product_of_forms(variables, kd.zeta, _units(d), kd)
+        got = _product_of_forms(variables, root_table(d, kd), _units(d), kd)
         assert got == product_of_forms_reference(variables, kd.zeta, _units(d), kd)
 
     @pytest.mark.parametrize("n, q", COSET_CASES, ids=lambda c: str(c))
@@ -596,7 +617,7 @@ class TestFormProducts:
         cosets = q_cyclotomic_cosets(n, q)
         for labels in cosets:
             if _expandable(n, len(labels)):
-                got = _product_of_forms(variables, zeta, labels, big)
+                got = _product_of_forms(variables, root_table(n, big), labels, big)
                 assert got == product_of_forms_reference(variables, zeta, labels, big)
         if not all(_expandable(n, len(labels)) for labels in cosets):
             with pytest.raises(PreconditionError):
@@ -625,8 +646,8 @@ class TestFormProducts:
         (ExtField(finite_field(2, 2), find_irreducible(finite_field(2, 2), 3)), 7, (1, 2, 4)),
     ], ids=["Q(zeta_9)", "F13", "F4-tower"])
     def test_field_products_only_in_power_table(self, monkeypatch, field, n, labels):
-        """The expansion makes no field product: only the power table does,
-        N - 1 products for a root of order N."""
+        """The expansion makes no field product: it reads the field's root
+        table, built beforehand."""
         count = [0]
 
         def counting(mul):
@@ -638,12 +659,12 @@ class TestFormProducts:
 
         for cls in (PrimeFieldElem, ExtFieldElem, CycloElem):
             monkeypatch.setattr(cls, "_mul", counting(cls._mul))
-        zeta = primitive_nth_root(n, field)
+        powers = root_table(n, field)
         variables = group_variables(AbelianGroup.cyclic(n))
         count[0] = 0
-        poly = _product_of_forms(variables, zeta, labels, field)
+        poly = _product_of_forms(variables, powers, labels, field)
         assert len(poly.terms) > n
-        assert count[0] <= n
+        assert count[0] == 0
 
 
 class TestChecksUnderO:
@@ -662,8 +683,8 @@ class TestChecksUnderO:
         ("f.mat_det = lambda a, field: field.one",
          "f.vandermonde_det(3, PrimeField(7))",
          "product formula disagrees with direct determinant"),
-        ("orig = f.root_powers\n"
-         "f.root_powers = lambda n, field: [2 * x for x in orig(n, field)]",
+        ("orig = f.character_matrix\n"
+         "f.character_matrix = lambda g, field: [[2 * x for x in row] for row in orig(g, field)]",
          "f.linear_forms(AbelianGroup.cyclic(3), PrimeField(7))",
          "a character is not 1 at the identity"),
         ("orig = f._product_of_forms\n"

@@ -13,6 +13,7 @@ from groupfft.frobenius import (
     FiniteGroup,
     Representation,
     TupleCharacter,
+    _generators,
     block_diagonalize_s3,
     cyclic_group,
     extended_character,
@@ -63,6 +64,33 @@ class TestFiniteGroup:
         loop = FiniteGroup(("a", "b", "c", "d", "e"), table, 0)
         with pytest.raises(PreconditionError, match="element c has only a one-sided inverse d"):
             loop.inv(2)
+
+    @staticmethod
+    def switched_xor_table(n: int) -> list:
+        """The table of C_2^k, n = 2^k >= 8, with the values of 1*2 and
+        1*4, and of 7*2 and 7*4, swapped: still a Latin square with
+        identity 0 and x * x = 0, so a loop with two-sided inverses, but
+        (1 * 2) * 2 = 7 while 1 * (2 * 2) = 1."""
+        table = [[i ^ j for j in range(n)] for i in range(n)]
+        for r in (1, 7):
+            table[r][2], table[r][4] = table[r][4], table[r][2]
+        return table
+
+    @pytest.mark.parametrize("n", [8, 32], ids=["order-8", "order-32"])
+    def test_non_associative_loop_rejected(self, n):
+        table = self.switched_xor_table(n)
+        labels = tuple(str(i) for i in range(n))
+        loop = FiniteGroup(labels, tuple(map(tuple, table)), 0)
+        assert all(loop.inv(i) == i for i in range(n))  # only associativity fails
+        with pytest.raises(PreconditionError, match="composition table is not associative"):
+            FiniteGroup.from_table(labels, table)
+
+    def test_order_32_elementary_abelian_accepted(self):
+        table = [[i ^ j for j in range(32)] for i in range(32)]
+        group = FiniteGroup.from_table([str(i) for i in range(32)], table)
+        assert group.order == 32 and group.identity == 0
+        # the greedy generators of C_2^5: one per doubling
+        assert _generators(table, 0) == [1, 2, 4, 8, 16]
 
     def test_cyclic_group_table(self):
         g = cyclic_group(4).group

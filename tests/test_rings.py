@@ -30,6 +30,8 @@ from groupfft.rings import (
     is_irreducible,
     poly_powmod,
     primitive_nth_root,
+    root_powers,
+    root_table,
     square_and_multiply,
     x_pow_minus_one,
 )
@@ -50,6 +52,11 @@ def qpoly(*ints):
 
 
 class TestPolyArithmetic:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_x_pow_minus_one_needs_n_at_least_one(self, n):
+        with pytest.raises(PreconditionError):
+            x_pow_minus_one(n, QQ)
+
     def test_telescoping_product(self):
         # (X - 1)(X^2 + X + 1) = X^3 - 1
         assert qpoly(-1, 1) * qpoly(1, 1, 1) == x_pow_minus_one(3, QQ)
@@ -301,8 +308,8 @@ class TestPrimitiveRoots:
         ids=repr,
     )
     def test_root_cached_and_canonical(self, field, n):
-        first = field.primitive_nth_root(n)
-        assert field.primitive_nth_root(n) is first
+        first = primitive_nth_root(n, field)
+        assert primitive_nth_root(n, field) is first
         exact = [
             z for z in field.iter_elements()
             if z and z ** n == field.one
@@ -315,6 +322,48 @@ class TestPrimitiveRoots:
         for _ in range(2):
             with pytest.raises(NoRootOfUnity):
                 field.primitive_nth_root(3)
+
+
+# Q, Q(zeta_3), F7, F9 and the tower (F_2^2)^3, each with an exponent it holds
+ROOT_TABLE_CASES = [
+    (QQ, 2), (cyclotomic_field(3), 6), (F7, 6), (F9, 8), (F4_TOWER, 21),
+]
+ROOT_TABLE_IDS = [repr(f) for f, _ in ROOT_TABLE_CASES]
+
+
+class TestRootTable:
+    @pytest.mark.parametrize("field, n", ROOT_TABLE_CASES, ids=ROOT_TABLE_IDS)
+    def test_one_table_per_field_and_exponent(self, field, n):
+        table = root_table(n, field)
+        assert root_table(n, field) is table is field._roots[n]
+        zeta = primitive_nth_root(n, field)
+        assert zeta is table[1]
+        assert table == [zeta ** k for k in range(n)]
+
+    @pytest.mark.parametrize("field, n", ROOT_TABLE_CASES, ids=ROOT_TABLE_IDS)
+    def test_root_powers_is_a_new_equal_list(self, field, n):
+        first = root_powers(n, field)
+        assert first == root_table(n, field)
+        assert first is not root_table(n, field) and first is not root_powers(n, field)
+        first.append(field.zero)
+        assert len(root_table(n, field)) == n
+
+    @pytest.mark.parametrize("field", [f for f, _ in ROOT_TABLE_CASES], ids=ROOT_TABLE_IDS)
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_orders_below_one_refused(self, field, n):
+        for get in (root_table, primitive_nth_root, root_powers):
+            with pytest.raises(PreconditionError, match="order must be >= 1"):
+                get(n, field)
+        assert n not in field._roots
+
+    @pytest.mark.parametrize("field, n", [(QQ, 3), (cyclotomic_field(3), 4), (F7, 7),
+                                          (F9, 5), (F4_TOWER, 5)], ids=ROOT_TABLE_IDS)
+    def test_missing_root_raises_every_call_and_keeps_nothing(self, field, n):
+        for _ in range(2):
+            for get in (root_table, primitive_nth_root, root_powers):
+                with pytest.raises(NoRootOfUnity):
+                    get(n, field)
+        assert n not in field._roots
 
 
 def _cyclo(d):

@@ -21,6 +21,7 @@ from groupfft.rings import (
     kernel,
     primitive_nth_root,
     root_powers,
+    root_table,
 )
 from groupfft.transform import (
     GroupVector,
@@ -312,6 +313,26 @@ class TestFastAgainstReference:
         assert convolve(x, x) == convolve_reference(x, x)
 
     @pytest.mark.parametrize(
+        "divisors,field",
+        [((3, 2), F7), ((2, 2), QQ), ((4,), F9), ((3,), cyclotomic_field(3)), ((3,), F4_TOWER)],
+        ids=["C3xC2-F7", "C2xC2-Q", "C4-F9", "C3-Q(zeta_3)", "C3-tower"],
+    )
+    def test_references_on_multipolys_and_ints(self, divisors, field):
+        """The references, products by the character matrix and its
+        inverse, agree with the fast pair on symbolic vectors and on int
+        entries."""
+        group = AbelianGroup(divisors)
+        x = symbolic_vector(group, field)
+        X = fft(x)
+        assert X == fft_reference(x)
+        assert inverse_fft(X) == inverse_fft_reference(X) == x
+        ints = tuple(range(1, group.order + 1))
+        b = GroupVector(group, field, ints)
+        assert fft(b) == fft_reference(b)
+        B = GroupVector(group, field, ints, dual=True)
+        assert inverse_fft(B) == inverse_fft_reference(B)
+
+    @pytest.mark.parametrize(
         "n,field", [(5, PrimeField(5)), (3, QQ)], ids=["char-divides-n", "no-root"]
     )
     def test_convolve_fallback(self, n, field):
@@ -393,9 +414,8 @@ class TestKernelDFT:
 
     def test_root_tables_are_kept_per_exponent(self):
         field = PrimeField(17)
-        kern = kernel(field)
-        assert kern.powers(16) is kern.powers(16)
-        assert kern.powers(16) == root_powers(16, field)
+        assert root_table(16, field) is root_table(16, field)
+        assert root_table(16, field) == root_powers(16, field)
         assert root_powers(16, field) is not root_powers(16, field)
 
     def test_symbolic_vector_takes_the_element_transform(self):
