@@ -43,6 +43,7 @@ from .rings import (
     find_irreducible,
     mul_reduced,
     reduction_table,
+    require_root_order,
     x_pow_minus_one,
 )
 
@@ -276,6 +277,7 @@ class CyclotomicField(ExtField):
         return _canonical([den * c for c in prod], norm[0], self)
 
     def primitive_nth_root(self, n: int) -> CycloElem:
+        require_root_order(n)
         d = self.conductor
         if n == 1:
             return self.one

@@ -5,15 +5,21 @@ determinant and rank all use row reduction with exact arithmetic: the
 inverse and, over every field but Q, the determinant and rank divide by
 the pivot; over Q they eliminate fraction-free (Bareiss), on integer rows
 with an exact integer division by the previous pivot.  Determinant and
-rank update only the live trailing block, the columns right of the pivot:
-the pivot column below the pivot is never read again, so an n x n
-determinant costs sum k^2 = (n-1)n(2n-1)/6 cell updates (506 for n = 12,
-against 792 for whole rows).  They run on the field's
-:func:`groupfft.rings.kernel`, which holds the working copy (int residues
-over F_p, logarithms over a small F_{p^r}, scaled integer rows over Q,
-elements elsewhere) and reads the determinant off it, in the caller's
-descriptor.  Shape checks raise PreconditionError, under ``python -O``
-too.
+rank run on the field's :func:`groupfft.rings.kernel`, which holds the
+working copy, finds each pivot (``pivot``), clears the column below it
+(``eliminate_below``) and reads the determinant off the copy, in the
+caller's descriptor; the driver here only swaps rows.  Over F_p each row
+is one packed int, entry j in the W-bit slot j: a row below the pivot
+takes one big-int multiply-add per pivot, so an n x n determinant costs
+at most n(n-1)/2 of them, and is reduced mod p only when it becomes the
+pivot row, O(n) per pivot.  A row takes at most K = min(rows, cols)
+updates, each adding at most (p - 1)^2 to a slot, so W, the bit length
+of (p - 1) + K (p - 1)^2, keeps every slot from carrying into the next.
+Elsewhere the kernel updates only the live trailing block, the columns
+right of the pivot (int logarithms over a small F_{p^r}, scaled integer
+rows over Q, elements otherwise): an n x n determinant costs sum k^2 =
+(n-1)n(2n-1)/6 cell updates.  Shape checks raise PreconditionError,
+under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -103,7 +109,7 @@ def mat_det(a, field):
     m = kern.working_copy(a)
     negate = False
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        pivot = kern.pivot(m, col, col)
         if pivot is None:
             return field.zero
         if pivot != col:
@@ -122,7 +128,7 @@ def mat_rank(rows, field) -> int:
     m = kern.working_copy(rows)
     rank = 0
     for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
+        pivot = kern.pivot(m, rank, col)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]

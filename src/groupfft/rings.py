@@ -74,9 +74,10 @@ numerators.
 
 Kernels.  :func:`kernel` picks, once per descriptor, how the bulk loops
 hold a field's values: the row updates of ``mat_det`` and ``mat_rank``
-and the Horner walk of ``MultiPoly.evaluate``.  F_p eliminates on int
-residues, a cell update one ``(x - f * y) % p`` and a pivot inverse one
-``pow(x, -1, p)``, and evaluates on its elements.  A small F_p[Y]/(m),
+and the Horner walk of ``MultiPoly.evaluate``.  F_p eliminates on rows
+of residues packed into one int each, a row update one big-int
+multiply-add with no reduction (:class:`IntKernel`) and a pivot inverse
+one ``pow(x, -1, p)``, and evaluates on its elements.  A small F_p[Y]/(m),
 order at most ``LOG_ORDER_CAP``, runs both on Zech logarithms
 (:class:`LogTables`): a product is one int addition and a sum one table
 lookup (:func:`zech_sum`).  Q eliminates fraction-free: each row is
@@ -184,6 +185,7 @@ class RationalField(metaclass=_Canonical):
         return 1 / Fraction(x)
 
     def primitive_nth_root(self, n: int) -> Fraction:
+        require_root_order(n)
         if n == 1:
             return self.one
         if n == 2:
@@ -1254,11 +1256,16 @@ def kernel(field):
 
     A kernel holds the values of its field for bulk work:
     ``working_copy(rows)`` holds a matrix, one held value per entry,
-    nonzero exactly when it is truthy; ``eliminate_below(m, top, col)``
-    clears column col below the pivot m[top][col], the pivots taken in
-    order; ``determinant(m, negate)`` reads the determinant, negated if
+    nonzero exactly when it is truthy.  Elimination runs on a working
+    copy through three calls: ``pivot(m, start, col)``, the first row at
+    or below start whose entry in column col is nonzero, or None;
+    ``eliminate_below(m, top, col)``, which clears column col below the
+    pivot in row top, the pivots taken in order; and
+    ``determinant(m, negate)``, which reads the determinant, negated if
     negate, off a square working copy whose every column has been
-    cleared, as an element of the field; ``plan(terms)`` and
+    cleared, as an element of the field.  Only these three read a
+    working copy under elimination, so a kernel may change how it holds
+    the rows there (IntKernel packs them).  ``plan(terms)`` and
     ``value(plan, xs)`` evaluate a sum of terms at the point xs, one value
     per variable.  ``hold(groups)`` holds lists of values for sums of
     products that take one value from each list (a product of two
@@ -1341,6 +1348,9 @@ class ElementKernel:
     def working_copy(self, rows) -> list[list]:
         return [list(row) for row in rows]
 
+    def pivot(self, m, start: int, col: int):
+        return next((r for r in range(start, len(m)) if m[r][col]), None)
+
     def eliminate_below(self, m, top: int, col: int):
         """Subtract multiples of row top from every row below it so that
         their column col vanishes, m[top][col] being nonzero.  Only the
@@ -1396,10 +1406,23 @@ class ElementKernel:
 
 
 class IntKernel(ElementKernel):
-    """F_p: elimination, products and transforms on int residues, each
-    result reduced mod p once; evaluation on elements.  A transform reads
-    its residues once and makes its elements once; a vector of other
-    values takes the element transform."""
+    """F_p: products and transforms on int residues, each result reduced
+    mod p once; elimination on packed rows; evaluation on elements.  A
+    transform reads its residues once and makes its elements once; a
+    vector of other values takes the element transform.
+
+    Elimination delays its reductions (Dumas, Fousse & Salvy, J. Symb.
+    Comput. 2011).  The first pivot search packs each row of residues
+    into one int, entry j in the W-bit slot j, and an entry is read as
+    ((row >> W j) & mask) % p.  A row below the pivot a takes one
+    multiply-add per pivot, row += f * tail: f = -c / a mod p, c the
+    row's entry in the pivot column, and tail the pivot row reduced slot
+    by slot, its slots up to the pivot column cleared.  Only a pivot row
+    is reduced, O(n) per pivot.  Every value stays non-negative, and a
+    row takes at most K = min(rows, cols) updates, so a slot stays at
+    most (p - 1) + K (p - 1)^2, which fits in W bits, W its bit length:
+    no slot carries into the next.
+    """
 
     __slots__ = ("dfts",)
 
@@ -1442,29 +1465,52 @@ class IntKernel(ElementKernel):
         field = self.field
         return [PrimeFieldElem(v, field) for v in values]
 
-    def working_copy(self, rows) -> list[list]:
+    def working_copy(self, rows) -> _PackedRows:
         field = self.field
-        return [
+        m = _PackedRows([
             [x.residue if x.__class__ is PrimeFieldElem and x.field is field
              else field.residue_of(x) for x in row]
             for row in rows
-        ]
+        ])
+        m.width = None
+        return m
+
+    def pivot(self, m, start: int, col: int):
+        p = self.field.p
+        if m.width is None:  # the first search packs the rows of residues
+            m.cols = len(m[0])
+            m.width = width = ((p - 1) + min(len(m), m.cols) * (p - 1) ** 2).bit_length()
+            m.mask = (1 << width) - 1
+            for i, row in enumerate(m):
+                packed = 0
+                for x in reversed(row):
+                    packed = (packed << width) | x
+                m[i] = packed
+        shift, mask = m.width * col, m.mask
+        for r in range(start, len(m)):
+            if ((m[r] >> shift) & mask) % p:
+                return r
+        return None
 
     def eliminate_below(self, m, top: int, col: int):
-        p = self.field.p
-        pivot_row = m[top]
-        live = pivot_row[col + 1:]
-        inv_p = pow(pivot_row[col], -1, p)
-        for row in m[top + 1:]:
-            if row[col]:
-                f = row[col] * inv_p % p
-                row[col + 1:] = [(x - f * y) % p for x, y in zip(row[col + 1:], live)]
+        p, width, mask = self.field.p, m.width, m.mask
+        shift = width * col
+        row = m[top]
+        tail = 0
+        for s in range(width * (m.cols - 1), shift, -width):
+            tail = (tail << width) | ((row >> s) & mask) % p
+        tail <<= shift + width
+        neg_inv = p - pow(((row >> shift) & mask) % p, -1, p)
+        for i in range(top + 1, len(m)):
+            c = ((m[i] >> shift) & mask) % p
+            if c:
+                m[i] += c * neg_inv % p * tail
 
     def determinant(self, m, negate: bool):
         p = self.field.p
         out = 1
         for i, row in enumerate(m):
-            out = out * row[i] % p
+            out = out * ((row >> m.width * i) & m.mask) % p
         return PrimeFieldElem(-out if negate else out, self.field)
 
 
@@ -1519,6 +1565,16 @@ class LogKernel(ElementKernel):
             log = tables.log_of(xs[i], field)
             powers[i] = [k * log for k in range(top + 1)]
         return tables.elem(_log_walk(root, powers, tables.zech, tables.n), field)
+
+
+class _PackedRows(list):
+    """The working copy of a matrix over F_p: rows of int residues, which
+    ``hold`` and ``dft`` read, until the first pivot search packs each
+    row into one int (see :class:`IntKernel`): ``width`` is the slot
+    width, None before, ``mask`` 2^width - 1 and ``cols`` the row
+    length."""
+
+    __slots__ = ("width", "mask", "cols")
 
 
 class _ScaledRows(list):
@@ -1844,6 +1900,7 @@ def _finite_field_root_of_unity(field, n: int):
     cyclic subgroup of that order, so it suffices to find one and then
     minimize over its primitive powers.
     """
+    require_root_order(n)
     p = field.characteristic
     if gcd(n, p) != 1:
         raise NoRootOfUnity(f"{n} shares a factor with the characteristic {p}")
@@ -1876,6 +1933,13 @@ def _finite_field_root_of_unity(field, n: int):
     return best
 
 
+def require_root_order(n: int):
+    """Raise PreconditionError unless n >= 1: the check of every
+    descriptor's ``primitive_nth_root``, and so of :func:`root_table`."""
+    if n < 1:
+        raise PreconditionError(f"root-of-unity order must be >= 1, not {n}")
+
+
 def root_table(n: int, field) -> list:
     """[zeta^0, ..., zeta^(n-1)], zeta the descriptor's canonical
     ``primitive_nth_root(n)`` (a search over F_q, a formula over Q and
@@ -1885,8 +1949,6 @@ def root_table(n: int, field) -> list:
     without the root NoRootOfUnity; neither keeps anything."""
     table = field._roots.get(n)
     if table is None:
-        if n < 1:
-            raise PreconditionError(f"root-of-unity order must be >= 1, not {n}")
         zeta, one = field.primitive_nth_root(n), field.one
         table = [one]
         for _ in range(n - 1):

@@ -379,9 +379,10 @@ def interpolate_at_roots_of_unity(targets, field) -> UniPoly:
 
     Built as sum_h targets[h] * P_h with P_h = (1/n) sum_l zeta^(-h l) X^l,
     the polynomial that is 1 at zeta^h and 0 at the other n-th roots: a
-    product by the inverse character matrix of C_n.
+    product by the inverse character matrix of C_n.  Int targets are read
+    as field elements.
     """
-    targets = list(targets)
+    targets = [field.from_int(x) if isinstance(x, int) else x for x in targets]
     n = len(targets)
     if n < 1:
         raise PreconditionError("need at least one target value")

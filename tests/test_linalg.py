@@ -27,7 +27,7 @@ from groupfft.linalg import (
     transpose,
 )
 from groupfft.rings import QQ, PrimeField, UniPoly
-from groupfft.transform import interpolate_at_roots_of_unity
+from groupfft.transform import GroupVector, blahut_weight, interpolate_at_roots_of_unity
 
 F7 = PrimeField(7)
 
@@ -253,6 +253,125 @@ class TestPrimeFieldEntries:
             mat_det([[k.zeta, 1], [1, 1]], QQ)
         with pytest.raises(RingMismatch):
             mat_rank([[1, F7.one]], QQ)
+
+
+PACKED_PRIMES = [2, 3, 257, 2**31 - 1, 2**61 - 1]
+
+
+class TestPackedElimination:
+    """The packed-row elimination over F_p against sympy's DomainMatrix
+    over GF(p): square, tall and wide matrices up to 96 x 96, entries
+    drawn over all of F_p, half of them given as ints."""
+
+    @staticmethod
+    def _oracle(p):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        dom = sympy.GF(p)
+
+        def matrix(m):
+            shape = (len(m), len(m[0]) if m else 0)
+            return DomainMatrix([[dom(x if isinstance(x, int) else x.residue) for x in row]
+                                 for row in m], shape, dom)
+
+        def det(m):
+            # LU, since DomainMatrix.det over GF(p) takes seconds at 96 x 96:
+            # the product of U's diagonal, negated per row swap
+            _, upper, swaps = matrix(m).lu()
+            out = 1
+            for i in range(len(m)):
+                out = out * int(upper[i, i].element) % p
+            return -out % p if len(swaps) % 2 else out
+
+        return matrix, det
+
+    @staticmethod
+    def _entries(rng, field, rows, cols, drop=0.0):
+        p = field.p
+        return [[0 if rng.random() < drop else
+                 rng.randrange(p) if rng.randrange(2) else field.from_int(rng.randrange(p))
+                 for _ in range(cols)] for _ in range(rows)]
+
+    def _check(self, m, field, matrix, det):
+        before = [list(row) for row in m]
+        assert mat_rank(m, field) == matrix(m).rank()
+        if len(m) == (len(m[0]) if m else 0):
+            d = mat_det(m, field)
+            assert d.field is field and d.residue == det(m)
+        assert m == before
+
+    @pytest.mark.parametrize("p", PACKED_PRIMES)
+    def test_against_sympy(self, p):
+        field = PrimeField(p)
+        matrix, det = self._oracle(p)
+        rng = random.Random(p % 1009)
+        for rows, cols in [(1, 1), (2, 2), (3, 5), (5, 3), (6, 6), (12, 12), (13, 9),
+                           (9, 13), (32, 32)]:
+            self._check(self._entries(rng, field, rows, cols), field, matrix, det)
+            # sparse, so that zero pivots force row swaps
+            self._check(self._entries(rng, field, rows, cols, drop=0.7), field, matrix, det)
+        for rows, cols in [(96, 24), (24, 96), (96, 96)]:
+            self._check(self._entries(rng, field, rows, cols), field, matrix, det)
+        for n, k in [(8, 3), (24, 10), (48, 20)]:
+            # a rank-deficient product of an n x k and a k x n matrix
+            a = self._entries(rng, field, n, k)
+            b = self._entries(rng, field, k, n)
+            prod = mat_mul([[field.from_int(x) if isinstance(x, int) else x for x in row] for row in a],
+                           [[field.from_int(x) if isinstance(x, int) else x for x in row] for row in b],
+                           field)
+            self._check(prod, field, matrix, det)
+        for n in (4, 17, 24):
+            # zero columns, and a zero leading pivot that forces a swap
+            m = self._entries(rng, field, n, n)
+            for c in rng.sample(range(n), n // 4 + 1):
+                for row in m:
+                    row[c] = field.zero
+            self._check(m, field, matrix, det)
+            m = self._entries(rng, field, n, n)
+            m[0][0] = field.zero
+            m[1][0] = 0
+            self._check(m, field, matrix, det)
+        self._check([], field, matrix, det)
+        assert mat_det([], field).residue == 1 and mat_rank([[], []], field) == 0
+
+    @pytest.mark.parametrize("p", PACKED_PRIMES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 16, 33])
+    def test_one_row_takes_every_update(self, p, n):
+        """Rows i < n - 1 are e_i + (p - 1) e_(n-1) and the last row is
+        (1, ..., 1, p - 1): at every pivot the last row's multiplier is
+        p - 1 and the pivot row's entry in its last column is p - 1, so
+        that slot reaches (p - 1) + (n - 1)(p - 1)^2, the most a slot can
+        hold here, before the last pivot reads it: n - 2 mod p."""
+        field = PrimeField(p)
+        m = [[field.one if j == i else field.zero for j in range(n - 1)] + [field.from_int(-1)]
+             for i in range(n - 1)]
+        m.append([1] * (n - 1) + [p - 1])
+        last = (n - 2) % p
+        assert mat_det(m, field).residue == last
+        assert mat_rank(m, field) == n - (last == 0)
+        # tall: a second copy of the last row takes an update at all n pivots
+        assert mat_rank(m + [list(m[-1])], field) == n - (last == 0)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_blahut_weight_on_large_cyclic_groups(self, n):
+        field = PrimeField(257)
+        group = AbelianGroup.cyclic(n)
+        rng = random.Random(n)
+        for weight in (0, 1, n // 2, n - 1, n):
+            support = set(rng.sample(range(n), weight))
+            values = tuple(field.from_int(rng.randrange(1, 257)) if i in support else field.zero
+                           for i in range(n))
+            assert blahut_weight(GroupVector(group, field, values)) == weight
+
+    def test_entry_of_another_field_rejected_in_a_large_matrix(self):
+        field = PrimeField(257)
+        m = [[field.from_int(i * j + 1) for j in range(40)] for i in range(40)]
+        m[39][39] = PrimeField(263).one
+        with pytest.raises(RingMismatch):
+            mat_det(m, field)
+        with pytest.raises(RingMismatch):
+            mat_rank(m, field)
 
 
 _RAGGED = [

@@ -356,6 +356,13 @@ class TestRootTable:
                 get(n, field)
         assert n not in field._roots
 
+    @pytest.mark.parametrize("field", [f for f, _ in ROOT_TABLE_CASES], ids=ROOT_TABLE_IDS)
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_descriptor_method_refuses_orders_below_one(self, field, n):
+        with pytest.raises(PreconditionError, match="order must be >= 1"):
+            field.primitive_nth_root(n)
+        assert n not in field._roots
+
     @pytest.mark.parametrize("field, n", [(QQ, 3), (cyclotomic_field(3), 4), (F7, 7),
                                           (F9, 5), (F4_TOWER, 5)], ids=ROOT_TABLE_IDS)
     def test_missing_root_raises_every_call_and_keeps_nothing(self, field, n):

@@ -687,3 +687,14 @@ class TestInterpolation:
         F3 = PrimeField(3)
         with pytest.raises(PreconditionError):
             interpolate_at_roots_of_unity([F3.one, F3.one, F3.one], F3)
+
+    @pytest.mark.parametrize("field, ints", [
+        (F7, [1, 2, 3]),
+        (ExtField(PrimeField(3), find_irreducible(3, 2)), [1, -2, 0, 5]),
+        (cyclotomic_field(3), [1, 2, -3]),
+    ], ids=repr)
+    def test_int_targets_read_as_elements(self, field, ints):
+        expected = interpolate_at_roots_of_unity([field.from_int(k) for k in ints], field)
+        assert interpolate_at_roots_of_unity(ints, field) == expected
+        if field is F7:
+            assert str(expected) == "X^2 + 5*X + 2"
