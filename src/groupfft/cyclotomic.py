@@ -212,9 +212,19 @@ class CyclotomicField(ExtField):
         return CycloElem(tuple(ints), 1, self)
 
     def _numerators(self, values) -> tuple[list, int]:
-        den = lcm(*[x.den for x in values])
-        return [x.num if x.den == den else [c * (den // x.den) for c in x.num]
-                for x in values], den
+        """(vectors, den): each of values, an element of this field, an int
+        or a Fraction, as its integer numerators over the lcm den of the
+        denominators; RingMismatch for any other value."""
+        pairs = []
+        for x in values:
+            if x.__class__ is CycloElem and x.field is self:
+                pairs.append((x.num, x.den))
+            elif isinstance(x, (int, Fraction)):
+                pairs.append(((x.numerator,) + self._zero_tail, x.denominator))
+            else:
+                raise RingMismatch(f"{x!r} is not an element of {self}")
+        den = lcm(*[d for _, d in pairs])
+        return [num if d == den else [c * (den // d) for c in num] for num, d in pairs], den
 
     def _from_numerators(self, ints: list, den: int) -> CycloElem:
         return _canonical(ints, den, self)

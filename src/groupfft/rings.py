@@ -104,9 +104,14 @@ left over) and folded once through the integral reduction table.
 Towers hold their elements.  Single element operations keep
 the residue products above: the tables pay only where many operations
 share them.  The transforms of :mod:`groupfft.transform` run on the
-kernel too (``dft``, ``convolve``): F_p on int residues
-(:class:`ResidueDFT`, which keeps the residues of the root table), every
-other field on its elements and the root table itself.
+kernel too (``dft``, ``convolve``), on the same held ints: one
+:class:`ResidueDFT` recursion with the held powers of the root table as
+twiddles, over F_p on residues reduced once per level, over Q (roots 1
+and -1) on the integer numerators, and over F_p[Y]/(m) and Q(zeta_d) on
+Kronecker-packed numerators with no reduction between stages, each
+output released once.  Towers, and vectors of values that are not the
+field's (MultiPolys), transform their elements through the root table
+itself (:meth:`ElementKernel.element_dft`).
 
 No floating point is used anywhere.
 """
@@ -1107,13 +1112,27 @@ class ExtField(metaclass=_Canonical):
 
     def _numerators(self, values) -> tuple[list, int]:
         """(vectors, den): each of values, elements of this field over a
-        prime base, as its degree integer coordinates over the common
-        denominator den; inverted by _from_numerators."""
-        return [x.coeffs for x in values], 1
+        prime base or ints, as its degree integer coordinates over the
+        common denominator den; inverted by _from_numerators.  Any other
+        value raises RingMismatch."""
+        p, tail = self._prime_base.p, self._zero_tail
+        vectors = []
+        for x in values:
+            if x.__class__ is ExtFieldElem and x.field is self:
+                vectors.append(x.coeffs)
+            elif isinstance(x, int):
+                vectors.append((x % p,) + tail)
+            else:
+                raise RingMismatch(f"{x!r} is not an element of {self}")
+        return vectors, 1
 
     def _from_numerators(self, ints: list, den: int) -> ExtFieldElem:
-        """The element with these integer coordinates over den, any ints."""
+        """The element with these integer coordinates over den, any ints
+        and den prime to p."""
         p = self._prime_base.p
+        if den != 1:
+            inv = pow(den, -1, p)
+            return _ext_elem(tuple([c * inv % p for c in ints]), self)
         return _ext_elem(tuple([c % p for c in ints]), self)
 
     def primitive_nth_root(self, n: int) -> ExtFieldElem:
@@ -1228,6 +1247,23 @@ def kronecker_digits(k: int, width: int, count: int) -> list:
     return out
 
 
+def kronecker_width(bound: int) -> int:
+    """The digit width W of packed polynomials whose coefficients are at
+    most bound in absolute value: the least W with bound < 2^(W-1), so
+    that no balanced digit of :func:`kronecker_digits` carries."""
+    return bound.bit_length() + 1
+
+
+def kronecker_pack(coeffs, width: int) -> int:
+    """The polynomial with these int coefficients (constant term first)
+    packed as its value at T = 2^width; :func:`kronecker_digits` reads
+    the coefficients back."""
+    k = 0
+    for c in reversed(coeffs):
+        k = (k << width) + c
+    return k
+
+
 def zech_sum(a: int, b: int, zech: list, n: int) -> int:
     """The log of g^a + g^b, for logs a and b of :class:`LogTables`
     (0 for zero) with ``zech`` and ``n`` from the same tables."""
@@ -1271,10 +1307,15 @@ def kernel(field):
     products that take one value from each list (a product of two
     polynomials, a determinant by rows): it returns the held lists and a
     context, for ``release(values, context)`` to read such sums back as
-    elements.  A held zero is 0, which every held form adds as zero.
+    elements, ``release(values, context, n)`` each divided by n.  A held
+    zero is 0, which every held form adds as zero.
     ``dft(values, divisors, inverse)`` and ``convolve(a, b, divisors)``
     transform and convolve vectors over C_{d_1} x ... x C_{d_k}, elements
-    in and out.
+    in and out, on held ints wherever the kernel can hold every entry
+    (every field but towers; entries are read as :func:`field_entries`
+    reads them), else on elements (``element_dft``,
+    ``element_convolve``); an entry from another field raises
+    RingMismatch on both paths.
     """
     k = field._kernel
     if k is None:
@@ -1292,16 +1333,18 @@ def kernel(field):
 
 class ElementKernel:
     """Values held as the field's own elements; the other kernels replace
-    only what they hold differently.  For products, F_p[Y]/(m) and
-    Q(zeta_d) hold Kronecker-packed ints (see the module docstring), with
-    ``table`` their integral reduction table, grown as release needs it;
-    towers, with no table, hold their elements."""
+    only what they hold differently.  For products and transforms,
+    F_p[Y]/(m) and Q(zeta_d) hold Kronecker-packed ints (see the module
+    docstring), with ``table`` their integral reduction table, grown as
+    release needs it; towers, with no table, hold their elements.
+    ``dfts`` keeps, per group exponent, what the transforms reuse."""
 
-    __slots__ = ("field", "table")
+    __slots__ = ("field", "table", "dfts")
 
     def __init__(self, field):
         self.field = field
         self.table = getattr(field, "_int_red", None)
+        self.dfts: dict = {}
 
     def hold(self, groups):
         """The held groups and the context (den, W, digits): den the
@@ -1321,27 +1364,20 @@ class ElementKernel:
         for vectors, d in lifted:
             bound *= max(1, sum([abs(c) for v in vectors for c in v]))
             den *= d
-        width = bound.bit_length() + 1
-        held = []
-        for vectors, _ in lifted:
-            packed = []
-            for v in vectors:
-                k = 0
-                for c in reversed(v):
-                    k = (k << width) + c
-                packed.append(k)
-            held.append(packed)
+        width = kronecker_width(bound)
+        held = [[kronecker_pack(v, width) for v in vectors] for vectors, _ in lifted]
         return held, (den, width, len(groups) * (field.degree - 1) + 1)
 
-    def release(self, values, context) -> list:
-        """The held sums of products values as elements of the field."""
+    def release(self, values, context, n=1) -> list:
+        """The held sums of products values as elements of the field,
+        each divided by n."""
         if context is None:
             return values
         den, width, digits = context
         field, r = self.field, self.field.degree
         if len(self.table) < digits - r:
             self.table = reduction_table(field._int_modulus, 0, digits - r)
-        table, make = self.table, field._from_numerators
+        table, make, den = self.table, field._from_numerators, den * n
         return [make(fold_reduced(kronecker_digits(v, width, digits), table, r), den)
                 for v in values]
 
@@ -1385,31 +1421,127 @@ class ElementKernel:
         """The transform of values over C_{d_1} x ... x C_{d_k}, d_i the
         divisors, in lexicographic order: sum_sigma zeta^t(sigma, chi)
         values_sigma for every chi, or with inverse (1/n) sum_chi
-        zeta^-t(sigma, chi) values_chi for every sigma.  Int entries are
-        read as field elements; other values (MultiPolys, say) need only
-        ``+`` and a product by an element.  Row-column over the factors,
-        each line decimated in time (:func:`_dft_line`)."""
+        zeta^-t(sigma, chi) values_chi for every sigma.  Entries are read
+        as :func:`field_entries` reads them.  The values are held once
+        (:meth:`_held_transform`), run through a :class:`ResidueDFT` and
+        released once, with the 1/n of an inverse folded in; a vector the
+        kernel cannot hold takes :meth:`element_dft`."""
+        held = self._held_transform([values], divisors)
+        if held is None:
+            return self.element_dft(values, divisors, inverse)
+        run, (x,), context = held
+        return self.release(run(x, divisors, inverse), context, len(x) if inverse else 1)
+
+    def convolve(self, a, b, divisors) -> list:
+        """The group-ring convolution of a and b: the inverse transform of
+        the product of their transforms, held from end to end where
+        :meth:`dft` would hold both vectors."""
+        held = self._held_transform([a, b], divisors)
+        if held is None:
+            return self.element_convolve(a, b, divisors)
+        run, (x, y), context = held
+        products = list(map(operator.mul, run(x, divisors), run(y, divisors)))
+        return self.release(run(products, divisors, True), context, len(x))
+
+    def _held_transform(self, groups, divisors):
+        """(run, held, context) for the transforms of groups, one vector
+        for a transform or two for a convolution, or None for the element
+        path: a tower, or a vector holding a value that is not an element
+        of the field, an int or (over Q(zeta_d)) a Fraction.
+
+        Each vector is held as Kronecker-packed numerators over its common
+        denominator, ``run`` is the :meth:`ResidueDFT.run` of the root
+        powers packed at the same width W, and ``release(values, context,
+        n)`` reads the results.  W comes from an l1 bound.  An output of a
+        transform of L stages (:meth:`ResidueDFT.stages`) is
+        sum_j (a product of L held root powers) x_j, so its coefficients
+        are at most R^L sum_j |x_j|_1, R the largest l1 norm of a held
+        root power, and its degree in T at most (L + 1)(r - 1).  A
+        convolution multiplies two outputs and transforms the n products
+        back in L more stages: n R^(3L) |a|_1 |b|_1, degree (3L + 2)(r - 1).
+
+        ``dfts`` keeps, per exponent e, the root numerators, R and the
+        ResidueDFT of the widest W a call has needed; a call that needs no
+        more bits runs on it at that width, which is as exact, and a wider
+        call replaces it, as ``table`` grows.
+        """
+        if self.table is None:
+            return None
+        field = self.field
+        try:
+            lifted = [field._numerators(values) for values in groups]
+        except RingMismatch:
+            return None
+        e = lcm(*divisors)
+        kept = self.dfts.get(e)
+        if kept is None:
+            vectors, _ = field._numerators(root_table(e, field))
+            kept = self.dfts[e] = [vectors, max([sum(map(abs, v)) for v in vectors]), 0, None]
+        roots, norm, width, dft = kept
+        stages = ResidueDFT.stages(divisors)
+        bound, degree, den = 1, 0, 1
+        for vectors, d in lifted:
+            bound *= norm ** stages * max(1, sum([abs(c) for v in vectors for c in v]))
+            degree += stages + 1
+            den *= d
+        if len(groups) == 2:  # the products are transformed back
+            bound *= len(groups[0]) * norm ** stages
+            degree += stages
+        if kronecker_width(bound) > width:
+            width = kronecker_width(bound)
+            dft = ResidueDFT(None, [kronecker_pack(v, width) for v in roots])
+            kept[2:] = width, dft
+        held = [[kronecker_pack(v, width) for v in vectors] for vectors, _ in lifted]
+        return dft.run, held, (den, width, degree * (field.degree - 1) + 1)
+
+    def element_dft(self, values, divisors, inverse=False) -> list:
+        """:meth:`dft` on the field's elements and the root table itself:
+        the path of towers and of vectors of other values (the MultiPolys
+        of ``symbolic_vector``), which need only ``+`` and a product by an
+        element.  Row-column over the factors, each line decimated in
+        time (:func:`_dft_line`)."""
         field = self.field
         powers = root_table(lcm(*divisors), field)
-        values = [field.from_int(x) if isinstance(x, int) else x for x in values]
+        values = field_entries(values, field)
         if not inverse:
             return _dft(values, divisors, powers)
         inv_n = field.inv(field.from_int(len(values)))
         conjugate = powers[:1] + powers[:0:-1]
         return [inv_n * v for v in _dft(values, divisors, conjugate)]
 
-    def convolve(self, a, b, divisors) -> list:
-        """The group-ring convolution of a and b: the inverse transform of
-        the product of their transforms."""
-        products = [x * y for x, y in zip(self.dft(a, divisors), self.dft(b, divisors))]
-        return self.dft(products, divisors, inverse=True)
+    def element_convolve(self, a, b, divisors) -> list:
+        """:meth:`convolve` on elements, through :meth:`element_dft`."""
+        products = [x * y for x, y in zip(self.element_dft(a, divisors),
+                                          self.element_dft(b, divisors))]
+        return self.element_dft(products, divisors, inverse=True)
+
+
+def field_entries(values, field) -> list:
+    """values as entries of a vector over field: an int, and over Q and
+    Q(zeta_d) a Fraction, is read as a field element; an element of
+    another field, or a Fraction over a finite field, raises
+    RingMismatch; any other value (a MultiPoly, say) is kept as it is."""
+    out = []
+    for x in values:
+        if isinstance(x, FieldElem):
+            if x.field is not field:
+                raise RingMismatch(f"an element of {x.field} in a vector over {field}")
+        elif isinstance(x, int):
+            x = field.from_int(x)
+        elif isinstance(x, Fraction):
+            if field.is_finite:
+                raise RingMismatch(f"the rational {x} in a vector over {field}")
+            x = field.from_rational(x)
+        out.append(x)
+    return out
 
 
 class IntKernel(ElementKernel):
     """F_p: products and transforms on int residues, each result reduced
-    mod p once; elimination on packed rows; evaluation on elements.  A
-    transform reads its residues once and makes its elements once; a
-    vector of other values takes the element transform.
+    mod p once (a transform once per level, :class:`ResidueDFT`);
+    elimination on packed rows; evaluation on elements.  A transform reads
+    its residues once and makes its elements once; a vector of other
+    values takes the element transform.
 
     Elimination delays its reductions (Dumas, Fousse & Salvy, J. Symb.
     Comput. 2011).  The first pivot search packs each row of residues
@@ -1424,45 +1556,25 @@ class IntKernel(ElementKernel):
     no slot carries into the next.
     """
 
-    __slots__ = ("dfts",)
+    __slots__ = ()
 
-    def __init__(self, field):
-        super().__init__(field)
-        self.dfts: dict = {}
-
-    def _dft_of(self, e: int) -> "ResidueDFT":
+    def _held_transform(self, groups, divisors):
+        try:
+            held = self.working_copy(groups)
+        except RingMismatch:
+            return None
+        e = lcm(*divisors)
         dft = self.dfts.get(e)
         if dft is None:
             residues = [x.residue for x in root_table(e, self.field)]
             dft = self.dfts[e] = ResidueDFT(self.field.p, residues)
-        return dft
+        return dft.run, held, None
 
-    def dft(self, values, divisors, inverse=False) -> list:
-        try:
-            (x,) = self.working_copy([values])
-        except RingMismatch:
-            return ElementKernel.dft(self, values, divisors, inverse)
-        return self._released(self._dft_of(lcm(*divisors)).run(x, divisors, inverse), inverse)
-
-    def convolve(self, a, b, divisors) -> list:
-        try:
-            x, y = self.working_copy([a, b])
-        except RingMismatch:
-            return ElementKernel.convolve(self, a, b, divisors)
-        run = self._dft_of(lcm(*divisors)).run
-        products = list(map(operator.mul, run(x, divisors), run(y, divisors)))
-        return self._released(run(products, divisors, True), True)
-
-    def _released(self, values, inverse) -> list:
-        """The residues as elements, each divided by n = len(values) if inverse."""
+    def release(self, values, context, n=1) -> list:
         field = self.field
-        if inverse:
-            inv_n = pow(len(values), -1, field.p)
+        if n != 1:
+            inv_n = pow(n, -1, field.p)
             return [PrimeFieldElem(v * inv_n, field) for v in values]
-        return [PrimeFieldElem(v, field) for v in values]
-
-    def release(self, values, context) -> list:
-        field = self.field
         return [PrimeFieldElem(v, field) for v in values]
 
     def working_copy(self, rows) -> _PackedRows:
@@ -1516,7 +1628,8 @@ class IntKernel(ElementKernel):
 
 class LogKernel(ElementKernel):
     """A small F_p[Y]/(m): elimination and evaluation on the logs of
-    :class:`LogTables`, 0 for zero."""
+    :class:`LogTables`, 0 for zero; products and transforms on
+    Kronecker-packed numerators, as :class:`ElementKernel` holds them."""
 
     __slots__ = ("tables",)
 
@@ -1603,6 +1716,9 @@ class RationalKernel(ElementKernel):
 
     Products hold each group as integer numerators over its common
     denominator; a released sum is one ``Fraction`` over their product.
+    The roots of unity of Q are 1 and -1, so a transform runs its
+    :class:`ResidueDFT` on the numerators of the vector over their lcm as
+    they are, with no packing and no digit bound.
     """
 
     __slots__ = ()
@@ -1611,8 +1727,20 @@ class RationalKernel(ElementKernel):
         m = self.working_copy(groups)
         return m, m.scale
 
-    def release(self, values, den) -> list:
+    def release(self, values, den, n=1) -> list:
+        den *= n
         return [Fraction(v, den) for v in values]
+
+    def _held_transform(self, groups, divisors):
+        try:
+            m = self.working_copy(groups)
+        except RingMismatch:
+            return None
+        e = lcm(*divisors)
+        dft = self.dfts.get(e)
+        if dft is None:
+            dft = self.dfts[e] = ResidueDFT(None, [int(w) for w in root_table(e, self.field)])
+        return dft.run, m, m.scale
 
     def working_copy(self, rows) -> _ScaledRows:
         m = _ScaledRows()
@@ -1740,30 +1868,40 @@ DFT_TABLE_CAP = 1 << 16
 
 
 class ResidueDFT:
-    """The transforms of :func:`_dft` over F_p on int residues, with the
-    residues of the :func:`root_table` of one exponent e, kept by the
-    field's :class:`IntKernel`.
+    """The transforms of :func:`_dft` on ints, with the held powers of
+    the :func:`root_table` of one exponent e: over F_p (p given) their
+    residues, reduced mod p once per level; with p None the ints the
+    kernel holds, 1 and -1 over Q and Kronecker-packed numerators over
+    F_p[Y]/(m) and Q(zeta_d), never reduced, so the caller sizes its
+    digits for :meth:`stages` products by a root power.
 
-    The recursion is :func:`_dft_line`'s, one ``% p`` per level, down to
-    lines of length at most ``DFT_LEAF`` or of prime length: each of those
-    is one product by its DFT matrix, a C-level ``sum(map(mul, row, x))``
-    per output.  The inverse runs on the conjugate root,
-    w^-1 = powers[e - step], and leaves the 1/n to the caller.  The
-    matrices, and the twiddles w^(r k) of the longer lines, are built per
-    line length and root step on first use and kept, up to
-    ``DFT_TABLE_CAP`` entries each; a larger one (a prime length above
-    256) is made a row at a time for every line.
+    The recursion is :func:`_dft_line`'s, down to lines of length at most
+    ``DFT_LEAF`` or of prime length: each of those is one product by its
+    DFT matrix, a C-level ``sum(map(mul, row, x))`` per output.  The
+    inverse runs on the conjugate root, w^-1 = powers[e - step], and
+    leaves the 1/n to the caller.  The matrices, and the twiddles
+    w^(r k) of the longer lines, are built per line length and root step
+    on first use and kept, up to ``DFT_TABLE_CAP`` entries each; a larger
+    one (a prime length above 256) is made a row at a time for every
+    line.
     """
 
     __slots__ = ("p", "e", "powers", "tables")
 
-    def __init__(self, p: int, powers: list):
+    def __init__(self, p, powers: list):
         self.p, self.e, self.powers = p, len(powers), powers
         self.tables: dict = {}
 
+    @staticmethod
+    def stages(divisors) -> int:
+        """The number of products by a root power between an input and an
+        output of :meth:`run`: one per radix level of a line and one for
+        its leaf matrix, summed over the factors C_d with d > 1."""
+        return sum([_line_stages(d) for d in divisors if d > 1])
+
     def run(self, x: list, divisors, inverse=False) -> list:
-        """The transform of the ints x, reduced mod p; with inverse the
-        conjugate transform, n times the inverse."""
+        """The transform of the ints x, reduced mod p if p is given; with
+        inverse the conjugate transform, n times the inverse."""
         e = self.e
         sign = -1 if inverse else 1
         return _row_column(x, divisors, lambda line, d: self._line(line, sign * (e // d) % e))
@@ -1779,19 +1917,32 @@ class ResidueDFT:
         return rows
 
     def _line(self, x: list, step: int) -> list:
-        """X_k = sum_j w^(j k) x_j mod p with w = powers[step]."""
+        """X_k = sum_j w^(j k) x_j (mod p if p is given), w = powers[step]."""
         p, m = self.p, len(x)
-        radices = _radices(m)
-        if m <= DFT_LEAF or len(radices) == 1:
-            return [sum(map(operator.mul, row, x)) % p for row in self._rows(m, step, range(m))]
-        radix = radices[0]
+        if _is_leaf(m):
+            rows = self._rows(m, step, range(m))
+            if p is None:
+                return [sum(map(operator.mul, row, x)) for row in rows]
+            return [sum(map(operator.mul, row, x)) % p for row in rows]
+        radix = _radices(m)[0]
         twiddles = self._rows(m, step, range(1, radix))
         sub_step = step * radix % self.e
         subs = [self._line(x[r::radix], sub_step) for r in range(radix)]
         out = subs[0] * radix
         for row, y in zip(twiddles, subs[1:]):
             out = list(map(operator.add, out, map(operator.mul, row, y * radix)))
-        return [v % p for v in out]
+        return out if p is None else [v % p for v in out]
+
+
+def _is_leaf(m: int) -> bool:
+    """A line of length m is one product by its DFT matrix."""
+    return m <= DFT_LEAF or len(_radices(m)) == 1
+
+
+@lru_cache(maxsize=None)
+def _line_stages(m: int) -> int:
+    """The number of products by a root power along a line of length m."""
+    return 1 if _is_leaf(m) else 1 + _line_stages(m // _radices(m)[0])
 
 
 def horner_plan(terms: dict):

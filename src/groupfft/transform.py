@@ -13,29 +13,36 @@ elements or MultiPoly values (for symbolic identities).
 ``fft`` and ``inverse_fft`` are fast.  The characters of
 C_{d_1} x ... x C_{d_k} factor, chi(sigma) = prod_i zeta_{d_i}^(chi_i sigma_i),
 so the transform is a 1-D DFT along each cyclic factor of the
-lexicographic array (row-column).  Each 1-D DFT of length m is decimated
-in time on the smallest prime p dividing m, at m (p - 1) scaled additions
-per stage, so a whole transform costs n * sum(p_i - 1) over the prime
-factors p_i of n, counted with multiplicity, instead of n^2.  ``convolve``
-multiplies transforms whenever the transform exists.  The O(n^2) sums are
-kept as ``fft_reference``, ``inverse_fft_reference`` and
-``convolve_reference``: the auditable oracles that tests and the CLI's
-``--verify`` compare the fast path against; the first two are products by
-the character matrix and its inverse, as are the idempotents and the
-interpolation at roots of unity.
+lexicographic array (row-column).  A 1-D DFT of length m is decimated in
+time on the smallest prime p dividing m, at m (p - 1) scaled additions
+per level, down to lines of length m' at most ``rings.DFT_LEAF`` or of
+prime length, each one product by its m' x m' DFT matrix: m' scaled
+additions per output.  Per factor that is n (sum(p_i - 1) + m') over its
+radix levels p_i and its leaf length m', instead of n^2 for the whole
+transform.  ``convolve`` multiplies transforms whenever the transform
+exists.  The O(n^2) sums are kept as ``fft_reference``,
+``inverse_fft_reference`` and ``convolve_reference``: the auditable
+oracles that tests and the CLI's ``--verify`` compare the fast path
+against; the first two are products by the character matrix and its
+inverse, as are the idempotents and the interpolation at roots of unity.
 
 The transforms run on the field's kernel (:func:`groupfft.rings.kernel`,
 its ``dft`` and ``convolve``) and read the root table of the group
 exponent (:func:`groupfft.rings.root_table`), kept on the field
-descriptor.  Over F_p the kernel reads the residues once, runs the
-same recursion on ints with one ``% p`` per level, multiplies a
-convolution's transforms on ints, and makes the output elements once,
-with the 1/n of an inverse folded in (:class:`groupfft.rings.ResidueDFT`,
-which also keeps the twiddles and the DFT matrices of short and
-prime-length lines).  Every other field, and every vector that is not
-all elements of F_p or ints (the MultiPolys of ``symbolic_vector``, say),
-transforms its elements.  Int entries are read as field elements on every
-path.
+descriptor.  The kernel reads the entries once into ints, runs the
+recursion on them (:class:`groupfft.rings.ResidueDFT`, which also keeps
+the twiddles and the DFT matrices of short and prime-length lines),
+multiplies a convolution's transforms on the same ints, and makes each
+output element once, with the 1/n of an inverse folded in.  Over F_p the
+ints are residues, reduced once per level; over Q, whose roots are 1 and
+-1, the integer numerators over their lcm; over F_p[Y]/(m) and Q(zeta_d)
+the numerators packed into one int each by Kronecker substitution and
+never reduced between stages, the digit width taken from an l1 bound over
+the stages.  Towers, and vectors with other values (the MultiPolys of
+``symbolic_vector``, say), transform their elements.  Int entries, and
+over Q and Q(zeta_d) Fraction entries, are read as field elements on
+every path; an entry from another field raises RingMismatch, in the
+references too.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from .cyclotomic import splitting_field
 from .errors import NoRootOfUnity, PreconditionError, RingMismatch, VerificationError
 from .linalg import mat_eq, mat_mul, mat_pow, mat_rank, transpose
 from .multipoly import MultiPoly
-from .rings import UniPoly, kernel, root_table
+from .rings import UniPoly, field_entries, kernel, root_table
 
 
 @dataclass(frozen=True)
@@ -104,8 +111,8 @@ def _require_invertible_order(group: AbelianGroup, field):
 def fft(b: GroupVector) -> GroupVector:
     """Forward transform: B_chi = sum_sigma chi(sigma) b_sigma.
 
-    Row-column over the cyclic factors, n * sum(p_i - 1) scaled additions;
-    ``fft_reference`` is the direct sum.
+    Row-column over the cyclic factors on the field's kernel (see the
+    module docstring); ``fft_reference`` is the direct sum.
     """
     if b.dual:
         raise PreconditionError("input is already on the dual side")
@@ -138,8 +145,9 @@ def fft_reference(b: GroupVector) -> GroupVector:
     if b.dual:
         raise PreconditionError("input is already on the dual side")
     group, field = b.group, b.field
+    values = field_entries(b.values, field)
     columns = zip(*character_matrix(group, field))
-    return GroupVector(group, field, tuple(_dot(c, b.values) for c in columns), dual=True)
+    return GroupVector(group, field, tuple(_dot(c, values) for c in columns), dual=True)
 
 
 def inverse_fft_reference(B: GroupVector) -> GroupVector:
@@ -148,8 +156,9 @@ def inverse_fft_reference(B: GroupVector) -> GroupVector:
         raise PreconditionError("input is not on the dual side")
     group, field = B.group, B.field
     _require_invertible_order(group, field)
+    values = field_entries(B.values, field)
     columns = zip(*character_matrix_inverse(group, field))
-    return GroupVector(group, field, tuple(_dot(c, B.values) for c in columns), dual=False)
+    return GroupVector(group, field, tuple(_dot(c, values) for c in columns), dual=False)
 
 
 def group_matrix(b: GroupVector) -> GroupMatrix:
@@ -217,10 +226,7 @@ def convolve_reference(a: GroupVector, b: GroupVector) -> GroupVector:
     """Group-ring convolution as the direct O(n^2) sum; valid in any field."""
     _require_convolvable(a, b)
     group, field = a.group, a.field
-    # int entries are read as field elements, as the transforms read them
-    a_values, b_values = (
-        [field.from_int(x) if isinstance(x, int) else x for x in v.values] for v in (a, b)
-    )
+    a_values, b_values = field_entries(a.values, field), field_entries(b.values, field)
     elements = group.elements()
     out = [None] * group.order
     for sigma in elements:

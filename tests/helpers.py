@@ -109,17 +109,17 @@ def random_vector(group, field, rng):
     return GroupVector(group, field, tuple(random_elem(field, rng) for _ in range(group.order)))
 
 
-def check_under_o(call, *setup):
+def check_under_o(call, *setup, error="VerificationError"):
     """Run the setup snippets, then call, in a fresh ``python -O``
     interpreter (asserts stripped) with the library on the path; the one
-    line it prints: "raised: <message>" for a VerificationError, else
-    "passed"."""
+    line it prints: "raised: <message>" for the error named (a class of
+    groupfft.errors, VerificationError by default), else "passed"."""
     script = "".join(map(textwrap.dedent, setup)) + textwrap.dedent(f"""
         assert False, "assertions are on"
-        from groupfft.errors import VerificationError
+        from groupfft.errors import {error}
         try:
             {call}
-        except VerificationError as exc:
+        except {error} as exc:
             print("raised:", exc)
         else:
             print("passed")

@@ -7,16 +7,18 @@ import pytest
 
 from groupfft.abelian import AbelianGroup, GroupElement
 from groupfft.cyclotomic import cyclotomic_field
-from groupfft.errors import NoRootOfUnity, PreconditionError, RingMismatch
+from groupfft import rings
+from groupfft.errors import NoRootOfUnity, PreconditionError, RingMismatch, VerificationError
 from groupfft.linalg import identity_matrix, mat_eq, mat_mul, mat_pow
 from groupfft.multipoly import MultiPoly
 from groupfft.rings import (
     DFT_TABLE_CAP,
     QQ,
-    ElementKernel,
     ExtField,
     PrimeField,
+    ResidueDFT,
     UniPoly,
+    field_entries,
     find_irreducible,
     kernel,
     primitive_nth_root,
@@ -44,7 +46,7 @@ from groupfft.transform import (
     symbolic_vector,
 )
 
-from helpers import check_under_o, random_vector
+from helpers import check_under_o, random_elem, random_vector
 
 F7 = PrimeField(7)
 F13 = PrimeField(13)
@@ -397,9 +399,8 @@ class TestKernelDFT:
         a = random_vector(AbelianGroup(divisors), field, rng).values
         b = random_vector(AbelianGroup(divisors), field, rng).values
         for inverse in (False, True):
-            assert (kern.dft(a, divisors, inverse)
-                    == ElementKernel.dft(kern, a, divisors, inverse))
-        assert kern.convolve(a, b, divisors) == ElementKernel.convolve(kern, a, b, divisors)
+            assert kern.dft(a, divisors, inverse) == kern.element_dft(a, divisors, inverse)
+        assert kern.convolve(a, b, divisors) == kern.element_convolve(a, b, divisors)
 
     def test_prime_length_above_the_table_cap(self):
         # C263 over F1579: a 263 x 263 matrix is above DFT_TABLE_CAP, so its
@@ -409,7 +410,7 @@ class TestKernelDFT:
         rng = random.Random(263)
         a = random_vector(AbelianGroup.cyclic(263), field, rng).values
         for inverse in (False, True):
-            assert kern.dft(a, (263,), inverse) == ElementKernel.dft(kern, a, (263,), inverse)
+            assert kern.dft(a, (263,), inverse) == kern.element_dft(a, (263,), inverse)
         assert 263 * 263 > DFT_TABLE_CAP and not kern.dfts[263].tables
 
     def test_root_tables_are_kept_per_exponent(self):
@@ -429,6 +430,244 @@ class TestKernelDFT:
         b = GroupVector(C2, PrimeField(5), (F7.one, F7.one))
         with pytest.raises(RingMismatch):
             fft(b)
+
+
+F25 = ExtField(PrimeField(5), find_irreducible(5, 2))
+F1024 = ExtField(PrimeField(2), find_irreducible(2, 10))  # above LOG_ORDER_CAP
+
+
+def mixed_vector(group, field, rng):
+    """A seeded vector over Q or Q(zeta_d) mixing elements with
+    denominators, ints and Fractions."""
+    values = []
+    for k in range(group.order):
+        roll = k % 3
+        if roll == 0:
+            values.append(rng.randrange(-30, 31))
+        elif roll == 1:
+            values.append(Fraction(rng.randrange(-30, 31), rng.randrange(1, 9)))
+        else:
+            values.append(random_elem(field, rng) / rng.randrange(1, 7))
+    return GroupVector(group, field, tuple(values))
+
+
+# (cyclic orders, field) for the held transforms: F_p[Y]/(m) on the log
+# kernel and above LOG_ORDER_CAP, a prime line above DFT_TABLE_CAP, Q on
+# C2^k, Q(zeta_3) with roots -zeta, and conductors 5 and 12
+HELD_CASES = [
+    ((1,), F9),
+    ((8,), F9),
+    ((2, 4), F9),
+    ((24,), F25),
+    ((2, 12), F25),
+    ((33,), F1024),
+    ((1,), QQ),
+    ((2,), QQ),
+    ((2, 2), QQ),
+    ((2, 2, 2, 2), QQ),
+    ((6,), cyclotomic_field(3)),
+    ((5,), cyclotomic_field(5)),
+    ((10,), cyclotomic_field(5)),
+    ((12,), cyclotomic_field(12)),
+    ((2, 6), cyclotomic_field(12)),
+]
+
+# the cases with a line to transform
+HELD_LINES = [(d, f) for d, f in HELD_CASES if d != (1,)]
+
+
+class TestHeldDFT:
+    """The transforms over F_p[Y]/(m), Q and Q(zeta_d) run on held ints:
+    Kronecker-packed numerators (integer numerators over Q), released
+    once."""
+
+    @pytest.mark.parametrize(
+        "divisors,field", HELD_CASES, ids=[f"{d}-{f!r}" for d, f in HELD_CASES]
+    )
+    def test_against_reference(self, divisors, field):
+        group = AbelianGroup(divisors)
+        rng = random.Random(repr((divisors, field)))
+        draw = random_vector if field.is_finite else mixed_vector
+        for _ in range(2):
+            a, b = draw(group, field, rng), draw(group, field, rng)
+            assert fft(a) == fft_reference(a)
+            B = GroupVector(group, field, b.values, dual=True)
+            assert inverse_fft(B) == inverse_fft_reference(B)
+            assert convolve(a, b) == convolve_reference(a, b)
+            assert inverse_fft(fft(a)).values == tuple(field_entries(a.values, field))
+
+    def test_prime_line_above_the_table_cap(self):
+        # 1051 = -1 mod 263, so F_{1051^2} holds the 263rd roots; the
+        # 263 x 263 matrix is above DFT_TABLE_CAP and is made a row at a time
+        field = ExtField(PrimeField(1051), find_irreducible(1051, 2))
+        group = AbelianGroup.cyclic(263)
+        assert 263 * 263 > DFT_TABLE_CAP
+        rng = random.Random(263)
+        a, b = random_vector(group, field, rng), random_vector(group, field, rng)
+        assert fft(a) == fft_reference(a)
+        B = GroupVector(group, field, b.values, dual=True)
+        assert inverse_fft(B) == inverse_fft_reference(B)
+        assert convolve(a, b) == convolve_reference(a, b)
+
+    @pytest.mark.parametrize(
+        "divisors,stages",
+        [((1,), 0), ((2,), 1), ((16,), 1), ((17,), 1), ((2, 4), 2), ((32,), 2),
+         ((48,), 3), ((3, 81), 4), ((256,), 5), ((2, 1, 3), 2)],
+    )
+    def test_stage_count(self, divisors, stages):
+        """One product by a root power per radix level and one per leaf
+        matrix, summed over the factors: the L of the digit bound."""
+        assert ResidueDFT.stages(divisors) == stages
+
+    def test_the_digit_bound_is_reached(self, monkeypatch):
+        """Over Q(zeta_4) on C4 (R = 1, one stage) the top T-coefficient of
+        X_1 for x = (0, zeta, 0, -zeta) is 2 = R^L sum_j |x_j|_1 (X_1 = 2 zeta^2), so a
+        width one bit short of the bound overflows and raises."""
+        field = cyclotomic_field(4)
+        b = GroupVector(AbelianGroup.cyclic(4), field, (0, field.zeta, 0, -field.zeta))
+        assert fft(b).values == (0, -2, 0, 2)
+        monkeypatch.setattr(rings, "kronecker_width", lambda bound: bound.bit_length())
+        monkeypatch.setattr(kernel(field), "dfts", {})  # no wider kept table
+        with pytest.raises(VerificationError):
+            fft(b)
+
+    def test_a_kept_wider_table_serves_narrower_calls(self):
+        field = cyclotomic_field(8)
+        group = AbelianGroup((2, 8))
+        rng = random.Random(8)
+        kern = kernel(field)
+        wide = GroupVector(group, field, tuple(random_elem(field, rng) * 10 ** 40
+                                                for _ in range(group.order)))
+        assert fft(wide) == fft_reference(wide)
+        width = kern.dfts[8][2]
+        for _ in range(3):
+            b = mixed_vector(group, field, rng)
+            assert fft(b) == fft_reference(b)
+            assert inverse_fft(fft(b)).values == tuple(field_entries(b.values, field))
+        assert kern.dfts[8][2] == width
+
+    def test_a_short_width_raises_under_o(self):
+        setup = """
+            import groupfft.rings as rings
+            from groupfft.abelian import AbelianGroup
+            from groupfft.cyclotomic import cyclotomic_field
+            from groupfft.transform import GroupVector, fft
+            field = cyclotomic_field(4)
+            b = GroupVector(AbelianGroup.cyclic(4), field, (0, field.zeta, 0, -field.zeta))
+            rings.kronecker_width = lambda bound: bound.bit_length()
+        """
+        assert (check_under_o("fft(b)", setup)
+                == "raised: a packed coefficient overflowed its 2-bit digits")
+
+    @pytest.mark.parametrize(
+        "divisors,field", HELD_LINES, ids=[f"{d}-{f!r}" for d, f in HELD_LINES]
+    )
+    def test_no_element_transform(self, divisors, field, monkeypatch):
+        group = AbelianGroup(divisors)
+        rng = random.Random(len(divisors))
+        a, b = random_vector(group, field, rng), random_vector(group, field, rng)
+        want = fft(a), inverse_fft(fft(b)), convolve(a, b)
+
+        def refuse(*args):
+            raise AssertionError("an element transform ran")
+
+        monkeypatch.setattr(rings, "_dft_line", refuse)
+        assert (fft(a), inverse_fft(fft(b)), convolve(a, b)) == want
+        with pytest.raises(AssertionError, match="an element transform ran"):
+            fft(symbolic_vector(group, field))
+
+    def test_towers_take_the_element_transform(self, monkeypatch):
+        b = random_vector(AbelianGroup.cyclic(7), F4_TOWER, random.Random(7))
+
+        def refuse(*args):
+            raise AssertionError("an element transform ran")
+
+        monkeypatch.setattr(rings, "_dft_line", refuse)
+        with pytest.raises(AssertionError, match="an element transform ran"):
+            fft(b)
+
+    @pytest.mark.parametrize(
+        "divisors,field", HELD_CASES, ids=[f"{d}-{f!r}" for d, f in HELD_CASES]
+    )
+    def test_against_the_element_transform(self, divisors, field):
+        kern = kernel(field)
+        rng = random.Random(repr(divisors))
+        draw = random_vector if field.is_finite else mixed_vector
+        a = draw(AbelianGroup(divisors), field, rng).values
+        b = draw(AbelianGroup(divisors), field, rng).values
+        for inverse in (False, True):
+            assert kern.dft(a, divisors, inverse) == kern.element_dft(a, divisors, inverse)
+        assert kern.convolve(a, b, divisors) == kern.element_convolve(a, b, divisors)
+
+
+def _foreign_cases():
+    """(field, kernel name, value from another field) for each kernel."""
+    F3, F5 = PrimeField(3), PrimeField(5)
+    z3, z4 = cyclotomic_field(3), cyclotomic_field(4)
+    return [
+        (F5, "int", F7.one),
+        (F5, "int", Fraction(1, 2)),
+        (F5, "int", F9.gen),
+        (F9, "log", F3.one),
+        (F9, "log", F7.one),
+        (F9, "log", Fraction(1, 2)),
+        (F1024, "above the log cap", PrimeField(2).one),
+        (F1024, "above the log cap", F4.gen),
+        (z4, "cyclotomic", z3.zeta),
+        (z4, "cyclotomic", F9.one),
+        (QQ, "rational", F9.one),
+        (QQ, "rational", z4.one),
+        (F4_TOWER, "tower", F4.gen),
+        (F4_TOWER, "tower", PrimeField(2).one),
+    ]
+
+
+FOREIGN_CASES = _foreign_cases()
+
+
+class TestEntriesFromAnotherField:
+    """An entry from another field raises RingMismatch on every kernel
+    path and in the references; ints, and Fractions over Q and Q(zeta_d),
+    are read as field elements."""
+
+    @pytest.mark.parametrize(
+        "field,kind,value", FOREIGN_CASES,
+        ids=[f"{f!r}-{k}-{v!r}" for f, k, v in FOREIGN_CASES],
+    )
+    def test_ring_mismatch(self, field, kind, value):
+        # a group whose exponent the field holds roots for
+        group = AbelianGroup.cyclic(3 if field in (F4_TOWER, F1024) else 2)
+        values = (value,) + (field.one,) * (group.order - 1)
+        b = GroupVector(group, field, values)
+        B = GroupVector(group, field, values, dual=True)
+        ones = GroupVector(group, field, (field.one,) * group.order)
+        for call in (lambda: fft(b), lambda: fft_reference(b),
+                     lambda: inverse_fft(B), lambda: inverse_fft_reference(B),
+                     lambda: convolve(b, ones), lambda: convolve(ones, b),
+                     lambda: convolve_reference(b, ones)):
+            with pytest.raises(RingMismatch):
+                call()
+
+    @pytest.mark.parametrize("field", [QQ, cyclotomic_field(4), cyclotomic_field(5)],
+                             ids=repr)
+    def test_fractions_are_read_as_elements(self, field):
+        group = AbelianGroup.cyclic(2)
+        values = (Fraction(1, 2), 3)
+        elements = tuple(field.from_rational(Fraction(v)) for v in values)
+        assert fft(GroupVector(group, field, values)) == fft(GroupVector(group, field, elements))
+        assert (inverse_fft(GroupVector(group, field, values, dual=True))
+                == inverse_fft_reference(GroupVector(group, field, elements, dual=True)))
+
+    def test_ring_mismatch_under_o(self):
+        setup = """
+            from groupfft.abelian import AbelianGroup
+            from groupfft.rings import PrimeField, finite_field
+            from groupfft.transform import GroupVector, fft
+            F9 = finite_field(3, 2)
+            b = GroupVector(AbelianGroup.cyclic(2), F9, (PrimeField(3).one, F9.one))
+        """
+        assert (check_under_o("fft(b)", setup, error="RingMismatch")
+                == "raised: an element of F3 in a vector over F3^2")
 
 
 # (group, field) for int entries: the int kernel, the log kernel, elements
