@@ -441,10 +441,9 @@ def mixed_vector(group, field, rng):
     denominators, ints and Fractions."""
     values = []
     for k in range(group.order):
-        roll = k % 3
-        if roll == 0:
+        if k % 3 == 0:
             values.append(rng.randrange(-30, 31))
-        elif roll == 1:
+        elif k % 3 == 1:
             values.append(Fraction(rng.randrange(-30, 31), rng.randrange(1, 9)))
         else:
             values.append(random_elem(field, rng) / rng.randrange(1, 7))
@@ -452,8 +451,8 @@ def mixed_vector(group, field, rng):
 
 
 # (cyclic orders, field) for the held transforms: F_p[Y]/(m) on the log
-# kernel and above LOG_ORDER_CAP, a prime line above DFT_TABLE_CAP, Q on
-# C2^k, Q(zeta_3) with roots -zeta, and conductors 5 and 12
+# kernel and above LOG_ORDER_CAP, Q on C2^k, Q(zeta_3) with roots -zeta,
+# and conductors 5 and 12
 HELD_CASES = [
     ((1,), F9),
     ((8,), F9),
@@ -657,6 +656,16 @@ class TestEntriesFromAnotherField:
         assert fft(GroupVector(group, field, values)) == fft(GroupVector(group, field, elements))
         assert (inverse_fft(GroupVector(group, field, values, dual=True))
                 == inverse_fft_reference(GroupVector(group, field, elements, dual=True)))
+
+    def test_interpolation_targets(self):
+        with pytest.raises(RingMismatch):
+            interpolate_at_roots_of_unity([PrimeField(3).one, F9.one], F9)
+        with pytest.raises(RingMismatch):
+            interpolate_at_roots_of_unity([Fraction(1, 2), 1], F9)
+        field = cyclotomic_field(4)
+        assert (interpolate_at_roots_of_unity([Fraction(1, 2), 1, 0, 2], field)
+                == interpolate_at_roots_of_unity(
+                    [field.from_rational(Fraction(k)) for k in ("1/2", 1, 0, 2)], field))
 
     def test_ring_mismatch_under_o(self):
         setup = """
