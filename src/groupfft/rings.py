@@ -104,14 +104,15 @@ left over) and folded once through the integral reduction table.
 Towers hold their elements.  Single element operations keep
 the residue products above: the tables pay only where many operations
 share them.  The transforms of :mod:`groupfft.transform` run on the
-kernel too (``dft``, ``convolve``), on the same held ints: one
-:class:`ResidueDFT` recursion with the held powers of the root table as
-twiddles, over F_p on residues reduced once per level, over Q (roots 1
-and -1) on the integer numerators, and over F_p[Y]/(m) and Q(zeta_d) on
-Kronecker-packed numerators with no reduction between stages, each
-output released once.  Towers, and vectors of values that are not the
-field's (MultiPolys), transform their elements through the root table
-itself (:meth:`ElementKernel.element_dft`).
+kernel too (``dft``, ``convolve``), each vector held once, run through
+one :class:`ResidueDFT` recursion with the root table held the same way
+as twiddles, and released once, the 1/n of an inverse folded in: over
+F_p on residues reduced once per level, over Q (roots 1 and -1) on the
+integer numerators, and over F_p[Y]/(m) and Q(zeta_d) on
+Kronecker-packed numerators with no reduction between stages.  Towers,
+and vectors of values the kernel cannot hold (MultiPolys), are held as
+their entries (:func:`field_entries`), with the root table itself as
+twiddles.
 
 No floating point is used anywhere.
 """
@@ -1311,11 +1312,11 @@ def kernel(field):
     zero is 0, which every held form adds as zero.
     ``dft(values, divisors, inverse)`` and ``convolve(a, b, divisors)``
     transform and convolve vectors over C_{d_1} x ... x C_{d_k}, elements
-    in and out, on held ints wherever the kernel can hold every entry
-    (every field but towers; entries are read as :func:`field_entries`
-    reads them), else on elements (``element_dft``,
-    ``element_convolve``); an entry from another field raises
-    RingMismatch on both paths.
+    in and out, through :class:`ResidueDFT`: on held ints wherever the
+    kernel can hold every entry (every field but towers), else on the
+    vector's :func:`field_entries`, released by
+    ``ElementKernel.release``; an entry :func:`field_entries` refuses
+    raises RingMismatch either way.
     """
     k = field._kernel
     if k is None:
@@ -1336,7 +1337,8 @@ class ElementKernel:
     only what they hold differently.  For products and transforms,
     F_p[Y]/(m) and Q(zeta_d) hold Kronecker-packed ints (see the module
     docstring), with ``table`` their integral reduction table, grown as
-    release needs it; towers, with no table, hold their elements.
+    release needs it; towers, with no table, hold their elements, and
+    ``release(values, None, n)`` divides elements by n on every kernel.
     ``dfts`` keeps, per group exponent, what the transforms reuse."""
 
     __slots__ = ("field", "table", "dfts")
@@ -1371,8 +1373,11 @@ class ElementKernel:
     def release(self, values, context, n=1) -> list:
         """The held sums of products values as elements of the field,
         each divided by n."""
-        if context is None:
-            return values
+        if context is None:  # elements
+            if n == 1:
+                return values
+            inv_n = self.field.inv(self.field.from_int(n))
+            return [inv_n * v for v in values]
         den, width, digits = context
         field, r = self.field, self.field.degree
         if len(self.table) < digits - r:
@@ -1421,58 +1426,78 @@ class ElementKernel:
         """The transform of values over C_{d_1} x ... x C_{d_k}, d_i the
         divisors, in lexicographic order: sum_sigma zeta^t(sigma, chi)
         values_sigma for every chi, or with inverse (1/n) sum_chi
-        zeta^-t(sigma, chi) values_chi for every sigma.  Entries are read
-        as :func:`field_entries` reads them.  The values are held once
-        (:meth:`_held_transform`), run through a :class:`ResidueDFT` and
-        released once, with the 1/n of an inverse folded in; a vector the
-        kernel cannot hold takes :meth:`element_dft`."""
-        held = self._held_transform([values], divisors)
-        if held is None:
-            return self.element_dft(values, divisors, inverse)
-        run, (x,), context = held
-        return self.release(run(x, divisors, inverse), context, len(x) if inverse else 1)
+        zeta^-t(sigma, chi) values_chi for every sigma.  The values are
+        held once (:meth:`_held_transform`), run through a
+        :class:`ResidueDFT` and released once, divided by n for an
+        inverse."""
+        run, (x,), release = self._held_transform([values], divisors)
+        return release(run(x, divisors, inverse), len(x) if inverse else 1)
 
     def convolve(self, a, b, divisors) -> list:
         """The group-ring convolution of a and b: the inverse transform of
-        the product of their transforms, held from end to end where
-        :meth:`dft` would hold both vectors."""
-        held = self._held_transform([a, b], divisors)
-        if held is None:
-            return self.element_convolve(a, b, divisors)
-        run, (x, y), context = held
+        the product of their transforms, held from end to end."""
+        run, (x, y), release = self._held_transform([a, b], divisors)
         products = list(map(operator.mul, run(x, divisors), run(y, divisors)))
-        return self.release(run(products, divisors, True), context, len(x))
+        return release(run(products, divisors, True), len(x))
 
     def _held_transform(self, groups, divisors):
-        """(run, held, context) for the transforms of groups, one vector
-        for a transform or two for a convolution, or None for the element
-        path: a tower, or a vector holding a value that is not an element
+        """(run, held, release) for the transforms of groups, one vector
+        for a transform or two for a convolution: ``run`` the
+        :meth:`ResidueDFT.run` of the root table of the group exponent e,
+        held as the vectors are, and ``release(values, n)`` the results as
+        elements, each divided by n.
+
+        The vectors are held as the kernel's ints (:meth:`_held_ints`)
+        where it can hold every entry.  Towers, and vectors with another
+        value (the MultiPolys of ``symbolic_vector``), are held as their
+        :func:`field_entries`, with the root table itself as twiddles, and
+        released by :meth:`ElementKernel.release`.  ``dfts`` keeps the
+        ResidueDFT of the held ints under e and that of the entries under
+        ("entries", e)."""
+        e = lcm(*divisors)
+        try:
+            held, context, dft = self._held_ints(groups, e, divisors)
+        except RingMismatch:
+            field = self.field
+            held = [field_entries(values, field) for values in groups]
+            dft = self._kept_dft(("entries", e), None, lambda: root_table(e, field))
+            return dft.run, held, lambda values, n: ElementKernel.release(self, values, None, n)
+        return dft.run, held, lambda values, n: self.release(values, context, n)
+
+    def _kept_dft(self, key, p, powers):
+        """The :class:`ResidueDFT` kept in ``dfts`` under key, made on
+        first use with p and the held root powers ``powers()``."""
+        dft = self.dfts.get(key)
+        if dft is None:
+            dft = self.dfts[key] = ResidueDFT(p, powers())
+        return dft
+
+    def _held_ints(self, groups, e, divisors):
+        """(held, context, dft) for the held-int transforms of groups over
+        F_p[Y]/(m) and Q(zeta_d); RingMismatch for a tower, which holds its
+        elements, and for a vector holding a value that is not an element
         of the field, an int or (over Q(zeta_d)) a Fraction.
 
         Each vector is held as Kronecker-packed numerators over its common
-        denominator, ``run`` is the :meth:`ResidueDFT.run` of the root
-        powers packed at the same width W, and ``release(values, context,
-        n)`` reads the results.  W comes from an l1 bound.  An output of a
-        transform of L stages (:meth:`ResidueDFT.stages`) is
-        sum_j (a product of L held root powers) x_j, so its coefficients
-        are at most R^L sum_j |x_j|_1, R the largest l1 norm of a held
-        root power, and its degree in T at most (L + 1)(r - 1).  A
-        convolution multiplies two outputs and transforms the n products
-        back in L more stages: n R^(3L) |a|_1 |b|_1, degree (3L + 2)(r - 1).
+        denominator, the dft runs on the root powers packed at the same
+        width W, and ``release(values, context, n)`` reads the results.  W
+        comes from an l1 bound.  An output of a transform of L stages
+        (:meth:`ResidueDFT.stages`) is sum_j (a product of L held
+        root powers) x_j, so its coefficients are at most
+        R^L sum_j |x_j|_1, R the largest l1 norm of a held root power, and
+        its degree in T at most (L + 1)(r - 1).  A convolution multiplies
+        two outputs and transforms the n products back in L more stages:
+        n R^(3L) |a|_1 |b|_1, degree (3L + 2)(r - 1).
 
         ``dfts`` keeps, per exponent e, the root numerators, R and the
         ResidueDFT of the widest W a call has needed; a call that needs no
         more bits runs on it at that width, which is as exact, and a wider
         call replaces it, as ``table`` grows.
         """
-        if self.table is None:
-            return None
         field = self.field
-        try:
-            lifted = [field._numerators(values) for values in groups]
-        except RingMismatch:
-            return None
-        e = lcm(*divisors)
+        if self.table is None:
+            raise RingMismatch(f"{field} holds its elements")
+        lifted = [field._numerators(values) for values in groups]
         kept = self.dfts.get(e)
         if kept is None:
             vectors, _ = field._numerators(root_table(e, field))
@@ -1492,35 +1517,17 @@ class ElementKernel:
             dft = ResidueDFT(None, [kronecker_pack(v, width) for v in roots])
             kept[2:] = width, dft
         held = [[kronecker_pack(v, width) for v in vectors] for vectors, _ in lifted]
-        return dft.run, held, (den, width, degree * (field.degree - 1) + 1)
-
-    def element_dft(self, values, divisors, inverse=False) -> list:
-        """:meth:`dft` on the field's elements and the root table itself:
-        the path of towers and of vectors of other values (the MultiPolys
-        of ``symbolic_vector``), which need only ``+`` and a product by an
-        element.  Row-column over the factors, each line decimated in
-        time (:func:`_dft_line`)."""
-        field = self.field
-        powers = root_table(lcm(*divisors), field)
-        values = field_entries(values, field)
-        if not inverse:
-            return _dft(values, divisors, powers)
-        inv_n = field.inv(field.from_int(len(values)))
-        conjugate = powers[:1] + powers[:0:-1]
-        return [inv_n * v for v in _dft(values, divisors, conjugate)]
-
-    def element_convolve(self, a, b, divisors) -> list:
-        """:meth:`convolve` on elements, through :meth:`element_dft`."""
-        products = [x * y for x, y in zip(self.element_dft(a, divisors),
-                                          self.element_dft(b, divisors))]
-        return self.element_dft(products, divisors, inverse=True)
+        return held, (den, width, degree * (field.degree - 1) + 1), dft
 
 
 def field_entries(values, field) -> list:
-    """values as entries of a vector over field: an int, and over Q and
-    Q(zeta_d) a Fraction, is read as a field element; an element of
-    another field, or a Fraction over a finite field, raises
-    RingMismatch; any other value (a MultiPoly, say) is kept as it is."""
+    """values as entries of a vector over field: an element of field, or a
+    MultiPoly over it, as it is; an int, and over Q and Q(zeta_d) a
+    Fraction, as a field element.  Any other value raises RingMismatch:
+    an element of another field, a Fraction over a finite field, a
+    MultiPoly over another ring, a float, a str."""
+    from .multipoly import MultiPoly  # multipoly imports this module
+
     out = []
     for x in values:
         if isinstance(x, FieldElem):
@@ -1532,6 +1539,11 @@ def field_entries(values, field) -> list:
             if field.is_finite:
                 raise RingMismatch(f"the rational {x} in a vector over {field}")
             x = field.from_rational(x)
+        elif isinstance(x, MultiPoly):
+            if x.ring is not field:
+                raise RingMismatch(f"a polynomial over {x.ring} in a vector over {field}")
+        else:
+            raise RingMismatch(f"{x!r} is not an entry of a vector over {field}")
         out.append(x)
     return out
 
@@ -1541,7 +1553,7 @@ class IntKernel(ElementKernel):
     mod p once (a transform once per level, :class:`ResidueDFT`);
     elimination on packed rows; evaluation on elements.  A transform reads
     its residues once and makes its elements once; a vector of other
-    values takes the element transform.
+    values is held as its entries.
 
     Elimination delays its reductions (Dumas, Fousse & Salvy, J. Symb.
     Comput. 2011).  The first pivot search packs each row of residues
@@ -1558,17 +1570,10 @@ class IntKernel(ElementKernel):
 
     __slots__ = ()
 
-    def _held_transform(self, groups, divisors):
-        try:
-            held = self.working_copy(groups)
-        except RingMismatch:
-            return None
-        e = lcm(*divisors)
-        dft = self.dfts.get(e)
-        if dft is None:
-            residues = [x.residue for x in root_table(e, self.field)]
-            dft = self.dfts[e] = ResidueDFT(self.field.p, residues)
-        return dft.run, held, None
+    def _held_ints(self, groups, e, divisors):
+        field = self.field
+        return self.working_copy(groups), None, self._kept_dft(
+            e, field.p, lambda: [x.residue for x in root_table(e, field)])
 
     def release(self, values, context, n=1) -> list:
         field = self.field
@@ -1731,16 +1736,10 @@ class RationalKernel(ElementKernel):
         den *= n
         return [Fraction(v, den) for v in values]
 
-    def _held_transform(self, groups, divisors):
-        try:
-            m = self.working_copy(groups)
-        except RingMismatch:
-            return None
-        e = lcm(*divisors)
-        dft = self.dfts.get(e)
-        if dft is None:
-            dft = self.dfts[e] = ResidueDFT(None, [int(w) for w in root_table(e, self.field)])
-        return dft.run, m, m.scale
+    def _held_ints(self, groups, e, divisors):
+        m = self.working_copy(groups)
+        return m, m.scale, self._kept_dft(
+            e, None, lambda: [int(w) for w in root_table(e, self.field)])
 
     def working_copy(self, rows) -> _ScaledRows:
         m = _ScaledRows()
@@ -1827,122 +1826,108 @@ def _row_column(values, divisors, line) -> list:
     return out
 
 
-def _dft(values, divisors, powers: list) -> list:
-    """sum_sigma zeta^t(sigma, chi) values_sigma for every chi, row-column.
-
-    powers is the table [zeta^0, ..., zeta^(e-1)] of a primitive e-th root,
-    e the group exponent.  Along the factor C_d the pairing restricts to the
-    1-D DFT with root powers[e // d].
-    """
-    e = len(powers)
-    return _row_column(values, divisors,
-                       lambda x, d: _dft_line(x, _radices(d), powers, e // d))
-
-
-def _dft_line(x: list, radices, powers: list, step: int) -> list:
-    """X_k = sum_j w^(j k) x_j with w = powers[step], len(x) = prod(radices).
-
-    Decimation in time on p = radices[0]: with Y_r the transform of
-    x[r::p] (root w^p, length q = len(x) / p),
-    X_k = Y_0[k mod q] + sum_{r >= 1} w^(r k) Y_r[k mod q].
-    """
-    m = len(x)
-    if m == 1:
-        return x
-    p, e = radices[0], len(powers)
-    q = m // p
-    subs = [_dft_line(x[r::p], radices[1:], powers, step * p) for r in range(p)]
-    out = subs[0] * p
-    for r in range(1, p):
-        y, r_step = subs[r], r * step
-        for k in range(m):
-            t = k * r_step % e
-            out[k] = out[k] + (y[k % q] if t == 0 else powers[t] * y[k % q])
-    return out
-
-
-# lines up to this length, and lines of prime length, are one matrix product
+# int lines up to this length, and lines of prime length, are one matrix
+# product
 DFT_LEAF = 16
 # a table of root powers is kept if it has at most this many entries
 DFT_TABLE_CAP = 1 << 16
 
 
 class ResidueDFT:
-    """The transforms of :func:`_dft` on ints, with the held powers of
-    the :func:`root_table` of one exponent e: over F_p (p given) their
-    residues, reduced mod p once per level; with p None the ints the
-    kernel holds, 1 and -1 over Q and Kronecker-packed numerators over
-    F_p[Y]/(m) and Q(zeta_d), never reduced, so the caller sizes its
-    digits for :meth:`stages` products by a root power.
+    """The transforms of one exponent e: sum_sigma zeta^t(sigma, chi)
+    x_sigma for every chi, row-column over the factors (:func:`_row_column`;
+    along C_d the pairing is the 1-D DFT with root powers[e // d]), on the
+    held powers of the :func:`root_table` of e.  Over F_p (p given) they
+    are residues, reduced mod p once per level; with p None they are the
+    values a kernel holds, as they are: 1 and -1 over Q, Kronecker-packed
+    numerators over F_p[Y]/(m) and Q(zeta_d), never reduced, so the caller
+    sizes its digits for :meth:`stages` products by a root power; or the
+    root table itself, for field entries.
 
-    The recursion is :func:`_dft_line`'s, down to lines of length at most
-    ``DFT_LEAF`` or of prime length: each of those is one product by its
-    DFT matrix, a C-level ``sum(map(mul, row, x))`` per output.  The
+    A line of length m is decimated in time on p = its smallest prime
+    factor: with Y_r the transform of x[r::p] (root w^p, length m / p),
+    X_k = Y_0[k mod m/p] + sum_{r >= 1} w^(r k) Y_r[k mod m/p].  The
+    recursion stops at a leaf, one product by the DFT matrix: a line of
+    prime length, or, when the held powers are ints, of length at most
+    ``DFT_LEAF``, where a row is one C-level ``sum(map(mul, row, x))``.
+    A product of elements is a Python call either way, so element lines
+    decimate down to prime lengths.  A leaf skips the all-ones row and
+    column: X_0 = sum_j x_j and X_k = x_0 + sum_{j >= 1} w^(j k) x_j.  The
     inverse runs on the conjugate root, w^-1 = powers[e - step], and
-    leaves the 1/n to the caller.  The matrices, and the twiddles
-    w^(r k) of the longer lines, are built per line length and root step
-    on first use and kept, up to ``DFT_TABLE_CAP`` entries each; a larger
-    one (a prime length above 256) is made a row at a time for every
-    line.
+    leaves the 1/n to the caller.  The matrices, and the twiddles w^(r k)
+    of the longer lines, are built per line length and root step on first
+    use and kept, up to ``DFT_TABLE_CAP`` entries each; a larger one (a
+    prime length above 257) is made a row at a time for every line.
     """
 
-    __slots__ = ("p", "e", "powers", "tables")
+    __slots__ = ("p", "e", "powers", "tables", "ints")
 
     def __init__(self, p, powers: list):
         self.p, self.e, self.powers = p, len(powers), powers
         self.tables: dict = {}
+        self.ints = powers[0].__class__ is int
 
     @staticmethod
     def stages(divisors) -> int:
         """The number of products by a root power between an input and an
-        output of :meth:`run`: one per radix level of a line and one for
-        its leaf matrix, summed over the factors C_d with d > 1."""
+        output of :meth:`run` on ints: one per radix level of a line and
+        one for its leaf matrix, summed over the factors C_d with d > 1."""
         return sum([_line_stages(d) for d in divisors if d > 1])
 
     def run(self, x: list, divisors, inverse=False) -> list:
-        """The transform of the ints x, reduced mod p if p is given; with
-        inverse the conjugate transform, n times the inverse."""
+        """The transform of the held values x, reduced mod p if p is given;
+        with inverse the conjugate transform, n times the inverse."""
         e = self.e
         sign = -1 if inverse else 1
         return _row_column(x, divisors, lambda line, d: self._line(line, sign * (e // d) % e))
 
-    def _rows(self, m: int, step: int, rs):
-        """The rows [w^(r k) for k < m] for r in rs, w = powers[step]."""
+    def _rows(self, m: int, step: int, radix: int):
+        """The rows [w^(r k) for 0 < k < m] for 0 < r < radix, w =
+        powers[step]: the twiddles of a radix level, or with radix m the
+        DFT matrix of a leaf, its all-ones row and column left out."""
         rows = self.tables.get((m, step))
         if rows is None:
             powers, e = self.powers, self.e
-            rows = ([powers[r * k * step % e] for k in range(m)] for r in rs)
-            if m * len(rs) <= DFT_TABLE_CAP:
+            rows = ([powers[r * k * step % e] for k in range(1, m)] for r in range(1, radix))
+            if (m - 1) * (radix - 1) <= DFT_TABLE_CAP:
                 rows = self.tables[m, step] = list(rows)
         return rows
 
     def _line(self, x: list, step: int) -> list:
         """X_k = sum_j w^(j k) x_j (mod p if p is given), w = powers[step]."""
         p, m = self.p, len(x)
-        if _is_leaf(m):
-            rows = self._rows(m, step, range(m))
+        if _is_leaf(m, self.ints):
+            x0, x = x[0], x[1:]
+            rows = self._rows(m, step, m)
             if p is None:
-                return [sum(map(operator.mul, row, x)) for row in rows]
-            return [sum(map(operator.mul, row, x)) % p for row in rows]
+                out = [sum(map(operator.mul, row, x), x0) for row in rows]
+                out.insert(0, sum(x, x0))
+                return out
+            out = [sum(map(operator.mul, row, x), x0) % p for row in rows]
+            out.insert(0, sum(x, x0) % p)
+            return out
         radix = _radices(m)[0]
-        twiddles = self._rows(m, step, range(1, radix))
         sub_step = step * radix % self.e
         subs = [self._line(x[r::radix], sub_step) for r in range(radix)]
         out = subs[0] * radix
-        for row, y in zip(twiddles, subs[1:]):
-            out = list(map(operator.add, out, map(operator.mul, row, y * radix)))
+        # w^(r k) = 1 only at k = 0, r being below every prime factor of m
+        for row, y in zip(self._rows(m, step, radix), subs[1:]):
+            y = y * radix
+            out = [out[0] + y[0], *map(operator.add, out[1:], map(operator.mul, row, y[1:]))]
         return out if p is None else [v % p for v in out]
 
 
-def _is_leaf(m: int) -> bool:
-    """A line of length m is one product by its DFT matrix."""
-    return m <= DFT_LEAF or len(_radices(m)) == 1
+def _is_leaf(m: int, ints: bool) -> bool:
+    """A line of length m is one product by its DFT matrix: see
+    :class:`ResidueDFT`."""
+    return ints and m <= DFT_LEAF or len(_radices(m)) == 1
 
 
 @lru_cache(maxsize=None)
 def _line_stages(m: int) -> int:
-    """The number of products by a root power along a line of length m."""
-    return 1 if _is_leaf(m) else 1 + _line_stages(m // _radices(m)[0])
+    """The number of products by a root power along a line of length m
+    of ints."""
+    return 1 if _is_leaf(m, True) else 1 + _line_stages(m // _radices(m)[0])
 
 
 def horner_plan(terms: dict):

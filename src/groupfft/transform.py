@@ -15,11 +15,11 @@ C_{d_1} x ... x C_{d_k} factor, chi(sigma) = prod_i zeta_{d_i}^(chi_i sigma_i),
 so the transform is a 1-D DFT along each cyclic factor of the
 lexicographic array (row-column).  A 1-D DFT of length m is decimated in
 time on the smallest prime p dividing m, at m (p - 1) scaled additions
-per level, down to lines of length m' at most ``rings.DFT_LEAF`` or of
-prime length, each one product by its m' x m' DFT matrix: m' scaled
-additions per output.  Per factor that is n (sum(p_i - 1) + m') over its
-radix levels p_i and its leaf length m', instead of n^2 for the whole
-transform.  ``convolve`` multiplies transforms whenever the transform
+per level, down to leaf lines of length m', each one product by its
+m' x m' DFT matrix: m' scaled additions per output.  A leaf has prime
+length, or, on held ints, length at most ``rings.DFT_LEAF``.  Per factor
+that is n (sum(p_i - 1) + m') over its radix levels p_i and its leaf
+length m', instead of n^2 for the whole transform.  ``convolve`` multiplies transforms whenever the transform
 exists.  The O(n^2) sums are kept as ``fft_reference``,
 ``inverse_fft_reference`` and ``convolve_reference``: the auditable
 oracles that tests and the CLI's ``--verify`` compare the fast path
@@ -29,20 +29,22 @@ inverse, as are the idempotents and the interpolation at roots of unity.
 The transforms run on the field's kernel (:func:`groupfft.rings.kernel`,
 its ``dft`` and ``convolve``) and read the root table of the group
 exponent (:func:`groupfft.rings.root_table`), kept on the field
-descriptor.  The kernel reads the entries once into ints, runs the
-recursion on them (:class:`groupfft.rings.ResidueDFT`, which also keeps
-the twiddles and the DFT matrices of short and prime-length lines),
-multiplies a convolution's transforms on the same ints, and makes each
-output element once, with the 1/n of an inverse folded in.  Over F_p the
-ints are residues, reduced once per level; over Q, whose roots are 1 and
--1, the integer numerators over their lcm; over F_p[Y]/(m) and Q(zeta_d)
-the numerators packed into one int each by Kronecker substitution and
-never reduced between stages, the digit width taken from an l1 bound over
-the stages.  Towers, and vectors with other values (the MultiPolys of
-``symbolic_vector``, say), transform their elements.  Int entries, and
-over Q and Q(zeta_d) Fraction entries, are read as field elements on
-every path; an entry from another field raises RingMismatch, in the
-references too.
+descriptor.  The kernel holds the entries once, runs the one recursion
+on them (:class:`groupfft.rings.ResidueDFT`, which also keeps the
+twiddles and the DFT matrices of the leaves), multiplies a convolution's
+transforms on the same held values, and releases each output once, with
+the 1/n of an inverse folded in.  Over F_p the held values are residues,
+reduced once per level; over Q, whose roots are 1 and -1, the integer
+numerators over their lcm; over F_p[Y]/(m) and Q(zeta_d) the numerators
+packed into one int each by Kronecker substitution and never reduced
+between stages, the digit width taken from an l1 bound over the stages.
+Towers, and vectors with other values (the MultiPolys of
+``symbolic_vector``, say), are held as their entries, with the root
+table itself as twiddles.  Int entries, and over Q and Q(zeta_d)
+Fraction entries, are read as field elements on every path; any other
+entry that is not an element of the field or a MultiPoly over it (an
+element of another field, a float) raises RingMismatch, in the
+references too (:func:`groupfft.rings.field_entries`).
 """
 
 from __future__ import annotations

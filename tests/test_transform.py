@@ -1,6 +1,7 @@
 """Transform pair, group matrices, idempotents, weight-rank, interpolation."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from groupfft.multipoly import MultiPoly
 from groupfft.rings import (
     DFT_TABLE_CAP,
     QQ,
+    ElementKernel,
     ExtField,
+    FieldElem,
     PrimeField,
     ResidueDFT,
     UniPoly,
@@ -373,9 +376,30 @@ KERNEL_CASES = [
 ]
 
 
+def constants(values, field):
+    """The entries of values as constant MultiPolys over field: a vector
+    the kernel holds as its entries."""
+    return [MultiPoly.constant(v, (), field) for v in field_entries(values, field)]
+
+
+def check_both_forms(group, field, a, b):
+    """The kernel's transform, inverse and convolution of the values a and
+    b, held as the kernel holds them and, lifted to constant MultiPolys, as
+    entries, against the O(n^2) references."""
+    kern, divisors = kernel(field), group.divisors
+    want = [fft_reference(GroupVector(group, field, a)).values,
+            inverse_fft_reference(GroupVector(group, field, a, dual=True)).values,
+            convolve_reference(GroupVector(group, field, a), GroupVector(group, field, b)).values]
+    held = [kern.dft(a, divisors), kern.dft(a, divisors, True), kern.convolve(a, b, divisors)]
+    assert held == [list(v) for v in want]
+    x, y = constants(a, field), constants(b, field)
+    entries = [kern.dft(x, divisors), kern.dft(x, divisors, True), kern.convolve(x, y, divisors)]
+    assert entries == [constants(v, field) for v in want]
+
+
 class TestKernelDFT:
-    """The int transforms of IntKernel against the O(n^2) references and
-    against the element transforms of the same kernel."""
+    """The int transforms of IntKernel against the O(n^2) references, held
+    as residues and as entries."""
 
     @pytest.mark.parametrize(
         "divisors,field", KERNEL_CASES, ids=[f"{d}-{f!r}" for d, f in KERNEL_CASES]
@@ -394,24 +418,22 @@ class TestKernelDFT:
         "divisors,field", KERNEL_CASES, ids=[f"{d}-{f!r}" for d, f in KERNEL_CASES]
     )
     def test_against_the_element_transform(self, divisors, field):
-        kern = kernel(field)
+        group = AbelianGroup(divisors)
         rng = random.Random(repr(divisors))
-        a = random_vector(AbelianGroup(divisors), field, rng).values
-        b = random_vector(AbelianGroup(divisors), field, rng).values
-        for inverse in (False, True):
-            assert kern.dft(a, divisors, inverse) == kern.element_dft(a, divisors, inverse)
-        assert kern.convolve(a, b, divisors) == kern.element_convolve(a, b, divisors)
+        a = random_vector(group, field, rng).values
+        b = random_vector(group, field, rng).values
+        check_both_forms(group, field, a, b)
 
     def test_prime_length_above_the_table_cap(self):
-        # C263 over F1579: a 263 x 263 matrix is above DFT_TABLE_CAP, so its
-        # rows are made for each line and none is kept
+        # C263 over F1579: the 262 x 262 matrix of a leaf is above
+        # DFT_TABLE_CAP, so its rows are made for each line and none is kept
         field = PrimeField(1579)
-        kern = kernel(field)
-        rng = random.Random(263)
-        a = random_vector(AbelianGroup.cyclic(263), field, rng).values
-        for inverse in (False, True):
-            assert kern.dft(a, (263,), inverse) == kern.element_dft(a, (263,), inverse)
-        assert 263 * 263 > DFT_TABLE_CAP and not kern.dfts[263].tables
+        group = AbelianGroup.cyclic(263)
+        a = random_vector(group, field, random.Random(263))
+        assert fft(a) == fft_reference(a)
+        A = GroupVector(group, field, a.values, dual=True)
+        assert inverse_fft(A) == inverse_fft_reference(A)
+        assert 262 * 262 > DFT_TABLE_CAP and not kernel(field).dfts[263].tables
 
     def test_root_tables_are_kept_per_exponent(self):
         field = PrimeField(17)
@@ -562,41 +584,128 @@ class TestHeldDFT:
         "divisors,field", HELD_LINES, ids=[f"{d}-{f!r}" for d, f in HELD_LINES]
     )
     def test_no_element_transform(self, divisors, field, monkeypatch):
+        """Once the root table exists, a transform over a held field makes
+        no product of field elements (Fractions over Q); a symbolic
+        vector, held as its entries, does."""
         group = AbelianGroup(divisors)
         rng = random.Random(len(divisors))
         a, b = random_vector(group, field, rng), random_vector(group, field, rng)
         want = fft(a), inverse_fft(fft(b)), convolve(a, b)
 
         def refuse(*args):
-            raise AssertionError("an element transform ran")
+            raise AssertionError("a field-element product ran")
 
-        monkeypatch.setattr(rings, "_dft_line", refuse)
+        for cls in (FieldElem, Fraction):
+            monkeypatch.setattr(cls, "__mul__", refuse)
+            monkeypatch.setattr(cls, "__rmul__", refuse)
         assert (fft(a), inverse_fft(fft(b)), convolve(a, b)) == want
-        with pytest.raises(AssertionError, match="an element transform ran"):
+        with pytest.raises(AssertionError, match="a field-element product ran"):
             fft(symbolic_vector(group, field))
 
     def test_towers_take_the_element_transform(self, monkeypatch):
-        b = random_vector(AbelianGroup.cyclic(7), F4_TOWER, random.Random(7))
-
-        def refuse(*args):
-            raise AssertionError("an element transform ran")
-
-        monkeypatch.setattr(rings, "_dft_line", refuse)
-        with pytest.raises(AssertionError, match="an element transform ran"):
-            fft(b)
+        """A tower holds its entries: its transforms run through
+        ResidueDFT.run with the root table itself as twiddles."""
+        group = AbelianGroup.cyclic(7)
+        rng = random.Random(7)
+        a, b = random_vector(group, F4_TOWER, rng), random_vector(group, F4_TOWER, rng)
+        runs = spy_on_runs(monkeypatch)
+        assert fft(a) == fft_reference(a)
+        A = GroupVector(group, F4_TOWER, a.values, dual=True)
+        assert inverse_fft(A) == inverse_fft_reference(A)
+        assert convolve(a, b) == convolve_reference(a, b)
+        assert len(runs) == 5
+        assert all(dft.powers is root_table(7, F4_TOWER) for dft in runs)
 
     @pytest.mark.parametrize(
         "divisors,field", HELD_CASES, ids=[f"{d}-{f!r}" for d, f in HELD_CASES]
     )
     def test_against_the_element_transform(self, divisors, field):
-        kern = kernel(field)
+        group = AbelianGroup(divisors)
         rng = random.Random(repr(divisors))
         draw = random_vector if field.is_finite else mixed_vector
-        a = draw(AbelianGroup(divisors), field, rng).values
-        b = draw(AbelianGroup(divisors), field, rng).values
-        for inverse in (False, True):
-            assert kern.dft(a, divisors, inverse) == kern.element_dft(a, divisors, inverse)
-        assert kern.convolve(a, b, divisors) == kern.element_convolve(a, b, divisors)
+        a = draw(group, field, rng).values
+        b = draw(group, field, rng).values
+        check_both_forms(group, field, a, b)
+
+
+def spy_on_runs(monkeypatch) -> list:
+    """The ResidueDFTs whose run is called from now on, one per call."""
+    runs = []
+    run = ResidueDFT.run
+
+    def spy(dft, *args):
+        runs.append(dft)
+        return run(dft, *args)
+
+    monkeypatch.setattr(ResidueDFT, "run", spy)
+    return runs
+
+
+F16_TOWER = ExtField(F4, find_irreducible(F4, 2))  # F_16 as (F_2^2)^2
+
+# (cyclic orders, tower): every line shape of the entries' recursion, prime
+# leaves under radix-3 and radix-5 levels, several factors
+TOWER_CASES = [
+    ((5,), F16_TOWER),
+    ((15,), F16_TOWER),
+    ((3, 5), F16_TOWER),
+    ((9,), F4_TOWER),
+    ((21,), F4_TOWER),
+    ((63,), F4_TOWER),
+]
+
+# (cyclic orders, field) for symbolic vectors: radix-2 levels over F_p and
+# two factors over Q(zeta_4)
+SYMBOLIC_CASES = [
+    ((8,), PrimeField(17)),
+    ((16,), PrimeField(17)),
+    ((2, 4), cyclotomic_field(4)),
+]
+
+
+class TestEntriesDFT:
+    """Towers and MultiPoly vectors are held as their entries, with the
+    root table itself as twiddles, and run through ResidueDFT.run."""
+
+    @pytest.mark.parametrize(
+        "divisors,field", TOWER_CASES, ids=[f"{d}-{f!r}" for d, f in TOWER_CASES]
+    )
+    def test_towers(self, divisors, field, monkeypatch):
+        group = AbelianGroup(divisors)
+        rng = random.Random(repr(divisors))
+        a, b = random_vector(group, field, rng), random_vector(group, field, rng)
+        runs = spy_on_runs(monkeypatch)
+        assert fft(a) == fft_reference(a)
+        A = GroupVector(group, field, a.values, dual=True)
+        assert inverse_fft(A) == inverse_fft_reference(A)
+        assert inverse_fft(fft(a)) == a
+        assert convolve(a, b) == convolve_reference(a, b)
+        assert runs and all(dft.powers is root_table(group.exponent, field) for dft in runs)
+
+    @pytest.mark.parametrize(
+        "divisors,field", SYMBOLIC_CASES, ids=[f"{d}-{f!r}" for d, f in SYMBOLIC_CASES]
+    )
+    def test_symbolic_vectors(self, divisors, field, monkeypatch):
+        group = AbelianGroup(divisors)
+        x = symbolic_vector(group, field)
+        runs = spy_on_runs(monkeypatch)
+        X = fft(x)
+        assert X == fft_reference(x)
+        assert inverse_fft(X) == inverse_fft_reference(X) == x
+        assert convolve(x, x) == convolve_reference(x, x)
+        assert runs and all(dft.powers is root_table(group.exponent, field) for dft in runs)
+
+    def test_release_divides_by_n(self):
+        """The entries' release divides each value by n, on the tower's
+        own kernel and on a kernel that holds ints."""
+        rng = random.Random(3)
+        values = [random_elem(F4_TOWER, rng) for _ in range(4)]
+        kern = kernel(F4_TOWER)
+        assert kern.release(values, None, 3) == [v / F4_TOWER.from_int(3) for v in values]
+        assert kern.release(values, None) == values
+        x = symbolic_vector(AbelianGroup.cyclic(3), F7).values
+        assert (ElementKernel.release(kernel(F7), x, None, 3)
+                == [F7.from_int(5) * v for v in x])
 
 
 def _foreign_cases():
@@ -622,6 +731,57 @@ def _foreign_cases():
 
 
 FOREIGN_CASES = _foreign_cases()
+
+
+def _gate_cases():
+    """(field, value) pairs the entry gate refuses, for every kernel."""
+    z3 = cyclotomic_field(3)
+    fields = [QQ, F7, F9, F1024, z3, F4_TOWER]
+    cases = []
+    for field in fields:
+        other = F7 if field is QQ else QQ
+        for value in (0.5, 1j, Decimal("0.5"), "1", MultiPoly.variable("X", ("X",), other)):
+            cases.append((field, value))
+    return cases
+
+
+GATE_CASES = _gate_cases()
+
+
+class TestEntryGate:
+    """field_entries is the one gate of every vector the kernels do not
+    hold, and of the references: anything but an element of the field,
+    an int, a Fraction over Q and Q(zeta_d) or a MultiPoly over the field
+    raises RingMismatch, floats included."""
+
+    @pytest.mark.parametrize(
+        "field,value", GATE_CASES, ids=[f"{f!r}-{v!r}" for f, v in GATE_CASES]
+    )
+    def test_refused(self, field, value):
+        # a group whose exponent the field holds roots for
+        n = 2 if field in (QQ, F9) else 3
+        group = AbelianGroup.cyclic(n)
+        values = (value,) + (field.one,) * (n - 1)
+        b = GroupVector(group, field, values)
+        B = GroupVector(group, field, values, dual=True)
+        ones = GroupVector(group, field, (field.one,) * n)
+        for call in (lambda: fft(b), lambda: fft_reference(b),
+                     lambda: inverse_fft(B), lambda: inverse_fft_reference(B),
+                     lambda: convolve(b, ones), lambda: convolve(ones, b),
+                     lambda: convolve_reference(b, ones),
+                     lambda: interpolate_at_roots_of_unity(values, field)):
+            with pytest.raises(RingMismatch):
+                call()
+
+    def test_float_under_o(self):
+        setup = """
+            from groupfft.abelian import AbelianGroup
+            from groupfft.rings import QQ
+            from groupfft.transform import GroupVector, fft
+            b = GroupVector(AbelianGroup.cyclic(2), QQ, (0.5, 3))
+        """
+        assert (check_under_o("fft(b)", setup, error="RingMismatch")
+                == "raised: 0.5 is not an entry of a vector over Q")
 
 
 class TestEntriesFromAnotherField:
