@@ -230,8 +230,9 @@ class CyclotomicField(ExtField):
         return _canonical(ints, den, self)
 
     def from_residue(self, coeffs) -> CycloElem:
-        """Element from rational coefficients of 1, zeta, zeta^2, ..."""
-        return self.from_poly(UniPoly.make([Fraction(c) for c in coeffs], QQ))
+        """Element from rational coefficients of 1, zeta, zeta^2, ...: ints
+        or Fractions, read by ``UniPoly.make``."""
+        return self.from_poly(UniPoly.make(coeffs, QQ))
 
     @cached_property
     def _zeta_powers(self) -> list[tuple]:

@@ -55,22 +55,24 @@ no cascading reduction.  Two rings use it over plain Python ints:
 multiplied as they are and each output coefficient is reduced mod p once)
 and ``Q[X]/(Phi_d)`` (``CyclotomicField``: Phi_d is monic with integer
 coefficients, so its table is integral and applies to the integer
-numerators as they are).  Over a prime base every other operation runs on
-the int coefficients too: sums, differences and negation one ``% p`` per
-coefficient, the inverse :func:`inv_mod_p` (extended euclid on the
-coefficient lists, :func:`ext_gcd_mod_p`: O(r^2) int operations and no
-element or ``UniPoly`` object per step, where the generic :func:`ext_gcd`
-makes both), and ``iter_elements``, ``order_key``, ``==`` and ``hash``;
-an F_p element is made only where a caller reads ``residue``,
-``constant`` or ``poly``.  F_p[X] itself runs on int lists where it is
-searched: :func:`is_irreducible` over F_p takes its powers X^(p^i) mod f,
-remainders and gcds (the same :func:`ext_gcd_mod_p`) on ints, and
-:func:`find_irreducible` scans int candidates and makes a ``UniPoly`` of
-the winner only.
-Towers (an ``ExtField`` over an ``ExtField``) run the same helper on
-base-field elements and the element-valued table, and invert through
-:func:`ext_gcd`; Q(zeta_d) inverts through the norm, on its integer
-numerators.
+numerators as they are).  Over a prime base every other element
+operation runs on the int coefficients too: sums, differences and negation
+one ``% p`` per coefficient, and ``iter_elements``, ``order_key``, ``==``
+and ``hash``; an F_p element is made only where a caller reads
+``residue``, ``constant`` or ``poly``.  Towers (an ``ExtField`` over an
+``ExtField``) run the same helper on base-field elements and the
+element-valued table.
+
+Polynomials.  F[X] has one arithmetic, on coefficient lists in F's list
+form: int residues over F_p, as ``ExtFieldElem.coeffs`` holds them over a
+prime base, and F's own elements over towers, Q and Q(zeta_d).  Product,
+division, modular power, the extended euclid (:func:`list_ext_gcd`, which
+rechecks its cofactor) and Ben-Or's test take the field, and over F_p
+reduce each output coefficient mod p once.  ``UniPoly``'s operators,
+:func:`poly_powmod`, :func:`ext_gcd`, :func:`is_irreducible` and
+:func:`find_irreducible` wrap them, and ``ExtField.inv`` inverts through
+the same euclid over a prime base and over a tower alike; Q(zeta_d)
+inverts through the norm, on its integer numerators.
 
 Kernels.  :func:`kernel` picks, once per descriptor, how the bulk loops
 hold a field's values: the row updates of ``mat_det`` and ``mat_rank``
@@ -175,6 +177,7 @@ class RationalField(metaclass=_Canonical):
 
     zero = Fraction(0)
     one = Fraction(1)
+    _list_form = (0, zero, one)  # see "F[X] on coefficient lists"
 
     def __init__(self):
         self._roots: dict = {}  # see root_table()
@@ -183,7 +186,7 @@ class RationalField(metaclass=_Canonical):
         return Fraction(k)
 
     def from_rational(self, q: Fraction) -> Fraction:
-        return Fraction(q)
+        return q if q.__class__ is Fraction else Fraction(q)
 
     def inv(self, x: Fraction) -> Fraction:
         if x == 0:
@@ -360,6 +363,7 @@ class PrimeField(metaclass=_Canonical):
         if not is_prime(p):
             raise PreconditionError(f"{p} is not prime")
         self.p = p
+        self._list_form = (p, 0, 1)  # see "F[X] on coefficient lists"
         self.zero = PrimeFieldElem(0, self)
         self.one = PrimeFieldElem(1, self)
         self._roots: dict = {}  # see root_table()
@@ -420,6 +424,148 @@ class PrimeField(metaclass=_Canonical):
 
 
 # ---------------------------------------------------------------------------
+# F[X] on coefficient lists
+# ---------------------------------------------------------------------------
+# A polynomial over a field F is a list of coefficients in F's list form
+# (int residues over F_p, else F's elements), constant term first; every
+# descriptor keeps ``_list_form`` = (p, zero, one) of it, p = 0 where the
+# list form is the elements.  Inputs may hold trailing zeros and, over F_p,
+# any ints (read mod p), but a divisor or modulus ends in a nonzero
+# coefficient; every result is reduced, one ``% p`` per output coefficient
+# over F_p, and holds no trailing zero, so the zero polynomial is [].
+
+def _list_digits(field):
+    """field's elements in list form, in canonical order: range(p) over
+    F_p, so any p will do, else the list of ``iter_elements``."""
+    if isinstance(field, PrimeField):
+        return range(field.p)
+    return list(field.iter_elements())
+
+
+def _normalized(a: list, p: int) -> list:
+    """a reduced mod p (p = 0: as it is), its trailing zeros dropped."""
+    if p:
+        a = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _scaled(a, c, p: int) -> list:
+    """Each coefficient of a times c, reduced mod p (p = 0: as it is)."""
+    return [x * c % p for x in a] if p else [x * c for x in a]
+
+
+def list_mul(a, b, field) -> list:
+    """The product of a and b."""
+    if not a or not b:
+        return []
+    p, zero, _ = field._list_form
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _normalized(out, p)
+
+
+def list_divmod(a, b, field) -> tuple[list, list]:
+    """(quotient, remainder) of a by b; ZeroDivisionError for b = []."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    p, zero, _ = field._list_form
+    d = len(b) - 1
+    rem = list(a)
+    if len(rem) <= d:
+        return [], _normalized(rem, p)
+    inv_lead = pow(b[-1], -1, p) if p else field.inv(b[-1])
+    low = b[:d]
+    quo = [zero] * (len(rem) - d)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + d] * inv_lead % p if p else rem[k + d] * inv_lead
+        if c:
+            quo[k] = c
+            rem[k:k + d] = [x - c * y for x, y in zip(rem[k:k + d], low)]
+    while quo and not quo[-1]:  # a ended in zeros
+        quo.pop()
+    return quo, _normalized(rem[:d], p)
+
+
+def list_powmod(a, e: int, f, field) -> list:
+    """a^e modulo f, for e >= 1, by square and multiply."""
+    return square_and_multiply(
+        list_divmod(a, f, field)[1], e,
+        lambda x, y: list_divmod(list_mul(x, y, field), f, field)[1],
+    )
+
+
+def list_ext_gcd(f, h, field) -> tuple[list, list, list]:
+    """(g, t, q): g = gcd(f, h) monic and t * h = g + q * f, for f nonzero,
+    with deg t < deg(f/g), and t = 0 when f/g is a constant.
+
+    Extended euclid tracking the cofactor of h only: t0 * h = r0 and
+    t1 * h = r1 modulo f throughout; a nonzero constant r1 ends it early,
+    with g = 1.  The identity is rechecked by dividing t * h - g by f: q is
+    the quotient, and a remainder raises VerificationError.
+    """
+    p, zero, one = field._list_form
+    r0, r1 = list(f), list_divmod(h, f, field)[1]
+    t0, t1 = [], [one]
+    while len(r1) > 1:
+        q, rem = list_divmod(r0, r1, field)
+        # t0 - q * t1
+        t = t0 + [zero] * (len(q) + len(t1) - 1 - len(t0))
+        for i, x in enumerate(q):
+            if x:
+                for j, y in enumerate(t1, i):
+                    t[j] -= x * y
+        r0, r1, t0, t1 = r1, rem, t1, _normalized(t, p)
+    if r1:  # a nonzero constant: the last remainder
+        r0, t0 = r1, t1
+    c = pow(r0[-1], -1, p) if p else field.inv(r0[-1])
+    g, t = _scaled(r0, c, p), _scaled(t0, c, p)
+    diff = list_mul(t, h, field)
+    diff += [zero] * (len(g) - len(diff))
+    for i, x in enumerate(g):
+        diff[i] -= x
+    q, rem = list_divmod(diff, f, field)
+    if rem:
+        raise VerificationError("Bezout identity recheck failed")
+    return g, t, q
+
+
+def inv_mod(a, m, field) -> list:
+    """The inverse of a modulo m over field, in list form: a (not divisible
+    by m) and m, monic irreducible of degree r; the result has exactly r
+    coefficients."""
+    g, t, _ = list_ext_gcd(m, a, field)
+    if len(g) != 1:
+        raise VerificationError("modulus not coprime to nonzero residue")
+    return t + [field._list_form[1]] * (len(m) - 1 - len(t))
+
+
+def inv_mod_p(a, m, p: int) -> list:
+    """:func:`inv_mod` over F_p, on plain int coefficient lists."""
+    return inv_mod(a, m, PrimeField(p))
+
+
+def list_is_irreducible(f, field) -> bool:
+    """Ben-Or's test over a finite field of order q, for f of degree >= 1:
+    gcd(f, X^(q^i) - X) = 1 for every i up to deg(f)/2.  A reducible f has
+    an irreducible factor of degree i <= deg(f)/2, and every such factor
+    divides X^(q^i) - X."""
+    _, zero, one = field._list_form
+    q, h = field.order, [zero, one]
+    for _ in range((len(f) - 1) // 2):
+        h = list_powmod(h, q, f, field)
+        d = h + [zero] * (2 - len(h))
+        d[1] -= one  # X^(q^i) - X
+        if len(list_ext_gcd(f, d, field)[0]) > 1:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Univariate polynomials
 # ---------------------------------------------------------------------------
 
@@ -428,7 +574,8 @@ class UniPoly:
     """Dense univariate polynomial; coeffs[k] is the degree-k coefficient.
 
     Normalized so the leading coefficient is nonzero (the zero polynomial
-    has an empty coefficient tuple and degree -1).
+    has an empty coefficient tuple and degree -1).  Products, division,
+    gcds and the irreducibility test run on the coefficient lists above.
     """
 
     coeffs: tuple
@@ -436,10 +583,11 @@ class UniPoly:
 
     @staticmethod
     def make(coeffs, ring) -> "UniPoly":
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        return UniPoly(tuple(cs), ring)
+        """The polynomial with these coefficients, constant term first,
+        read as elements of ring by :func:`field_entries`: ints, and over Q
+        and Q(zeta_d) Fractions, are coerced; what it refuses raises
+        RingMismatch."""
+        return _trimmed(field_entries(coeffs, ring), ring)
 
     @staticmethod
     def zero(ring) -> "UniPoly":
@@ -452,7 +600,7 @@ class UniPoly:
     @staticmethod
     def gen(ring) -> "UniPoly":
         """The polynomial X."""
-        return UniPoly.make((ring.zero, ring.one), ring)
+        return UniPoly((ring.zero, ring.one), ring)
 
     # -- structure ---------------------------------------------------------
 
@@ -481,6 +629,12 @@ class UniPoly:
         if other.ring is not self.ring:
             raise RingMismatch(f"polynomials over {self.ring} and {other.ring}")
 
+    def _list(self) -> list:
+        """The coefficients in the ring's list form."""
+        if isinstance(self.ring, PrimeField):
+            return [c.residue for c in self.coeffs]
+        return list(self.coeffs)
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
@@ -491,7 +645,7 @@ class UniPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return UniPoly.make(out, self.ring)
+        return _trimmed(out, self.ring)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
@@ -503,16 +657,7 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             return self.scale(other)
         self._check_ring(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(self.ring)
-        out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return UniPoly.make(out, self.ring)
+        return _from_list(list_mul(self._list(), other._list(), self.ring), self.ring)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -524,24 +669,8 @@ class UniPoly:
 
     def __divmod__(self, other: "UniPoly"):
         self._check_ring(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        ring = self.ring
-        inv_lead = ring.inv(other.leading)
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly.zero(ring), self
-        quo = [ring.zero] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree]
-            if not c:
-                continue
-            f = c * inv_lead
-            quo[k] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - f * b
-        return UniPoly.make(quo, ring), UniPoly.make(rem[: other.degree], ring)
+        q, r = list_divmod(self._list(), other._list(), self.ring)
+        return _from_list(q, self.ring), _from_list(r, self.ring)
 
     def __floordiv__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[0]
@@ -579,7 +708,7 @@ class UniPoly:
         out = [self.ring.zero] * (self.degree * k + 1)
         for i, c in enumerate(self.coeffs):
             out[i * k] = c
-        return UniPoly.make(out, self.ring)
+        return UniPoly(tuple(out), self.ring)
 
     def map_coefficients(self, fn, new_ring) -> "UniPoly":
         return UniPoly.make([fn(c) for c in self.coeffs], new_ring)
@@ -591,20 +720,34 @@ class UniPoly:
         return f"UniPoly({format_unipoly(self)!r} over {self.ring!r})"
 
 
+def _trimmed(cs: list, ring) -> UniPoly:
+    """The polynomial with the coefficients cs, elements of ring, trailing
+    zeros dropped: the trusted path of results already in the ring."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return UniPoly(tuple(cs), ring)
+
+
+def _from_list(coeffs, field) -> UniPoly:
+    """The polynomial with these coefficients in field's list form."""
+    if isinstance(field, PrimeField):
+        coeffs = [PrimeFieldElem(c, field) for c in coeffs]
+    return _trimmed(list(coeffs), field)
+
+
 def x_pow_minus_one(n: int, ring) -> UniPoly:
     """X^n - 1 over the given ring, n >= 1."""
     if n < 1:
         raise PreconditionError(f"X^n - 1 needs n >= 1, not {n}")
-    return UniPoly.make(
-        [-ring.one] + [ring.zero] * (n - 1) + [ring.one], ring
-    )
+    return UniPoly((-ring.one,) + (ring.zero,) * (n - 1) + (ring.one,), ring)
 
 
 def poly_powmod(base: UniPoly, exp: int, mod: UniPoly) -> UniPoly:
     """base**exp reduced modulo mod, by square and multiply."""
+    base._check_ring(mod)
     if not exp:
         return UniPoly.constant(base.ring.one, base.ring)
-    return square_and_multiply(base % mod, exp, lambda a, b: (a * b) % mod)
+    return _from_list(list_powmod(base._list(), exp, mod._list(), base.ring), base.ring)
 
 
 def ext_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
@@ -612,63 +755,28 @@ def ext_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
 
     The cofactors are normalized so that deg u < deg(b/g) whenever b/g is
     non-constant; when g is an associate of b the result is u = 0, v = g/b.
+    One :func:`list_ext_gcd`, its identity rechecked.
     """
+    a._check_ring(b)
     if a.is_zero and b.is_zero:
         raise PreconditionError("gcd(0, 0) is undefined")
-    ring = a.ring
-    one = UniPoly.constant(ring.one, ring)
-    zero = UniPoly.zero(ring)
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    c = ring.inv(r0.leading)
-    g, u, v = r0.scale(c), s0.scale(c), t0.scale(c)
-    if not b.is_zero:
-        bg = b // g
-        if bg.degree > 0:
-            q2, u = divmod(u, bg)
-            v = v + q2 * (a // g)
-        else:
-            u = zero
-            v = UniPoly.constant(ring.inv(bg.coefficient(0)), ring)
-    if u * a + v * b != g:
-        raise VerificationError("Bezout identity recheck failed")
-    return g, u, v
+    field = a.ring
+    f, h = (a, b) if b.is_zero else (b, a)
+    g, t, q = list_ext_gcd(f._list(), h._list(), field)
+    # t * h + s * f = g
+    g, t, s = _from_list(g, field), _from_list(t, field), -_from_list(q, field)
+    return (g, s, t) if b.is_zero else (g, t, s)
 
 
 def is_irreducible(f: UniPoly) -> bool:
-    """Irreducibility over a finite field.
-
-    Uses the gcd test against X^(q^i) - X for i up to deg(f)/2 (Ben-Or):
-    any reducible f has an irreducible factor of degree at most deg(f)/2,
-    and every such factor divides X^(q^i) - X for its degree i.  Over a
-    prime field the test runs on int coefficient lists.
-    """
+    """Irreducibility over a finite field, by Ben-Or's test
+    (:func:`list_is_irreducible`)."""
     field = f.ring
     if not getattr(field, "is_finite", False):
         raise PreconditionError("irreducibility test requires finite-field coefficients")
-    n = f.degree
-    if n < 1:
+    if f.degree < 1:
         raise PreconditionError("irreducibility is defined for degree >= 1")
-    if n == 1:
-        return True
-    if field.__class__ is PrimeField:
-        return _is_irreducible_mod_p([c.residue for c in f.coeffs], field.p)
-    f = f.monic()
-    q = field.order
-    x = UniPoly.gen(field)
-    h = x
-    for _ in range(n // 2):
-        h = poly_powmod(h, q, f)
-        g, _, _ = ext_gcd(f, h - x)
-        if g.degree > 0:
-            return False
-    return True
+    return list_is_irreducible(f._list(), field)
 
 
 @lru_cache(maxsize=None)
@@ -678,30 +786,23 @@ def find_irreducible(field_or_p, r: int) -> UniPoly:
     Candidates are scanned in lexicographic order of the coefficient
     sequence read from the highest degree down (constant term varies
     fastest), so the result is deterministic.  Memoized: the search is
-    the cost of building F_{p^r} for a large r.  Over a prime field the
-    candidates are int lists, made one at a time from a counter whose
-    base-p digits are c_0, c_1, ...: the same order, and no table of p
-    entries, so any p will do; only the winner becomes a UniPoly.
+    the cost of building F_{p^r} for a large r.  Each candidate is a list
+    form, made from a counter whose base-q digits c_0, c_1, ... index
+    :func:`_list_digits`; only the winner becomes a UniPoly.
     """
     field = PrimeField(field_or_p) if isinstance(field_or_p, int) else field_or_p
     if r < 1:
         raise PreconditionError("degree must be >= 1")
-    if field.__class__ is PrimeField:
-        p = field.p
-        for k in range(p ** r):
-            coeffs = []
-            for _ in range(r):
-                k, c = divmod(k, p)
-                coeffs.append(c)
-            coeffs.append(1)
-            if _is_irreducible_mod_p(coeffs, p):
-                return UniPoly(tuple([PrimeFieldElem(c, field) for c in coeffs]), field)
-    else:
-        # tail is (c_{r-1}, ..., c_0); the monic leading 1 goes on top
-        for tail in itertools.product(list(field.iter_elements()), repeat=r):
-            cand = UniPoly.make([*reversed(tail), field.one], field)
-            if is_irreducible(cand):
-                return cand
+    digits, one = _list_digits(field), field._list_form[2]
+    q = len(digits)
+    for k in range(q ** r):
+        coeffs = []
+        for _ in range(r):
+            k, c = divmod(k, q)
+            coeffs.append(digits[c])
+        coeffs.append(one)
+        if list_is_irreducible(coeffs, field):
+            return _from_list(coeffs, field)
     raise VerificationError(f"no monic irreducible polynomial of degree {r} over {field}")
 
 
@@ -759,115 +860,6 @@ def fold_reduced(coeffs: list, table, r: int) -> list:
     return out
 
 
-# ---------------------------------------------------------------------------
-# F_p[X] on int lists
-# ---------------------------------------------------------------------------
-# A polynomial over F_p is a list of ints, constant term first.  Inputs may
-# hold any ints (read mod p) and trailing zeros, but a divisor or modulus
-# ends in a coefficient prime to p; every result holds ints in [0, p) and
-# no trailing zero, so the zero polynomial is [].
-
-def _trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _mul_mod_p(a, b, p: int) -> list:
-    """The product of a and b over F_p."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return _trim([x % p for x in out])
-
-
-def _divmod_mod_p(a, b, p: int) -> tuple[list, list]:
-    """(quotient, remainder) of a by b over F_p."""
-    d = len(b) - 1
-    rem = list(a)
-    if len(rem) <= d:
-        return [], _trim([x % p for x in rem])
-    inv_lead = pow(b[-1], -1, p)
-    low = b[:d]
-    quo = [0] * (len(rem) - d)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + d] * inv_lead % p
-        if c:
-            quo[k] = c
-            rem[k:k + d] = [x - c * y for x, y in zip(rem[k:k + d], low)]
-    return quo, _trim([x % p for x in rem[:d]])
-
-
-def _powmod_mod_p(a, e: int, f, p: int) -> list:
-    """a^e modulo f over F_p, for e >= 1."""
-    return square_and_multiply(
-        _divmod_mod_p(a, f, p)[1], e,
-        lambda x, y: _divmod_mod_p(_mul_mod_p(x, y, p), f, p)[1],
-    )
-
-
-def ext_gcd_mod_p(f, h, p: int) -> tuple[list, list]:
-    """(g, t): g = gcd(f, h) monic and t * h = g modulo f, over F_p.
-
-    Extended euclid tracking only the cofactor of h:
-    t0 * h = r0 and t1 * h = r1 modulo f throughout; a nonzero constant
-    r1 ends it early, with g = 1.  The identity t * h = g (mod f) is
-    rechecked, and a failure raises VerificationError.
-    """
-    r0, r1 = list(f), _divmod_mod_p(h, f, p)[1]
-    t0, t1 = [], [1]
-    while len(r1) > 1:
-        q, rem = _divmod_mod_p(r0, r1, p)
-        # t0 - q * t1
-        t = t0 + [0] * (len(q) + len(t1) - 1 - len(t0))
-        for i, x in enumerate(q):
-            if x:
-                for j, y in enumerate(t1, i):
-                    t[j] -= x * y
-        r0, r1, t0, t1 = r1, rem, t1, _trim([x % p for x in t])
-    if r1:
-        g, c, t = [1], pow(r1[0], -1, p), t1
-    else:
-        c, t = pow(r0[-1], -1, p), t0
-        g = [x * c % p for x in r0]
-    t = [x * c % p for x in t]
-    diff = _mul_mod_p(t, h, p)
-    diff += [0] * (len(g) - len(diff))
-    for i, c in enumerate(g):
-        diff[i] -= c
-    if _divmod_mod_p(diff, f, p)[1]:
-        raise VerificationError("Bezout identity recheck failed")
-    return g, t
-
-
-def inv_mod_p(a, m, p: int) -> list:
-    """Coefficients of the inverse of a modulo m over F_p, on plain ints.
-
-    a (not divisible by m) and m, monic irreducible of degree r, are int
-    coefficient lists, constant term first; the result has exactly r.
-    """
-    g, t = ext_gcd_mod_p(m, a, p)
-    if g != [1]:
-        raise VerificationError("modulus not coprime to nonzero residue")
-    return t + [0] * (len(m) - 1 - len(t))
-
-
-def _is_irreducible_mod_p(f, p: int) -> bool:
-    """is_irreducible for f of degree >= 1 over F_p, an int list."""
-    x = [0, 1]
-    h = x
-    for _ in range((len(f) - 1) // 2):
-        h = _powmod_mod_p(h, p, f, p)
-        # h - X
-        d = h + [0] * (2 - len(h))
-        d[1] -= 1
-        if len(ext_gcd_mod_p(f, d, p)[0]) > 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +947,7 @@ class ExtFieldElem(FieldElem):
     @property
     def poly(self) -> UniPoly:
         """The residue as a polynomial over the base field."""
-        return UniPoly.make(self.residue, self.field.base)
+        return _trimmed(list(self.residue), self.field.base)
 
     @property
     def is_constant(self) -> bool:
@@ -1009,18 +1001,18 @@ class ExtField(metaclass=_Canonical):
             raise PreconditionError("modulus must be monic of degree >= 1")
         if modulus.degree > 1 and not is_irreducible(modulus):
             raise PreconditionError(f"modulus {modulus} is reducible over {base}")
-        # the representation is fixed before _setup builds zero, one and gen
+        # the representation, the base's list form, is fixed before _setup
+        # builds zero, one and gen
         if isinstance(base, PrimeField):
             self._prime_base = base
-            self._zero_tail = (0,) * (modulus.degree - 1)
-        else:
-            self._zero_tail = (base.zero,) * (modulus.degree - 1)
+        self._zero_tail = (base._list_form[1],) * (modulus.degree - 1)
         self._setup(base, modulus)
         self.order = base.order ** self.degree
+        self._list_modulus = tuple(modulus._list())  # for inv
         if self._prime_base is not None:
             # the reduction table and the modulus as int residues
             self._int_red = [tuple(c.residue for c in row) for row in self._red]
-            self._int_modulus = tuple(c.residue for c in modulus.coeffs)
+            self._int_modulus = self._list_modulus
 
     def _setup(self, base, modulus: UniPoly):
         """The quotient ring base[Y]/(modulus), shared with Q(zeta_d)."""
@@ -1032,6 +1024,7 @@ class ExtField(metaclass=_Canonical):
         self._red = reduction_table(modulus.coeffs, base.zero)
         self.zero = self.from_base(base.zero)
         self.one = self.from_base(base.one)
+        self._list_form = (0, self.zero, self.one)
         # the class of Y: a root of the modulus
         self.gen = self.from_poly(UniPoly.gen(base))
 
@@ -1067,20 +1060,10 @@ class ExtField(metaclass=_Canonical):
     def inv(self, x: ExtFieldElem) -> ExtFieldElem:
         if not x:
             raise NotInvertible(f"division by zero in {self}")
-        base = self._prime_base
-        if base is not None:
-            return _ext_elem(
-                tuple(inv_mod_p(x.coeffs, self._int_modulus, base.p)), self
-            )
-        g, u, _ = ext_gcd(x.poly, self.modulus)
-        if g.degree != 0:
-            raise VerificationError("modulus not coprime to nonzero residue")
-        return self.from_poly(u.scale(self.base.inv(g.coefficient(0))))
+        return _ext_elem(tuple(inv_mod(x.coeffs, self._list_modulus, self.base)), self)
 
     def iter_elements(self) -> Iterator[ExtFieldElem]:
-        base = self._prime_base
-        digits = range(base.p) if base is not None else list(self.base.iter_elements())
-        for tail in itertools.product(digits, repeat=self.degree):
+        for tail in itertools.product(_list_digits(self.base), repeat=self.degree):
             yield _ext_elem(tuple(reversed(tail)), self)
 
     def order_key(self, x: ExtFieldElem):
@@ -1451,18 +1434,22 @@ class ElementKernel:
         where it can hold every entry.  Towers, and vectors with another
         value (the MultiPolys of ``symbolic_vector``), are held as their
         :func:`field_entries`, with the root table itself as twiddles, and
-        released by :meth:`ElementKernel.release`.  ``dfts`` keeps the
-        ResidueDFT of the held ints under e and that of the entries under
-        ("entries", e)."""
+        released by :meth:`ElementKernel.release`; a vector whose first
+        entry is a MultiPoly goes there without trying the ints.
+        ``dfts`` keeps the ResidueDFT of the held ints under e and that of
+        the entries under ("entries", e)."""
         e = lcm(*divisors)
-        try:
-            held, context, dft = self._held_ints(groups, e, divisors)
-        except RingMismatch:
-            field = self.field
-            held = [field_entries(values, field) for values in groups]
-            dft = self._kept_dft(("entries", e), None, lambda: root_table(e, field))
-            return dft.run, held, lambda values, n: ElementKernel.release(self, values, None, n)
-        return dft.run, held, lambda values, n: self.release(values, context, n)
+        if not any(isinstance(values[0], multipoly.MultiPoly) for values in groups):
+            try:
+                held, context, dft = self._held_ints(groups, e, divisors)
+            except RingMismatch:
+                pass
+            else:
+                return dft.run, held, lambda values, n: self.release(values, context, n)
+        field = self.field
+        held = [field_entries(values, field) for values in groups]
+        dft = self._kept_dft(("entries", e), None, lambda: root_table(e, field))
+        return dft.run, held, lambda values, n: ElementKernel.release(self, values, None, n)
 
     def _kept_dft(self, key, p, powers):
         """The :class:`ResidueDFT` kept in ``dfts`` under key, made on
@@ -1526,8 +1513,6 @@ def field_entries(values, field) -> list:
     Fraction, as a field element.  Any other value raises RingMismatch:
     an element of another field, a Fraction over a finite field, a
     MultiPoly over another ring, a float, a str."""
-    from .multipoly import MultiPoly  # multipoly imports this module
-
     out = []
     for x in values:
         if isinstance(x, FieldElem):
@@ -1539,7 +1524,7 @@ def field_entries(values, field) -> list:
             if field.is_finite:
                 raise RingMismatch(f"the rational {x} in a vector over {field}")
             x = field.from_rational(x)
-        elif isinstance(x, MultiPoly):
+        elif isinstance(x, multipoly.MultiPoly):
             if x.ring is not field:
                 raise RingMismatch(f"a polynomial over {x.ring} in a vector over {field}")
         else:
@@ -2148,3 +2133,8 @@ def format_unipoly(p: UniPoly, var: str = "X") -> str:
         else:
             parts.append((" - " if neg else " + ") + body)
     return "".join(parts)
+
+
+# multipoly imports this module, so it is bound last: field_entries and
+# the transforms read multipoly.MultiPoly when they run
+from . import multipoly  # noqa: E402

@@ -1,16 +1,18 @@
 """Shared test helpers (a plain module, imported by the test files)."""
 
+import itertools
 import os
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
 from groupfft.cyclotomic import cyclotomic_polynomial
 from groupfft.multipoly import MultiPoly
-from groupfft.rings import QQ, ExtField, ExtFieldElem, UniPoly, ext_gcd, poly_powmod
+from groupfft.rings import QQ, ExtField, ExtFieldElem, UniPoly
 from groupfft.transform import GroupVector
 
 
@@ -194,17 +196,27 @@ def product_of_forms_reference(variables, zeta, exponents, field):
     return acc
 
 
+@lru_cache(maxsize=None)
+def _reducible_monics(p, n):
+    """Every product of two monic polynomials of positive degree over F_p
+    of total degree n, as a tuple of ints in [0, p), constant term first:
+    a sieve computed on plain int lists, with no library arithmetic."""
+    out = set()
+    for i in range(1, n // 2 + 1):
+        for a in itertools.product(range(p), repeat=i):
+            for b in itertools.product(range(p), repeat=n - i):
+                prod = [0] * (n + 1)
+                for j, x in enumerate((*a, 1)):
+                    for k, y in enumerate((*b, 1)):
+                        prod[j + k] += x * y
+                out.add(tuple(c % p for c in prod))
+    return out
+
+
 def is_irreducible_reference(f):
-    """Ben-Or's test on field elements: gcd(f, X^(q^i) - X) for i up to
-    deg(f)/2, through the element-valued poly_powmod and ext_gcd.  The
-    reference for the int-list path of rings.is_irreducible."""
-    if f.degree == 1:
-        return True
-    f = f.monic()
-    x = UniPoly.gen(f.ring)
-    h = x
-    for _ in range(f.degree // 2):
-        h = poly_powmod(h, f.ring.order, f)
-        if ext_gcd(f, h - x)[0].degree > 0:
-            return False
-    return True
+    """Irreducibility of f over F_p by the sieve of products: f made monic
+    is irreducible exactly when no product of two monic polynomials of
+    positive degree equals it.  The reference for rings.is_irreducible."""
+    p, coeffs = f.ring.p, [c.residue for c in f.coeffs]
+    inv = pow(coeffs[-1], -1, p)
+    return tuple(c * inv % p for c in coeffs) not in _reducible_monics(p, f.degree)

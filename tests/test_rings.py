@@ -93,6 +93,48 @@ class TestPolyArithmetic:
         assert r.degree < pb.degree
 
 
+class TestMakeCoercion:
+    """UniPoly.make reads ints, and Fractions over Q and Q(zeta_d), as
+    elements of its ring, by the rules of field_entries; anything else
+    raises RingMismatch."""
+
+    def test_int_coefficients_are_reduced(self):
+        f = UniPoly.make([1, 2], F2)
+        assert f.degree == 0 and f.coeffs == (F2.one,)
+
+    def test_int_coefficients_print_as_residues(self):
+        assert str(UniPoly.make([3, 1], F2)) == "X + 1"
+
+    def test_ints_equal_elements(self):
+        for ring in (F2, F7, F4, QQ, CyclotomicField(3)):
+            ints = [5, 0, 3, 1]
+            assert UniPoly.make(ints, ring) == from_ints(ints, ring)
+
+    def test_operations_on_int_coefficients(self):
+        f = UniPoly.make([1, 1, 3], F2)  # X^2 + X + 1
+        assert divmod(f, UniPoly.make([1, 1], F2)) == (
+            UniPoly.make([0, 1], F2), UniPoly.make([1], F2))
+        assert UniPoly.make([2, 3], F5).monic() == UniPoly.make([4, 1], F5)
+        assert ext_gcd(f, UniPoly.make([0, 1], F2))[0] == UniPoly.make([1], F2)
+        assert is_irreducible(f)
+
+    def test_float_over_q(self):
+        with pytest.raises(RingMismatch):
+            UniPoly.make([1.5, 1], QQ)
+        assert UniPoly.make([Fraction(3, 2), 1], QQ).coeffs == (Fraction(3, 2), Fraction(1))
+        # CyclotomicField.from_residue reads its coefficients through make
+        field = CyclotomicField(4)
+        with pytest.raises(RingMismatch):
+            field.from_residue([0.5, 1])
+        assert field.from_residue([Fraction(1, 2), 1]) == field.from_rational(Fraction(1, 2)) + field.zeta
+
+    def test_element_of_another_field(self):
+        with pytest.raises(RingMismatch):
+            UniPoly.make([F3.one, F2.one], F2)
+        with pytest.raises(RingMismatch):
+            UniPoly.make([Fraction(1, 2)], F3)
+
+
 class TestExtGcd:
     def test_inverse_mod_phi3(self):
         g, u, v = ext_gcd(qpoly(-1, 1), qpoly(1, 1, 1))
@@ -202,8 +244,9 @@ class TestFindIrreducible:
 
 
 class TestIntListPath:
-    """F_p[X] on int lists: the Ben-Or test and the searches over a prime
-    field, and the extended euclid behind ExtField.inv."""
+    """F_p[X] on int residue lists: the Ben-Or test and the searches over a
+    prime field, against a sieve of products, and the extended euclid
+    behind ExtField.inv, against sympy."""
 
     @pytest.mark.parametrize("p, top", [(2, 8), (3, 5), (5, 3), (7, 3)])
     def test_every_monic_polynomial_against_the_element_path(self, p, top):
@@ -250,19 +293,31 @@ class TestIntListPath:
         assert [c.residue for c in f.coeffs] == [1, 0, 1]
         assert not finite_field(p, 2).gen ** 2 + 1
 
-    def test_ext_gcd_mod_p_against_ext_gcd(self):
+    def test_ext_gcd_against_sympy_gcdex(self):
+        # sympy's gcdex(h, f) = (s, t, g) with s*h + t*f = g monic, the
+        # same normalized cofactors; list_ext_gcd returns (g, s, -t)
+        # (test-only dependency)
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("X")
+
+        def ints(poly, p):
+            coeffs = [int(c) % p for c in reversed(poly.all_coeffs())]
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            return coeffs
+
         rng = random.Random(71)
         for p in (2, 3, 7):
             field = PrimeField(p)
             for _ in range(60):
                 f = [rng.randrange(p) for _ in range(rng.randrange(1, 7))] + [rng.randrange(1, p)]
                 h = [rng.randrange(p) for _ in range(rng.randrange(0, 9))]
-                g, t = rings.ext_gcd_mod_p(f, h, p)
-                expected = ext_gcd(from_ints(f, field), from_ints(h, field))[0]
-                assert from_ints(g, field) == expected
-                assert len(t) < len(f)
-                assert (from_ints(t, field) * from_ints(h, field)) % from_ints(f, field) == (
-                    expected % from_ints(f, field))
+                s, t, g = sympy.Poly(list(reversed(h)) or [0], x, modulus=p).gcdex(
+                    sympy.Poly(list(reversed(f)), x, modulus=p))
+                expected = ints(g, p), ints(s, p), ints(t, p)
+                assert rings.list_ext_gcd(f, h, field) == (*expected[:2], ints(-t, p))
+                public = ext_gcd(from_ints(h, field), from_ints(f, field))
+                assert public == tuple(from_ints(c, field) for c in expected)
 
     @pytest.mark.parametrize("field", [F4, F9, finite_field(2, 5), finite_field(3, 4)],
                              ids=repr)
@@ -665,37 +720,48 @@ class TestChecksUnderO:
         setup = """
             import groupfft.rings as r
             from groupfft.rings import QQ, UniPoly
-            right = UniPoly.__divmod__
+            right = r.list_divmod
             calls = []
-            def wrong(a, b):
-                q, rem = right(a, b)
+            def wrong(a, b, field):
+                q, rem = right(a, b, field)
                 calls.append(b)
-                return (q, rem + UniPoly.constant(QQ.one, QQ)) if len(calls) == 1 else (q, rem)
-            UniPoly.__divmod__ = wrong
+                return (q, [(rem[0] if rem else QQ.zero) + 1] + rem[1:]) if len(calls) == 1 else (q, rem)
+            r.list_divmod = wrong
             a = UniPoly.make([QQ.one, QQ.zero, QQ.one], QQ)
             b = UniPoly.make([QQ.from_int(-2), QQ.one], QQ)
         """
         assert check_under_o("r.ext_gcd(a, b)", setup) == "raised: Bezout identity recheck failed"
 
     def test_bezout_recheck_on_int_lists(self):
-        # the int-list euclid of is_irreducible over F_3, its first
-        # remainder off by one
+        # the euclid of is_irreducible, its first remainder by a divisor
+        # below the degree-4 modulus off by one: over F_3 on int residues,
+        # and over F_4 on elements
         setup = """
             import groupfft.rings as r
-            right = r._divmod_mod_p
-            calls = []
-            def wrong(a, b, p):
-                q, rem = right(a, b, p)
-                if len(b) < 5:
-                    calls.append(b)
-                    if len(calls) == 1:
-                        rem = r._trim([(rem[0] + 1) % p] + rem[1:] if rem else [1])
-                return q, rem
-            r._divmod_mod_p = wrong
-            F3 = r.PrimeField(3)
-            f = r.UniPoly.make([F3.from_int(c) for c in (1, 0, 2, 0, 1)], F3)
+            F3, F4 = r.PrimeField(3), r.finite_field(2, 2)
+            right = r.list_divmod
+            def corrupting(target, zero, one):
+                calls = []
+                def wrong(a, b, field):
+                    q, rem = right(a, b, field)
+                    if field is target and len(b) < 5:
+                        calls.append(b)
+                        if len(calls) == 1:
+                            rem = right([(rem[0] if rem else zero) + one] + rem[1:], b, field)[1]
+                    return q, rem
+                r.list_divmod = wrong
         """
-        assert check_under_o("r.is_irreducible(f)", setup) == "raised: Bezout identity recheck failed"
+        over_f3 = """
+            corrupting(F3, 0, 1)
+            f = r.UniPoly.make([1, 0, 2, 0, 1], F3)
+        """
+        over_f4 = """
+            corrupting(F4, F4.zero, F4.one)
+            f = r.UniPoly.make([1, 0, 1, 0, 1], F4)
+        """
+        for over in (over_f3, over_f4):
+            assert (check_under_o("r.is_irreducible(f)", setup, over)
+                    == "raised: Bezout identity recheck failed")
 
     def test_gcd_degree_of_an_inverse(self):
         # a tower over F4 built on the reducible X^2 + 1 = (X + 1)^2
@@ -722,13 +788,12 @@ class TestChecksUnderO:
 
     @pytest.mark.parametrize("over, name", [("F3", "F3"), ("F4", "F2^2")])
     def test_no_irreducible_found(self, over, name):
-        # an irreducibility test that rejects every candidate, on the int
-        # path over F3 and the element path over F4
+        # a Ben-Or test that rejects every candidate, on int residues over
+        # F3 and on elements over F4
         setup = """
             import groupfft.rings as r
             F3, F4 = r.PrimeField(3), r.finite_field(2, 2)
-            r._is_irreducible_mod_p = lambda coeffs, p: False
-            r.is_irreducible = lambda f: False
+            r.list_is_irreducible = lambda coeffs, field: False
         """
         assert (check_under_o(f"r.find_irreducible({over}, 2)", setup)
                 == f"raised: no monic irreducible polynomial of degree 2 over {name}")

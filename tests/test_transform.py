@@ -448,6 +448,21 @@ class TestKernelDFT:
         assert X == fft_reference(x)
         assert inverse_fft(X) == x
 
+    @pytest.mark.parametrize("field", [F13, QQ, F9, cyclotomic_field(4)], ids=repr)
+    def test_multipoly_vectors_skip_the_held_ints(self, field, monkeypatch):
+        # a vector that starts with a MultiPoly goes to its entries without
+        # trying the held ints; one with a MultiPoly further on is refused
+        # by them and goes there too
+        group = AbelianGroup((2, 2))
+        x = symbolic_vector(group, field)
+        cls, tried = type(kernel(field)), []
+        right = cls._held_ints
+        monkeypatch.setattr(cls, "_held_ints",
+                            lambda self, *args: tried.append(args) or right(self, *args))
+        assert fft(x) == fft_reference(x) and not tried
+        later = GroupVector(group, field, (1,) + x.values[1:])
+        assert fft(later) == fft_reference(later) and tried
+
     def test_elements_of_another_prime_field(self):
         b = GroupVector(C2, PrimeField(5), (F7.one, F7.one))
         with pytest.raises(RingMismatch):
