@@ -105,16 +105,11 @@ output coefficient is split into its balanced base-2^W digits
 left over) and folded once through the integral reduction table.
 Towers hold their elements.  Single element operations keep
 the residue products above: the tables pay only where many operations
-share them.  The transforms of :mod:`groupfft.transform` run on the
-kernel too (``dft``, ``convolve``), each vector held once, run through
-one :class:`ResidueDFT` recursion with the root table held the same way
-as twiddles, and released once, the 1/n of an inverse folded in: over
-F_p on residues reduced once per level, over Q (roots 1 and -1) on the
-integer numerators, and over F_p[Y]/(m) and Q(zeta_d) on
-Kronecker-packed numerators with no reduction between stages.  Towers,
-and vectors of values the kernel cannot hold (MultiPolys), are held as
-their entries (:func:`field_entries`), with the root table itself as
-twiddles.
+share them.  A transform (``dft``) holds its vector the same way and
+runs one :class:`ResidueDFT` recursion on it, towers and MultiPolys on
+their entries (:func:`field_entries`); a convolution (``convolve``)
+holds its two vectors as for a product and multiplies them in the group
+ring as one int (:func:`cyclic_product`).
 
 No floating point is used anywhere.
 """
@@ -542,11 +537,6 @@ def inv_mod(a, m, field) -> list:
     if len(g) != 1:
         raise VerificationError("modulus not coprime to nonzero residue")
     return t + [field._list_form[1]] * (len(m) - 1 - len(t))
-
-
-def inv_mod_p(a, m, p: int) -> list:
-    """:func:`inv_mod` over F_p, on plain int coefficient lists."""
-    return inv_mod(a, m, PrimeField(p))
 
 
 def list_is_irreducible(f, field) -> bool:
@@ -1248,6 +1238,47 @@ def kronecker_pack(coeffs, width: int) -> int:
     return k
 
 
+def cyclic_product(x, y, divisors) -> list:
+    """The product of the int vectors x and y in Z[C_{d_1} x ... x C_{d_k}]
+    (lexicographic order, d_i the divisors): z_rho = sum x_sigma y_tau over
+    sigma tau = rho.  Kronecker substitution (Schoenhage 1982): axis i
+    takes 2 d_i - 1 slots of W bits, so no exponent wraps, and a slot, a
+    sum of products of one x and one y, is below |x|_1 |y|_1 < 2^(W-1).
+    One product of the packed vectors; its slots, biased by 2^(W-1) so
+    that none borrows, are read off one binary string and folded onto
+    their indices mod d_i.  VerificationError if the biased product leaves
+    its slots: its top coefficient overflowed."""
+    width = kronecker_width(max(1, sum(map(abs, x))) * max(1, sum(map(abs, y))))
+    half, slot = 1 << (width - 1), f"0{width}b"
+    places, slots = [0], 1
+    for d in divisors:
+        places = [s * (2 * d - 1) + j for s in places for j in range(d)]
+        slots *= 2 * d - 1
+    zero = format(half, slot)
+    bias = int(zero * slots, 2)
+    packed = []
+    for values in (x, y):
+        digits = [zero] * slots
+        for s, c in zip(places, values):
+            digits[slots - 1 - s] = format(c + half, slot)
+        packed.append(int("".join(digits), 2) - bias)
+    biased = packed[0] * packed[1] + bias
+    if biased >> (width * slots):
+        raise VerificationError(f"a cyclic product overflowed its {width}-bit slots")
+    bits = format(biased, f"0{width * slots}b")
+    out = [int(bits[i:i + width], 2) - half for i in range(width * (slots - 1), -1, -width)]
+    for d in divisors:  # fold axis i, the axes after it still 2 d_j - 1 wide
+        slots //= 2 * d - 1
+        low, span = d * slots, (2 * d - 1) * slots
+        folded = []
+        for s in range(0, len(out), span):
+            block = out[s:s + low]
+            block[:span - low] = map(operator.add, block, out[s + low:s + span])
+            folded += block
+        out = folded
+    return out
+
+
 def zech_sum(a: int, b: int, zech: list, n: int) -> int:
     """The log of g^a + g^b, for logs a and b of :class:`LogTables`
     (0 for zero) with ``zech`` and ``n`` from the same tables."""
@@ -1293,13 +1324,12 @@ def kernel(field):
     context, for ``release(values, context)`` to read such sums back as
     elements, ``release(values, context, n)`` each divided by n.  A held
     zero is 0, which every held form adds as zero.
-    ``dft(values, divisors, inverse)`` and ``convolve(a, b, divisors)``
-    transform and convolve vectors over C_{d_1} x ... x C_{d_k}, elements
-    in and out, through :class:`ResidueDFT`: on held ints wherever the
-    kernel can hold every entry (every field but towers), else on the
-    vector's :func:`field_entries`, released by
-    ``ElementKernel.release``; an entry :func:`field_entries` refuses
-    raises RingMismatch either way.
+    ``dft(values, divisors, inverse)`` transforms a vector over
+    C_{d_1} x ... x C_{d_k}, elements in and out, through
+    :class:`ResidueDFT`, on held ints or else on the vector's
+    :func:`field_entries`; ``convolve(a, b, divisors)`` multiplies two
+    held vectors by :func:`cyclic_product`, and raises RingMismatch where
+    they are not held as ints (towers, MultiPolys).
     """
     k = field._kernel
     if k is None:
@@ -1342,7 +1372,7 @@ class ElementKernel:
         2^(W-1) no balanced digit carries.
         """
         field = self.field
-        if self.table is None:  # elements, or F_p residues (IntKernel)
+        if self.table is None:  # elements
             return self.working_copy(groups), None
         lifted = [field._numerators(values) for values in groups]
         bound = den = 1
@@ -1409,47 +1439,34 @@ class ElementKernel:
         """The transform of values over C_{d_1} x ... x C_{d_k}, d_i the
         divisors, in lexicographic order: sum_sigma zeta^t(sigma, chi)
         values_sigma for every chi, or with inverse (1/n) sum_chi
-        zeta^-t(sigma, chi) values_chi for every sigma.  The values are
-        held once (:meth:`_held_transform`), run through a
-        :class:`ResidueDFT` and released once, divided by n for an
-        inverse."""
-        run, (x,), release = self._held_transform([values], divisors)
-        return release(run(x, divisors, inverse), len(x) if inverse else 1)
-
-    def convolve(self, a, b, divisors) -> list:
-        """The group-ring convolution of a and b: the inverse transform of
-        the product of their transforms, held from end to end."""
-        run, (x, y), release = self._held_transform([a, b], divisors)
-        products = list(map(operator.mul, run(x, divisors), run(y, divisors)))
-        return release(run(products, divisors, True), len(x))
-
-    def _held_transform(self, groups, divisors):
-        """(run, held, release) for the transforms of groups, one vector
-        for a transform or two for a convolution: ``run`` the
-        :meth:`ResidueDFT.run` of the root table of the group exponent e,
-        held as the vectors are, and ``release(values, n)`` the results as
-        elements, each divided by n.
-
-        The vectors are held as the kernel's ints (:meth:`_held_ints`)
-        where it can hold every entry.  Towers, and vectors with another
-        value (the MultiPolys of ``symbolic_vector``), are held as their
-        :func:`field_entries`, with the root table itself as twiddles, and
-        released by :meth:`ElementKernel.release`; a vector whose first
-        entry is a MultiPoly goes there without trying the ints.
-        ``dfts`` keeps the ResidueDFT of the held ints under e and that of
-        the entries under ("entries", e)."""
-        e = lcm(*divisors)
-        if not any(isinstance(values[0], multipoly.MultiPoly) for values in groups):
+        zeta^-t(sigma, chi) values_chi for every sigma: held once as the
+        kernel's ints where it can (:meth:`_held_ints`), run through the
+        :class:`ResidueDFT` of the group exponent e and released once.
+        Towers and MultiPolys (a vector that starts with one does not try
+        the ints) run on their :func:`field_entries`, with the root table
+        as twiddles, kept under ("entries", e)."""
+        e, n = lcm(*divisors), len(values) if inverse else 1
+        if not isinstance(values[0], multipoly.MultiPoly):
             try:
-                held, context, dft = self._held_ints(groups, e, divisors)
+                x, context, dft = self._held_ints(values, e, divisors)
             except RingMismatch:
                 pass
             else:
-                return dft.run, held, lambda values, n: self.release(values, context, n)
+                return self.release(dft.run(x, divisors, inverse), context, n)
         field = self.field
-        held = [field_entries(values, field) for values in groups]
         dft = self._kept_dft(("entries", e), None, lambda: root_table(e, field))
-        return dft.run, held, lambda values, n: ElementKernel.release(self, values, None, n)
+        return ElementKernel.release(
+            self, dft.run(field_entries(values, field), divisors, inverse), None, n)
+
+    def convolve(self, a, b, divisors) -> list:
+        """The group-ring convolution of a and b over C_{d_1} x ... x C_{d_k}:
+        both held once (:meth:`hold`), multiplied by :func:`cyclic_product`
+        and released once.  RingMismatch where they are not held as ints:
+        over a tower, or with a value :meth:`hold` refuses (a MultiPoly)."""
+        (x, y), context = self.hold([a, b])
+        if context is None:
+            raise RingMismatch(f"{self.field} holds its elements")
+        return self.release(cyclic_product(x, y, divisors), context)
 
     def _kept_dft(self, key, p, powers):
         """The :class:`ResidueDFT` kept in ``dfts`` under key, made on
@@ -1459,52 +1476,34 @@ class ElementKernel:
             dft = self.dfts[key] = ResidueDFT(p, powers())
         return dft
 
-    def _held_ints(self, groups, e, divisors):
-        """(held, context, dft) for the held-int transforms of groups over
-        F_p[Y]/(m) and Q(zeta_d); RingMismatch for a tower, which holds its
-        elements, and for a vector holding a value that is not an element
-        of the field, an int or (over Q(zeta_d)) a Fraction.
-
-        Each vector is held as Kronecker-packed numerators over its common
-        denominator, the dft runs on the root powers packed at the same
-        width W, and ``release(values, context, n)`` reads the results.  W
-        comes from an l1 bound.  An output of a transform of L stages
-        (:meth:`ResidueDFT.stages`) is sum_j (a product of L held
-        root powers) x_j, so its coefficients are at most
-        R^L sum_j |x_j|_1, R the largest l1 norm of a held root power, and
-        its degree in T at most (L + 1)(r - 1).  A convolution multiplies
-        two outputs and transforms the n products back in L more stages:
-        n R^(3L) |a|_1 |b|_1, degree (3L + 2)(r - 1).
-
-        ``dfts`` keeps, per exponent e, the root numerators, R and the
-        ResidueDFT of the widest W a call has needed; a call that needs no
-        more bits runs on it at that width, which is as exact, and a wider
-        call replaces it, as ``table`` grows.
-        """
+    def _held_ints(self, values, e, divisors):
+        """(held, context, dft) for the transform of values over F_p[Y]/(m)
+        and Q(zeta_d): Kronecker-packed numerators over their common
+        denominator, the dft on the root powers packed at the same width
+        W; RingMismatch for a tower and for a value that is not an element
+        of the field, an int or (over Q(zeta_d)) a Fraction.  An output of
+        L stages (:meth:`ResidueDFT.stages`) is sum_j (a product of L root
+        powers) x_j: coefficients at most R^L sum_j |x_j|_1, R the largest
+        l1 norm of a root power, degree in T at most (L + 1)(r - 1).
+        ``dfts`` keeps per e the root numerators, R and the ResidueDFT of
+        the widest W yet, which serves narrower calls as exactly."""
         field = self.field
         if self.table is None:
             raise RingMismatch(f"{field} holds its elements")
-        lifted = [field._numerators(values) for values in groups]
+        vectors, den = field._numerators(values)
         kept = self.dfts.get(e)
         if kept is None:
-            vectors, _ = field._numerators(root_table(e, field))
-            kept = self.dfts[e] = [vectors, max([sum(map(abs, v)) for v in vectors]), 0, None]
+            roots, _ = field._numerators(root_table(e, field))
+            kept = self.dfts[e] = [roots, max([sum(map(abs, v)) for v in roots]), 0, None]
         roots, norm, width, dft = kept
         stages = ResidueDFT.stages(divisors)
-        bound, degree, den = 1, 0, 1
-        for vectors, d in lifted:
-            bound *= norm ** stages * max(1, sum([abs(c) for v in vectors for c in v]))
-            degree += stages + 1
-            den *= d
-        if len(groups) == 2:  # the products are transformed back
-            bound *= len(groups[0]) * norm ** stages
-            degree += stages
+        bound = norm ** stages * max(1, sum([abs(c) for v in vectors for c in v]))
         if kronecker_width(bound) > width:
             width = kronecker_width(bound)
             dft = ResidueDFT(None, [kronecker_pack(v, width) for v in roots])
             kept[2:] = width, dft
-        held = [[kronecker_pack(v, width) for v in vectors] for vectors, _ in lifted]
-        return held, (den, width, degree * (field.degree - 1) + 1), dft
+        held = [kronecker_pack(v, width) for v in vectors]
+        return held, (den, width, (stages + 1) * (field.degree - 1) + 1), dft
 
 
 def field_entries(values, field) -> list:
@@ -1534,11 +1533,10 @@ def field_entries(values, field) -> list:
 
 
 class IntKernel(ElementKernel):
-    """F_p: products and transforms on int residues, each result reduced
-    mod p once (a transform once per level, :class:`ResidueDFT`);
-    elimination on packed rows; evaluation on elements.  A transform reads
-    its residues once and makes its elements once; a vector of other
-    values is held as its entries.
+    """F_p: products, transforms and convolutions on int residues, each
+    result reduced mod p once (a transform once per level,
+    :class:`ResidueDFT`); elimination on packed rows; evaluation on
+    elements.
 
     Elimination delays its reductions (Dumas, Fousse & Salvy, J. Symb.
     Comput. 2011).  The first pivot search packs each row of residues
@@ -1555,17 +1553,17 @@ class IntKernel(ElementKernel):
 
     __slots__ = ()
 
-    def _held_ints(self, groups, e, divisors):
+    def hold(self, groups):
+        return self.working_copy(groups), self.field.p
+
+    def _held_ints(self, values, e, divisors):
         field = self.field
-        return self.working_copy(groups), None, self._kept_dft(
+        return self.working_copy([values])[0], None, self._kept_dft(
             e, field.p, lambda: [x.residue for x in root_table(e, field)])
 
     def release(self, values, context, n=1) -> list:
-        field = self.field
-        if n != 1:
-            inv_n = pow(n, -1, field.p)
-            return [PrimeFieldElem(v * inv_n, field) for v in values]
-        return [PrimeFieldElem(v, field) for v in values]
+        field, inv_n = self.field, pow(n, -1, self.field.p)
+        return [PrimeFieldElem(v * inv_n, field) for v in values]
 
     def working_copy(self, rows) -> _PackedRows:
         field = self.field
@@ -1721,9 +1719,9 @@ class RationalKernel(ElementKernel):
         den *= n
         return [Fraction(v, den) for v in values]
 
-    def _held_ints(self, groups, e, divisors):
-        m = self.working_copy(groups)
-        return m, m.scale, self._kept_dft(
+    def _held_ints(self, values, e, divisors):
+        m = self.working_copy([values])
+        return m[0], m.scale, self._kept_dft(
             e, None, lambda: [int(w) for w in root_table(e, self.field)])
 
     def working_copy(self, rows) -> _ScaledRows:

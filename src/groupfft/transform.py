@@ -19,32 +19,26 @@ per level, down to leaf lines of length m', each one product by its
 m' x m' DFT matrix: m' scaled additions per output.  A leaf has prime
 length, or, on held ints, length at most ``rings.DFT_LEAF``.  Per factor
 that is n (sum(p_i - 1) + m') over its radix levels p_i and its leaf
-length m', instead of n^2 for the whole transform.  ``convolve`` multiplies transforms whenever the transform
-exists.  The O(n^2) sums are kept as ``fft_reference``,
-``inverse_fft_reference`` and ``convolve_reference``: the auditable
-oracles that tests and the CLI's ``--verify`` compare the fast path
-against; the first two are products by the character matrix and its
-inverse, as are the idempotents and the interpolation at roots of unity.
+length m', instead of n^2 for the whole transform.  ``convolve`` is one
+product in the group ring, which needs neither a root of unity nor an
+invertible n: one big-int product of the two held vectors.  The O(n^2)
+sums are kept as ``fft_reference``, ``inverse_fft_reference`` and
+``convolve_reference``: the auditable oracles that tests and the CLI's
+``--verify`` compare the fast path against (and ``convolve`` on towers
+and MultiPoly vectors); the first two are products by the character
+matrix and its inverse, as are the idempotents and the interpolation at
+roots of unity.
 
-The transforms run on the field's kernel (:func:`groupfft.rings.kernel`,
-its ``dft`` and ``convolve``) and read the root table of the group
-exponent (:func:`groupfft.rings.root_table`), kept on the field
-descriptor.  The kernel holds the entries once, runs the one recursion
-on them (:class:`groupfft.rings.ResidueDFT`, which also keeps the
-twiddles and the DFT matrices of the leaves), multiplies a convolution's
-transforms on the same held values, and releases each output once, with
-the 1/n of an inverse folded in.  Over F_p the held values are residues,
-reduced once per level; over Q, whose roots are 1 and -1, the integer
-numerators over their lcm; over F_p[Y]/(m) and Q(zeta_d) the numerators
-packed into one int each by Kronecker substitution and never reduced
-between stages, the digit width taken from an l1 bound over the stages.
-Towers, and vectors with other values (the MultiPolys of
-``symbolic_vector``, say), are held as their entries, with the root
-table itself as twiddles.  Int entries, and over Q and Q(zeta_d)
-Fraction entries, are read as field elements on every path; any other
-entry that is not an element of the field or a MultiPoly over it (an
-element of another field, a float) raises RingMismatch, in the
-references too (:func:`groupfft.rings.field_entries`).
+The transforms run on the field's kernel (:func:`groupfft.rings.kernel`)
+and the root table of the group exponent
+(:func:`groupfft.rings.root_table`): the kernel holds the entries once,
+runs :class:`groupfft.rings.ResidueDFT` on them and releases each output
+once, the 1/n of an inverse folded in; towers and MultiPoly vectors are
+held as their entries, with the root table as twiddles.  Int entries,
+and over Q and Q(zeta_d) Fraction entries, are read as field elements on
+every path; any other entry that is not an element of the field or a
+MultiPoly over it (an element of another field, a float) raises
+RingMismatch, in the references too (:func:`groupfft.rings.field_entries`).
 """
 
 from __future__ import annotations
@@ -55,7 +49,7 @@ from operator import add, mul
 
 from .abelian import AbelianGroup, character_matrix, character_matrix_inverse
 from .cyclotomic import splitting_field
-from .errors import NoRootOfUnity, PreconditionError, RingMismatch, VerificationError
+from .errors import PreconditionError, RingMismatch, VerificationError
 from .linalg import mat_eq, mat_mul, mat_pow, mat_rank, transpose
 from .multipoly import MultiPoly
 from .rings import UniPoly, field_entries, kernel, root_table
@@ -207,25 +201,23 @@ def _require_convolvable(a: GroupVector, b: GroupVector):
 
 
 def convolve(a: GroupVector, b: GroupVector) -> GroupVector:
-    """Group-ring convolution: (a * b)_rho = sum over sigma tau = rho.
-
-    Computed as inverse_fft(fft(a) . fft(b)) whenever the transform exists.
-    It falls back to the direct sum ``convolve_reference`` only when the
-    characteristic divides n, or when the field has no primitive root of
-    unity of the group exponent (it raises NoRootOfUnity, as every finite
-    field does in the first case).
-    """
+    """Group-ring convolution: (a * b)_rho = sum over sigma tau = rho, as
+    one big-int product of the kernel's held vectors
+    (:func:`groupfft.rings.cyclic_product`); towers and MultiPoly vectors,
+    which it does not hold as ints, take ``convolve_reference``."""
     _require_convolvable(a, b)
     group, field = a.group, a.field
     try:
         out = kernel(field).convolve(a.values, b.values, group.divisors)
-    except NoRootOfUnity:
+    except RingMismatch:
         return convolve_reference(a, b)
     return GroupVector(group, field, tuple(out))
 
 
 def convolve_reference(a: GroupVector, b: GroupVector) -> GroupVector:
-    """Group-ring convolution as the direct O(n^2) sum; valid in any field."""
+    """Group-ring convolution as the direct O(n^2) sum; valid in any field.
+    An output with no nonzero product is the zero of the entries' kind: a
+    zero MultiPoly where the vectors hold one, else the field's zero."""
     _require_convolvable(a, b)
     group, field = a.group, a.field
     a_values, b_values = field_entries(a.values, field), field_entries(b.values, field)
@@ -242,7 +234,10 @@ def convolve_reference(a: GroupVector, b: GroupVector) -> GroupVector:
             k = group.index(group.mul(sigma, tau))
             term = va * vb
             out[k] = term if out[k] is None else out[k] + term
-    return GroupVector(group, field, tuple(field.zero if v is None else v for v in out))
+    zero = field.zero
+    if any(isinstance(v, MultiPoly) for v in a_values + b_values):
+        zero = MultiPoly.zero((), field)
+    return GroupVector(group, field, tuple(zero if v is None else v for v in out))
 
 
 def diagonalize(b: GroupVector) -> tuple:

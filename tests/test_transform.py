@@ -337,10 +337,14 @@ class TestFastAgainstReference:
         B = GroupVector(group, field, ints, dual=True)
         assert inverse_fft(B) == inverse_fft_reference(B)
 
-    @pytest.mark.parametrize(
-        "n,field", [(5, PrimeField(5)), (3, QQ)], ids=["char-divides-n", "no-root"]
-    )
+    @pytest.mark.parametrize("n,field", [
+        (5, PrimeField(5)), (3, QQ), (9, F9), (250, PrimeField(5)), (64, F9), (64, QQ),
+        (64, cyclotomic_field(8)), (7, PrimeField(2)),
+    ], ids=["char-divides-n", "no-root", "C9-F9-char-divides-n", "C250-F5-char-divides-n",
+            "C64-F9-no-root", "C64-Q-no-root", "C64-Q(zeta_8)-no-root", "C7-F2-no-root"])
     def test_convolve_fallback(self, n, field):
+        """Without a transform, p | n or no root of the exponent, convolve
+        is still its one product: the direct sum, written out here."""
         group = AbelianGroup.cyclic(n)
         rng = random.Random(n)
         a = random_vector(group, field, rng)
@@ -352,6 +356,83 @@ class TestFastAgainstReference:
             for j in range(n):
                 expected[(i + j) % n] += a.values[i] * b.values[j]
         assert convolve(a, b).values == tuple(expected)
+        assert convolve(a, b) == convolve_reference(a, b)
+
+    @pytest.mark.parametrize("divisors,field,theorem", [
+        ((3, 3), PrimeField(3), False),
+        ((2,) * 8, PrimeField(3), True),
+        ((3, 5), F7, False),
+        ((4, 4, 4), F13, True),
+        ((2, 4), cyclotomic_field(8), True),
+    ], ids=["C3xC3-F3", "C2^8-F3", "C3xC5-F7", "C4^3-F13", "C2xC4-Q(zeta_8)"])
+    def test_padded_layouts(self, divisors, field, theorem):
+        """Several axes, each padded to 2 d_i - 1 slots in the product: the
+        convolution is the reference's, and, where the field holds the
+        roots, the convolution theorem holds."""
+        group = AbelianGroup(divisors)
+        rng = random.Random(repr(divisors))
+        for _ in range(2):
+            a, b = random_vector(group, field, rng), random_vector(group, field, rng)
+            ab = convolve(a, b)
+            assert ab == convolve_reference(a, b)
+            if theorem:
+                assert fft(ab).values == tuple(x * y for x, y in zip(fft(a).values, fft(b).values))
+
+    @pytest.mark.parametrize("divisors", [(8,), (2, 4)], ids=["C8", "C2xC4"])
+    def test_l1_extremes(self, divisors):
+        """The slot width at its largest: every entry p - 1 over
+        F_(2^61 - 1), and numerators of 10^300 over Q and Q(zeta_8)."""
+        group = AbelianGroup(divisors)
+        p = (1 << 61) - 1
+        field = PrimeField(p)
+        top = GroupVector(group, field, (p - 1,) * group.order)
+        assert convolve(top, top).values == (field.from_int(group.order),) * group.order
+        big = 10 ** 300
+        z8 = cyclotomic_field(8)
+        vectors = [
+            (QQ, [big, -big, Fraction(big, 3), Fraction(-big + 1, 7)]),
+            (z8, [z8.from_residue([big, -big, big, 1]), big, Fraction(-big, 9),
+                  z8.from_residue([0, Fraction(big, 5), 0, -big])]),
+        ]
+        for field, values in vectors:
+            a = GroupVector(group, field, tuple(values * 2))
+            b = GroupVector(group, field, tuple(values[::-1] * 2))
+            assert convolve(a, b) == convolve_reference(a, b)
+
+    def test_multipoly_zero_products(self):
+        """An output with no nonzero product is a zero MultiPoly where the
+        vectors hold MultiPolys, on both paths."""
+        x = GroupVector(C2, F7, tuple(MultiPoly.constant(F7.from_int(k), (), F7) for k in (1, 0)))
+        z = GroupVector(C2, F7, (MultiPoly.zero((), F7),) * 2)
+        for out in (convolve_reference(x, z), convolve(x, z)):
+            assert out.values == (MultiPoly.zero((), F7),) * 2
+            assert all(isinstance(v, MultiPoly) for v in out.values)
+        assert convolve(x, z) == convolve_reference(x, z)
+
+    def test_top_slot_overflow(self, monkeypatch):
+        """a = b = (0, ..., 0, p - 1) puts (p - 1)^2 = |a|_1 |b|_1, the
+        bound, in the top slot of the product: a slot width one bit short
+        of it overflows and raises."""
+        p = (1 << 61) - 1
+        field = PrimeField(p)
+        a = GroupVector(AbelianGroup.cyclic(4), field, (0, 0, 0, p - 1))
+        assert convolve(a, a) == convolve_reference(a, a)
+        monkeypatch.setattr(rings, "kronecker_width", lambda bound: bound.bit_length())
+        with pytest.raises(VerificationError, match="overflowed its 122-bit slots"):
+            convolve(a, a)
+
+    def test_top_slot_overflow_under_o(self):
+        setup = """
+            import groupfft.rings as rings
+            from groupfft.abelian import AbelianGroup
+            from groupfft.rings import PrimeField
+            from groupfft.transform import GroupVector, convolve
+            p = (1 << 61) - 1
+            a = GroupVector(AbelianGroup.cyclic(4), PrimeField(p), (0, 0, 0, p - 1))
+            rings.kronecker_width = lambda bound: bound.bit_length()
+        """
+        assert (check_under_o("convolve(a, a)", setup)
+                == "raised: a cyclic product overflowed its 122-bit slots")
 
     def test_convolve_rejects_mixed_fields(self):
         a = qvec(C2, 1, 2)
@@ -384,8 +465,10 @@ def constants(values, field):
 
 def check_both_forms(group, field, a, b):
     """The kernel's transform, inverse and convolution of the values a and
-    b, held as the kernel holds them and, lifted to constant MultiPolys, as
-    entries, against the O(n^2) references."""
+    b, held as the kernel holds them, against the O(n^2) references; and,
+    lifted to constant MultiPolys, the kernel's transforms on the entries
+    and ``convolve``, which takes the reference since the kernel refuses
+    to convolve MultiPolys."""
     kern, divisors = kernel(field), group.divisors
     want = [fft_reference(GroupVector(group, field, a)).values,
             inverse_fft_reference(GroupVector(group, field, a, dual=True)).values,
@@ -393,7 +476,10 @@ def check_both_forms(group, field, a, b):
     held = [kern.dft(a, divisors), kern.dft(a, divisors, True), kern.convolve(a, b, divisors)]
     assert held == [list(v) for v in want]
     x, y = constants(a, field), constants(b, field)
-    entries = [kern.dft(x, divisors), kern.dft(x, divisors, True), kern.convolve(x, y, divisors)]
+    with pytest.raises(RingMismatch):
+        kern.convolve(x, y, divisors)
+    entries = [kern.dft(x, divisors), kern.dft(x, divisors, True),
+               list(convolve(GroupVector(group, field, x), GroupVector(group, field, y)).values)]
     assert entries == [constants(v, field) for v in want]
 
 
@@ -582,6 +668,19 @@ class TestHeldDFT:
             assert inverse_fft(fft(b)).values == tuple(field_entries(b.values, field))
         assert kern.dfts[8][2] == width
 
+    def test_convolve_leaves_the_kept_roots(self, monkeypatch):
+        """A convolution runs no transform: it leaves the root table the
+        transforms keep at the width they needed."""
+        group = AbelianGroup.cyclic(8)
+        rng = random.Random(8)
+        a, b = random_vector(group, F9, rng), random_vector(group, F9, rng)
+        kern = kernel(F9)
+        monkeypatch.setattr(kern, "dfts", {})
+        fft(a)
+        width = kern.dfts[8][2]
+        assert convolve(a, b) == convolve_reference(a, b)
+        assert kern.dfts[8][2] == width
+
     def test_a_short_width_raises_under_o(self):
         setup = """
             import groupfft.rings as rings
@@ -618,8 +717,9 @@ class TestHeldDFT:
             fft(symbolic_vector(group, field))
 
     def test_towers_take_the_element_transform(self, monkeypatch):
-        """A tower holds its entries: its transforms run through
-        ResidueDFT.run with the root table itself as twiddles."""
+        """A tower holds its entries: its two transforms run through
+        ResidueDFT.run with the root table itself as twiddles, and its
+        convolution is the direct sum, which runs no transform."""
         group = AbelianGroup.cyclic(7)
         rng = random.Random(7)
         a, b = random_vector(group, F4_TOWER, rng), random_vector(group, F4_TOWER, rng)
@@ -628,7 +728,7 @@ class TestHeldDFT:
         A = GroupVector(group, F4_TOWER, a.values, dual=True)
         assert inverse_fft(A) == inverse_fft_reference(A)
         assert convolve(a, b) == convolve_reference(a, b)
-        assert len(runs) == 5
+        assert len(runs) == 2
         assert all(dft.powers is root_table(7, F4_TOWER) for dft in runs)
 
     @pytest.mark.parametrize(
@@ -679,8 +779,10 @@ SYMBOLIC_CASES = [
 
 
 class TestEntriesDFT:
-    """Towers and MultiPoly vectors are held as their entries, with the
-    root table itself as twiddles, and run through ResidueDFT.run."""
+    """The transforms of towers and MultiPoly vectors hold them as their
+    entries, with the root table itself as twiddles, and run through
+    ResidueDFT.run; their convolutions are the direct sum, which the
+    kernel, holding no ints for them, leaves to convolve_reference."""
 
     @pytest.mark.parametrize(
         "divisors,field", TOWER_CASES, ids=[f"{d}-{f!r}" for d, f in TOWER_CASES]
