@@ -42,6 +42,7 @@ from .factorize import (
     FactoredDeterminant,
     FactorEntry,
     LinearForm,
+    Verification,
     det_over_finite_field,
     det_over_rationals,
     det_split_field,

@@ -26,13 +26,17 @@ products, which run the symbolic checks below on packed monomials and
 int-held coefficients too.
 
 Every factorization verifies its product identity on the spot: exactly
-(symbolically) up to n = 6, and at fixed pseudorandom points beyond.
+(symbolically) up to n = 6, and at seeded points beyond, integer points
+over Q and Q(zeta_d), points of the splitting field over F_q; the
+:class:`Verification` record of the check, its Schwartz-Zippel bound
+included, rides on the result.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from dataclasses import field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
@@ -66,8 +70,12 @@ _SYMBOLIC_VERIFY_CAP = 6
 # was not run again.  The cap admits every factorization that finishes in
 # seconds.
 FORM_PRODUCT_CAP = 30_000
-_POINT_CHECKS = 20
+_POINT_CHECKS = 20  # over F_q
 _VERIFY_SEED = 0x5EED
+# in characteristic 0: points of ints in [-2^32, 2^32), enough of them
+# that a wrong product passes with probability at most 2^-64
+_INT_POINT_HALF = 1 << 32
+_BOUND_TARGET = Fraction(1, 1 << 64)
 
 
 @dataclass(frozen=True)
@@ -95,10 +103,29 @@ class FactorEntry:
 
 
 @dataclass(frozen=True)
+class Verification:
+    """How :func:`verify_product_identity` checked a factorization.
+
+    method is "symbolic" or "points"; seed seeds the points (None when
+    symbolic) and points counts them; field is where the product was
+    evaluated; bound is the probability that a wrong product passes, 0
+    for the symbolic check and (n/|S|)^points for points drawn uniformly
+    from S, n the degree (Schwartz-Zippel).
+    """
+
+    method: str
+    seed: int | None
+    points: int
+    field: object
+    bound: Fraction
+
+
+@dataclass(frozen=True)
 class FactoredDeterminant:
     field: object
     variables: tuple[str, ...]
     factors: tuple[FactorEntry, ...]
+    verification: Verification | None = dataclass_field(default=None, compare=False)
 
     def product(self) -> MultiPoly:
         """The product of the factors, each to its multiplicity."""
@@ -153,26 +180,36 @@ def _random_elem(field, rng: random.Random):
     return Fraction(rng.randrange(-50, 51), rng.randrange(1, 9))
 
 
-def verify_product_identity(fd: FactoredDeterminant, matrix_of, eval_field=None, lift=None):
-    """Check product(factors) = det of the group matrix.
+def verify_product_identity(fd: FactoredDeterminant, matrix_of, eval_field=None,
+                            lift=None) -> Verification:
+    """Check product(factors) = det of the group matrix; return how.
 
     ``matrix_of(values, field)`` returns the rows of the caller's group
     matrix with the given entries, one per variable of ``fd`` in order.
-    Symbolic comparison for groups of order <= 6, on the matrix of the
-    variables; otherwise evaluated at fixed pseudorandom points (in
-    eval_field when the factor coefficients live in an extension of the
-    determinant's own field, mapped there by lift), with the determinant
-    eliminated afresh at every point.  A mismatch raises
-    VerificationError, also under ``python -O``.
+    Up to order 6 the check is symbolic, on the matrix of the variables.
+    Beyond, both sides are evaluated at seeded points, the determinant
+    eliminated afresh at every point.  A wrong product, of degree n the
+    order, survives a point drawn uniformly from a set S with probability
+    at most n/|S| (Schwartz-Zippel), so k points bound it by (n/|S|)^k:
+
+    * in characteristic 0 (Q, Q(zeta_d)) the points are ints uniform in
+      [-2^32, 2^32), as many as bring (n/|S|)^k to 2^-64 or below, and the
+      determinant is the one over Q, embedded in the factors' field;
+    * over F_q the points are 20 elements of eval_field (the splitting
+      field the factor coefficients were computed in, mapped there by
+      lift), for a bound of (n/|eval_field|)^20.
+
+    A mismatch raises VerificationError, also under ``python -O``.
     """
     variables = fd.variables
+    n = len(variables)
     field = eval_field if eval_field is not None else fd.field
-    if len(variables) <= _SYMBOLIC_VERIFY_CAP:
+    if n <= _SYMBOLIC_VERIFY_CAP:
         generic = [MultiPoly.variable(v, variables, fd.field) for v in variables]
         expected = symbolic_det(matrix_of(generic, fd.field))
         if fd.product() != expected:
             raise VerificationError("factor product differs from group determinant")
-        return
+        return Verification("symbolic", None, 0, fd.field, Fraction(0))
     rng = random.Random(_VERIFY_SEED)
     # copies local to this check, so their Horner plans are dropped with
     # it rather than kept on memoized factors
@@ -182,17 +219,29 @@ def verify_product_identity(fd: FactoredDeterminant, matrix_of, eval_field=None,
         local = (MultiPoly(p.variables, p.terms, p.ring) if lift is None
                  else p.map_coefficients(lift, field))
         factors.append((local, entry.multiplicity))
-    for _ in range(_POINT_CHECKS):
-        values = [_random_elem(field, rng) for _ in variables]
+    if field.characteristic:
+        count, miss = _POINT_CHECKS, Fraction(n, field.order)
+    else:
+        miss = Fraction(n, 2 * _INT_POINT_HALF)
+        count = 1
+        while miss ** count > _BOUND_TARGET:
+            count += 1
+    for _ in range(count):
+        if field.characteristic:
+            values = [_random_elem(field, rng) for _ in variables]
+            det_val = mat_det(matrix_of(values, field), field)
+        else:
+            values = [rng.randrange(-_INT_POINT_HALF, _INT_POINT_HALF) for _ in variables]
+            det_val = field.from_rational(mat_det(matrix_of(values, QQ), QQ))
         point = dict(zip(variables, values))
         prod_val = field.one
         for poly, multiplicity in factors:
             val = poly.evaluate(point)
             for _ in range(multiplicity):
                 prod_val = prod_val * val
-        det_val = mat_det(matrix_of(values, field), field)
         if prod_val != det_val:
             raise VerificationError("factor product disagrees with determinant at a point")
+    return Verification("points", _VERIFY_SEED, count, field, miss ** count)
 
 
 def _abelian_matrix(group: AbelianGroup):
@@ -230,8 +279,8 @@ def det_split_field(group: AbelianGroup, field=None) -> FactoredDeterminant:
             )
         )
     fd = FactoredDeterminant(field, group_variables(group), tuple(entries))
-    verify_product_identity(fd, _abelian_matrix(group))
-    return fd
+    return replace(
+        fd, verification=verify_product_identity(fd, _abelian_matrix(group)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +422,8 @@ def det_over_rationals(n: int) -> FactoredDeterminant:
         for d in divisors(n)
     )
     fd = FactoredDeterminant(QQ, group_variables(group), entries)
-    verify_product_identity(fd, _abelian_matrix(group))
-    return fd
+    return replace(
+        fd, verification=verify_product_identity(fd, _abelian_matrix(group)))
 
 
 # ---------------------------------------------------------------------------
@@ -535,5 +584,5 @@ def det_over_finite_field(n: int, field) -> FactoredDeterminant:
         )
     fd = FactoredDeterminant(field, variables, tuple(entries))
     lift = None if big is field else embed
-    verify_product_identity(fd, _abelian_matrix(group), eval_field=big, lift=lift)
-    return fd
+    return replace(fd, verification=verify_product_identity(
+        fd, _abelian_matrix(group), eval_field=big, lift=lift))

@@ -19,7 +19,7 @@ same polynomial is also computed; the two agree up to the constant
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from math import factorial
@@ -514,5 +514,5 @@ def frobenius_factorization(group: FiniteGroup, reps) -> FactoredDeterminant:
         for rep in reps
     )
     fd = FactoredDeterminant(field, group.variables(), entries)
-    verify_product_identity(fd, lambda values, _field: group.group_matrix(values))
-    return fd
+    return replace(fd, verification=verify_product_identity(
+        fd, lambda values, _field: group.group_matrix(values)))

@@ -1243,12 +1243,14 @@ def cyclic_product(x, y, divisors) -> list:
     (lexicographic order, d_i the divisors): z_rho = sum x_sigma y_tau over
     sigma tau = rho.  Kronecker substitution (Schoenhage 1982): axis i
     takes 2 d_i - 1 slots of W bits, so no exponent wraps, and a slot, a
-    sum of products of one x and one y, is below |x|_1 |y|_1 < 2^(W-1).
-    One product of the packed vectors; its slots, biased by 2^(W-1) so
-    that none borrows, are read off one binary string and folded onto
-    their indices mod d_i.  VerificationError if the biased product leaves
-    its slots: its top coefficient overflowed."""
-    width = kronecker_width(max(1, sum(map(abs, x))) * max(1, sum(map(abs, y))))
+    sum of products of one x and one y, each y at most once, is at most
+    min(|x|_1 |y|_inf, |x|_inf |y|_1) < 2^(W-1).  One product of the
+    packed vectors; its slots, biased by 2^(W-1) so that none borrows, are
+    read off one binary string and folded onto their indices mod d_i.
+    VerificationError if the biased product leaves its slots: its top
+    coefficient overflowed."""
+    ax, ay = list(map(abs, x)), list(map(abs, y))
+    width = kronecker_width(max(1, min(sum(ax) * max(ay), max(ax) * sum(ay))))
     half, slot = 1 << (width - 1), f"0{width}b"
     places, slots = [0], 1
     for d in divisors:

@@ -25,6 +25,8 @@ from groupfft.factorize import (
     FORM_PRODUCT_CAP,
     FactorEntry,
     FactoredDeterminant,
+    Verification,
+    _abelian_matrix,
     _product_of_forms,
     det_over_finite_field,
     det_over_rationals,
@@ -467,23 +469,26 @@ class TestVerification:
         script = textwrap.dedent("""
             from dataclasses import replace
             from groupfft import AbelianGroup, VerificationError, det_over_rationals
-            from groupfft.factorize import verify_product_identity
+            from groupfft.factorize import det_split_field, verify_product_identity
             from groupfft.transform import GroupVector, group_matrix
 
             assert False, "assertions are on"
-            for n in (5, 8):  # symbolic check, then point checks
+            # symbolic check, point checks over Q, and over Q(zeta_8)
+            for name, n, make in [("5", 5, lambda g: det_over_rationals(5)),
+                                  ("8", 8, lambda g: det_over_rationals(8)),
+                                  ("split C8", 8, det_split_field)]:
                 group = AbelianGroup.cyclic(n)
                 matrix_of = lambda values, field: group_matrix(
                     GroupVector(group, field, tuple(values))).rows()
-                fd = det_over_rationals(n)
+                fd = make(group)
                 last = fd.factors[-1]
                 wrong = replace(fd, factors=fd.factors[:-1] + (replace(last, multiplicity=2),))
                 try:
                     verify_product_identity(wrong, matrix_of)
                 except VerificationError as exc:
-                    print(n, "raised:", exc)
+                    print(name, "raised:", exc)
                 else:
-                    print(n, "passed a wrong product")
+                    print(name, "passed a wrong product")
         """)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src)
@@ -493,6 +498,7 @@ class TestVerification:
         assert proc.stdout.splitlines() == [
             "5 raised: factor product differs from group determinant",
             "8 raised: factor product disagrees with determinant at a point",
+            "split C8 raised: factor product disagrees with determinant at a point",
         ]
 
     def test_points_are_pinned(self):
@@ -521,6 +527,94 @@ class TestVerification:
         det_over_rationals and norm_form hold no Horner plan afterwards."""
         fd = det_over_rationals(9)
         assert all(e.poly._plan is None for e in fd.factors)
+
+
+# characteristic-0 point checks: (over, divisors)
+CHAR0_POINT_CASES = [("Q", (8,)), ("Q", (9,)), ("Q", (12,)), ("split", (8,)),
+                     ("split", (2, 4)), ("split", (7,)), ("split", (3, 3))]
+CHAR0_IDS = [f"{over}-" + "x".join(f"C{d}" for d in divs) for over, divs in CHAR0_POINT_CASES]
+INT_POINT_SET = 1 << 33  # |S|, S = [-2^32, 2^32)
+
+
+def _char0_case(over, divs):
+    """(factorization, matrix_of) over Q (cyclic) or over Q(zeta_d)."""
+    group = AbelianGroup(divs)
+    fd = det_over_rationals(group.order) if over == "Q" else det_split_field(group)
+    return fd, _abelian_matrix(group)
+
+
+def _recorded_points(fd, matrix_of):
+    """verify_product_identity's record and the (values, field, rows) it checked at."""
+    seen = []
+
+    def recording(values, field):
+        rows = matrix_of(values, field)
+        seen.append((list(values), field, rows))
+        return rows
+
+    return verify_product_identity(fd, recording), seen
+
+
+class TestIntegerPoints:
+    """Over Q and Q(zeta_d) the point checks draw ints uniform in
+    S = [-2^32, 2^32), as many as bring (n/|S|)^k to 2^-64."""
+
+    # Q C8: TestVerification.test_point_check_raises_typed_error
+    @pytest.mark.parametrize("over,divs", CHAR0_POINT_CASES[1:], ids=CHAR0_IDS[1:])
+    def test_corrupted_multiplicity_raises(self, over, divs):
+        fd, matrix_of = _char0_case(over, divs)
+        with pytest.raises(VerificationError, match="at a point"):
+            verify_product_identity(_corrupted(fd), matrix_of)
+
+    @pytest.mark.parametrize("over,divs", CHAR0_POINT_CASES, ids=CHAR0_IDS)
+    def test_three_int_points_in_s(self, over, divs):
+        fd, matrix_of = _char0_case(over, divs)
+        record, seen = _recorded_points(fd, matrix_of)
+        assert len(seen) == 3
+        for values, field, _ in seen:
+            assert field is QQ
+            assert all(type(v) is int and -(1 << 32) <= v < 1 << 32 for v in values)
+        n = len(fd.variables)
+        assert record == Verification("points", record.seed, 3, fd.field,
+                                      Fraction(n, INT_POINT_SET) ** 3)
+        assert record.bound <= Fraction(1, 1 << 64)
+        assert fd.verification == record
+
+    @pytest.mark.parametrize("over,divs", [("Q", (9,)), ("split", (2, 4))],
+                             ids=["Q-C9", "split-C2xC4"])
+    def test_points_against_sympy(self, over, divs):
+        """At the checked points sympy's determinant of the group matrix
+        equals the product of the factors."""
+        sympy = pytest.importorskip("sympy")
+        fd, matrix_of = _char0_case(over, divs)
+        _, seen = _recorded_points(fd, matrix_of)
+        # copies, so the memoized factors keep no Horner plan
+        factors = [(MultiPoly(e.poly.variables, e.poly.terms, e.poly.ring), e.multiplicity)
+                   for e in fd.factors]
+        for values, _, rows in seen:
+            det = sympy.Matrix([[int(x) for x in row] for row in rows]).det()
+            point = dict(zip(fd.variables, values))
+            product = fd.field.one
+            for poly, multiplicity in factors:
+                product = product * poly.evaluate(point) ** multiplicity
+            assert product == fd.field.from_int(int(det))
+
+    def test_symbolic_record(self):
+        fd = det_over_rationals(6)
+        assert fd.verification == Verification("symbolic", None, 0, QQ, Fraction(0))
+
+    def test_finite_field_record(self):
+        """Over F_q: 20 points of the splitting field, here F_8."""
+        fd = det_over_finite_field(7, F2)
+        big, _ = splitting_field(F2, 7)
+        assert fd.verification.field is big
+        assert fd.verification.bound == Fraction(7, 8) ** 20
+        assert (fd.verification.method, fd.verification.points) == ("points", 20)
+
+    def test_record_is_not_compared(self):
+        fd = det_over_rationals(8)
+        assert fd.verification is not None
+        assert replace(fd, verification=None) == fd
 
 
 class TestExpansionCap:

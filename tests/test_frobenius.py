@@ -2,6 +2,7 @@
 
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -455,6 +456,24 @@ class TestAlternatingGroupDegreeThree:
         wrong = replace(fd, factors=fd.factors[:3] + (replace(fd.factors[3], multiplicity=2),))
         with pytest.raises(VerificationError, match="at a point"):
             verify_product_identity(wrong, matrix_of)
+
+    def test_point_checks_at_three_int_points(self, a4_data):
+        """A4's factors live in Q(zeta_3): three int points of
+        [-2^32, 2^32), for a bound of (12 / 2^33)^3 <= 2^-64."""
+        group, reps = a4_data
+        fd = frobenius_factorization(group, reps)
+        points = []
+
+        def recording(values, _field):
+            points.append(values)
+            return group.group_matrix(values)
+
+        record = verify_product_identity(fd, recording)
+        assert len(points) == record.points == 3
+        assert all(type(v) is int and -(1 << 32) <= v < 1 << 32 for p in points for v in p)
+        assert record.field is fd.field
+        assert record.bound == Fraction(12, 1 << 33) ** 3 <= Fraction(1, 1 << 64)
+        assert fd.verification == record
 
     def test_vanishing_beyond_degree_three(self, a4_data):
         group, reps = a4_data

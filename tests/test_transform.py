@@ -410,9 +410,9 @@ class TestFastAgainstReference:
         assert convolve(x, z) == convolve_reference(x, z)
 
     def test_top_slot_overflow(self, monkeypatch):
-        """a = b = (0, ..., 0, p - 1) puts (p - 1)^2 = |a|_1 |b|_1, the
-        bound, in the top slot of the product: a slot width one bit short
-        of it overflows and raises."""
+        """a = b = (0, ..., 0, p - 1) puts (p - 1)^2 = |a|_1 |b|_inf =
+        |a|_inf |b|_1, the bound, in the top slot of the product: a slot
+        width one bit short of it overflows and raises."""
         p = (1 << 61) - 1
         field = PrimeField(p)
         a = GroupVector(AbelianGroup.cyclic(4), field, (0, 0, 0, p - 1))
