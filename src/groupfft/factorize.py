@@ -9,7 +9,10 @@ Three regimes, mirroring the three fields of interest:
   generic linear form built on zeta_d;
 * over F_q both X^n - 1 and the determinant split along the orbits of
   multiplication by q on Z/nZ: each minimal stable label set L gives one
-  factor, computed in a splitting extension and verified to descend.
+  factor.  The factor of X^n - 1 is the minimal polynomial over F_q of
+  zeta^(min L), read off one elimination over F_q of the coordinates of
+  its powers (:func:`groupfft.linalg.left_nullspace`); the determinant's
+  factor is expanded in a splitting extension and descended to F_q.
 
 The factors over Q and F_q are products of eigenvalue forms
 sum_j zeta^(l j) X_j, so they lie in the integral group ring Z[C_N][X],
@@ -27,9 +30,11 @@ int-held coefficients too.
 
 Every factorization verifies its product identity on the spot: exactly
 (symbolically) up to n = 6, and at seeded points beyond, integer points
-over Q and Q(zeta_d), points of the splitting field over F_q; the
-:class:`Verification` record of the check, its Schwartz-Zippel bound
-included, rides on the result.
+over Q and Q(zeta_d), over F_q points of one flat field F_p[Y]/(m) that
+F_q embeds in, the largest the log kernel serves; either way as many
+points as bring the Schwartz-Zippel bound to 2^-64.  The
+:class:`Verification` record of the check, its bound included, rides on
+the result.
 """
 
 from __future__ import annotations
@@ -44,14 +49,17 @@ from math import comb, factorial, gcd
 from .abelian import AbelianGroup, Character, character_matrix
 from .cyclotomic import cyclotomic_field, cyclotomic_polynomial, splitting_field
 from .errors import PreconditionError, VerificationError
-from .linalg import mat_det
+from .linalg import left_nullspace, mat_det
 from .multipoly import MultiPoly, Packing, product_of_powers, symbolic_det
-from .numtheory import divisors, euler_phi, multiplicative_order
+from .numtheory import divisors, euler_phi, factorization, multiplicative_order
 from .rings import (
+    LOG_ORDER_CAP,
     QQ,
     ExtField,
     ExtFieldElem,
+    PrimeField,
     UniPoly,
+    finite_field,
     is_irreducible,
     root_table,
     x_pow_minus_one,
@@ -70,10 +78,9 @@ _SYMBOLIC_VERIFY_CAP = 6
 # was not run again.  The cap admits every factorization that finishes in
 # seconds.
 FORM_PRODUCT_CAP = 30_000
-_POINT_CHECKS = 20  # over F_q
 _VERIFY_SEED = 0x5EED
-# in characteristic 0: points of ints in [-2^32, 2^32), enough of them
-# that a wrong product passes with probability at most 2^-64
+# enough points that a wrong product passes with probability at most
+# 2^-64; in characteristic 0 they are ints in [-2^32, 2^32)
 _INT_POINT_HALF = 1 << 32
 _BOUND_TARGET = Fraction(1, 1 << 64)
 
@@ -108,9 +115,12 @@ class Verification:
 
     method is "symbolic" or "points"; seed seeds the points (None when
     symbolic) and points counts them; field is where the product was
-    evaluated; bound is the probability that a wrong product passes, 0
-    for the symbolic check and (n/|S|)^points for points drawn uniformly
-    from S, n the degree (Schwartz-Zippel).
+    evaluated: the factors' field when symbolic or in characteristic 0,
+    over F_q a flat F_p[Y]/(m) (or F_p) that F_q embeds in, never a
+    tower; bound is the probability that a wrong product passes, 0 for
+    the symbolic check and (n/|S|)^points for points drawn uniformly from
+    S, n the degree (Schwartz-Zippel): S = [-2^32, 2^32) in
+    characteristic 0, S = field over F_q.
     """
 
     method: str
@@ -180,8 +190,71 @@ def _random_elem(field, rng: random.Random):
     return Fraction(rng.randrange(-50, 51), rng.randrange(1, 9))
 
 
-def verify_product_identity(fd: FactoredDeterminant, matrix_of, eval_field=None,
-                            lift=None) -> Verification:
+@lru_cache(maxsize=None)
+def _point_field(field, n: int):
+    """(E, embed): the field the F_q point checks of a degree-n product
+    evaluate in, and the embedding of F_q = field into it.
+
+    E is the largest F_p[Y]/(m_s) with r | s (q = p^r) and p^s at most
+    LOG_ORDER_CAP, whose points cost the same few log operations whatever
+    its order, so that the largest needs the fewest points; F_q's own
+    order when q is above the cap.  Where that E holds no more than n
+    elements (a large p, n above it), E is the smallest such field with
+    more than n^2, so that a point misses with probability below 1/n.  E
+    is always flat: F_q itself when s = r and F_q is flat, else
+    ``finite_field(p, s)``.  F_q embeds by a root of its modulus found in
+    E (:func:`_embedding`).
+    """
+    p, q = field.characteristic, field.order
+    s = r = factorization(q)[p]
+    if q <= LOG_ORDER_CAP:
+        while p ** (s + r) <= LOG_ORDER_CAP:
+            s += r
+    if p ** s <= n:
+        while p ** s <= n * n:
+            s += r
+    flat = isinstance(field, PrimeField) or field._prime_base is not None
+    big = field if flat and s == r else finite_field(p, s)
+    return big, _embedding(field, big)
+
+
+def _embedding(field, big):
+    """A map of the finite field into big, a field of its characteristic
+    with a subfield of its order: the identity when they are one field,
+    else on each element sum_i c_i Y^i, sum_i embed(c_i) y^i, y the first
+    root of field's modulus, mapped by the base's embedding, among 0 and
+    the powers of big's (q - 1)-th root of unity, which with 0 are that
+    subfield.  Images are kept per element."""
+    if field is big:
+        return _identity
+    if isinstance(field, PrimeField):
+        return lambda c: big.from_int(field.residue_of(c))
+    base_map = _embedding(field.base, big)
+    modulus = field.modulus.map_coefficients(base_map, big)
+    y = next((x for x in [big.zero, *root_table(field.order - 1, big)]
+              if not modulus.evaluate(x)), None)
+    if y is None:
+        raise VerificationError(f"the modulus of {field} has no root in {big}")
+    ys = [big.one]
+    for _ in range(field.degree - 1):
+        ys.append(ys[-1] * y)
+    images: dict = {}
+
+    def embed(x):
+        image = images.get(x)
+        if image is None:
+            image = images[x] = sum((base_map(c) * w for c, w in zip(x.coeffs, ys)),
+                                    big.zero)
+        return image
+
+    return embed
+
+
+def _identity(x):
+    return x
+
+
+def verify_product_identity(fd: FactoredDeterminant, matrix_of) -> Verification:
     """Check product(factors) = det of the group matrix; return how.
 
     ``matrix_of(values, field)`` returns the rows of the caller's group
@@ -190,20 +263,21 @@ def verify_product_identity(fd: FactoredDeterminant, matrix_of, eval_field=None,
     Beyond, both sides are evaluated at seeded points, the determinant
     eliminated afresh at every point.  A wrong product, of degree n the
     order, survives a point drawn uniformly from a set S with probability
-    at most n/|S| (Schwartz-Zippel), so k points bound it by (n/|S|)^k:
+    at most n/|S| (Schwartz-Zippel), so k points bound it by (n/|S|)^k,
+    and k is the least that brings it to 2^-64 or below:
 
     * in characteristic 0 (Q, Q(zeta_d)) the points are ints uniform in
-      [-2^32, 2^32), as many as bring (n/|S|)^k to 2^-64 or below, and the
-      determinant is the one over Q, embedded in the factors' field;
-    * over F_q the points are 20 elements of eval_field (the splitting
-      field the factor coefficients were computed in, mapped there by
-      lift), for a bound of (n/|eval_field|)^20.
+      S = [-2^32, 2^32), and the determinant is the one over Q, embedded
+      in the factors' field;
+    * over F_q they are uniform in S = E, the flat field of
+      :func:`_point_field` (F_{2^9} for F_2 and F_8, F_{2^8} for F_4,
+      F_{3^5} for F_3), the factors mapped into E by its embedding of F_q
+      and the determinant eliminated over E; no point is in a tower.
 
     A mismatch raises VerificationError, also under ``python -O``.
     """
     variables = fd.variables
     n = len(variables)
-    field = eval_field if eval_field is not None else fd.field
     if n <= _SYMBOLIC_VERIFY_CAP:
         generic = [MultiPoly.variable(v, variables, fd.field) for v in variables]
         expected = symbolic_det(matrix_of(generic, fd.field))
@@ -211,21 +285,23 @@ def verify_product_identity(fd: FactoredDeterminant, matrix_of, eval_field=None,
             raise VerificationError("factor product differs from group determinant")
         return Verification("symbolic", None, 0, fd.field, Fraction(0))
     rng = random.Random(_VERIFY_SEED)
+    if fd.field.characteristic:
+        field, lift = _point_field(fd.field, n)
+        size = field.order
+    else:
+        field, lift, size = fd.field, None, 2 * _INT_POINT_HALF
     # copies local to this check, so their Horner plans are dropped with
     # it rather than kept on memoized factors
     factors = []
     for entry in fd.factors:
-        p = entry.poly
-        local = (MultiPoly(p.variables, p.terms, p.ring) if lift is None
-                 else p.map_coefficients(lift, field))
+        poly = entry.poly
+        local = (MultiPoly(poly.variables, poly.terms, poly.ring) if field is fd.field
+                 else poly.map_coefficients(lift, field))
         factors.append((local, entry.multiplicity))
-    if field.characteristic:
-        count, miss = _POINT_CHECKS, Fraction(n, field.order)
-    else:
-        miss = Fraction(n, 2 * _INT_POINT_HALF)
-        count = 1
-        while miss ** count > _BOUND_TARGET:
-            count += 1
+    miss = Fraction(n, size)
+    count = 1
+    while miss ** count > _BOUND_TARGET:
+        count += 1
     for _ in range(count):
         if field.characteristic:
             values = [_random_elem(field, rng) for _ in variables]
@@ -471,25 +547,34 @@ def _descend(poly, big, field):
 
 
 def _descended_factor(labels, big, powers, field) -> UniPoly:
-    """The product of X - zeta^l over the labels l, computed in the
-    splitting field big and descended to field; powers[l] is zeta^l.
-    Each linear factor costs one product per coefficient:
-    (X - z) * sum a_i X^i = sum (a_(i-1) - z a_i) X^i."""
-    coeffs = [big.one]
-    for ell in labels:
-        z = powers[ell]
-        coeffs = ([-(z * coeffs[0])]
-                  + [a - z * b for a, b in zip(coeffs, coeffs[1:])]
-                  + [coeffs[-1]])
-    return _descend(UniPoly.make(coeffs, big), big, field)
+    """The product of X - zeta^l over the labels l, a q-cyclotomic coset,
+    as the minimal polynomial over field = F_q of alpha = zeta^(min L):
+    the labels are the exponents of its conjugates alpha^(q^i).  powers[j]
+    is zeta^j in big, field's splitting field, so alpha^j is
+    powers[l j mod n]; the coordinates over F_q of alpha^0 .. alpha^k,
+    k = |L| (an element's base coefficients, or the element itself when
+    big is F_q), go through one :func:`left_nullspace` over F_q.  Its one
+    vector, the relation sum_j c_j alpha^j = 0 of least degree, made
+    monic, is the factor; VerificationError if there is not exactly one.
+    """
+    n, ell, k = len(powers), labels[0], len(labels)
+    alphas = [powers[ell * j % n] for j in range(k + 1)]
+    rows = [[x] for x in alphas] if big is field else [list(x.coeffs) for x in alphas]
+    relations = left_nullspace(rows, field)
+    if len(relations) != 1:
+        raise VerificationError(
+            f"the powers of zeta^{ell} satisfy {len(relations)} relations, not 1")
+    return UniPoly.make(relations[0], field).monic()
 
 
 def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
     """Irreducible factors of X^n - 1 over F_q, one per q-stable label set.
 
-    Each factor is the product of X - zeta^l over its label set, computed
-    in a splitting extension, verified to descend to F_q both by direct
-    coefficient inspection and through the identity Q(X)^q = Q(X^q).
+    Each factor is the minimal polynomial over F_q of zeta^l, l the least
+    label of its set, read off one elimination over F_q
+    (:func:`_descended_factor`), and checked: of degree the set's size,
+    monic, Q(X)^q = Q(X^q) (its roots closed under Frobenius), irreducible
+    by Ben-Or's test, and the factors' product X^n - 1.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
@@ -524,7 +609,10 @@ def factor_cyclotomic(d: int, field) -> list[CosetFactor]:
     With r the order of q modulo d, the factors are the products of
     X - zeta_d^m over the q-cyclotomic cosets of the units m mod d (the
     cosets of the subgroup generated by q in (Z/dZ)^*); there are
-    phi(d)/r of them, all of degree r.
+    phi(d)/r of them, all of degree r.  Each is the minimal polynomial
+    over F_q of zeta_d^m, m the least unit of its coset, read off one
+    elimination over F_q (:func:`_descended_factor`); their product is
+    checked to be Phi_d mod q.
     """
     if d < 1:
         raise PreconditionError("cyclotomic index must be >= 1")
@@ -568,7 +656,7 @@ def det_over_finite_field(n: int, field) -> FactoredDeterminant:
     _require_expandable(n, max(map(len, cosets)))
     group = AbelianGroup.cyclic(n)
     variables = group_variables(group)
-    big, embed = splitting_field(field, n)
+    big, _ = splitting_field(field, n)
     powers = root_table(n, big)
     entries = []
     for labels in cosets:
@@ -583,6 +671,5 @@ def det_over_finite_field(n: int, field) -> FactoredDeterminant:
             )
         )
     fd = FactoredDeterminant(field, variables, tuple(entries))
-    lift = None if big is field else embed
-    return replace(fd, verification=verify_product_identity(
-        fd, _abelian_matrix(group), eval_field=big, lift=lift))
+    return replace(
+        fd, verification=verify_product_identity(fd, _abelian_matrix(group)))

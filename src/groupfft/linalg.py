@@ -18,8 +18,10 @@ of (p - 1) + K (p - 1)^2, keeps every slot from carrying into the next.
 Elsewhere the kernel updates only the live trailing block, the columns
 right of the pivot (int logarithms over a small F_{p^r}, scaled integer
 rows over Q, elements otherwise): an n x n determinant costs sum k^2 =
-(n-1)n(2n-1)/6 cell updates.  Shape checks raise PreconditionError,
-under ``python -O`` too.
+(n-1)n(2n-1)/6 cell updates.  :func:`left_nullspace` runs the same
+elimination on the rows with an identity block beside them and reads the
+rows whose left block vanished back through the kernel (``read_row``).
+Shape checks raise PreconditionError, under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -137,3 +139,35 @@ def mat_rank(rows, field) -> int:
         if rank == n_rows:
             break
     return rank
+
+
+def left_nullspace(rows, field) -> list[list]:
+    """A basis of the vectors v with sum_i v_i rows[i] = 0, over any field.
+
+    One elimination on the field's kernel of the rows with an identity
+    block beside them: each row whose left block the elimination clears
+    carries, in its identity block, a combination of the input rows that
+    vanishes, and those rows are independent.  The basis has len(rows)
+    minus the rank vectors, of len(rows) field elements each; it is empty
+    for rows of full row rank.  Ragged rows raise PreconditionError.
+    """
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    _require_width(rows, n_cols, "left nullspace")
+    zero, one = field.zero, field.one
+    kern = kernel(field)
+    m = kern.working_copy([
+        list(row) + [one if j == i else zero for j in range(n_rows)]
+        for i, row in enumerate(rows)
+    ])
+    rank = 0
+    for col in range(n_cols):
+        if rank == n_rows:
+            break
+        pivot = kern.pivot(m, rank, col)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        kern.eliminate_below(m, rank, col)
+        rank += 1
+    return [kern.read_row(m, i, n_cols) for i in range(rank, n_rows)]

@@ -1316,9 +1316,12 @@ def kernel(field):
     pivot in row top, the pivots taken in order; and
     ``determinant(m, negate)``, which reads the determinant, negated if
     negate, off a square working copy whose every column has been
-    cleared, as an element of the field.  Only these three read a
-    working copy under elimination, so a kernel may change how it holds
-    the rows there (IntKernel packs them).  ``plan(terms)`` and
+    cleared, as an element of the field; ``read_row(m, i, start)`` reads
+    row i back from column start on as elements of the field, before or
+    during elimination (a column cleared below a pivot is not rewritten,
+    so a caller reads only columns right of every pivot).  Only these
+    four read a working copy under elimination, so a kernel may change how
+    it holds the rows there (IntKernel packs them).  ``plan(terms)`` and
     ``value(plan, xs)`` evaluate a sum of terms at the point xs, one value
     per variable.  ``hold(groups)`` holds lists of values for sums of
     products that take one value from each list (a product of two
@@ -1425,6 +1428,9 @@ class ElementKernel:
         for i, row in enumerate(m):
             out = out * row[i]
         return -out if negate else out
+
+    def read_row(self, m, i: int, start: int = 0) -> list:
+        return field_entries(m[i][start:], self.field)
 
     def plan(self, terms: dict):
         return horner_plan(terms)
@@ -1615,6 +1621,14 @@ class IntKernel(ElementKernel):
             out = out * ((row >> m.width * i) & m.mask) % p
         return PrimeFieldElem(-out if negate else out, self.field)
 
+    def read_row(self, m, i: int, start: int = 0) -> list:
+        field, row = self.field, m[i]
+        if m.width is None:
+            return [PrimeFieldElem(x, field) for x in row[start:]]
+        width, mask = m.width, m.mask
+        return [PrimeFieldElem((row >> width * j) & mask, field)
+                for j in range(start, m.cols)]
+
 
 class LogKernel(ElementKernel):
     """A small F_p[Y]/(m): elimination and evaluation on the logs of
@@ -1650,6 +1664,10 @@ class LogKernel(ElementKernel):
         tables = self.tables
         logs = sum([row[i] for i, row in enumerate(m)], tables.n)
         return tables.elem(logs + negate * tables.neg_one, self.field)
+
+    def read_row(self, m, i: int, start: int = 0) -> list:
+        elem, field = self.tables.elem, self.field
+        return [elem(x, field) for x in m[i][start:]]
 
     def plan(self, terms: dict):
         log_of, field = self.tables.log_of, self.field
@@ -1754,6 +1772,11 @@ class RationalKernel(ElementKernel):
     def determinant(self, m, negate: bool):
         last = m[-1][-1] if m else 1
         return Fraction(-last if negate else last, m.scale)
+
+    def read_row(self, m, i: int, start: int = 0) -> list:
+        # row i of the scaled copy: a nonzero multiple of the row that
+        # division-full elimination would hold
+        return [Fraction(x) for x in m[i][start:]]
 
     def plan(self, terms: dict):
         c = lcm(*(v.denominator for v in terms.values()))

@@ -220,3 +220,24 @@ def is_irreducible_reference(f):
     p, coeffs = f.ring.p, [c.residue for c in f.coeffs]
     inv = pow(coeffs[-1], -1, p)
     return tuple(c * inv % p for c in coeffs) not in _reducible_monics(p, f.degree)
+
+
+def coset_product_reference(labels, powers, field):
+    """The product of X - zeta^l over the labels, powers[l] = zeta^l in a
+    splitting field of field (or in field itself), expanded there with one
+    product per coefficient per label: (X - z) sum a_i X^i =
+    sum (a_(i-1) - z a_i) X^i.  Each coefficient is then read in field as
+    its constant term, asserted to be all of it.  The reference for the
+    coset factors of factorize, which are minimal polynomials read off an
+    elimination over field."""
+    big = powers[0].field
+    coeffs = [big.one]
+    for ell in labels:
+        z = powers[ell]
+        coeffs = ([-(z * coeffs[0])]
+                  + [a - z * b for a, b in zip(coeffs, coeffs[1:])]
+                  + [coeffs[-1]])
+    if big is not field:
+        assert all(c.is_constant for c in coeffs)
+        coeffs = [c.constant for c in coeffs]
+    return UniPoly.make(coeffs, field)

@@ -58,6 +58,7 @@ from groupfft.rings import (
 
 from helpers import (
     check_under_o,
+    coset_product_reference,
     factored_product_reference,
     from_ints,
     product_of_forms_reference,
@@ -268,6 +269,51 @@ class TestXnMinusOneAgainstSympy:
             assert got == expected, n
 
 
+    @pytest.mark.parametrize("n, p", [(63, 2), (63, 5), (100, 3), (100, 7), (255, 2), (255, 7)])
+    def test_factor_list_large(self, n, p):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("X")
+        field = PrimeField(p)
+        _, sympy_factors = sympy.Poly(x**n - 1, x, modulus=p).factor_list()
+        expected = sorted(
+            [int(c) % p for c in reversed(f.all_coeffs())]
+            for f, multiplicity in sympy_factors for _ in range(multiplicity)
+        )
+        got = sorted([c.residue for c in cf.poly.coeffs] for cf in factor_xn_minus_one(n, field))
+        assert got == expected
+
+
+F16_TOWER = ExtField(finite_field(2, 2), find_irreducible(finite_field(2, 2), 2))
+
+
+class TestCosetFactorsAgainstProducts:
+    """The coset factors, minimal polynomials read off one elimination
+    over F_q, against the product of X - zeta^l in the splitting field
+    (helpers.coset_product_reference): over F_p on packed rows, over F_4
+    and F_9 on logs, over the tower (F_2^2)^2 on elements."""
+
+    @pytest.mark.parametrize("n, field", [
+        (100, F3), (255, F2), (63, F2), (13, finite_field(2, 2)), (21, finite_field(2, 2)),
+        (26, finite_field(3, 2)), (17, F16_TOWER), (15, F16_TOWER),
+    ], ids=["X100-F3", "X255-F2", "X63-F2", "X13-F4", "X21-F4", "X26-F9", "X17-tower",
+            "X15-tower"])
+    def test_factor_xn_minus_one_and_factor_cyclotomic(self, n, field):
+        big, _ = splitting_field(field, n)
+        powers = root_table(n, big)
+        factors = factor_xn_minus_one(n, field)
+        assert [f.labels for f in factors] == q_cyclotomic_cosets(n, field.order)
+        for f in factors:
+            assert f.poly.ring is field
+            assert f.poly == coset_product_reference(f.labels, powers, field)
+        for d in divisors(n):
+            big_d, _ = splitting_field(field, d)
+            powers_d = root_table(d, big_d)
+            cyclotomic = factor_cyclotomic(d, field)
+            assert cyclotomic
+            for f in cyclotomic:
+                assert f.poly == coset_product_reference(f.labels, powers_d, field)
+
+
 class TestFactorCyclotomic:
     def test_d3_q2(self):
         factors = factor_cyclotomic(3, F2)
@@ -460,9 +506,8 @@ class TestVerification:
 
     def test_point_check_over_an_extension_raises_typed_error(self):
         fd = det_over_finite_field(7, F2)
-        big, embed = splitting_field(F2, 7)
         with pytest.raises(VerificationError, match="at a point"):
-            verify_product_identity(_corrupted(fd), _cyclic_matrix(7), eval_field=big, lift=embed)
+            verify_product_identity(_corrupted(fd), _cyclic_matrix(7))
 
     def test_checks_survive_python_o(self):
         """Both checks raise VerificationError with assertions stripped."""
@@ -502,10 +547,11 @@ class TestVerification:
         ]
 
     def test_points_are_pinned(self):
-        """The seeded points for C7 over F2 (evaluated in F_8): same seed,
-        same draws, same order as before the Horner evaluation."""
+        """The seeded points for C7 over F2, evaluated in E = F_{2^9}: same
+        seed, same draws (the coordinates of each value, lowest first, one
+        draw each), same order."""
         fd = det_over_finite_field(7, F2)
-        big, embed = splitting_field(F2, 7)
+        big = finite_field(2, 9)
         matrix_of = _cyclic_matrix(7)
         points = []
 
@@ -513,14 +559,18 @@ class TestVerification:
             points.append([big.order_key(v) for v in values])
             return matrix_of(values, field)
 
-        verify_product_identity(fd, recording, eval_field=big, lift=embed)
-        assert len(points) == 20
-        assert points[0] == [(0, 1, 0), (1, 1, 1), (1, 0, 1), (1, 1, 1),
-                             (0, 0, 1), (1, 1, 1), (0, 0, 0)]
-        assert points[-1] == [(0, 1, 1), (0, 1, 0), (0, 1, 1), (0, 1, 1),
-                              (1, 0, 0), (0, 1, 1), (0, 0, 1)]
+        verify_product_identity(fd, recording)
+        assert len(points) == 11
+        assert points[0] == [(1, 0, 1, 1, 1, 1, 0, 1, 0), (1, 1, 1, 0, 0, 1, 1, 1, 1),
+                             (1, 0, 0, 0, 1, 1, 0, 0, 0), (0, 1, 0, 0, 1, 0, 1, 1, 1),
+                             (0, 1, 1, 0, 0, 1, 0, 0, 0), (1, 1, 0, 0, 1, 0, 1, 0, 1),
+                             (0, 1, 1, 0, 0, 1, 1, 0, 1)]
+        assert points[-1] == [(0, 1, 1, 1, 1, 0, 1, 0, 0), (1, 1, 0, 0, 0, 1, 0, 1, 1),
+                              (0, 1, 0, 1, 1, 1, 0, 0, 1), (1, 1, 0, 1, 0, 0, 0, 1, 0),
+                              (1, 0, 1, 0, 0, 1, 1, 0, 0), (1, 1, 1, 1, 1, 0, 0, 0, 0),
+                              (0, 0, 0, 0, 0, 1, 0, 1, 0)]
         digest = hashlib.sha256(repr(points).encode()).hexdigest()
-        assert digest == "a7764a06f3ed739778a13cafb64c554fad6cc24154ed7103531f6d7851eb599b"
+        assert digest == "df12a537475719c53832e5bc37f80fa9b2cc6259e86ba540630c1583d70cf32f"
 
     def test_memoized_factors_keep_no_plan(self):
         """Verification evaluates copies, so the memoized factors of
@@ -604,17 +654,72 @@ class TestIntegerPoints:
         assert fd.verification == Verification("symbolic", None, 0, QQ, Fraction(0))
 
     def test_finite_field_record(self):
-        """Over F_q: 20 points of the splitting field, here F_8."""
+        """Over F_q: points of E, the largest flat field the log kernel
+        serves that holds F_q, here F_{2^9}, as many as bring the bound to
+        2^-64: (7/512)^11."""
         fd = det_over_finite_field(7, F2)
-        big, _ = splitting_field(F2, 7)
-        assert fd.verification.field is big
-        assert fd.verification.bound == Fraction(7, 8) ** 20
-        assert (fd.verification.method, fd.verification.points) == ("points", 20)
+        assert fd.verification.field is finite_field(2, 9)
+        assert fd.verification.bound == Fraction(7, 512) ** 11 <= Fraction(1, 1 << 64)
+        assert (fd.verification.method, fd.verification.points) == ("points", 11)
 
     def test_record_is_not_compared(self):
         fd = det_over_rationals(8)
         assert fd.verification is not None
         assert replace(fd, verification=None) == fd
+
+
+# F_q point checks: (n, F_q, E, points), E the flat field of the points
+FINITE_POINT_CASES = [
+    (7, F2, finite_field(2, 9), 11),
+    (8, F3, finite_field(3, 5), 13),
+    (10, PrimeField(11), finite_field(11, 2), 18),
+    (13, finite_field(2, 2), finite_field(2, 8), 15),
+    # the tower (F_2^2)^2 embeds in F_{2^8} by a root of its modulus
+    (7, ExtField(finite_field(2, 2), find_irreducible(finite_field(2, 2), 2)),
+     finite_field(2, 8), 13),
+    # above the log cap, F_q itself
+    (7, finite_field(2, 10), finite_field(2, 10), 9),
+    # F_23 holds fewer than 24 elements: the smallest F_{23^s} above 24^2
+    (24, PrimeField(23), finite_field(23, 3), 8),
+]
+FINITE_POINT_IDS = ["C7-F2", "C8-F3", "C10-F11", "C13-F4", "C7-F4tower", "C7-F1024", "C24-F23"]
+
+
+class TestFiniteFieldPoints:
+    """Over F_q the points are uniform in E, the largest flat F_{p^s}
+    (r | s) the log kernel serves, or F_q above the cap; as many as bring
+    (n/|E|)^k to 2^-64."""
+
+    @pytest.mark.parametrize("n, field, big, count", FINITE_POINT_CASES, ids=FINITE_POINT_IDS)
+    def test_record_and_points(self, n, field, big, count, finite_field_point_checks):
+        seen = len(finite_field_point_checks)
+        fd = det_over_finite_field(n, field)
+        assert finite_field_point_checks[seen:] == [(field, fd.verification)]
+        assert fd.verification == Verification("points", 0x5EED, count, big,
+                                               Fraction(n, big.order) ** count)
+        assert Fraction(n, big.order) ** (count - 1) > Fraction(1, 1 << 64) >= fd.verification.bound
+        if n <= 10:
+            record, seen_points = _recorded_points(fd, _abelian_matrix(AbelianGroup.cyclic(n)))
+            assert record == fd.verification and len(seen_points) == count
+            for values, at, rows in seen_points:
+                assert at is big
+                assert all(v.field is big for v in values)
+
+    @pytest.mark.parametrize("n, q", [(7, "F2"), (8, "F3"), (13, "F4")])
+    def test_corrupted_factor_raises_under_o(self, n, q):
+        setup = f"""
+            from dataclasses import replace
+            from groupfft.abelian import AbelianGroup
+            from groupfft.factorize import (_abelian_matrix, det_over_finite_field,
+                                            verify_product_identity)
+            from groupfft.rings import finite_field
+            fd = det_over_finite_field({n}, finite_field(*{FIELD_OF_ORDER[int(q[1:])]}))
+            last = fd.factors[-1]
+            wrong = replace(fd, factors=fd.factors[:-1] + (replace(last, multiplicity=2),))
+        """
+        call = f"verify_product_identity(wrong, _abelian_matrix(AbelianGroup.cyclic({n})))"
+        assert check_under_o(call, setup) == (
+            "raised: factor product disagrees with determinant at a point")
 
 
 class TestExpansionCap:

@@ -19,6 +19,7 @@ from groupfft.cyclotomic import cyclotomic_field
 from groupfft.errors import NotInvertible, PreconditionError, RingMismatch
 from groupfft.linalg import (
     identity_matrix,
+    left_nullspace,
     mat_det,
     mat_eq,
     mat_inverse,
@@ -26,7 +27,19 @@ from groupfft.linalg import (
     mat_rank,
     transpose,
 )
-from groupfft.rings import QQ, PrimeField, UniPoly
+from groupfft.rings import (
+    QQ,
+    ElementKernel,
+    ExtField,
+    IntKernel,
+    LogKernel,
+    PrimeField,
+    RationalKernel,
+    UniPoly,
+    find_irreducible,
+    finite_field,
+    kernel,
+)
 from groupfft.transform import GroupVector, blahut_weight, interpolate_at_roots_of_unity
 
 F7 = PrimeField(7)
@@ -444,3 +457,167 @@ class TestInterpolationOracle:
                 ]
                 expected = UniPoly.make(coeffs, field)
                 assert interpolate_at_roots_of_unity(targets, field) == expected
+
+
+def _prime_coordinates(field):
+    """(D, basis): the number of int coordinates of an element of the
+    finite field, and the elements with one coordinate 1 and the rest 0."""
+    d = len(field.int_coords(field.one))
+    return d, [field.from_int_coords([int(i == t) for i in range(d)]) for t in range(d)]
+
+
+def _expanded(rows, field):
+    """rows over F, of p^D elements, as a D len(rows) x D cols matrix over
+    F_p: entry a becomes the rows of the coordinates of b_t a, b_t the
+    coordinate basis, so that v over F is a left null vector exactly when
+    the coordinates of each b_t v are one over F_p."""
+    _, basis = _prime_coordinates(field)
+    return [[c for a in row for c in field.int_coords(b * a)] for row in rows for b in basis]
+
+
+def _expanded_vectors(vectors, field):
+    _, basis = _prime_coordinates(field)
+    return [[c for x in v for c in field.int_coords(b * x)] for v in vectors for b in basis]
+
+
+class TestLeftNullspace:
+    """left_nullspace against sympy's DomainMatrix nullspace of the
+    transpose: over F_p on packed rows, and over F_9 (logs), F_{2^10}
+    (elements, above the log cap) and a tower through their F_p
+    coordinates; over Q directly."""
+
+    @staticmethod
+    def _same_space(ours, expected, width):
+        """ours, rows of elements of expected's domain, span the row space
+        of expected, a basis."""
+        from sympy.polys.matrices import DomainMatrix
+
+        assert expected.shape[0] == len(ours)
+        if ours:
+            mine = DomainMatrix(ours, (len(ours), width), expected.domain)
+            assert mine.rank() == len(ours)
+            assert mine.vstack(expected).rank() == len(ours)
+
+    def _check_finite(self, rows, field):
+        pytest.importorskip("sympy")
+        from sympy import GF
+        from sympy.polys.matrices import DomainMatrix
+
+        basis = left_nullspace(rows, field)
+        assert all(len(v) == len(rows) and all(x.field is field for x in v) for v in basis)
+        dom = GF(field.characteristic)
+        big = _expanded(rows, field)
+        cols = len(big[0]) if big else 0
+        if not big:
+            assert basis == []
+            return
+        if not cols:
+            expected = DomainMatrix.eye(len(big), dom)
+        else:
+            matrix = DomainMatrix([[dom(x) for x in row] for row in big], (len(big), cols), dom)
+            expected = matrix.transpose().nullspace()
+        ours = [[dom(x) for x in v] for v in _expanded_vectors(basis, field)]
+        self._same_space(ours, expected, len(big))
+        return basis
+
+    @staticmethod
+    def _shapes(rng, field, draw):
+        """Seeded matrices: dense and sparse, tall and wide, products of
+        thin factors (rank deficient), zero columns."""
+        out = []
+        for rows, cols in [(1, 1), (2, 2), (3, 5), (5, 3), (6, 6), (9, 7), (7, 9)]:
+            out.append([[draw() for _ in range(cols)] for _ in range(rows)])
+            out.append([[draw() if rng.random() < 0.3 else field.zero for _ in range(cols)]
+                        for _ in range(rows)])
+        for n, k in [(4, 1), (6, 2), (8, 3)]:
+            a = [[draw() for _ in range(k)] for _ in range(n)]
+            b = [[draw() for _ in range(n)] for _ in range(k)]
+            out.append(mat_mul(a, b, field))
+        m = [[draw() for _ in range(5)] for _ in range(6)]
+        for row in m:
+            row[0] = row[3] = field.zero
+        out.append(m)
+        return out
+
+    @pytest.mark.parametrize("p", [2, 3, 257])
+    def test_packed_rows_against_sympy(self, p):
+        field = PrimeField(p)
+        assert type(kernel(field)) is IntKernel
+        rng = random.Random(61 + p)
+        draw = lambda: field.from_int(rng.randrange(p))  # noqa: E731
+        for rows in self._shapes(rng, field, draw):
+            self._check_finite(rows, field)
+        # ints are read mod p, as every kernel reads them
+        rows = [[1, p + 2], [2, 4]]
+        assert left_nullspace(rows, field) == left_nullspace(
+            [[field.from_int(x) for x in row] for row in rows], field)
+
+    @pytest.mark.parametrize("p", [2, 3, 257])
+    def test_rows_read_back_before_and_after_packing(self, p):
+        field = PrimeField(p)
+        kern = kernel(field)
+        rows = [[field.from_int(3 * i + j) for j in range(4)] for i in range(3)]
+        m = kern.working_copy(rows)
+        assert m.width is None
+        assert [kern.read_row(m, i) for i in range(3)] == rows
+        assert kern.read_row(m, 1, 2) == rows[1][2:]
+        kern.pivot(m, 0, 0)  # the first search packs the rows
+        assert m.width is not None
+        assert [kern.read_row(m, i) for i in range(3)] == rows
+        assert kern.read_row(m, 2, 3) == rows[2][3:]
+        # rows with no column are never packed: every row is a null vector
+        assert left_nullspace([[], [], []], field) == [
+            [field.one if i == j else field.zero for j in range(3)] for i in range(3)]
+
+    def test_full_rank_gives_an_empty_basis(self):
+        for field in (PrimeField(2), PrimeField(257), finite_field(3, 2), QQ):
+            assert left_nullspace(identity_matrix(4, field), field) == []
+            wide = [[field.one, field.zero, field.one], [field.zero, field.one, field.one]]
+            assert left_nullspace(wide, field) == []
+        assert left_nullspace([], PrimeField(7)) == []
+
+    @pytest.mark.parametrize("field", [
+        pytest.param(finite_field(3, 2), id="F9-logs"),
+        pytest.param(finite_field(2, 10), id="F1024-elements"),
+        pytest.param(ExtField(finite_field(2, 2), find_irreducible(finite_field(2, 2), 2)),
+                     id="F4-tower"),
+    ])
+    def test_extension_fields_against_sympy(self, field):
+        expected_kernel = LogKernel if field.order <= 512 and field._prime_base else ElementKernel
+        assert type(kernel(field)) is expected_kernel
+        rng = random.Random(repr(field))
+        d, _ = _prime_coordinates(field)
+        p = field.characteristic
+
+        def draw():
+            return field.from_int_coords([rng.randrange(p) for _ in range(d)])
+
+        for rows in self._shapes(rng, field, draw):
+            self._check_finite(rows, field)
+
+    def test_rationals_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        assert type(kernel(QQ)) is RationalKernel
+        dom = sympy.QQ
+        rng = random.Random(67)
+        draw = lambda: Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))  # noqa: E731
+        for rows in self._shapes(rng, QQ, draw):
+            basis = left_nullspace(rows, QQ)
+            assert all(len(v) == len(rows) and all(type(x) is Fraction for x in v)
+                       for v in basis)
+            for v in basis:
+                assert all(sum(x * row[j] for x, row in zip(v, rows)) == 0
+                           for j in range(len(rows[0])))
+            matrix = DomainMatrix([[dom(x.numerator, x.denominator) for x in row] for row in rows],
+                                  (len(rows), len(rows[0])), dom)
+            self._same_space([[dom(x.numerator, x.denominator) for x in v] for v in basis],
+                             matrix.transpose().nullspace(), len(rows))
+
+    @pytest.mark.parametrize("field", [PrimeField(7), finite_field(3, 2), QQ], ids=repr)
+    def test_ragged_input_rejected(self, field):
+        with pytest.raises(PreconditionError):
+            left_nullspace([[field.one, field.zero], [field.one]], field)
+        with pytest.raises(PreconditionError):
+            left_nullspace([[field.one], [field.one, field.zero]], field)
