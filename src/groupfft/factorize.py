@@ -47,7 +47,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd
 
 from .abelian import AbelianGroup, Character, character_matrix
-from .cyclotomic import cyclotomic_field, cyclotomic_polynomial, splitting_field
+from .cyclotomic import _identity, cyclotomic_field, cyclotomic_polynomial, splitting_field
 from .errors import PreconditionError, VerificationError
 from .linalg import left_nullspace, mat_det
 from .multipoly import MultiPoly, Packing, product_of_powers, symbolic_det
@@ -250,10 +250,6 @@ def _embedding(field, big):
     return embed
 
 
-def _identity(x):
-    return x
-
-
 def verify_product_identity(fd: FactoredDeterminant, matrix_of) -> Verification:
     """Check product(factors) = det of the group matrix; return how.
 
@@ -290,8 +286,8 @@ def verify_product_identity(fd: FactoredDeterminant, matrix_of) -> Verification:
         size = field.order
     else:
         field, lift, size = fd.field, None, 2 * _INT_POINT_HALF
-    # copies local to this check, so their Horner plans are dropped with
-    # it rather than kept on memoized factors
+    # copies local to this check, so their held terms are dropped with it
+    # rather than kept on memoized factors
     factors = []
     for entry in fd.factors:
         poly = entry.poly

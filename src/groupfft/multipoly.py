@@ -3,13 +3,13 @@
 Terms map exponent vectors to nonzero coefficients in one of the exact
 fields; printing and comparison use graded lexicographic order.  The
 determinant uses cofactor expansion with memoization on column subsets,
-capped at dimension 8.  Evaluation walks a recursive Horner plan, built
-on a polynomial's first evaluation in one pass over its terms and kept on
-it: about one product per plan edge, where a term-by-term sum pays its
-coefficient product plus one per variable in the term.  Plan and walk
-belong to the ring's :func:`groupfft.rings.kernel` (on ints over Q, on
-logarithms over a small F_{p^r}); the value is the same exact element of
-the ring either way.
+capped at dimension 8.  Evaluation is a direct sum of the terms, each its
+coefficient times one power per variable in it, the powers read from one
+table per variable.  The ring's :func:`groupfft.rings.kernel` holds the
+terms, on a polynomial's first evaluation, and keeps them on it:
+integer numerators over one denominator over Q, logarithms over a small
+F_{p^r}, elements elsewhere; the value is the same exact element of the
+ring either way.
 
 Products and the determinant run on packed monomials and held
 coefficients.  A monomial becomes one int of fixed-width exponent fields
@@ -36,14 +36,14 @@ DET_DIMENSION_CAP = 8
 class MultiPoly:
     """Sparse multivariate polynomial over an exact field."""
 
-    __slots__ = ("variables", "terms", "ring", "_plan")
+    __slots__ = ("variables", "terms", "ring", "_held")
 
     def __init__(self, variables: tuple, terms: dict, ring):
         self.variables = tuple(variables)
         self.terms = {e: c for e, c in terms.items() if c}
         self.ring = ring
-        # the ring kernel's Horner plan, built by the first evaluate
-        self._plan = None
+        # the terms as the ring kernel holds them, by the first evaluate
+        self._held = None
 
     # -- constructors --------------------------------------------------------
 
@@ -199,18 +199,18 @@ class MultiPoly:
     def evaluate(self, assignment: dict):
         """Exact evaluation; every variable must be assigned.
 
-        Walks the ring kernel's Horner plan, built on the first call and
-        kept: about one product per plan edge, with powers of each
-        variable tabulated only up to the largest exponent step it takes.
-        The value is an element of ``self.ring``.
+        Sums the terms as the ring kernel holds them, held on the first
+        call and kept, with the powers of each variable tabulated up to
+        its largest exponent.  The value is an element of ``self.ring``
+        (a ``Fraction`` over Q).
         """
         missing = [v for v in self.variables if v not in assignment]
         if missing:
             raise PreconditionError(f"missing assignment for {missing}")
         kern = kernel(self.ring)
-        if self._plan is None:
-            self._plan = kern.plan(self.terms)
-        return kern.value(self._plan, [assignment[v] for v in self.variables])
+        if self._held is None:
+            self._held = kern.hold_terms(self.terms)
+        return kern.evaluate(self._held, [assignment[v] for v in self.variables])
 
     def map_coefficients(self, fn, new_ring) -> "MultiPoly":
         return MultiPoly(self.variables, {e: fn(c) for e, c in self.terms.items()}, new_ring)

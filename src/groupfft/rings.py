@@ -76,7 +76,7 @@ inverts through the norm, on its integer numerators.
 
 Kernels.  :func:`kernel` picks, once per descriptor, how the bulk loops
 hold a field's values: the row updates of ``mat_det`` and ``mat_rank``
-and the Horner walk of ``MultiPoly.evaluate``.  F_p eliminates on rows
+and the term sum of ``MultiPoly.evaluate``.  F_p eliminates on rows
 of residues packed into one int each, a row update one big-int
 multiply-add with no reduction (:class:`IntKernel`) and a pivot inverse
 one ``pow(x, -1, p)``, and evaluates on its elements.  A small F_p[Y]/(m),
@@ -85,15 +85,17 @@ order at most ``LOG_ORDER_CAP``, runs both on Zech logarithms
 lookup (:func:`zech_sum`).  Q eliminates fraction-free: each row is
 scaled to integers by the lcm of its denominators, a Bareiss update
 divides exactly by the previous pivot, and the determinant is the last
-pivot over the product of the row scales, one ``Fraction``.  At a point
-of ints and Fractions it evaluates c * P, c the lcm of the coefficient
-denominators, homogenized to the total degree D by one more variable, at
-the point scaled to integers y over the lcm L of its denominators: the
-walk gives c * L^D * P(x) on ints.  Every other field (towers, Q(zeta_d),
-larger F_{p^r}) works on its elements.  A kernel makes one working copy
-per matrix, keeps its inner loops specialised, and wraps each result back
-into the descriptor it was picked for.  The products of ``MultiPoly`` and
-``symbolic_det`` hold their coefficients through the kernel too
+pivot over the product of the row scales, one ``Fraction``.  A
+polynomial is evaluated as a direct sum of its terms, each a coefficient
+times powers of the coordinates read from one power table per variable
+(:func:`_term_sum`): over Q on the coefficients' integer numerators over
+their lcm c, so that an int point gives an int, scaled once by 1/c; over
+a small F_p[Y]/(m) on logs, a product of powers one sum of logs and the
+terms added by Zech sums.  Every other field (F_p, towers, Q(zeta_d),
+larger F_{p^r}) evaluates on its elements.  A kernel makes one working
+copy per matrix, keeps its inner loops specialised, and wraps each result
+back into the descriptor it was picked for.  The products of ``MultiPoly``
+and ``symbolic_det`` hold their coefficients through the kernel too
 (``hold``, ``release``): F_p as int residues, reduced mod p once per
 output coefficient; Q as integer numerators over each group's common
 denominator; F_p[Y]/(m), log-kernel fields included, and Q(zeta_d) as
@@ -1321,14 +1323,15 @@ def kernel(field):
     during elimination (a column cleared below a pivot is not rewritten,
     so a caller reads only columns right of every pivot).  Only these
     four read a working copy under elimination, so a kernel may change how
-    it holds the rows there (IntKernel packs them).  ``plan(terms)`` and
-    ``value(plan, xs)`` evaluate a sum of terms at the point xs, one value
-    per variable.  ``hold(groups)`` holds lists of values for sums of
-    products that take one value from each list (a product of two
-    polynomials, a determinant by rows): it returns the held lists and a
-    context, for ``release(values, context)`` to read such sums back as
-    elements, ``release(values, context, n)`` each divided by n.  A held
-    zero is 0, which every held form adds as zero.
+    it holds the rows there (IntKernel packs them).  ``hold_terms(terms)``
+    holds a polynomial's terms, exponent tuple -> coefficient, for
+    ``evaluate(held, xs)``, their sum at the point xs, one value per
+    variable, as an element of the field.  ``hold(groups)`` holds lists
+    of values for sums of products that take one value from each list
+    (a product of two polynomials, a determinant by rows): it returns the
+    held lists and a context, for ``release(values, context)`` to read
+    such sums back as elements, ``release(values, context, n)`` each
+    divided by n.  A held zero is 0, which every held form adds as zero.
     ``dft(values, divisors, inverse)`` transforms a vector over
     C_{d_1} x ... x C_{d_k}, elements in and out, through
     :class:`ResidueDFT`, on held ints or else on the vector's
@@ -1432,16 +1435,11 @@ class ElementKernel:
     def read_row(self, m, i: int, start: int = 0) -> list:
         return field_entries(m[i][start:], self.field)
 
-    def plan(self, terms: dict):
-        return horner_plan(terms)
+    def hold_terms(self, terms: dict):
+        return _sparse_terms(terms.items())
 
-    def value(self, plan, xs):
-        root, steps = plan
-        if root is None:
-            return self.field.zero
-        if root.__class__ is not tuple:
-            return root
-        return _walk(root, _power_tables(steps, xs, self.field.one))
+    def evaluate(self, held, xs):
+        return _term_sum(held, xs, self.field.one, self.field.zero)
 
     def dft(self, values, divisors, inverse=False) -> list:
         """The transform of values over C_{d_1} x ... x C_{d_k}, d_i the
@@ -1633,7 +1631,8 @@ class IntKernel(ElementKernel):
 class LogKernel(ElementKernel):
     """A small F_p[Y]/(m): elimination and evaluation on the logs of
     :class:`LogTables`, 0 for zero; products and transforms on
-    Kronecker-packed numerators, as :class:`ElementKernel` holds them."""
+    Kronecker-packed numerators, as :class:`ElementKernel` holds them.
+    A polynomial's terms are held with their coefficients' logs."""
 
     __slots__ = ("tables",)
 
@@ -1669,23 +1668,29 @@ class LogKernel(ElementKernel):
         elem, field = self.tables.elem, self.field
         return [elem(x, field) for x in m[i][start:]]
 
-    def plan(self, terms: dict):
+    def hold_terms(self, terms: dict):
         log_of, field = self.tables.log_of, self.field
-        return horner_plan({e: log_of(c, field) for e, c in terms.items()})
+        return _sparse_terms([(e, log_of(c, field)) for e, c in terms.items()])
 
-    def value(self, plan, xs):
-        # the k-th power of a coordinate of log l has log k * l, 0 for
-        # zero; 0 is a value here, distinct from the plan's None for an
-        # absent constant
+    def evaluate(self, held, xs):
+        # the e-th power of a coordinate of log l has log e * l, and a
+        # zero coordinate (log 0) makes its whole term zero
+        terms, tops = held
         tables, field = self.tables, self.field
-        root, steps = plan
-        if root is None or root.__class__ is not tuple:
-            return tables.elem(root or 0, field)
-        powers = [None] * len(xs)
-        for i, top in steps:
-            log = tables.log_of(xs[i], field)
-            powers[i] = [k * log for k in range(top + 1)]
-        return tables.elem(_log_walk(root, powers, tables.zech, tables.n), field)
+        logs = [0] * len(xs)
+        for i, _ in tops:
+            logs[i] = tables.log_of(xs[i], field)
+        zech, n = tables.zech, tables.n
+        total = 0
+        for log, monomial in terms:
+            for i, e in monomial:
+                li = logs[i]
+                if not li:
+                    break
+                log += e * li
+            else:
+                total = zech_sum(total, log, zech, n)
+        return tables.elem(total, field)
 
 
 class _PackedRows(list):
@@ -1708,19 +1713,19 @@ class _ScaledRows(list):
 
 
 class RationalKernel(ElementKernel):
-    """Q: fraction-free elimination on ints; evaluation on an integer plan
-    at points of ints and Fractions, on the coefficients elsewhere.
+    """Q: fraction-free elimination on ints, and evaluation on integer
+    coefficients.
 
     Elimination is Bareiss's (Math. Comp. 1968): with pivot a and previous
     pivot b, a row below becomes (a * row - row[col] * pivot row) / b, an
     exact division, so every value is a minor of the scaled matrix and the
     last pivot of a square one is its determinant.
 
-    The plan is [c, D, root, steps, coefficients]: c the lcm of the
-    coefficient denominators, D the total degree, and the Horner plan of
-    c * P homogenized to degree D by one more variable, after the others.
-    The last slot holds the terms until a point outside Q first needs
-    their own plan.
+    A polynomial's terms are held as their integer numerators over c, the
+    lcm of the coefficient denominators, with the scale 1/c: the term sum
+    runs on ints from int 0 and 1, so an int point makes no ``Fraction``
+    until the one product by the scale.  Points of Fractions or of
+    Q(zeta_d) run the same sum in their own arithmetic.
 
     Products hold each group as integer numerators over its common
     denominator; a released sum is one ``Fraction`` over their product.
@@ -1778,31 +1783,14 @@ class RationalKernel(ElementKernel):
         # division-full elimination would hold
         return [Fraction(x) for x in m[i][start:]]
 
-    def plan(self, terms: dict):
-        c = lcm(*(v.denominator for v in terms.values()))
-        degree = max(map(sum, terms), default=0)
-        root, steps = horner_plan({
-            e + (degree - sum(e),): v.numerator * (c // v.denominator)
-            for e, v in terms.items()
-        })
-        return [c, degree, root, steps, terms]
+    def hold_terms(self, terms: dict):
+        c = lcm(*[v.denominator for v in terms.values()])
+        return (_sparse_terms([(e, v.numerator * (c // v.denominator))
+                               for e, v in terms.items()]), Fraction(1, c))
 
-    def value(self, plan, xs):
-        c, degree, root, steps, coefficients = plan
-        if root is None:
-            return Fraction(0)
-        nvars = len(xs)
-        read = [i for i, _ in steps if i < nvars]
-        if not all(isinstance(xs[i], (int, Fraction)) for i in read):
-            if coefficients.__class__ is dict:
-                coefficients = plan[4] = horner_plan(coefficients)
-            return ElementKernel.value(self, coefficients, xs)
-        den = lcm(*(xs[i].denominator for i in read))
-        ys = [None] * nvars + [den]
-        for i in read:
-            ys[i] = xs[i].numerator * (den // xs[i].denominator)
-        value = _walk(root, _power_tables(steps, ys, 1)) if root.__class__ is tuple else root
-        return Fraction(value, c * den ** degree)
+    def evaluate(self, held, xs):
+        terms, scale = held
+        return _term_sum(terms, xs, 1, 0) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -1938,96 +1926,39 @@ def _line_stages(m: int) -> int:
     return 1 if _is_leaf(m, True) else 1 + _line_stages(m // _radices(m)[0])
 
 
-def horner_plan(terms: dict):
-    """(root, steps): the recursive Horner form of a sum of terms.
-
-    A node stands for a sum of terms over the variables from some index
-    on.  It is a pair (parts, const): const is the coefficient of the
-    term free of those variables (None if absent), and each part
-    (i, branches) collects the terms whose first variable is i, grouped
-    by its exponent e >= 1 in descending order, each group's cofactor a
-    node over the later variables.  A node with no parts is stored as its
-    bare coefficient.  steps lists, per variable used, the largest power
-    the walk reads.  One pass over the terms fills a trie; the plan is
-    the frozen trie.
-    """
-    trie: list = [{}, None]
-    for exp, c in terms.items():
-        node = trie
-        for i, e in enumerate(exp):
-            if e:
-                node = node[0].setdefault(i, {}).setdefault(e, [{}, None])
-        node[1] = c
-    steps: dict = {}
-
-    def freeze(node):
-        parts_in, const = node
-        if not parts_in:
-            return const
-        parts = []
-        for i in sorted(parts_in):
-            groups = parts_in[i]
-            exps = sorted(groups, reverse=True)
-            top = max([a - b for a, b in zip(exps, exps[1:])] + [exps[-1]])
-            if top > steps.get(i, 0):
-                steps[i] = top
-            parts.append((i, tuple((e, freeze(groups[e])) for e in exps)))
-        return (tuple(parts), const)
-
-    root = freeze(trie)
-    return root, tuple(sorted(steps.items()))
+def _sparse_terms(terms) -> tuple:
+    """(monomials, tops) for the pairs (exponent tuple, c) of terms: each
+    term as (c, ((i, e), ...)), one pair per variable i of nonzero
+    exponent e, and tops the largest e of each variable used, as
+    ((i, top), ...)."""
+    monomials, tops = [], {}
+    for exp, c in terms:
+        monomial = tuple([(i, e) for i, e in enumerate(exp) if e])
+        for i, e in monomial:
+            if e > tops.get(i, 0):
+                tops[i] = e
+        monomials.append((c, monomial))
+    return monomials, tuple(sorted(tops.items()))
 
 
-def _power_tables(steps, xs, one) -> list:
-    """powers[i][k] = xs[i]^k for k up to the largest step variable i takes."""
+def _term_sum(held, xs, one, zero):
+    """sum c * prod xs[i]^e over the terms of held (see
+    :func:`_sparse_terms`), from zero, the powers of each coordinate read
+    from one table up to its largest exponent."""
+    monomials, tops = held
     powers = [None] * len(xs)
-    for i, top in steps:
+    for i, top in tops:
         x = xs[i]
-        tab = [one, x]
+        table = [one, x]
         for _ in range(top - 1):
-            tab.append(tab[-1] * x)
-        powers[i] = tab
-    return powers
-
-
-def _walk(node, powers):
-    """Value of a Horner plan node; powers[i][k] is the k-th power of
-    variable i.  Within a part, sum_e x^e c_e is taken as
-    ((c_top x^(top - next) + c_next) ...) x^(lowest)."""
-    parts, acc = node
-    for i, branches in parts:
-        tab = powers[i]
-        val = None
-        for e, child in branches:
-            if child.__class__ is tuple:
-                child = _walk(child, powers)
-            val = child if val is None else val * tab[last - e] + child
-            last = e
-        val = val * tab[last]
-        acc = val if acc is None else acc + val
-    return acc
-
-
-def _log_walk(node, powers, zech: list, n: int) -> int:
-    """_walk on logs: a product adds two logs, 0 when either is 0, and a
-    sum is one Zech table lookup (:func:`zech_sum`)."""
-    parts, acc = node
-    for i, branches in parts:
-        tab = powers[i]
-        val = None
-        for e, child in branches:
-            if child.__class__ is tuple:
-                child = _log_walk(child, powers, zech, n)
-            if val is None:
-                val = child
-            else:
-                t = tab[last - e]
-                val = zech_sum(val + t if val and t else 0, child, zech, n)
-            last = e
-        t = tab[last]
-        val = val + t if val and t else 0
-        acc = val if acc is None else zech_sum(acc, val, zech, n)
-    return acc
+            table.append(table[-1] * x)
+        powers[i] = table
+    total = zero
+    for c, monomial in monomials:
+        for i, e in monomial:
+            c = c * powers[i][e]
+        total = total + c
+    return total
 
 
 def finite_field(p: int, r: int):

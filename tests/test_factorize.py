@@ -574,9 +574,10 @@ class TestVerification:
 
     def test_memoized_factors_keep_no_plan(self):
         """Verification evaluates copies, so the memoized factors of
-        det_over_rationals and norm_form hold no Horner plan afterwards."""
+        det_over_rationals and norm_form hold no terms for evaluation
+        afterwards."""
         fd = det_over_rationals(9)
-        assert all(e.poly._plan is None for e in fd.factors)
+        assert all(e.poly._held is None for e in fd.factors)
 
 
 # characteristic-0 point checks: (over, divisors)
@@ -638,7 +639,7 @@ class TestIntegerPoints:
         sympy = pytest.importorskip("sympy")
         fd, matrix_of = _char0_case(over, divs)
         _, seen = _recorded_points(fd, matrix_of)
-        # copies, so the memoized factors keep no Horner plan
+        # copies, so the memoized factors keep no held terms
         factors = [(MultiPoly(e.poly.variables, e.poly.terms, e.poly.ring), e.multiplicity)
                    for e in fd.factors]
         for values, _, rows in seen:

@@ -12,7 +12,7 @@ from groupfft.factorize import linear_forms
 from groupfft.frobenius import s3
 from groupfft.linalg import mat_det
 from groupfft.multipoly import MultiPoly, symbolic_det
-from groupfft.rings import QQ, horner_plan
+from groupfft.rings import QQ, kernel
 from groupfft.transform import group_matrix, group_variables, symbolic_vector, GroupVector
 
 from helpers import sympy_multipoly
@@ -216,7 +216,7 @@ def _random_element(field, rng):
 
 
 class TestHornerEvaluation:
-    """evaluate walks a Horner plan; the oracle sums term by term."""
+    """evaluate sums the kernel's held terms; the oracle sums term by term."""
 
     VARS = ("X_0", "X_1", "X_2", "X_3")
 
@@ -250,7 +250,7 @@ class TestHornerEvaluation:
         point = {"X_0": Fraction(-2, 3), "X_1": Fraction(5, 2)}
         x, y = point["X_0"], point["X_1"]
         assert p.evaluate(point) == x ** 9 * y + 2 * x ** 4 + x * y ** 6 - 7 * y ** 2 + 5
-        # the plan is kept: a second point reuses it
+        # the held terms are kept: a second point reuses them
         point2 = {"X_0": Fraction(3), "X_1": Fraction(-1)}
         assert p.evaluate(point2) == _naive_value(p, point2)
 
@@ -273,9 +273,9 @@ def _fraction_sum(poly, point):
 
 
 class TestRationalPlan:
-    """Over Q, at points of ints and Fractions, evaluate walks an integer
-    plan: coefficients over their common denominator, homogenized, at the
-    point scaled to integers."""
+    """Over Q, evaluate sums the terms on integer coefficients, the
+    numerators over their common denominator, scaled once by its
+    inverse."""
 
     VARS = ("X_0", "X_1", "X_2")
 
@@ -305,9 +305,12 @@ class TestRationalPlan:
                 point = self._random_point(rng)
                 got = poly.evaluate(point)
                 assert type(got) is Fraction and got == _fraction_sum(poly, point)
-            # the one plan is the integer plan: the coefficients' own plan
-            # was never built
-            assert poly._plan[4] is poly.terms
+            # the one held form is the integer one, built once
+            held = poly._held
+            assert held == kernel(QQ).hold_terms(poly.terms)
+            assert all(type(c) is int for c, _ in held[0][0])
+            poly.evaluate(point)
+            assert poly._held is held
 
     def test_zero_and_constant_polynomials(self):
         point = {"X_0": Fraction(-3, 7), "X_1": 4, "X_2": Fraction(1, 9)}
@@ -322,7 +325,7 @@ class TestRationalPlan:
         from groupfft.factorize import norm_form
 
         poly = norm_form(6, 6)
-        poly = MultiPoly(poly.variables, poly.terms, QQ)  # a copy: keep the memo plan-free
+        poly = MultiPoly(poly.variables, poly.terms, QQ)  # a copy: keep the memo free of held terms
         rng = random.Random(73)
         for _ in range(20):
             point = {v: Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for v in poly.variables}
@@ -342,11 +345,11 @@ class TestRationalPlan:
                     term = term * point[v] ** e
                 expected = expected + term
             assert poly.evaluate(point) == expected
-            # a rational point afterwards takes the integer plan
+            held = poly._held
+            # a rational point afterwards sums the same held terms
             rational = {v: Fraction(k, 3) for k, v in enumerate(self.VARS, 1)}
             assert poly.evaluate(rational) == _fraction_sum(poly, rational)
-            # the integer plan, now holding the coefficients' own plan too
-            assert poly._plan[4] == horner_plan(poly.terms)
+            assert poly._held is held and held == kernel(QQ).hold_terms(poly.terms)
 
 
 class TestPrinting:

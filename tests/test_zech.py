@@ -30,7 +30,6 @@ from groupfft.rings import (
     RationalKernel,
     find_irreducible,
     finite_field,
-    horner_plan,
     kernel,
     log_tables,
     zech_sum,
@@ -205,11 +204,15 @@ class TestEvaluate:
                 point = {v: _sparse_elem(field, rng) for v in VARS}
                 got = poly.evaluate(point)
                 assert _of(got, field) and got == _term_sum(poly, point)
-        assert poly._plan == kernel(field).plan(poly.terms)
+        # held once by the first evaluate and kept
+        held = poly._held
+        assert held == kernel(field).hold_terms(poly.terms)
+        poly.evaluate(point)
+        assert poly._held is held
         tables = log_tables(field)
         if tables is not None:
-            assert poly._plan == horner_plan(
-                {e: tables.log_of(c, field) for e, c in poly.terms.items()})
+            assert sorted(c for c, _ in held[0]) == sorted(
+                tables.log_of(c, field) for c in poly.terms.values())
 
     @pytest.mark.parametrize("pr", FIELDS, ids=_name)
     def test_internal_cancellation(self, pr):
