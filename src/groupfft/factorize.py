@@ -12,7 +12,7 @@ Three regimes, mirroring the three fields of interest:
   factor.  The factor of X^n - 1 is the minimal polynomial over F_q of
   zeta^(min L), read off one elimination over F_q of the coordinates of
   its powers (:func:`groupfft.linalg.left_nullspace`); the determinant's
-  factor is expanded in a splitting extension and descended to F_q.
+  factor is expanded over a splitting extension and emitted over F_q.
 
 The factors over Q and F_q are products of eigenvalue forms
 sum_j zeta^(l j) X_j, so they lie in the integral group ring Z[C_N][X],
@@ -23,7 +23,10 @@ counts, and a term of the form of l rotates the counts by l j mod N.
 Each surviving monomial then meets the field once: its int coordinates
 are read off one big-int product of the counts by the packed columns of
 the field's :func:`groupfft.rings.root_table` (Kronecker substitution).
-The expansion makes no field product.  Its monomials are packed by
+Over Q and F_q the factor is emitted in the base field from those ints:
+the leading coordinates are its coefficient, and the others are checked
+to vanish, so no element of the extension is made.  The expansion makes
+no field product.  Its monomials are packed by
 :class:`groupfft.multipoly.Packing`, the packing of ``MultiPoly``'s
 products, which run the symbolic checks below on packed monomials and
 int-held coefficients too.
@@ -32,7 +35,8 @@ Every factorization verifies its product identity on the spot: exactly
 (symbolically) up to n = 6, and at seeded points beyond, integer points
 over Q and Q(zeta_d), over F_q points of one flat field F_p[Y]/(m) that
 F_q embeds in, the largest the log kernel serves; either way as many
-points as bring the Schwartz-Zippel bound to 2^-64.  The
+points as bring the Schwartz-Zippel bound to 2^-64 (one integer point
+of [-2^96, 2^96) in characteristic 0).  The
 :class:`Verification` record of the check, its bound included, rides on
 the result.
 """
@@ -80,8 +84,9 @@ _SYMBOLIC_VERIFY_CAP = 6
 FORM_PRODUCT_CAP = 30_000
 _VERIFY_SEED = 0x5EED
 # enough points that a wrong product passes with probability at most
-# 2^-64; in characteristic 0 they are ints in [-2^32, 2^32)
-_INT_POINT_HALF = 1 << 32
+# 2^-64; in characteristic 0 they are ints in [-2^96, 2^96), so that one
+# point bounds it by n/2^97 <= 2^-90 for every order the cap admits
+_INT_POINT_HALF = 1 << 96
 _BOUND_TARGET = Fraction(1, 1 << 64)
 
 
@@ -119,8 +124,8 @@ class Verification:
     over F_q a flat F_p[Y]/(m) (or F_p) that F_q embeds in, never a
     tower; bound is the probability that a wrong product passes, 0 for
     the symbolic check and (n/|S|)^points for points drawn uniformly from
-    S, n the degree (Schwartz-Zippel): S = [-2^32, 2^32) in
-    characteristic 0, S = field over F_q.
+    S, n the degree (Schwartz-Zippel): S = [-2^96, 2^96) in
+    characteristic 0 (one point), S = field over F_q.
     """
 
     method: str
@@ -179,6 +184,10 @@ def vandermonde_det(n: int, field):
 def _random_elem(field, rng: random.Random):
     """A seeded element that draws every coefficient of an extension."""
     if isinstance(field, ExtField):
+        if field._prime_base is not None:
+            # the same draws as coefficient by coefficient, one element made
+            p = field.characteristic
+            return field.from_int_coords([rng.randrange(p) for _ in range(field.degree)])
         if field.is_finite:
             return ExtFieldElem(
                 tuple(_random_elem(field.base, rng) for _ in range(field.degree)), field
@@ -263,8 +272,8 @@ def verify_product_identity(fd: FactoredDeterminant, matrix_of) -> Verification:
     and k is the least that brings it to 2^-64 or below:
 
     * in characteristic 0 (Q, Q(zeta_d)) the points are ints uniform in
-      S = [-2^32, 2^32), and the determinant is the one over Q, embedded
-      in the factors' field;
+      S = [-2^96, 2^96), so that one point bounds it by n/2^97, and the
+      determinant is the one over Q, embedded in the factors' field;
     * over F_q they are uniform in S = E, the flat field of
       :func:`_point_field` (F_{2^9} for F_2 and F_8, F_{2^8} for F_4,
       F_{3^5} for F_3), the factors mapped into E by its embedding of F_q
@@ -370,9 +379,11 @@ def _require_expandable(n: int, k: int):
         )
 
 
-def _product_of_forms(variables, powers, exponents, field) -> MultiPoly:
+def _product_of_forms(variables, powers, exponents, big, field) -> MultiPoly:
     """Product over l in exponents of X_0 + zeta^l X_1 + ... + zeta^(l(n-1)) X_(n-1),
-    powers = root_table(N, field) the powers of zeta, a primitive N-th root.
+    powers = root_table(N, big) the powers of zeta, a primitive N-th root,
+    as a polynomial over field: big itself, or the field big extends,
+    whose coordinates lead big's (F_p or Q, or the base of a tower).
 
     Expanded in the group ring Z[C_N][X], where the form of l is
     sum_j T^(l j mod N) X_j, on packed ints: a monomial is one int of
@@ -386,6 +397,12 @@ def _product_of_forms(variables, powers, exponents, field) -> MultiPoly:
     (Kronecker substitution).  A count is at most k!, k the number of
     forms, so with fields wider than N * k! * (largest coordinate)
     nothing carries.
+
+    Below big, a coefficient is read in field from its first r
+    coordinates, r those of an element of field (1 over F_p and Q), and
+    the others must vanish, mod p over F_q, exactly over Q (one mask test
+    on the two products); else VerificationError.  Over Q the
+    coefficients are Fractions.
     """
     order = len(powers)
     labels = list(exponents)
@@ -395,7 +412,7 @@ def _product_of_forms(variables, powers, exponents, field) -> MultiPoly:
     # the expansion: {packed monomial: packed counts}
     packing = Packing(n, k)
     units = [1 << s for s in packing.shifts]
-    coords = [field.int_coords(x) for x in powers]
+    coords = [big.int_coords(x) for x in powers]
     largest = max(abs(c) for row in coords for c in row)
     width = (order * factorial(k) * largest).bit_length()
     span = order * width
@@ -430,16 +447,26 @@ def _product_of_forms(variables, powers, exponents, field) -> MultiPoly:
                 neg |= -c << at
     reads = [t * block + (order - 1) * width for t in range(len(coords[0]))]
     low = (1 << width) - 1
+    p = field.characteristic
+    if field is big:
+        lead, rest, make = reads, [], big.from_int_coords
+    else:
+        r = len(field.int_coords(field.one)) if p else 1
+        lead, rest = reads[:r], reads[r:]
+        make = field.from_int_coords if p else lambda ints: Fraction(ints[0])
+    # over Q a coordinate vanishes when its fields in the two products agree
+    rest_mask = sum(low << s for s in rest)
     unpack = packing.unpack
     terms = {}
     for mono, counts in acc.items():
-        hi = counts * pos
-        if neg:
-            lo = counts * neg
-            ints = [((hi >> r) & low) - ((lo >> r) & low) for r in reads]
-        else:
-            ints = [(hi >> r) & low for r in reads]
-        terms[unpack(mono)] = field.from_int_coords(ints)
+        hi, lo = counts * pos, counts * neg
+        if p and rest:
+            if any([(((hi >> s) & low) - ((lo >> s) & low)) % p for s in rest]):
+                raise VerificationError(
+                    f"a coefficient of the product of forms does not descend to {field}")
+        elif (hi ^ lo) & rest_mask:
+            raise VerificationError("norm form coefficient is not rational")
+        terms[unpack(mono)] = make([((hi >> s) & low) - ((lo >> s) & low) for s in lead])
     # MultiPoly drops the coefficients that vanish in the field
     return MultiPoly(variables, terms, field)
 
@@ -460,16 +487,10 @@ def norm_form(n: int, d: int) -> MultiPoly:
     variables = group_variables(group)
     kd = cyclotomic_field(d)
     units = [m for m in range(1, d + 1) if gcd(m, d) == 1]
-    acc = _product_of_forms(variables, root_table(d, kd), units, kd)
+    acc = _product_of_forms(variables, root_table(d, kd), units, kd, QQ)
     if not acc.is_homogeneous(euler_phi(d)):
         raise VerificationError(f"norm form is not homogeneous of degree {euler_phi(d)}")
-
-    def to_rational(c):
-        if not c.is_rational:
-            raise VerificationError("norm form coefficient is not rational")
-        return c.rational_value
-
-    return acc.map_coefficients(to_rational, QQ)
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -532,14 +553,6 @@ def q_cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
             x = x * q % n
         out.append(tuple(sorted(orbit)))
     return out
-
-
-def _descend(poly, big, field):
-    """poly, whose coefficients lie in field inside its splitting field
-    big, as a polynomial over field."""
-    if big is field:
-        return poly
-    return poly.map_coefficients(lambda c: c.constant, field)
 
 
 def _descended_factor(labels, big, powers, field) -> UniPoly:
@@ -656,7 +669,7 @@ def det_over_finite_field(n: int, field) -> FactoredDeterminant:
     powers = root_table(n, big)
     entries = []
     for labels in cosets:
-        poly = _descend(_product_of_forms(variables, powers, labels, big), big, field)
+        poly = _product_of_forms(variables, powers, labels, big, field)
         entries.append(
             FactorEntry(
                 poly=poly,

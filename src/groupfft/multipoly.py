@@ -7,9 +7,9 @@ capped at dimension 8.  Evaluation is a direct sum of the terms, each its
 coefficient times one power per variable in it, the powers read from one
 table per variable.  The ring's :func:`groupfft.rings.kernel` holds the
 terms, on a polynomial's first evaluation, and keeps them on it:
-integer numerators over one denominator over Q, logarithms over a small
-F_{p^r}, elements elsewhere; the value is the same exact element of the
-ring either way.
+integer numerators over one denominator over Q, int residues over F_p,
+logarithms over a small F_{p^r}, elements elsewhere; the value is the
+same exact element of the ring either way.
 
 Products and the determinant run on packed monomials and held
 coefficients.  A monomial becomes one int of fixed-width exponent fields

@@ -79,10 +79,10 @@ hold a field's values: the row updates of ``mat_det`` and ``mat_rank``
 and the term sum of ``MultiPoly.evaluate``.  F_p eliminates on rows
 of residues packed into one int each, a row update one big-int
 multiply-add with no reduction (:class:`IntKernel`) and a pivot inverse
-one ``pow(x, -1, p)``, and evaluates on its elements.  A small F_p[Y]/(m),
-order at most ``LOG_ORDER_CAP``, runs both on Zech logarithms
-(:class:`LogTables`): a product is one int addition and a sum one table
-lookup (:func:`zech_sum`).  Q eliminates fraction-free: each row is
+one ``pow(x, -1, p)``, and evaluates on int residues, the sum reduced mod
+p once.  A small F_p[Y]/(m), order at most ``LOG_ORDER_CAP``, runs both
+on Zech logarithms (:class:`LogTables`): a product is one int addition
+and a sum one table lookup (:func:`zech_sum`).  Q eliminates fraction-free: each row is
 scaled to integers by the lcm of its denominators, a Bareiss update
 divides exactly by the previous pivot, and the determinant is the last
 pivot over the product of the row scales, one ``Fraction``.  A
@@ -90,11 +90,11 @@ polynomial is evaluated as a direct sum of its terms, each a coefficient
 times powers of the coordinates read from one power table per variable
 (:func:`_term_sum`): over Q on the coefficients' integer numerators over
 their lcm c, so that an int point gives an int, scaled once by 1/c; over
-a small F_p[Y]/(m) on logs, a product of powers one sum of logs and the
-terms added by Zech sums.  Every other field (F_p, towers, Q(zeta_d),
-larger F_{p^r}) evaluates on its elements.  A kernel makes one working
-copy per matrix, keeps its inner loops specialised, and wraps each result
-back into the descriptor it was picked for.  The products of ``MultiPoly``
+F_p on int residues; over a small F_p[Y]/(m) on logs, a product of powers
+one sum of logs and the terms added by Zech sums.  Every other field
+(towers, Q(zeta_d), larger F_{p^r}) evaluates on its elements.  A kernel
+makes one working copy per matrix, keeps its inner loops specialised, and
+wraps each result back into the descriptor it was picked for.  The products of ``MultiPoly``
 and ``symbolic_det`` hold their coefficients through the kernel too
 (``hold``, ``release``): F_p as int residues, reduced mod p once per
 output coefficient; Q as integer numerators over each group's common
@@ -1542,7 +1542,7 @@ class IntKernel(ElementKernel):
     """F_p: products, transforms and convolutions on int residues, each
     result reduced mod p once (a transform once per level,
     :class:`ResidueDFT`); elimination on packed rows; evaluation on
-    elements.
+    int residues, the powers reduced mod p and the sum once.
 
     Elimination delays its reductions (Dumas, Fousse & Salvy, J. Symb.
     Comput. 2011).  The first pivot search packs each row of residues
@@ -1626,6 +1626,15 @@ class IntKernel(ElementKernel):
         width, mask = m.width, m.mask
         return [PrimeFieldElem((row >> width * j) & mask, field)
                 for j in range(start, m.cols)]
+
+    def hold_terms(self, terms: dict):
+        residue_of = self.field.residue_of
+        return _sparse_terms([(e, residue_of(c)) for e, c in terms.items()])
+
+    def evaluate(self, held, xs):
+        field = self.field
+        residue_of, p = field.residue_of, field.p
+        return PrimeFieldElem(_term_sum(held, [residue_of(x) for x in xs], 1, 0, p), field)
 
 
 class LogKernel(ElementKernel):
@@ -1941,17 +1950,18 @@ def _sparse_terms(terms) -> tuple:
     return monomials, tuple(sorted(tops.items()))
 
 
-def _term_sum(held, xs, one, zero):
+def _term_sum(held, xs, one, zero, p=0):
     """sum c * prod xs[i]^e over the terms of held (see
     :func:`_sparse_terms`), from zero, the powers of each coordinate read
-    from one table up to its largest exponent."""
+    from one table up to its largest exponent; with p, int powers are
+    reduced mod p in the table (the sum is not)."""
     monomials, tops = held
     powers = [None] * len(xs)
     for i, top in tops:
         x = xs[i]
         table = [one, x]
         for _ in range(top - 1):
-            table.append(table[-1] * x)
+            table.append(table[-1] * x % p if p else table[-1] * x)
         powers[i] = table
     total = zero
     for c, monomial in monomials:

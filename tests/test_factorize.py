@@ -584,7 +584,7 @@ class TestVerification:
 CHAR0_POINT_CASES = [("Q", (8,)), ("Q", (9,)), ("Q", (12,)), ("split", (8,)),
                      ("split", (2, 4)), ("split", (7,)), ("split", (3, 3))]
 CHAR0_IDS = [f"{over}-" + "x".join(f"C{d}" for d in divs) for over, divs in CHAR0_POINT_CASES]
-INT_POINT_SET = 1 << 33  # |S|, S = [-2^32, 2^32)
+INT_POINT_SET = 1 << 97  # |S|, S = [-2^96, 2^96)
 
 
 def _char0_case(over, divs):
@@ -608,7 +608,8 @@ def _recorded_points(fd, matrix_of):
 
 class TestIntegerPoints:
     """Over Q and Q(zeta_d) the point checks draw ints uniform in
-    S = [-2^32, 2^32), as many as bring (n/|S|)^k to 2^-64."""
+    S = [-2^96, 2^96), as many as bring (n/|S|)^k to 2^-64: one point for
+    every admitted order."""
 
     # Q C8: TestVerification.test_point_check_raises_typed_error
     @pytest.mark.parametrize("over,divs", CHAR0_POINT_CASES[1:], ids=CHAR0_IDS[1:])
@@ -619,16 +620,19 @@ class TestIntegerPoints:
 
     @pytest.mark.parametrize("over,divs", CHAR0_POINT_CASES, ids=CHAR0_IDS)
     def test_three_int_points_in_s(self, over, divs):
+        """One int point of [-2^96, 2^96) where three of [-2^32, 2^32) were
+        drawn: its bound n/2^97 is below theirs, (n/2^33)^3."""
         fd, matrix_of = _char0_case(over, divs)
         record, seen = _recorded_points(fd, matrix_of)
-        assert len(seen) == 3
+        assert len(seen) == 1
         for values, field, _ in seen:
             assert field is QQ
-            assert all(type(v) is int and -(1 << 32) <= v < 1 << 32 for v in values)
+            assert all(type(v) is int and -(1 << 96) <= v < 1 << 96 for v in values)
         n = len(fd.variables)
-        assert record == Verification("points", record.seed, 3, fd.field,
-                                      Fraction(n, INT_POINT_SET) ** 3)
+        assert record == Verification("points", record.seed, 1, fd.field,
+                                      Fraction(n, INT_POINT_SET))
         assert record.bound <= Fraction(1, 1 << 64)
+        assert record.bound <= Fraction(n, 1 << 33) ** 3
         assert fd.verification == record
 
     @pytest.mark.parametrize("over,divs", [("Q", (9,)), ("split", (2, 4))],
@@ -678,12 +682,14 @@ FINITE_POINT_CASES = [
     # the tower (F_2^2)^2 embeds in F_{2^8} by a root of its modulus
     (7, ExtField(finite_field(2, 2), find_irreducible(finite_field(2, 2), 2)),
      finite_field(2, 8), 13),
-    # above the log cap, F_q itself
+    # above the log cap, F_q itself: elements of F_{2^10}, int residues of F_1031
     (7, finite_field(2, 10), finite_field(2, 10), 9),
+    (9, PrimeField(1031), PrimeField(1031), 10),
     # F_23 holds fewer than 24 elements: the smallest F_{23^s} above 24^2
     (24, PrimeField(23), finite_field(23, 3), 8),
 ]
-FINITE_POINT_IDS = ["C7-F2", "C8-F3", "C10-F11", "C13-F4", "C7-F4tower", "C7-F1024", "C24-F23"]
+FINITE_POINT_IDS = ["C7-F2", "C8-F3", "C10-F11", "C13-F4", "C7-F4tower", "C7-F1024", "C9-F1031",
+                    "C24-F23"]
 
 
 class TestFiniteFieldPoints:
@@ -803,7 +809,7 @@ class TestFormProducts:
             return
         kd = cyclotomic_field(d)
         variables = group_variables(AbelianGroup.cyclic(n))
-        got = _product_of_forms(variables, root_table(d, kd), _units(d), kd)
+        got = _product_of_forms(variables, root_table(d, kd), _units(d), kd, kd)
         assert got == product_of_forms_reference(variables, kd.zeta, _units(d), kd)
 
     @pytest.mark.parametrize("n, q", COSET_CASES, ids=lambda c: str(c))
@@ -817,11 +823,31 @@ class TestFormProducts:
         cosets = q_cyclotomic_cosets(n, q)
         for labels in cosets:
             if _expandable(n, len(labels)):
-                got = _product_of_forms(variables, root_table(n, big), labels, big)
+                got = _product_of_forms(variables, root_table(n, big), labels, big, big)
                 assert got == product_of_forms_reference(variables, zeta, labels, big)
         if not all(_expandable(n, len(labels)) for labels in cosets):
             with pytest.raises(PreconditionError):
                 det_over_finite_field(n, field)
+
+    @pytest.mark.parametrize("field, n", [
+        (finite_field(2, 2), 5), (finite_field(2, 2), 7), (finite_field(2, 2), 9),
+        (finite_field(2, 3), 5), (finite_field(2, 3), 9),
+        (finite_field(3, 2), 5), (finite_field(3, 2), 7), (finite_field(3, 2), 10),
+        (ExtField(finite_field(2, 2), find_irreducible(finite_field(2, 2), 3)), 5),
+        (ExtField(finite_field(2, 2), find_irreducible(finite_field(2, 2), 3)), 13),
+    ], ids=lambda c: repr(c))
+    def test_factors_match_descended_field_expansion(self, field, n):
+        """det_over_finite_field emits its factors over F_q from the packed
+        product; expanded instead element by element in the splitting
+        field, and each coefficient read there as its constant term, they
+        are the same."""
+        big, _ = splitting_field(field, n)
+        assert big is not field
+        zeta = primitive_nth_root(n, big)
+        fd = det_over_finite_field(n, field)
+        for entry in fd.factors:
+            expected = product_of_forms_reference(fd.variables, zeta, entry.coset, big)
+            assert entry.poly == expected.map_coefficients(lambda c: c.constant, field)
 
     @pytest.mark.parametrize("n, d", [(n, d) for n, d in NORM_CASES if n <= 7],
                              ids=lambda c: str(c))
@@ -862,7 +888,7 @@ class TestFormProducts:
         powers = root_table(n, field)
         variables = group_variables(AbelianGroup.cyclic(n))
         count[0] = 0
-        poly = _product_of_forms(variables, powers, labels, field)
+        poly = _product_of_forms(variables, powers, labels, field, field)
         assert len(poly.terms) > n
         assert count[0] == 0
 
@@ -872,11 +898,15 @@ class TestChecksUnderO:
     python -O, where an assert would vanish, when a collaborator is
     corrupted in the subprocess."""
 
+    # every power of zeta times zeta: a product of k forms carries zeta^k
+    SHIFTED_TABLE = ("orig = f.root_table\n"
+                     "f.root_table = lambda n, k: [x * orig(n, k)[1] for x in orig(n, k)]")
+
     IMPORT = """
         from fractions import Fraction
         from groupfft import factorize as f
         from groupfft.abelian import AbelianGroup
-        from groupfft.rings import PrimeField, UniPoly
+        from groupfft.rings import PrimeField, UniPoly, finite_field
     """
 
     @pytest.mark.parametrize("corrupt, call, message", [
@@ -888,17 +918,27 @@ class TestChecksUnderO:
          "f.linear_forms(AbelianGroup.cyclic(3), PrimeField(7))",
          "a character is not 1 at the identity"),
         ("orig = f._product_of_forms\n"
-         "f._product_of_forms = lambda v, z, e, k: orig(v, z, e, k) + "
+         "f._product_of_forms = lambda v, z, e, b, k: orig(v, z, e, b, k) + "
          "f.MultiPoly.constant(k.one, v, k)",
          "f.norm_form(5, 5)",
          "norm form is not homogeneous of degree 4"),
-        ("orig = f._product_of_forms\n"
-         "f._product_of_forms = lambda v, z, e, k: orig(v, z, e, k).scale(k.zeta)",
+        # every power times zeta: the product carries zeta^4, irrational
+        (SHIFTED_TABLE,
          "f.norm_form(5, 5)",
          "norm form coefficient is not rational"),
     ], ids=["vandermonde_det", "linear_forms", "norm_form-degree", "norm_form-rational"])
     def test_forms_and_values(self, corrupt, call, message):
         assert check_under_o(call, self.IMPORT, corrupt + "\n") == f"raised: {message}"
+
+    @pytest.mark.parametrize("r, big", [(1, "F2^3"), (2, "(F2^2)^3")], ids=["F2", "F4-tower"])
+    def test_product_of_forms_descends(self, r, big):
+        """Over F_2 and F_4, C7 splits in F_8 and in the tower (F_4)^3;
+        the first coset's factor, zeta times its form, does not descend."""
+        call = f"f.det_over_finite_field(7, finite_field(2, {r}))"
+        assert repr(splitting_field(finite_field(2, r), 7)[0]) == big
+        assert check_under_o(call, self.IMPORT, self.SHIFTED_TABLE + "\n") == (
+            f"raised: a coefficient of the product of forms does not descend to "
+            f"{finite_field(2, r)!r}")
 
     # corruptions shared by the two coset factorizations
     TIMES_X = ("orig = f._descended_factor\n"

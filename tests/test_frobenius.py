@@ -458,8 +458,9 @@ class TestAlternatingGroupDegreeThree:
             verify_product_identity(wrong, matrix_of)
 
     def test_point_checks_at_three_int_points(self, a4_data):
-        """A4's factors live in Q(zeta_3): three int points of
-        [-2^32, 2^32), for a bound of (12 / 2^33)^3 <= 2^-64."""
+        """A4's factors live in Q(zeta_3): one int point of [-2^96, 2^96),
+        for a bound of 12 / 2^97 <= 2^-64, below the (12 / 2^33)^3 of the
+        three points of [-2^32, 2^32) it replaces."""
         group, reps = a4_data
         fd = frobenius_factorization(group, reps)
         points = []
@@ -469,10 +470,11 @@ class TestAlternatingGroupDegreeThree:
             return group.group_matrix(values)
 
         record = verify_product_identity(fd, recording)
-        assert len(points) == record.points == 3
-        assert all(type(v) is int and -(1 << 32) <= v < 1 << 32 for p in points for v in p)
+        assert len(points) == record.points == 1
+        assert all(type(v) is int and -(1 << 96) <= v < 1 << 96 for p in points for v in p)
         assert record.field is fd.field
-        assert record.bound == Fraction(12, 1 << 33) ** 3 <= Fraction(1, 1 << 64)
+        assert record.bound == Fraction(12, 1 << 97) <= Fraction(1, 1 << 64)
+        assert record.bound <= Fraction(12, 1 << 33) ** 3
         assert fd.verification == record
 
     def test_vanishing_beyond_degree_three(self, a4_data):

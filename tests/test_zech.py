@@ -214,6 +214,21 @@ class TestEvaluate:
             assert sorted(c for c, _ in held[0]) == sorted(
                 tables.log_of(c, field) for c in poly.terms.values())
 
+    @pytest.mark.parametrize("p", [1031, 2**61 - 1])
+    def test_prime_fields_above_the_cap(self, p):
+        """F_p holds its terms as int residues and sums them on the
+        residues of the point, the power tables reduced mod p, above
+        LOG_ORDER_CAP too."""
+        field = finite_field(p, 1)
+        rng = random.Random(p)
+        for _ in range(25):
+            poly = self._random_poly(field, rng)
+            for _ in range(3):
+                point = {v: _sparse_elem(field, rng) for v in VARS}
+                got = poly.evaluate(point)
+                assert _of(got, field) and got == _term_sum(poly, point)
+            assert all(type(c) is int and 0 < c < p for c, _ in poly._held[0])
+
     @pytest.mark.parametrize("pr", FIELDS, ids=_name)
     def test_internal_cancellation(self, pr):
         field = _field(pr)
