@@ -60,7 +60,6 @@ from .rings import (
     LOG_ORDER_CAP,
     QQ,
     ExtField,
-    ExtFieldElem,
     PrimeField,
     UniPoly,
     finite_field,
@@ -183,19 +182,13 @@ def vandermonde_det(n: int, field):
 
 def _random_elem(field, rng: random.Random):
     """A seeded element that draws every coefficient of an extension."""
+    if field.is_finite:
+        # one residue per int coordinate, a tower's depth first
+        p = field.characteristic
+        return field.from_int_coords([rng.randrange(p) for _ in field.int_coords(field.one)])
     if isinstance(field, ExtField):
-        if field._prime_base is not None:
-            # the same draws as coefficient by coefficient, one element made
-            p = field.characteristic
-            return field.from_int_coords([rng.randrange(p) for _ in range(field.degree)])
-        if field.is_finite:
-            return ExtFieldElem(
-                tuple(_random_elem(field.base, rng) for _ in range(field.degree)), field
-            )
         # Q(zeta_d): small integer coefficients
         return field.from_residue([rng.randrange(-9, 10) for _ in range(field.degree)])
-    if field.is_finite:
-        return field.from_int(rng.randrange(field.order))
     return Fraction(rng.randrange(-50, 51), rng.randrange(1, 9))
 
 

@@ -1542,7 +1542,7 @@ class IntKernel(ElementKernel):
     """F_p: products, transforms and convolutions on int residues, each
     result reduced mod p once (a transform once per level,
     :class:`ResidueDFT`); elimination on packed rows; evaluation on
-    int residues, the powers reduced mod p and the sum once.
+    int residues, the sum reduced mod p once.
 
     Elimination delays its reductions (Dumas, Fousse & Salvy, J. Symb.
     Comput. 2011).  The first pivot search packs each row of residues
@@ -1633,8 +1633,8 @@ class IntKernel(ElementKernel):
 
     def evaluate(self, held, xs):
         field = self.field
-        residue_of, p = field.residue_of, field.p
-        return PrimeFieldElem(_term_sum(held, [residue_of(x) for x in xs], 1, 0, p), field)
+        residue_of = field.residue_of
+        return PrimeFieldElem(_term_sum(held, [residue_of(x) for x in xs], 1, 0), field)
 
 
 class LogKernel(ElementKernel):
@@ -1950,18 +1950,17 @@ def _sparse_terms(terms) -> tuple:
     return monomials, tuple(sorted(tops.items()))
 
 
-def _term_sum(held, xs, one, zero, p=0):
+def _term_sum(held, xs, one, zero):
     """sum c * prod xs[i]^e over the terms of held (see
     :func:`_sparse_terms`), from zero, the powers of each coordinate read
-    from one table up to its largest exponent; with p, int powers are
-    reduced mod p in the table (the sum is not)."""
+    from one table up to its largest exponent."""
     monomials, tops = held
     powers = [None] * len(xs)
     for i, top in tops:
         x = xs[i]
         table = [one, x]
         for _ in range(top - 1):
-            table.append(table[-1] * x % p if p else table[-1] * x)
+            table.append(table[-1] * x)
         powers[i] = table
     total = zero
     for c, monomial in monomials:

@@ -217,8 +217,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("p", [1031, 2**61 - 1])
     def test_prime_fields_above_the_cap(self, p):
         """F_p holds its terms as int residues and sums them on the
-        residues of the point, the power tables reduced mod p, above
-        LOG_ORDER_CAP too."""
+        residues of the point, reduced mod p once, above LOG_ORDER_CAP
+        too."""
         field = finite_field(p, 1)
         rng = random.Random(p)
         for _ in range(25):
