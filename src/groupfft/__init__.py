@@ -41,7 +41,6 @@ from .factorize import (
     CosetFactor,
     FactoredDeterminant,
     FactorEntry,
-    LinearForm,
     Verification,
     det_over_finite_field,
     det_over_rationals,

@@ -154,32 +154,21 @@ def _sampled_round_trip_check(group, field, seed: int, samples: int = 20):
             raise VerificationError("sampled round-trip self-check failed")
 
 
-def _cmd_fft(req: CommandRequest) -> tuple[int, str]:
+def _cmd_transform(req: CommandRequest) -> tuple[int, str]:
+    """fft, or ifft on the vector read on the dual side."""
     group, field, vec = _transform_request(req)
-    out = transform.fft(vec)
+    if req.subcommand == "ifft":
+        vec = transform.GroupVector(group, field, vec.values, dual=True)
+        name, run, reference, back = ("fast inverse transform", transform.inverse_fft,
+                                      transform.inverse_fft_reference, transform.fft)
+    else:
+        name, run, reference, back = ("fast transform", transform.fft,
+                                      transform.fft_reference, transform.inverse_fft)
+    out = run(vec)
     if req.verify:
-        if out.values != transform.fft_reference(vec).values:
-            raise VerificationError("fast transform differs from the reference sum")
-        back = transform.inverse_fft(out)
-        if back.values != vec.values:
-            raise VerificationError("round-trip self-check failed")
-        _sampled_round_trip_check(group, field, req.seed)
-    if req.json_output:
-        return 0, json.dumps(
-            {"group": group.describe(), "field": req.field, "values": _json_values(out)}
-        )
-    return 0, _format_values(out)
-
-
-def _cmd_ifft(req: CommandRequest) -> tuple[int, str]:
-    group, field, vec = _transform_request(req)
-    dual_vec = transform.GroupVector(group, field, vec.values, dual=True)
-    out = transform.inverse_fft(dual_vec)
-    if req.verify:
-        if out.values != transform.inverse_fft_reference(dual_vec).values:
-            raise VerificationError("fast inverse transform differs from the reference sum")
-        forward = transform.fft(out)
-        if forward.values != dual_vec.values:
+        if out.values != reference(vec).values:
+            raise VerificationError(f"{name} differs from the reference sum")
+        if back(out).values != vec.values:
             raise VerificationError("round-trip self-check failed")
         _sampled_round_trip_check(group, field, req.seed)
     if req.json_output:
@@ -379,8 +368,8 @@ def _cmd_frobenius(req: CommandRequest) -> tuple[int, str]:
 
 _HANDLERS = {
     "cyclo": _cmd_cyclo,
-    "fft": _cmd_fft,
-    "ifft": _cmd_ifft,
+    "fft": _cmd_transform,
+    "ifft": _cmd_transform,
     "weight": _cmd_weight,
     "idempotents": _cmd_idempotents,
     "factor-xn1": _cmd_factor_xn1,

@@ -3,7 +3,8 @@
 Three regimes, mirroring the three fields of interest:
 
 * over a field containing the needed roots of unity the group determinant
-  splits into the n linear eigenvalue forms, one per character;
+  splits into the n linear eigenvalue forms sum_sigma chi(sigma) X_sigma,
+  one per character;
 * over Q the cyclic group determinant splits into one norm form per
   divisor d of n, the norm being the product of galois conjugates of the
   generic linear form built on zeta_d;
@@ -14,19 +15,22 @@ Three regimes, mirroring the three fields of interest:
   its powers (:func:`groupfft.linalg.left_nullspace`); the determinant's
   factor is expanded over a splitting extension and emitted over F_q.
 
-The factors over Q and F_q are products of eigenvalue forms
-sum_j zeta^(l j) X_j, so they lie in the integral group ring Z[C_N][X],
-N the order of zeta, until T -> zeta at the end.  They are expanded
-there, on packed ints (packed exponent vectors, after Monagan and Pearce):
-a monomial is one int of exponent fields, a coefficient one int of N
-counts, and a term of the form of l rotates the counts by l j mod N.
-Each surviving monomial then meets the field once: its int coordinates
-are read off one big-int product of the counts by the packed columns of
-the field's :func:`groupfft.rings.root_table` (Kronecker substitution).
-Over Q and F_q the factor is emitted in the base field from those ints:
-the leading coordinates are its coefficient, and the others are checked
-to vanish, so no element of the extension is made.  The expansion makes
-no field product.  Its monomials are packed by
+Every determinant factor is one product of eigenvalue forms
+sum_j zeta^(row[j]) X_j, one exponent row per form, built by
+:func:`_product_of_forms`: a split factor is one row, the pairing
+exponents of its character, and a factor over Q or F_q one row
+l j mod N per label l of its orbit.  The product lies in the integral
+group ring Z[C_N][X], N the order of zeta, until T -> zeta at the end.
+It is expanded there, on packed ints (packed exponent vectors, after
+Monagan and Pearce): a monomial is one int of exponent fields, a
+coefficient one int of N counts, and a term of a form rotates the counts
+by its exponent.  Each surviving monomial then meets the field once: its
+int coordinates are read off one big-int product of the counts by the
+packed columns of the field's :func:`groupfft.rings.root_table`
+(Kronecker substitution).  Over Q and F_q the factor is emitted in the
+base field from those ints: the leading coordinates are its coefficient,
+and the others are checked to vanish, so no element of the extension is
+made.  The expansion makes no field product.  Its monomials are packed by
 :class:`groupfft.multipoly.Packing`, the packing of ``MultiPoly``'s
 products, which run the symbolic checks below on packed monomials and
 int-held coefficients too.
@@ -50,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 
-from .abelian import AbelianGroup, Character, character_matrix
+from .abelian import AbelianGroup, character_matrix
 from .cyclotomic import _identity, cyclotomic_field, cyclotomic_polynomial, splitting_field
 from .errors import PreconditionError, VerificationError
 from .linalg import left_nullspace, mat_det
@@ -87,20 +91,6 @@ _VERIFY_SEED = 0x5EED
 # point bounds it by n/2^97 <= 2^-90 for every order the cap admits
 _INT_POINT_HALF = 1 << 96
 _BOUND_TARGET = Fraction(1, 1 << 64)
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """The eigenvalue form of one character: sum_sigma chi(sigma) X_sigma."""
-
-    character: Character
-    coefficients: tuple  # field elements, canonical element order
-
-    def as_multipoly(self, group: AbelianGroup, field) -> MultiPoly:
-        variables = group_variables(group)
-        return MultiPoly.linear(
-            dict(zip(variables, self.coefficients)), variables, field
-        )
 
 
 @dataclass(frozen=True)
@@ -323,38 +313,46 @@ def _abelian_matrix(group: AbelianGroup):
     return lambda values, field: group_matrix(GroupVector(group, field, tuple(values))).rows()
 
 
+def _checked(group: AbelianGroup, field, entries) -> FactoredDeterminant:
+    """The factorization of group's determinant over field into entries,
+    carrying the Verification of its product identity."""
+    fd = FactoredDeterminant(field, group_variables(group), tuple(entries))
+    return replace(
+        fd, verification=verify_product_identity(fd, _abelian_matrix(group)))
+
+
 # ---------------------------------------------------------------------------
 # Split-field factorization: one linear form per character
 # ---------------------------------------------------------------------------
 
-def linear_forms(group: AbelianGroup, field) -> list[LinearForm]:
-    """The eigenvalue form of each character: a column of the character matrix."""
-    columns = zip(*character_matrix(group, field))
-    out = []
-    for chi, coeffs in zip(group.characters(), columns):
-        if coeffs[group.index(group.identity)] != field.one:
-            raise VerificationError("a character is not 1 at the identity")
-        out.append(LinearForm(chi, coeffs))
-    return out
-
-
 def det_split_field(group: AbelianGroup, field=None) -> FactoredDeterminant:
-    """det of the group matrix as a product of the n character linear forms."""
+    """det of the group matrix as a product of the n character linear forms.
+
+    The form of chi is one row of :func:`_product_of_forms`, the pairing
+    exponents of chi with the elements; its coefficient of X_identity must
+    be 1 (VerificationError otherwise).
+    """
     if field is None:
         field = cyclotomic_field(group.exponent)
+    variables = group_variables(group)
+    powers = root_table(group.exponent, field)
+    elements = group.elements()
+    identity = tuple(int(a == group.identity) for a in elements)
     entries = []
-    for form in linear_forms(group, field):
+    for chi in group.characters():
+        row = [group.pairing_exponent(a, chi) for a in elements]
+        poly = _product_of_forms(variables, powers, [row], field, field)
+        if poly.terms.get(identity) != field.one:
+            raise VerificationError("a character is not 1 at the identity")
         entries.append(
             FactorEntry(
-                poly=form.as_multipoly(group, field),
+                poly=poly,
                 multiplicity=1,
                 claimed_irreducible=True,
-                label="Y_" + "_".join(str(r) for r in form.character.residues),
+                label="Y_" + "_".join(str(r) for r in chi.residues),
             )
         )
-    fd = FactoredDeterminant(field, group_variables(group), tuple(entries))
-    return replace(
-        fd, verification=verify_product_identity(fd, _abelian_matrix(group)))
+    return _checked(group, field, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -372,50 +370,50 @@ def _require_expandable(n: int, k: int):
         )
 
 
-def _product_of_forms(variables, powers, exponents, big, field) -> MultiPoly:
-    """Product over l in exponents of X_0 + zeta^l X_1 + ... + zeta^(l(n-1)) X_(n-1),
-    powers = root_table(N, big) the powers of zeta, a primitive N-th root,
-    as a polynomial over field: big itself, or the field big extends,
-    whose coordinates lead big's (F_p or Q, or the base of a tower).
+def _product_of_forms(variables, powers, rows, big, field) -> MultiPoly:
+    """Product over the rows of zeta^row[0] X_0 + ... + zeta^row[n-1] X_(n-1),
+    one linear form per row, row[j] in [0, N) the power of zeta on X_j
+    (the form of a cyclic label l is the row l j mod N), powers =
+    root_table(N, big) the powers of zeta, a primitive N-th root, as a
+    polynomial over field: big itself, or the field big extends, whose
+    coordinates lead big's (F_p or Q, or the base of a tower).
 
-    Expanded in the group ring Z[C_N][X], where the form of l is
-    sum_j T^(l j mod N) X_j, on packed ints: a monomial is one int of
-    exponent fields, a coefficient one int of N count fields (the
-    coefficients of 1, T, ..., T^(N-1)), and a term of the form of l adds
-    a unit to the monomial and rotates the counts by l j.  No field
-    product is taken.  Each surviving monomial is then sent through
-    T -> zeta once: every int coordinate of sum_e c_e zeta^e is the dot
-    product of the counts with that coordinate's column of the power
-    table, read off one big-int product by the packed reversed columns
-    (Kronecker substitution).  A count is at most k!, k the number of
-    forms, so with fields wider than N * k! * (largest coordinate)
-    nothing carries.
+    Expanded in the group ring Z[C_N][X], where the form of a row is
+    sum_j T^row[j] X_j, on packed ints: a monomial is one int of exponent
+    fields, a coefficient one int of N count fields (the coefficients of
+    1, T, ..., T^(N-1)), and a term of a form adds a unit to the monomial
+    and rotates the counts by its row entry.  No field product is taken.
+    Each surviving monomial is then sent through T -> zeta once: every
+    int coordinate of sum_e c_e zeta^e is the dot product of the counts
+    with that coordinate's column of the power table, read off one big-int
+    product by the packed reversed columns (Kronecker substitution).  A
+    count is at most k!, k the number of forms, so with fields wider than
+    N * k! * (largest coordinate) nothing carries.
 
-    Below big, a coefficient is read in field from its first r
-    coordinates, r those of an element of field (1 over F_p and Q), and
-    the others must vanish, mod p over F_q, exactly over Q (one mask test
-    on the two products); else VerificationError.  Over Q the
-    coefficients are Fractions.
+    A coefficient is read in field from its first r coordinates, r those
+    of an element of field (all of them when field is big), by
+    ``field.from_int_coords``; below big the others must vanish, mod p
+    over F_q, exactly over Q (one mask test on the two products), else
+    VerificationError.
     """
     order = len(powers)
-    labels = list(exponents)
-    k = len(labels)
+    k = len(rows)
     n = len(variables)
 
     # the expansion: {packed monomial: packed counts}
     packing = Packing(n, k)
     units = [1 << s for s in packing.shifts]
     coords = [big.int_coords(x) for x in powers]
-    largest = max(abs(c) for row in coords for c in row)
+    largest = max(abs(c) for ints in coords for c in ints)
     width = (order * factorial(k) * largest).bit_length()
     span = order * width
     mask = (1 << span) - 1
     acc = {0: 1}
-    for ell in labels:
+    for row in rows:
         # the variables' units, grouped by the rotation (in bits) of their term
         by_shift: dict = {}
-        for j in range(n):
-            by_shift.setdefault(ell * j % order * width, []).append(units[j])
+        for unit, e in zip(units, row):
+            by_shift.setdefault(e * width, []).append(unit)
         out: dict = {}
         get = out.get
         for mono, counts in acc.items():
@@ -431,8 +429,8 @@ def _product_of_forms(variables, powers, exponents, big, field) -> MultiPoly:
     # blocks of 2 * order - 1 fields, negative entries in a second int
     block = (2 * order - 1) * width
     pos = neg = 0
-    for e, row in enumerate(coords):
-        for t, c in enumerate(row):
+    for e, ints in enumerate(coords):
+        for t, c in enumerate(ints):
             at = t * block + (order - 1 - e) * width
             if c > 0:
                 pos |= c << at
@@ -441,12 +439,8 @@ def _product_of_forms(variables, powers, exponents, big, field) -> MultiPoly:
     reads = [t * block + (order - 1) * width for t in range(len(coords[0]))]
     low = (1 << width) - 1
     p = field.characteristic
-    if field is big:
-        lead, rest, make = reads, [], big.from_int_coords
-    else:
-        r = len(field.int_coords(field.one)) if p else 1
-        lead, rest = reads[:r], reads[r:]
-        make = field.from_int_coords if p else lambda ints: Fraction(ints[0])
+    r = len(field.int_coords(field.one))
+    lead, rest, make = reads[:r], reads[r:], field.from_int_coords
     # over Q a coordinate vanishes when its fields in the two products agree
     rest_mask = sum(low << s for s in rest)
     unpack = packing.unpack
@@ -479,8 +473,8 @@ def norm_form(n: int, d: int) -> MultiPoly:
     group = AbelianGroup.cyclic(n)
     variables = group_variables(group)
     kd = cyclotomic_field(d)
-    units = [m for m in range(1, d + 1) if gcd(m, d) == 1]
-    acc = _product_of_forms(variables, root_table(d, kd), units, kd, QQ)
+    rows = [[m * j % d for j in range(n)] for m in range(1, d + 1) if gcd(m, d) == 1]
+    acc = _product_of_forms(variables, root_table(d, kd), rows, kd, QQ)
     if not acc.is_homogeneous(euler_phi(d)):
         raise VerificationError(f"norm form is not homogeneous of degree {euler_phi(d)}")
     return acc
@@ -496,8 +490,7 @@ def det_over_rationals(n: int) -> FactoredDeterminant:
     if n < 1:
         raise PreconditionError(f"the cyclic group C_n needs n >= 1, not {n}")
     _require_expandable(n, euler_phi(n))
-    group = AbelianGroup.cyclic(n)
-    entries = tuple(
+    entries = [
         FactorEntry(
             poly=norm_form(n, d),
             multiplicity=1,
@@ -506,10 +499,8 @@ def det_over_rationals(n: int) -> FactoredDeterminant:
             divisor=d,
         )
         for d in divisors(n)
-    )
-    fd = FactoredDeterminant(QQ, group_variables(group), entries)
-    return replace(
-        fd, verification=verify_product_identity(fd, _abelian_matrix(group)))
+    ]
+    return _checked(AbelianGroup.cyclic(n), QQ, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -569,23 +560,18 @@ def _descended_factor(labels, big, powers, field) -> UniPoly:
     return UniPoly.make(relations[0], field).monic()
 
 
-def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
-    """Irreducible factors of X^n - 1 over F_q, one per q-stable label set.
-
-    Each factor is the minimal polynomial over F_q of zeta^l, l the least
-    label of its set, read off one elimination over F_q
-    (:func:`_descended_factor`), and checked: of degree the set's size,
-    monic, Q(X)^q = Q(X^q) (its roots closed under Frobenius), irreducible
-    by Ben-Or's test, and the factors' product X^n - 1.
-    """
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    _check_finite(field, n)
+def _coset_factors(n: int, field, cosets) -> list[CosetFactor]:
+    """The factor over F_q = field of each q-cyclotomic coset L of Z/nZ:
+    the minimal polynomial over F_q of zeta^l, l = min L, read off one
+    elimination over F_q (:func:`_descended_factor`), and checked: of
+    degree |L|, monic, Q(X)^q = Q(X^q) (its roots closed under
+    Frobenius) and irreducible by Ben-Or's test; VerificationError
+    otherwise."""
     q = field.order
     big, _ = splitting_field(field, n)
     powers = root_table(n, big)
     out = []
-    for labels in q_cyclotomic_cosets(n, q):
+    for labels in cosets:
         poly = _descended_factor(labels, big, powers, field)
         if poly.degree != len(labels):
             raise VerificationError(f"coset factor of {labels} has degree {poly.degree}")
@@ -597,6 +583,19 @@ def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
         if not is_irreducible(poly):
             raise VerificationError("coset factor is not irreducible")
         out.append(CosetFactor(labels, poly))
+    return out
+
+
+def factor_xn_minus_one(n: int, field) -> list[CosetFactor]:
+    """Irreducible factors of X^n - 1 over F_q, one per q-stable label set.
+
+    The factors of :func:`_coset_factors`, each checked there, and their
+    product checked to be X^n - 1.
+    """
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
+    _check_finite(field, n)
+    out = _coset_factors(n, field, q_cyclotomic_cosets(n, field.order))
     prod = UniPoly.constant(field.one, field)
     for cf in out:
         prod = prod * cf.poly
@@ -611,26 +610,17 @@ def factor_cyclotomic(d: int, field) -> list[CosetFactor]:
     With r the order of q modulo d, the factors are the products of
     X - zeta_d^m over the q-cyclotomic cosets of the units m mod d (the
     cosets of the subgroup generated by q in (Z/dZ)^*); there are
-    phi(d)/r of them, all of degree r.  Each is the minimal polynomial
-    over F_q of zeta_d^m, m the least unit of its coset, read off one
-    elimination over F_q (:func:`_descended_factor`); their product is
-    checked to be Phi_d mod q.
+    phi(d)/r of them, all of degree r.  They are the factors of
+    :func:`_coset_factors` on those cosets, each checked there; their
+    count is checked to be phi(d)/r and their product Phi_d mod q.
     """
     if d < 1:
         raise PreconditionError("cyclotomic index must be >= 1")
     _check_finite(field, d)
     q = field.order
-    big, _ = splitting_field(field, d)
-    powers = root_table(d, big)
     r = multiplicative_order(q, d)
-    out = []
-    for coset in q_cyclotomic_cosets(d, q):
-        if gcd(coset[0], d) != 1:
-            continue
-        poly = _descended_factor(coset, big, powers, field)
-        if poly.degree != r or not poly.is_monic:
-            raise VerificationError(f"coset factor of {coset} is not monic of degree {r}")
-        out.append(CosetFactor(coset, poly))
+    units = [coset for coset in q_cyclotomic_cosets(d, q) if gcd(coset[0], d) == 1]
+    out = _coset_factors(d, field, units)
     if len(out) != euler_phi(d) // r:
         raise VerificationError(f"{len(out)} coset factors, expected {euler_phi(d) // r}")
     prod = UniPoly.constant(field.one, field)
@@ -662,7 +652,8 @@ def det_over_finite_field(n: int, field) -> FactoredDeterminant:
     powers = root_table(n, big)
     entries = []
     for labels in cosets:
-        poly = _product_of_forms(variables, powers, labels, big, field)
+        rows = [[ell * j % n for j in range(n)] for ell in labels]
+        poly = _product_of_forms(variables, powers, rows, big, field)
         entries.append(
             FactorEntry(
                 poly=poly,
@@ -672,6 +663,4 @@ def det_over_finite_field(n: int, field) -> FactoredDeterminant:
                 coset=labels,
             )
         )
-    fd = FactoredDeterminant(field, variables, tuple(entries))
-    return replace(
-        fd, verification=verify_product_identity(fd, _abelian_matrix(group)))
+    return _checked(group, field, entries)

@@ -13,11 +13,12 @@ embeddings.
 A field descriptor provides: ``characteristic``, ``zero``, ``one``,
 ``from_int``, ``from_rational``, ``inv``, ``format_elem`` and
 ``primitive_nth_root``; finite fields additionally expose ``order``,
-``iter_elements`` (canonical ordering) and ``order_key``.  F_p, F_{p^r}
-and Q(zeta_d) also read an element as a flat list of ints and back
-(``int_coords``, ``from_int_coords``): the residue, the coefficients over
-a prime base (over a tower, each coefficient's ints in turn), the
-integer numerators of an algebraic integer of Q(zeta_d).
+``iter_elements`` (canonical ordering) and ``order_key``.  Every field
+also reads an element as a flat list of ints and back (``int_coords``,
+``from_int_coords``): the residue over F_p, the coefficients over a prime
+base (over a tower, each coefficient's ints in turn), the integer
+numerators of an algebraic integer of Q(zeta_d), and over Q an integer
+as itself; Q and Q(zeta_d) read integers only.
 Descriptors are canonical: a constructor called with equal arguments
 returns the descriptor it built first (:class:`_Canonical`), so one field
 is one object, with one kernel and one :func:`root_table` per exponent,
@@ -189,6 +190,16 @@ class RationalField(metaclass=_Canonical):
         if x == 0:
             raise NotInvertible("division by zero in Q")
         return 1 / Fraction(x)
+
+    def int_coords(self, x: Fraction) -> list:
+        """An integer x as [x]; inverted by from_int_coords."""
+        if x.denominator != 1:
+            raise PreconditionError(f"{x} is not an integer")
+        return [x.numerator]
+
+    def from_int_coords(self, ints) -> Fraction:
+        """The integer with this one int coordinate."""
+        return Fraction(ints[0])
 
     def primitive_nth_root(self, n: int) -> Fraction:
         require_root_order(n)

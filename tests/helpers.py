@@ -10,10 +10,11 @@ from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
+from groupfft.abelian import character_matrix
 from groupfft.cyclotomic import cyclotomic_polynomial
 from groupfft.multipoly import MultiPoly
 from groupfft.rings import QQ, ExtField, ExtFieldElem, UniPoly
-from groupfft.transform import GroupVector
+from groupfft.transform import GroupVector, group_variables
 
 
 def random_elem(field, rng):
@@ -194,6 +195,15 @@ def product_of_forms_reference(variables, zeta, exponents, field):
         form = MultiPoly.linear(coeffs, variables, field)
         acc = form if acc is None else mul_reference(acc, form)
     return acc
+
+
+def character_forms_reference(group, field):
+    """The eigenvalue form sum_sigma chi(sigma) X_sigma of each character,
+    in character order: MultiPoly.linear of each column of the character
+    matrix.  The reference for det_split_field's factors."""
+    variables = group_variables(group)
+    return [MultiPoly.linear(dict(zip(variables, column)), variables, field)
+            for column in zip(*character_matrix(group, field))]
 
 
 @lru_cache(maxsize=None)

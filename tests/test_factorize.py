@@ -57,6 +57,7 @@ from groupfft.rings import (
 )
 
 from helpers import (
+    character_forms_reference,
     check_under_o,
     coset_product_reference,
     factored_product_reference,
@@ -126,11 +127,47 @@ class TestSplitField:
         assert prod == x0 * x0 - x1 * x1
 
     def test_identity_coefficient_is_one(self):
-        from groupfft.factorize import linear_forms
+        field = cyclotomic_field(6)
+        fd = det_split_field(AbelianGroup((2, 6)), field)
+        identity = (1,) + (0,) * 11
+        for entry in fd.factors:
+            assert entry.poly.terms[identity] == field.one
 
-        group = AbelianGroup((2, 6))
-        for form in linear_forms(group, cyclotomic_field(6)):
-            assert form.coefficients[0] == cyclotomic_field(6).one
+
+F64_TOWER = ExtField(finite_field(2, 2), find_irreducible(finite_field(2, 2), 3))
+
+
+class TestSplitFieldAgainstCharacterColumns:
+    """det_split_field emits each character's form from one exponent row
+    of _product_of_forms; the columns of the character matrix give the
+    same forms (helpers.character_forms_reference)."""
+
+    @pytest.mark.parametrize("divs", [(1,), (2, 2), (2, 6), (3, 3), (4, 4), (2, 2, 2)],
+                             ids=lambda d: "x".join(f"C{x}" for x in d))
+    def test_default_cyclotomic_field(self, divs):
+        group = AbelianGroup(divs)
+        fd = det_split_field(group)
+        assert fd.field is cyclotomic_field(group.exponent)
+        assert [e.poly for e in fd.factors] == character_forms_reference(group, fd.field)
+
+    @pytest.mark.parametrize("divs, field", [
+        ((2,), QQ), ((2, 2), QQ), ((8,), PrimeField(17)), ((2, 4), F5),
+        ((5,), finite_field(2, 4)), ((7,), finite_field(2, 3)), ((7,), F64_TOWER),
+    ], ids=["C2-Q", "C2xC2-Q", "C8-F17", "C2xC4-F5", "C5-F16", "C7-F8", "C7-F4tower"])
+    def test_given_field(self, divs, field):
+        group = AbelianGroup(divs)
+        fd = det_split_field(group, field)
+        assert fd.field is field
+        assert all(e.poly.ring is field for e in fd.factors)
+        assert [e.poly for e in fd.factors] == character_forms_reference(group, field)
+
+    def test_c8_over_f17_as_over_finite_field(self):
+        """17 = 1 mod 8: every coset is one label, so the factors over F_17
+        are the split forms, in the same order."""
+        field = PrimeField(17)
+        split = det_split_field(AbelianGroup.cyclic(8), field)
+        cosets = det_over_finite_field(8, field)
+        assert [e.poly for e in split.factors] == [e.poly for e in cosets.factors]
 
 
 class TestOverRationals:
@@ -619,7 +656,7 @@ class TestIntegerPoints:
             verify_product_identity(_corrupted(fd), matrix_of)
 
     @pytest.mark.parametrize("over,divs", CHAR0_POINT_CASES, ids=CHAR0_IDS)
-    def test_three_int_points_in_s(self, over, divs):
+    def test_one_int_point_in_s(self, over, divs):
         """One int point of [-2^96, 2^96) where three of [-2^32, 2^32) were
         drawn: its bound n/2^97 is below theirs, (n/2^33)^3."""
         fd, matrix_of = _char0_case(over, divs)
@@ -778,6 +815,11 @@ def _units(d):
     return [m for m in range(1, d + 1) if gcd(m, d) == 1]
 
 
+def _rows(labels, n, order):
+    """The exponent rows of the forms of cyclic labels: l j mod order."""
+    return [[ell * j % order for j in range(n)] for ell in labels]
+
+
 def _expandable(n, k):
     return comb(n + k - 1, k) <= FORM_PRODUCT_CAP
 
@@ -809,7 +851,7 @@ class TestFormProducts:
             return
         kd = cyclotomic_field(d)
         variables = group_variables(AbelianGroup.cyclic(n))
-        got = _product_of_forms(variables, root_table(d, kd), _units(d), kd, kd)
+        got = _product_of_forms(variables, root_table(d, kd), _rows(_units(d), n, d), kd, kd)
         assert got == product_of_forms_reference(variables, kd.zeta, _units(d), kd)
 
     @pytest.mark.parametrize("n, q", COSET_CASES, ids=lambda c: str(c))
@@ -823,7 +865,8 @@ class TestFormProducts:
         cosets = q_cyclotomic_cosets(n, q)
         for labels in cosets:
             if _expandable(n, len(labels)):
-                got = _product_of_forms(variables, root_table(n, big), labels, big, big)
+                got = _product_of_forms(variables, root_table(n, big), _rows(labels, n, n),
+                                        big, big)
                 assert got == product_of_forms_reference(variables, zeta, labels, big)
         if not all(_expandable(n, len(labels)) for labels in cosets):
             with pytest.raises(PreconditionError):
@@ -888,7 +931,7 @@ class TestFormProducts:
         powers = root_table(n, field)
         variables = group_variables(AbelianGroup.cyclic(n))
         count[0] = 0
-        poly = _product_of_forms(variables, powers, labels, field, field)
+        poly = _product_of_forms(variables, powers, _rows(labels, n, n), field, field)
         assert len(poly.terms) > n
         assert count[0] == 0
 
@@ -913,9 +956,9 @@ class TestChecksUnderO:
         ("f.mat_det = lambda a, field: field.one",
          "f.vandermonde_det(3, PrimeField(7))",
          "product formula disagrees with direct determinant"),
-        ("orig = f.character_matrix\n"
-         "f.character_matrix = lambda g, field: [[2 * x for x in row] for row in orig(g, field)]",
-         "f.linear_forms(AbelianGroup.cyclic(3), PrimeField(7))",
+        # every power times zeta: the form of a character carries zeta on X_0
+        (SHIFTED_TABLE,
+         "f.det_split_field(AbelianGroup.cyclic(3), PrimeField(7))",
          "a character is not 1 at the identity"),
         ("orig = f._product_of_forms\n"
          "f._product_of_forms = lambda v, z, e, b, k: orig(v, z, e, b, k) + "
@@ -961,12 +1004,14 @@ class TestChecksUnderO:
         assert out == f"raised: {message}"
 
     @pytest.mark.parametrize("corrupt, message", [
-        (TIMES_X, "coset factor of (1, 2, 4) is not monic of degree 3"),
+        (TIMES_X, "coset factor of (1, 2, 4) has degree 4"),
+        ("f.UniPoly.substitute_power = lambda self, k: self", "descent identity failed"),
+        ("f.is_irreducible = lambda poly: False", "coset factor is not irreducible"),
         (DROP_LAST, "1 coset factors, expected 2"),
         ("orig = f.cyclotomic_polynomial\n"
          "f.cyclotomic_polynomial = lambda d: orig(d).scale(Fraction(2))",
          "coset factors do not multiply to Phi_d mod q"),
-    ], ids=["degree", "count", "product"])
+    ], ids=["degree", "descent", "irreducible", "count", "product"])
     def test_factor_cyclotomic(self, corrupt, message):
         out = check_under_o("f.factor_cyclotomic(7, PrimeField(2))",
                             self.IMPORT, corrupt + "\n")

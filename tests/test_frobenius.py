@@ -457,7 +457,7 @@ class TestAlternatingGroupDegreeThree:
         with pytest.raises(VerificationError, match="at a point"):
             verify_product_identity(wrong, matrix_of)
 
-    def test_point_checks_at_three_int_points(self, a4_data):
+    def test_point_check_at_one_int_point(self, a4_data):
         """A4's factors live in Q(zeta_3): one int point of [-2^96, 2^96),
         for a bound of 12 / 2^97 <= 2^-64, below the (12 / 2^33)^3 of the
         three points of [-2^32, 2^32) it replaces."""

@@ -210,6 +210,14 @@ class TestIntCoords:
         with pytest.raises(PreconditionError):
             k.int_coords(k.from_rational(Fraction(1, 2)))
 
+    def test_q_reads_integers_only(self):
+        for k in (-7, 0, 1, 1 << 70):
+            assert QQ.int_coords(Fraction(k)) == [k]
+            assert QQ.from_int_coords([k]) == Fraction(k)
+            assert type(QQ.from_int_coords([k])) is Fraction
+        with pytest.raises(PreconditionError):
+            QQ.int_coords(Fraction(1, 2))
+
 
 class TestCycloProducts:
     """Q(zeta_d) against the same reference, one case per conductor."""

@@ -8,7 +8,7 @@ import pytest
 from groupfft.abelian import AbelianGroup, parse_group
 from groupfft.cyclotomic import cyclotomic_field
 from groupfft.errors import PreconditionError
-from groupfft.factorize import linear_forms
+from groupfft.factorize import det_split_field
 from groupfft.frobenius import s3
 from groupfft.linalg import mat_det
 from groupfft.multipoly import MultiPoly, symbolic_det
@@ -121,8 +121,8 @@ class TestSymbolicDet:
         rows = group_matrix(symbolic_vector(group, field)).rows()
         det = symbolic_det(rows)
         prod = MultiPoly.constant(field.one, group_variables(group), field)
-        for form in linear_forms(group, field):
-            prod = prod * form.as_multipoly(group, field)
+        for entry in det_split_field(group, field).factors:
+            prod = prod * entry.poly
         assert det == prod
         # belt and suspenders: 20 random rational points
         rng = random.Random(13)
