@@ -46,6 +46,7 @@ from .factorize import (
     det_over_rationals,
     det_split_field,
     factor_cyclotomic,
+    factor_group_determinant,
     factor_xn_minus_one,
     q_cyclotomic_cosets,
     vandermonde_det,
@@ -78,7 +79,6 @@ from .rings import (
     format_unipoly,
     is_irreducible,
     primitive_nth_root,
-    root_powers,
 )
 from .transform import (
     GroupMatrix,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .errors import PreconditionError, VerificationError
 from .numtheory import invariant_factors
@@ -138,6 +138,24 @@ class AbelianGroup:
         for x, c, d in zip(a.residues, chi.residues, self.divisors):
             t += c * x * (e // d)
         return t % e
+
+    def galois_orbits(self, units) -> list[tuple[int, ...]]:
+        """The orbits of chi -> u chi on the characters, u in units, a
+        subgroup of (Z/eZ)^* (PreconditionError if a u is not prime to e,
+        the exponent), as sorted tuples of char_index values ordered by
+        least member; (Z/eZ)^* gives the galois orbits over Q, the powers
+        of q those over F_q."""
+        e = self.exponent
+        if any(gcd(u, e) != 1 for u in units):
+            raise PreconditionError(f"{units} are not all units modulo {e}")
+        index = {t: i for i, t in enumerate(itertools.product(*map(range, self.divisors)))}
+        seen, out = set(), []
+        for residues, i in index.items():
+            if i not in seen:
+                images = (tuple(u * r % d for r, d in zip(residues, self.divisors)) for u in units)
+                out.append(tuple(sorted({index[x] for x in images})))
+                seen.update(out[-1])
+        return out
 
     def dual_group(self) -> "AbelianGroup":
         return AbelianGroup(self.divisors)

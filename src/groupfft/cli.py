@@ -239,9 +239,9 @@ def _cmd_groupdet(req: CommandRequest) -> tuple[int, str]:
     group = parse_group(req.group)
     over = req.over
     if over == "Q":
-        if len(group.divisors) != 1:
-            raise PreconditionError("rational factorization is implemented for cyclic groups")
-        fd = factorize.det_over_rationals(group.divisors[0])
+        # a cyclic group's factorization over Q is memoized
+        fd = (factorize.det_over_rationals(group.order) if len(group.divisors) == 1
+              else factorize.factor_group_determinant(group, QQ))
     elif over == "split":
         field = (
             parse_field_descriptor(req.field, zeta_conductor=group.exponent)
@@ -252,10 +252,8 @@ def _cmd_groupdet(req: CommandRequest) -> tuple[int, str]:
     elif over == "Fq":
         if req.q is None:
             raise CLIUsageError("--over Fq requires --q")
-        if len(group.divisors) != 1:
-            raise PreconditionError("finite-field factorization is implemented for cyclic groups")
         field = parse_field_descriptor(req.q if req.q.startswith("F") else f"F{req.q}")
-        fd = factorize.det_over_finite_field(group.divisors[0], field)
+        fd = factorize.factor_group_determinant(group, field)
     else:
         raise CLIUsageError(f"unknown --over {over!r}")
     if req.json_output:

@@ -1,26 +1,25 @@
 """Factorization of X^n - 1 and of group determinants.
 
-Three regimes, mirroring the three fields of interest:
-
-* over a field containing the needed roots of unity the group determinant
-  splits into the n linear eigenvalue forms sum_sigma chi(sigma) X_sigma,
-  one per character;
-* over Q the cyclic group determinant splits into one norm form per
-  divisor d of n, the norm being the product of galois conjugates of the
-  generic linear form built on zeta_d;
-* over F_q both X^n - 1 and the determinant split along the orbits of
-  multiplication by q on Z/nZ: each minimal stable label set L gives one
-  factor.  The factor of X^n - 1 is the minimal polynomial over F_q of
-  zeta^(min L), read off one elimination over F_q of the coordinates of
-  its powers (:func:`groupfft.linalg.left_nullspace`); the determinant's
-  factor is expanded over a splitting extension and emitted over F_q.
+One orbit rule: the group determinant of a finite abelian group of
+exponent e factors over a field K into one factor per orbit of the galois
+group of K(zeta_e)/K on the characters, acting as chi -> u chi for u in a
+subgroup of (Z/eZ)^* (Dedekind; Perlis and Walker, 1950), the product
+over the orbit of the eigenvalue forms sum_sigma chi(sigma) X_sigma.  The
+units u are (Z/eZ)^* over Q, where an orbit is the characters of one order
+d and its factor a norm from Q(zeta_d); the powers of q over F_q; and 1
+alone over a field holding zeta_e, where every factor is one linear form.
+One driver, :func:`_orbit_factors`, builds every factor.  Over F_q the
+orbits of C_n are the q-cyclotomic cosets, and X^n - 1 splits along them
+too: each minimal stable label set L gives one factor, the minimal
+polynomial over F_q of zeta^(min L), read off one elimination over F_q of
+the coordinates of its powers (:func:`groupfft.linalg.left_nullspace`).
 
 Every determinant factor is one product of eigenvalue forms
 sum_j zeta^(row[j]) X_j, one exponent row per form, built by
-:func:`_product_of_forms`: a split factor is one row, the pairing
-exponents of its character, and a factor over Q or F_q one row
-l j mod N per label l of its orbit.  The product lies in the integral
-group ring Z[C_N][X], N the order of zeta, until T -> zeta at the end.
+:func:`_product_of_forms`: the form of an orbit's least character is one
+row, its pairing exponents, and the form of u chi is u row mod N.
+The product lies in the integral group ring Z[C_N][X], N the order of
+zeta, until T -> zeta at the end.
 It is expanded there, on packed ints (packed exponent vectors, after
 Monagan and Pearce): a monomial is one int of exponent fields, a
 coefficient one int of N counts, and a term of a form rotates the counts
@@ -59,7 +58,7 @@ from .cyclotomic import _identity, cyclotomic_field, cyclotomic_polynomial, spli
 from .errors import PreconditionError, VerificationError
 from .linalg import left_nullspace, mat_det
 from .multipoly import MultiPoly, Packing, product_of_powers, symbolic_det
-from .numtheory import divisors, euler_phi, factorization, multiplicative_order
+from .numtheory import euler_phi, factorization, multiplicative_order
 from .rings import (
     LOG_ORDER_CAP,
     QQ,
@@ -322,41 +321,7 @@ def _checked(group: AbelianGroup, field, entries) -> FactoredDeterminant:
 
 
 # ---------------------------------------------------------------------------
-# Split-field factorization: one linear form per character
-# ---------------------------------------------------------------------------
-
-def det_split_field(group: AbelianGroup, field=None) -> FactoredDeterminant:
-    """det of the group matrix as a product of the n character linear forms.
-
-    The form of chi is one row of :func:`_product_of_forms`, the pairing
-    exponents of chi with the elements; its coefficient of X_identity must
-    be 1 (VerificationError otherwise).
-    """
-    if field is None:
-        field = cyclotomic_field(group.exponent)
-    variables = group_variables(group)
-    powers = root_table(group.exponent, field)
-    elements = group.elements()
-    identity = tuple(int(a == group.identity) for a in elements)
-    entries = []
-    for chi in group.characters():
-        row = [group.pairing_exponent(a, chi) for a in elements]
-        poly = _product_of_forms(variables, powers, [row], field, field)
-        if poly.terms.get(identity) != field.one:
-            raise VerificationError("a character is not 1 at the identity")
-        entries.append(
-            FactorEntry(
-                poly=poly,
-                multiplicity=1,
-                claimed_irreducible=True,
-                label="Y_" + "_".join(str(r) for r in chi.residues),
-            )
-        )
-    return _checked(group, field, entries)
-
-
-# ---------------------------------------------------------------------------
-# Over Q: norm forms, one per divisor of n
+# Group determinants: one factor per galois orbit of characters
 # ---------------------------------------------------------------------------
 
 def _require_expandable(n: int, k: int):
@@ -458,53 +423,116 @@ def _product_of_forms(variables, powers, rows, big, field) -> MultiPoly:
     return MultiPoly(variables, terms, field)
 
 
+def _orbit_factors(group: AbelianGroup, field, split=False, order=None) -> list[FactorEntry]:
+    """One factor per galois orbit of the characters of group over field
+    (:meth:`AbelianGroup.galois_orbits`: u in (Z/eZ)^* over Q, e the
+    exponent, in the powers of q over F_q, u = 1 over a field holding
+    zeta_e or when split), only of characters of the given order if one is
+    given: the product of the orbit's forms by one :func:`_product_of_forms`,
+    the least character's pairing exponents and u times them.  Over Q an
+    orbit of order d is expanded in Q(zeta_d), labelled norm_d{d} (and its
+    least character's residues where d has more than one orbit), the
+    orbits going by d; over F_q in ``splitting_field(field, e)``, labelled
+    L= its char_index values; in a split field, labelled Y_ the residues.
+    The largest orbit goes through :func:`_require_expandable` before any
+    field is built.  Each factor must be homogeneous of degree k, the
+    orbit's size, with coefficient 1 on X_identity^k (VerificationError).
+    """
+    e, n = group.exponent, group.order
+    over_q = field is QQ and not split
+    if over_q:
+        units = [u for u in range(1, e + 1) if gcd(u, e) == 1]
+    elif split or not field.characteristic:
+        split, units = True, [1]
+    else:
+        _check_finite(field, n)
+        units = [pow(field.order, i, e) for i in range(multiplicative_order(field.order, e))]
+    elements, characters = group.elements(), group.characters()
+    orbits = []
+    for orbit in group.galois_orbits(units):
+        row = [group.pairing_exponent(a, characters[orbit[0]]) for a in elements]
+        d = e // gcd(e, *row)
+        if order in (None, d):
+            orbits.append((d, orbit, row))
+    if over_q:
+        orbits.sort(key=lambda o: (o[0], o[1][0]))
+    _require_expandable(n, max(len(orbit) for _, orbit, _ in orbits))
+
+    if not over_q:
+        big = field if split else splitting_field(field, e)[0]
+        powers = root_table(e, big)
+    variables, entries = group_variables(group), []
+    for d, orbit, row in orbits:
+        k, least = len(orbit), "_".join(str(r) for r in characters[orbit[0]].residues)
+        if over_q:
+            big = cyclotomic_field(d)
+            powers, row = root_table(d, big), [t * d // e for t in row]
+        rows = list(dict.fromkeys(tuple(u * t % len(powers) for t in row) for u in units))
+        poly = _product_of_forms(variables, powers, rows, big, field)
+        if not poly.is_homogeneous(k):
+            raise VerificationError(f"norm form is not homogeneous of degree {k}")
+        if poly.terms.get((k,) + (0,) * (n - 1)) != field.one:
+            raise VerificationError("a character is not 1 at the identity")
+        if over_q:
+            alike = sum(o[0] == d for o in orbits) > 1
+            entry = FactorEntry(poly, 1, True, f"norm_d{d}" + alike * f"_{least}", divisor=d)
+        elif split:
+            entry = FactorEntry(poly, 1, True, f"Y_{least}")
+        else:
+            entry = FactorEntry(poly, 1, True, "L=" + ",".join(map(str, orbit)), coset=orbit)
+        entries.append(entry)
+    return entries
+
+
+def factor_group_determinant(group: AbelianGroup, field) -> FactoredDeterminant:
+    """Irreducible factorization over field of the group determinant of a
+    finite abelian group, one factor per galois orbit of its characters
+    (:func:`_orbit_factors`), verified.  field is Q, a finite field of order
+    prime to the group's, or a field of characteristic 0 holding a
+    primitive root of unity of the group's exponent."""
+    return _checked(group, field, _orbit_factors(group, field))
+
+
+def det_split_field(group: AbelianGroup, field=None) -> FactoredDeterminant:
+    """det of the group matrix as a product of the n character linear
+    forms, over field (by default Q(zeta_e), e the exponent), which must
+    hold a primitive e-th root of unity: every character its own orbit."""
+    if field is None:
+        field = cyclotomic_field(group.exponent)
+    return _checked(group, field, _orbit_factors(group, field, split=True))
+
+
 @lru_cache(maxsize=None)
 def norm_form(n: int, d: int) -> MultiPoly:
-    """The degree-phi(d) rational factor attached to the divisor d of n.
-
-    Product over the galois conjugates of X_0 + zeta_d X_1 + ... +
-    zeta_d^(n-1) X_(n-1), expanded in Q(zeta_d) and verified to have
-    rational coefficients.  Refused (PreconditionError) when it may have
-    more than FORM_PRODUCT_CAP monomials.
-    """
+    """The degree-phi(d) rational factor attached to the divisor d of n:
+    the product of X_0 + zeta_d X_1 + ... + zeta_d^(n-1) X_(n-1) over its
+    galois conjugates, the orbit of the characters of C_n of order d.
+    Refused (PreconditionError) when it may have more than
+    FORM_PRODUCT_CAP monomials."""
     if d < 1 or n % d != 0:
         raise PreconditionError(f"{d} is not a positive divisor of {n}")
-    _require_expandable(n, euler_phi(d))
-    group = AbelianGroup.cyclic(n)
-    variables = group_variables(group)
-    kd = cyclotomic_field(d)
-    rows = [[m * j % d for j in range(n)] for m in range(1, d + 1) if gcd(m, d) == 1]
-    acc = _product_of_forms(variables, root_table(d, kd), rows, kd, QQ)
-    if not acc.is_homogeneous(euler_phi(d)):
-        raise VerificationError(f"norm form is not homogeneous of degree {euler_phi(d)}")
-    return acc
+    return _orbit_factors(AbelianGroup.cyclic(n), QQ, order=d)[0].poly
 
 
 @lru_cache(maxsize=None)
 def det_over_rationals(n: int) -> FactoredDeterminant:
-    """Irreducible factorization over Q of the cyclic group determinant.
-
-    Refused (PreconditionError) when the factor of the divisor n may have
-    more than FORM_PRODUCT_CAP monomials.
-    """
+    """Irreducible factorization over Q of the cyclic group determinant,
+    one norm form per divisor of n."""
     if n < 1:
         raise PreconditionError(f"the cyclic group C_n needs n >= 1, not {n}")
-    _require_expandable(n, euler_phi(n))
-    entries = [
-        FactorEntry(
-            poly=norm_form(n, d),
-            multiplicity=1,
-            claimed_irreducible=True,
-            label=f"norm_d{d}",
-            divisor=d,
-        )
-        for d in divisors(n)
-    ]
-    return _checked(AbelianGroup.cyclic(n), QQ, entries)
+    return factor_group_determinant(AbelianGroup.cyclic(n), QQ)
+
+
+def det_over_finite_field(n: int, field) -> FactoredDeterminant:
+    """Factorization over F_q of the cyclic group determinant, one factor
+    per q-cyclotomic coset L: the product over l in L of X_0 + zeta^l X_1
+    + ... + zeta^(l(n-1)) X_(n-1)."""
+    _check_finite(field, n)
+    return factor_group_determinant(AbelianGroup.cyclic(n), field)
 
 
 # ---------------------------------------------------------------------------
-# Over F_q: orbits of multiplication by q
+# Over F_q: the factors of X^n - 1, one per orbit of multiplication by q
 # ---------------------------------------------------------------------------
 
 def _check_finite(field, n: int):
@@ -519,24 +547,14 @@ def _check_finite(field, n: int):
 def q_cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
     """Minimal subsets of Z/nZ stable under multiplication by q,
 
-    ordered by smallest member; they partition Z/nZ.  Needs n >= 1 and q
-    prime to n (PreconditionError), else the orbits are not stable.
+    ordered by smallest member; they partition Z/nZ: the galois orbits of
+    the characters of C_n over F_q.  Needs n >= 1 and q prime to n
+    (PreconditionError), else the orbits are not stable.
     """
     if n < 1 or gcd(n, q) != 1:
         raise PreconditionError(f"cosets of {q} in Z/{n}Z need n >= 1 prime to {q}")
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            orbit.append(x)
-            x = x * q % n
-        out.append(tuple(sorted(orbit)))
-    return out
+    units = [pow(q, i, n) for i in range(multiplicative_order(q, n))]
+    return AbelianGroup.cyclic(n).galois_orbits(units)
 
 
 def _descended_factor(labels, big, powers, field) -> UniPoly:
@@ -632,35 +650,3 @@ def factor_cyclotomic(d: int, field) -> list[CosetFactor]:
     if prod != phi_mod:
         raise VerificationError("coset factors do not multiply to Phi_d mod q")
     return out
-
-
-def det_over_finite_field(n: int, field) -> FactoredDeterminant:
-    """Factorization over F_q of the cyclic group determinant.
-
-    One multivariate factor per q-stable label set L: the product over
-    l in L of X_0 + zeta^l X_1 + ... + zeta^(l(n-1)) X_(n-1), computed in
-    the splitting extension and verified to descend to F_q.  Refused
-    (PreconditionError) when a factor may have more than FORM_PRODUCT_CAP
-    monomials, before the extension is built.
-    """
-    _check_finite(field, n)
-    cosets = q_cyclotomic_cosets(n, field.order)
-    _require_expandable(n, max(map(len, cosets)))
-    group = AbelianGroup.cyclic(n)
-    variables = group_variables(group)
-    big, _ = splitting_field(field, n)
-    powers = root_table(n, big)
-    entries = []
-    for labels in cosets:
-        rows = [[ell * j % n for j in range(n)] for ell in labels]
-        poly = _product_of_forms(variables, powers, rows, big, field)
-        entries.append(
-            FactorEntry(
-                poly=poly,
-                multiplicity=1,
-                claimed_irreducible=True,
-                label="L=" + ",".join(str(x) for x in labels),
-                coset=labels,
-            )
-        )
-    return _checked(group, field, entries)

@@ -2059,12 +2059,6 @@ def primitive_nth_root(n: int, field):
     return root_table(n, field)[1 % n]
 
 
-def root_powers(n: int, field) -> list:
-    """[1, zeta, ..., zeta^(n-1)] for the canonical primitive n-th root
-    zeta, as a new list."""
-    return list(root_table(n, field))
-
-
 # ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ from dataclasses import replace
 
 import pytest
 
-from groupfft import transform
+from groupfft import factorize, transform
 from groupfft.abelian import AbelianGroup, parse_group
 from groupfft.errors import VerificationError
-from groupfft.rings import finite_field
+from groupfft.rings import QQ, finite_field
 from groupfft.cli import (
     CommandRequest,
     _sampled_round_trip_check,
@@ -442,3 +442,49 @@ class TestCayleyInput:
             path.write_text(content)
         code = run(["frobenius", "--cayley", str(path)])
         assert_clean_parse_error(code, capsys)
+
+
+class TestGroupdetAnyAbelianGroup:
+    """groupdet over Q and F_q takes every finite abelian group, with the
+    payload of a cyclic request."""
+
+    @pytest.mark.parametrize("argv, cyclic", [
+        (["groupdet", "--group", "C2xC4", "--over", "Fq", "--q", "3"],
+         ["groupdet", "--group", "C8", "--over", "Fq", "--q", "3"]),
+        (["groupdet", "--group", "C2xC2xC2", "--over", "Q"],
+         ["groupdet", "--group", "C8", "--over", "Q"]),
+    ], ids=["C2xC4-F3", "C2xC2xC2-Q"])
+    def test_exit_0_with_the_cyclic_payload(self, capsys, argv, cyclic):
+        group = parse_group(argv[2])
+        field = finite_field(3, 1) if argv[4] == "Fq" else QQ
+        fd = factorize.factor_group_determinant(group, field)
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "".join(f"({e.poly})" for e in fd.factors) + "\n"
+
+        assert run(["--json", *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert run(["--json", *cyclic]) == 0
+        reference = json.loads(capsys.readouterr().out)
+        assert payload.keys() == reference.keys()
+        assert [f.keys() for f in payload["factors"]] == [
+            reference["factors"][0].keys()] * len(fd.factors)
+        assert payload["group"] == argv[2] and payload["variables"] == list(fd.variables)
+        assert [f["label"] for f in payload["factors"]] == [e.label for e in fd.factors]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["groupdet", "--group", "C8", "--over", "split", "--field", "Qzeta:4"],
+         "error: Q(zeta_4) contains no primitive 8-th root of unity"),
+        (["groupdet", "--group", "C6", "--over", "Fq", "--q", "2"],
+         "error: gcd(6, q) > 1: the characteristic divides 6"),
+        (["groupdet", "--group", "C3xC9", "--over", "Q"],
+         "error: a product of 6 linear forms in 27 variables expands to up to 906192 "
+         "monomials; factors are capped at 30000"),
+    ], ids=["Q(zeta_4)-without-zeta_8", "p-divides-n", "cap"])
+    def test_refusals_exit_2(self, capsys, argv, message):
+        for flags in ([], ["--json"]):
+            assert run([*flags, *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == message + "\n"

@@ -2,18 +2,20 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
 import time
 from dataclasses import replace
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
 
-from groupfft.abelian import AbelianGroup
+from groupfft import factorize
+from groupfft.abelian import AbelianGroup, Character
 from groupfft.cyclotomic import (
     CycloElem,
     cyclotomic_field,
@@ -32,6 +34,7 @@ from groupfft.factorize import (
     det_over_rationals,
     det_split_field,
     factor_cyclotomic,
+    factor_group_determinant,
     factor_xn_minus_one,
     norm_form,
     q_cyclotomic_cosets,
@@ -1016,3 +1019,214 @@ class TestChecksUnderO:
         out = check_under_o("f.factor_cyclotomic(7, PrimeField(2))",
                             self.IMPORT, corrupt + "\n")
         assert out == f"raised: {message}"
+
+
+def _cosets_reference(n, q):
+    """The q-cyclotomic cosets of Z/nZ by repeated multiplication by q,
+    ordered by least member."""
+    seen, out = set(), []
+    for start in range(n):
+        if start not in seen:
+            orbit, x = [], start
+            while x not in orbit:
+                orbit.append(x)
+                x = x * q % n
+            seen.update(orbit)
+            out.append(tuple(sorted(orbit)))
+    return out
+
+
+def _character_order(group, index):
+    chi = group.characters()[index]
+    return lcm(*(d // gcd(r, d) for r, d in zip(chi.residues, group.divisors)))
+
+
+NONCYCLIC_Q = [(2, 2, 2), (2, 4), (3, 3), (2, 6), (4, 4)]
+# (divisors, q) with q prime to the order, F_q built as finite_field(*FIELD_OF_ORDER[q])
+NONCYCLIC_FQ = [((2, 4), 3), ((3, 3), 2), ((2, 6), 5), ((4, 4), 3), ((3, 3), 4),
+                ((2, 2, 2), 3), ((3, 3), 7), ((2, 4), 5), ((2, 2, 2), 7)]
+# criterion 10 generalized: (divisors, p)
+REDUCTION_CASES = [((2, 4), 3), ((3, 3), 2), ((3, 3), 7), ((2, 6), 5), ((4, 4), 3),
+                   ((2, 2, 2), 3)]
+
+
+def _group_id(divs):
+    return "x".join(f"C{d}" for d in divs)
+
+
+class TestGaloisOrbits:
+    """AbelianGroup.galois_orbits: the orbits of chi -> u chi for u in a
+    subgroup of (Z/eZ)^*."""
+
+    @pytest.mark.parametrize("divs", [(1,), (12,), (2, 2, 2), (2, 6), (3, 9), (4, 4), (2, 3)],
+                             ids=_group_id)
+    @pytest.mark.parametrize("q", [None, 1, 5, 7])
+    def test_partition_into_closed_orbits(self, divs, q):
+        group = AbelianGroup(divs)
+        e = group.exponent
+        units = (_units(e) if q is None
+                 else [pow(q, i, e) for i in range(multiplicative_order(q, e))])
+        orbits = group.galois_orbits(units)
+        assert sorted(i for orbit in orbits for i in orbit) == list(range(group.order))
+        assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
+        characters = group.characters()
+        for orbit in orbits:
+            assert list(orbit) == sorted(orbit)
+            for i in orbit:
+                for u in units:
+                    image = tuple(u * r % d for r, d in zip(characters[i].residues, divs))
+                    assert group.char_index(Character(image)) in orbit
+            # all characters of one orbit have one order
+            assert len({_character_order(group, i) for i in orbit}) == 1
+
+    def test_rational_orbits_are_the_characters_of_one_order(self):
+        """Over Q two characters lie in one orbit exactly when each is a
+        power of the other: for C_n one orbit per divisor."""
+        for n in range(1, 41):
+            orbits = AbelianGroup.cyclic(n).galois_orbits(_units(n))
+            assert sorted(n // orbit[0] if orbit[0] else 1 for orbit in orbits) == divisors(n)
+
+    def test_cyclic_instance_is_q_cyclotomic_cosets(self):
+        for n in range(1, 41):
+            for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 1031):
+                if gcd(n, q) != 1:
+                    continue
+                units = [pow(q, i, n) for i in range(multiplicative_order(q, n))]
+                expected = _cosets_reference(n, q)
+                assert AbelianGroup.cyclic(n).galois_orbits(units) == expected
+                assert q_cyclotomic_cosets(n, q) == expected
+
+    def test_non_units_refused(self):
+        with pytest.raises(PreconditionError):
+            AbelianGroup((2, 4)).galois_orbits([1, 2])
+
+
+class TestNonCyclicGroups:
+    """factor_group_determinant over Q and F_q for groups that are not
+    cyclic: one factor per galois orbit of the characters."""
+
+    @pytest.mark.parametrize("divs", NONCYCLIC_Q, ids=_group_id)
+    def test_over_rationals(self, divs):
+        group = AbelianGroup(divs)
+        fd = factor_group_determinant(group, QQ)
+        orbits = group.galois_orbits(_units(group.exponent))
+        assert len(fd.factors) == len(orbits)
+        assert sorted(e.divisor for e in fd.factors) == sorted(
+            _character_order(group, orbit[0]) for orbit in orbits)
+        for e in fd.factors:
+            # degree phi(ord chi), integer coefficients
+            assert e.poly.is_homogeneous(euler_phi(e.divisor))
+            assert e.claimed_irreducible and e.coset is None
+            assert all(c.denominator == 1 for c in e.poly.terms.values())
+        assert fd.verification.method == "points"
+        assert fd.verification.bound <= Fraction(1, 1 << 64)
+
+    @pytest.mark.parametrize("divs, q", NONCYCLIC_FQ,
+                             ids=[f"{_group_id(d)}-F{q}" for d, q in NONCYCLIC_FQ])
+    def test_over_finite_fields(self, divs, q):
+        group = AbelianGroup(divs)
+        field = finite_field(*FIELD_OF_ORDER[q])
+        fd = factor_group_determinant(group, field)
+        e = group.exponent
+        units = [pow(q, i, e) for i in range(multiplicative_order(q, e))]
+        assert [entry.coset for entry in fd.factors] == group.galois_orbits(units)
+        for entry in fd.factors:
+            assert entry.label == "L=" + ",".join(map(str, entry.coset))
+            # degree ord_{ord chi}(q)
+            order = _character_order(group, entry.coset[0])
+            assert entry.poly.is_homogeneous(multiplicative_order(q, order))
+            assert len(entry.coset) == multiplicative_order(q, order)
+        assert fd.verification.method == "points"
+        assert fd.verification.bound <= Fraction(1, 1 << 64)
+
+    def test_rational_labels(self):
+        """norm_d{d}, followed by the least character's residues where the
+        group has more than one orbit of characters of order d."""
+        labels = [e.label for e in factor_group_determinant(AbelianGroup((2, 2)), QQ).factors]
+        assert labels == ["norm_d1", "norm_d2_0_1", "norm_d2_1_0", "norm_d2_1_1"]
+        labels = [e.label for e in factor_group_determinant(AbelianGroup((2, 3)), QQ).factors]
+        assert labels == ["norm_d1", "norm_d2", "norm_d3", "norm_d6"]
+
+    def test_cyclic_groups_as_the_cyclic_drivers(self):
+        for n in (1, 6, 8, 9):
+            assert factor_group_determinant(AbelianGroup.cyclic(n), QQ) == det_over_rationals(n)
+        for n, q in ((7, 2), (12, 5), (9, 4)):
+            field = finite_field(*FIELD_OF_ORDER[q])
+            assert (factor_group_determinant(AbelianGroup.cyclic(n), field)
+                    == det_over_finite_field(n, field))
+
+    @pytest.mark.parametrize("divs", [(2, 2), (2, 3)], ids=_group_id)
+    def test_against_sympy_at_int_points(self, divs):
+        """The product of the factors over Q equals sympy's determinant of
+        the group matrix at seeded int points."""
+        sympy = pytest.importorskip("sympy")
+        group = AbelianGroup(divs)
+        fd = factor_group_determinant(group, QQ)
+        rng = random.Random(len(divs) * 100 + group.order)
+        for _ in range(5):
+            values = [rng.randrange(-1000, 1000) for _ in fd.variables]
+            rows = _abelian_matrix(group)(values, QQ)
+            det = sympy.Matrix([[int(x) for x in row] for row in rows]).det()
+            point = dict(zip(fd.variables, values))
+            product = Fraction(1)
+            for e in fd.factors:
+                product *= e.poly.evaluate(point) ** e.multiplicity
+            assert product == int(det)
+
+    @pytest.mark.parametrize("divs, p", REDUCTION_CASES,
+                             ids=[f"{_group_id(d)}-F{p}" for d, p in REDUCTION_CASES])
+    def test_reduction_mod_p_refactors(self, divs, p):
+        """Criterion 10 on any abelian group: each factor over Q, reduced
+        mod p, is the product of the F_p factors whose orbits its orbit
+        holds."""
+        group = AbelianGroup(divs)
+        field = PrimeField(p)
+        rational = factor_group_determinant(group, QQ)
+        modular = factor_group_determinant(group, field)
+        reduced = [e.poly.map_coefficients(field.from_rational, field) for e in rational.factors]
+        for orbit in group.galois_orbits(_units(group.exponent)):
+            prod = MultiPoly.constant(field.one, modular.variables, field)
+            for entry in modular.factors:
+                if set(entry.coset) <= set(orbit):
+                    prod = prod * entry.poly
+                else:
+                    assert not set(entry.coset) & set(orbit)
+            reduced.remove(prod)
+        assert reduced == []
+
+    def test_cap_refuses_before_any_field_is_built(self, monkeypatch):
+        """C3 x C9 over Q: its largest orbit, the phi(9) = 6 characters of
+        order 9, is a product of 6 forms in 27 variables, C(32, 6)
+        monomials."""
+        def no_field(*args):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(factorize, "splitting_field", no_field)
+        monkeypatch.setattr(factorize, "cyclotomic_field", no_field)
+        assert comb(32, 6) == 906192 > FORM_PRODUCT_CAP
+        with pytest.raises(PreconditionError, match="906192 monomials"):
+            factor_group_determinant(AbelianGroup((3, 9)), QQ)
+        with pytest.raises(PreconditionError, match="906192 monomials"):
+            factor_group_determinant(AbelianGroup((3, 9)), PrimeField(2))
+
+    @pytest.mark.parametrize("call, corrupt, message", [
+        ("f.factor_group_determinant(AbelianGroup((2, 2, 2)), f.QQ)",
+         "orig = AbelianGroup.galois_orbits\n"
+         "AbelianGroup.galois_orbits = lambda self, units: orig(self, units)[:-1]",
+         "factor product disagrees with determinant at a point"),
+        ("f.factor_group_determinant(AbelianGroup((2, 4)), PrimeField(3))",
+         "orig = AbelianGroup.galois_orbits\n"
+         "AbelianGroup.galois_orbits = lambda self, units: orig(self, units)[:-1]",
+         "factor product disagrees with determinant at a point"),
+        ("f.factor_group_determinant(AbelianGroup((2, 4)), PrimeField(3))",
+         "orig = f._product_of_forms\n"
+         "f._product_of_forms = lambda v, z, e, b, k: orig(v, z, e, b, k) + "
+         "f.MultiPoly.constant(k.one, v, k)",
+         "norm form is not homogeneous of degree 1"),
+        ("f.factor_group_determinant(AbelianGroup((3, 3)), f.QQ)",
+         "orig = f._product_of_forms\n"
+         "f._product_of_forms = lambda v, z, e, b, k: orig(v, z, e, b, k).scale(k.from_int(2))",
+         "a character is not 1 at the identity"),
+    ], ids=["Q-orbit-dropped", "F3-orbit-dropped", "F3-degree", "Q-identity"])
+    def test_corrupted_orbit_factor_raises_under_o(self, call, corrupt, message):
+        assert check_under_o(call, TestChecksUnderO.IMPORT, corrupt + "\n") == f"raised: {message}"

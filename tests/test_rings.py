@@ -30,7 +30,6 @@ from groupfft.rings import (
     is_irreducible,
     poly_powmod,
     primitive_nth_root,
-    root_powers,
     root_table,
     square_and_multiply,
     x_pow_minus_one,
@@ -395,18 +394,10 @@ class TestRootTable:
         assert zeta is table[1]
         assert table == [zeta ** k for k in range(n)]
 
-    @pytest.mark.parametrize("field, n", ROOT_TABLE_CASES, ids=ROOT_TABLE_IDS)
-    def test_root_powers_is_a_new_equal_list(self, field, n):
-        first = root_powers(n, field)
-        assert first == root_table(n, field)
-        assert first is not root_table(n, field) and first is not root_powers(n, field)
-        first.append(field.zero)
-        assert len(root_table(n, field)) == n
-
     @pytest.mark.parametrize("field", [f for f, _ in ROOT_TABLE_CASES], ids=ROOT_TABLE_IDS)
     @pytest.mark.parametrize("n", [0, -3])
     def test_orders_below_one_refused(self, field, n):
-        for get in (root_table, primitive_nth_root, root_powers):
+        for get in (root_table, primitive_nth_root):
             with pytest.raises(PreconditionError, match="order must be >= 1"):
                 get(n, field)
         assert n not in field._roots
@@ -422,7 +413,7 @@ class TestRootTable:
                                           (F9, 5), (F4_TOWER, 5)], ids=ROOT_TABLE_IDS)
     def test_missing_root_raises_every_call_and_keeps_nothing(self, field, n):
         for _ in range(2):
-            for get in (root_table, primitive_nth_root, root_powers):
+            for get in (root_table, primitive_nth_root):
                 with pytest.raises(NoRootOfUnity):
                     get(n, field)
         assert n not in field._roots

@@ -25,7 +25,6 @@ from groupfft.rings import (
     find_irreducible,
     kernel,
     primitive_nth_root,
-    root_powers,
     root_table,
 )
 from groupfft.transform import (
@@ -524,8 +523,6 @@ class TestKernelDFT:
     def test_root_tables_are_kept_per_exponent(self):
         field = PrimeField(17)
         assert root_table(16, field) is root_table(16, field)
-        assert root_table(16, field) == root_powers(16, field)
-        assert root_powers(16, field) is not root_powers(16, field)
 
     def test_symbolic_vector_takes_the_element_transform(self):
         x = symbolic_vector(AbelianGroup((2, 2)), F13)
