@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Subcommands: cyclo phi | cyclo basis, fft, ifft, weight, idempotents,
-factor-xn1, groupdet, vandermonde, frobenius.  Vectors travel in the
-canonical lexicographic element order.  Exit codes: 0 success, 1 parse
-error (bad arguments or field descriptors, malformed vectors, a --cayley
-file that cannot be read, is not JSON, or lacks labels and table),
-2 precondition violation (e.g. the characteristic divides the group
-order), 3 verification failure (a computed result failed the library's
-own check of its identity, such as a factor product that differs from the
-group determinant, or any failed --verify cross-check).
+factor-xn1, groupdet, vandermonde, frobenius.  The request is argparse's
+parsed namespace: each subparser binds its handler as ``run``, and
+:func:`dispatch` takes the namespace and calls ``args.run(args)``.  Vectors
+travel in the canonical lexicographic element order.  Exit codes:
+0 success, 1 parse error (bad arguments or field descriptors, malformed
+vectors, a --cayley file that cannot be read, is not JSON, or lacks labels
+and table), 2 precondition violation (e.g. the characteristic divides the
+group order, or a --q naming a field of characteristic 0), 3 verification
+failure (a computed result failed the library's own check of its
+identity, such as a factor product that differs from the group
+determinant, or any failed --verify cross-check).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -31,22 +33,6 @@ from .rings import QQ, UniPoly, finite_field, format_unipoly
 
 class CLIUsageError(Exception):
     """Malformed request: wrong vector shape, unparseable field, bad payload."""
-
-
-@dataclass
-class CommandRequest:
-    subcommand: str
-    group: str | None = None
-    field: str | None = None
-    vector: str | None = None
-    n: int | None = None
-    d: int | None = None
-    q: str | None = None
-    over: str | None = None
-    cayley: str | None = None
-    json_output: bool = False
-    seed: int = 0
-    verify: bool = False
 
 
 def parse_field_descriptor(text: str, zeta_conductor: int | None = None):
@@ -77,6 +63,15 @@ def parse_field_descriptor(text: str, zeta_conductor: int | None = None):
     except ValueError as exc:
         raise CLIUsageError(f"bad field descriptor {text!r}") from exc
     raise CLIUsageError(f"bad field descriptor {text!r}")
+
+
+def parse_q(text: str):
+    """--q: a prime power q, or a descriptor of a finite field; a field of
+    characteristic 0 is refused (PreconditionError)."""
+    field = parse_field_descriptor(text if text.startswith(("F", "Q")) else f"F{text}")
+    if not field.is_finite:
+        raise PreconditionError("expected a finite field descriptor")
+    return field
 
 
 def parse_vector(text: str, group: AbelianGroup, field) -> transform.GroupVector:
@@ -114,26 +109,28 @@ def _multipoly_json(p) -> list:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_cyclo(req: CommandRequest) -> tuple[int, str]:
-    if req.over == "phi":
-        poly = cyclotomic_polynomial(req.d)
-        if req.json_output:
-            return 0, json.dumps({"d": req.d, "coefficients": _unipoly_json(poly)})
-        return 0, format_unipoly(poly)
-    basis = rational_basis_cyclic(req.n)
-    if req.json_output:
+def _cmd_phi(args) -> tuple[int, str]:
+    poly = cyclotomic_polynomial(args.d)
+    if args.json:
+        return 0, json.dumps({"d": args.d, "coefficients": _unipoly_json(poly)})
+    return 0, format_unipoly(poly)
+
+
+def _cmd_basis(args) -> tuple[int, str]:
+    basis = rational_basis_cyclic(args.n)
+    if args.json:
         payload = [
             {"d": b.d, "j": b.j, "coefficients": _unipoly_json(b.poly)} for b in basis
         ]
-        return 0, json.dumps({"n": req.n, "elements": payload})
+        return 0, json.dumps({"n": args.n, "elements": payload})
     lines = [f"E(d={b.d},j={b.j}) = {format_unipoly(b.poly)}" for b in basis]
     return 0, "\n".join(lines)
 
 
-def _transform_request(req: CommandRequest):
-    group = parse_group(req.group)
-    field = parse_field_descriptor(req.field, zeta_conductor=group.exponent)
-    vec = parse_vector(req.vector, group, field)
+def _transform_request(args):
+    group = parse_group(args.group)
+    field = parse_field_descriptor(args.field, zeta_conductor=group.exponent)
+    vec = parse_vector(args.vector, group, field)
     return group, field, vec
 
 
@@ -154,10 +151,10 @@ def _sampled_round_trip_check(group, field, seed: int, samples: int = 20):
             raise VerificationError("sampled round-trip self-check failed")
 
 
-def _cmd_transform(req: CommandRequest) -> tuple[int, str]:
+def _cmd_transform(args) -> tuple[int, str]:
     """fft, or ifft on the vector read on the dual side."""
-    group, field, vec = _transform_request(req)
-    if req.subcommand == "ifft":
+    group, field, vec = _transform_request(args)
+    if args.subcommand == "ifft":
         vec = transform.GroupVector(group, field, vec.values, dual=True)
         name, run, reference, back = ("fast inverse transform", transform.inverse_fft,
                                       transform.inverse_fft_reference, transform.fft)
@@ -165,29 +162,29 @@ def _cmd_transform(req: CommandRequest) -> tuple[int, str]:
         name, run, reference, back = ("fast transform", transform.fft,
                                       transform.fft_reference, transform.inverse_fft)
     out = run(vec)
-    if req.verify:
+    if args.verify:
         if out.values != reference(vec).values:
             raise VerificationError(f"{name} differs from the reference sum")
         if back(out).values != vec.values:
             raise VerificationError("round-trip self-check failed")
-        _sampled_round_trip_check(group, field, req.seed)
-    if req.json_output:
+        _sampled_round_trip_check(group, field, args.seed)
+    if args.json:
         return 0, json.dumps(
-            {"group": group.describe(), "field": req.field, "values": _json_values(out)}
+            {"group": group.describe(), "field": args.field, "values": _json_values(out)}
         )
     return 0, _format_values(out)
 
 
-def _cmd_weight(req: CommandRequest) -> tuple[int, str]:
-    group, field, vec = _transform_request(req)
+def _cmd_weight(args) -> tuple[int, str]:
+    group, field, vec = _transform_request(args)
     rank = transform.blahut_weight(vec)
-    if req.verify and rank != vec.hamming_weight():
+    if args.verify and rank != vec.hamming_weight():
         raise VerificationError("rank does not match the direct nonzero count")
-    if req.json_output:
+    if args.json:
         return 0, json.dumps(
             {
                 "group": group.describe(),
-                "field": req.field,
+                "field": args.field,
                 "weight": vec.hamming_weight(),
                 "rank": rank,
             }
@@ -195,12 +192,12 @@ def _cmd_weight(req: CommandRequest) -> tuple[int, str]:
     return 0, str(rank)
 
 
-def _cmd_idempotents(req: CommandRequest) -> tuple[int, str]:
-    group = parse_group(req.group)
-    field = parse_field_descriptor(req.field, zeta_conductor=group.exponent)
+def _cmd_idempotents(args) -> tuple[int, str]:
+    group = parse_group(args.group)
+    field = parse_field_descriptor(args.field, zeta_conductor=group.exponent)
     idems = transform.group_idempotents(group, field)
     characters = group.characters()
-    if req.verify:
+    if args.verify:
         ident = group.identity
         total = idems[0]
         for e in idems[1:]:
@@ -210,12 +207,12 @@ def _cmd_idempotents(req: CommandRequest) -> tuple[int, str]:
         )
         if total.values != expected:
             raise VerificationError("idempotents do not sum to the identity indicator")
-    if req.json_output:
+    if args.json:
         payload = [
             {"character": list(chi.residues), "values": _json_values(e)}
             for chi, e in zip(characters, idems)
         ]
-        return 0, json.dumps({"group": group.describe(), "field": req.field, "idempotents": payload})
+        return 0, json.dumps({"group": group.describe(), "field": args.field, "idempotents": payload})
     lines = [
         f"chi={chi.residues}: {_format_values(e)}"
         for chi, e in zip(characters, idems)
@@ -223,40 +220,37 @@ def _cmd_idempotents(req: CommandRequest) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _cmd_factor_xn1(req: CommandRequest) -> tuple[int, str]:
-    field = parse_field_descriptor(req.q if req.q.startswith(("F", "Q")) else f"F{req.q}")
-    factors = factorize.factor_xn_minus_one(req.n, field)
-    if req.json_output:
+def _cmd_factor_xn1(args) -> tuple[int, str]:
+    field = parse_q(args.q)
+    factors = factorize.factor_xn_minus_one(args.n, field)
+    if args.json:
         payload = [
             {"labels": list(cf.labels), "coefficients": _unipoly_json(cf.poly)}
             for cf in factors
         ]
-        return 0, json.dumps({"n": req.n, "q": field.order, "factors": payload})
+        return 0, json.dumps({"n": args.n, "q": field.order, "factors": payload})
     return 0, "".join(f"({format_unipoly(cf.poly)})" for cf in factors)
 
 
-def _cmd_groupdet(req: CommandRequest) -> tuple[int, str]:
-    group = parse_group(req.group)
-    over = req.over
+def _cmd_groupdet(args) -> tuple[int, str]:
+    group = parse_group(args.group)
+    over = args.over
     if over == "Q":
         # a cyclic group's factorization over Q is memoized
         fd = (factorize.det_over_rationals(group.order) if len(group.divisors) == 1
               else factorize.factor_group_determinant(group, QQ))
     elif over == "split":
         field = (
-            parse_field_descriptor(req.field, zeta_conductor=group.exponent)
-            if req.field
+            parse_field_descriptor(args.field, zeta_conductor=group.exponent)
+            if args.field
             else None
         )
         fd = factorize.det_split_field(group, field)
-    elif over == "Fq":
-        if req.q is None:
+    else:  # Fq, the one other choice the parser admits
+        if args.q is None:
             raise CLIUsageError("--over Fq requires --q")
-        field = parse_field_descriptor(req.q if req.q.startswith("F") else f"F{req.q}")
-        fd = factorize.factor_group_determinant(group, field)
-    else:
-        raise CLIUsageError(f"unknown --over {over!r}")
-    if req.json_output:
+        fd = factorize.factor_group_determinant(group, parse_q(args.q))
+    if args.json:
         payload = [
             {
                 "label": e.label,
@@ -279,18 +273,18 @@ def _cmd_groupdet(req: CommandRequest) -> tuple[int, str]:
     return 0, "".join(pieces)
 
 
-def _cmd_vandermonde(req: CommandRequest) -> tuple[int, str]:
-    if req.n < 1:
+def _cmd_vandermonde(args) -> tuple[int, str]:
+    if args.n < 1:
         raise PreconditionError("n must be >= 1")
     field = (
-        parse_field_descriptor(req.field, zeta_conductor=req.n)
-        if req.field
-        else cyclotomic_field(req.n)
+        parse_field_descriptor(args.field, zeta_conductor=args.n)
+        if args.field
+        else cyclotomic_field(args.n)
     )
-    value = factorize.vandermonde_det(req.n, field)
+    value = factorize.vandermonde_det(args.n, field)
     rendered = field.format_elem(value)
-    if req.json_output:
-        return 0, json.dumps({"n": req.n, "value": rendered})
+    if args.json:
+        return 0, json.dumps({"n": args.n, "value": rendered})
     return 0, rendered
 
 
@@ -320,27 +314,26 @@ def _read_cayley(path: str):
     return labels, table, name
 
 
-def _cmd_frobenius(req: CommandRequest) -> tuple[int, str]:
-    if req.cayley:
-        group = frobenius.FiniteGroup.from_table(*_read_cayley(req.cayley))
+def _cmd_frobenius(args) -> tuple[int, str]:
+    if args.cayley:
+        group = frobenius.FiniteGroup.from_table(*_read_cayley(args.cayley))
         if group.order > 8:
             raise PreconditionError("symbolic determinant capped at order 8")
         det = symbolic_det(group.symbolic_matrix(QQ))
-        if req.json_output:
+        if args.json:
             return 0, json.dumps(
                 {"group": group.name, "order": group.order, "det": _multipoly_json(det)}
             )
         return 0, f"det A_{group.name} = {det}"
-    if req.group != "S3":
+    if args.group != "S3":
         raise CLIUsageError("built-in groups: S3 (or supply --cayley FILE)")
     result = frobenius.block_diagonalize_s3()
     data = frobenius.s3()
     fact = frobenius.frobenius_factorization(data.group, data.representations)
-    psi2 = frobenius.frobenius_polynomial(data.representations[2])
-    identity_ok = psi2.polynomial == result.det_m
-    if not identity_ok:
+    # the power-sum factor of the degree-2 representation
+    if fact.factors[2].poly != result.det_m:
         raise VerificationError("power-sum factor does not reproduce det M")
-    if req.json_output:
+    if args.json:
         return 0, json.dumps(
             {
                 "group": "S3",
@@ -364,26 +357,11 @@ def _cmd_frobenius(req: CommandRequest) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-_HANDLERS = {
-    "cyclo": _cmd_cyclo,
-    "fft": _cmd_transform,
-    "ifft": _cmd_transform,
-    "weight": _cmd_weight,
-    "idempotents": _cmd_idempotents,
-    "factor-xn1": _cmd_factor_xn1,
-    "groupdet": _cmd_groupdet,
-    "vandermonde": _cmd_vandermonde,
-    "frobenius": _cmd_frobenius,
-}
-
-
-def dispatch(req: CommandRequest) -> tuple[int, str]:
-    """Run one request; returns (exit_code, rendered_output)."""
-    handler = _HANDLERS.get(req.subcommand)
-    if handler is None:
-        return 1, f"error: unknown subcommand {req.subcommand!r}"
+def dispatch(args: argparse.Namespace) -> tuple[int, str]:
+    """Run one parsed request through the handler its subparser bound as
+    ``run``; returns (exit_code, rendered_output)."""
     try:
-        return handler(req)
+        return args.run(args)
     except CLIUsageError as exc:
         return 1, f"error: {exc}"
     except VerificationError as exc:
@@ -415,15 +393,18 @@ def build_parser() -> argparse.ArgumentParser:
     cyclo_sub = p_cyclo.add_subparsers(dest="cyclo_action", required=True)
     p_phi = cyclo_sub.add_parser("phi", help="print Phi_d")
     p_phi.add_argument("d", type=int)
+    p_phi.set_defaults(run=_cmd_phi)
     p_basis = cyclo_sub.add_parser("basis", help="rational basis of Q[X]/(X^n - 1)")
     p_basis.add_argument("n", type=int)
+    p_basis.set_defaults(run=_cmd_basis)
 
-    for name, helptext in [
-        ("fft", "forward transform"),
-        ("ifft", "inverse transform"),
-        ("weight", "Hamming weight via the dual-side matrix rank"),
+    for name, helptext, run in [
+        ("fft", "forward transform", _cmd_transform),
+        ("ifft", "inverse transform", _cmd_transform),
+        ("weight", "Hamming weight via the dual-side matrix rank", _cmd_weight),
     ]:
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(run=run)
         p.add_argument("--group", required=True)
         p.add_argument("--field", required=True)
         p.add_argument("--vector", required=True)
@@ -431,46 +412,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_idem = sub.add_parser("idempotents", help="orthogonal group-ring idempotents")
     p_idem.add_argument("--group", required=True)
     p_idem.add_argument("--field", required=True)
+    p_idem.set_defaults(run=_cmd_idempotents)
 
     p_fx = sub.add_parser("factor-xn1", help="factor X^n - 1 over F_q")
     p_fx.add_argument("--n", type=int, required=True)
     p_fx.add_argument("--q", required=True)
+    p_fx.set_defaults(run=_cmd_factor_xn1)
 
     p_gd = sub.add_parser("groupdet", help="factor the group determinant")
     p_gd.add_argument("--group", required=True)
     p_gd.add_argument("--over", required=True, choices=["Q", "Fq", "split"])
     p_gd.add_argument("--q")
     p_gd.add_argument("--field")
+    p_gd.set_defaults(run=_cmd_groupdet)
 
     p_vd = sub.add_parser("vandermonde", help="determinant of the character matrix of C_n")
     p_vd.add_argument("--n", type=int, required=True)
     p_vd.add_argument("--field")
+    p_vd.set_defaults(run=_cmd_vandermonde)
 
     p_fr = sub.add_parser("frobenius", help="block diagonalization and factor check")
     p_fr.add_argument("--group", default="S3")
     p_fr.add_argument("--cayley", help="JSON file with labels + table")
+    p_fr.set_defaults(run=_cmd_frobenius)
     return parser
-
-
-def request_from_args(args: argparse.Namespace) -> CommandRequest:
-    req = CommandRequest(
-        subcommand=args.subcommand,
-        json_output=args.json,
-        seed=args.seed,
-        verify=args.verify,
-    )
-    if args.subcommand == "cyclo":
-        req.over = args.cyclo_action
-        if args.cyclo_action == "phi":
-            req.d = args.d
-        else:
-            req.n = args.n
-    for attr in ("group", "field", "vector", "n", "q", "over", "cayley"):
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            if args.subcommand == "cyclo" and attr in ("n", "over"):
-                continue
-            setattr(req, attr, getattr(args, attr))
-    return req
 
 
 def main(argv=None) -> int:
@@ -478,8 +443,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    req = request_from_args(args)
-    code, output = dispatch(req)
+    code, output = dispatch(args)
     stream = sys.stdout if code == 0 else sys.stderr
     if output:
         print(output, file=stream)

@@ -3,25 +3,28 @@
 Matrices are lists (or tuples) of rows of field elements.  Inverse,
 determinant and rank all use row reduction with exact arithmetic: the
 inverse and, over every field but Q, the determinant and rank divide by
-the pivot; over Q they eliminate fraction-free (Bareiss), on integer rows
-with an exact integer division by the previous pivot.  Determinant and
-rank run on the field's :func:`groupfft.rings.kernel`, which holds the
-working copy, finds each pivot (``pivot``), clears the column below it
-(``eliminate_below``) and reads the determinant off the copy, in the
-caller's descriptor; the driver here only swaps rows.  Over F_p each row
-is one packed int, entry j in the W-bit slot j: a row below the pivot
-takes one big-int multiply-add per pivot, so an n x n determinant costs
-at most n(n-1)/2 of them, and is reduced mod p only when it becomes the
-pivot row, O(n) per pivot.  A row takes at most K = min(rows, cols)
-updates, each adding at most (p - 1)^2 to a slot, so W, the bit length
-of (p - 1) + K (p - 1)^2, keeps every slot from carrying into the next.
-Elsewhere the kernel updates only the live trailing block, the columns
-right of the pivot (int logarithms over a small F_{p^r}, scaled integer
-rows over Q, elements otherwise): an n x n determinant costs sum k^2 =
-(n-1)n(2n-1)/6 cell updates.  :func:`left_nullspace` runs the same
-elimination on the rows with an identity block beside them and reads the
-rows whose left block vanished back through the kernel (``read_row``).
-Shape checks raise PreconditionError, under ``python -O`` too.
+the pivot; over Q they eliminate fraction-free (Bareiss), on integer
+rows with an exact integer division by the previous pivot.  Determinant
+and rank run on the field's :func:`groupfft.rings.kernel`, which holds
+the working copy, finds each pivot (``pivot``), clears the column below
+it (``eliminate_below``) and reads the determinant off the copy, in the
+caller's descriptor; the one driver here, ``_echelon``, shared by the
+determinant, the rank and :func:`left_nullspace`, only swaps rows and
+counts the swaps.  A determinant is zero when the rank falls short.
+Over F_p each row is one packed int, entry j in the W-bit slot j: a row
+below the pivot takes one big-int multiply-add per pivot, so an n x n
+determinant costs at most n(n-1)/2 of them, and is reduced mod p only
+when it becomes the pivot row, O(n) per pivot.  A row takes at most K =
+min(rows, cols) updates, each adding at most (p - 1)^2 to a slot, so W,
+the bit length of (p - 1) + K (p - 1)^2, keeps every slot from carrying
+into the next.  Elsewhere the kernel updates only the live trailing
+block, the columns right of the pivot (int logarithms over a small
+F_{p^r}, scaled integer rows over Q, elements otherwise): an n x n
+determinant costs sum k^2 = (n-1)n(2n-1)/6 cell updates.
+:func:`left_nullspace` runs ``_echelon`` on the rows with an identity
+block beside them and reads the rows whose left block vanished back
+through the kernel (``read_row``).  Shape checks raise
+PreconditionError, under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -98,6 +101,24 @@ def mat_inverse(a, field) -> list[list]:
     return [row[n:] for row in aug]
 
 
+def _echelon(kern, m, n_cols: int) -> tuple[int, bool]:
+    """Bring the kernel's working copy m to row echelon form over its
+    first n_cols columns: (rank, whether an odd number of row swaps)."""
+    rank, swaps_odd = 0, False
+    for col in range(n_cols):
+        if rank == len(m):
+            break
+        pivot = kern.pivot(m, rank, col)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            swaps_odd = not swaps_odd
+        kern.eliminate_below(m, rank, col)
+        rank += 1
+    return rank, swaps_odd
+
+
 def mat_det(a, field):
     """Determinant by elimination on the field's kernel.
 
@@ -109,36 +130,16 @@ def mat_det(a, field):
         raise PreconditionError("matrix is not square")
     kern = kernel(field)
     m = kern.working_copy(a)
-    negate = False
-    for col in range(n):
-        pivot = kern.pivot(m, col, col)
-        if pivot is None:
-            return field.zero
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            negate = not negate
-        kern.eliminate_below(m, col, col)
-    return kern.determinant(m, negate)
+    rank, negate = _echelon(kern, m, n)
+    return field.zero if rank < n else kern.determinant(m, negate)
 
 
 def mat_rank(rows, field) -> int:
     """Rank by row reduction on the field's kernel, over any field."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
+    n_cols = len(rows[0]) if rows else 0
     _require_width(rows, n_cols, "rank")
     kern = kernel(field)
-    m = kern.working_copy(rows)
-    rank = 0
-    for col in range(n_cols):
-        pivot = kern.pivot(m, rank, col)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        kern.eliminate_below(m, rank, col)
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return _echelon(kern, kern.working_copy(rows), n_cols)[0]
 
 
 def left_nullspace(rows, field) -> list[list]:
@@ -160,14 +161,5 @@ def left_nullspace(rows, field) -> list[list]:
         list(row) + [one if j == i else zero for j in range(n_rows)]
         for i, row in enumerate(rows)
     ])
-    rank = 0
-    for col in range(n_cols):
-        if rank == n_rows:
-            break
-        pivot = kern.pivot(m, rank, col)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        kern.eliminate_below(m, rank, col)
-        rank += 1
+    rank = _echelon(kern, m, n_cols)[0]
     return [kern.read_row(m, i, n_cols) for i in range(rank, n_rows)]

@@ -1,5 +1,6 @@
 """CLI contract: outputs, exit codes, JSON round trips."""
 
+import argparse
 import json
 from dataclasses import replace
 
@@ -10,7 +11,6 @@ from groupfft.abelian import AbelianGroup, parse_group
 from groupfft.errors import VerificationError
 from groupfft.rings import QQ, finite_field
 from groupfft.cli import (
-    CommandRequest,
     _sampled_round_trip_check,
     build_parser,
     dispatch,
@@ -280,30 +280,46 @@ def assert_clean_parse_error(code, capsys):
     assert "Traceback" not in err
 
 
+def parsed(*argv):
+    """The namespace main hands to dispatch for argv."""
+    return build_parser().parse_args(list(argv))
+
+
 class TestDispatchDirect:
-    def test_unknown_subcommand(self):
-        code, out = dispatch(CommandRequest(subcommand="nope"))
-        assert code == 1 and "unknown subcommand" in out
+    def test_unknown_subcommand(self, capsys):
+        """argparse refuses it before any handler runs: exit 1, no traceback."""
+        assert main(["nope"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err and "Traceback" not in err
+
+    def test_every_subparser_binds_a_handler(self):
+        def leaves(parser):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield parser
+            for action in subs:
+                for child in action.choices.values():
+                    yield from leaves(child)
+
+        found = list(leaves(build_parser()))
+        assert len(found) == 10  # phi, basis and the eight other subcommands
+        assert all(callable(p.get_default("run")) for p in found)
 
     def test_idempotents_qzeta(self):
-        req = CommandRequest(subcommand="idempotents", group="C4", field="Qzeta")
-        code, out = dispatch(req)
+        code, out = dispatch(parsed("idempotents", "--group", "C4", "--field", "Qzeta"))
         assert code == 0
         assert out.splitlines()[0] == "chi=(0,): 1/4,1/4,1/4,1/4"
 
     def test_verify_flag(self):
-        req = CommandRequest(
-            subcommand="weight", group="C2xC2", field="Q", vector="1,0,1,1", verify=True
-        )
-        code, out = dispatch(req)
+        args = parsed("--verify", "weight", "--group", "C2xC2", "--field", "Q", "--vector", "1,0,1,1")
+        code, out = dispatch(args)
         assert code == 0 and out == "3"
 
     @pytest.mark.parametrize("subcommand", ["fft", "ifft"])
     def test_verify_transform(self, subcommand):
-        req = CommandRequest(
-            subcommand=subcommand, group="C6", field="F7", vector="1,2,0,0,3,1", verify=True
-        )
-        code, _ = dispatch(req)
+        args = parsed("--verify", subcommand, "--group", "C6", "--field", "F7",
+                      "--vector", "1,2,0,0,3,1")
+        code, _ = dispatch(args)
         assert code == 0
 
     @pytest.mark.parametrize("subcommand", ["fft", "ifft"])
@@ -319,10 +335,9 @@ class TestDispatchDirect:
 
         monkeypatch.setattr(transform, "fft", conjugated(transform.fft))
         monkeypatch.setattr(transform, "inverse_fft", conjugated(transform.inverse_fft))
-        req = CommandRequest(
-            subcommand=subcommand, group="C6", field="F7", vector="1,2,0,0,3,1", verify=True
-        )
-        code, out = dispatch(req)
+        args = parsed("--verify", subcommand, "--group", "C6", "--field", "F7",
+                      "--vector", "1,2,0,0,3,1")
+        code, out = dispatch(args)
         assert code == 3 and out.startswith("error: fast ")
         assert out.endswith("transform differs from the reference sum")
 
@@ -352,11 +367,9 @@ class TestDispatchDirect:
         assert json.loads(capsys.readouterr().out)
 
     def test_odd_conductor_fft_verify_matches_reference(self):
-        req = CommandRequest(
-            subcommand="fft", group="C6", field="Qzeta:3", vector="1,2,0,-1,3,1/2",
-            verify=True,
-        )
-        code, out = dispatch(req)
+        args = parsed("--verify", "fft", "--group", "C6", "--field", "Qzeta:3",
+                      "--vector=1,2,0,-1,3,1/2")
+        code, out = dispatch(args)
         assert code == 0
         group = parse_group("C6")
         field = parse_field_descriptor("Qzeta:3")
@@ -365,14 +378,12 @@ class TestDispatchDirect:
         assert out == ",".join(field.format_elem(v) for v in reference.values)
 
     def test_groupdet_fq(self):
-        req = CommandRequest(subcommand="groupdet", group="C3", over="Fq", q="7")
-        code, out = dispatch(req)
+        code, out = dispatch(parsed("groupdet", "--group", "C3", "--over", "Fq", "--q", "7"))
         assert code == 0
         assert out.count("(") == 3
 
     def test_groupdet_rational(self):
-        req = CommandRequest(subcommand="groupdet", group="C3", over="Q")
-        code, out = dispatch(req)
+        code, out = dispatch(parsed("groupdet", "--group", "C3", "--over", "Q"))
         assert code == 0
         assert out == (
             "(X_0 + X_1 + X_2)"
@@ -380,10 +391,7 @@ class TestDispatchDirect:
         )
 
     def test_field_f4_shorthand(self):
-        req = CommandRequest(
-            subcommand="fft", group="C3", field="F4", vector="1,1,1"
-        )
-        code, out = dispatch(req)
+        code, out = dispatch(parsed("fft", "--group", "C3", "--field", "F4", "--vector", "1,1,1"))
         assert code == 0
         assert out.split(",")[0] == "1"
 
@@ -391,10 +399,8 @@ class TestDispatchDirect:
         f9 = parse_field_descriptor("F9")
         assert parse_field_descriptor("Fq:3^2") is f9 is finite_field(3, 2)
         assert f9.base is parse_field_descriptor("Fp:3") is parse_field_descriptor("F3")
-        req = CommandRequest(
-            subcommand="fft", group="C8", field="F9", vector="1,0,0,0,0,0,0,0"
-        )
-        assert dispatch(req)[0] == 0
+        args = parsed("fft", "--group", "C8", "--field", "F9", "--vector", "1,0,0,0,0,0,0,0")
+        assert dispatch(args)[0] == 0
         # the request's root search landed in the shared descriptor's cache
         assert 8 in f9._roots
 
@@ -488,3 +494,29 @@ class TestGroupdetAnyAbelianGroup:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == message + "\n"
+
+
+class TestQReader:
+    """factor-xn1 --q and groupdet --over Fq --q read q the same way: a
+    prime power or a finite field descriptor."""
+
+    @pytest.mark.parametrize("q", ["Q", "Qzeta:3"])
+    @pytest.mark.parametrize("request_argv", [
+        ["factor-xn1", "--n", "5"],
+        ["groupdet", "--group", "C5", "--over", "Fq"],
+    ], ids=["factor-xn1", "groupdet"])
+    def test_characteristic_0_is_a_precondition_error(self, capsys, request_argv, q):
+        for flags in ([], ["--json"]):
+            assert run([*flags, *request_argv, "--q", q]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: expected a finite field descriptor\n"
+            assert "'FQ" not in captured.err
+
+    @pytest.mark.parametrize("q", ["4", "F4", "Fq:2^2"])
+    def test_finite_fields_agree(self, capsys, q):
+        assert run(["--json", "factor-xn1", "--n", "5", "--q", q]) == 0
+        assert json.loads(capsys.readouterr().out)["q"] == 4
+        assert run(["--json", "groupdet", "--group", "C5", "--over", "Fq", "--q", q]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["factors"]) == 3
