@@ -10,6 +10,10 @@ one is supplied, through the pairing exponent
 where e is the group exponent; the character value is zeta_e ** t, read
 off the field's :func:`groupfft.rings.root_table`.  Every O(n^2) sum of
 character values is a product by one of the two character matrices.
+Every group-indexed n x n table, the pairing exponents of
+:meth:`AbelianGroup.pairing_table` and the group-matrix indices alike, is a
+sum of one d_i x d_i table per cyclic factor, built by the one
+:func:`factorwise_table`; ``pairing_exponent`` is the formula for one entry.
 """
 
 from __future__ import annotations
@@ -70,18 +74,15 @@ class AbelianGroup:
 
     # -- elements -------------------------------------------------------------
 
+    def _residue_tuples(self):
+        return itertools.product(*map(range, self.divisors))
+
     def elements(self) -> list[GroupElement]:
         """All elements in lexicographic order of residue tuples."""
-        return [
-            GroupElement(t)
-            for t in itertools.product(*(range(d) for d in self.divisors))
-        ]
+        return [GroupElement(t) for t in self._residue_tuples()]
 
     def characters(self) -> list[Character]:
-        return [
-            Character(t)
-            for t in itertools.product(*(range(d) for d in self.divisors))
-        ]
+        return [Character(t) for t in self._residue_tuples()]
 
     @property
     def identity(self) -> GroupElement:
@@ -109,20 +110,15 @@ class AbelianGroup:
             tuple((x + y) % d for x, y, d in zip(a.residues, b.residues, self.divisors))
         )
 
-    def index(self, a: GroupElement) -> int:
-        """Position of a in the canonical element ordering (mixed radix)."""
+    def index(self, a: GroupElement | Character) -> int:
+        """Position of an element or character in the canonical order (mixed radix)."""
         self._check_tuple(a.residues)
         idx = 0
         for r, d in zip(a.residues, self.divisors):
             idx = idx * d + r
         return idx
 
-    def char_index(self, chi: Character) -> int:
-        self._check_tuple(chi.residues)
-        idx = 0
-        for r, d in zip(chi.residues, self.divisors):
-            idx = idx * d + r
-        return idx
+    char_index = index
 
     def element_label(self, a: GroupElement) -> str:
         return "_".join(str(r) for r in a.residues)
@@ -130,7 +126,7 @@ class AbelianGroup:
     # -- the pairing ------------------------------------------------------------
 
     def pairing_exponent(self, a: GroupElement, chi: Character) -> int:
-        """t with chi(a) = zeta_e ** t, e the group exponent."""
+        """t with chi(a) = zeta_e ** t, e the group exponent; one entry of pairing_table."""
         self._check_tuple(a.residues)
         self._check_tuple(chi.residues)
         e = self.exponent
@@ -138,6 +134,14 @@ class AbelianGroup:
         for x, c, d in zip(a.residues, chi.residues, self.divisors):
             t += c * x * (e // d)
         return t % e
+
+    def pairing_table(self) -> list[list[int]]:
+        """The n x n table of pairing exponents, entry (i, j) the t of
+        element i and character j in the canonical order.  The pairing is
+        symmetric, so row i also holds character i's exponents."""
+        e = self.exponent
+        tables = [[[x * y * (e // d) for y in range(d)] for x in range(d)] for d in self.divisors]
+        return [[t % e for t in row] for row in factorwise_table(tables)]
 
     def galois_orbits(self, units) -> list[tuple[int, ...]]:
         """The orbits of chi -> u chi on the characters, u in units, a
@@ -148,7 +152,7 @@ class AbelianGroup:
         e = self.exponent
         if any(gcd(u, e) != 1 for u in units):
             raise PreconditionError(f"{units} are not all units modulo {e}")
-        index = {t: i for i, t in enumerate(itertools.product(*map(range, self.divisors)))}
+        index = {t: i for i, t in enumerate(self._residue_tuples())}
         seen, out = set(), []
         for residues, i in index.items():
             if i not in seen:
@@ -165,6 +169,16 @@ class AbelianGroup:
 
     def __repr__(self) -> str:
         return self.describe()
+
+
+def factorwise_table(tables) -> list[list[int]]:
+    """The n x n table with entry (s, t) = sum_i tables[i][s_i][t_i], s and t
+    residue tuples in lexicographic order, from one d_i x d_i int table per
+    cyclic factor, outer first: about n^2 int additions, no group lookup."""
+    rows = [[0]]
+    for table in tables:
+        rows = [[k + offset for k in row for offset in terms] for row in rows for terms in table]
+    return rows
 
 
 def parse_group(descriptor: str, normalize: bool = True) -> AbelianGroup:
@@ -192,15 +206,13 @@ def bidual_identification(group: AbelianGroup) -> dict[GroupElement, Character]:
     verified to be a group isomorphism compatible with the pairing.
     """
     dual = group.dual_group()
-    mapping = {a: Character(a.residues) for a in group.elements()}
-    # homomorphism + pairing compatibility
     elements = group.elements()
-    for a in elements:
-        for chi in group.characters():
-            t1 = group.pairing_exponent(a, chi)
-            t2 = dual.pairing_exponent(GroupElement(chi.residues), mapping[a])
-            if t1 != t2:
-                raise VerificationError("bidual map does not respect the pairing")
+    mapping = {a: Character(a.residues) for a in elements}
+    # pairing compatibility: t(a, chi) = t'(chi, mapping[a]) in the dual's table
+    dual_table = dual.pairing_table()
+    columns = [[row[dual.char_index(mapping[a])] for row in dual_table] for a in elements]
+    if columns != group.pairing_table():
+        raise VerificationError("bidual map does not respect the pairing")
     for a in elements:
         for b in elements:
             lhs = mapping[group.mul(a, b)]
@@ -218,23 +230,12 @@ def character_matrix(group: AbelianGroup, field) -> list[list]:
     Requires a primitive e-th root of unity in the field, e the exponent.
     """
     powers = root_table(group.exponent, field)
-    elements = group.elements()
-    characters = group.characters()
-    return [
-        [powers[group.pairing_exponent(a, chi)] for chi in characters]
-        for a in elements
-    ]
+    return [[powers[t] for t in row] for row in group.pairing_table()]
 
 
 def character_matrix_inverse(group: AbelianGroup, field) -> list[list]:
     """P^-1 = (1/n) * transpose of (chi^-1(sigma))."""
     e = group.exponent
-    n = group.order
     powers = root_table(e, field)
-    inv_n = field.inv(field.from_int(n))
-    elements = group.elements()
-    characters = group.characters()
-    return [
-        [inv_n * powers[-group.pairing_exponent(a, chi) % e] for a in elements]
-        for chi in characters
-    ]
+    inv_n = field.inv(field.from_int(group.order))
+    return [[inv_n * powers[-t % e] for t in row] for row in group.pairing_table()]

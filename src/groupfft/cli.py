@@ -11,7 +11,9 @@ and table), 2 precondition violation (e.g. the characteristic divides the
 group order, or a --q naming a field of characteristic 0), 3 verification
 failure (a computed result failed the library's own check of its
 identity, such as a factor product that differs from the group
-determinant, or any failed --verify cross-check).
+determinant, or any failed --verify cross-check).  Only fft, ifft, weight
+and idempotents read --verify; groupdet, factor-xn1, frobenius, vandermonde
+and cyclo always check their results and print the same with or without it.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ def parse_field_descriptor(text: str, zeta_conductor: int | None = None):
 
 def parse_q(text: str):
     """--q: a prime power q, or a descriptor of a finite field; a field of
-    characteristic 0 is refused (PreconditionError)."""
-    field = parse_field_descriptor(text if text.startswith(("F", "Q")) else f"F{text}")
+    characteristic 0, Qzeta too, is refused (PreconditionError)."""
+    field = parse_field_descriptor(text if text.startswith(("F", "Q")) else f"F{text}", 1)
     if not field.is_finite:
         raise PreconditionError("expected a finite field descriptor")
     return field
@@ -386,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled self-tests")
-    parser.add_argument("--verify", action="store_true", help="run redundant cross-checks")
+    parser.add_argument("--verify", action="store_true", help=(
+        "run redundant cross-checks in fft, ifft, weight and idempotents; the "
+        "other subcommands always check their results"))
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_cyclo = sub.add_parser("cyclo", help="cyclotomic polynomials and rational bases")

@@ -447,10 +447,9 @@ def _orbit_factors(group: AbelianGroup, field, split=False, order=None) -> list[
     else:
         _check_finite(field, n)
         units = [pow(field.order, i, e) for i in range(multiplicative_order(field.order, e))]
-    elements, characters = group.elements(), group.characters()
-    orbits = []
+    characters, table, orbits = group.characters(), group.pairing_table(), []
     for orbit in group.galois_orbits(units):
-        row = [group.pairing_exponent(a, characters[orbit[0]]) for a in elements]
+        row = table[orbit[0]]
         d = e // gcd(e, *row)
         if order in (None, d):
             orbits.append((d, orbit, row))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
 
-from .abelian import AbelianGroup, character_matrix, character_matrix_inverse
+from .abelian import AbelianGroup, character_matrix, character_matrix_inverse, factorwise_table
 from .cyclotomic import splitting_field
 from .errors import PreconditionError, RingMismatch, VerificationError
 from .linalg import mat_eq, mat_mul, mat_pow, mat_rank, transpose
@@ -166,21 +166,15 @@ def group_matrix(b: GroupVector) -> GroupMatrix:
 
     The index of tau^-1 sigma in the canonical order is
     sum_i ((sigma_i - tau_i) mod d_i) * w_i, with w_i the mixed-radix weight
-    of the factor C_{d_i}.  One d_i x d_i table of those terms per factor
-    builds the index rows factor by factor, outer factor first, which is
-    the lexicographic order of both tau and sigma: about n^2 int additions
-    and no group lookup.
+    of the factor C_{d_i}: :func:`groupfft.abelian.factorwise_table` on one
+    d_i x d_i table of those terms per factor, with no group lookup.
     """
     group = b.group
-    index_rows = [[0]]
-    weight = group.order
+    weight, tables = group.order, []
     for d in group.divisors:
         weight //= d
-        table = [[(s - t) % d * weight for s in range(d)] for t in range(d)]
-        index_rows = [
-            [k + offset for k in row for offset in terms]
-            for row in index_rows for terms in table
-        ]
+        tables.append([[(s - t) % d * weight for s in range(d)] for t in range(d)])
+    index_rows = factorwise_table(tables)
     values = b.values
     rows = tuple(tuple([values[k] for k in row]) for row in index_rows)
     return GroupMatrix(group, b.field, rows, dual=b.dual)

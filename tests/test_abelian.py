@@ -72,6 +72,18 @@ class TestStructure:
         for k, e in enumerate(g.elements()):
             assert g.index(e) == k
 
+    def test_characters_and_char_index_follow_the_elements(self):
+        """characters() and char_index are elements() and index on the dual
+        side: the same residue tuples, in the same order, at the same int
+        positions."""
+        for g in all_groups_of_order_up_to(12) + [AbelianGroup((3, 2))]:
+            chars = g.characters()
+            assert all(type(chi) is Character for chi in chars)
+            assert [chi.residues for chi in chars] == [a.residues for a in g.elements()]
+            assert [g.char_index(chi) for chi in chars] == list(range(g.order))
+        with pytest.raises(PreconditionError):
+            AbelianGroup((2, 6)).char_index(Character((2, 0)))
+
     def test_group_ops(self):
         g = AbelianGroup((2, 3))
         a, b = GroupElement((1, 2)), GroupElement((1, 1))
@@ -101,6 +113,17 @@ class TestPairing:
                     GroupElement(chi.residues), Character(a.residues)
                 )
 
+    @pytest.mark.parametrize(
+        "g", all_groups_of_order_up_to(12) + [AbelianGroup((3, 2)), AbelianGroup((4, 6))],
+        ids=lambda g: g.describe())
+    def test_pairing_table_is_pairing_exponent(self, g):
+        """pairing_table() holds pairing_exponent entry by entry (rows
+        elements, columns characters) and is symmetric."""
+        table = g.pairing_table()
+        assert table == [[g.pairing_exponent(a, chi) for chi in g.characters()]
+                         for a in g.elements()]
+        assert table == [list(column) for column in zip(*table)]
+
     def test_non_degenerate(self):
         for g in all_groups_of_order_up_to(12):
             for a in g.elements():
@@ -109,6 +132,30 @@ class TestPairing:
                 assert any(
                     g.pairing_exponent(a, chi) != 0 for chi in g.characters()
                 )
+
+
+class TestNoPerEntryPairing:
+    def test_results_without_pairing_exponent(self, monkeypatch):
+        """No library loop calls pairing_exponent: the character matrices,
+        a group determinant of a group that is not cyclic and the bidual
+        map give the same results when it raises."""
+        from groupfft.factorize import factor_group_determinant
+        from groupfft.rings import finite_field
+
+        f13, f3 = PrimeField(13), finite_field(3, 1)
+        g, g24 = AbelianGroup((2, 6)), AbelianGroup((2, 4))
+
+        def calls():
+            return (character_matrix(g, f13), character_matrix_inverse(g, f13),
+                    factor_group_determinant(g24, f3), bidual_identification(g))
+
+        expected = calls()
+
+        def refuse(self, a, chi):
+            raise AssertionError("pairing_exponent called")
+
+        monkeypatch.setattr(AbelianGroup, "pairing_exponent", refuse)
+        assert calls() == expected
 
 
 class TestDualAndBidual:

@@ -500,7 +500,7 @@ class TestQReader:
     """factor-xn1 --q and groupdet --over Fq --q read q the same way: a
     prime power or a finite field descriptor."""
 
-    @pytest.mark.parametrize("q", ["Q", "Qzeta:3"])
+    @pytest.mark.parametrize("q", ["Q", "Qzeta:3", "Qzeta"])
     @pytest.mark.parametrize("request_argv", [
         ["factor-xn1", "--n", "5"],
         ["groupdet", "--group", "C5", "--over", "Fq"],
@@ -520,3 +520,24 @@ class TestQReader:
         assert run(["--json", "groupdet", "--group", "C5", "--over", "Fq", "--q", q]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["factors"]) == 3
+
+
+class TestVerifyScope:
+    """Only fft, ifft, weight and idempotents read --verify; the other
+    subcommands always check their results and print the same with it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cyclo", "phi", "12"],
+        ["cyclo", "basis", "6"],
+        ["factor-xn1", "--n", "7", "--q", "2"],
+        ["groupdet", "--group", "C2xC4", "--over", "Fq", "--q", "3"],
+        ["vandermonde", "--n", "4"],
+        ["frobenius"],
+    ], ids=["cyclo-phi", "cyclo-basis", "factor-xn1", "groupdet", "vandermonde", "frobenius"])
+    def test_verify_leaves_output_unchanged(self, capsys, argv):
+        for flags in ([], ["--json"]):
+            assert run([*flags, *argv]) == 0
+            plain = capsys.readouterr()
+            assert plain.out
+            assert run([*flags, "--verify", *argv]) == 0
+            assert capsys.readouterr() == plain
