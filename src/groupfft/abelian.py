@@ -11,9 +11,10 @@ where e is the group exponent; the character value is zeta_e ** t, read
 off the field's :func:`groupfft.rings.root_table`.  Every O(n^2) sum of
 character values is a product by one of the two character matrices.
 Every group-indexed n x n table, the pairing exponents of
-:meth:`AbelianGroup.pairing_table` and the group-matrix indices alike, is a
-sum of one d_i x d_i table per cyclic factor, built by the one
-:func:`factorwise_table`; ``pairing_exponent`` is the formula for one entry.
+:meth:`AbelianGroup.pairing_table`, the sums of :meth:`AbelianGroup.sum_table`
+and the group-matrix indices alike, is a sum of one d_i x d_i table per
+cyclic factor, built by the one :func:`factorwise_table`;
+``pairing_exponent`` is the formula for one entry.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import PreconditionError, VerificationError
@@ -143,6 +145,12 @@ class AbelianGroup:
         tables = [[[x * y * (e // d) for y in range(d)] for x in range(d)] for d in self.divisors]
         return [[t % e for t in row] for row in factorwise_table(tables)]
 
+    def sum_table(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n table of sums, entry (i, j) the canonical index of
+        element i plus element j; characters multiply by the same rule.
+        Built once per tuple of cyclic orders."""
+        return _sum_table(self.divisors)
+
     def galois_orbits(self, units) -> list[tuple[int, ...]]:
         """The orbits of chi -> u chi on the characters, u in units, a
         subgroup of (Z/eZ)^* (PreconditionError if a u is not prime to e,
@@ -181,6 +189,17 @@ def factorwise_table(tables) -> list[list[int]]:
     return rows
 
 
+@lru_cache(maxsize=None)
+def _sum_table(divisors) -> tuple[tuple[int, ...], ...]:
+    """AbelianGroup.sum_table: factorwise_table on ((s + t) mod d) * w, w
+    the mixed-radix weight of the factor C_d."""
+    weight, tables = 1, []
+    for d in reversed(divisors):
+        tables.append([[(s + t) % d * weight for t in range(d)] for s in range(d)])
+        weight *= d
+    return tuple(map(tuple, factorwise_table(tables[::-1])))
+
+
 def parse_group(descriptor: str, normalize: bool = True) -> AbelianGroup:
     """Parse 'C6', 'C2xC3', 'C2xC2xC5' into a group.
 
@@ -208,17 +227,20 @@ def bidual_identification(group: AbelianGroup) -> dict[GroupElement, Character]:
     dual = group.dual_group()
     elements = group.elements()
     mapping = {a: Character(a.residues) for a in elements}
+    position = [dual.char_index(mapping[a]) for a in elements]
     # pairing compatibility: t(a, chi) = t'(chi, mapping[a]) in the dual's table
     dual_table = dual.pairing_table()
-    columns = [[row[dual.char_index(mapping[a])] for row in dual_table] for a in elements]
+    columns = [[row[i] for row in dual_table] for i in position]
     if columns != group.pairing_table():
         raise VerificationError("bidual map does not respect the pairing")
-    for a in elements:
-        for b in elements:
-            lhs = mapping[group.mul(a, b)]
-            rhs = dual.char_mul(mapping[a], mapping[b])
-            if lhs != rhs:
-                raise VerificationError("bidual map is not a homomorphism")
+    # a homomorphism: the image of a + g, read from the sum table, is the
+    # product of the images of a and g, for every a and each generator g
+    # (a unit residue tuple), and so the image of every sum
+    gens = [i for i, a in enumerate(elements) if sum(a.residues) == 1]
+    products = [[dual.char_index(dual.char_mul(mapping[a], mapping[elements[g]])) for g in gens]
+                for a in elements]
+    if products != [[position[row[g]] for g in gens] for row in group.sum_table()]:
+        raise VerificationError("bidual map is not a homomorphism")
     if len(set(mapping.values())) != group.order:
         raise VerificationError("bidual map is not injective")
     return mapping

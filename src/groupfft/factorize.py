@@ -23,16 +23,24 @@ zeta, until T -> zeta at the end.
 It is expanded there, on packed ints (packed exponent vectors, after
 Monagan and Pearce): a monomial is one int of exponent fields, a
 coefficient one int of N counts, and a term of a form rotates the counts
-by its exponent.  Each surviving monomial then meets the field once: its
-int coordinates are read off one big-int product of the counts by the
-packed columns of the field's :func:`groupfft.rings.root_table`
-(Kronecker substitution).  Over Q and F_q the factor is emitted in the
-base field from those ints: the leading coordinates are its coefficient,
-and the others are checked to vanish, so no element of the extension is
-made.  The expansion makes no field product.  Its monomials are packed by
-:class:`groupfft.multipoly.Packing`, the packing of ``MultiPoly``'s
-products, which run the symbolic checks below on packed monomials and
-int-held coefficients too.
+by its exponent.  Translating the variables by h multiplies the form of
+chi by chi(h)^-1, so an orbit's factor is relatively invariant,
+P_O(X_(.+h)) = psi_O(h)^-1 P_O(X) with psi_O the product of the orbit's
+characters, and one monomial per translation orbit is expanded: the last
+form is multiplied in at the monomials that hold X_identity alone, and
+the translates take the orbit's counts rotated by psi_O(h).  Each orbit
+then meets the field once per value of psi_O on it: its int coordinates
+are read off one big-int product of the counts by the packed columns of
+the field's :func:`groupfft.rings.root_table` (Kronecker substitution).
+The last form then costs about C(n + k - 1, k) / n orbits of at most k
+count rotations each, and the map one pair of big-int products per orbit
+and value of psi_O, not per monomial.  Over Q and F_q the factor is
+emitted in the base field from those ints: the leading coordinates are
+its coefficient, and the others are checked to vanish, so no element of
+the extension is made.  The expansion makes no field product.  Its
+monomials are packed by :class:`groupfft.multipoly.Packing`, the packing
+of ``MultiPoly``'s products, which run the symbolic checks below on
+packed monomials and int-held coefficients too.
 
 Every factorization verifies its product identity on the spot: exactly
 (symbolically) up to n = 6, and at seeded points beyond, integer points
@@ -335,9 +343,43 @@ def _require_expandable(n: int, k: int):
         )
 
 
-def _product_of_forms(variables, powers, rows, big, field) -> MultiPoly:
+def _translations(group: AbelianGroup, bits: int) -> list[tuple]:
+    """The translation of a packed monomial, exponent fields of the given
+    bits in canonical order, by the unit residue tuple of each cyclic
+    factor C_d, of weight w (its mixed-radix weight) and index g = w, or
+    0 when d = 1: within each block of d * w fields, a rotation up by w
+    fields, as (d, g, up, down, keep, wrap) with x -> ((x << up) & keep)
+    | ((x >> down) & wrap)."""
+    steps, weight, top = [], group.order, group.order * bits
+    for d in group.divisors:
+        weight //= d
+        up, block = weight * bits, d * weight * bits
+        starts = range(0, top, block)
+        steps.append((d, 1 % d * weight, up, block - up,
+                      sum(((1 << (block - up)) - 1) << (b + up) for b in starts),
+                      sum(((1 << up) - 1) << b for b in starts)))
+    return steps
+
+
+def _translates(mono: int, steps) -> list[int]:
+    """The translates of a packed monomial by every element h of the
+    group, in the canonical order of h, by the steps of
+    :func:`_translations`."""
+    out = [mono]
+    for d, _, up, down, keep, wrap in steps:
+        moved = []
+        for x in out:
+            for _ in range(d):
+                moved.append(x)
+                x = ((x << up) & keep) | ((x >> down) & wrap)
+        out = moved
+    return out
+
+
+def _product_of_forms(group, powers, rows, big, field) -> MultiPoly:
     """Product over the rows of zeta^row[0] X_0 + ... + zeta^row[n-1] X_(n-1),
-    one linear form per row, row[j] in [0, N) the power of zeta on X_j
+    one linear form per row, in the variables of group, row[j] in [0, N)
+    the power of zeta on X_j and each row a character of group into Z/N
     (the form of a cyclic label l is the row l j mod N), powers =
     root_table(N, big) the powers of zeta, a primitive N-th root, as a
     polynomial over field: big itself, or the field big extends, whose
@@ -348,11 +390,28 @@ def _product_of_forms(variables, powers, rows, big, field) -> MultiPoly:
     fields, a coefficient one int of N count fields (the coefficients of
     1, T, ..., T^(N-1)), and a term of a form adds a unit to the monomial
     and rotates the counts by its row entry.  No field product is taken.
-    Each surviving monomial is then sent through T -> zeta once: every
-    int coordinate of sum_e c_e zeta^e is the dot product of the counts
-    with that coordinate's column of the power table, read off one big-int
-    product by the packed reversed columns (Kronecker substitution).  A
-    count is at most k!, k the number of forms, so with fields wider than
+
+    Translating the variables by h, X_j -> X_(j+h), multiplies the form of
+    a character row by T^-row[h], so the product P is relatively invariant:
+    P(X_(.+h)) = T^-s_h P(X), s_h = sum over the rows of row[h] mod N
+    (psi(h)^-1, psi the product of the characters).  The coefficient of
+    the translate of a monomial m by h is T^s_h times that of m, and only
+    one member of each translation orbit of monomials is expanded: the
+    first k - 1 forms multiply out in full, and the last is multiplied in
+    at the monomials m' X_0 alone (every orbit holds one), for each X_j
+    in m adding the counts of m / X_j rotated by the last row's entry.
+    The rows are checked to be characters first, on the group's sum
+    table (VerificationError otherwise), and a monomial is translated by
+    one masked rotation of its exponent fields per cyclic factor.
+
+    The counts of a translate, those of its orbit's member rotated by
+    s_h, are sent through T -> zeta once for each value of s_h on the
+    orbit: every int coordinate of sum_e c_e zeta^e is the dot product of
+    the counts with that coordinate's column of the power table, read off
+    one big-int product by the packed reversed columns (Kronecker
+    substitution).  Where s_h = 0 throughout (over Q, of order d >= 3, and
+    over F_2) that is one map per orbit of n monomials or fewer.  A count
+    is at most k!, k the number of forms, so with fields wider than
     N * k! * (largest coordinate) nothing carries.
 
     A coefficient is read in field from its first r coordinates, r those
@@ -363,10 +422,18 @@ def _product_of_forms(variables, powers, rows, big, field) -> MultiPoly:
     """
     order = len(powers)
     k = len(rows)
-    n = len(variables)
+    packing = Packing(group.order, k)
+    steps = _translations(group, packing.mask.bit_length())
+    # a row additive along the unit tuples, which generate the group, is a
+    # character: row[j + h] = row[j] + row[h] mod N for every j and h
+    sums = group.sum_table()
+    for row in rows:
+        for _, g, *_ in steps:
+            if [row[s[g]] for s in sums] != [(x + row[g]) % order for x in row]:
+                raise VerificationError(
+                    f"a row of the product of forms is not a character of {group}")
 
     # the expansion: {packed monomial: packed counts}
-    packing = Packing(n, k)
     units = [1 << s for s in packing.shifts]
     coords = [big.int_coords(x) for x in powers]
     largest = max(abs(c) for ints in coords for c in ints)
@@ -374,7 +441,7 @@ def _product_of_forms(variables, powers, rows, big, field) -> MultiPoly:
     span = order * width
     mask = (1 << span) - 1
     acc = {0: 1}
-    for row in rows:
+    for row in rows[:-1]:
         # the variables' units, grouped by the rotation (in bits) of their term
         by_shift: dict = {}
         for unit, e in zip(units, row):
@@ -382,12 +449,16 @@ def _product_of_forms(variables, powers, rows, big, field) -> MultiPoly:
         out: dict = {}
         get = out.get
         for mono, counts in acc.items():
-            for shift, group in by_shift.items():
+            for shift, units_at in by_shift.items():
                 rotated = ((counts << shift) & mask) | (counts >> (span - shift))
-                for u in group:
+                for u in units_at:
                     m = mono + u
                     out[m] = get(m, 0) + rotated
         acc = out
+
+    rotations = [s * width for s in (sum(col) % order for col in zip(*rows))]
+    last = [(unit, shift, e * width)
+            for unit, shift, e in zip(units, packing.shifts, rows[-1])]
 
     # the map T -> zeta: coordinate t is the field at order - 1 of the
     # product of the counts by column t reversed; the columns sit in
@@ -408,9 +479,10 @@ def _product_of_forms(variables, powers, rows, big, field) -> MultiPoly:
     lead, rest, make = reads[:r], reads[r:], field.from_int_coords
     # over Q a coordinate vanishes when its fields in the two products agree
     rest_mask = sum(low << s for s in rest)
-    unpack = packing.unpack
-    terms = {}
-    for mono, counts in acc.items():
+
+    def read(counts, shift):
+        """The coefficient of counts times T^(shift / width), in field."""
+        counts = ((counts << shift) & mask) | (counts >> (span - shift))
         hi, lo = counts * pos, counts * neg
         if p and rest:
             if any([(((hi >> s) & low) - ((lo >> s) & low)) % p for s in rest]):
@@ -418,9 +490,29 @@ def _product_of_forms(variables, powers, rows, big, field) -> MultiPoly:
                     f"a coefficient of the product of forms does not descend to {field}")
         elif (hi ^ lo) & rest_mask:
             raise VerificationError("norm form coefficient is not rational")
-        terms[unpack(mono)] = make([((hi >> s) & low) - ((lo >> s) & low) for s in lead])
+        return make([((hi >> s) & low) - ((lo >> s) & low) for s in lead])
+
+    # {packed monomial: coefficient}, each translation orbit filled at once
+    terms: dict = {}
+    for mono in acc:
+        m = mono + 1  # times X_0
+        if m in terms:
+            continue
+        counts = 0
+        for unit, shift, e in last:
+            if m >> shift & packing.mask:
+                c = acc[m - unit]
+                counts += ((c << e) & mask) | (c >> (span - e))
+        values: dict = {}
+        for x, shift in zip(_translates(m, steps), rotations):
+            if x not in terms:
+                value = values.get(shift)
+                if value is None:
+                    value = values[shift] = read(counts, shift)
+                terms[x] = value
     # MultiPoly drops the coefficients that vanish in the field
-    return MultiPoly(variables, terms, field)
+    unpack = packing.unpack
+    return MultiPoly(group_variables(group), {unpack(x): c for x, c in terms.items()}, field)
 
 
 def _orbit_factors(group: AbelianGroup, field, split=False, order=None) -> list[FactorEntry]:
@@ -460,14 +552,14 @@ def _orbit_factors(group: AbelianGroup, field, split=False, order=None) -> list[
     if not over_q:
         big = field if split else splitting_field(field, e)[0]
         powers = root_table(e, big)
-    variables, entries = group_variables(group), []
+    entries = []
     for d, orbit, row in orbits:
         k, least = len(orbit), "_".join(str(r) for r in characters[orbit[0]].residues)
         if over_q:
             big = cyclotomic_field(d)
             powers, row = root_table(d, big), [t * d // e for t in row]
         rows = list(dict.fromkeys(tuple(u * t % len(powers) for t in row) for u in units))
-        poly = _product_of_forms(variables, powers, rows, big, field)
+        poly = _product_of_forms(group, powers, rows, big, field)
         if not poly.is_homogeneous(k):
             raise VerificationError(f"norm form is not homogeneous of degree {k}")
         if poly.terms.get((k,) + (0,) * (n - 1)) != field.one:

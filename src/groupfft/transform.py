@@ -44,7 +44,7 @@ RingMismatch, in the references too (:func:`groupfft.rings.field_entries`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, mul
 
 from .abelian import AbelianGroup, character_matrix, character_matrix_inverse, factorwise_table
@@ -304,7 +304,9 @@ def symbolic_vector(group: AbelianGroup, field) -> GroupVector:
     return GroupVector(group, field, values)
 
 
+@lru_cache(maxsize=None)
 def group_variables(group: AbelianGroup) -> tuple[str, ...]:
+    """X_<residues> for each element, in the canonical order; kept per group."""
     return tuple(f"X_{group.element_label(a)}" for a in group.elements())
 
 

@@ -10,10 +10,10 @@ from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
-from groupfft.abelian import character_matrix
-from groupfft.cyclotomic import cyclotomic_polynomial
+from groupfft.abelian import AbelianGroup, character_matrix
+from groupfft.cyclotomic import cyclotomic_field, cyclotomic_polynomial, splitting_field
 from groupfft.multipoly import MultiPoly
-from groupfft.rings import QQ, ExtField, ExtFieldElem, UniPoly
+from groupfft.rings import QQ, ExtField, ExtFieldElem, UniPoly, primitive_nth_root
 from groupfft.transform import GroupVector, group_variables
 
 
@@ -251,3 +251,62 @@ def coset_product_reference(labels, powers, field):
         assert all(c.is_constant for c in coeffs)
         coeffs = [c.constant for c in coeffs]
     return UniPoly.make(coeffs, field)
+
+
+def all_groups_of_order_up_to(n_max):
+    """Every elementary-divisor chain with product <= n_max."""
+    out = []
+
+    def extend(chain, product):
+        if chain:
+            out.append(AbelianGroup(tuple(chain)))
+        start = chain[-1] if chain else 2
+        for d in range(start, n_max + 1):
+            if product * d > n_max:
+                break
+            if not chain or d % chain[-1] == 0:
+                extend(chain + [d], product * d)
+
+    out.append(AbelianGroup((1,)))
+    extend([], 1)
+    return out
+
+
+def orbit_factors_reference(group, field):
+    """The product of the eigenvalue forms sum_sigma chi(sigma) X_sigma
+    over each galois orbit of characters chi -> u chi, u in (Z/eZ)^* over
+    Q and the powers of q over F_q, e the exponent: each form made with
+    MultiPoly.linear in the splitting field (Q(zeta_e) over Q), the forms
+    multiplied with MultiPoly.__mul__ and each coefficient read in field
+    as its constant term.  Orbits and pairings are computed here on residue
+    tuples.  The reference for the factors of factor_group_determinant,
+    as a list in no particular order."""
+    divisors, e = group.divisors, group.exponent
+    tuples = list(itertools.product(*map(range, divisors)))
+    if field is QQ:
+        big = cyclotomic_field(e) if e > 2 else QQ
+        units = [u for u in range(1, e + 1) if gcd(u, e) == 1]
+    else:
+        big = splitting_field(field, e)[0]
+        units = sorted({pow(field.order, i, e) for i in range(e)})
+    zeta = primitive_nth_root(e, big)
+    powers = [big.one]
+    for _ in range(e - 1):
+        powers.append(powers[-1] * zeta)
+    variables = group_variables(group)
+    seen, out = set(), []
+    for chi in tuples:
+        if chi in seen:
+            continue
+        orbit = {tuple(u * c % d for c, d in zip(chi, divisors)) for u in units}
+        seen |= orbit
+        product = MultiPoly.constant(big.one, variables, big)
+        for psi in sorted(orbit):
+            coeffs = {v: powers[sum(c * s * (e // d) for c, s, d in zip(psi, sigma, divisors)) % e]
+                      for v, sigma in zip(variables, tuples)}
+            product = product * MultiPoly.linear(coeffs, variables, big)
+        if big is not field:
+            assert all(c.is_constant for c in product.terms.values())
+            product = product.map_coefficients(lambda c: c.constant, field)
+        out.append(product)
+    return out

@@ -18,26 +18,12 @@ from groupfft.errors import NoRootOfUnity, PreconditionError
 from groupfft.linalg import identity_matrix, mat_eq, mat_mul
 from groupfft.rings import QQ, PrimeField
 
-from helpers import check_under_o, from_ints, is_elementary_divisor_form
-
-
-def all_groups_of_order_up_to(n_max):
-    """Every elementary-divisor chain with product <= n_max."""
-    out = []
-
-    def extend(chain, product):
-        if chain:
-            out.append(AbelianGroup(tuple(chain)))
-        start = chain[-1] if chain else 2
-        for d in range(start, n_max + 1):
-            if product * d > n_max:
-                break
-            if not chain or d % chain[-1] == 0:
-                extend(chain + [d], product * d)
-
-    out.append(AbelianGroup((1,)))
-    extend([], 1)
-    return out
+from helpers import (
+    all_groups_of_order_up_to,
+    check_under_o,
+    from_ints,
+    is_elementary_divisor_form,
+)
 
 
 class TestStructure:
@@ -124,6 +110,18 @@ class TestPairing:
                          for a in g.elements()]
         assert table == [list(column) for column in zip(*table)]
 
+    @pytest.mark.parametrize(
+        "g", all_groups_of_order_up_to(12) + [AbelianGroup((3, 2)), AbelianGroup((2, 1, 3))],
+        ids=lambda g: g.describe())
+    def test_sum_table_is_mul(self, g):
+        """sum_table() holds the index of a + b, by AbelianGroup.mul, and
+        the index of chi * psi, by char_mul."""
+        elements, characters = g.elements(), g.characters()
+        assert g.sum_table() == tuple(tuple(g.index(g.mul(a, b)) for b in elements)
+                                      for a in elements)
+        assert g.sum_table() == tuple(tuple(g.char_index(g.char_mul(a, b)) for b in characters)
+                                      for a in characters)
+
     def test_non_degenerate(self):
         for g in all_groups_of_order_up_to(12):
             for a in g.elements():
@@ -162,6 +160,26 @@ class TestDualAndBidual:
     def test_dual_same_shape(self):
         g = AbelianGroup.cyclic(4)
         assert g.dual_group().divisors == (4,)
+
+    def test_bidual_without_mul(self, monkeypatch):
+        """The homomorphism check reads the sum table: no AbelianGroup.mul
+        call, and on C4 x C4 x C4 about n * 3 char_mul calls, not n^2."""
+        g = AbelianGroup((4, 4, 4))
+        expected = bidual_identification(g)
+        calls = []
+        char_mul = AbelianGroup.char_mul
+
+        def counting(self, a, b):
+            calls.append(1)
+            return char_mul(self, a, b)
+
+        def refuse(self, a, b):
+            raise AssertionError("mul called")
+
+        monkeypatch.setattr(AbelianGroup, "mul", refuse)
+        monkeypatch.setattr(AbelianGroup, "char_mul", counting)
+        assert bidual_identification(g) == expected
+        assert len(calls) == 64 * 3
 
     def test_bidual_identity_on_tuples(self):
         for g in [AbelianGroup.cyclic(4), AbelianGroup((2, 2)), AbelianGroup((2, 6))]:

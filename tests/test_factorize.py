@@ -8,6 +8,7 @@ import sys
 import textwrap
 import time
 from dataclasses import replace
+from functools import lru_cache
 from fractions import Fraction
 from math import comb, gcd, lcm
 from pathlib import Path
@@ -30,6 +31,8 @@ from groupfft.factorize import (
     Verification,
     _abelian_matrix,
     _product_of_forms,
+    _translates,
+    _translations,
     det_over_finite_field,
     det_over_rationals,
     det_split_field,
@@ -41,7 +44,7 @@ from groupfft.factorize import (
     vandermonde_det,
     verify_product_identity,
 )
-from groupfft.multipoly import MultiPoly
+from groupfft.multipoly import MultiPoly, Packing
 from groupfft.transform import GroupVector, group_matrix, group_variables
 from groupfft.numtheory import divisors, euler_phi, multiplicative_order
 from groupfft.rings import (
@@ -60,11 +63,13 @@ from groupfft.rings import (
 )
 
 from helpers import (
+    all_groups_of_order_up_to,
     character_forms_reference,
     check_under_o,
     coset_product_reference,
     factored_product_reference,
     from_ints,
+    orbit_factors_reference,
     product_of_forms_reference,
     random_cyclo,
     random_elem,
@@ -853,9 +858,9 @@ class TestFormProducts:
                 norm_form(n, d)
             return
         kd = cyclotomic_field(d)
-        variables = group_variables(AbelianGroup.cyclic(n))
-        got = _product_of_forms(variables, root_table(d, kd), _rows(_units(d), n, d), kd, kd)
-        assert got == product_of_forms_reference(variables, kd.zeta, _units(d), kd)
+        group = AbelianGroup.cyclic(n)
+        got = _product_of_forms(group, root_table(d, kd), _rows(_units(d), n, d), kd, kd)
+        assert got == product_of_forms_reference(group_variables(group), kd.zeta, _units(d), kd)
 
     @pytest.mark.parametrize("n, q", COSET_CASES, ids=lambda c: str(c))
     def test_coset_products_match_field_expansion(self, n, q):
@@ -864,12 +869,12 @@ class TestFormProducts:
         field = finite_field(*FIELD_OF_ORDER[q])
         big, _ = splitting_field(field, n)
         zeta = primitive_nth_root(n, big)
-        variables = group_variables(AbelianGroup.cyclic(n))
+        group = AbelianGroup.cyclic(n)
+        variables = group_variables(group)
         cosets = q_cyclotomic_cosets(n, q)
         for labels in cosets:
             if _expandable(n, len(labels)):
-                got = _product_of_forms(variables, root_table(n, big), _rows(labels, n, n),
-                                        big, big)
+                got = _product_of_forms(group, root_table(n, big), _rows(labels, n, n), big, big)
                 assert got == product_of_forms_reference(variables, zeta, labels, big)
         if not all(_expandable(n, len(labels)) for labels in cosets):
             with pytest.raises(PreconditionError):
@@ -932,11 +937,122 @@ class TestFormProducts:
         for cls in (PrimeFieldElem, ExtFieldElem, CycloElem):
             monkeypatch.setattr(cls, "_mul", counting(cls._mul))
         powers = root_table(n, field)
-        variables = group_variables(AbelianGroup.cyclic(n))
         count[0] = 0
-        poly = _product_of_forms(variables, powers, _rows(labels, n, n), field, field)
+        poly = _product_of_forms(AbelianGroup.cyclic(n), powers, _rows(labels, n, n), field, field)
         assert len(poly.terms) > n
         assert count[0] == 0
+
+
+# every group of order <= 12 over Q and each field F_q, q in 2..13, prime
+# to its order, and over the tower (F_4)^3
+ORBIT_FIELDS = [QQ, F2, F3, F5, F7, PrimeField(11), PrimeField(13),
+                finite_field(2, 2), finite_field(3, 2), F64_TOWER]
+ORBIT_CASES = [(group, field) for group in all_groups_of_order_up_to(12) for field in ORBIT_FIELDS
+               if field is QQ or gcd(group.order, field.order) == 1]
+
+
+@lru_cache(maxsize=None)
+def _orbit_case(group, field):
+    """The factorization of an orbit case, or the message of its refusal."""
+    try:
+        return factor_group_determinant(group, field)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+class TestOrbitExpansion:
+    """_product_of_forms expands one monomial per translation orbit and
+    fills in its translates by the relative invariance of the product."""
+
+    @pytest.mark.parametrize("group, field", [
+        (group, field) for group, field in ORBIT_CASES
+        # C11 over an extension of F_2 or F_3 takes five forms in a tower
+        # over the field: the reference alone takes 3 to 14 s a case
+        if not (group.order == 11 and field in ORBIT_FIELDS[-3:])
+    ], ids=lambda c: repr(c))
+    def test_orbit_factors_are_products_of_forms(self, group, field):
+        """Each factor is its orbit's forms multiplied with MultiPoly.__mul__
+        in the splitting field and read in the field (C11 over Q, F_2, F_7
+        and F_13 is refused by the expansion cap)."""
+        fd = _orbit_case(group, field)
+        if isinstance(fd, str):
+            assert group.order == 11 and "capped at 30000" in fd
+            return
+        expected = orbit_factors_reference(group, field)
+        assert sorted(str(p) for p in expected) == sorted(str(e.poly) for e in fd.factors)
+
+    def test_factor_digest(self):
+        """The labels and printed factors of every orbit case, the refusals'
+        messages included, have the digest they had when each monomial was
+        mapped on its own."""
+        records = []
+        for group, field in ORBIT_CASES:
+            fd = _orbit_case(group, field)
+            out = fd if isinstance(fd, str) else [(e.label, str(e.poly)) for e in fd.factors]
+            records.append((group.describe(), repr(field), out))
+        assert len(records) == 124
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == "d66367f76087cb8e3f8ca68296449820b2943cbfc3b6b7aa6585ed1121eb639b"
+
+    @pytest.mark.parametrize("n, exponents, value", [
+        (4, {0: 1, 2: 1}, -2), (6, {0: 1, 3: 1}, -2), (9, {0: 2, 3: 2, 6: 2}, 9),
+    ], ids=["C4", "C6", "C9"])
+    def test_coefficients_of_fixed_monomials(self, n, exponents, value):
+        """A monomial that a translation fixes, in norm_form(n, n): each of
+        its translates is filled once."""
+        exp = tuple(exponents.get(j, 0) for j in range(n))
+        assert norm_form(n, n).terms[exp] == value
+
+    @pytest.mark.parametrize("divs", [(1,), (5,), (12,), (2, 2), (2, 6), (3, 3), (1, 3), (3, 1),
+                                      (2, 1, 2), (2, 2, 2)], ids=repr)
+    def test_translates_follow_the_group_law(self, divs):
+        """The masked rotations translate a packed monomial by every
+        element h: the exponent of X_j moves to X_(j + h), j + h by
+        AbelianGroup.mul."""
+        group = AbelianGroup(divs)
+        elements, n = group.elements(), group.order
+        packing = Packing(n, 5)
+        rng = random.Random(n)
+        exps = [rng.randrange(6) for _ in range(n)]
+        got = _translates(packing.pack(exps), _translations(group, packing.mask.bit_length()))
+        assert len(got) == n
+        for h, x in enumerate(got):
+            moved = [0] * n
+            for j, a in enumerate(elements):
+                moved[group.index(group.mul(a, elements[h]))] = exps[j]
+            assert packing.unpack(x) == tuple(moved)
+
+    IMPORT = """
+        from groupfft import factorize as f
+        from groupfft.abelian import AbelianGroup
+        from groupfft.rings import PrimeField
+    """
+
+    @pytest.mark.parametrize("call, message", [
+        ("f.norm_form(5, 5)", "a row of the product of forms is not a character of C5"),
+        ("f.factor_group_determinant(AbelianGroup((2, 6)), PrimeField(5))",
+         "a row of the product of forms is not a character of C2xC6"),
+    ], ids=["Q", "F5"])
+    def test_corrupted_row_raises_under_o(self, call, message):
+        """A form whose row is not a character is refused before the fill."""
+        corrupt = ("orig = f._product_of_forms\n"
+                   "f._product_of_forms = lambda g, z, rows, *a: orig(\n"
+                   "    g, z, [[r[0], (r[1] + 1) % len(z), *r[2:]] for r in rows], *a)\n")
+        assert check_under_o(call, self.IMPORT, corrupt) == f"raised: {message}"
+
+    @pytest.mark.parametrize("call", [
+        "f.factor_group_determinant(AbelianGroup((2, 6)), PrimeField(5))",
+        "f.factor_group_determinant(AbelianGroup((12,)), PrimeField(5))",
+    ], ids=["C2xC6", "C12"])
+    def test_corrupted_root_of_unity_raises_under_o(self, call):
+        """Each translate but the first paired with the next one's psi(h):
+        its coefficient takes the wrong root of unity, and the product
+        check refuses the factorization."""
+        corrupt = ("orig = f._translates\n"
+                   "f._translates = lambda m, steps: (lambda t: t[:1] + t[2:] + t[1:2])(\n"
+                   "    orig(m, steps))\n")
+        assert check_under_o(call, self.IMPORT, corrupt) == (
+            "raised: factor product disagrees with determinant at a point")
 
 
 class TestChecksUnderO:
@@ -964,8 +1080,8 @@ class TestChecksUnderO:
          "f.det_split_field(AbelianGroup.cyclic(3), PrimeField(7))",
          "a character is not 1 at the identity"),
         ("orig = f._product_of_forms\n"
-         "f._product_of_forms = lambda v, z, e, b, k: orig(v, z, e, b, k) + "
-         "f.MultiPoly.constant(k.one, v, k)",
+         "f._product_of_forms = lambda *a: (lambda p: p + "
+         "f.MultiPoly.constant(a[4].one, p.variables, a[4]))(orig(*a))",
          "f.norm_form(5, 5)",
          "norm form is not homogeneous of degree 4"),
         # every power times zeta: the product carries zeta^4, irrational
@@ -1220,12 +1336,12 @@ class TestNonCyclicGroups:
          "factor product disagrees with determinant at a point"),
         ("f.factor_group_determinant(AbelianGroup((2, 4)), PrimeField(3))",
          "orig = f._product_of_forms\n"
-         "f._product_of_forms = lambda v, z, e, b, k: orig(v, z, e, b, k) + "
-         "f.MultiPoly.constant(k.one, v, k)",
+         "f._product_of_forms = lambda *a: (lambda p: p + "
+         "f.MultiPoly.constant(a[4].one, p.variables, a[4]))(orig(*a))",
          "norm form is not homogeneous of degree 1"),
         ("f.factor_group_determinant(AbelianGroup((3, 3)), f.QQ)",
          "orig = f._product_of_forms\n"
-         "f._product_of_forms = lambda v, z, e, b, k: orig(v, z, e, b, k).scale(k.from_int(2))",
+         "f._product_of_forms = lambda *a: orig(*a).scale(a[4].from_int(2))",
          "a character is not 1 at the identity"),
     ], ids=["Q-orbit-dropped", "F3-orbit-dropped", "F3-degree", "Q-identity"])
     def test_corrupted_orbit_factor_raises_under_o(self, call, corrupt, message):
