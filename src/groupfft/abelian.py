@@ -12,9 +12,13 @@ off the field's :func:`groupfft.rings.root_table`.  Every O(n^2) sum of
 character values is a product by one of the two character matrices.
 Every group-indexed n x n table, the pairing exponents of
 :meth:`AbelianGroup.pairing_table`, the sums of :meth:`AbelianGroup.sum_table`
-and the group-matrix indices alike, is a sum of one d_i x d_i table per
-cyclic factor, built by the one :func:`factorwise_table`;
-``pairing_exponent`` is the formula for one entry.
+and the group-matrix indices of :meth:`AbelianGroup.difference_table`
+alike, is a sum of one d_i x d_i table per cyclic factor, built by the
+one :func:`factorwise_table`; ``pairing_exponent`` is the formula for one
+entry.  A vector packed into one int, entry j in field j, is translated
+by every element at once by :meth:`AbelianGroup.translates`, one masked
+rotation per cyclic factor: the rows of a packed group matrix, and the
+translates of a packed monomial.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import PreconditionError, VerificationError
 from .numtheory import invariant_factors
@@ -151,6 +155,28 @@ class AbelianGroup:
         Built once per tuple of cyclic orders."""
         return _sum_table(self.divisors)
 
+    def difference_table(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n table of the group matrix's indices, entry (i, j) the
+        canonical index of element j minus element i; characters divide
+        by the same rule.  Built once per tuple of cyclic orders."""
+        return _difference_table(self.divisors)
+
+    def translation_steps(self, bits: int) -> tuple[tuple, ...]:
+        """The translation of an int of n fields of the given bits, field
+        j the entry of element j, by the unit residue tuple of each cyclic
+        factor C_d, of mixed-radix weight w and index g = w (0 when
+        d = 1): within each block of d * w fields, a rotation up by w
+        fields, as (d, g, up, down, keep, wrap) with x -> ((x << up) &
+        keep) | ((x >> down) & wrap).  Built once per tuple of cyclic
+        orders and width; :func:`translates` applies them."""
+        return _translation_steps(self.divisors, bits)
+
+    def translates(self, x: int, bits: int) -> list[int]:
+        """The translates of x, n fields of the given bits in canonical
+        order, by every element h in canonical order: the entry of field
+        j moves to field j + h."""
+        return translates(x, self.translation_steps(bits))
+
     def galois_orbits(self, units) -> list[tuple[int, ...]]:
         """The orbits of chi -> u chi on the characters, u in units, a
         subgroup of (Z/eZ)^* (PreconditionError if a u is not prime to e,
@@ -198,6 +224,48 @@ def _sum_table(divisors) -> tuple[tuple[int, ...], ...]:
         tables.append([[(s + t) % d * weight for t in range(d)] for s in range(d)])
         weight *= d
     return tuple(map(tuple, factorwise_table(tables[::-1])))
+
+
+@lru_cache(maxsize=None)
+def _difference_table(divisors) -> tuple[tuple[int, ...], ...]:
+    """AbelianGroup.difference_table: factorwise_table on ((s - t) mod d) * w,
+    w the mixed-radix weight of the factor C_d, t the row and s the column."""
+    weight, tables = 1, []
+    for d in reversed(divisors):
+        tables.append([[(s - t) % d * weight for s in range(d)] for t in range(d)])
+        weight *= d
+    return tuple(map(tuple, factorwise_table(tables[::-1])))
+
+
+@lru_cache(maxsize=None)
+def _translation_steps(divisors, bits: int) -> tuple[tuple, ...]:
+    """AbelianGroup.translation_steps."""
+    order = prod(divisors)
+    steps, weight, top = [], order, order * bits
+    for d in divisors:
+        weight //= d
+        up, block = weight * bits, d * weight * bits
+        starts = range(0, top, block)
+        steps.append((d, 1 % d * weight, up, block - up,
+                      sum(((1 << (block - up)) - 1) << (b + up) for b in starts),
+                      sum(((1 << up) - 1) << b for b in starts)))
+    return tuple(steps)
+
+
+def translates(x: int, steps) -> list[int]:
+    """The translates of the packed int x by every element h of the group,
+    in the canonical order of h, by the steps of
+    :meth:`AbelianGroup.translation_steps`: one masked rotation per
+    translate and cyclic factor."""
+    out = [x]
+    for d, _, up, down, keep, wrap in steps:
+        moved = []
+        for y in out:
+            for _ in range(d):
+                moved.append(y)
+                y = ((y << up) & keep) | ((y >> down) & wrap)
+        out = moved
+    return out
 
 
 def parse_group(descriptor: str, normalize: bool = True) -> AbelianGroup:

@@ -61,10 +61,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 
-from .abelian import AbelianGroup, character_matrix
+from .abelian import AbelianGroup, character_matrix, translates
 from .cyclotomic import _identity, cyclotomic_field, cyclotomic_polynomial, splitting_field
 from .errors import PreconditionError, VerificationError
-from .linalg import left_nullspace, mat_det
+from .linalg import group_det, left_nullspace, mat_det
 from .multipoly import MultiPoly, Packing, product_of_powers, symbolic_det
 from .numtheory import euler_phi, factorization, multiplicative_order
 from .rings import (
@@ -249,17 +249,20 @@ def _embedding(field, big):
     return embed
 
 
-def verify_product_identity(fd: FactoredDeterminant, matrix_of) -> Verification:
+def verify_product_identity(fd: FactoredDeterminant, matrix_of, group=None) -> Verification:
     """Check product(factors) = det of the group matrix; return how.
 
     ``matrix_of(values, field)`` returns the rows of the caller's group
     matrix with the given entries, one per variable of ``fd`` in order.
     Up to order 6 the check is symbolic, on the matrix of the variables.
     Beyond, both sides are evaluated at seeded points, the determinant
-    eliminated afresh at every point.  A wrong product, of degree n the
-    order, survives a point drawn uniformly from a set S with probability
-    at most n/|S| (Schwartz-Zippel), so k points bound it by (n/|S|)^k,
-    and k is the least that brings it to 2^-64 or below:
+    eliminated afresh at every point; when the matrix is the group
+    matrix of the finite abelian ``group``, it is eliminated from the n
+    values (:func:`groupfft.linalg.group_det`) and ``matrix_of`` serves
+    only the symbolic check.  A wrong product, of degree n the order,
+    survives a point drawn uniformly from a set S with probability at
+    most n/|S| (Schwartz-Zippel), so k points bound it by (n/|S|)^k, and
+    k is the least that brings it to 2^-64 or below:
 
     * in characteristic 0 (Q, Q(zeta_d)) the points are ints uniform in
       S = [-2^96, 2^96), so that one point bounds it by n/2^97, and the
@@ -293,6 +296,12 @@ def verify_product_identity(fd: FactoredDeterminant, matrix_of) -> Verification:
         local = (MultiPoly(poly.variables, poly.terms, poly.ring) if field is fd.field
                  else poly.map_coefficients(lift, field))
         factors.append((local, entry.multiplicity))
+
+    def det_of(values, field):
+        if group is None:
+            return mat_det(matrix_of(values, field), field)
+        return group_det(values, group, field)
+
     miss = Fraction(n, size)
     count = 1
     while miss ** count > _BOUND_TARGET:
@@ -300,10 +309,10 @@ def verify_product_identity(fd: FactoredDeterminant, matrix_of) -> Verification:
     for _ in range(count):
         if field.characteristic:
             values = [_random_elem(field, rng) for _ in variables]
-            det_val = mat_det(matrix_of(values, field), field)
+            det_val = det_of(values, field)
         else:
             values = [rng.randrange(-_INT_POINT_HALF, _INT_POINT_HALF) for _ in variables]
-            det_val = field.from_rational(mat_det(matrix_of(values, QQ), QQ))
+            det_val = field.from_rational(det_of(values, QQ))
         point = dict(zip(variables, values))
         prod_val = field.one
         for poly, multiplicity in factors:
@@ -325,7 +334,7 @@ def _checked(group: AbelianGroup, field, entries) -> FactoredDeterminant:
     carrying the Verification of its product identity."""
     fd = FactoredDeterminant(field, group_variables(group), tuple(entries))
     return replace(
-        fd, verification=verify_product_identity(fd, _abelian_matrix(group)))
+        fd, verification=verify_product_identity(fd, _abelian_matrix(group), group))
 
 
 # ---------------------------------------------------------------------------
@@ -343,37 +352,10 @@ def _require_expandable(n: int, k: int):
         )
 
 
-def _translations(group: AbelianGroup, bits: int) -> list[tuple]:
-    """The translation of a packed monomial, exponent fields of the given
-    bits in canonical order, by the unit residue tuple of each cyclic
-    factor C_d, of weight w (its mixed-radix weight) and index g = w, or
-    0 when d = 1: within each block of d * w fields, a rotation up by w
-    fields, as (d, g, up, down, keep, wrap) with x -> ((x << up) & keep)
-    | ((x >> down) & wrap)."""
-    steps, weight, top = [], group.order, group.order * bits
-    for d in group.divisors:
-        weight //= d
-        up, block = weight * bits, d * weight * bits
-        starts = range(0, top, block)
-        steps.append((d, 1 % d * weight, up, block - up,
-                      sum(((1 << (block - up)) - 1) << (b + up) for b in starts),
-                      sum(((1 << up) - 1) << b for b in starts)))
-    return steps
-
-
-def _translates(mono: int, steps) -> list[int]:
-    """The translates of a packed monomial by every element h of the
-    group, in the canonical order of h, by the steps of
-    :func:`_translations`."""
-    out = [mono]
-    for d, _, up, down, keep, wrap in steps:
-        moved = []
-        for x in out:
-            for _ in range(d):
-                moved.append(x)
-                x = ((x << up) & keep) | ((x >> down) & wrap)
-        out = moved
-    return out
+# the translation of packed monomials (AbelianGroup.translation_steps),
+# looked up under these names when a product is expanded
+_translations = AbelianGroup.translation_steps
+_translates = translates
 
 
 def _product_of_forms(group, powers, rows, big, field) -> MultiPoly:

@@ -21,6 +21,14 @@ into the next.  Elsewhere the kernel updates only the live trailing
 block, the columns right of the pivot (int logarithms over a small
 F_{p^r}, scaled integer rows over Q, elements otherwise): an n x n
 determinant costs sum k^2 = (n-1)n(2n-1)/6 cell updates.
+:func:`group_det` and :func:`group_rank` eliminate the group matrix of
+a finite abelian group, entry (tau, sigma) = b_{sigma - tau}, from its
+n values: the kernel's ``group_copy`` holds each value once and is the
+working copy ``working_copy`` makes of the n x n rows.  Over F_p the n
+residues are packed once into row 0, and row tau is its translate by
+tau, one masked rotation per cyclic factor
+(:meth:`groupfft.abelian.AbelianGroup.translates`); elsewhere the held
+values are gathered by the group's difference table.
 :func:`left_nullspace` runs ``_echelon`` on the rows with an identity
 block beside them and reads the rows whose left block vanished back
 through the kernel (``read_row``).  Shape checks raise
@@ -129,7 +137,11 @@ def mat_det(a, field):
     if any(len(row) != n for row in a):
         raise PreconditionError("matrix is not square")
     kern = kernel(field)
-    m = kern.working_copy(a)
+    return _determinant(kern, kern.working_copy(a), n, field)
+
+
+def _determinant(kern, m, n: int, field):
+    """The determinant of the n x n working copy m, in field."""
     rank, negate = _echelon(kern, m, n)
     return field.zero if rank < n else kern.determinant(m, negate)
 
@@ -140,6 +152,24 @@ def mat_rank(rows, field) -> int:
     _require_width(rows, n_cols, "rank")
     kern = kernel(field)
     return _echelon(kern, kern.working_copy(rows), n_cols)[0]
+
+
+def group_det(values, group, field):
+    """mat_det of the group matrix of values (entry (tau, sigma) =
+    values[sigma - tau], values in the canonical order of the finite
+    abelian group), eliminated on the kernel's ``group_copy``, which
+    holds the n values once and builds no n x n matrix."""
+    _require_width([values], group.order, "group matrix")
+    kern = kernel(field)
+    return _determinant(kern, kern.group_copy(values, group), group.order, field)
+
+
+def group_rank(values, group, field) -> int:
+    """mat_rank of the group matrix of values, as :func:`group_det`
+    eliminates it."""
+    _require_width([values], group.order, "group matrix")
+    kern = kernel(field)
+    return _echelon(kern, kern.group_copy(values, group), group.order)[0]
 
 
 def left_nullspace(rows, field) -> list[list]:

@@ -95,7 +95,10 @@ F_p on int residues; over a small F_p[Y]/(m) on logs, a product of powers
 one sum of logs and the terms added by Zech sums.  Every other field
 (towers, Q(zeta_d), larger F_{p^r}) evaluates on its elements.  A kernel
 makes one working copy per matrix, keeps its inner loops specialised, and
-wraps each result back into the descriptor it was picked for.  The products of ``MultiPoly``
+wraps each result back into the descriptor it was picked for; the
+working copy of a group matrix it makes from the n values (``group_copy``:
+over F_p one packed row and its translates, elsewhere each value held
+once and gathered), never from the n^2 entries.  The products of ``MultiPoly``
 and ``symbolic_det`` hold their coefficients through the kernel too
 (``hold``, ``release``): F_p as int residues, reduced mod p once per
 output coefficient; Q as integer numerators over each group's common
@@ -1176,18 +1179,21 @@ class LogTables:
         table = reduction_table(modulus, 0)
         one = (1,) + (0,) * (r - 1)
         weights = [p ** k for k in range(r)]
-        # the first generator in code order: walk each candidate's powers
-        # until they return to 1; q - 1 steps means it generates F_q^*
+        n = q - 1
+
+        def mul(x, y):
+            return tuple([c % p for c in mul_reduced(x, y, table, 0)])
+
+        # the first generator in code order: g generates F_q^* unless
+        # g^(n / l) = 1 for a prime l dividing n; only it is walked
+        cofactors = [n // ell for ell in prime_factors(n)]
         for cand in range(2, q):
             g = tuple((cand // w) % p for w in weights)
-            exp = [one]
-            x = g
-            while x != one:
-                exp.append(x)
-                x = tuple([c % p for c in mul_reduced(x, g, table, 0)])
-            if len(exp) == q - 1:
+            if all(square_and_multiply(g, k, mul) != one for k in cofactors):
                 break
-        n = q - 1
+        exp = [one]
+        for _ in range(n - 1):
+            exp.append(mul(exp[-1], g))
         codes = [sum([c * w for c, w in zip(x, weights)]) for x in exp]
         log = [0] * q
         for k, code in enumerate(codes):
@@ -1322,7 +1328,11 @@ def kernel(field):
 
     A kernel holds the values of its field for bulk work:
     ``working_copy(rows)`` holds a matrix, one held value per entry,
-    nonzero exactly when it is truthy.  Elimination runs on a working
+    nonzero exactly when it is truthy, and ``group_copy(values, group)``
+    the same working copy of the group matrix of values, entry (tau,
+    sigma) = values[sigma - tau] for an abelian group (the rows of
+    :func:`groupfft.transform.group_matrix`), from the n values each
+    held once, never the n^2 entries.  Elimination runs on a working
     copy through three calls: ``pivot(m, start, col)``, the first row at
     or below start whose entry in column col is nonzero, or None;
     ``eliminate_below(m, top, col)``, which clears column col below the
@@ -1420,6 +1430,11 @@ class ElementKernel:
 
     def working_copy(self, rows) -> list[list]:
         return [list(row) for row in rows]
+
+    def group_copy(self, values, group) -> list[list]:
+        """working_copy of the group matrix of values: row tau gathered
+        from the held values by the group's difference table."""
+        return [[values[k] for k in row] for row in group.difference_table()]
 
     def pivot(self, m, start: int, col: int):
         return next((r for r in range(start, len(m)) if m[r][col]), None)
@@ -1557,7 +1572,8 @@ class IntKernel(ElementKernel):
 
     Elimination delays its reductions (Dumas, Fousse & Salvy, J. Symb.
     Comput. 2011).  The first pivot search packs each row of residues
-    into one int, entry j in the W-bit slot j, and an entry is read as
+    into one int, entry j in the W-bit slot j (a ``group_copy`` is
+    packed when it is made), and an entry is read as
     ((row >> W j) & mask) % p.  A row below the pivot a takes one
     multiply-add per pivot, row += f * tail: f = -c / a mod p, c the
     row's entry in the pivot column, and tail the pivot row reduced slot
@@ -1592,17 +1608,28 @@ class IntKernel(ElementKernel):
         m.width = None
         return m
 
+    def group_copy(self, values, group) -> _PackedRows:
+        """working_copy of the group matrix of values, packed as the first
+        pivot search packs it: the n residues packed once into row 0, at
+        the width of K = n updates, and row tau its translate by tau."""
+        m = self.working_copy([values])
+        self._pack(m, group.order)
+        m[:] = group.translates(m[0], m.width)
+        return m
+
+    def _pack(self, m, updates: int):
+        """Pack each row of residues of m into one int, entry j in the
+        W-bit slot j, W wide enough for that many updates of a row."""
+        p = self.field.p
+        m.cols = len(m[0])
+        m.width = width = ((p - 1) + updates * (p - 1) ** 2).bit_length()
+        m.mask = (1 << width) - 1
+        m[:] = [kronecker_pack(row, width) for row in m]
+
     def pivot(self, m, start: int, col: int):
         p = self.field.p
         if m.width is None:  # the first search packs the rows of residues
-            m.cols = len(m[0])
-            m.width = width = ((p - 1) + min(len(m), m.cols) * (p - 1) ** 2).bit_length()
-            m.mask = (1 << width) - 1
-            for i, row in enumerate(m):
-                packed = 0
-                for x in reversed(row):
-                    packed = (packed << width) | x
-                m[i] = packed
+            self._pack(m, min(len(m), len(m[0])))
         shift, mask = m.width * col, m.mask
         for r in range(start, len(m)):
             if ((m[r] >> shift) & mask) % p:
@@ -1663,6 +1690,10 @@ class LogKernel(ElementKernel):
     def working_copy(self, rows) -> list[list]:
         log_of, field = self.tables.log_of, self.field
         return [[log_of(x, field) for x in row] for row in rows]
+
+    def group_copy(self, values, group) -> list[list]:
+        log_of, field = self.tables.log_of, self.field
+        return super().group_copy([log_of(x, field) for x in values], group)
 
     def eliminate_below(self, m, top: int, col: int):
         # x - f * y is the Zech sum of x and (-f) * y, and the log of
@@ -1780,6 +1811,13 @@ class RationalKernel(ElementKernel):
         except AttributeError:
             raise RingMismatch("a matrix over Q has an entry outside Q") from None
         m.scale, m.divisor = scale, 1
+        return m
+
+    def group_copy(self, values, group) -> _ScaledRows:
+        # every row holds the n values, so each is scaled by the same lcm s
+        m = self.working_copy([values])
+        m[:] = super().group_copy(m[0], group)
+        m.scale **= group.order
         return m
 
     def eliminate_below(self, m, top: int, col: int):

@@ -5,7 +5,11 @@ B_chi = sum_sigma chi(sigma) b_sigma, indexed by characters; the inverse
 divides by n and uses chi(sigma^-1).  Group matrices (b_{tau^-1 sigma})
 are diagonalized by the character matrix, which yields the group-ring
 idempotents, the circulant shift algebra, interpolation at roots of
-unity, and the weight-rank identity.
+unity, and the weight-rank identity.  A group matrix is n translates of
+one row: ``group_matrix`` gathers its n^2 entries by
+:meth:`groupfft.abelian.AbelianGroup.difference_table`, and
+``blahut_weight`` never builds it, ranking the n transform values
+through :func:`groupfft.linalg.group_rank`.
 
 Everything here is exact and field-agnostic: vectors may hold field
 elements or MultiPoly values (for symbolic identities).
@@ -47,10 +51,10 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import add, mul
 
-from .abelian import AbelianGroup, character_matrix, character_matrix_inverse, factorwise_table
+from .abelian import AbelianGroup, character_matrix, character_matrix_inverse
 from .cyclotomic import splitting_field
 from .errors import PreconditionError, RingMismatch, VerificationError
-from .linalg import mat_eq, mat_mul, mat_pow, mat_rank, transpose
+from .linalg import group_rank, mat_eq, mat_mul, mat_pow, transpose
 from .multipoly import MultiPoly
 from .rings import UniPoly, field_entries, kernel, root_table
 
@@ -164,20 +168,13 @@ def group_matrix(b: GroupVector) -> GroupMatrix:
     dual side, characters multiply by the same rule on residue tuples, so
     the entry (row psi, column chi) is B_{psi^-1 chi} by the same indices.
 
-    The index of tau^-1 sigma in the canonical order is
-    sum_i ((sigma_i - tau_i) mod d_i) * w_i, with w_i the mixed-radix weight
-    of the factor C_{d_i}: :func:`groupfft.abelian.factorwise_table` on one
-    d_i x d_i table of those terms per factor, with no group lookup.
+    The indices of tau^-1 sigma in the canonical order are read off
+    :meth:`groupfft.abelian.AbelianGroup.difference_table`, with no group
+    lookup.
     """
-    group = b.group
-    weight, tables = group.order, []
-    for d in group.divisors:
-        weight //= d
-        tables.append([[(s - t) % d * weight for s in range(d)] for t in range(d)])
-    index_rows = factorwise_table(tables)
     values = b.values
-    rows = tuple(tuple([values[k] for k in row]) for row in index_rows)
-    return GroupMatrix(group, b.field, rows, dual=b.dual)
+    rows = tuple(tuple([values[k] for k in row]) for row in b.group.difference_table())
+    return GroupMatrix(b.group, b.field, rows, dual=b.dual)
 
 
 def dual_matrix(B: GroupVector) -> GroupMatrix:
@@ -315,14 +312,19 @@ def blahut_weight(b: GroupVector) -> int:
 
     The rank is taken over the coefficient field itself; if the supplied
     field lacks the required root of unity, the computation is lifted to
-    the minimal splitting field (which cannot change the rank).
+    the minimal splitting field (which cannot change the rank).  Every
+    row of the dual-side matrix, entries B_{psi^-1 chi}, is a translate
+    of one row, so it is eliminated from the n transform values
+    (:func:`groupfft.linalg.group_rank`): over F_p one packed row and its
+    translates, elsewhere each value held once and gathered; the n x n
+    matrix of ``dual_matrix`` is never built.
     """
     group, field = b.group, b.field
     _require_invertible_order(group, field)
     big, embed = splitting_field(field, group.exponent)
     if big is not field:
         b = GroupVector(group, big, tuple(embed(v) for v in b.values), b.dual)
-    return mat_rank(dual_matrix(fft(b)).rows(), big)
+    return group_rank(fft(b).values, group, big)
 
 
 def group_idempotents(group: AbelianGroup, field) -> list[GroupVector]:

@@ -18,8 +18,8 @@ def finite_field_point_checks():
     original = factorize.verify_product_identity
     records = []
 
-    def recording(fd, matrix_of):
-        record = original(fd, matrix_of)
+    def recording(fd, *args):
+        record = original(fd, *args)
         if record.method == "points" and fd.field.characteristic:
             field = record.field
             assert isinstance(field, PrimeField) or field._prime_base is not None, field

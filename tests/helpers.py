@@ -253,6 +253,39 @@ def coset_product_reference(labels, powers, field):
     return UniPoly.make(coeffs, field)
 
 
+def log_exp_reference(p, modulus):
+    """The powers of the first generator of F_q^*, F_q = F_p[Y]/(m) with m
+    the coefficient tuple modulus (constant first), as coefficient tuples
+    from g^0 = 1: every candidate g in the order of its int code
+    sum_k c_k p^k, from 2 on, walked until its powers return to 1, and
+    the first whose walk takes q - 1 steps kept.  The reference for
+    LogTables.exp."""
+    r = len(modulus) - 1
+    q = p ** r
+    one = (1,) + (0,) * (r - 1)
+
+    def mul(x, y):
+        prod = [0] * (2 * r - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+        for k in range(2 * r - 2, r - 1, -1):  # Y^k = -sum_i m_i Y^(k - r + i)
+            c = prod[k]
+            for i in range(r):
+                prod[k - r + i] -= c * modulus[i]
+        return tuple(c % p for c in prod[:r])
+
+    for cand in range(2, q):
+        g = tuple(cand // p ** k % p for k in range(r))
+        powers, x = [one], g
+        while x != one:
+            powers.append(x)
+            x = mul(x, g)
+        if len(powers) == q - 1:
+            return powers
+    raise AssertionError(f"no generator of F_{q}^*")
+
+
 def all_groups_of_order_up_to(n_max):
     """Every elementary-divisor chain with product <= n_max."""
     out = []

@@ -122,6 +122,38 @@ class TestPairing:
         assert g.sum_table() == tuple(tuple(g.char_index(g.char_mul(a, b)) for b in characters)
                                       for a in characters)
 
+    @pytest.mark.parametrize(
+        "g", all_groups_of_order_up_to(12) + [AbelianGroup((3, 2)), AbelianGroup((2, 1, 3))],
+        ids=lambda g: g.describe())
+    def test_difference_table_is_mul_by_inverse(self, g):
+        """difference_table() holds, in row a and column b, the index of
+        a^-1 b, by AbelianGroup.mul and inverse: the group matrix's
+        indices; built once per group."""
+        elements = g.elements()
+        assert g.difference_table() == tuple(
+            tuple(g.index(g.mul(g.inverse(a), b)) for b in elements) for a in elements)
+        assert AbelianGroup(g.divisors).difference_table() is g.difference_table()
+
+    @pytest.mark.parametrize(
+        "g", all_groups_of_order_up_to(12) + [AbelianGroup((3, 1)), AbelianGroup((2, 1, 3)),
+                                              AbelianGroup((4, 4, 4))],
+        ids=lambda g: g.describe())
+    @pytest.mark.parametrize("bits", [1, 5, 23])
+    def test_translates_are_the_group_law(self, g, bits):
+        """translates(x, bits) moves the field of element j to the field of
+        j + h, for every h in canonical order, with no field spilling into
+        the next."""
+        elements, n = g.elements(), g.order
+        values = [(7 * j + 3) % (1 << bits) for j in range(n)]
+        packed = sum(v << (bits * j) for j, v in enumerate(values))
+        got = g.translates(packed, bits)
+        assert len(got) == n
+        for h, x in enumerate(got):
+            moved = [0] * n
+            for j, a in enumerate(elements):
+                moved[g.index(g.mul(a, elements[h]))] = values[j]
+            assert x == sum(v << (bits * j) for j, v in enumerate(moved))
+
     def test_non_degenerate(self):
         for g in all_groups_of_order_up_to(12):
             for a in g.elements():

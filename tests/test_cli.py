@@ -199,7 +199,7 @@ class TestExitCodes:
         symbolic determinant."""
         from groupfft import factorize
 
-        monkeypatch.setattr(factorize, "mat_det", lambda rows, field: field.zero)
+        monkeypatch.setattr(factorize, "group_det", lambda values, group, field: field.zero)
         monkeypatch.setattr(factorize, "symbolic_det", lambda rows: rows[0][0])
         assert run(argv) == 3
         err = capsys.readouterr().err

@@ -19,6 +19,7 @@ import pytest
 from groupfft.cyclotomic import cyclotomic_field
 from groupfft.linalg import mat_det, mat_rank
 from groupfft.multipoly import MultiPoly
+from groupfft.numtheory import is_prime
 from groupfft.rings import (
     LOG_ORDER_CAP,
     QQ,
@@ -28,6 +29,7 @@ from groupfft.rings import (
     LogKernel,
     PrimeField,
     RationalKernel,
+    UniPoly,
     find_irreducible,
     finite_field,
     kernel,
@@ -35,7 +37,7 @@ from groupfft.rings import (
     zech_sum,
 )
 
-from helpers import random_elem
+from helpers import log_exp_reference, random_elem
 
 SMALL = [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (2, 6), (3, 4), (7, 3)]
 # the largest field under the cap, and one just above it
@@ -127,6 +129,26 @@ class TestTables:
             assert x.field is field and t.log_of(x, field) == (k or t.n)
         assert t.log_of(field.zero, field) == 0 and t.elem(0, field) == field.zero
         assert t.elem(t.neg_one, field) == -field.one
+
+    @pytest.mark.parametrize("pr", [(p, r) for p in range(2, LOG_ORDER_CAP) if is_prime(p)
+                                    for r in range(2, 10) if p ** r <= LOG_ORDER_CAP], ids=_name)
+    def test_exp_is_the_first_generator_walked(self, pr):
+        """The generator found by its order test, g^((q - 1)/l) != 1 for
+        every prime l | q - 1, is the first in code order, the one that
+        walking every candidate finds, for every field with tables."""
+        field = _field(pr)
+        assert log_tables(field).exp == log_exp_reference(pr[0], field._int_modulus)
+
+    def test_exp_under_every_quadratic_modulus_of_f5(self):
+        """Where Y does not generate F_25^*, a later candidate is chosen,
+        as the walk chooses it."""
+        f5 = PrimeField(5)
+        moduli = [(b, a, 1) for a in range(5) for b in range(5)
+                  if all((x * x + a * x + b) % 5 for x in range(5))]
+        assert len(moduli) == 10
+        for m in moduli:
+            field = ExtField(f5, UniPoly.make([f5.from_int(c) for c in m], f5))
+            assert log_tables(field).exp == log_exp_reference(5, m)
 
     @pytest.mark.parametrize("pr", SMALL + [AT_CAP], ids=_name)
     def test_zech_table_is_element_addition(self, pr):
