@@ -38,9 +38,10 @@ and value of psi_O, not per monomial.  Over Q and F_q the factor is
 emitted in the base field from those ints: the leading coordinates are
 its coefficient, and the others are checked to vanish, so no element of
 the extension is made.  The expansion makes no field product.  Its
-monomials are packed by :class:`groupfft.multipoly.Packing`, the packing
-of ``MultiPoly``'s products, which run the symbolic checks below on
-packed monomials and int-held coefficients too.
+monomials are packed by :class:`groupfft.multipoly.Packing`, the one form
+of ``MultiPoly``'s monomials, so the factor keeps them as they are; its
+products run the symbolic checks below on them and int-held coefficients
+too, and its evaluations read them for the point checks.
 
 Every factorization verifies its product identity on the spot: exactly
 (symbolically) up to n = 6, and at seeded points beyond, integer points
@@ -293,8 +294,8 @@ def verify_product_identity(fd: FactoredDeterminant, matrix_of, group=None) -> V
     factors = []
     for entry in fd.factors:
         poly = entry.poly
-        local = (MultiPoly(poly.variables, poly.terms, poly.ring) if field is fd.field
-                 else poly.map_coefficients(lift, field))
+        local = (MultiPoly(poly.variables, poly.packed, poly.ring, poly.packing)
+                 if field is fd.field else poly.map_coefficients(lift, field))
         factors.append((local, entry.multiplicity))
 
     def det_of(values, field):
@@ -492,9 +493,8 @@ def _product_of_forms(group, powers, rows, big, field) -> MultiPoly:
                 if value is None:
                     value = values[shift] = read(counts, shift)
                 terms[x] = value
-    # MultiPoly drops the coefficients that vanish in the field
-    unpack = packing.unpack
-    return MultiPoly(group_variables(group), {unpack(x): c for x, c in terms.items()}, field)
+    # the packed monomials as they are, less the coefficients that vanish
+    return MultiPoly(group_variables(group), {x: c for x, c in terms.items() if c}, field, packing)
 
 
 def _orbit_factors(group: AbelianGroup, field, split=False, order=None) -> list[FactorEntry]:
@@ -544,7 +544,8 @@ def _orbit_factors(group: AbelianGroup, field, split=False, order=None) -> list[
         poly = _product_of_forms(group, powers, rows, big, field)
         if not poly.is_homogeneous(k):
             raise VerificationError(f"norm form is not homogeneous of degree {k}")
-        if poly.terms.get((k,) + (0,) * (n - 1)) != field.one:
+        # X_identity^k packs to k, X_identity's field the lowest
+        if poly.packed.get(k) != field.one:
             raise VerificationError("a character is not 1 at the identity")
         if over_q:
             alike = sum(o[0] == d for o in orbits) > 1

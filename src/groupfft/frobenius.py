@@ -28,7 +28,7 @@ from .cyclotomic import CycloElem, CyclotomicField, cyclotomic_field
 from .errors import PreconditionError, VerificationError
 from .factorize import FactorEntry, FactoredDeterminant, verify_product_identity
 from .linalg import identity_matrix, mat_eq, mat_inverse, mat_mul
-from .multipoly import MultiPoly, symbolic_det
+from .multipoly import MultiPoly, Packing, symbolic_det
 from .rings import root_table
 
 
@@ -418,24 +418,17 @@ def _exponent_patterns(f: int) -> list[tuple[int, ...]]:
 
 
 def _tuple_sum(k: int, coefficient, variables, field) -> MultiPoly:
-    """sum over k-tuples t of elements of coefficient(t) X_(t_1) ... X_(t_k)."""
-    n = len(variables)
+    """sum over k-tuples t of elements of coefficient(t) X_(t_1) ... X_(t_k),
+    its monomials packed as they are summed."""
+    packing = Packing(len(variables), k)
+    units = [1 << s for s in packing.shifts]
     terms: dict = {}
-    for combo in itertools.product(range(n), repeat=k):
+    for combo in itertools.product(range(len(variables)), repeat=k):
         c = coefficient(combo)
-        if not c:
-            continue
-        exp = [0] * n
-        for idx in combo:
-            exp[idx] += 1
-        key = tuple(exp)
-        cur = terms.get(key)
-        s = c if cur is None else cur + c
-        if s:
-            terms[key] = s
-        elif cur is not None:
-            del terms[key]
-    return MultiPoly(variables, terms, field)
+        if c:
+            key = sum([units[idx] for idx in combo])
+            terms[key] = terms[key] + c if key in terms else c
+    return MultiPoly(variables, {m: c for m, c in terms.items() if c}, field, packing)
 
 
 _PSI_DEGREE_CAP = 3

@@ -76,46 +76,37 @@ the same euclid over a prime base and over a tower alike; Q(zeta_d)
 inverts through the norm, on its integer numerators.
 
 Kernels.  :func:`kernel` picks, once per descriptor, how the bulk loops
-hold a field's values: the row updates of ``mat_det`` and ``mat_rank``
-and the term sum of ``MultiPoly.evaluate``.  F_p eliminates on rows
-of residues packed into one int each, a row update one big-int
-multiply-add with no reduction (:class:`IntKernel`) and a pivot inverse
-one ``pow(x, -1, p)``, and evaluates on int residues, the sum reduced mod
-p once.  A small F_p[Y]/(m), order at most ``LOG_ORDER_CAP``, runs both
-on Zech logarithms (:class:`LogTables`): a product is one int addition
-and a sum one table lookup (:func:`zech_sum`).  Q eliminates fraction-free: each row is
-scaled to integers by the lcm of its denominators, a Bareiss update
-divides exactly by the previous pivot, and the determinant is the last
-pivot over the product of the row scales, one ``Fraction``.  A
-polynomial is evaluated as a direct sum of its terms, each a coefficient
-times powers of the coordinates read from one power table per variable
-(:func:`_term_sum`): over Q on the coefficients' integer numerators over
-their lcm c, so that an int point gives an int, scaled once by 1/c; over
-F_p on int residues; over a small F_p[Y]/(m) on logs, a product of powers
-one sum of logs and the terms added by Zech sums.  Every other field
-(towers, Q(zeta_d), larger F_{p^r}) evaluates on its elements.  A kernel
-makes one working copy per matrix, keeps its inner loops specialised, and
-wraps each result back into the descriptor it was picked for; the
-working copy of a group matrix it makes from the n values (``group_copy``:
-over F_p one packed row and its translates, elsewhere each value held
-once and gathered), never from the n^2 entries.  The products of ``MultiPoly``
-and ``symbolic_det`` hold their coefficients through the kernel too
-(``hold``, ``release``): F_p as int residues, reduced mod p once per
-output coefficient; Q as integer numerators over each group's common
-denominator; F_p[Y]/(m), log-kernel fields included, and Q(zeta_d) as
-numerator vectors over one denominator, each packed into one int by
-Kronecker substitution T -> 2^W (Harvey, JSC 2009), W chosen from an l1
+hold a field's values, makes one working copy per matrix (of a group
+matrix from its n values, ``group_copy``, never the n^2 entries) and
+wraps each result back into the descriptor.  F_p eliminates on rows of
+residues packed into one int each, a row update one big-int multiply-add
+with no reduction and a pivot inverse one ``pow(x, -1, p)``
+(:class:`IntKernel`).  A small F_p[Y]/(m), order at most
+``LOG_ORDER_CAP``, runs on Zech logarithms (:class:`LogTables`): a
+product is one int addition and a sum one table lookup
+(:func:`zech_sum`).  Q eliminates fraction-free: Bareiss updates on rows
+scaled to integers, the determinant the last pivot over the product of
+the row scales.  ``MultiPoly.evaluate`` sums the terms as ``hold_terms``
+holds them, each monomial as (variable, exponent) pairs read straight
+off its packed int, each term a coefficient times powers of the
+coordinates read from one table per variable (:func:`_term_sum`): over Q
+on integer numerators over their lcm c, an int point giving an int
+scaled once by 1/c; over F_p on int residues, reduced mod p once; over a
+small F_p[Y]/(m) on logs, the terms added by Zech sums; elsewhere on
+elements.  Products and symbolic determinants hold their coefficients
+through ``hold`` and ``release``: int residues over F_p, integer
+numerators over a common denominator over Q, and over F_p[Y]/(m) and
+Q(zeta_d) numerator vectors over one denominator, each packed into one
+int by Kronecker substitution T -> 2^W (Harvey, JSC 2009), W from an l1
 bound so that no digit carries.  A product stays unreduced in Z[T]; each
-output coefficient is split into its balanced base-2^W digits
-(:func:`kronecker_digits`, which raises VerificationError on anything
-left over) and folded once through the integral reduction table.
-Towers hold their elements.  Single element operations keep
-the residue products above: the tables pay only where many operations
-share them.  A transform (``dft``) holds its vector the same way and
-runs one :class:`ResidueDFT` recursion on it, towers and MultiPolys on
-their entries (:func:`field_entries`); a convolution (``convolve``)
-holds its two vectors as for a product and multiplies them in the group
-ring as one int (:func:`cyclic_product`).
+output coefficient is split into balanced base-2^W digits
+(:func:`kronecker_digits`, VerificationError on anything left over) and
+folded once through the integral reduction table.  Towers hold their
+elements; single element operations keep the residue products above.  A
+transform (``dft``) holds its vector the same way and runs one
+:class:`ResidueDFT` recursion, towers and MultiPolys on their entries
+(:func:`field_entries`); a convolution (``convolve``) multiplies two
+held vectors in the group ring as one int (:func:`cyclic_product`).
 
 No floating point is used anywhere.
 """
@@ -1344,8 +1335,9 @@ def kernel(field):
     during elimination (a column cleared below a pivot is not rewritten,
     so a caller reads only columns right of every pivot).  Only these
     four read a working copy under elimination, so a kernel may change how
-    it holds the rows there (IntKernel packs them).  ``hold_terms(terms)``
-    holds a polynomial's terms, exponent tuple -> coefficient, for
+    it holds the rows there (IntKernel packs them).  ``hold_terms(terms,
+    packing)`` holds a polynomial's terms, packed monomial -> coefficient,
+    as :meth:`groupfft.multipoly.Packing.sparse_terms` reads them, for
     ``evaluate(held, xs)``, their sum at the point xs, one value per
     variable, as an element of the field.  ``hold(groups)`` holds lists
     of values for sums of products that take one value from each list
@@ -1461,8 +1453,8 @@ class ElementKernel:
     def read_row(self, m, i: int, start: int = 0) -> list:
         return field_entries(m[i][start:], self.field)
 
-    def hold_terms(self, terms: dict):
-        return _sparse_terms(terms.items())
+    def hold_terms(self, terms: dict, packing):
+        return packing.sparse_terms(terms, terms.values())
 
     def evaluate(self, held, xs):
         return _term_sum(held, xs, self.field.one, self.field.zero)
@@ -1665,9 +1657,8 @@ class IntKernel(ElementKernel):
         return [PrimeFieldElem((row >> width * j) & mask, field)
                 for j in range(start, m.cols)]
 
-    def hold_terms(self, terms: dict):
-        residue_of = self.field.residue_of
-        return _sparse_terms([(e, residue_of(c)) for e, c in terms.items()])
+    def hold_terms(self, terms: dict, packing):
+        return packing.sparse_terms(terms, map(self.field.residue_of, terms.values()))
 
     def evaluate(self, held, xs):
         field = self.field
@@ -1719,9 +1710,9 @@ class LogKernel(ElementKernel):
         elem, field = self.tables.elem, self.field
         return [elem(x, field) for x in m[i][start:]]
 
-    def hold_terms(self, terms: dict):
+    def hold_terms(self, terms: dict, packing):
         log_of, field = self.tables.log_of, self.field
-        return _sparse_terms([(e, log_of(c, field)) for e, c in terms.items()])
+        return packing.sparse_terms(terms, [log_of(c, field) for c in terms.values()])
 
     def evaluate(self, held, xs):
         # the e-th power of a coordinate of log l has log e * l, and a
@@ -1841,10 +1832,10 @@ class RationalKernel(ElementKernel):
         # division-full elimination would hold
         return [Fraction(x) for x in m[i][start:]]
 
-    def hold_terms(self, terms: dict):
+    def hold_terms(self, terms: dict, packing):
         c = lcm(*[v.denominator for v in terms.values()])
-        return (_sparse_terms([(e, v.numerator * (c // v.denominator))
-                               for e, v in terms.items()]), Fraction(1, c))
+        return (packing.sparse_terms(terms, [v.numerator * (c // v.denominator)
+                                             for v in terms.values()]), Fraction(1, c))
 
     def evaluate(self, held, xs):
         terms, scale = held
@@ -1984,25 +1975,10 @@ def _line_stages(m: int) -> int:
     return 1 if _is_leaf(m, True) else 1 + _line_stages(m // _radices(m)[0])
 
 
-def _sparse_terms(terms) -> tuple:
-    """(monomials, tops) for the pairs (exponent tuple, c) of terms: each
-    term as (c, ((i, e), ...)), one pair per variable i of nonzero
-    exponent e, and tops the largest e of each variable used, as
-    ((i, top), ...)."""
-    monomials, tops = [], {}
-    for exp, c in terms:
-        monomial = tuple([(i, e) for i, e in enumerate(exp) if e])
-        for i, e in monomial:
-            if e > tops.get(i, 0):
-                tops[i] = e
-        monomials.append((c, monomial))
-    return monomials, tuple(sorted(tops.items()))
-
-
 def _term_sum(held, xs, one, zero):
     """sum c * prod xs[i]^e over the terms of held (see
-    :func:`_sparse_terms`), from zero, the powers of each coordinate read
-    from one table up to its largest exponent."""
+    :meth:`groupfft.multipoly.Packing.sparse_terms`), from zero, the powers
+    of each coordinate read from one table up to its largest exponent."""
     monomials, tops = held
     powers = [None] * len(xs)
     for i, top in tops:

@@ -7,13 +7,23 @@ import sys
 import textwrap
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 from groupfft.abelian import AbelianGroup, character_matrix
 from groupfft.cyclotomic import cyclotomic_field, cyclotomic_polynomial, splitting_field
 from groupfft.multipoly import MultiPoly
-from groupfft.rings import QQ, ExtField, ExtFieldElem, UniPoly, primitive_nth_root
+from groupfft.rings import (
+    QQ,
+    ExtField,
+    ExtFieldElem,
+    IntKernel,
+    LogKernel,
+    RationalKernel,
+    UniPoly,
+    kernel,
+    primitive_nth_root,
+)
 from groupfft.transform import GroupVector, group_variables
 
 
@@ -152,6 +162,40 @@ def mul_reference(a, b):
             elif cur is not None:
                 del terms[exp]
     return MultiPoly(a.variables, terms, a.ring)
+
+
+def sparse_terms_reference(terms) -> tuple:
+    """(monomials, tops) for the pairs (exponent tuple, c) of terms: each
+    term as (c, ((i, e), ...)), one pair per variable i of nonzero
+    exponent e, and tops the largest e of each variable used, as
+    ((i, top), ...).  Read off exponent tuples: the reference for the
+    pairs that Packing.sparse_terms reads off packed monomials."""
+    monomials, tops = [], {}
+    for exp, c in terms:
+        monomial = tuple([(i, e) for i, e in enumerate(exp) if e])
+        for i, e in monomial:
+            if e > tops.get(i, 0):
+                tops[i] = e
+        monomials.append((c, monomial))
+    return monomials, tuple(sorted(tops.items()))
+
+
+def held_terms_reference(poly):
+    """The terms of a MultiPoly as its ring's kernel holds them, from its
+    exponent tuples: over Q the integer numerators over the lcm c of the
+    denominators, and 1/c; int residues over F_p, logs on the log kernel,
+    elements elsewhere."""
+    kern, terms = kernel(poly.ring), poly.terms
+    if isinstance(kern, RationalKernel):
+        scale = Fraction(1, lcm(*[c.denominator for c in terms.values()]))
+        return sparse_terms_reference((e, (c / scale).numerator) for e, c in terms.items()), scale
+    if isinstance(kern, LogKernel):
+        held = [kern.tables.log_of(c, poly.ring) for c in terms.values()]
+    elif isinstance(kern, IntKernel):
+        held = [poly.ring.residue_of(c) for c in terms.values()]
+    else:
+        held = list(terms.values())
+    return sparse_terms_reference(zip(terms, held))
 
 
 def det_reference(rows):

@@ -994,6 +994,30 @@ class TestOrbitExpansion:
         digest = hashlib.sha256(repr(records).encode()).hexdigest()
         assert digest == "d66367f76087cb8e3f8ca68296449820b2943cbfc3b6b7aa6585ed1121eb639b"
 
+    def test_packed_factor_digests(self):
+        """Every factor of the orbit cases reads, off its packed monomials,
+        the terms, sorted terms, printed form and sort key it had when it
+        held exponent tuples, and every Verification record is the one
+        recorded then."""
+        views, ordered, printed, keys, records = [], [], [], [], []
+        for group, field in ORBIT_CASES:
+            fd = _orbit_case(group, field)
+            if isinstance(fd, str):
+                continue
+            for e in fd.factors:
+                views.append(sorted((exp, repr(c)) for exp, c in e.poly.terms.items()))
+                ordered.append(repr(e.poly.sorted_terms()))
+                printed.append(str(e.poly))
+                keys.append(repr(e.poly.sort_key()))
+            v = fd.verification
+            records.append((group.describe(), repr(field), v.method, v.seed, v.points,
+                            repr(v.field), v.bound))
+        assert len(views) == 545
+        digests = [hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+                   for x in (views, ordered, printed, keys, records)]
+        assert digests == ["d1652fe8ba6b6329", "27fe95651512861e", "08a69ad4608968fc",
+                           "6e8ea9ae86647cfe", "6ea1fcc07f4803dc"]
+
     @pytest.mark.parametrize("n, exponents, value", [
         (4, {0: 1, 2: 1}, -2), (6, {0: 1, 3: 1}, -2), (9, {0: 2, 3: 2, 6: 2}, 9),
     ], ids=["C4", "C6", "C9"])

@@ -12,10 +12,10 @@ from groupfft.factorize import det_split_field
 from groupfft.frobenius import s3
 from groupfft.linalg import mat_det
 from groupfft.multipoly import MultiPoly, symbolic_det
-from groupfft.rings import QQ, kernel
+from groupfft.rings import QQ
 from groupfft.transform import group_matrix, group_variables, symbolic_vector, GroupVector
 
-from helpers import sympy_multipoly
+from helpers import held_terms_reference, sympy_multipoly
 
 V2 = ("X_0", "X_1")
 V3 = ("X_0", "X_1", "X_2")
@@ -307,7 +307,7 @@ class TestRationalPlan:
                 assert type(got) is Fraction and got == _fraction_sum(poly, point)
             # the one held form is the integer one, built once
             held = poly._held
-            assert held == kernel(QQ).hold_terms(poly.terms)
+            assert held == held_terms_reference(poly)
             assert all(type(c) is int for c, _ in held[0][0])
             poly.evaluate(point)
             assert poly._held is held
@@ -349,7 +349,7 @@ class TestRationalPlan:
             # a rational point afterwards sums the same held terms
             rational = {v: Fraction(k, 3) for k, v in enumerate(self.VARS, 1)}
             assert poly.evaluate(rational) == _fraction_sum(poly, rational)
-            assert poly._held is held and held == kernel(QQ).hold_terms(poly.terms)
+            assert poly._held is held and held == held_terms_reference(poly)
 
 
 class TestPrinting:

@@ -1,6 +1,7 @@
 """Products on packed monomials and held coefficients: MultiPoly.__mul__
 and symbolic_det against the term-by-term references, sympy, and a
-too-narrow digit width."""
+too-narrow digit width; MultiPoly's one packed form against exponent
+tuples."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from groupfft.cyclotomic import cyclotomic_field
-from groupfft.errors import RingMismatch, VerificationError
+from groupfft.errors import PreconditionError, RingMismatch, VerificationError
 from groupfft.multipoly import MultiPoly, Packing, symbolic_det
 from groupfft.rings import QQ, ExtField, PrimeField, find_irreducible, finite_field, kernel
 
@@ -16,9 +17,11 @@ from helpers import (
     check_under_o,
     det_reference,
     from_ints,
+    held_terms_reference,
     mul_reference,
     random_cyclo,
     random_elem,
+    sparse_terms_reference,
     sympy_multipoly,
 )
 
@@ -175,6 +178,112 @@ class TestPacking:
                     assert packing.unpack(packing.pack(a)) == tuple(a)
                     s = packing.pack(a) + packing.pack(b)
                     assert packing.unpack(s) == tuple(x + y for x, y in zip(a, b))
+
+
+    def test_degree_of_and_sparse_terms(self):
+        """degree_of reads the total degree off one product, and
+        sparse_terms the nonzero fields, as the tuples give them."""
+        rng = random.Random(6)
+        for nvars in range(1, 7):
+            for degree in (0, 1, 2, 3, 6, 8, 31):
+                packing = Packing(nvars, degree)
+                exps = []
+                for _ in range(20):
+                    exp, room = [0] * nvars, degree
+                    for i in rng.sample(range(nvars), nvars):
+                        exp[i] = rng.randrange(room + 1)
+                        room -= exp[i]
+                    exps.append(tuple(exp))
+                    assert packing.degree_of(packing.pack(exp)) == sum(exp)
+                coefficients = list(range(1, len(exps) + 1))
+                assert packing.sparse_terms(map(packing.pack, exps), coefficients) == (
+                    sparse_terms_reference(zip(exps, coefficients)))
+
+
+class TestOneForm:
+    """MultiPoly keeps its monomials packed; tuples are read off them."""
+
+    def test_malformed_exponents_are_refused(self):
+        with pytest.raises(PreconditionError):
+            MultiPoly(("x", "y"), {(1, 2, 3): Fraction(2), (0, 0): Fraction(1)}, QQ)
+        with pytest.raises(PreconditionError):
+            MultiPoly(("x", "y"), {(-1, 0): Fraction(1)}, QQ)
+        with pytest.raises(PreconditionError):
+            MultiPoly(("x", "y"), {(1.0, 0): Fraction(1)}, QQ)
+        poly = MultiPoly(("x", "y"), {(1, 2): Fraction(2), (0, 0): Fraction(1)}, QQ)
+        for exp in [(1,), (1, 2, 0), (-1, 0), (0, -1)]:
+            with pytest.raises(PreconditionError):
+                poly.coefficient(exp)
+        assert poly.coefficient((1, 2)) == 2 and poly.coefficient((5, 0)) == 0
+
+    @pytest.mark.parametrize("call", [
+        "MultiPoly(('x', 'y'), {(1, 2, 3): Fraction(2), (-1, 0): Fraction(1)}, QQ)",
+        "MultiPoly(('x', 'y'), {(-1, 0): Fraction(1)}, QQ)",
+        "MultiPoly(('x', 'y'), {(1, 2): Fraction(2)}, QQ).coefficient((1,))",
+        "MultiPoly(('x', 'y'), {(1, 2): Fraction(2)}, QQ).coefficient((0, -1))",
+    ], ids=["length", "negative", "coefficient-length", "coefficient-negative"])
+    def test_malformed_exponents_under_o(self, call):
+        setup = """
+            from fractions import Fraction
+            from groupfft.multipoly import MultiPoly
+            from groupfft.rings import QQ
+        """
+        assert check_under_o(call, setup, error="PreconditionError").startswith("raised: exponent")
+
+    def test_exponent_above_a_field_is_not_aliased(self):
+        """(2, 0, 0) would pack to (0, 1, 0)'s int in one-bit fields."""
+        one = Fraction(1)
+        narrow = MultiPoly(V3, {(1, 0, 0): one, (0, 1, 0): Fraction(3)}, QQ)
+        assert narrow.packing.mask == 1
+        assert narrow.coefficient((2, 0, 0)) == 0 and narrow.coefficient((0, 1, 0)) == 3
+        assert narrow.terms.get((2, 0, 0)) is None and (2, 0, 0) not in narrow.terms
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_sums_and_equality_across_packings(self, name):
+        """A wide product, its top cancelled, against the same polynomial
+        built narrow from tuples, in either variable order."""
+        field = FIELDS[name]()
+        rng = random.Random(name)
+        for _ in range(10):
+            narrow = _random_poly(field, rng, degree=1)
+            top = MultiPoly(V3, {(4, 0, 0): field.one}, field) * MultiPoly(
+                V3, {(0, 4, 4): field.one}, field)
+            wide = top + narrow - top
+            assert wide.packing.mask > narrow.packing.mask or not narrow
+            assert wide == narrow and narrow == wide
+            assert wide.terms == dict(narrow.terms.items())
+            assert str(wide) == str(narrow) and wide.sort_key() == narrow.sort_key()
+            assert wide.sorted_terms() == narrow.sorted_terms()
+            assert (wide - narrow).is_zero and wide + narrow == narrow + narrow
+            assert wide * narrow == mul_reference(narrow, narrow)
+            swapped = MultiPoly(V3[::-1], {e[::-1]: c for e, c in narrow.terms.items()}, field)
+            assert swapped == wide and wide + swapped == narrow + narrow
+            assert wide != narrow + MultiPoly(V3, {(1, 1, 1): field.one}, field)
+
+    def test_terms_view(self):
+        poly = MultiPoly(V3, {(2, 0, 1): Fraction(3), (0, 0, 0): Fraction(-1, 2)}, QQ)
+        view = poly.terms
+        assert len(view) == 2 and set(view) == {(2, 0, 1), (0, 0, 0)}
+        assert dict(view.items()) == {(2, 0, 1): 3, (0, 0, 0): Fraction(-1, 2)}
+        assert view.get((2, 0, 1)) == 3 and view.get((1, 0, 0)) is None
+        assert view[(0, 0, 0)] == Fraction(-1, 2)
+        with pytest.raises(KeyError):
+            view[(0, 1, 0)]
+        with pytest.raises(TypeError):
+            view[(0, 1, 0)] = Fraction(1)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_held_pairs_against_tuples(self, name):
+        """evaluate holds the pairs read off the packed monomials, as the
+        reference reads them off exponent tuples."""
+        field = FIELDS[name]()
+        rng = random.Random(name)
+        for degree in (1, 3, 8):
+            poly = _random_poly(field, rng, terms=12, degree=degree)
+            poly = poly * _random_poly(field, rng, degree=degree) + poly
+            point = {v: _coefficient(field, rng) for v in V3}
+            poly.evaluate(point)
+            assert poly._held == held_terms_reference(poly)
 
 
 class TestNarrowWidth:

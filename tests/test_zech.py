@@ -37,7 +37,7 @@ from groupfft.rings import (
     zech_sum,
 )
 
-from helpers import log_exp_reference, random_elem
+from helpers import held_terms_reference, log_exp_reference, random_elem
 
 SMALL = [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (2, 6), (3, 4), (7, 3)]
 # the largest field under the cap, and one just above it
@@ -228,7 +228,7 @@ class TestEvaluate:
                 assert _of(got, field) and got == _term_sum(poly, point)
         # held once by the first evaluate and kept
         held = poly._held
-        assert held == kernel(field).hold_terms(poly.terms)
+        assert held == held_terms_reference(poly)
         poly.evaluate(point)
         assert poly._held is held
         tables = log_tables(field)
