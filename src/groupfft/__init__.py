@@ -90,12 +90,14 @@ from .transform import (
     dual_diagonalize,
     dual_matrix,
     fft,
+    fft_many,
     fft_reference,
     group_idempotents,
     group_matrix,
     group_variables,
     interpolate_at_roots_of_unity,
     inverse_fft,
+    inverse_fft_many,
     inverse_fft_reference,
     shift_matrix,
     shift_power_from_idempotents,

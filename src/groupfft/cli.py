@@ -137,20 +137,22 @@ def _transform_request(args):
 
 
 def _sampled_round_trip_check(group, field, seed: int, samples: int = 20):
-    """Seeded self-test: transform then invert random vectors exactly.
+    """Seeded self-test: transform then invert random vectors exactly, as
+    one batched transform each way.
 
-    Entries come from factorize._random_elem, which draws every
-    coefficient of an F_{p^r} or Q(zeta_d) element, so the samples leave
-    the prime field and Q.
+    Entries come from factorize._random_elems, drawn in one pass, which
+    draws every coefficient of an F_{p^r} or Q(zeta_d) element, so the
+    samples leave the prime field and Q.
     """
     import random
 
-    rng = random.Random(seed)
-    for _ in range(samples):
-        values = tuple(factorize._random_elem(field, rng) for _ in range(group.order))
-        vec = transform.GroupVector(group, field, values)
-        if transform.inverse_fft(transform.fft(vec)).values != vec.values:
-            raise VerificationError("sampled round-trip self-check failed")
+    n = group.order
+    values = factorize._random_elems(field, random.Random(seed), samples * n)
+    vectors = [transform.GroupVector(group, field, tuple(values[i:i + n]))
+               for i in range(0, samples * n, n)]
+    back = transform.inverse_fft_many(transform.fft_many(vectors))
+    if any(b.values != v.values for b, v in zip(back, vectors)):
+        raise VerificationError("sampled round-trip self-check failed")
 
 
 def _cmd_transform(args) -> tuple[int, str]:

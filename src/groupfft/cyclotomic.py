@@ -41,7 +41,9 @@ from .rings import (
     UniPoly,
     ext_gcd,
     find_irreducible,
+    fold_reduced,
     mul_reduced,
+    _trimmed,
     reduction_table,
     require_root_order,
     x_pow_minus_one,
@@ -231,8 +233,26 @@ class CyclotomicField(ExtField):
 
     def from_residue(self, coeffs) -> CycloElem:
         """Element from rational coefficients of 1, zeta, zeta^2, ...: ints
-        or Fractions, read by ``UniPoly.make``."""
-        return self.from_poly(UniPoly.make(coeffs, QQ))
+        or Fractions (anything else raises RingMismatch), read as integer
+        numerators over their lcm, any number of them.  A coefficient of
+        zeta^k with k >= phi(d) is folded in through the integral table of
+        zeta^k, the reduction table grown past ``_int_red`` only for a
+        residue longer than 2 phi(d) - 1."""
+        nums, dens = [], []
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise RingMismatch(f"{c!r} is not a coefficient of an element of {self}")
+            nums.append(c.numerator)
+            dens.append(c.denominator)
+        den = lcm(*dens)
+        if den != 1:
+            nums = [a * (den // b) for a, b in zip(nums, dens)]
+        r = self.degree
+        nums += [0] * (r - len(nums))
+        table = self._int_red
+        if len(nums) - r > len(table):
+            table = reduction_table(self._int_modulus, 0, len(nums) - r)
+        return _canonical(fold_reduced(nums, table, r), den, self)
 
     @cached_property
     def _zeta_powers(self) -> list[tuple]:
@@ -417,12 +437,11 @@ def rational_basis_cyclic(n: int) -> list[RationalBasisElement]:
     for d in divisors(n):
         comp = complementary_factor(n, d)
         inv = complementary_inverse(n, d)
-        base = (inv * comp) % modulus
-        x = UniPoly.gen(QQ)
-        cur = base
+        # X^j E_(d,0) mod X^n - 1 is the coefficient list rotated by j
+        coeffs = list(((inv * comp) % modulus).coeffs)
+        coeffs += [QQ.zero] * (n - len(coeffs))
         for j in range(euler_phi(d)):
-            out.append(RationalBasisElement(d, j, cur))
-            cur = (cur * x) % modulus
+            out.append(RationalBasisElement(d, j, _trimmed(coeffs[n - j:] + coeffs[:n - j], QQ)))
     if len(out) != n:
         raise VerificationError(f"{len(out)} rational basis elements, expected {n}")
     return out

@@ -178,16 +178,21 @@ def vandermonde_det(n: int, field):
 # Verification machinery
 # ---------------------------------------------------------------------------
 
-def _random_elem(field, rng: random.Random):
-    """A seeded element that draws every coefficient of an extension."""
+def _random_elems(field, rng: random.Random, count: int) -> list:
+    """count seeded elements that draw every coefficient of an extension,
+    all drawn in one pass: the draws of one element follow those of the
+    one before, as count draws of one element each would make them."""
     if field.is_finite:
         # one residue per int coordinate, a tower's depth first
-        p = field.characteristic
-        return field.from_int_coords([rng.randrange(p) for _ in field.int_coords(field.one)])
-    if isinstance(field, ExtField):
+        low, high, k = 0, field.characteristic, len(field.int_coords(field.one))
+    elif isinstance(field, ExtField):
         # Q(zeta_d): small integer coefficients
-        return field.from_residue([rng.randrange(-9, 10) for _ in range(field.degree)])
-    return Fraction(rng.randrange(-50, 51), rng.randrange(1, 9))
+        low, high, k = -9, 10, field.degree
+    else:
+        return [Fraction(rng.randrange(-50, 51), rng.randrange(1, 9)) for _ in range(count)]
+    ints = [rng.randrange(low, high) for _ in range(count * k)]
+    make = field.from_int_coords
+    return [make(ints[i:i + k]) for i in range(0, count * k, k)]
 
 
 @lru_cache(maxsize=None)
@@ -309,7 +314,7 @@ def verify_product_identity(fd: FactoredDeterminant, matrix_of, group=None) -> V
         count += 1
     for _ in range(count):
         if field.characteristic:
-            values = [_random_elem(field, rng) for _ in variables]
+            values = _random_elems(field, rng, n)
             det_val = det_of(values, field)
         else:
             values = [rng.randrange(-_INT_POINT_HALF, _INT_POINT_HALF) for _ in variables]

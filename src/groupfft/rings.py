@@ -118,7 +118,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterator
 
 from .errors import (
@@ -1345,12 +1345,13 @@ def kernel(field):
     held lists and a context, for ``release(values, context)`` to read
     such sums back as elements, ``release(values, context, n)`` each
     divided by n.  A held zero is 0, which every held form adds as zero.
-    ``dft(values, divisors, inverse)`` transforms a vector over
-    C_{d_1} x ... x C_{d_k}, elements in and out, through
-    :class:`ResidueDFT`, on held ints or else on the vector's
-    :func:`field_entries`; ``convolve(a, b, divisors)`` multiplies two
-    held vectors by :func:`cyclic_product`, and raises RingMismatch where
-    they are not held as ints (towers, MultiPolys).
+    ``dft(values, divisors, inverse)`` transforms vectors over
+    C_{d_1} x ... x C_{d_k}, any number of them back to back in values,
+    elements in and out, through one :class:`ResidueDFT` run, on held
+    ints or else on the vectors' :func:`field_entries`;
+    ``convolve(a, b, divisors)`` multiplies two held vectors by
+    :func:`cyclic_product`, and raises RingMismatch where they are not
+    held as ints (towers, MultiPolys).
     """
     k = field._kernel
     if k is None:
@@ -1460,16 +1461,18 @@ class ElementKernel:
         return _term_sum(held, xs, self.field.one, self.field.zero)
 
     def dft(self, values, divisors, inverse=False) -> list:
-        """The transform of values over C_{d_1} x ... x C_{d_k}, d_i the
-        divisors, in lexicographic order: sum_sigma zeta^t(sigma, chi)
+        """The transforms of the vectors over C_{d_1} x ... x C_{d_k}, d_i
+        the divisors, that values holds back to back, each of n = d_1 ...
+        d_k entries in lexicographic order: sum_sigma zeta^t(sigma, chi)
         values_sigma for every chi, or with inverse (1/n) sum_chi
-        zeta^-t(sigma, chi) values_chi for every sigma: held once as the
-        kernel's ints where it can (:meth:`_held_ints`), run through the
-        :class:`ResidueDFT` of the group exponent e and released once.
-        Towers and MultiPolys (a vector that starts with one does not try
-        the ints) run on their :func:`field_entries`, with the root table
-        as twiddles, kept under ("entries", e)."""
-        e, n = lcm(*divisors), len(values) if inverse else 1
+        zeta^-t(sigma, chi) values_chi for every sigma.  The vectors are
+        one array with a leading batch axis that is not transformed: held
+        once as the kernel's ints where it can (:meth:`_held_ints`), run
+        through the :class:`ResidueDFT` of the group exponent e once and
+        released once.  Towers and MultiPolys (values that start with one
+        do not try the ints) run on their :func:`field_entries`, with the
+        root table as twiddles, kept under ("entries", e)."""
+        e, n = lcm(*divisors), prod(divisors) if inverse else 1
         if not isinstance(values[0], multipoly.MultiPoly):
             try:
                 x, context, dft = self._held_ints(values, e, divisors)
@@ -1501,16 +1504,19 @@ class ElementKernel:
         return dft
 
     def _held_ints(self, values, e, divisors):
-        """(held, context, dft) for the transform of values over F_p[Y]/(m)
-        and Q(zeta_d): Kronecker-packed numerators over their common
-        denominator, the dft on the root powers packed at the same width
-        W; RingMismatch for a tower and for a value that is not an element
-        of the field, an int or (over Q(zeta_d)) a Fraction.  An output of
-        L stages (:meth:`ResidueDFT.stages`) is sum_j (a product of L root
-        powers) x_j: coefficients at most R^L sum_j |x_j|_1, R the largest
-        l1 norm of a root power, degree in T at most (L + 1)(r - 1).
-        ``dfts`` keeps per e the root numerators, R and the ResidueDFT of
-        the widest W yet, which serves narrower calls as exactly."""
+        """(held, context, dft) for the transforms of the vectors values
+        holds over F_p[Y]/(m) and Q(zeta_d): Kronecker-packed numerators
+        over their common denominator, the dft on the root powers packed
+        at the same width W; RingMismatch for a tower and for a value that
+        is not an element of the field, an int or (over Q(zeta_d)) a
+        Fraction.  An output of L stages (:meth:`ResidueDFT.stages`) is
+        sum_j (a product of L root powers) x_j over the n entries x_j of
+        its own vector: coefficients at most R^L max |x|_1, R the largest
+        l1 norm of a root power and the max over the vectors, each read
+        over the batch's common denominator, so a batch is as wide as its
+        widest vector; degree in T at most (L + 1)(r - 1).  ``dfts`` keeps
+        per e the root numerators, R and the ResidueDFT of the widest W
+        yet, which serves narrower calls as exactly."""
         field = self.field
         if self.table is None:
             raise RingMismatch(f"{field} holds its elements")
@@ -1520,8 +1526,13 @@ class ElementKernel:
             roots, _ = field._numerators(root_table(e, field))
             kept = self.dfts[e] = [roots, max([sum(map(abs, v)) for v in roots]), 0, None]
         roots, norm, width, dft = kept
-        stages = ResidueDFT.stages(divisors)
-        bound = norm ** stages * max(1, sum([abs(c) for v in vectors for c in v]))
+        stages, n = ResidueDFT.stages(divisors), prod(divisors)
+        if len(vectors) == n:
+            widest = sum([abs(c) for v in vectors for c in v])
+        else:
+            widest = max([sum([abs(c) for v in vectors[i:i + n] for c in v])
+                          for i in range(0, len(vectors), n)])
+        bound = norm ** stages * max(1, widest)
         if kronecker_width(bound) > width:
             width = kronecker_width(bound)
             dft = ResidueDFT(None, [kronecker_pack(v, width) for v in roots])
@@ -1854,18 +1865,19 @@ def _radices(m: int) -> tuple:
 
 def _row_column(values, divisors, line) -> list:
     """values with ``line(x, d)`` applied to every line of the
-    lexicographic array that runs along a factor C_d, d > 1.
+    lexicographic array that runs along a factor C_d, d > 1: values holds
+    vectors of d_1 ... d_k entries back to back, a leading batch axis
+    that no line runs along.
 
     The characters of C_{d_1} x ... x C_{d_k} factor, so the transform
     over the product is the 1-D DFT along each factor in turn."""
     out = list(values)
-    n = len(out)
-    stride = n
+    total, stride = len(out), prod(divisors)
     for d in divisors:
         block, stride = stride, stride // d
         if d == 1:
             continue
-        for start in range(0, n, block):
+        for start in range(0, total, block):
             for j in range(start, start + stride):
                 out[j:j + block:stride] = line(out[j:j + block:stride], d)
     return out
@@ -1920,8 +1932,9 @@ class ResidueDFT:
         return sum([_line_stages(d) for d in divisors if d > 1])
 
     def run(self, x: list, divisors, inverse=False) -> list:
-        """The transform of the held values x, reduced mod p if p is given;
-        with inverse the conjugate transform, n times the inverse."""
+        """The transforms of the held vectors that x holds back to back
+        (:func:`_row_column`), reduced mod p if p is given; with inverse
+        the conjugate transforms, n times the inverses."""
         e = self.e
         sign = -1 if inverse else 1
         return _row_column(x, divisors, lambda line, d: self._line(line, sign * (e // d) % e))

@@ -38,7 +38,13 @@ and the root table of the group exponent
 (:func:`groupfft.rings.root_table`): the kernel holds the entries once,
 runs :class:`groupfft.rings.ResidueDFT` on them and releases each output
 once, the 1/n of an inverse folded in; towers and MultiPoly vectors are
-held as their entries, with the root table as twiddles.  Int entries,
+held as their entries, with the root table as twiddles.  ``fft_many``
+and ``inverse_fft_many`` transform a batch of vectors over one group and
+one field in one such call: the vectors lie back to back along a leading
+batch axis that the row-column pass does not transform, so the batch
+pays one hold, one root-table lookup and one release, and a
+Kronecker-packed batch is as wide as its widest vector.  ``fft`` and
+``inverse_fft`` are the batch of one.  Int entries,
 and over Q and Q(zeta_d) Fraction entries, are read as field elements on
 every path; any other entry that is not an element of the field or a
 MultiPoly over it (an element of another field, a float) raises
@@ -112,27 +118,64 @@ def fft(b: GroupVector) -> GroupVector:
     """Forward transform: B_chi = sum_sigma chi(sigma) b_sigma.
 
     Row-column over the cyclic factors on the field's kernel (see the
-    module docstring); ``fft_reference`` is the direct sum.
+    module docstring), as the batch of one of ``fft_many``;
+    ``fft_reference`` is the direct sum.
     """
-    if b.dual:
-        raise PreconditionError("input is already on the dual side")
-    group, field = b.group, b.field
-    out = kernel(field).dft(b.values, group.divisors)
-    return GroupVector(group, field, tuple(out), dual=True)
+    return fft_many([b])[0]
 
 
 def inverse_fft(B: GroupVector) -> GroupVector:
     """Inverse transform: b_sigma = (1/n) sum_chi chi(sigma^-1) B_chi.
 
-    Same fast path as ``fft`` with the conjugate root table;
-    ``inverse_fft_reference`` is the direct sum.
+    Same fast path as ``fft`` with the conjugate root table, as the batch
+    of one of ``inverse_fft_many``; ``inverse_fft_reference`` is the
+    direct sum.
     """
-    if not B.dual:
-        raise PreconditionError("input is not on the dual side")
-    group, field = B.group, B.field
-    _require_invertible_order(group, field)
-    out = kernel(field).dft(B.values, group.divisors, inverse=True)
-    return GroupVector(group, field, tuple(out), dual=False)
+    return inverse_fft_many([B])[0]
+
+
+def fft_many(vectors) -> list[GroupVector]:
+    """The forward transforms of a sequence of group-side vectors over
+    one group and one field, in one kernel call: one hold, one
+    ResidueDFT run along a batch axis that is not transformed, and one
+    release."""
+    return _transformed(vectors, False)
+
+
+def inverse_fft_many(spectra) -> list[GroupVector]:
+    """The inverse transforms of dual-side vectors over one group and one
+    field, in one kernel call, as ``fft_many``."""
+    return _transformed(spectra, True)
+
+
+def _transformed(vectors, inverse: bool) -> list[GroupVector]:
+    """The kernel's transforms of a nonempty batch of vectors over one
+    group and one field, all on the group side (with inverse, the dual
+    side), held back to back and split back into vectors on the other
+    side; PreconditionError for any other batch."""
+    if not vectors:
+        raise PreconditionError("a batch of transforms needs at least one vector")
+    first = vectors[0]
+    group, field = first.group, first.field
+    for v in vectors:
+        if v.dual != inverse:
+            raise PreconditionError("input is not on the dual side" if inverse
+                                    else "input is already on the dual side")
+        if v.group is not group and v.group != group:
+            raise PreconditionError(f"a batch over {group} holds a vector over {v.group}")
+        if v.field is not field:
+            raise RingMismatch(f"a batch over {field} holds a vector over {v.field}")
+    if inverse:
+        _require_invertible_order(group, field)
+    # a batch of one is neither joined nor split: the kernel call is the same
+    joined = len(vectors) > 1
+    values = [x for v in vectors for x in v.values] if joined else first.values
+    out = kernel(field).dft(values, group.divisors, inverse)
+    if not joined:
+        return [GroupVector(group, field, tuple(out), not inverse)]
+    n = group.order
+    return [GroupVector(group, field, tuple(out[i:i + n]), not inverse)
+            for i in range(0, len(out), n)]
 
 
 def _dot(column, values):

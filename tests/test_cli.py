@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -344,15 +345,42 @@ class TestDispatchDirect:
     def test_sampled_check_leaves_the_prime_field(self, monkeypatch):
         # Frobenius x -> x^3 fixes F3, so only vectors with entries outside
         # the prime field can expose this wrong transform over F9.
-        fast = transform.fft
+        fast = transform.fft_many
 
-        def frobenius_first(vec):
-            return fast(replace(vec, values=tuple(v ** 3 for v in vec.values)))
+        def frobenius_first(vectors):
+            return fast([replace(vec, values=tuple(v ** 3 for v in vec.values))
+                         for vec in vectors])
 
-        monkeypatch.setattr(transform, "fft", frobenius_first)
+        monkeypatch.setattr(transform, "fft_many", frobenius_first)
         group = AbelianGroup.cyclic(4)
         with pytest.raises(VerificationError, match="sampled round-trip"):
             _sampled_round_trip_check(group, parse_field_descriptor("F9"), seed=0)
+
+    @pytest.mark.parametrize("group_text,field_text",
+                             [("C2xC3", "F7"), ("C8", "F9"), ("C2xC2", "Q"), ("C3", "Qzeta:6")])
+    def test_sampled_check_is_one_batch_each_way(self, monkeypatch, group_text, field_text):
+        # the 20 samples are the vectors of 20 group.order draws in a row,
+        # transformed by one fft_many and one inverse_fft_many call
+        calls = []
+
+        def spied(name):
+            fn = getattr(transform, name)
+
+            def spy(vectors):
+                calls.append((name, [v.values for v in vectors]))
+                return fn(vectors)
+            monkeypatch.setattr(transform, name, spy)
+
+        spied("fft_many")
+        spied("inverse_fft_many")
+        group = parse_group(group_text)
+        field = parse_field_descriptor(field_text, zeta_conductor=group.exponent)
+        _sampled_round_trip_check(group, field, seed=7)
+        draws = factorize._random_elems(field, random.Random(7), 20 * group.order)
+        n = group.order
+        samples = [tuple(draws[i:i + n]) for i in range(0, 20 * n, n)]
+        assert [name for name, _ in calls] == ["fft_many", "inverse_fft_many"]
+        assert calls[0][1] == samples
 
     @pytest.mark.parametrize(
         "argv",

@@ -225,6 +225,31 @@ class TestCycloAsExtField:
             k.zeta.rational_value
 
 
+class TestFromResidue:
+    """from_residue reads ints and Fractions as numerators over their lcm
+    and folds every power of zeta past phi(d) through the integral table:
+    the element the UniPoly route gives, for every residue length."""
+
+    @pytest.mark.parametrize("d", range(1, 16))
+    def test_against_the_unipoly_route(self, d):
+        k = cyclotomic_field(d)
+        r = k.degree
+        rng = random.Random(d)
+        for length in sorted({0, 1, r - 1, r, r + 1, 2 * r - 1, 2 * r, 3 * r + 2, d + 3}):
+            for fractions in (False, True):
+                coeffs = [Fraction(rng.randrange(-30, 31), rng.randrange(1, 9)) if fractions
+                          else rng.randrange(-30, 31) for _ in range(length)]
+                x = k.from_residue(coeffs)
+                assert x == k.from_poly(UniPoly.make(coeffs, QQ))
+                assert is_canonical(x) and len(x.num) == r
+
+    def test_refuses_other_values(self):
+        k = cyclotomic_field(5)
+        for bad in (0.5, "1", k.one, PrimeField(5).one):
+            with pytest.raises(RingMismatch):
+                k.from_residue([1, bad])
+
+
 class TestSplittingField:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 9, 10, 12, 15])
     def test_rule_agrees_with_the_root_formula(self, d):
@@ -408,6 +433,25 @@ class TestRationalBasisCyclic:
         basis = rational_basis_cyclic(2)
         assert basis[0].poly == UniPoly.make([Fraction(1, 2), Fraction(1, 2)], QQ)
         assert basis[1].poly == UniPoly.make([Fraction(1, 2), Fraction(-1, 2)], QQ)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_rotation_is_the_product_by_x(self, n):
+        """E_(d,j+1) is X E_(d,j) mod X^n - 1, taken from the product and
+        division in Q[X]: the basis built by rotating coefficient lists is
+        that one, coefficient by coefficient."""
+        modulus = x_pow_minus_one(n, QQ)
+        x = UniPoly.gen(QQ)
+        expected = []
+        for d in divisors(n):
+            cur = (complementary_inverse(n, d) * complementary_factor(n, d)) % modulus
+            for j in range(euler_phi(d)):
+                expected.append((d, j, cur))
+                cur = (cur * x) % modulus
+        basis = rational_basis_cyclic(n)
+        assert [(b.d, b.j, b.poly) for b in basis] == expected
+        for b, (_, _, poly) in zip(basis, expected):
+            assert b.poly.coeffs == poly.coeffs
+            assert all(type(c) is Fraction for c in b.poly.coeffs)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_idempotent_relations(self, n):

@@ -737,6 +737,40 @@ FINITE_POINT_IDS = ["C7-F2", "C8-F3", "C10-F11", "C13-F4", "C7-F4tower", "C7-F10
                     "C24-F23"]
 
 
+def _one_draw(field, rng):
+    """One seeded element, drawn as the points and samples were drawn an
+    element at a time: one residue per int coordinate over F_q, phi(d)
+    small integers over Q(zeta_d), a numerator and a denominator over Q."""
+    if field.is_finite:
+        p = field.characteristic
+        return field.from_int_coords([rng.randrange(p) for _ in field.int_coords(field.one)])
+    if isinstance(field, ExtField):
+        return field.from_residue([rng.randrange(-9, 10) for _ in range(field.degree)])
+    return Fraction(rng.randrange(-50, 51), rng.randrange(1, 9))
+
+
+class TestRandomElems:
+    """factorize._random_elems draws count elements in one pass: the same
+    elements, from the same rng calls in the same order, as count draws of
+    one element each."""
+
+    FIELDS = [F7, QQ, finite_field(3, 2), finite_field(2, 10), cyclotomic_field(5),
+              cyclotomic_field(12), cyclotomic_field(1)]
+
+    @pytest.mark.parametrize("field", FIELDS + ["tower"], ids=repr)
+    @pytest.mark.parametrize("count", [0, 1, 7, 20])
+    def test_same_sequence_and_state(self, field, count):
+        if field == "tower":
+            f4 = finite_field(2, 2)
+            field = ExtField(f4, find_irreducible(f4, 3))
+        one, batch = random.Random(count), random.Random(count)
+        expected = [_one_draw(field, one) for _ in range(count)]
+        got = factorize._random_elems(field, batch, count)
+        assert got == expected
+        assert [type(x) for x in got] == [type(x) for x in expected]
+        assert batch.getstate() == one.getstate()
+
+
 class TestFiniteFieldPoints:
     """Over F_q the points are uniform in E, the largest flat F_{p^s}
     (r | s) the log kernel serves, or F_q above the cap; as many as bring

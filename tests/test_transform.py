@@ -36,12 +36,14 @@ from groupfft.transform import (
     dual_diagonalize,
     dual_matrix,
     fft,
+    fft_many,
     fft_reference,
     group_idempotents,
     group_matrix,
     group_variables,
     interpolate_at_roots_of_unity,
     inverse_fft,
+    inverse_fft_many,
     inverse_fft_reference,
     shift_matrix,
     shift_power_from_idempotents,
@@ -820,6 +822,113 @@ class TestEntriesDFT:
         x = symbolic_vector(AbelianGroup.cyclic(3), F7).values
         assert (ElementKernel.release(kernel(F7), x, None, 3)
                 == [F7.from_int(5) * v for v in x])
+
+
+# (cyclic orders, field) for batches: F_p, F_{p^r} on logs, Q, Q(zeta_3)
+# (odd conductor, roots -zeta), Q(zeta_4) and towers, cyclic and multi-axis
+BATCH_CASES = [
+    ((12,), F13),
+    ((2, 6), F13),
+    ((8,), F9),
+    ((2, 2, 2), F9),
+    ((2, 2), QQ),
+    ((6,), cyclotomic_field(3)),
+    ((2, 3), cyclotomic_field(3)),
+    ((2, 4), cyclotomic_field(4)),
+    ((5,), F16_TOWER),
+    ((3, 3), F4_TOWER),
+]
+
+
+def _batch(group, field, size, rng):
+    draw = random_vector if field.is_finite else mixed_vector
+    return [draw(group, field, rng) for _ in range(size)]
+
+
+def _duals(vectors):
+    return [GroupVector(v.group, v.field, v.values, dual=True) for v in vectors]
+
+
+class TestBatchedTransforms:
+    """fft_many and inverse_fft_many transform a batch in one kernel call,
+    each vector as the references transform it alone."""
+
+    @pytest.mark.parametrize("size", [1, 2, 20])
+    @pytest.mark.parametrize(
+        "divisors,field", BATCH_CASES, ids=[f"{d}-{f!r}" for d, f in BATCH_CASES]
+    )
+    def test_against_references(self, divisors, field, size, monkeypatch):
+        group = AbelianGroup(divisors)
+        rng = random.Random(repr((divisors, field, size)))
+        vectors, spectra = _batch(group, field, size, rng), _duals(_batch(group, field, size, rng))
+        runs = spy_on_runs(monkeypatch)
+        forward, backward = fft_many(vectors), inverse_fft_many(spectra)
+        assert len(runs) == 2
+        assert forward == [fft_reference(v) for v in vectors]
+        assert backward == [inverse_fft_reference(v) for v in spectra]
+        assert [v.values for v in inverse_fft_many(forward)] == [
+            tuple(field_entries(v.values, field)) for v in vectors]
+
+    @pytest.mark.parametrize("size", [1, 2, 20])
+    @pytest.mark.parametrize(
+        "divisors,field", SYMBOLIC_CASES + [((2, 3), F7)],
+        ids=[f"{d}-{f!r}" for d, f in SYMBOLIC_CASES + [((2, 3), F7)]],
+    )
+    def test_multipoly_vectors(self, divisors, field, size):
+        group = AbelianGroup(divisors)
+        x = symbolic_vector(group, field).values
+        vectors = [GroupVector(group, field, tuple(field.from_int(k + 1) * v for v in x))
+                   for k in range(size)]
+        forward = fft_many(vectors)
+        assert forward == [fft_reference(v) for v in vectors]
+        assert inverse_fft_many(forward) == [inverse_fft_reference(v) for v in forward]
+        assert inverse_fft_many(forward) == vectors
+
+    def test_batch_of_one_is_fft(self):
+        group = AbelianGroup((2, 6))
+        b = random_vector(group, F13, random.Random(6))
+        assert fft_many([b]) == [fft(b)]
+        B = fft(b)
+        assert inverse_fft_many([B]) == [inverse_fft(B)] == [b]
+
+    def test_width_of_the_widest_vector(self):
+        """A batch packs at the digit width of its widest vector, not of
+        the whole batch, so it widens the kept root table no more than that
+        vector alone would.  The numerators are read over the batch's
+        common denominator, so the wide vector is a multiple of the small
+        one by a factor prime to every denominator: both have the same."""
+        field = cyclotomic_field(8)
+        group = AbelianGroup((2, 4))
+        kept = kernel(field).dfts
+        rng = random.Random(8)
+        small = mixed_vector(group, field, rng)
+        wide = GroupVector(group, field, tuple(v * 11 ** 40 for v in small.values))
+        widths = []
+        for batch in ([wide], [wide] * 20, [small] * 19 + [wide]):
+            kept.pop(group.exponent, None)
+            assert fft_many(batch) == [fft_reference(v) for v in batch]
+            widths.append(kept[group.exponent][2])
+        assert widths[0] == widths[1] == widths[2]
+
+    def test_refused_batches(self):
+        c4, c2c2 = AbelianGroup.cyclic(4), AbelianGroup((2, 2))
+        a = GroupVector(c4, F13, (1, 2, 3, 4))
+        A = GroupVector(c4, F13, (1, 2, 3, 4), dual=True)
+        refused = [
+            (fft_many, []),
+            (inverse_fft_many, []),
+            (fft_many, [a, GroupVector(c2c2, F13, (1, 2, 3, 4))]),
+            (fft_many, [a, GroupVector(c4, PrimeField(17), (1, 2, 3, 4))]),
+            (fft_many, [a, A]),
+            (fft_many, [A]),
+            (inverse_fft_many, [A, a]),
+            (inverse_fft_many, [a]),
+            (inverse_fft_many, [A, GroupVector(c2c2, F13, (1, 2, 3, 4), dual=True)]),
+            (inverse_fft_many, [GroupVector(c4, PrimeField(2), (1, 0, 1, 1), dual=True)]),
+        ]
+        for run, batch in refused:
+            with pytest.raises(PreconditionError):
+                run(batch)
 
 
 def _foreign_cases():
